@@ -2,28 +2,30 @@
 
 `uqgroup run` executes one grouped adaptive-refinement study and writes
 r_table.csv, manifest.json and iterations_by_level.csv into --out-dir;
-`uqgroup table` pretty-prints a previously written manifest.  Exit codes:
+`uqgroup table` pretty-prints a previously written manifest.  Flags override
+keys of the --config document or of the --problem preset.  Exit codes:
 0 when the run stopped on tolerance, 2 when it exhausted the sample budget,
-1 on any error (bad flags included).
+3 when a lane stopped unconverged (every R is then NaN), 1 on any error (bad
+flags included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
+import json
 import sys
 from pathlib import Path
 
 from .harness import (
     ANALYTIC_PROBLEMS,
     PDE_PROBLEMS,
+    ConfigurationError,
     RunConfig,
     adaptive_run,
     config_from_dict,
     emit_reports,
     parse_manifest,
-    preset_config,
     read_base_curve,
 )
 
@@ -61,7 +63,7 @@ def _build_parser() -> _Parser:
         help="CSV of measured perfect-grouping speed-ups, columns S,speedup",
     )
     run_p.add_argument(
-        "--dump-residuals", action="store_true",
+        "--dump-residuals", action="store_true", default=None,
         help="write per-ensemble lane residual histories next to the run outputs",
     )
 
@@ -70,47 +72,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Keys of the configuration document that flags override; a flag is named
+# after the last part of its key, and "block.key" is a key inside a block.
+_FLAG_KEYS = ("S", "strategies", "tau", "n_max", "initial_level", "mesh.mesh_cells",
+              "solver.tol", "solver.maxit", "base_curve", "dump_residuals")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
-        import json
-
-        config = config_from_dict(json.loads(args.config.read_text()))
+        doc = json.loads(args.config.read_text())
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{args.config}: expected a JSON object")
     elif args.problem is not None:
-        config = preset_config(args.problem)
+        doc = {"problem": args.problem}
     else:
         raise ValueError("give either --config or --problem")
-
-    updates: dict = {}
-    if args.S is not None:
-        updates["ensemble_size"] = args.S
+    flags = vars(args).copy()
     if args.strategies is not None:
-        updates["strategies"] = tuple(
-            s.strip() for s in args.strategies.split(",") if s.strip()
-        )
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.n_max is not None:
-        updates["n_max"] = args.n_max
-    if args.initial_level is not None:
-        updates["initial_level"] = args.initial_level
-    if args.mesh_cells is not None:
-        if config.mesh is None:
-            raise ValueError("--mesh-cells applies only to PDE problems")
-        updates["mesh"] = dataclasses.replace(config.mesh, mesh_cells=args.mesh_cells)
-    if args.tol is not None or args.maxit is not None:
-        solver = config.solver
-        if args.tol is not None:
-            solver = dataclasses.replace(solver, tol=args.tol)
-        if args.maxit is not None:
-            solver = dataclasses.replace(solver, maxit=args.maxit)
-        updates["solver"] = solver
+        flags["strategies"] = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if args.base_curve is not None:
-        updates["base_curve"] = read_base_curve(args.base_curve)
-    if args.dump_residuals:
-        updates["dump_residuals"] = True
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config
+        flags["base_curve"] = read_base_curve(args.base_curve)
+    for path in _FLAG_KEYS:
+        block, _, key = path.rpartition(".")
+        if flags[key] is not None:
+            target = doc
+            if block:
+                target = doc[block] = doc.get(block) or {}
+                if not isinstance(target, dict):
+                    raise ConfigurationError(f"config.{block}: expected an object, got {target!r}")
+            target[key] = flags[key]
+    return config_from_dict(doc)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -143,6 +134,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(line)
     for note in report.notes:
         print(f"  note: {note}")
+    if not report.all_lanes_converged:
+        return 3
     return 0 if report.stop_reason == "tolerance_met" else 2
 
 

@@ -16,9 +16,14 @@ surrogate state fitted through level L-1.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
 import json
 import math
+import os
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -66,9 +71,81 @@ PDE_PROBLEMS = ("pde_test1", "pde_test2", "pde_isotropic_baseline")
 QOI_CHANNEL = "qoi"
 ITER_CHANNEL = "iterations"
 
+# Prefix of the report note that marks a run with unconverged lanes.
+_UNCONVERGED_NOTE = "R and predicted speed-ups set to NaN"
+
 
 class ConfigurationError(ValueError):
     """Inconsistent or incomplete run configuration."""
+
+
+# ---------------------------------------------------------------------------
+# serialization schema
+#
+# Configs and reports are written and read by walking their dataclass fields
+# and type hints.  A field whose JSON key differs from its name carries the
+# key in its metadata.  Reading rejects unknown keys, missing required keys
+# and mistyped leaves, so a typo fails instead of being ignored.
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, str | tuple, object, bool], ...]:
+    """(attribute, JSON key, type hint, required) for each field of cls."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("key", f.name), hints[f.name], f.default is dataclasses.MISSING)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _dump(v):
+    """The JSON form of a schema dataclass or of one of its field values."""
+    if v is None or isinstance(v, (int, float, str, dict)):
+        return v
+    if isinstance(v, tuple):
+        # Flat tuples of numbers or strings are the bulk of a report: copy them whole.
+        return list(v) if not v or isinstance(v[0], (int, float, str)) else [_dump(x) for x in v]
+    return {key: _dump(getattr(v, name)) for name, key, _, _ in _schema(type(v))}
+
+
+# Exact JSON types accepted for each leaf hint: no bool where a number is due.
+_LEAVES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), dict: (dict,)}
+
+
+def _load(hint, v, path: str, base=None):
+    """Read v as type hint; keys absent from an object take base's values, else defaults."""
+    if type(hint) is types.UnionType:  # every union here is `T | None`
+        if v is None:
+            return None
+        hint = hint.__args__[0]
+    if hint in _LEAVES:
+        if type(v) not in _LEAVES[hint]:
+            raise ConfigurationError(f"{path}: expected {hint.__name__}, got {v!r}")
+        return v
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(v, list | tuple) or not (args[-1] is Ellipsis or len(v) == len(args)):
+            raise ConfigurationError(f"{path}: expected a list matching {hint}, got {v!r}")
+        items = args[:1] * len(v) if args[-1] is Ellipsis else args
+        if all(type(x) in _LEAVES.get(a, ()) for a, x in zip(items, v)):
+            return tuple(v)  # flat tuples are the bulk of a report: no per-item recursion
+        return tuple(_load(a, x, f"{path}[{i}]") for i, (a, x) in enumerate(zip(items, v)))
+    if not isinstance(v, Mapping):
+        raise ConfigurationError(f"{path}: expected an object, got {v!r}")
+    schema = _schema(hint)
+    unknown = v.keys() - {key for _, key, _, _ in schema}
+    if unknown:
+        names = ", ".join(sorted(map(repr, unknown)))
+        raise ConfigurationError(f"{path}: unknown key(s) {names}")
+    kw = {}
+    for name, key, field_hint, required in schema:
+        if key in v:
+            kw[name] = _load(field_hint, v[key], f"{path}.{key}", getattr(base, name, None))
+        elif base is not None:
+            kw[name] = getattr(base, name)
+        elif required:
+            raise ConfigurationError(f"{path}: missing key {key!r}")
+    return hint(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +157,11 @@ class SolverConfig:
     tol: float = 1e-7
     maxit: int = 30000
 
-    def to_dict(self) -> dict:
-        return {"tol": self.tol, "maxit": self.maxit}
+    def __post_init__(self) -> None:
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigurationError(f"solver tol must be positive and finite, got {self.tol}")
+        if self.maxit < 0:
+            raise ConfigurationError(f"solver maxit must be >= 0, got {self.maxit}")
 
 
 @dataclass(frozen=True)
@@ -89,36 +169,20 @@ class FieldConfig:
     delta: float = 0.25
     sigma0: float = math.sqrt(300.0)
     a_min: float = 0.1
-    a_hat_mode: str = "constant"
-    a_hat_value: float = 1.0
+    # Tuple keys: JSON cannot spell them, so only the nested a_hat block sets these.
+    a_hat_mode: str = dataclasses.field(default="constant", metadata={"key": ("a_hat", "mode")})
+    a_hat_value: float = dataclasses.field(default=1.0, metadata={"key": ("a_hat", "value")})
     a_y: float = 1.0
     a_z: float = 1.0
     nystrom_points: int = 513
     sigma0_convention: str = "stddev"
     expansion: str = "log"
 
-    def to_dict(self, n_modes: int) -> dict:
-        return {
-            "delta": self.delta,
-            "sigma0": self.sigma0,
-            "N": n_modes,
-            "a_min": self.a_min,
-            "a_hat": {"mode": self.a_hat_mode, "value": self.a_hat_value},
-            "a_y": self.a_y,
-            "a_z": self.a_z,
-            "nystrom_points": self.nystrom_points,
-            "sigma0_convention": self.sigma0_convention,
-            "expansion": self.expansion,
-        }
-
 
 @dataclass(frozen=True)
 class MeshConfig:
     mesh_cells: int = 16
     quadrature: str = "gauss2"
-
-    def to_dict(self) -> dict:
-        return {"mesh_cells": self.mesh_cells, "quadrature": self.quadrature}
 
 
 @dataclass(frozen=True)
@@ -132,16 +196,12 @@ class AnalyticConfig:
     r1: float = 0.25
     r2: float = 0.65
 
-    def to_dict(self) -> dict:
-        return {"a1": self.a1, "a2": self.a2, "u1": self.u1, "u2": self.u2,
-                "r1": self.r1, "r2": self.r2}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     problem: str
     n_dims: int
-    ensemble_size: int
+    ensemble_size: int = dataclasses.field(metadata={"key": "S"})
     tau: float
     n_max: int
     initial_level: int
@@ -158,8 +218,8 @@ class RunConfig:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.ensemble_size < 1:
             raise ConfigurationError("ensemble size must be >= 1")
-        if self.tau <= 0:
-            raise ConfigurationError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ConfigurationError("tau must be positive and finite")
         if self.n_max < 1:
             raise ConfigurationError("n_max must be >= 1")
         if self.initial_level < 0:
@@ -179,6 +239,8 @@ class RunConfig:
                 raise ConfigurationError("analytic problems are two-dimensional")
             if self.analytic is None:
                 raise ConfigurationError(f"{self.problem} needs an analytic block")
+            if self.field is not None or self.mesh is not None:
+                raise ConfigurationError("field and mesh blocks apply only to PDE problems")
             if "par" in self.strategies:
                 raise ConfigurationError("strategy 'par' needs a PDE problem")
 
@@ -187,112 +249,70 @@ class RunConfig:
         return self.problem in PDE_PROBLEMS
 
     def to_dict(self) -> dict:
-        out = {
-            "problem": self.problem,
-            "n_dims": self.n_dims,
-            "S": self.ensemble_size,
-            "tau": self.tau,
-            "n_max": self.n_max,
-            "initial_level": self.initial_level,
-            "strategies": list(self.strategies),
-            "solver": self.solver.to_dict(),
-            "field": self.field.to_dict(self.n_dims) if self.field else None,
-            "mesh": self.mesh.to_dict() if self.mesh else None,
-            "analytic": self.analytic.to_dict() if self.analytic else None,
-            "base_curve": [[s, v] for s, v in self.base_curve] if self.base_curve else None,
-            "dump_residuals": self.dump_residuals,
-        }
-        return out
+        return _config_out(_dump(self))
 
 
-_PRESETS: dict[str, dict] = {
-    "analytic_g1": dict(
-        n_dims=2, ensemble_size=8, tau=5e-4, n_max=1000, initial_level=2,
-        strategies=("nat", "sur", "its"),
-    ),
-    "analytic_g2": dict(
-        n_dims=2, ensemble_size=8, tau=5e-4, n_max=1000, initial_level=2,
-        strategies=("nat", "sur", "its"),
-    ),
-    "pde_test1": dict(
-        n_dims=4, ensemble_size=4, tau=1e-3, n_max=600, initial_level=1,
-        strategies=("nat", "par", "sur", "its"),
-    ),
-    "pde_test2": dict(
-        n_dims=4, ensemble_size=4, tau=1e-3, n_max=600, initial_level=1,
-        strategies=("nat", "par", "sur", "its"),
-    ),
-    "pde_isotropic_baseline": dict(
-        n_dims=4, ensemble_size=4, tau=1e-3, n_max=600, initial_level=1,
-        strategies=("nat", "par", "sur", "its"),
-    ),
-}
+# The field block repeats n_dims as "N" and nests a_hat as {mode, value};
+# these two functions move between that layout and FieldConfig's flat keys.
+def _config_out(doc: dict) -> dict:
+    f = doc["field"]
+    if f is not None:
+        head = {"delta": f.pop("delta"), "sigma0": f.pop("sigma0"), "N": doc["n_dims"],
+                "a_min": f.pop("a_min"),
+                "a_hat": {"mode": f.pop(("a_hat", "mode")), "value": f.pop(("a_hat", "value"))}}
+        doc["field"] = {**head, **f}
+    return doc
+
+
+def _config_in(doc: Mapping) -> dict:
+    doc = dict(doc)
+    if isinstance(doc.get("field"), Mapping):
+        f = doc["field"] = dict(doc["field"])
+        a_hat = f.pop("a_hat", {})
+        if not isinstance(a_hat, Mapping):
+            raise ConfigurationError(f"config.field.a_hat: expected an object, got {a_hat!r}")
+        f.update((("a_hat", k), v) for k, v in a_hat.items())
+        n_modes = f.pop("N", None)
+        if n_modes is not None and doc.setdefault("n_dims", n_modes) != n_modes:
+            raise ConfigurationError("field block N disagrees with n_dims")
+    return doc
+
+
+_ANALYTIC_PRESET = dict(
+    n_dims=2, ensemble_size=8, tau=5e-4, n_max=1000, initial_level=2,
+    strategies=("nat", "sur", "its"), solver=SolverConfig(), analytic=AnalyticConfig(),
+)
+_PDE_PRESET = dict(
+    n_dims=4, ensemble_size=4, tau=1e-3, n_max=600, initial_level=1,
+    strategies=("nat", "par", "sur", "its"), solver=SolverConfig(), mesh=MeshConfig(),
+)
 
 
 def preset_config(problem: str, **overrides) -> RunConfig:
     """Build a RunConfig for a named problem with sensible per-problem defaults."""
-    if problem not in _PRESETS:
-        raise ConfigurationError(f"unknown problem {problem!r}")
-    kw = dict(_PRESETS[problem])
-    kw["problem"] = problem
-    kw["solver"] = SolverConfig()
-    if problem in ANALYTIC_PROBLEMS:
-        kw["analytic"] = AnalyticConfig()
-    elif problem == "pde_isotropic_baseline":
+    kw = dict(_ANALYTIC_PRESET if problem in ANALYTIC_PROBLEMS else _PDE_PRESET, problem=problem)
+    if problem == "pde_isotropic_baseline":
         # Constant isotropic coefficient: the premise that every sample costs
         # the same number of iterations, realised exactly.
         kw["field"] = FieldConfig(sigma0=0.0, a_min=0.0, a_hat_value=1.0, expansion="linear")
-        kw["mesh"] = MeshConfig()
-    else:
+    elif problem in PDE_PROBLEMS:
         # sqrt(300) under the kernel convention keeps the log-amplitudes
         # around +-8; the stddev convention would overflow exp at the corners.
         kw["field"] = FieldConfig(
             sigma0_convention="kernel",
             a_hat_mode="test2" if problem == "pde_test2" else "constant",
         )
-        kw["mesh"] = MeshConfig()
     kw.update(overrides)
     return RunConfig(**kw)
 
 
 def config_from_dict(doc: Mapping) -> RunConfig:
-    """Parse the JSON configuration schema (the inverse of RunConfig.to_dict)."""
-    if "problem" not in doc:
+    """Parse the JSON configuration schema (the inverse of RunConfig.to_dict).
+
+    Absent keys, also inside blocks, take the preset's values; unknown keys raise."""
+    if not isinstance(doc, Mapping) or "problem" not in doc:
         raise ConfigurationError("configuration needs a 'problem' key")
-    problem = doc["problem"]
-    if problem not in _PRESETS:
-        raise ConfigurationError(f"unknown problem {problem!r}")
-    kw: dict = {}
-    for src, dst in (("n_dims", "n_dims"), ("S", "ensemble_size"), ("tau", "tau"),
-                     ("n_max", "n_max"), ("initial_level", "initial_level"),
-                     ("dump_residuals", "dump_residuals")):
-        if doc.get(src) is not None:
-            kw[dst] = doc[src]
-    if doc.get("strategies") is not None:
-        kw["strategies"] = tuple(doc["strategies"])
-    if doc.get("solver") is not None:
-        kw["solver"] = SolverConfig(**doc["solver"])
-    if doc.get("analytic") is not None:
-        kw["analytic"] = AnalyticConfig(**doc["analytic"])
-    if doc.get("mesh") is not None:
-        kw["mesh"] = MeshConfig(**doc["mesh"])
-    if doc.get("field") is not None:
-        f = dict(doc["field"])
-        n_modes = f.pop("N", None)
-        a_hat = f.pop("a_hat", None)
-        if a_hat is not None:
-            f["a_hat_mode"] = a_hat["mode"]
-            f["a_hat_value"] = a_hat.get("value", 1.0)
-        kw["field"] = FieldConfig(**f)
-        if n_modes is not None:
-            if "n_dims" in kw and kw["n_dims"] != n_modes:
-                raise ConfigurationError("field block N disagrees with n_dims")
-            kw.setdefault("n_dims", n_modes)
-    if doc.get("base_curve") is not None:
-        bc = doc["base_curve"]
-        pairs = bc.items() if isinstance(bc, Mapping) else bc
-        kw["base_curve"] = tuple(sorted((int(s), float(v)) for s, v in pairs))
-    return preset_config(problem, **kw)
+    return _load(RunConfig, _config_in(doc), "config", preset_config(doc["problem"]))
 
 
 def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
@@ -304,8 +324,8 @@ def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
                 continue
             try:
                 pairs.append((int(row[0]), float(row[1])))
-            except ValueError:
-                if not pairs:  # tolerate a header line
+            except (ValueError, IndexError):
+                if not pairs and len(row) > 1:  # tolerate a header line
                     continue
                 raise ConfigurationError(f"bad base-curve row: {row}") from None
     if not pairs:
@@ -351,8 +371,6 @@ def analytic_iters(
 
 
 class _AnalyticProblem:
-    is_pde = False
-
     def __init__(self, config: RunConfig):
         self.config = config
         self.which = "g1" if config.problem == "analytic_g1" else "g2"
@@ -368,24 +386,9 @@ class _AnalyticProblem:
 
 
 class _PdeProblem:
-    is_pde = True
-
     def __init__(self, config: RunConfig):
         self.config = config
-        f = config.field
-        self.field = build_field(
-            delta=f.delta,
-            sigma0=f.sigma0,
-            n_modes=config.n_dims,
-            a_min=f.a_min,
-            a_hat_mode=f.a_hat_mode,
-            a_hat_value=f.a_hat_value,
-            a_y=f.a_y,
-            a_z=f.a_z,
-            nystrom_points=f.nystrom_points,
-            sigma0_convention=f.sigma0_convention,
-            expansion=f.expansion,
-        )
+        self.field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
         self.mesh = StructuredMesh(config.mesh.mesh_cells, config.mesh.quadrature)
         self.mode_vals = self.field.mode_values(self.mesh.quad_points)
         self.box = tuple([(-1.0, 1.0)] * config.n_dims)
@@ -401,10 +404,12 @@ class _PdeProblem:
         plan: GroupingPlan,
         coords_by_id: Mapping[int, np.ndarray],
         residual_sink: Callable[[int, int, list[np.ndarray]], None] | None,
-    ) -> tuple[dict[int, int], dict[int, float], list[str]]:
+    ) -> tuple[dict[int, int], dict[int, float], list[str], int]:
+        """Solve every ensemble; also return notes and the count of unconverged lanes."""
         iters: dict[int, int] = {}
         qois: dict[int, float] = {}
         notes: list[str] = []
+        unconverged = 0
         record = residual_sink is not None
         for k, group in enumerate(plan.ensembles):
             samples = np.array([coords_by_id[sid] for sid in group])
@@ -418,17 +423,19 @@ class _PdeProblem:
             )
             if record:
                 residual_sink(plan.level, k, result.residual_history)
-            if not bool(np.all(result.converged_per_lane)):
-                bad = int(np.count_nonzero(~result.converged_per_lane))
-                notes.append(
-                    f"level {plan.level} ensemble {k}: {bad} lane(s) hit maxit "
-                    f"({self.config.solver.maxit}) unconverged"
-                )
+            stuck = ~result.converged_per_lane
+            capped = f"hit maxit ({self.config.solver.maxit})"
+            for lanes, how in ((stuck & ~result.frozen_lanes, capped),
+                               (stuck & result.frozen_lanes, "froze")):
+                if lanes.any():
+                    notes.append(f"level {plan.level} ensemble {k}: "
+                                 f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
+            unconverged += int(np.count_nonzero(stuck))
             for s, sid in enumerate(group):
                 if sid not in iters:
                     iters[sid] = int(result.iterations_per_lane[s])
                     qois[sid] = qoi(result.solution[s])
-        return iters, qois, notes
+        return iters, qois, notes, unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -443,49 +450,13 @@ class SampleRecord:
     predicted_iterations: float | None
     indicator: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "coords": list(self.coords),
-            "iterations": self.iterations,
-            "predicted_iterations": self.predicted_iterations,
-            "indicator": self.indicator,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "SampleRecord":
-        return cls(
-            sample_id=int(d["sample_id"]),
-            coords=tuple(float(x) for x in d["coords"]),
-            iterations=d["iterations"],
-            predicted_iterations=d["predicted_iterations"],
-            indicator=d["indicator"],
-        )
-
 
 @dataclass(frozen=True)
 class PlanRecord:
     strategy: str
     ensembles: tuple[tuple[int, ...], ...]
     padding: tuple[int, ...]
-    work_ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "ensembles": [list(g) for g in self.ensembles],
-            "padding": list(self.padding),
-            "R_l": self.work_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "PlanRecord":
-        return cls(
-            strategy=d["strategy"],
-            ensembles=tuple(tuple(int(i) for i in g) for g in d["ensembles"]),
-            padding=tuple(int(p) for p in d["padding"]),
-            work_ratio=float(d["R_l"]),
-        )
+    work_ratio: float = dataclasses.field(metadata={"key": "R_l"})
 
 
 @dataclass(frozen=True)
@@ -497,29 +468,6 @@ class LevelRecord:
     mean_abs_prediction_error: float | None
     max_abs_prediction_error: float | None
     budget_truncated: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "samples": [s.to_dict() for s in self.samples],
-            "plans": [p.to_dict() for p in self.plans],
-            "error_indicator": self.error_indicator,
-            "mean_abs_prediction_error": self.mean_abs_prediction_error,
-            "max_abs_prediction_error": self.max_abs_prediction_error,
-            "budget_truncated": self.budget_truncated,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "LevelRecord":
-        return cls(
-            level=int(d["level"]),
-            samples=tuple(SampleRecord.from_dict(s) for s in d["samples"]),
-            plans=tuple(PlanRecord.from_dict(p) for p in d["plans"]),
-            error_indicator=float(d["error_indicator"]),
-            mean_abs_prediction_error=d["mean_abs_prediction_error"],
-            max_abs_prediction_error=d["max_abs_prediction_error"],
-            budget_truncated=bool(d["budget_truncated"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -536,6 +484,11 @@ class RunReport:
     def n_samples_total(self) -> int:
         return sum(len(lv.samples) for lv in self.levels)
 
+    @property
+    def all_lanes_converged(self) -> bool:
+        """False when a lane stopped unconverged; every R is then NaN."""
+        return not any(note.startswith(_UNCONVERGED_NOTE) for note in self.notes)
+
     def level_ratios(self, strategy: str) -> list[float]:
         out = []
         for lv in self.levels:
@@ -545,27 +498,11 @@ class RunReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "levels": [lv.to_dict() for lv in self.levels],
-            "work_ratios": self.work_ratios,
-            "predicted_speedups": self.predicted_speedups,
-            "stop_reason": self.stop_reason,
-            "notes": list(self.notes),
-            "grid": self.grid,
-        }
+        return _dump(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunReport":
-        return cls(
-            config=dict(d["config"]),
-            levels=tuple(LevelRecord.from_dict(lv) for lv in d["levels"]),
-            work_ratios=dict(d["work_ratios"]),
-            predicted_speedups=None if d["predicted_speedups"] is None else dict(d["predicted_speedups"]),
-            stop_reason=d["stop_reason"],
-            notes=tuple(d["notes"]),
-            grid=d["grid"],
-        )
+        return _load(cls, d, "report")
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +535,7 @@ def adaptive_run(
         s: [] for s in config.strategies
     }
     truncated_pending = False
+    unconverged = 0
     stop_reason = None
     level = 0
 
@@ -635,8 +573,9 @@ def adaptive_run(
             ids, S, level, "nat"
         )
         if config.is_pde:
-            iters, qois, solve_notes = problem.solve_plan(exec_plan, coords_by_id, sink)
+            iters, qois, solve_notes, stuck = problem.solve_plan(exec_plan, coords_by_id, sink)
             notes.extend(solve_notes)
+            unconverged += stuck
         else:
             iters = {sid: float(v) for sid, v in zip(ids, problem.iter_values(coords))}
             qois = {sid: float(v) for sid, v in zip(ids, problem.qoi_values(coords))}
@@ -700,9 +639,7 @@ def adaptive_run(
         if level > 10_000:  # pragma: no cover - defensive
             raise RuntimeError("refinement failed to terminate")
 
-    work_ratios = {}
-    for strat in config.strategies:
-        work_ratios[strat] = float(compute_R(accounting[strat])[1])
+    work_ratios = {strat: float(compute_R(accounting[strat])[1]) for strat in config.strategies}
 
     speedups = None
     if config.base_curve is not None:
@@ -713,6 +650,17 @@ def adaptive_run(
             }
         else:
             notes.append("base curve ignored: analytic runs have no linear solver")
+
+    if unconverged:
+        # An unconverged lane is charged the iterations it ran, not those it
+        # needed, so no ratio of this run can be trusted.
+        notes.append(f"{_UNCONVERGED_NOTE}: {unconverged} lane(s) stopped unconverged")
+        for i, lv in enumerate(levels):
+            plans = tuple(dataclasses.replace(p, work_ratio=math.nan) for p in lv.plans)
+            levels[i] = dataclasses.replace(lv, plans=plans)
+        work_ratios = dict.fromkeys(work_ratios, math.nan)
+        if speedups is not None:
+            speedups = dict.fromkeys(speedups, math.nan)
 
     return RunReport(
         config=config.to_dict(),
@@ -744,16 +692,16 @@ def emit_reports(
 
     Several reports may share one table (e.g. a strategy-by-size study); rows
     carry per-level ratios first, then one summary row per strategy.  Files
-    contain no timestamps, so identical runs emit identical bytes.
+    contain no timestamps, so identical runs emit identical bytes.  All texts
+    are built first and each file is replaced whole: a failure leaves no partial file.
     """
     if isinstance(reports, RunReport):
         reports = [reports]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    table = out_dir / "r_table.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
     writer.writerow(["strategy", "S", "level", "n_samples", "n_ensembles", "R_l", "R", "pred_speedup"])
     for report in reports:
         size = report.config["S"]
@@ -774,15 +722,11 @@ def emit_reports(
             writer.writerow(
                 [strat, size, "", "", "", "", _fmt(report.work_ratios[strat]), _fmt(speedup)]
             )
-    table.write_text(buf.getvalue())
 
-    manifest = out_dir / "manifest.json"
-    doc = {"reports": [r.to_dict() for r in reports]}
-    manifest.write_text(json.dumps(doc, indent=1) + "\n")
+    manifest = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=1) + "\n"
 
-    iter_csv = out_dir / "iterations_by_level.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    iterations = io.StringIO()
+    writer = csv.writer(iterations, lineterminator="\n")
     writer.writerow(["run", "level", "sample_id", "iterations", "predicted_iterations"])
     for run_idx, report in enumerate(reports):
         for lv in report.levels:
@@ -791,8 +735,20 @@ def emit_reports(
                     [run_idx, lv.level, s.sample_id, _fmt(s.iterations),
                      _fmt(s.predicted_iterations)]
                 )
-    iter_csv.write_text(buf.getvalue())
-    return {"table": table, "manifest": manifest, "iterations": iter_csv}
+
+    paths = {
+        "table": out_dir / "r_table.csv",
+        "manifest": out_dir / "manifest.json",
+        "iterations": out_dir / "iterations_by_level.csv",
+    }
+    for path, text in zip(paths.values(), (table.getvalue(), manifest, iterations.getvalue())):
+        tmp = path.with_name(f".{path.name}.tmp")
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    return paths
 
 
 def parse_manifest(path: str | Path) -> list[RunReport]:

@@ -178,7 +178,6 @@ class HierGrid:
         self._total = np.empty((0,), dtype=int)
         self._surpluses: dict[str, np.ndarray] = {}
         self._frontier: list[int] = []
-        self.level_of_last_refinement = 0
 
     # -- basic introspection ------------------------------------------------
 
@@ -192,10 +191,6 @@ class HierGrid:
     @property
     def frontier(self) -> tuple[NodeId, ...]:
         return tuple(self._ids[p] for p in self._frontier)
-
-    @property
-    def frontier_positions(self) -> tuple[int, ...]:
-        return tuple(self._frontier)
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -249,7 +244,6 @@ class HierGrid:
         new.sort(key=NodeId.sort_key)
         self._append(new)
         self._frontier = list(range(len(new)))
-        self.level_of_last_refinement = max_total_level
         return new
 
     def _append(self, nodes: Sequence[NodeId]) -> None:
@@ -402,7 +396,6 @@ class HierGrid:
             self._append(ordered)
             n = len(self._ids)
             self._frontier = list(range(n - len(ordered), n))
-            self.level_of_last_refinement += 1
         return RefineOutcome(ordered, budget_exhausted)
 
     def error_indicator(self, channel: str) -> float:
@@ -441,8 +434,6 @@ class HierGrid:
         ids = [NodeId(tuple(n["level"]), tuple(n["index"])) for n in doc["nodes"]]
         grid._append(ids)
         grid._frontier = list(range(len(ids)))
-        if ids:
-            grid.level_of_last_refinement = max(n.total_level for n in ids)
         for p, n in enumerate(doc["nodes"]):
             for name, val in n.get("surpluses", {}).items():
                 if name not in grid._surpluses:

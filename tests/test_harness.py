@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from uqgroup import (
     AnalyticConfig,
     ConfigurationError,
     GroupingPlan,
+    MeshConfig,
     RunConfig,
     SolverConfig,
     adaptive_run,
@@ -20,6 +22,7 @@ from uqgroup import (
     parse_manifest,
     preset_config,
 )
+from uqgroup import harness
 from uqgroup.harness import (
     RunReport,
     analytic_iters,
@@ -27,7 +30,7 @@ from uqgroup.harness import (
     config_from_dict,
     read_base_curve,
 )
-from uqgroup.cli import main as cli_main
+from uqgroup.cli import _build_parser, _config_from_args, main as cli_main
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +130,7 @@ def test_preset_unknown_problem():
         {"ensemble_size": 0},
         {"tau": 0.0},
         {"tau": -1e-3},
+        {"tau": float("nan")},  # would stop at once on "tolerance_met"
         {"n_max": 0},
         {"initial_level": -1},
         {"strategies": ("nat", "bogus")},
@@ -134,6 +138,7 @@ def test_preset_unknown_problem():
         {"strategies": ("par",)},  # no anisotropy indicator without a field
         {"n_dims": 3},
         {"analytic": None},
+        {"mesh": MeshConfig()},  # mesh and field blocks are PDE-only
     ],
 )
 def test_analytic_config_rejects(patch):
@@ -175,6 +180,67 @@ def test_read_base_curve(tmp_path):
     commented = tmp_path / "curve2.csv"
     commented.write_text("# S,speedup\n4,2.72\n\n8,4.4\n")
     assert read_base_curve(commented) == ((4, 2.72), (8, 4.4))
+    one_column = tmp_path / "curve3.csv"
+    one_column.write_text("4,2.72\n8\n")
+    with pytest.raises(ConfigurationError, match="bad base-curve row"):
+        read_base_curve(one_column)
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"problem": "analytic_g1", "s": 64, "Tau": 1e-9}, "Tau"),
+        ({"problem": "pde_test1", "solver": {"maxiter": 5}}, "maxiter"),
+        ({"problem": "pde_test1", "field": {"sigma": 1.0}}, "sigma"),
+        ({"problem": "pde_test1", "field": {"a_hat_mode": "test2"}}, "a_hat_mode"),
+        ({"problem": "pde_test1", "field": {"a_hat.mode": "test2"}}, "a_hat.mode"),
+        ({"problem": "pde_test1", "field": {"a_hat": {"mode": "test2", "vlaue": 2.0}}}, "vlaue"),
+        ({"problem": "pde_test1", "mesh": {"cells": 8}}, "cells"),
+        ({"problem": "analytic_g1", "analytic": {"a3": 1.0}}, "a3"),
+    ],
+)
+def test_config_from_dict_rejects_unknown_keys(doc, key):
+    with pytest.raises(ConfigurationError, match=f"unknown key.*{key}"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"S": "4"},
+        {"S": 4.0},
+        {"tau": True},
+        {"dump_residuals": 1},
+        {"strategies": ["nat", 3]},
+        {"solver": {"maxit": None}},
+        {"solver": {"tol": -1.0}},
+        {"solver": {"tol": float("nan")}},
+        {"solver": {"maxit": -1}},
+        {"base_curve": [[4, 2.72, 1.0]]},
+        {"field": {"a_hat": "test2"}},
+        {"n_dims": 4, "field": {"N": 3}},
+    ],
+)
+def test_config_from_dict_rejects_bad_values(patch):
+    with pytest.raises(ConfigurationError):
+        config_from_dict({"problem": "pde_test1", **patch})
+
+
+def test_config_from_dict_absent_keys_take_preset_values():
+    # absent keys fall back to the preset also inside a block, so a partial
+    # field block keeps pde_test2's coefficient mode and sigma convention
+    cfg = config_from_dict({"problem": "pde_test2", "S": 8, "field": {"delta": 0.5}})
+    preset = preset_config("pde_test2")
+    assert cfg == dataclasses.replace(
+        preset, ensemble_size=8, field=dataclasses.replace(preset.field, delta=0.5)
+    )
+
+
+def test_solver_config_validated_on_construction():
+    for bad in ({"tol": 0.0}, {"tol": math.inf}, {"maxit": -1}):
+        with pytest.raises(ConfigurationError):
+            SolverConfig(**bad)
+    assert SolverConfig(maxit=0).maxit == 0
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +443,17 @@ def test_report_dict_round_trip(corner_report):
     assert json.loads(json.dumps(doc)) == doc
 
 
+def test_report_from_dict_rejects_unknown_and_missing_keys(corner_report):
+    doc = corner_report.to_dict()
+    doc["levels"][0]["samples"][0]["iters"] = 3
+    with pytest.raises(ConfigurationError, match=r"levels\[0\]\.samples\[0\].*'iters'"):
+        RunReport.from_dict(doc)
+    doc = corner_report.to_dict()
+    del doc["levels"][0]["plans"][0]["R_l"]
+    with pytest.raises(ConfigurationError, match="missing key 'R_l'"):
+        RunReport.from_dict(doc)
+
+
 def test_emit_and_parse_round_trip(tmp_path, corner_report, g1_report):
     reports = [corner_report, g1_report]
     paths = emit_reports(reports, tmp_path)
@@ -437,6 +514,34 @@ def test_manifest_format(tmp_path, corner_report):
     assert text == json.dumps({"reports": [corner_report.to_dict()]}, indent=1) + "\n"
 
 
+def _snapshot(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_failed_serialization_leaves_outputs_unchanged(tmp_path, corner_report, g1_report):
+    emit_reports(corner_report, tmp_path)
+    before = _snapshot(tmp_path)
+    # the table of this report differs from the one on disk, and its manifest
+    # cannot be serialized
+    bad = dataclasses.replace(g1_report, grid={"nodes": object()})
+    with pytest.raises(TypeError):
+        emit_reports(bad, tmp_path)
+    assert _snapshot(tmp_path) == before
+
+
+def test_failed_replace_leaves_no_partial_files(tmp_path, corner_report, g1_report, monkeypatch):
+    emit_reports(corner_report, tmp_path)
+    before = _snapshot(tmp_path)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(harness.os, "replace", fail)
+    with pytest.raises(OSError):
+        emit_reports(g1_report, tmp_path)
+    assert _snapshot(tmp_path) == before
+
+
 # ---------------------------------------------------------------------------
 # residual sink
 # ---------------------------------------------------------------------------
@@ -466,6 +571,47 @@ def test_residual_sink_receives_histories():
         assert np.all(history[0] > 0)  # initial residual = ||b||
         # norms decrease overall from first to last record
         assert np.all(history[-1] <= history[0])
+
+
+def _small_pde_config(**overrides):
+    return preset_config("pde_test1", n_max=48, mesh=MeshConfig(mesh_cells=4), **overrides)
+
+
+def test_unconverged_lanes_mark_ratios_nan():
+    cfg = _small_pde_config(solver=SolverConfig(maxit=3), base_curve=((4, 2.72),))
+    rep = adaptive_run(cfg)
+    assert not rep.all_lanes_converged
+    assert any("lane(s) hit maxit (3) unconverged" in note for note in rep.notes)
+    assert all(math.isnan(r) for r in rep.work_ratios.values())
+    assert all(math.isnan(r) for s in cfg.strategies for r in rep.level_ratios(s))
+    assert set(rep.predicted_speedups) == set(cfg.strategies)
+    assert all(math.isnan(v) for v in rep.predicted_speedups.values())
+    # the mark survives the manifest round trip
+    assert not RunReport.from_dict(json.loads(json.dumps(rep.to_dict()))).all_lanes_converged
+
+
+def test_converged_run_is_trusted(corner_report):
+    rep = adaptive_run(_small_pde_config(strategies=("nat",)))
+    assert rep.all_lanes_converged and corner_report.all_lanes_converged
+    assert not any("unconverged" in note for note in rep.notes)
+    assert rep.work_ratios["nat"] >= 1.0
+
+
+def test_frozen_unconverged_lanes_noted_apart(monkeypatch):
+    real = harness.ensemble_pcg
+
+    def freeze_lane0(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.converged_per_lane[0] = False
+        result.frozen_lanes[0] = True
+        return result
+
+    monkeypatch.setattr(harness, "ensemble_pcg", freeze_lane0)
+    rep = adaptive_run(_small_pde_config(strategies=("nat",)))
+    assert not any("hit maxit" in note for note in rep.notes)
+    assert "level 1 ensemble 0: 1 lane(s) froze unconverged" in rep.notes
+    assert not rep.all_lanes_converged
+    assert math.isnan(rep.work_ratios["nat"])
 
 
 def test_residual_sink_needs_flag():
@@ -540,6 +686,54 @@ def test_cli_mesh_cells_rejected_on_analytic(tmp_path, capsys):
     )
     assert code == 1
     assert "PDE" in capsys.readouterr().err
+
+
+def test_cli_unconverged_lanes_exit_three(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli_main(
+        ["run", "--problem", "pde_test1", "--mesh-cells", "4", "--n-max", "48",
+         "--maxit", "3", "--out-dir", str(out)]
+    )
+    assert code == 3
+    text = capsys.readouterr().out
+    assert "R(nat) = nan" in text and "hit maxit" in text
+    assert not parse_manifest(out / "manifest.json")[0].all_lanes_converged
+
+
+def test_cli_flags_override_config_file_keys(tmp_path):
+    doc = preset_config("pde_test2").to_dict()
+    doc["solver"]["tol"] = 1e-9
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    args = _build_parser().parse_args(
+        ["run", "--config", str(cfg_path), "--maxit", "50", "--mesh-cells", "6",
+         "--S", "8", "--strategies", "nat, its", "--out-dir", str(tmp_path)]
+    )
+    assert _config_from_args(args) == dataclasses.replace(
+        preset_config("pde_test2"), ensemble_size=8, strategies=("nat", "its"),
+        solver=SolverConfig(tol=1e-9, maxit=50), mesh=MeshConfig(mesh_cells=6),
+    )
+
+
+def test_cli_config_unknown_key(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": "analytic_g1", "Tau": 1e-9}))
+    code = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert "'Tau'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [(["pde_test1"], "expected a JSON object"),
+     ({"problem": "pde_test1", "solver": "x"}, "config.solver: expected an object")],
+)
+def test_cli_config_not_an_object(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli_main(["run", "--config", str(cfg_path), "--tol", "1e-8", "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
