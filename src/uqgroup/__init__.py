@@ -6,113 +6,22 @@ much iteration count a grouping strategy wastes when samples of unequal
 difficulty share an ensemble.
 """
 
-from .ensemble import (
-    EnsembleCsrMatrix,
-    EnsembleError,
-    IdentityPreconditioner,
-    JacobiPreconditioner,
-    LaneSolveResult,
-    NumericalBreakdownError,
-    ensemble_pcg,
-    jacobi_precond,
-)
-from .fem3d import AssembledEnsembleSystem, FemError, StructuredMesh, assemble, qoi
-from .grouping import (
-    GroupingError,
-    GroupingPlan,
-    compute_R,
-    group_by_key,
-    group_natural,
-    group_oracle,
-    predicted_speedup,
-)
-from .harness import (
-    AnalyticConfig,
-    ConfigurationError,
-    FieldConfig,
-    MeshConfig,
-    RunConfig,
-    RunReport,
-    SolverConfig,
-    adaptive_run,
-    analytic_iters,
-    analytic_qoi,
-    config_from_dict,
-    emit_reports,
-    parse_manifest,
-    preset_config,
-    read_base_curve,
-)
-from .hier_grid import (
-    GridError,
-    HierGrid,
-    IncompleteDataError,
-    NodeId,
-    RefinementPolicy,
-    basis_eval,
-    children,
-    hat_eval,
-)
-from .random_field import (
-    Eigenpair1D,
-    FieldError,
-    KLDiffusionField,
-    anisotropy_indicator,
-    build_field,
-    eigenpairs_1d,
-)
+from . import ensemble, fem3d, grouping, harness, hier_grid, random_field
+from .ensemble import *  # noqa: F401,F403
+from .fem3d import *  # noqa: F401,F403
+from .grouping import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .hier_grid import *  # noqa: F401,F403
+from .random_field import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnsembleCsrMatrix",
-    "EnsembleError",
-    "IdentityPreconditioner",
-    "JacobiPreconditioner",
-    "LaneSolveResult",
-    "NumericalBreakdownError",
-    "ensemble_pcg",
-    "jacobi_precond",
-    "AssembledEnsembleSystem",
-    "FemError",
-    "StructuredMesh",
-    "assemble",
-    "qoi",
-    "GroupingError",
-    "GroupingPlan",
-    "compute_R",
-    "group_by_key",
-    "group_natural",
-    "group_oracle",
-    "predicted_speedup",
-    "AnalyticConfig",
-    "ConfigurationError",
-    "FieldConfig",
-    "MeshConfig",
-    "RunConfig",
-    "RunReport",
-    "SolverConfig",
-    "adaptive_run",
-    "analytic_iters",
-    "analytic_qoi",
-    "config_from_dict",
-    "emit_reports",
-    "parse_manifest",
-    "preset_config",
-    "read_base_curve",
-    "GridError",
-    "HierGrid",
-    "IncompleteDataError",
-    "NodeId",
-    "RefinementPolicy",
-    "basis_eval",
-    "children",
-    "hat_eval",
-    "FieldError",
-    "Eigenpair1D",
-    "KLDiffusionField",
-    "anisotropy_indicator",
-    "build_field",
-    "eigenpairs_1d",
+    *ensemble.__all__,
+    *fem3d.__all__,
+    *grouping.__all__,
+    *harness.__all__,
+    *hier_grid.__all__,
+    *random_field.__all__,
     "__version__",
 ]

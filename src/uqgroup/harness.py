@@ -594,9 +594,9 @@ def adaptive_run(
             )
 
         # Update the surrogates with this level's data.
-        node_ids = grid.nodes[start:]
-        grid.compute_surpluses(QOI_CHANNEL, {n: qois[sid] for n, sid in zip(node_ids, ids)})
-        grid.compute_surpluses(ITER_CHANNEL, {n: iters[sid] for n, sid in zip(node_ids, ids)})
+        grid.compute_surpluses(
+            {QOI_CHANNEL: [qois[sid] for sid in ids], ITER_CHANNEL: [iters[sid] for sid in ids]}
+        )
 
         pred_err_mean = pred_err_max = None
         if predicted is not None:

@@ -152,9 +152,11 @@ class HierGrid:
     """Adaptive sparse grid holding nodes, per-channel surpluses and a frontier.
 
     The frontier is the cohort created by the most recent `add_initial_levels`
-    or `refine` call; surpluses are fitted cohort by cohort, and refinement
-    only inspects the frontier (classic local refinement, orphans permitted).
-    Instances are single-writer: no locking is attempted.
+    or `refine` call.  New nodes always append, so the frontier is the grid's
+    tail, stored as its start position.  Surpluses are fitted cohort by
+    cohort, and refinement only inspects the frontier (classic local
+    refinement, orphans permitted).  Instances are single-writer: no locking
+    is attempted.
     """
 
     def __init__(self, dim: int, domain: Sequence[tuple[float, float]] | None = None):
@@ -177,7 +179,7 @@ class HierGrid:
         self._center = np.empty((0, dim))  # canonical node coordinate
         self._total = np.empty((0,), dtype=int)
         self._surpluses: dict[str, np.ndarray] = {}
-        self._frontier: list[int] = []
+        self._front_start = 0  # position of the first frontier node
 
     # -- basic introspection ------------------------------------------------
 
@@ -190,7 +192,7 @@ class HierGrid:
 
     @property
     def frontier(self) -> tuple[NodeId, ...]:
-        return tuple(self._ids[p] for p in self._frontier)
+        return tuple(self._ids[self._front_start :])
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -243,7 +245,6 @@ class HierGrid:
                     new.append(NodeId(tuple(lvl), idx))
         new.sort(key=NodeId.sort_key)
         self._append(new)
-        self._frontier = list(range(len(new)))
         return new
 
     def _append(self, nodes: Sequence[NodeId]) -> None:
@@ -268,45 +269,44 @@ class HierGrid:
 
     # -- surplus fitting ----------------------------------------------------
 
-    def compute_surpluses(self, channel: str, values: Mapping[NodeId, float]) -> None:
-        """Fit hierarchical surpluses for the frontier cohort of one channel.
+    def compute_surpluses(self, values: Mapping[str, Sequence[float]]) -> None:
+        """Fit hierarchical surpluses of the frontier cohort for every given channel.
 
-        `values` must contain the function value at every frontier node.  All
-        earlier cohorts of the channel must already be fitted.  The frontier
-        may span several total levels (the initial grid does); it is processed
-        in ascending total level, which is exactly the triangular order of the
-        interpolation system.  Re-running with identical inputs is a no-op.
+        `values` maps each channel to one function value per frontier node, in
+        frontier order.  All earlier cohorts of a channel must already be
+        fitted.  The frontier may span several total levels (the initial grid
+        does); it is processed in ascending total level, which is exactly the
+        triangular order of the interpolation system, and each level's basis
+        block is built once and shared by all channels.  Re-running with
+        identical inputs is a no-op.
         """
         if not self._ids:
             raise GridError("empty grid")
-        if channel not in self._surpluses:
-            self._surpluses[channel] = np.full(len(self._ids), np.nan)
-        c = self._surpluses[channel]
-        frontier = set(self._frontier)
-        non_frontier_unset = [
-            p for p in range(len(self._ids)) if p not in frontier and not np.isfinite(c[p])
-        ]
-        if non_frontier_unset:
-            raise IncompleteDataError(
-                f"channel {channel!r} missing surpluses for {len(non_frontier_unset)} "
-                "non-frontier nodes; fit earlier cohorts first"
-            )
-        try:
-            vals = {p: float(values[self._ids[p]]) for p in self._frontier}
-        except KeyError as err:
-            raise IncompleteDataError(f"no value supplied for frontier node {err.args[0]}") from None
+        start = self._front_start
+        fits = []
+        for channel, vals in values.items():
+            v = np.asarray(vals, dtype=float)
+            if v.shape != (len(self._ids) - start,):
+                raise IncompleteDataError(
+                    f"channel {channel!r} needs one value per frontier node "
+                    f"({len(self._ids) - start}), got shape {v.shape}"
+                )
+            c = self._surpluses.get(channel, np.full(len(self._ids), np.nan))
+            if not np.all(np.isfinite(c[:start])):
+                raise IncompleteDataError(
+                    f"channel {channel!r} has unfitted earlier cohorts; fit them first"
+                )
+            fits.append((channel, c, v))
 
-        by_total: dict[int, list[int]] = {}
-        for p in self._frontier:
-            by_total.setdefault(int(self._total[p]), []).append(p)
-        for total in sorted(by_total):
-            group = by_total[total]
-            v = np.array([vals[p] for p in group])
+        totals = self._total[start:]
+        for total in np.unique(totals):
+            group = np.flatnonzero(totals == total)
             prior = np.flatnonzero(self._total < total)
-            if prior.size:
-                basis = self._basis_block(self._center[group], prior)
-                v = v - basis @ c[prior]
-            c[group] = v
+            basis = self._basis_block(self._center[start + group], prior) if prior.size else None
+            for _, c, v in fits:
+                c[start + group] = v[group] if basis is None else v[group] - basis @ c[prior]
+        for channel, c, _ in fits:
+            self._surpluses[channel] = c
 
     def _basis_block(self, points_canonical: np.ndarray, node_positions: np.ndarray) -> np.ndarray:
         """Matrix of tensor hats: rows = points, columns = the given nodes."""
@@ -352,9 +352,6 @@ class HierGrid:
         basis = self._basis_block(self._to_canonical(points), np.arange(n_nodes))
         return basis @ c
 
-    def eval_surrogate(self, channel: str, point: Sequence[float]) -> float:
-        return float(self.eval_many(channel, np.asarray(point, dtype=float)[None, :])[0])
-
     def integrate_surrogate(self, channel: str) -> float:
         """Mean of the surrogate under the uniform density on the domain box.
 
@@ -377,14 +374,12 @@ class HierGrid:
         point budget is reached; an empty result with budget_exhausted=False
         signals convergence of the refinement criterion.
         """
-        c = self._channel(policy.channel)
-        front = np.asarray(self._frontier, dtype=int)
-        if front.size and not np.all(np.isfinite(c[front])):
+        front = self._channel(policy.channel)[self._front_start :]
+        if not np.all(np.isfinite(front)):
             raise IncompleteDataError(f"frontier surpluses unfitted on channel {policy.channel!r}")
-        selected = [self._ids[p] for p in front if abs(c[p]) >= policy.tau]
         candidates: set[NodeId] = set()
-        for node in selected:
-            for child in children(node):
+        for k in np.flatnonzero(np.abs(front) >= policy.tau):
+            for child in children(self._ids[self._front_start + k]):
                 if child not in self._pos:
                     candidates.add(child)
         ordered = sorted(candidates, key=NodeId.sort_key)
@@ -393,18 +388,15 @@ class HierGrid:
         if budget_exhausted:
             ordered = ordered[: max(0, space)]
         if ordered:
+            self._front_start = len(self._ids)
             self._append(ordered)
-            n = len(self._ids)
-            self._frontier = list(range(n - len(ordered), n))
         return RefineOutcome(ordered, budget_exhausted)
 
     def error_indicator(self, channel: str) -> float:
         """Maximum absolute surplus over the frontier on the given channel."""
-        c = self._channel(channel)
-        front = np.asarray(self._frontier, dtype=int)
-        if front.size == 0:
+        vals = self._channel(channel)[self._front_start :]
+        if vals.size == 0:
             return 0.0
-        vals = c[front]
         if not np.all(np.isfinite(vals)):
             raise IncompleteDataError(f"frontier surpluses unfitted on channel {channel!r}")
         return float(np.max(np.abs(vals)))
@@ -433,7 +425,6 @@ class HierGrid:
         grid = cls(int(doc["dim"]), [tuple(d) for d in doc["domain"]])
         ids = [NodeId(tuple(n["level"]), tuple(n["index"])) for n in doc["nodes"]]
         grid._append(ids)
-        grid._frontier = list(range(len(ids)))
         for p, n in enumerate(doc["nodes"]):
             for name, val in n.get("surpluses", {}).items():
                 if name not in grid._surpluses:

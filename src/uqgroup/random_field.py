@@ -156,7 +156,10 @@ class KLDiffusionField:
         if mode_vals is None:
             mode_vals = self.mode_values(points)
         amplitudes = np.sqrt(self.eigenvalues)
-        fluct = (samples * amplitudes) @ mode_vals  # (S, P)
+        # One (1, M) @ (M, P) product per lane: a single (S, M) @ (M, P)
+        # product rounds differently for one row than for several, which
+        # would make a lane's coefficient depend on its ensemble width.
+        fluct = np.matmul((samples * amplitudes)[:, None, :], mode_vals)[:, 0, :]  # (S, P)
         if self.expansion == "log":
             fluct = np.exp(fluct)
         elif self.expansion == "linear":

@@ -1,0 +1,11 @@
+"""Let Python processes started by the tests import the package from ./src.
+
+`pythonpath` in pyproject.toml covers the test process itself; a child
+interpreter (`python -m uqgroup.cli`) only sees the environment.
+"""
+
+import os
+from pathlib import Path
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

@@ -236,7 +236,7 @@ def test_criterion_7_numerical_kernels():
         g.add_initial_levels(3)
         coords = g.node_coords()
         f = lambda y: np.sin(np.pi * y[0]) * np.cos(y[1]) + 0.3 * y[1]
-        g.compute_surpluses("q", {n: f(coords[g.position(n)]) for n in g.nodes})
+        g.compute_surpluses({"q": [f(c) for c in coords]})
         got = g.eval_many("q", coords)
         want = np.array([f(c) for c in coords])
         assert np.max(np.abs(got - want)) <= 5e-14
@@ -245,7 +245,7 @@ def test_criterion_7_numerical_kernels():
         g1 = HierGrid(1)
         g1.add_initial_levels(2)
         c1 = g1.node_coords()
-        g1.compute_surpluses("q", {n: c1[g1.position(n)][0] ** 2 for n in g1.nodes})
+        g1.compute_surpluses({"q": c1[:, 0] ** 2})
         assert g1.surplus_of(NodeId((0,), (0,)), "q") == 1.0
         assert g1.surplus_of(NodeId((0,), (1,)), "q") == 1.0
         assert g1.surplus_of(NodeId((1,), (1,)), "q") == -1.0

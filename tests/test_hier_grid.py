@@ -17,9 +17,9 @@ from uqgroup import (
 
 
 def fit(grid, channel, fn):
-    """Fit `channel` through fn evaluated at every unfitted node."""
-    values = {node: fn(grid.node_coords()[grid.position(node)]) for node in grid.nodes}
-    grid.compute_surpluses(channel, values)
+    """Fit `channel` through fn evaluated at every frontier node."""
+    coords = grid.node_coords()[len(grid) - len(grid.frontier) :]
+    grid.compute_surpluses({channel: [fn(y) for y in coords]})
 
 
 def grid_1d(levels, fn, channel="q"):
@@ -172,6 +172,50 @@ def test_refit_is_idempotent():
     assert np.array_equal(before, g.surpluses("q"))
 
 
+def test_channels_fitted_together_equal_channels_fitted_alone():
+    fns = {"qoi": lambda y: np.exp(y[0] * y[1]), "iterations": lambda y: 20.0 + 3.0 * np.sin(y[0])}
+
+    def build(together):
+        g = HierGrid(2, domain=[(0.0, 1.0), (-3.0, 3.0)])
+        g.add_initial_levels(2)  # a first cohort of three total levels
+        for step in range(3):
+            if step:
+                g.refine(RefinementPolicy(tau=1e-3, channel="qoi"))
+            coords = g.node_coords()[len(g) - len(g.frontier) :]
+            values = {ch: [fn(y) for y in coords] for ch, fn in fns.items()}
+            if together:
+                g.compute_surpluses(values)
+            else:
+                for ch, vals in values.items():
+                    g.compute_surpluses({ch: vals})
+        return g
+
+    joint, alone = build(True), build(False)
+    assert joint.nodes == alone.nodes and len(joint) > 25
+    for ch in fns:
+        assert np.array_equal(joint.surpluses(ch), alone.surpluses(ch))
+
+
+def test_fit_rejects_wrong_number_of_values():
+    g = HierGrid(1)
+    g.add_initial_levels(2)
+    for n in (len(g) - 1, len(g) + 1):
+        with pytest.raises(IncompleteDataError):
+            g.compute_surpluses({"q": np.zeros(n)})
+    assert g.channels == ()
+
+
+def test_fit_rejects_channel_with_unfitted_earlier_cohorts():
+    g = grid_1d(2, lambda y: y[0] ** 2)
+    g.refine(RefinementPolicy(tau=1e-9, channel="q"))
+    values = np.ones(len(g.frontier))
+    with pytest.raises(IncompleteDataError):
+        g.compute_surpluses({"q": values, "late": values})
+    # nothing was written: the fitted channel's new cohort is still open
+    assert g.channels == ("q",)
+    assert np.isnan(g.surpluses("q")[-len(g.frontier) :]).all()
+
+
 def test_eval_requires_fitted_channel():
     g = HierGrid(1)
     g.add_initial_levels(1)
@@ -310,7 +354,7 @@ def test_property_exactness_at_nodes(seed, dim):
     g = HierGrid(dim)
     g.add_initial_levels(2)
     values = {node: float(v) for node, v in zip(g.nodes, rng.standard_normal(len(g)))}
-    g.compute_surpluses("q", values)
+    g.compute_surpluses({"q": list(values.values())})
     got = g.eval_many("q", g.node_coords())
     want = np.array([values[n] for n in g.nodes])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -325,7 +369,7 @@ def test_property_interpolant_within_data_range(seed):
     g = HierGrid(1)
     g.add_initial_levels(4)
     vals = rng.uniform(-1.0, 3.0, len(g))
-    g.compute_surpluses("q", dict(zip(g.nodes, map(float, vals))))
+    g.compute_surpluses({"q": vals})
     probe = np.linspace(-1, 1, 101)[:, None]
     out = g.eval_many("q", probe)
     assert out.min() >= vals.min() - 1e-12
@@ -344,7 +388,7 @@ def test_property_refinement_monotone_in_tau(seed, tau):
         g = HierGrid(2)
         g.add_initial_levels(2)
         rng2 = np.random.default_rng(seed)
-        g.compute_surpluses("q", {n: float(v) for n, v in zip(g.nodes, rng2.standard_normal(len(g)))})
+        g.compute_surpluses({"q": rng2.standard_normal(len(g))})
         return g
 
     a, b = build(), build()

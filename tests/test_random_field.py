@@ -170,6 +170,20 @@ def test_eval_a_matches_batch():
     assert field.eval_a(x, y) == batch
 
 
+@pytest.mark.parametrize("width", [1, 2, 4, 16])
+def test_eval_a_batch_lanes_independent_of_width(width):
+    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel")
+    axis = (np.arange(16) + 0.5) / 16
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+    mode_vals = field.mode_values(pts)
+    samples = np.random.default_rng(width).uniform(-1.0, 1.0, (width, 4))
+    batch = field.eval_a_batch(pts, samples, mode_vals)
+    for row, y in zip(batch, samples):
+        assert np.array_equal(row, field.eval_a_batch(pts, y[None, :], mode_vals)[0])
+
+
 def test_eval_a_batch_checks_sample_width():
     field = build_field(delta=DELTA, sigma0=1.0, n_modes=4, a_min=0.0)
     with pytest.raises(FieldError):
