@@ -12,6 +12,15 @@ identified by per-dimension (level, index) multi-indices; the tensor-product
 hat of a node vanishes at every node of equal or lower total level, which
 makes the hierarchical-surplus system triangular when processed cohort by
 cohort.
+
+Hats are evaluated by lookup, not by a dense points x nodes block.  The
+grid indexes its nodes by level vector.  At a point, the hats of one level
+vector overlap at most 2^z nodes, z being the number of its level-0
+dimensions: one candidate index per dimension of level l >= 1 (the odd index
+whose support holds the point) and both indices in each level-0 dimension.
+Each candidate is looked up in the level vector's sorted index keys, so
+evaluating p points costs O(p * level vectors * 2^z) instead of
+O(p * nodes * d).
 """
 
 from __future__ import annotations
@@ -148,6 +157,63 @@ class RefineOutcome(NamedTuple):
     budget_exhausted: bool
 
 
+# An index key packs one compressed index per dimension into an int64: the
+# index itself in a level-0 dimension (1 bit), (i - 1) / 2 in a dimension of
+# level l >= 1 (l - 1 bits).  A key thus takes at most total level + d bits,
+# and nodes of total level above _KEY_BITS - d are refused.
+_KEY_BITS = 62
+
+
+class _LevelNodes:
+    """The nodes of one level vector: sorted index keys and the nodes' positions."""
+
+    __slots__ = ("level", "total", "shifts", "keys", "positions")
+
+    def __init__(self, level: tuple[int, ...]):
+        self.level = level
+        self.total = sum(level)
+        # bit offset of each dimension's compressed index in a key
+        self.shifts = [0, *itertools.accumulate(1 if l == 0 else l - 1 for l in level[:-1])]
+        self.keys = np.empty(0, dtype=np.int64)
+        self.positions = np.empty(0, dtype=np.int64)
+
+    def key(self, index: tuple[int, ...]) -> int:
+        return sum((i if l == 0 else i >> 1) << s for l, i, s in zip(self.level, index, self.shifts))
+
+    def add(self, keys: list[int], positions: list[int]) -> None:
+        keys = np.concatenate([self.keys, np.array(keys, dtype=np.int64)])
+        positions = np.concatenate([self.positions, np.array(positions, dtype=np.int64)])
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.positions = positions[order]
+
+
+def _hats_1d(y: np.ndarray, level: int) -> list[tuple]:
+    """Candidate (compressed index, hat values) pairs of one dimension's level at y.
+
+    A level-0 dimension has both boundary hats as candidates.  A level l >= 1
+    has one: the odd index 2 * floor(t / 2) + 1 with t = (y + 1) * 2^(l-1),
+    clipped to [1, 2^l - 1], whose support holds y when y is in the box.
+    """
+    if level == 0:
+        return [(0, np.maximum(1.0 - np.abs(y + 1.0) / 2.0, 0.0)),
+                (1, np.maximum(1.0 - np.abs(y - 1.0) / 2.0, 0.0))]
+    h = 2.0 ** (1 - level)
+    # Clip in floating point only to powers of two, which it holds exactly.
+    t_half = np.floor(np.clip((y + 1.0) * 2.0 ** (level - 2), 0.0, 2.0 ** (level - 1)))
+    half = np.minimum(t_half.astype(np.int64), 2 ** (level - 1) - 1)
+    center = (2 * half + 1) * h - 1.0
+    return [(half, np.maximum(1.0 - np.abs(y - center) / h, 0.0))]
+
+
+def _expand(terms: list[tuple], surpluses: np.ndarray, n_points: int) -> np.ndarray:
+    """Sum of hat * surplus over the terms of `HierGrid._hat_terms`, in term order."""
+    out = np.zeros(n_points)
+    for rows, positions, hats in terms:
+        out[rows] += hats * surpluses[positions]
+    return out
+
+
 class HierGrid:
     """Adaptive sparse grid holding nodes, per-channel surpluses and a frontier.
 
@@ -178,6 +244,12 @@ class HierGrid:
         self._half_width = np.empty((0, dim))  # hat support half-width 2^(1-l)
         self._center = np.empty((0, dim))  # canonical node coordinate
         self._total = np.empty((0,), dtype=int)
+        # Node index by level vector, in order of each level vector's first node:
+        # the fixed order in which every hat sum adds its terms.  Lookups extend
+        # it in place by the nodes appended since (_level_index), so building a
+        # grid does no index work before it is first fitted or evaluated.
+        self._levels: dict[tuple[int, ...], _LevelNodes] = {}
+        self._n_indexed = 0  # nodes at positions below this are in _levels
         self._surpluses: dict[str, np.ndarray] = {}
         self._front_start = 0  # position of the first frontier node
 
@@ -253,6 +325,8 @@ class HierGrid:
                 raise GridError(f"node {node} has dim {node.dim}, grid has {self.dim}")
             if node in self._pos:
                 raise GridError(f"duplicate node {node}")
+            if node.total_level > _KEY_BITS - self.dim:
+                raise GridError(f"node {node} is too deep to index (total level above {_KEY_BITS - self.dim})")
             self._pos[node] = len(self._ids)
             self._ids.append(node)
         if not nodes:
@@ -272,13 +346,17 @@ class HierGrid:
     def compute_surpluses(self, values: Mapping[str, Sequence[float]]) -> None:
         """Fit hierarchical surpluses of the frontier cohort for every given channel.
 
-        `values` maps each channel to one function value per frontier node, in
-        frontier order.  All earlier cohorts of a channel must already be
-        fitted.  The frontier may span several total levels (the initial grid
-        does); it is processed in ascending total level, which is exactly the
-        triangular order of the interpolation system, and each level's basis
-        block is built once and shared by all channels.  Re-running with
-        identical inputs is a no-op.
+        `values` maps each channel to one finite function value per frontier
+        node, in frontier order.  All earlier cohorts of a channel must already
+        be fitted.  The frontier may span several total levels (the initial
+        grid does); it is processed in ascending total level, which is exactly
+        the triangular order of the interpolation system.  The nodes of a
+        level's points are those of every level vector of lower total level,
+        found by lookup; rows, nodes and hat values are shared by all
+        channels, and each channel sums its own terms in one fixed order, so
+        a channel's surpluses do not depend on the channels fitted with it.
+        The cost is O(cohort points * level vectors * 2^z) for z level-0
+        dimensions.  Re-running with identical inputs is a no-op.
         """
         if not self._ids:
             raise GridError("empty grid")
@@ -291,6 +369,8 @@ class HierGrid:
                     f"channel {channel!r} needs one value per frontier node "
                     f"({len(self._ids) - start}), got shape {v.shape}"
                 )
+            if not np.all(np.isfinite(v)):
+                raise GridError(f"channel {channel!r} has non-finite values")
             c = self._surpluses.get(channel, np.full(len(self._ids), np.nan))
             if not np.all(np.isfinite(c[:start])):
                 raise IncompleteDataError(
@@ -301,25 +381,60 @@ class HierGrid:
         totals = self._total[start:]
         for total in np.unique(totals):
             group = np.flatnonzero(totals == total)
-            prior = np.flatnonzero(self._total < total)
-            basis = self._basis_block(self._center[start + group], prior) if prior.size else None
+            lower = [entry for entry in self._level_index().values() if entry.total < total]
+            terms = self._hat_terms(self._center[start + group], lower)
             for _, c, v in fits:
-                c[start + group] = v[group] if basis is None else v[group] - basis @ c[prior]
+                c[start + group] = v[group] - _expand(terms, c, len(group))
         for channel, c, _ in fits:
             self._surpluses[channel] = c
 
-    def _basis_block(self, points_canonical: np.ndarray, node_positions: np.ndarray) -> np.ndarray:
-        """Matrix of tensor hats: rows = points, columns = the given nodes."""
-        centers = self._center[node_positions]
-        widths = self._half_width[node_positions]
-        out = np.empty((len(points_canonical), len(node_positions)))
-        chunk = max(1, 2**22 // max(1, centers.size))
-        for start in range(0, len(points_canonical), chunk):
-            pts = points_canonical[start : start + chunk]
-            t = 1.0 - np.abs(pts[:, None, :] - centers[None, :, :]) / widths[None, :, :]
-            np.maximum(t, 0.0, out=t)
-            out[start : start + chunk] = t.prod(axis=2)
-        return out
+    def _level_index(self) -> dict[tuple[int, ...], _LevelNodes]:
+        """The node index by level vector, first extended by the nodes appended since."""
+        added: dict[tuple[int, ...], list[int]] = {}
+        for p in range(self._n_indexed, len(self._ids)):
+            added.setdefault(self._ids[p].level, []).append(p)
+        for level, positions in added.items():
+            entry = self._levels.get(level)
+            if entry is None:
+                entry = self._levels[level] = _LevelNodes(level)
+            entry.add([entry.key(self._ids[p].index) for p in positions], positions)
+        self._n_indexed = len(self._ids)
+        return self._levels
+
+    def _hat_terms(
+        self, points_canonical: np.ndarray, entries: Iterable[_LevelNodes], n_nodes: int | None = None
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The hats of the given level vectors that can be nonzero at the points.
+
+        One term per level vector and candidate index vector: the rows of the
+        points whose candidate is a grid node (at a position below n_nodes),
+        that node's position, and its hat 1 - |y - c| / h clipped at 0 and
+        multiplied over dimensions in dimension order.
+        """
+        one_d: dict[tuple[int, int], list[tuple]] = {}
+        terms = []
+        for entry in entries:
+            options = []
+            for k, l in enumerate(entry.level):
+                if (k, l) not in one_d:
+                    one_d[k, l] = _hats_1d(points_canonical[:, k], l)
+                options.append(one_d[k, l])
+            for combo in itertools.product(*options):
+                hats = combo[0][1]
+                for _, hat in combo[1:]:
+                    hats = hats * hat
+                key = np.zeros(len(points_canonical), dtype=np.int64)
+                for (half, _), shift in zip(combo, entry.shifts):
+                    key += half << shift
+                j = np.minimum(np.searchsorted(entry.keys, key), len(entry.keys) - 1)
+                positions = entry.positions[j]
+                found = entry.keys[j] == key
+                if n_nodes is not None:
+                    found &= positions < n_nodes
+                rows = np.flatnonzero(found)
+                if rows.size:
+                    terms.append((rows, positions[rows], hats[rows]))
+        return terms
 
     # -- evaluation ---------------------------------------------------------
 
@@ -333,10 +448,13 @@ class HierGrid:
     ) -> np.ndarray:
         """Evaluate the channel surrogate at domain points, shape (p, dim) -> (p,).
 
-        Points outside every hat's support simply collect zero contributions.
-        n_nodes restricts the expansion to the first n_nodes grid nodes, which
-        lets a freshly extended grid be queried with the surpluses fitted so
-        far (new nodes always append after the fitted ones).
+        Points outside every hat's support simply collect zero contributions;
+        NaN or infinite points raise `GridError`.  n_nodes restricts the
+        expansion to the first n_nodes grid nodes, which lets a freshly
+        extended grid be queried with the surpluses fitted so far (new nodes
+        always append after the fitted ones): a node found by lookup at a
+        later position counts as absent.  The cost is
+        O(p * level vectors * 2^z) for z level-0 dimensions.
         """
         c = self._channel(channel)
         if n_nodes is None:
@@ -349,8 +467,10 @@ class HierGrid:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise GridError(f"points must have shape (p, {self.dim})")
-        basis = self._basis_block(self._to_canonical(points), np.arange(n_nodes))
-        return basis @ c
+        if not np.all(np.isfinite(points)):
+            raise GridError("points must be finite")
+        terms = self._hat_terms(self._to_canonical(points), self._level_index().values(), n_nodes)
+        return _expand(terms, c, len(points))
 
     def integrate_surrogate(self, channel: str) -> float:
         """Mean of the surrogate under the uniform density on the domain box.

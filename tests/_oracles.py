@@ -86,6 +86,51 @@ def random_spd_system(rng, n, width):
 
 
 # ---------------------------------------------------------------------------
+# dense sparse-grid expansion
+
+
+def dense_hats(levels, indices, points):
+    """Tensor hats of every node at every canonical point, shape (points, nodes).
+
+    `levels` and `indices` are (nodes, d) integer arrays.  In one dimension the
+    hat of (l, i) is max(0, 1 - |y - (i h - 1)| / h) with h = 2^(1 - l); a node's
+    hat is the product over dimensions.  Brute force over points x nodes x d.
+    """
+    h = 2.0 ** (1.0 - np.asarray(levels, dtype=float))
+    centers = np.asarray(indices, dtype=float) * h - 1.0
+    y = np.asarray(points, dtype=float)
+    return np.maximum(1.0 - np.abs(y[:, None, :] - centers[None]) / h[None], 0.0).prod(axis=2)
+
+
+def dense_hat_expansion(levels, indices, surpluses, points):
+    """Sum of surplus times tensor hat over every node, at canonical points."""
+    return dense_hats(levels, indices, points) @ np.asarray(surpluses, dtype=float)
+
+
+def dense_cohort_surpluses(levels, indices, surpluses, values):
+    """Fill the NaN entries of `surpluses` so the expansion equals `values` there.
+
+    The NaN entries mark the cohort being fitted; `values` holds one function
+    value per cohort node, in node order, and every other surplus stays as
+    given.  Ordered by total level, the cohort's hats at its own nodes form
+    a unit lower triangular matrix (a hat vanishes at every other node of
+    equal or lower total level), so one triangular solve gives the cohort.
+    """
+    levels = np.asarray(levels)
+    surpluses = np.asarray(surpluses, dtype=float)
+    cohort = np.flatnonzero(np.isnan(surpluses))
+    fixed = np.flatnonzero(~np.isnan(surpluses))
+    nodes = np.asarray(indices, dtype=float) * 2.0 ** (1.0 - levels) - 1.0
+    hats = dense_hats(levels, indices, nodes[cohort])
+    rhs = np.asarray(values, dtype=float) - hats[:, fixed] @ surpluses[fixed]
+    order = np.argsort(levels[cohort].sum(axis=1), kind="stable")
+    block = hats[:, cohort][order][:, order]
+    out = surpluses.copy()
+    out[cohort[order]] = scipy.linalg.solve_triangular(block, rhs[order], lower=True, unit_diagonal=True)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # work-ratio accounting
 
 
