@@ -521,10 +521,10 @@ def adaptive_run(
     problem = _PdeProblem(config) if config.is_pde else _AnalyticProblem(config)
     sink = residual_sink if (config.dump_residuals and config.is_pde) else None
     grid = HierGrid(config.n_dims, domain=problem.box)
-    batch = grid.add_initial_levels(config.initial_level)
-    if len(batch) > config.n_max:
+    n_new = grid.add_initial_levels(config.initial_level)
+    if n_new > config.n_max:
         raise ConfigurationError(
-            f"n_max={config.n_max} is smaller than the {len(batch)}-point initial grid"
+            f"n_max={config.n_max} is smaller than the {n_new}-point initial grid"
         )
 
     S = config.ensemble_size
@@ -541,7 +541,7 @@ def adaptive_run(
 
     while True:
         level += 1
-        start = len(grid) - len(batch)
+        start = len(grid) - n_new
         ids = list(range(start, len(grid)))
         coords = grid.node_coords()[start:]
         coords_by_id = {sid: coords[i] for i, sid in enumerate(ids)}
@@ -635,9 +635,7 @@ def adaptive_run(
             notes.append(
                 f"level {level + 1} truncated to the n_max={config.n_max} sample budget"
             )
-        batch = outcome.new_nodes
-        if level > 10_000:  # pragma: no cover - defensive
-            raise RuntimeError("refinement failed to terminate")
+        n_new = len(outcome.new_nodes)
 
     work_ratios = {strat: float(compute_R(accounting[strat])[1]) for strat in config.strategies}
 

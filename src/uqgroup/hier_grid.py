@@ -21,6 +21,10 @@ whose support holds the point) and both indices in each level-0 dimension.
 Each candidate is looked up in the level vector's sorted index keys, so
 evaluating p points costs O(p * level vectors * 2^z) instead of
 O(p * nodes * d).
+
+Each node is stored once, as a row of (n, d) level and index arrays, and the
+level-vector index is the only node lookup: the hat sums, refinement,
+`position` and the duplicate check of a loaded grid all go through it.
 """
 
 from __future__ import annotations
@@ -39,8 +43,6 @@ __all__ = [
     "RefinementPolicy",
     "RefineOutcome",
     "HierGrid",
-    "hat_eval",
-    "basis_eval",
     "children",
 ]
 
@@ -51,17 +53,6 @@ class GridError(ValueError):
 
 class IncompleteDataError(GridError):
     """Raised when an operation needs surpluses or values that were never supplied."""
-
-
-def _check_pair(level: int, index: int) -> None:
-    if level < 0:
-        raise GridError(f"negative level {level}")
-    if level == 0:
-        if index not in (0, 1):
-            raise GridError(f"level-0 index must be 0 or 1, got {index}")
-    else:
-        if index % 2 == 0 or not 1 <= index <= 2**level - 1:
-            raise GridError(f"level-{level} index must be odd in [1, {2**level - 1}], got {index}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,12 @@ class NodeId:
         if not self.level:
             raise GridError("zero-dimensional node")
         for l, i in zip(self.level, self.index):
-            _check_pair(l, i)
+            if l < 0:
+                raise GridError(f"negative level {l}")
+            if l == 0 and i not in (0, 1):
+                raise GridError(f"level-0 index must be 0 or 1, got {i}")
+            if l > 0 and (i % 2 == 0 or not 1 <= i <= 2**l - 1):
+                raise GridError(f"level-{l} index must be odd in [1, {2**l - 1}], got {i}")
 
     @property
     def dim(self) -> int:
@@ -97,24 +93,34 @@ class NodeId:
         return np.asarray(self.index, dtype=float) * h - 1.0
 
 
-def hat_eval(level: int, index: int, y: float) -> float:
-    """Evaluate the 1D hierarchical hat psi_{level,index} at canonical y."""
-    _check_pair(level, index)
-    h = 2.0 ** (1 - level)
-    return max(0.0, 1.0 - abs(y - (index * h - 1.0)) / h)
+def _node_ids(level: np.ndarray, index: np.ndarray) -> list[NodeId]:
+    return [NodeId(tuple(l), tuple(i)) for l, i in zip(level.tolist(), index.tolist())]
 
 
-def basis_eval(node: NodeId, y: Sequence[float]) -> float:
-    """Tensor-product hat of `node` at a canonical point y in [-1, 1]^d."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (node.dim,):
-        raise GridError(f"point has shape {y.shape}, expected ({node.dim},)")
-    out = 1.0
-    for l, i, yn in zip(node.level, node.index, y):
-        out *= hat_eval(l, i, float(yn))
-        if out == 0.0:
-            break
-    return out
+def _children(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `children` of (k, d) node rows: 2 d k rows, a level-0 entry's (1, 1) twice."""
+    d = level.shape[1]
+    raised = np.eye(d, dtype=bool)[:, None, :]  # (d, 1, d): the refined dimension
+    child_level = np.where(raised, level + 1, level)
+    left = np.where(raised, np.where(level == 0, 1, 2 * index - 1), index)
+    right = np.where(raised, np.where(level == 0, 1, 2 * index + 1), index)
+    levels = np.concatenate([child_level, child_level])
+    return levels.reshape(-1, d), np.concatenate([left, right]).reshape(-1, d)
+
+
+def _sorted_distinct(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows in the canonical order of `NodeId.sort_key`."""
+    order = np.lexsort((*index.T[::-1], *level.T[::-1], level.sum(axis=1)))
+    level, index = level[order], index[order]
+    keep = np.ones(len(level), dtype=bool)
+    keep[1:] = np.any((level[1:] != level[:-1]) | (index[1:] != index[:-1]), axis=1)
+    return level[keep], index[keep]
+
+
+def _group_rows(level: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Each distinct level vector and its rows, in order of first occurrence."""
+    vectors, first, group = np.unique(level, axis=0, return_index=True, return_inverse=True)
+    return [(tuple(vectors[g].tolist()), np.flatnonzero(group == g)) for g in np.argsort(first)]
 
 
 def children(node: NodeId) -> list[NodeId]:
@@ -122,19 +128,10 @@ def children(node: NodeId) -> list[NodeId]:
 
     In 1D a level-0 node (either boundary point) has the single child (1, 1);
     a node (l, i) with l >= 1 has children (l+1, 2i-1) and (l+1, 2i+1).  Both
-    level-0 parents share the same child, so the result is a set.
+    level-0 parents share the same child.  Sorted by `NodeId.sort_key`.
     """
-    out: set[NodeId] = set()
-    for n, (l, i) in enumerate(zip(node.level, node.index)):
-        if l == 0:
-            variants = [(1, 1)]
-        else:
-            variants = [(l + 1, 2 * i - 1), (l + 1, 2 * i + 1)]
-        for lv, iv in variants:
-            level = node.level[:n] + (lv,) + node.level[n + 1 :]
-            index = node.index[:n] + (iv,) + node.index[n + 1 :]
-            out.add(NodeId(level, index))
-    return sorted(out, key=NodeId.sort_key)
+    level, index = _children(np.array([node.level]), np.array([node.index]))
+    return _node_ids(*_sorted_distinct(level, index))
 
 
 @dataclass(frozen=True)
@@ -167,25 +164,32 @@ _KEY_BITS = 62
 class _LevelNodes:
     """The nodes of one level vector: sorted index keys and the nodes' positions."""
 
-    __slots__ = ("level", "total", "shifts", "keys", "positions")
+    __slots__ = ("level", "total", "halve", "shifts", "keys", "positions")
 
     def __init__(self, level: tuple[int, ...]):
         self.level = level
         self.total = sum(level)
+        self.halve = np.array([l > 0 for l in level], dtype=np.int64)
         # bit offset of each dimension's compressed index in a key
-        self.shifts = [0, *itertools.accumulate(1 if l == 0 else l - 1 for l in level[:-1])]
+        self.shifts = np.array([0, *itertools.accumulate(1 if l == 0 else l - 1 for l in level[:-1])])
         self.keys = np.empty(0, dtype=np.int64)
         self.positions = np.empty(0, dtype=np.int64)
 
-    def key(self, index: tuple[int, ...]) -> int:
-        return sum((i if l == 0 else i >> 1) << s for l, i, s in zip(self.level, index, self.shifts))
+    def keys_of(self, index: np.ndarray) -> np.ndarray:
+        """Keys of (m, d) index rows of this level vector."""
+        return ((index >> self.halve) << self.shifts).sum(axis=1)
 
-    def add(self, keys: list[int], positions: list[int]) -> None:
-        keys = np.concatenate([self.keys, np.array(keys, dtype=np.int64)])
-        positions = np.concatenate([self.positions, np.array(positions, dtype=np.int64)])
+    def add(self, index: np.ndarray, positions: np.ndarray) -> None:
+        keys = np.concatenate([self.keys, self.keys_of(index)])
+        positions = np.concatenate([self.positions, positions])
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
         self.positions = positions[order]
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Grid positions of the nodes with these keys, -1 where there is none."""
+        j = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[j] == keys, self.positions[j], -1)
 
 
 def _hats_1d(y: np.ndarray, level: int) -> list[tuple]:
@@ -217,12 +221,14 @@ def _expand(terms: list[tuple], surpluses: np.ndarray, n_points: int) -> np.ndar
 class HierGrid:
     """Adaptive sparse grid holding nodes, per-channel surpluses and a frontier.
 
-    The frontier is the cohort created by the most recent `add_initial_levels`
-    or `refine` call.  New nodes always append, so the frontier is the grid's
-    tail, stored as its start position.  Surpluses are fitted cohort by
-    cohort, and refinement only inspects the frontier (classic local
-    refinement, orphans permitted).  Instances are single-writer: no locking
-    is attempted.
+    Nodes are rows of the int64 arrays `_level`/`_index`, looked up only
+    through the level-vector index; `_append` checks a whole batch before it
+    changes any state.  The frontier is the cohort created by the most recent
+    `add_initial_levels` or `refine` call.  New nodes always append, so the
+    frontier is the grid's tail, stored as its start position.  Surpluses are
+    fitted cohort by cohort, and refinement only inspects the frontier
+    (classic local refinement, orphans permitted).  Instances are
+    single-writer: no locking is attempted.
     """
 
     def __init__(self, dim: int, domain: Sequence[tuple[float, float]] | None = None):
@@ -238,12 +244,9 @@ class HierGrid:
             if not lo < hi:
                 raise GridError(f"empty domain interval ({lo}, {hi})")
         self.domain = domain
-        self._ids: list[NodeId] = []
-        self._pos: dict[NodeId, int] = {}
-        # Vectorised node data, kept in sync with _ids.
-        self._half_width = np.empty((0, dim))  # hat support half-width 2^(1-l)
+        self._level = np.empty((0, dim), dtype=np.int64)
+        self._index = np.empty((0, dim), dtype=np.int64)
         self._center = np.empty((0, dim))  # canonical node coordinate
-        self._total = np.empty((0,), dtype=int)
         # Node index by level vector, in order of each level vector's first node:
         # the fixed order in which every hat sum adds its terms.  Lookups extend
         # it in place by the nodes appended since (_level_index), so building a
@@ -256,28 +259,25 @@ class HierGrid:
     # -- basic introspection ------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._level)
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
-        return tuple(self._ids)
+        return tuple(_node_ids(self._level, self._index))
 
     @property
     def frontier(self) -> tuple[NodeId, ...]:
-        return tuple(self._ids[self._front_start :])
+        return tuple(_node_ids(self._level[self._front_start :], self._index[self._front_start :]))
 
     @property
     def channels(self) -> tuple[str, ...]:
         return tuple(self._surpluses)
 
     def position(self, node: NodeId) -> int:
-        try:
-            return self._pos[node]
-        except KeyError:
-            raise GridError(f"node {node} not in grid") from None
-
-    def __contains__(self, node: NodeId) -> bool:
-        return node in self._pos
+        p = int(self._find(np.array([node.level]), np.array([node.index]))[0])
+        if p < 0:
+            raise GridError(f"node {node} not in grid")
+        return p
 
     def node_coords(self) -> np.ndarray:
         """Domain coordinates of all nodes, shape (n_nodes, dim), generation order."""
@@ -303,43 +303,48 @@ class HierGrid:
 
     # -- construction -------------------------------------------------------
 
-    def add_initial_levels(self, max_total_level: int) -> list[NodeId]:
-        """Populate an empty grid with every node of total level <= max_total_level."""
-        if len(self._ids):
+    def add_initial_levels(self, max_total_level: int) -> int:
+        """Populate an empty grid with every node of total level <= max_total_level.
+
+        Returns the number of nodes added, the size of the first frontier.
+        """
+        if len(self):
             raise GridError("initial levels can only be added to an empty grid")
         if max_total_level < 0:
             raise GridError("max_total_level must be >= 0")
-        new: list[NodeId] = []
+        # Compositions come in lexicographic order per total and index
+        # products in lexicographic order, so the rows are already canonical.
+        levels, indices = [], []
         for total in range(max_total_level + 1):
             for lvl in _compositions(total, self.dim):
-                index_sets = [_level_indices(l) for l in lvl]
-                for idx in itertools.product(*index_sets):
-                    new.append(NodeId(tuple(lvl), idx))
-        new.sort(key=NodeId.sort_key)
-        self._append(new)
-        return new
+                for idx in itertools.product(*[range(1, 2**l, 2) if l else (0, 1) for l in lvl]):
+                    levels.append(lvl)
+                    indices.append(idx)
+        self._append(np.array(levels, dtype=np.int64), np.array(indices, dtype=np.int64))
+        return len(self)
 
-    def _append(self, nodes: Sequence[NodeId]) -> None:
-        for node in nodes:
-            if node.dim != self.dim:
-                raise GridError(f"node {node} has dim {node.dim}, grid has {self.dim}")
-            if node in self._pos:
-                raise GridError(f"duplicate node {node}")
-            if node.total_level > _KEY_BITS - self.dim:
-                raise GridError(f"node {node} is too deep to index (total level above {_KEY_BITS - self.dim})")
-            self._pos[node] = len(self._ids)
-            self._ids.append(node)
-        if not nodes:
-            return
-        lv = np.array([n.level for n in nodes], dtype=float)
-        idx = np.array([n.index for n in nodes], dtype=float)
-        h = 2.0 ** (1.0 - lv)
-        self._half_width = np.vstack([self._half_width, h])
-        self._center = np.vstack([self._center, idx * h - 1.0])
-        self._total = np.concatenate([self._total, np.array([n.total_level for n in nodes])])
-        for name in self._surpluses:
-            pad = np.full(len(nodes), np.nan)
-            self._surpluses[name] = np.concatenate([self._surpluses[name], pad])
+    def _append(self, level: np.ndarray, index: np.ndarray) -> None:
+        """Append (m, dim) level and index rows of new nodes, checking the whole batch first."""
+        deep = level.sum(axis=1) > _KEY_BITS - self.dim
+        if deep.any():
+            raise GridError(f"level {level[deep][0].tolist()} is too deep to index "
+                            f"(total level above {_KEY_BITS - self.dim})")
+        h = 2.0 ** (1.0 - level)
+        self._level = np.concatenate([self._level, level])
+        self._index = np.concatenate([self._index, index])
+        self._center = np.concatenate([self._center, index * h - 1.0])
+        for name, c in self._surpluses.items():
+            self._surpluses[name] = np.concatenate([c, np.full(len(level), np.nan)])
+
+    def _find(self, level: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Grid positions of (m, dim) level and index rows, -1 for rows not in the grid."""
+        entries = self._level_index()
+        out = np.full(len(level), -1, dtype=np.int64)
+        for lv, rows in _group_rows(level):
+            entry = entries.get(lv)
+            if entry is not None:
+                out[rows] = entry.lookup(entry.keys_of(index[rows]))
+        return out
 
     # -- surplus fitting ----------------------------------------------------
 
@@ -358,27 +363,27 @@ class HierGrid:
         The cost is O(cohort points * level vectors * 2^z) for z level-0
         dimensions.  Re-running with identical inputs is a no-op.
         """
-        if not self._ids:
+        if not len(self):
             raise GridError("empty grid")
         start = self._front_start
         fits = []
         for channel, vals in values.items():
             v = np.asarray(vals, dtype=float)
-            if v.shape != (len(self._ids) - start,):
+            if v.shape != (len(self) - start,):
                 raise IncompleteDataError(
                     f"channel {channel!r} needs one value per frontier node "
-                    f"({len(self._ids) - start}), got shape {v.shape}"
+                    f"({len(self) - start}), got shape {v.shape}"
                 )
             if not np.all(np.isfinite(v)):
                 raise GridError(f"channel {channel!r} has non-finite values")
-            c = self._surpluses.get(channel, np.full(len(self._ids), np.nan))
+            c = self._surpluses.get(channel, np.full(len(self), np.nan))
             if not np.all(np.isfinite(c[:start])):
                 raise IncompleteDataError(
                     f"channel {channel!r} has unfitted earlier cohorts; fit them first"
                 )
             fits.append((channel, c, v))
 
-        totals = self._total[start:]
+        totals = self._level[start:].sum(axis=1)
         for total in np.unique(totals):
             group = np.flatnonzero(totals == total)
             lower = [entry for entry in self._level_index().values() if entry.total < total]
@@ -390,15 +395,13 @@ class HierGrid:
 
     def _level_index(self) -> dict[tuple[int, ...], _LevelNodes]:
         """The node index by level vector, first extended by the nodes appended since."""
-        added: dict[tuple[int, ...], list[int]] = {}
-        for p in range(self._n_indexed, len(self._ids)):
-            added.setdefault(self._ids[p].level, []).append(p)
-        for level, positions in added.items():
+        start = self._n_indexed
+        for level, rows in _group_rows(self._level[start:]):
             entry = self._levels.get(level)
             if entry is None:
                 entry = self._levels[level] = _LevelNodes(level)
-            entry.add([entry.key(self._ids[p].index) for p in positions], positions)
-        self._n_indexed = len(self._ids)
+            entry.add(self._index[start + rows], start + rows)
+        self._n_indexed = len(self)
         return self._levels
 
     def _hat_terms(
@@ -426,9 +429,8 @@ class HierGrid:
                 key = np.zeros(len(points_canonical), dtype=np.int64)
                 for (half, _), shift in zip(combo, entry.shifts):
                     key += half << shift
-                j = np.minimum(np.searchsorted(entry.keys, key), len(entry.keys) - 1)
-                positions = entry.positions[j]
-                found = entry.keys[j] == key
+                positions = entry.lookup(key)
+                found = positions >= 0
                 if n_nodes is not None:
                     found &= positions < n_nodes
                 rows = np.flatnonzero(found)
@@ -458,9 +460,9 @@ class HierGrid:
         """
         c = self._channel(channel)
         if n_nodes is None:
-            n_nodes = len(self._ids)
-        elif not 0 <= n_nodes <= len(self._ids):
-            raise GridError(f"n_nodes must be in [0, {len(self._ids)}]")
+            n_nodes = len(self)
+        elif not 0 <= n_nodes <= len(self):
+            raise GridError(f"n_nodes must be in [0, {len(self)}]")
         c = c[:n_nodes]
         if not np.all(np.isfinite(c)):
             raise IncompleteDataError(f"channel {channel!r} has unfitted surpluses")
@@ -482,7 +484,7 @@ class HierGrid:
         c = self._channel(channel)
         if not np.all(np.isfinite(c)):
             raise IncompleteDataError(f"channel {channel!r} has unfitted surpluses")
-        w = np.where(self._half_width >= 2.0, 1.0, self._half_width)
+        w = np.where(self._level == 0, 1.0, 2.0 ** (1.0 - self._level))
         return float(np.sum(c * (w / 2.0).prod(axis=1)))
 
     # -- refinement ---------------------------------------------------------
@@ -490,27 +492,25 @@ class HierGrid:
     def refine(self, policy: RefinementPolicy) -> RefineOutcome:
         """Add children of frontier nodes whose driving surplus exceeds tau.
 
-        Children are deduplicated, ordered canonically, and appended until the
-        point budget is reached; an empty result with budget_exhausted=False
-        signals convergence of the refinement criterion.
+        Children are deduplicated, stripped of nodes already in the grid,
+        ordered canonically, and cut to the point budget; an empty result with
+        budget_exhausted=False signals convergence of the refinement
+        criterion.  A batch `_append` refuses leaves the grid unchanged.
         """
         front = self._channel(policy.channel)[self._front_start :]
         if not np.all(np.isfinite(front)):
             raise IncompleteDataError(f"frontier surpluses unfitted on channel {policy.channel!r}")
-        candidates: set[NodeId] = set()
-        for k in np.flatnonzero(np.abs(front) >= policy.tau):
-            for child in children(self._ids[self._front_start + k]):
-                if child not in self._pos:
-                    candidates.add(child)
-        ordered = sorted(candidates, key=NodeId.sort_key)
-        space = policy.max_points - len(self._ids)
-        budget_exhausted = len(ordered) > space
-        if budget_exhausted:
-            ordered = ordered[: max(0, space)]
-        if ordered:
-            self._front_start = len(self._ids)
-            self._append(ordered)
-        return RefineOutcome(ordered, budget_exhausted)
+        loud = self._front_start + np.flatnonzero(np.abs(front) >= policy.tau)
+        level, index = _sorted_distinct(*_children(self._level[loud], self._index[loud]))
+        new = self._find(level, index) < 0
+        level, index = level[new], index[new]
+        space = max(0, policy.max_points - len(self))
+        budget_exhausted = len(level) > space
+        level, index = level[:space], index[:space]
+        if len(level):
+            self._append(level, index)
+            self._front_start = len(self) - len(level)
+        return RefineOutcome(_node_ids(level, index), budget_exhausted)
 
     def error_indicator(self, channel: str) -> float:
         """Maximum absolute surplus over the frontier on the given channel."""
@@ -524,27 +524,30 @@ class HierGrid:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        coords = self.node_coords()
-        nodes = []
-        for p, node in enumerate(self._ids):
-            nodes.append(
-                {
-                    "level": list(node.level),
-                    "index": list(node.index),
-                    "coords": [float(x) for x in coords[p]],
-                    "surpluses": {
-                        name: (float(arr[p]) if np.isfinite(arr[p]) else None)
-                        for name, arr in self._surpluses.items()
-                    },
-                }
-            )
+        columns = {name: [x if math.isfinite(x) else None for x in arr.tolist()]
+                   for name, arr in self._surpluses.items()}
+        rows = zip(self._level.tolist(), self._index.tolist(), self.node_coords().tolist())
+        nodes = [
+            {"level": level, "index": index, "coords": coords,
+             "surpluses": {name: column[p] for name, column in columns.items()}}
+            for p, (level, index, coords) in enumerate(rows)
+        ]
         return {"dim": self.dim, "domain": [list(d) for d in self.domain], "nodes": nodes}
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "HierGrid":
         grid = cls(int(doc["dim"]), [tuple(d) for d in doc["domain"]])
         ids = [NodeId(tuple(n["level"]), tuple(n["index"])) for n in doc["nodes"]]
-        grid._append(ids)
+        for node in ids:
+            if node.dim != grid.dim:
+                raise GridError(f"node {node} has dim {node.dim}, grid has {grid.dim}")
+        level = np.array([node.level for node in ids], dtype=np.int64).reshape(-1, grid.dim)
+        index = np.array([node.index for node in ids], dtype=np.int64).reshape(-1, grid.dim)
+        grid._append(level, index)
+        # A node given twice is found at its first position only.
+        twice = np.flatnonzero(grid._find(level, index) != np.arange(len(ids)))
+        if twice.size:
+            raise GridError(f"duplicate node {ids[twice[0]]}")
         for p, n in enumerate(doc["nodes"]):
             for name, val in n.get("surpluses", {}).items():
                 if name not in grid._surpluses:
@@ -561,9 +564,3 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
-
-
-def _level_indices(level: int) -> list[int]:
-    if level == 0:
-        return [0, 1]
-    return list(range(1, 2**level, 2))

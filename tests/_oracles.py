@@ -130,6 +130,33 @@ def dense_cohort_surpluses(levels, indices, surpluses, values):
     return out
 
 
+def refine_cohort(nodes, frontier, surpluses, tau, max_points):
+    """The cohort one refinement step adds, straight from its definition.
+
+    `nodes` lists the grid's nodes and `frontier` the frontier's, each as a
+    (level tuple, index tuple) pair; `surpluses` holds one driving surplus per
+    frontier node.  Every frontier node with |surplus| >= tau contributes its
+    children: in one dimension at a time a level-0 entry becomes (1, 1) and
+    an entry (l, i) becomes (l+1, 2i-1) or (l+1, 2i+1).  Children already in
+    the grid are dropped and the rest sorted by (total level, level, index)
+    and cut to the max_points - len(nodes) free places.  Returns the cohort
+    and whether the cut dropped any child.
+    """
+    present = set(nodes)
+    found = set()
+    for (level, index), surplus in zip(frontier, surpluses):
+        if abs(surplus) < tau:
+            continue
+        for n, (l, i) in enumerate(zip(level, index)):
+            for pair in [(1, 1)] if l == 0 else [(l + 1, 2 * i - 1), (l + 1, 2 * i + 1)]:
+                child = (level[:n] + (pair[0],) + level[n + 1 :], index[:n] + (pair[1],) + index[n + 1 :])
+                if child not in present:
+                    found.add(child)
+    ordered = sorted(found, key=lambda node: (sum(node[0]), node[0], node[1]))
+    space = max(0, max_points - len(nodes))
+    return ordered[:space], len(ordered) > space
+
+
 # ---------------------------------------------------------------------------
 # work-ratio accounting
 

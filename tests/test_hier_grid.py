@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import dense_hat_expansion, refine_cohort
 from uqgroup import (
     GridError,
     HierGrid,
     IncompleteDataError,
     NodeId,
     RefinementPolicy,
-    basis_eval,
     children,
-    hat_eval,
 )
 
 
@@ -29,8 +28,12 @@ def grid_1d(levels, fn, channel="q"):
     return g
 
 
+def pairs(nodes):
+    return [(n.level, n.index) for n in nodes]
+
+
 # ---------------------------------------------------------------------------
-# node identities and 1D basis
+# node identities
 
 
 def test_node_validation():
@@ -51,23 +54,6 @@ def test_canonical_coords():
     assert NodeId((1,), (1,)).canonical_coords().tolist() == [0.0]
     assert NodeId((2,), (3,)).canonical_coords().tolist() == [0.5]
     assert NodeId((3,), (1,)).canonical_coords().tolist() == [-0.75]
-
-
-def test_hat_peak_and_support():
-    assert hat_eval(2, 1, -0.5) == 1.0
-    assert hat_eval(2, 1, -1.0) == 0.0
-    assert hat_eval(2, 1, 0.0) == 0.0
-    assert hat_eval(2, 1, -0.75) == 0.5
-    # level-0 hats lean across the whole domain
-    assert hat_eval(0, 0, -1.0) == 1.0
-    assert hat_eval(0, 0, 1.0) == 0.0
-    assert hat_eval(0, 1, 0.0) == 0.5
-
-
-def test_tensor_basis_is_product_of_hats():
-    node = NodeId((1, 2), (1, 3))
-    y = np.array([0.25, 0.4])
-    assert basis_eval(node, y) == hat_eval(1, 1, 0.25) * hat_eval(2, 3, 0.4)
 
 
 def test_children_dedup_and_ordering():
@@ -237,12 +223,11 @@ def test_unfitted_frontier_blocks_evaluation():
 def test_eval_prefix_matches_manual_partial_sum():
     g = grid_1d(3, lambda y: np.sin(2.0 * y[0]))
     pts = np.array([[0.13], [-0.77], [0.5]])
+    levels = np.array([n.level for n in g.nodes])
+    indices = np.array([n.index for n in g.nodes])
     for k in (1, 3, len(g)):
         partial = g.eval_many("q", pts, n_nodes=k)
-        manual = np.zeros(len(pts))
-        for pos, node in enumerate(g.nodes[:k]):
-            w = g.surpluses("q")[pos]
-            manual += [w * basis_eval(node, p) for p in pts]
+        manual = dense_hat_expansion(levels[:k], indices[:k], g.surpluses("q")[:k], pts)
         np.testing.assert_allclose(partial, manual, atol=1e-14)
     with pytest.raises(GridError):
         g.eval_many("q", pts, n_nodes=len(g) + 1)
@@ -290,6 +275,73 @@ def test_refinement_dedups_shared_children():
     assert out.new_nodes == [NodeId((1,), (1,))]
 
 
+def refine_against_oracle(g, policy):
+    """Refine g and check the cohort, order included, against the oracle."""
+    c = g.surpluses(policy.channel)[len(g) - len(g.frontier) :]
+    want, exhausted = refine_cohort(pairs(g.nodes), pairs(g.frontier), c, policy.tau, policy.max_points)
+    out = g.refine(policy)
+    assert pairs(out.new_nodes) == want
+    assert out.budget_exhausted == exhausted
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_refine_matches_oracle(dim):
+    g = HierGrid(dim)
+    g.add_initial_levels(1)
+    fn = lambda y: np.exp(-2.0 * np.sum((y - 0.2) ** 2)) + 0.1 * y[0]
+    fit(g, "q", fn)
+    for _ in range(4):
+        if not refine_against_oracle(g, RefinementPolicy(tau=1e-3, channel="q")).new_nodes:
+            break
+        fit(g, "q", fn)
+    assert len(g) > 4 * 2**dim
+
+
+def test_refine_budget_cut_matches_oracle():
+    g = HierGrid(3)
+    g.add_initial_levels(2)
+    fit(g, "q", lambda y: np.sin(y[0] + 2.0 * y[1]) * y[2])
+    before = g.to_json_dict()
+    out = refine_against_oracle(g, RefinementPolicy(tau=1e-6, channel="q", max_points=len(g) + 17))
+    assert out.budget_exhausted and len(out.new_nodes) == 17
+    exact = HierGrid.from_json_dict(before)  # a budget that fits the whole cohort
+    n_all = len(HierGrid.from_json_dict(before).refine(RefinementPolicy(tau=1e-6, channel="q")).new_nodes)
+    out = refine_against_oracle(exact, RefinementPolicy(tau=1e-6, channel="q", max_points=len(exact) + n_all))
+    assert not out.budget_exhausted and len(out.new_nodes) == n_all
+
+
+def test_refine_reloaded_grid_matches_oracle():
+    # A reloaded grid is one cohort: its children span many total levels.
+    g = HierGrid(2)
+    g.add_initial_levels(1)
+    fn = lambda y: np.exp(-3.0 * ((y[0] - 0.3) ** 2 + (y[1] - 0.3) ** 2)) + 0.2 * y[0]
+    fit(g, "q", fn)
+    for _ in range(4):
+        g.refine(RefinementPolicy(tau=0.1, channel="q"))
+        fit(g, "q", fn)
+    back = HierGrid.from_json_dict(g.to_json_dict())
+    out = refine_against_oracle(back, RefinementPolicy(tau=1e-6, channel="q"))
+    assert len({n.total_level for n in out.new_nodes}) > 3
+    budget = len(back) - len(out.new_nodes) + 5
+    again = HierGrid.from_json_dict(g.to_json_dict())
+    refine_against_oracle(again, RefinementPolicy(tau=1e-6, channel="q", max_points=budget))
+
+
+def test_refused_refinement_leaves_grid_unchanged():
+    # (61, 1) fits an index key in 1D, its children (62, 1), (62, 3) do not.
+    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [
+        {"level": [0], "index": [0]}, {"level": [0], "index": [1]}, {"level": [61], "index": [1]}]}
+    g = HierGrid.from_json_dict(doc)
+    g.compute_surpluses({"q": [1.0, 2.0, 5.0]})
+    before = (len(g), g.frontier, g.node_coords(), g.surpluses("q"))
+    with pytest.raises(GridError, match="too deep"):
+        g.refine(RefinementPolicy(tau=1e-3, channel="q"))
+    assert len(g) == before[0] and g.frontier == before[1] and g.nodes == before[1]
+    assert np.array_equal(g.node_coords(), before[2])
+    assert np.array_equal(g.surpluses("q"), before[3])
+
+
 def test_error_indicator_is_max_frontier_surplus():
     # right after construction the whole initial cohort is the frontier
     g = grid_1d(2, lambda y: y[0] ** 2)
@@ -330,6 +382,18 @@ def test_json_round_trip_preserves_nodes_and_surpluses():
     # the document carries no cohort history: a reloaded grid is one cohort
     assert back.frontier == back.nodes
     assert back.to_json_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "level, index, match",
+    [([0], [1], "duplicate"), ([0, 1], [1, 1], "dim"), ([2], [2], "odd"), ([0], [2], "level-0")],
+    ids=["repeats-the-first-node", "level-list-longer-than-dim", "even-index", "level-0-index-2"],
+)
+def test_from_json_dict_rejects_bad_nodes(level, index, match):
+    doc = {"dim": 1, "domain": [[-1.0, 1.0]],
+           "nodes": [{"level": [0], "index": [1]}, {"level": level, "index": index}]}
+    with pytest.raises(GridError, match=match):
+        HierGrid.from_json_dict(doc)
 
 
 def test_round_trip_through_json_text():
