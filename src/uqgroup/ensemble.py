@@ -1,11 +1,15 @@
 """Embedded ensemble propagation: lane-array sparse systems and a grouped PCG.
 
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
-one per sample.  All lanes share one CSR sparsity graph; values, vectors and
-reduction results carry a leading lane axis.  Norms and inner products are
-taken per lane (never summed across lanes), so the arithmetic seen by lane i
-is exactly the arithmetic of a scalar solve of lane i's system: iteration
-counts and iterates match a sequential solve bit for bit.
+one per sample.  All lanes share one CSR sparsity graph.  Matrix values are
+stored lanes-last, so the S values of one nonzero sit side by side; vectors
+and reduction results carry a leading lane axis.  A product is one call of a
+compiled kernel (`_spmv.c`, built once into `_build/` at import) that loads
+each column index once and then does S contiguous multiply-adds, summing
+every lane in the order of a scalar CSR product.  Norms and inner products
+are taken per lane (never summed across lanes), so the arithmetic seen by
+lane i is exactly the arithmetic of a scalar solve of lane i's system:
+iteration counts and iterates match a sequential solve bit for bit.
 
 The conjugate-gradient loop keeps iterating until every lane has either
 converged or been frozen, recording for each lane the first iteration at
@@ -18,8 +22,14 @@ continue.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import shlex
+import subprocess
 from dataclasses import dataclass, field
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,35 +59,96 @@ class NumericalBreakdownError(RuntimeError):
     """Non-finite values appeared in an active lane during iteration."""
 
 
-@dataclass
+_KERNEL_SOURCE = Path(__file__).with_name("_spmv.c")
+_BUILD_DIR = Path(__file__).with_name("_build")
+# -ffp-contract=off keeps every lane's multiply and add separately rounded,
+# as in scipy's scalar product.
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _build_kernel(source: Path, build_dir: Path) -> Path:
+    """Compile `source` into `build_dir` unless already built; returns the library.
+
+    The file name is keyed by a hash of the source and the flags, and a new
+    build is moved into place whole, so a reader never sees a partial file.
+    """
+    key = hashlib.sha256(source.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
+    lib = build_dir / f"{source.stem}-{key}.so"
+    if lib.exists():
+        return lib
+    build_dir.mkdir(parents=True, exist_ok=True)
+    tmp = build_dir / f"{lib.name}.{os.getpid()}.tmp"
+    cmd = ["gcc", *_CFLAGS, "-o", str(tmp), str(source)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tmp.unlink(missing_ok=True)
+        raise RuntimeError(
+            f"building the ensemble SpMV kernel failed: {shlex.join(cmd)}\n{proc.stderr}"
+        )
+    os.replace(tmp, lib)
+    return lib
+
+
+def _load_kernel() -> tuple[Callable[..., None], int]:
+    # PyDLL keeps the interpreter lock during the call, so two threads never
+    # share a matrix's scratch buffer at once.
+    lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
+    lib.ensemble_spmv_tile_rows.argtypes = []
+    lib.ensemble_spmv_tile_rows.restype = ctypes.c_int64
+    spmv = lib.ensemble_spmv
+    spmv.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
+    spmv.restype = None
+    return spmv, lib.ensemble_spmv_tile_rows()
+
+
+_SPMV, _TILE_ROWS = _load_kernel()
+
+
+@dataclass(frozen=True)
 class EnsembleCsrMatrix:
     """CSR matrix whose nonzero values carry a lane axis: values[s, nz].
 
     The graph (row_offsets, col_indices) is shared by all lanes.  Lane s is
     exactly the scalar CSR matrix (values[s], col_indices, row_offsets).
+    `values` is the transposed view of a C-contiguous (nnz, S) buffer; a
+    caller that passes such a view (`buf.T`) shares its memory.  The arrays
+    are checked once here and must not be replaced afterwards, which the
+    frozen dataclass enforces: the kernel is handed their addresses.
     """
 
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _lanes: list | None = field(default=None, repr=False, compare=False)
+    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int32)
-        self.col_indices = np.ascontiguousarray(self.col_indices, dtype=np.int32)
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.row_offsets.ndim != 1 or self.row_offsets[0] != 0:
+        row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int32)
+        col_indices = np.ascontiguousarray(self.col_indices, dtype=np.int32)
+        values = np.asarray(self.values, dtype=np.float64)
+        if row_offsets.ndim != 1 or row_offsets[0] != 0:
             raise EnsembleError("row_offsets must be 1-D and start at 0")
-        if self.values.ndim != 2:
+        if values.ndim != 2:
             raise EnsembleError("values must have shape (lanes, nnz)")
-        nnz = self.col_indices.shape[0]
-        if self.row_offsets[-1] != nnz or self.values.shape[1] != nnz:
+        nnz = col_indices.shape[0]
+        if col_indices.ndim != 1 or row_offsets[-1] != nnz or values.shape[1] != nnz:
             raise EnsembleError("row_offsets, col_indices and values disagree on nnz")
-        if np.any(np.diff(self.row_offsets) < 0):
+        if np.any(np.diff(row_offsets) < 0):
             raise EnsembleError("row_offsets must be non-decreasing")
-        n = self.n_rows
-        if nnz and (self.col_indices.min() < 0 or self.col_indices.max() >= n):
+        n = len(row_offsets) - 1
+        if nnz and (col_indices.min() < 0 or col_indices.max() >= n):
             raise EnsembleError("column index out of range")
+        values = np.ascontiguousarray(values.T).T
+        # Lanes-last copy of x (n rows) and the kernel's output tile.
+        scratch = np.empty((n + _TILE_ROWS, values.shape[0]))
+        object.__setattr__(self, "row_offsets", row_offsets)
+        object.__setattr__(self, "col_indices", col_indices)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_scratch", scratch)
+        object.__setattr__(self, "_kernel_args", (
+            values.shape[0], n, row_offsets.ctypes.data, col_indices.ctypes.data,
+            values.ctypes.data, scratch.ctypes.data,
+        ))
 
     @property
     def n_rows(self) -> int:
@@ -100,31 +171,29 @@ class EnsembleCsrMatrix:
                 and np.array_equal(m.indices, first.indices)
             ):
                 raise EnsembleError("lane matrices must share one sparsity graph")
-        values = np.vstack([m.data for m in csr])
-        return cls(first.indptr, first.indices, values)
+        values = np.stack([m.data for m in csr], axis=1)  # (nnz, S)
+        return cls(first.indptr, first.indices, values.T)
 
     def lane(self, s: int) -> sp.csr_matrix:
-        """Scalar CSR view of lane s (shares the value buffer)."""
+        """Scalar CSR matrix of lane s.
+
+        values[s] is a strided view of the lanes-last buffer; scipy copies it.
+        """
         n = self.n_rows
         return sp.csr_matrix((self.values[s], self.col_indices, self.row_offsets), shape=(n, n))
-
-    def _lane_list(self) -> list:
-        if self._lanes is None:
-            self._lanes = [self.lane(s) for s in range(self.width)]
-        return self._lanes
 
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """Lane-wise matrix-vector product: (S, n) -> (S, n).
 
-        Each lane is an independent scalar CSR SpMV; no information crosses
-        lanes, so lane s of the result is bitwise the scalar product.
+        One kernel call for all lanes.  No information crosses lanes and each
+        lane sums in scipy's order, so lane s of the result is bitwise the
+        scalar product `self.lane(s).dot(x[s])`.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.width, self.n_rows):
             raise EnsembleError(f"vector has shape {x.shape}, expected {(self.width, self.n_rows)}")
         out = np.empty_like(x)
-        for s, mat in enumerate(self._lane_list()):
-            out[s] = mat.dot(x[s])
+        _SPMV(*self._kernel_args, x.ctypes.data, out.ctypes.data)
         return out
 
     def diagonal(self) -> np.ndarray:

@@ -8,8 +8,9 @@ trilinear products involved, and the first diffusion coefficient is sampled
 at the quadrature points, so lane matrices differ only through a(x, y).
 
 Assembly is ensemble-first: one shared 27-point CSR graph is built per mesh
-and reused; per-lane values are accumulated into it, so two identical samples
-produce bit-identical lane matrices.
+and reused.  Each lane's values are accumulated on their own into column s of
+an (nnz, S) array, the lanes-last layout the ensemble kernel reads, so two
+identical samples produce bit-identical lane matrices.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def assemble(
     k_yz = field.a_y * mesh._elem_mats[1].sum(axis=0) + field.a_z * mesh._elem_mats[2].sum(axis=0)
     k_all = (k_x + k_yz).reshape(S, -1)  # (S, E*64), pair order matches mesh slots
 
-    values = np.empty((S, mesh.nnz))
+    values = np.empty((mesh.nnz, S))
     for s in range(S):
-        values[s] = np.bincount(mesh._slots, weights=k_all[s][mesh._keep], minlength=mesh.nnz)
-    matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values)
+        values[:, s] = np.bincount(mesh._slots, weights=k_all[s][mesh._keep], minlength=mesh.nnz)
+    matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values.T)
 
     nodes = mesh.element_dofs.ravel()
     keep = nodes >= 0

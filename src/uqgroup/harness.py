@@ -34,11 +34,12 @@ from .ensemble import ensemble_pcg
 from .fem3d import StructuredMesh, assemble, qoi
 from .grouping import (
     GroupingPlan,
-    compute_R,
     group_by_key,
     group_natural,
     group_oracle,
+    level_work,
     predicted_speedup,
+    total_ratio,
 )
 from .hier_grid import HierGrid, RefinementPolicy
 from .random_field import anisotropy_indicator, build_field
@@ -531,9 +532,8 @@ def adaptive_run(
     policy = RefinementPolicy(tau=config.tau, channel=QOI_CHANNEL, max_points=config.n_max)
     notes: list[str] = []
     levels: list[LevelRecord] = []
-    accounting: dict[str, list[tuple[GroupingPlan, list[list[float]]]]] = {
-        s: [] for s in config.strategies
-    }
+    # Per strategy, each level's (ensemble cost, ideal cost) in level order.
+    accounting: dict[str, list[tuple[float, float]]] = {s: [] for s in config.strategies}
     truncated_pending = False
     unconverged = 0
     stop_reason = None
@@ -587,11 +587,9 @@ def adaptive_run(
         for strat in config.strategies:
             plan = plans[strat]
             slot_iters = [[float(iters[sid]) for sid in group] for group in plan.ensembles]
-            accounting[strat].append((plan, slot_iters))
-            r_l = compute_R([(plan, slot_iters)])[1]
-            plan_records.append(
-                PlanRecord(strat, plan.ensembles, plan.padding, float(r_l))
-            )
+            num, den = level_work(plan, slot_iters)
+            accounting[strat].append((num, den))
+            plan_records.append(PlanRecord(strat, plan.ensembles, plan.padding, num / den))
 
         # Update the surrogates with this level's data.
         grid.compute_surpluses(
@@ -637,7 +635,7 @@ def adaptive_run(
             )
         n_new = len(outcome.new_nodes)
 
-    work_ratios = {strat: float(compute_R(accounting[strat])[1]) for strat in config.strategies}
+    work_ratios = {strat: total_ratio(accounting[strat]) for strat in config.strategies}
 
     speedups = None
     if config.base_curve is not None:

@@ -20,6 +20,8 @@ from uqgroup import (
     jacobi_precond,
 )
 
+from uqgroup import ensemble as ensemble_module
+
 from _oracles import random_spd_system, scalar_pcg
 
 TINY = np.finfo(np.float64).tiny
@@ -54,6 +56,54 @@ def test_spmv_lane_equals_scalar_spmv():
     out = ens.spmv(x)
     for s in range(4):
         assert np.array_equal(out[s], lanes[s].dot(x[s]))
+
+
+def lanes_last_system(rng, n, width):
+    """Random CSR graph with an empty row, values in a C-contiguous (nnz, S) buffer."""
+    graph = sp.random(n, n, density=0.2, format="csr", random_state=rng)
+    graph.data[graph.indptr[3]:graph.indptr[4]] = 0.0
+    graph.eliminate_zeros()  # row 3 has no entries
+    graph.sort_indices()
+    buf = rng.standard_normal((graph.nnz, width))
+    return graph.indptr, graph.indices, buf
+
+
+# Widths with a specialised kernel (1, 2, 4, 8, 16, 32) and generic ones;
+# n below the 64-row tile and not a multiple of it.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
+@pytest.mark.parametrize("n", [37, 130])
+def test_kernel_bitwise_equals_scalar_product(width, n):
+    rng = np.random.default_rng(width * 1000 + n)
+    rp, ci, buf = lanes_last_system(rng, n, width)
+    ens = EnsembleCsrMatrix(rp, ci, buf.T)
+    x = rng.standard_normal((width, n))
+    out = ens.spmv(x)
+    for s in range(width):
+        lane = sp.csr_matrix((np.ascontiguousarray(buf[:, s]), ci, rp), shape=(n, n))
+        assert out[s].tobytes() == lane.dot(x[s]).tobytes()
+    assert not out[:, 3].any()
+
+
+def test_lanes_last_values_share_the_callers_buffer():
+    rng = np.random.default_rng(8)
+    rp, ci, buf = lanes_last_system(rng, 20, 5)
+    ens = EnsembleCsrMatrix(rp, ci, buf.T)
+    assert np.shares_memory(ens.values, buf)
+    for s in range(5):
+        assert np.array_equal(ens.values[s], buf[:, s])
+
+
+def test_failing_kernel_build_names_command_and_stderr(tmp_path):
+    real_build = sorted(ensemble_module._BUILD_DIR.iterdir())
+    source = tmp_path / "broken.c"
+    source.write_text("#error broken kernel source\n")
+    with pytest.raises(RuntimeError) as err:
+        ensemble_module._build_kernel(source, tmp_path / "build")
+    message = str(err.value)
+    assert "gcc" in message and str(source) in message
+    assert "broken kernel source" in message  # the compiler's own diagnostic
+    assert list((tmp_path / "build").iterdir()) == []
+    assert sorted(ensemble_module._BUILD_DIR.iterdir()) == real_build
 
 
 def test_diagonal_extraction():

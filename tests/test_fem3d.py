@@ -144,6 +144,14 @@ def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):
     assert res.iterations_per_lane[0] == res.iterations_per_lane[1]
 
 
+def test_assembled_values_are_lanes_last(kl_field):
+    # The kernel reads the (nnz, S) buffer as assembled; a copy would double
+    # the matrix's memory at wide ensembles.
+    samples = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.0, 0.5, 1.0], [0.9, -0.9, 0.0, 0.2]])
+    values = assemble(StructuredMesh(4), kl_field, samples).matrix.values
+    assert values.shape[0] == 3 and values.T.flags.c_contiguous
+
+
 def test_precomputed_mode_values_change_nothing(kl_field):
     mesh = StructuredMesh(4)
     y = np.array([[0.1, 0.2, 0.3, 0.4]])
