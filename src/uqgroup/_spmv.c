@@ -59,6 +59,10 @@ static inline __attribute__((always_inline)) void spmv_body(
     }
 }
 
+/* A width fixed at compile time keeps the accumulators in registers.  Only
+ * the widths the PDE preset (4) and the wide ensemble runs (16) use get their
+ * own copy; there it is 2.6x (16^3, S=4) and 1.5x (32^3, S=16) faster than
+ * the generic body.  Every other width takes the generic body. */
 #define SPECIALISED(W)                                                        \
     static void spmv_##W(int64_t n, const int32_t *row_offsets,               \
                          const int32_t *col_indices, const double *values,    \
@@ -81,11 +85,8 @@ static void spmv_1(int64_t n, const int32_t *restrict row_offsets,
     }
 }
 
-SPECIALISED(2)
 SPECIALISED(4)
-SPECIALISED(8)
 SPECIALISED(16)
-SPECIALISED(32)
 
 /* scratch must hold (n + ensemble_spmv_tile_rows()) * S doubles. */
 void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
@@ -94,11 +95,8 @@ void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
 {
     switch (S) {
     case 1: spmv_1(n, row_offsets, col_indices, values, x, y); break;
-    case 2: spmv_2(n, row_offsets, col_indices, values, scratch, x, y); break;
     case 4: spmv_4(n, row_offsets, col_indices, values, scratch, x, y); break;
-    case 8: spmv_8(n, row_offsets, col_indices, values, scratch, x, y); break;
     case 16: spmv_16(n, row_offsets, col_indices, values, scratch, x, y); break;
-    case 32: spmv_32(n, row_offsets, col_indices, values, scratch, x, y); break;
     default: spmv_body(S, n, row_offsets, col_indices, values, scratch, x, y);
     }
 }

@@ -66,25 +66,42 @@ _BUILD_DIR = Path(__file__).with_name("_build")
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
 
 
-def _build_kernel(source: Path, build_dir: Path) -> Path:
-    """Compile `source` into `build_dir` unless already built; returns the library.
-
-    The file name is keyed by a hash of the source and the flags, and a new
-    build is moved into place whole, so a reader never sees a partial file.
-    """
-    key = hashlib.sha256(source.read_bytes() + " ".join(_CFLAGS).encode()).hexdigest()[:16]
-    lib = build_dir / f"{source.stem}-{key}.so"
-    if lib.exists():
-        return lib
-    build_dir.mkdir(parents=True, exist_ok=True)
-    tmp = build_dir / f"{lib.name}.{os.getpid()}.tmp"
-    cmd = ["gcc", *_CFLAGS, "-o", str(tmp), str(source)]
+def _gcc(args: list[str]) -> str:
+    cmd = ["gcc", *args]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
-        tmp.unlink(missing_ok=True)
         raise RuntimeError(
             f"building the ensemble SpMV kernel failed: {shlex.join(cmd)}\n{proc.stderr}"
         )
+    return proc.stdout
+
+
+def _build_kernel(source: Path, build_dir: Path) -> Path:
+    """Compile `source` into `build_dir` unless already built; returns the library.
+
+    The file name is keyed by a hash of the source, the flags and the target
+    options gcc resolves them to on this host (`-march=native` becomes this
+    CPU's instruction sets), so a build directory carried to another machine
+    is rebuilt, not loaded.  A new build is moved into place whole, so a
+    reader never sees a partial file.
+    """
+    target = _gcc([*_CFLAGS, "-Q", "--help=target"])
+    key = hashlib.sha256(
+        source.read_bytes() + " ".join(_CFLAGS).encode() + target.encode()
+    ).hexdigest()[:16]
+    lib = build_dir / f"{source.stem}-{key}.so"
+    if lib.exists():
+        return lib
+    try:
+        build_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot create the kernel build directory: {exc}") from exc
+    tmp = build_dir / f"{lib.name}.{os.getpid()}.tmp"
+    try:
+        _gcc([*_CFLAGS, "-o", str(tmp), str(source)])
+    except RuntimeError:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, lib)
     return lib
 
@@ -149,6 +166,11 @@ class EnsembleCsrMatrix:
             values.shape[0], n, row_offsets.ctypes.data, col_indices.ctypes.data,
             values.ctypes.data, scratch.ctypes.data,
         ))
+
+    def __reduce__(self):
+        # Copies and unpickled matrices are rebuilt through __init__, so their
+        # kernel addresses are those of their own arrays, never the original's.
+        return type(self), (self.row_offsets, self.col_indices, self.values)
 
     @property
     def n_rows(self) -> int:

@@ -27,8 +27,6 @@ __all__ = [
     "group_natural",
     "group_by_key",
     "group_oracle",
-    "level_work",
-    "total_ratio",
     "compute_R",
     "predicted_speedup",
 ]
@@ -155,64 +153,44 @@ def group_oracle(
     return _chunk(ranked, size, level, "its")
 
 
-def level_work(plan: GroupingPlan, iters: Sequence[Sequence[float]]) -> tuple[float, float]:
-    """(ensemble cost, ideal cost) of one non-empty level.
-
-    The ensemble cost is S * sum_k max_i I(slot k,i) (replica slots included;
-    they occupy real lanes) and the ideal cost sums the real samples only.
-    Their quotient is the level's work ratio.
-    """
-    if len(iters) != len(plan.ensembles):
-        raise GroupingError("iteration lists must match the plan's ensembles")
-    num = 0.0
-    den = 0.0
-    for group, pad, group_iters in zip(plan.ensembles, plan.padding, iters):
-        vals = np.asarray(group_iters, dtype=float)
-        if vals.shape != (plan.ensemble_size,):
-            raise GroupingError(
-                f"expected {plan.ensemble_size} slot iterations, got {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise GroupingError("slot iterations must be finite and non-negative")
-        num += plan.ensemble_size * float(vals.max())
-        den += float(vals[: plan.ensemble_size - pad].sum())
-    if den <= 0:
-        raise GroupingError("level has zero ideal work; iteration counts all zero")
-    return num, den
-
-
-def total_ratio(works: Sequence[tuple[float, float]]) -> float:
-    """Total work ratio from per-level (ensemble cost, ideal cost) pairs.
-
-    Costs are summed in level order, so the total does not depend on how the
-    levels were reduced.  NaN when there is no work at all.
-    """
-    num_total = 0.0
-    den_total = 0.0
-    for num, den in works:
-        num_total += num
-        den_total += den
-    return num_total / den_total if den_total > 0 else float("nan")
-
-
 def compute_R(
     levels: Sequence[tuple[GroupingPlan, Sequence[Sequence[float]]]],
 ) -> tuple[list[float], float]:
     """Per-level and total work ratios from plans plus per-slot iteration counts.
 
-    Each level is reduced by `level_work`.  Empty levels yield NaN and are
-    skipped in the total.  Returns (per-level ratios, total ratio).
+    For each level, the ensemble cost is S * sum_k max_i I(slot k,i) (replica
+    slots included; they occupy real lanes) and the ideal cost sums the real
+    samples only.  Empty levels yield NaN and are skipped in the total.
+    Returns (per-level ratios, total ratio).
     """
     per_level: list[float] = []
-    works: list[tuple[float, float]] = []
+    num_total = 0.0
+    den_total = 0.0
     for plan, iters in levels:
         if not plan.ensembles:
             per_level.append(float("nan"))
             continue
-        num, den = level_work(plan, iters)
+        if len(iters) != len(plan.ensembles):
+            raise GroupingError("iteration lists must match the plan's ensembles")
+        num = 0.0
+        den = 0.0
+        for group, pad, group_iters in zip(plan.ensembles, plan.padding, iters):
+            vals = np.asarray(group_iters, dtype=float)
+            if vals.shape != (plan.ensemble_size,):
+                raise GroupingError(
+                    f"expected {plan.ensemble_size} slot iterations, got {vals.shape}"
+                )
+            if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+                raise GroupingError("slot iterations must be finite and non-negative")
+            num += plan.ensemble_size * float(vals.max())
+            den += float(vals[: plan.ensemble_size - pad].sum())
+        if den <= 0:
+            raise GroupingError("level has zero ideal work; iteration counts all zero")
         per_level.append(num / den)
-        works.append((num, den))
-    return per_level, total_ratio(works)
+        num_total += num
+        den_total += den
+    total = num_total / den_total if den_total > 0 else float("nan")
+    return per_level, total
 
 
 def predicted_speedup(R: float, size: int, base_curve: Mapping[int, float]) -> float:

@@ -34,12 +34,11 @@ from .ensemble import ensemble_pcg
 from .fem3d import StructuredMesh, assemble, qoi
 from .grouping import (
     GroupingPlan,
+    compute_R,
     group_by_key,
     group_natural,
     group_oracle,
-    level_work,
     predicted_speedup,
-    total_ratio,
 )
 from .hier_grid import HierGrid, RefinementPolicy
 from .random_field import anisotropy_indicator, build_field
@@ -532,8 +531,9 @@ def adaptive_run(
     policy = RefinementPolicy(tau=config.tau, channel=QOI_CHANNEL, max_points=config.n_max)
     notes: list[str] = []
     levels: list[LevelRecord] = []
-    # Per strategy, each level's (ensemble cost, ideal cost) in level order.
-    accounting: dict[str, list[tuple[float, float]]] = {s: [] for s in config.strategies}
+    accounting: dict[str, list[tuple[GroupingPlan, list[list[float]]]]] = {
+        s: [] for s in config.strategies
+    }
     truncated_pending = False
     unconverged = 0
     stop_reason = None
@@ -587,9 +587,9 @@ def adaptive_run(
         for strat in config.strategies:
             plan = plans[strat]
             slot_iters = [[float(iters[sid]) for sid in group] for group in plan.ensembles]
-            num, den = level_work(plan, slot_iters)
-            accounting[strat].append((num, den))
-            plan_records.append(PlanRecord(strat, plan.ensembles, plan.padding, num / den))
+            accounting[strat].append((plan, slot_iters))
+            # R_l is filled in after the loop, from one compute_R per strategy.
+            plan_records.append(PlanRecord(strat, plan.ensembles, plan.padding, math.nan))
 
         # Update the surrogates with this level's data.
         grid.compute_surpluses(
@@ -635,7 +635,10 @@ def adaptive_run(
             )
         n_new = len(outcome.new_nodes)
 
-    work_ratios = {strat: total_ratio(accounting[strat]) for strat in config.strategies}
+    per_level: dict[str, list[float]] = {}
+    work_ratios: dict[str, float] = {}
+    for strat in config.strategies:
+        per_level[strat], work_ratios[strat] = compute_R(accounting[strat])
 
     speedups = None
     if config.base_curve is not None:
@@ -651,12 +654,15 @@ def adaptive_run(
         # An unconverged lane is charged the iterations it ran, not those it
         # needed, so no ratio of this run can be trusted.
         notes.append(f"{_UNCONVERGED_NOTE}: {unconverged} lane(s) stopped unconverged")
-        for i, lv in enumerate(levels):
-            plans = tuple(dataclasses.replace(p, work_ratio=math.nan) for p in lv.plans)
-            levels[i] = dataclasses.replace(lv, plans=plans)
+        per_level = {strat: [math.nan] * len(levels) for strat in per_level}
         work_ratios = dict.fromkeys(work_ratios, math.nan)
         if speedups is not None:
             speedups = dict.fromkeys(speedups, math.nan)
+    for i, lv in enumerate(levels):
+        plans = tuple(
+            dataclasses.replace(p, work_ratio=per_level[p.strategy][i]) for p in lv.plans
+        )
+        levels[i] = dataclasses.replace(lv, plans=plans)
 
     return RunReport(
         config=config.to_dict(),

@@ -6,6 +6,9 @@ iteration counts match a sequential solver exactly and duplicated lanes are
 bit-identical.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -68,8 +71,9 @@ def lanes_last_system(rng, n, width):
     return graph.indptr, graph.indices, buf
 
 
-# Widths with a specialised kernel (1, 2, 4, 8, 16, 32) and generic ones;
-# n below the 64-row tile and not a multiple of it.
+# Widths with a specialised kernel (1, 4, 16), generic widths around them and
+# around the 32-lane stack accumulator; n below the 64-row tile and not a
+# multiple of it.
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
 @pytest.mark.parametrize("n", [37, 130])
 def test_kernel_bitwise_equals_scalar_product(width, n):
@@ -93,6 +97,37 @@ def test_lanes_last_values_share_the_callers_buffer():
         assert np.array_equal(ens.values[s], buf[:, s])
 
 
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))]
+)
+def test_copied_matrix_multiplies_with_its_own_arrays(duplicate):
+    rng = np.random.default_rng(9)
+    rp, ci, buf = lanes_last_system(rng, 70, 4)
+    ens = EnsembleCsrMatrix(rp, ci, buf.T)
+    twin = duplicate(ens)
+    x = rng.standard_normal((4, 70))
+    expected = ens.spmv(x)
+    assert twin.values.T.flags.c_contiguous
+    assert not np.shares_memory(twin._scratch, ens._scratch)
+    if not np.shares_memory(twin.values, ens.values):
+        buf[:] = 0.0  # the twin must not read the original's values
+    assert np.array_equal(twin.spmv(x), expected)
+
+
+def test_kernel_library_is_keyed_by_the_resolved_target(tmp_path, monkeypatch):
+    source = tmp_path / "tiny.c"
+    source.write_text("int tiny(void) { return 1; }\n")
+    real_gcc = ensemble_module._gcc
+    libs = []
+    for cpu in ("first-cpu", "second-cpu"):
+        def fake_target(args, cpu=cpu):
+            return cpu if "--help=target" in args else real_gcc(args)
+        monkeypatch.setattr(ensemble_module, "_gcc", fake_target)
+        libs.append(ensemble_module._build_kernel(source, tmp_path / "build"))
+    assert libs[0] != libs[1]
+    assert sorted((tmp_path / "build").iterdir()) == sorted(libs)
+
+
 def test_failing_kernel_build_names_command_and_stderr(tmp_path):
     real_build = sorted(ensemble_module._BUILD_DIR.iterdir())
     source = tmp_path / "broken.c"
@@ -104,6 +139,13 @@ def test_failing_kernel_build_names_command_and_stderr(tmp_path):
     assert "broken kernel source" in message  # the compiler's own diagnostic
     assert list((tmp_path / "build").iterdir()) == []
     assert sorted(ensemble_module._BUILD_DIR.iterdir()) == real_build
+
+
+def test_unusable_build_directory_raises_runtime_error(tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    with pytest.raises(RuntimeError, match="build directory"):
+        ensemble_module._build_kernel(ensemble_module._KERNEL_SOURCE, blocker / "build")
 
 
 def test_diagonal_extraction():
