@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical study outputs.
+
+Runs `python -m uqgroup.cli run` once per case with each tree's `src`
+directory on PYTHONPATH, then compares the exit codes and the bytes of
+r_table.csv, manifest.json and iterations_by_level.csv.  The cases are the
+five presets, the `sg-refine` benchmark unit and a `pde_test1` run whose
+width pads the last ensemble.  Prints one line per case and exits 1 on any
+difference.
+
+    git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 scripts/compare_outputs.py /tmp/parent/src src
+"""
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+OUTPUTS = ("r_table.csv", "manifest.json", "iterations_by_level.csv")
+
+CASES = {
+    "analytic_g1": ["--problem", "analytic_g1"],
+    "analytic_g2": ["--problem", "analytic_g2"],
+    "pde_test1": ["--problem", "pde_test1"],
+    "pde_test2": ["--problem", "pde_test2"],
+    "pde_isotropic_baseline": ["--problem", "pde_isotropic_baseline"],
+    "sg-refine": ["--problem", "analytic_g1", "--S", "8", "--tau", "1e-6", "--n-max", "8000"],
+    "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
+}
+
+
+def run_case(src: Path, args: list[str], out_dir: Path) -> int:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    cmd = [sys.executable, "-m", "uqgroup.cli", "run", *args, "--out-dir", str(out_dir)]
+    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def same_file(a: Path, b: Path) -> bool:
+    if not (a.exists() and b.exists()):
+        return a.exists() == b.exists()
+    return filecmp.cmp(a, b, shallow=False)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old_src", type=Path, help="src directory of the reference tree")
+    ap.add_argument("new_src", type=Path, help="src directory of the tree under test")
+    ap.add_argument("--work-dir", type=Path, help="keep the outputs here instead of a temporary directory")
+    args = ap.parse_args()
+    for src in (args.old_src, args.new_src):
+        if not (src / "uqgroup" / "cli.py").is_file():
+            ap.error(f"{src} holds no uqgroup package")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work_dir or Path(tmp)
+        differ = 0
+        for name, case_args in CASES.items():
+            old, new = work / "old" / name, work / "new" / name
+            codes = (run_case(args.old_src, case_args, old), run_case(args.new_src, case_args, new))
+            diffs = [f for f in OUTPUTS if not same_file(old / f, new / f)]
+            ok = codes[0] == codes[1] and not diffs
+            differ += not ok
+            print(f"{name:<24} exit {codes[0]}/{codes[1]}  "
+                  + ("identical" if ok else "DIFFERENT: " + (", ".join(diffs) or "exit code")), flush=True)
+    print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

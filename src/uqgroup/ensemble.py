@@ -1,4 +1,4 @@
-"""Embedded ensemble propagation: lane-array sparse systems and a grouped PCG.
+"""Embedded ensemble propagation: lane-array sparse systems and a lockstep Jacobi-PCG.
 
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
 one per sample.  All lanes share one CSR sparsity graph.  Matrix values are
@@ -11,13 +11,15 @@ are taken per lane (never summed across lanes), so the arithmetic seen by
 lane i is exactly the arithmetic of a scalar solve of lane i's system:
 iteration counts and iterates match a sequential solve bit for bit.
 
-The conjugate-gradient loop keeps iterating until every lane has either
-converged or been frozen, recording for each lane the first iteration at
-which its relative residual dropped below the tolerance.  Lanes whose
+The solver is Jacobi-preconditioned conjugate gradients, the one solver
+whose iterations the study counts: it scales each lane's residual by that
+lane's inverse main diagonal.  The loop keeps iterating until every lane has
+either converged or been frozen, recording for each lane the first iteration
+at which its relative residual dropped below the tolerance.  Lanes whose
 A-conjugate norm p'Ap underflows to zero (which happens after a lane has
-converged far beyond machine precision) are frozen: their update coefficients
-are forced to zero so their solutions never change while the remaining lanes
-continue.
+converged far beyond machine precision) are frozen: their update
+coefficients are forced to zero so their solutions never change while the
+remaining lanes continue.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ __all__ = [
     "EnsembleCsrMatrix",
     "lane_norms",
     "lane_dot",
-    "JacobiPreconditioner",
-    "IdentityPreconditioner",
-    "jacobi_precond",
     "LaneSolveResult",
     "ensemble_pcg",
 ]
@@ -252,28 +251,6 @@ def lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([np.dot(x[s], y[s]) for s in range(x.shape[0])])
 
 
-class IdentityPreconditioner:
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r.copy()
-
-
-class JacobiPreconditioner:
-    """Lane-wise diagonal scaling z = D^{-1} r."""
-
-    def __init__(self, inv_diag: np.ndarray):
-        self.inv_diag = inv_diag
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r * self.inv_diag
-
-
-def jacobi_precond(mat: EnsembleCsrMatrix) -> JacobiPreconditioner:
-    diag = mat.diagonal()
-    if np.any(diag <= 0):
-        raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
-    return JacobiPreconditioner(1.0 / diag)
-
-
 @dataclass
 class LaneSolveResult:
     """Outcome of one ensemble solve.
@@ -296,19 +273,21 @@ class LaneSolveResult:
 def ensemble_pcg(
     mat: EnsembleCsrMatrix,
     rhs: np.ndarray,
-    precond=None,
     tol: float = 1e-7,
     maxit: int = 1000,
     record_history: bool = False,
 ) -> LaneSolveResult:
-    """Preconditioned CG on all lanes at once, run until every lane converges.
+    """Jacobi-preconditioned CG on all lanes at once, run until every lane converges.
 
-    Convergence is per lane, relative to that lane's right-hand side.  A lane
-    that converges keeps iterating with the rest (its arithmetic is still
-    lane-local), so recorded counts equal independent scalar PCG counts
-    exactly.  Lanes whose p'Ap underflows below the smallest positive normal
-    are frozen: alpha and beta are zeroed for them only, their solution stops
-    changing, and they no longer block termination.
+    The preconditioner scales each lane by its inverse main diagonal,
+    z = r * (1 / diag(A)), so every lane needs a strictly positive diagonal
+    (`EnsembleError` otherwise).  Convergence is per lane, relative to that
+    lane's right-hand side.  A lane that converges keeps iterating with the
+    rest (its arithmetic is still lane-local), so recorded counts equal
+    independent scalar PCG counts exactly.  Lanes whose p'Ap underflows
+    below the smallest positive normal are frozen: alpha and beta are zeroed
+    for them only, their solution stops changing, and they no longer block
+    termination.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
@@ -316,8 +295,10 @@ def ensemble_pcg(
         raise EnsembleError(f"maxit must be >= 0, got {maxit}")
     S, n = mat.width, mat.n_rows
     b = _check_vector(S, n, rhs, "rhs")
-    if precond is None:
-        precond = jacobi_precond(mat)
+    diag = mat.diagonal()
+    if np.any(diag <= 0):
+        raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
+    inv_diag = 1.0 / diag
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -330,7 +311,7 @@ def ensemble_pcg(
     frozen = np.zeros(S, dtype=bool)
     history: list[np.ndarray] | None = [r_norm.copy()] if record_history else None
 
-    z = precond.apply(r)
+    z = r * inv_diag
     p = z.copy()
     rz = lane_dot(r, z)
     it = 0
@@ -354,7 +335,7 @@ def ensemble_pcg(
         converged |= newly
         if np.all(converged | frozen):
             break
-        z = precond.apply(r)
+        z = r * inv_diag
         rz_new = lane_dot(r, z)
         beta = np.zeros(S)
         safe = active & (rz > 0)

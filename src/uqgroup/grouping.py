@@ -68,17 +68,6 @@ class GroupingPlan:
                 if any(slot != last_real for slot in group[self.ensemble_size - pad :]):
                     raise GroupingError("padding must replicate the last real sample")
 
-    @property
-    def n_samples(self) -> int:
-        return self.ensemble_size * len(self.ensembles) - sum(self.padding)
-
-    def sample_ids(self) -> list[int]:
-        """Real sample ids in slot order, replicas dropped."""
-        out: list[int] = []
-        for group, pad in zip(self.ensembles, self.padding):
-            out.extend(group[: self.ensemble_size - pad])
-        return out
-
 
 def _chunk(ids: Sequence[int], size: int, level: int, tag: str) -> GroupingPlan:
     if size < 1:

@@ -625,7 +625,7 @@ def adaptive_run(
         )
 
         outcome = grid.refine(policy)
-        if not outcome.new_nodes:
+        if not outcome.n_new:
             stop_reason = "budget_exhausted" if outcome.budget_exhausted else "tolerance_met"
             break
         truncated_pending = outcome.budget_exhausted
@@ -633,7 +633,7 @@ def adaptive_run(
             notes.append(
                 f"level {level + 1} truncated to the n_max={config.n_max} sample budget"
             )
-        n_new = len(outcome.new_nodes)
+        n_new = outcome.n_new
 
     per_level: dict[str, list[float]] = {}
     work_ratios: dict[str, float] = {}

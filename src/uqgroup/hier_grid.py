@@ -23,8 +23,10 @@ evaluating p points costs O(p * level vectors * 2^z) instead of
 O(p * nodes * d).
 
 Each node is stored once, as a row of (n, d) level and index arrays, and the
-level-vector index is the only node lookup: the hat sums, refinement,
-`position` and the duplicate check of a loaded grid all go through it.
+level-vector index is the only node lookup: the hat sums, refinement and the
+duplicate check of a loaded grid all go through it.  `NodeId` is the
+validated (level, index) pair that `nodes` and `frontier` list and that a
+loaded grid's nodes are checked as.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ __all__ = [
     "RefinementPolicy",
     "RefineOutcome",
     "HierGrid",
-    "children",
 ]
 
 
@@ -76,21 +77,8 @@ class NodeId:
                 raise GridError(f"level-{l} index must be odd in [1, {2**l - 1}], got {i}")
 
     @property
-    def dim(self) -> int:
-        return len(self.level)
-
-    @property
     def total_level(self) -> int:
         return sum(self.level)
-
-    def sort_key(self) -> tuple:
-        # Canonical deterministic ordering: total level, then level vector,
-        # then index vector, each lexicographic.
-        return (self.total_level, self.level, self.index)
-
-    def canonical_coords(self) -> np.ndarray:
-        h = 2.0 ** (1 - np.asarray(self.level, dtype=float))
-        return np.asarray(self.index, dtype=float) * h - 1.0
 
 
 def _node_ids(level: np.ndarray, index: np.ndarray) -> list[NodeId]:
@@ -98,7 +86,11 @@ def _node_ids(level: np.ndarray, index: np.ndarray) -> list[NodeId]:
 
 
 def _children(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The `children` of (k, d) node rows: 2 d k rows, a level-0 entry's (1, 1) twice."""
+    """Hierarchical children of (k, d) node rows: 2 d k rows, not deduplicated.
+
+    In one dimension at a time a level-0 entry becomes (1, 1), listed twice,
+    and an entry (l, i) with l >= 1 becomes (l+1, 2i-1) and (l+1, 2i+1).
+    """
     d = level.shape[1]
     raised = np.eye(d, dtype=bool)[:, None, :]  # (d, 1, d): the refined dimension
     child_level = np.where(raised, level + 1, level)
@@ -109,7 +101,8 @@ def _children(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _sorted_distinct(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows in the canonical order of `NodeId.sort_key`."""
+    """The distinct rows in canonical order: total level, then level vector,
+    then index vector, each lexicographic."""
     order = np.lexsort((*index.T[::-1], *level.T[::-1], level.sum(axis=1)))
     level, index = level[order], index[order]
     keep = np.ones(len(level), dtype=bool)
@@ -123,17 +116,6 @@ def _group_rows(level: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
     return [(tuple(vectors[g].tolist()), np.flatnonzero(group == g)) for g in np.argsort(first)]
 
 
-def children(node: NodeId) -> list[NodeId]:
-    """Hierarchical children of a node, one or two per dimension, deduplicated.
-
-    In 1D a level-0 node (either boundary point) has the single child (1, 1);
-    a node (l, i) with l >= 1 has children (l+1, 2i-1) and (l+1, 2i+1).  Both
-    level-0 parents share the same child.  Sorted by `NodeId.sort_key`.
-    """
-    level, index = _children(np.array([node.level]), np.array([node.index]))
-    return _node_ids(*_sorted_distinct(level, index))
-
-
 @dataclass(frozen=True)
 class RefinementPolicy:
     """Surplus-threshold refinement driven by one output channel, with a budget."""
@@ -143,14 +125,14 @@ class RefinementPolicy:
     max_points: int = 10**9
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise GridError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise GridError(f"tau must be positive and finite, got {self.tau}")
         if self.max_points < 1:
             raise GridError(f"max_points must be >= 1, got {self.max_points}")
 
 
 class RefineOutcome(NamedTuple):
-    new_nodes: list[NodeId]
+    n_new: int
     budget_exhausted: bool
 
 
@@ -273,21 +255,12 @@ class HierGrid:
     def channels(self) -> tuple[str, ...]:
         return tuple(self._surpluses)
 
-    def position(self, node: NodeId) -> int:
-        p = int(self._find(np.array([node.level]), np.array([node.index]))[0])
-        if p < 0:
-            raise GridError(f"node {node} not in grid")
-        return p
-
     def node_coords(self) -> np.ndarray:
         """Domain coordinates of all nodes, shape (n_nodes, dim), generation order."""
         return self._to_domain(self._center)
 
     def surpluses(self, channel: str) -> np.ndarray:
         return self._channel(channel).copy()
-
-    def surplus_of(self, node: NodeId, channel: str) -> float:
-        return float(self._channel(channel)[self.position(node)])
 
     # -- coordinate maps ----------------------------------------------------
 
@@ -490,10 +463,12 @@ class HierGrid:
     # -- refinement ---------------------------------------------------------
 
     def refine(self, policy: RefinementPolicy) -> RefineOutcome:
-        """Add children of frontier nodes whose driving surplus exceeds tau.
+        """Add children of frontier nodes whose driving surplus reaches tau.
 
         Children are deduplicated, stripped of nodes already in the grid,
-        ordered canonically, and cut to the point budget; an empty result with
+        ordered canonically, and cut to the point budget.  New nodes, if
+        any, become the frontier, the grid's tail.  Returns how many nodes were
+        added and whether the budget cut any; n_new == 0 with
         budget_exhausted=False signals convergence of the refinement
         criterion.  A batch `_append` refuses leaves the grid unchanged.
         """
@@ -510,7 +485,7 @@ class HierGrid:
         if len(level):
             self._append(level, index)
             self._front_start = len(self) - len(level)
-        return RefineOutcome(_node_ids(level, index), budget_exhausted)
+        return RefineOutcome(len(level), budget_exhausted)
 
     def error_indicator(self, channel: str) -> float:
         """Maximum absolute surplus over the frontier on the given channel."""
@@ -536,11 +511,28 @@ class HierGrid:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "HierGrid":
-        grid = cls(int(doc["dim"]), [tuple(d) for d in doc["domain"]])
-        ids = [NodeId(tuple(n["level"]), tuple(n["index"])) for n in doc["nodes"]]
-        for node in ids:
-            if node.dim != grid.dim:
-                raise GridError(f"node {node} has dim {node.dim}, grid has {grid.dim}")
+        """Load a `to_json_dict` document as one cohort; the frontier is every node.
+
+        `dim` and level and index entries must be integers (not bools or
+        floats), domain bounds finite numbers and surpluses finite numbers or
+        null (unfitted); anything else, a node that `NodeId` rejects, one too
+        deep to index or a node given twice raises `GridError`.
+        """
+        dim, domain = doc["dim"], doc["domain"]
+        if type(dim) is not int or not all(_is_number(x) for bounds in domain for x in bounds):
+            raise GridError(f"dim must be an integer and domain bounds finite numbers, got {dim!r}, {domain!r}")
+        grid = cls(dim, [tuple(d) for d in domain])
+        ids = []
+        for n in doc["nodes"]:
+            level, index = tuple(n["level"]), tuple(n["index"])
+            if not all(type(v) is int for v in level + index):
+                raise GridError(f"node level {list(level)} and index {list(index)} must hold integers")
+            if any(l > _KEY_BITS for l in level):  # before NodeId computes 2**l
+                raise GridError(f"level {list(level)} is too deep to index")
+            node = NodeId(level, index)
+            if len(level) != grid.dim:
+                raise GridError(f"node {node} has dim {len(level)}, grid has {grid.dim}")
+            ids.append(node)
         level = np.array([node.level for node in ids], dtype=np.int64).reshape(-1, grid.dim)
         index = np.array([node.index for node in ids], dtype=np.int64).reshape(-1, grid.dim)
         grid._append(level, index)
@@ -550,10 +542,18 @@ class HierGrid:
             raise GridError(f"duplicate node {ids[twice[0]]}")
         for p, n in enumerate(doc["nodes"]):
             for name, val in n.get("surpluses", {}).items():
+                if val is not None and not _is_number(val):
+                    raise GridError(f"surplus {name!r} of node {ids[p]} must be a finite number or null, "
+                                    f"got {val!r}")
                 if name not in grid._surpluses:
                     grid._surpluses[name] = np.full(len(ids), np.nan)
                 grid._surpluses[name][p] = np.nan if val is None else float(val)
         return grid
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    return type(x) in (int, float) and math.isfinite(x)
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

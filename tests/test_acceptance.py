@@ -246,11 +246,12 @@ def test_criterion_7_numerical_kernels():
         g1.add_initial_levels(2)
         c1 = g1.node_coords()
         g1.compute_surpluses({"q": c1[:, 0] ** 2})
-        assert g1.surplus_of(NodeId((0,), (0,)), "q") == 1.0
-        assert g1.surplus_of(NodeId((0,), (1,)), "q") == 1.0
-        assert g1.surplus_of(NodeId((1,), (1,)), "q") == -1.0
-        assert g1.surplus_of(NodeId((2,), (1,)), "q") == -0.25
-        assert g1.surplus_of(NodeId((2,), (3,)), "q") == -0.25
+        surplus_of = dict(zip(g1.nodes, g1.surpluses("q")))
+        assert surplus_of[NodeId((0,), (0,))] == 1.0
+        assert surplus_of[NodeId((0,), (1,))] == 1.0
+        assert surplus_of[NodeId((1,), (1,))] == -1.0
+        assert surplus_of[NodeId((2,), (1,))] == -0.25
+        assert surplus_of[NodeId((2,), (3,))] == -0.25
 
         # 1D covariance eigenpairs against a 4x-finer dense discretization
         pairs = eigenpairs_1d(0.25, 6, grid_points=1025)

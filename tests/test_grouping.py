@@ -38,15 +38,12 @@ def test_natural_chunks_in_generation_order():
     plan = group_natural([1, 2, 3, 4], 2)
     assert plan.ensembles == ((1, 2), (3, 4))
     assert plan.padding == (0, 0)
-    assert plan.n_samples == 4
 
 
 def test_natural_pads_short_final_group_with_last_sample():
     plan = group_natural([7, 8, 9, 10, 11], 4)
     assert plan.ensembles == ((7, 8, 9, 10), (11, 11, 11, 11))
     assert plan.padding == (0, 3)
-    assert plan.n_samples == 5
-    assert plan.sample_ids() == [7, 8, 9, 10, 11]
 
 
 def test_single_sample_single_lane():

@@ -11,7 +11,6 @@ from uqgroup import (
     IncompleteDataError,
     NodeId,
     RefinementPolicy,
-    children,
 )
 
 
@@ -49,25 +48,31 @@ def test_node_validation():
         NodeId((1, 1), (1,))  # mismatched lengths
 
 
+def loaded(nodes, dim=1):
+    """A grid loaded from (level, index) list pairs, on the canonical cube."""
+    return HierGrid.from_json_dict({"dim": dim, "domain": [[-1.0, 1.0]] * dim,
+                                    "nodes": [{"level": l, "index": i} for l, i in nodes]})
+
+
 def test_canonical_coords():
-    assert NodeId((0, 0), (0, 1)).canonical_coords().tolist() == [-1.0, 1.0]
-    assert NodeId((1,), (1,)).canonical_coords().tolist() == [0.0]
-    assert NodeId((2,), (3,)).canonical_coords().tolist() == [0.5]
-    assert NodeId((3,), (1,)).canonical_coords().tolist() == [-0.75]
+    assert loaded([([0, 0], [0, 1])], dim=2).node_coords().tolist() == [[-1.0, 1.0]]
+    g = loaded([([1], [1]), ([2], [3]), ([3], [1])])
+    assert g.node_coords()[:, 0].tolist() == [0.0, 0.5, -0.75]
 
 
 def test_children_dedup_and_ordering():
+    def kids(level, index):
+        g = loaded([(level, index)], dim=len(level))
+        g.compute_surpluses({"q": [1.0]})
+        assert g.refine(RefinementPolicy(tau=0.5, channel="q")).n_new == len(g) - 1
+        return pairs(g.frontier)
+
     # both level-0 parents share the single midpoint child
-    assert children(NodeId((0,), (0,))) == [NodeId((1,), (1,))]
-    assert children(NodeId((0,), (1,))) == [NodeId((1,), (1,))]
-    kids = children(NodeId((1,), (1,)))
-    assert kids == [NodeId((2,), (1,)), NodeId((2,), (3,))]
-    # multi-d: one refinement per dimension
-    kids2 = children(NodeId((0, 1), (1, 1)))
-    assert NodeId((1, 1), (1, 1)) in kids2
-    assert NodeId((0, 2), (1, 1)) in kids2
-    assert NodeId((0, 2), (1, 3)) in kids2
-    assert len(kids2) == 3
+    assert kids([0], [0]) == [((1,), (1,))]
+    assert kids([0], [1]) == [((1,), (1,))]
+    assert kids([1], [1]) == [((2,), (1,)), ((2,), (3,))]
+    # multi-d: one refinement per dimension, in canonical order
+    assert kids([0, 1], [1, 1]) == [((0, 2), (1, 1)), ((0, 2), (1, 3)), ((1, 1), (1, 1))]
 
 
 def test_initial_grid_sizes():
@@ -82,7 +87,7 @@ def test_initial_grid_sizes():
 def test_nodes_sorted_by_total_level_then_lexicographic():
     g = HierGrid(2)
     g.add_initial_levels(2)
-    keys = [n.sort_key() for n in g.nodes]
+    keys = [(n.total_level, n.level, n.index) for n in g.nodes]
     assert keys == sorted(keys)
 
 
@@ -92,26 +97,24 @@ def test_nodes_sorted_by_total_level_then_lexicographic():
 
 def test_parabola_surplus_table():
     g = grid_1d(2, lambda y: y[0] ** 2)
-    assert g.surplus_of(NodeId((0,), (0,)), "q") == 1.0
-    assert g.surplus_of(NodeId((0,), (1,)), "q") == 1.0
-    assert g.surplus_of(NodeId((1,), (1,)), "q") == -1.0
-    assert g.surplus_of(NodeId((2,), (1,)), "q") == -0.25
-    assert g.surplus_of(NodeId((2,), (3,)), "q") == -0.25
+    assert dict(zip(pairs(g.nodes), g.surpluses("q"))) == {
+        ((0,), (0,)): 1.0, ((0,), (1,)): 1.0, ((1,), (1,)): -1.0, ((2,), (1,)): -0.25, ((2,), (3,)): -0.25,
+    }
 
 
 def test_parabola_surplus_envelope():
     g = grid_1d(5, lambda y: y[0] ** 2)
-    for node in g.nodes:
+    for node, c in zip(g.nodes, g.surpluses("q")):
         l = node.total_level
         if l >= 1:
-            assert g.surplus_of(node, "q") == -(2.0 ** (-2 * (l - 1)))
+            assert c == -(2.0 ** (-2 * (l - 1)))
 
 
 def test_affine_functions_have_no_hierarchical_detail():
     g = grid_1d(4, lambda y: 3.0 * y[0] - 0.7)
-    for node in g.nodes:
+    for node, c in zip(g.nodes, g.surpluses("q")):
         if node.total_level >= 1:
-            assert abs(g.surplus_of(node, "q")) < 1e-14
+            assert abs(c) < 1e-14
 
 
 def test_interpolation_exact_at_nodes():
@@ -240,15 +243,15 @@ def test_eval_prefix_matches_manual_partial_sum():
 def test_refine_adds_children_of_loud_frontier_nodes():
     g = grid_1d(1, lambda y: y[0] ** 2)  # frontier: the level-1 midpoint
     out = g.refine(RefinementPolicy(tau=0.5, channel="q"))
-    assert not out.budget_exhausted
-    assert set(out.new_nodes) == {NodeId((2,), (1,)), NodeId((2,), (3,))}
-    assert g.frontier == tuple(sorted(out.new_nodes, key=NodeId.sort_key))
+    assert out == (2, False)
+    assert pairs(g.frontier) == [((2,), (1,)), ((2,), (3,))]
 
 
 def test_refine_respects_tolerance():
     g = grid_1d(2, lambda y: y[0] ** 2)  # frontier surpluses are -0.25
     out = g.refine(RefinementPolicy(tau=0.3, channel="q"))
-    assert out.new_nodes == [] and not out.budget_exhausted
+    assert out.n_new == 0 and not out.budget_exhausted
+    assert len(g) == len(g.frontier) == 5
 
 
 def test_refine_budget_truncation():
@@ -257,14 +260,14 @@ def test_refine_budget_truncation():
     fit(g, "q", lambda y: y[0] ** 2 + y[1] ** 2)
     out = g.refine(RefinementPolicy(tau=1e-12, channel="q", max_points=len(g) + 3))
     assert out.budget_exhausted
-    assert len(out.new_nodes) == 3
+    assert out.n_new == len(g.frontier) == 3
     assert len(g) == 11
 
 
 def test_refine_budget_already_full():
     g = grid_1d(1, lambda y: y[0] ** 2)
     out = g.refine(RefinementPolicy(tau=1e-12, channel="q", max_points=len(g)))
-    assert out.budget_exhausted and out.new_nodes == []
+    assert out.budget_exhausted and out.n_new == 0
 
 
 def test_refinement_dedups_shared_children():
@@ -272,16 +275,19 @@ def test_refinement_dedups_shared_children():
     g.add_initial_levels(0)  # both boundary nodes, sharing one child
     fit(g, "q", lambda y: 5.0 + y[0])
     out = g.refine(RefinementPolicy(tau=0.1, channel="q"))
-    assert out.new_nodes == [NodeId((1,), (1,))]
+    assert out.n_new == 1 and pairs(g.frontier) == [((1,), (1,))]
 
 
 def refine_against_oracle(g, policy):
     """Refine g and check the cohort, order included, against the oracle."""
     c = g.surpluses(policy.channel)[len(g) - len(g.frontier) :]
     want, exhausted = refine_cohort(pairs(g.nodes), pairs(g.frontier), c, policy.tau, policy.max_points)
+    n_before = len(g)
     out = g.refine(policy)
-    assert pairs(out.new_nodes) == want
-    assert out.budget_exhausted == exhausted
+    assert pairs(g.nodes)[n_before:] == want
+    assert out == (len(want), exhausted)
+    if want:
+        assert pairs(g.frontier) == want
     return out
 
 
@@ -292,7 +298,7 @@ def test_refine_matches_oracle(dim):
     fn = lambda y: np.exp(-2.0 * np.sum((y - 0.2) ** 2)) + 0.1 * y[0]
     fit(g, "q", fn)
     for _ in range(4):
-        if not refine_against_oracle(g, RefinementPolicy(tau=1e-3, channel="q")).new_nodes:
+        if not refine_against_oracle(g, RefinementPolicy(tau=1e-3, channel="q")).n_new:
             break
         fit(g, "q", fn)
     assert len(g) > 4 * 2**dim
@@ -304,11 +310,11 @@ def test_refine_budget_cut_matches_oracle():
     fit(g, "q", lambda y: np.sin(y[0] + 2.0 * y[1]) * y[2])
     before = g.to_json_dict()
     out = refine_against_oracle(g, RefinementPolicy(tau=1e-6, channel="q", max_points=len(g) + 17))
-    assert out.budget_exhausted and len(out.new_nodes) == 17
+    assert out.budget_exhausted and out.n_new == 17
     exact = HierGrid.from_json_dict(before)  # a budget that fits the whole cohort
-    n_all = len(HierGrid.from_json_dict(before).refine(RefinementPolicy(tau=1e-6, channel="q")).new_nodes)
+    n_all = HierGrid.from_json_dict(before).refine(RefinementPolicy(tau=1e-6, channel="q")).n_new
     out = refine_against_oracle(exact, RefinementPolicy(tau=1e-6, channel="q", max_points=len(exact) + n_all))
-    assert not out.budget_exhausted and len(out.new_nodes) == n_all
+    assert not out.budget_exhausted and out.n_new == n_all
 
 
 def test_refine_reloaded_grid_matches_oracle():
@@ -322,8 +328,8 @@ def test_refine_reloaded_grid_matches_oracle():
         fit(g, "q", fn)
     back = HierGrid.from_json_dict(g.to_json_dict())
     out = refine_against_oracle(back, RefinementPolicy(tau=1e-6, channel="q"))
-    assert len({n.total_level for n in out.new_nodes}) > 3
-    budget = len(back) - len(out.new_nodes) + 5
+    assert len({n.total_level for n in back.frontier}) > 3
+    budget = len(back) - out.n_new + 5
     again = HierGrid.from_json_dict(g.to_json_dict())
     refine_against_oracle(again, RefinementPolicy(tau=1e-6, channel="q", max_points=budget))
 
@@ -342,6 +348,12 @@ def test_refused_refinement_leaves_grid_unchanged():
     assert np.array_equal(g.surpluses("q"), before[3])
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_refinement_policy_rejects_bad_tau(tau):
+    with pytest.raises(GridError, match="tau"):
+        RefinementPolicy(tau=tau)
+
+
 def test_error_indicator_is_max_frontier_surplus():
     # right after construction the whole initial cohort is the frontier
     g = grid_1d(2, lambda y: y[0] ** 2)
@@ -349,7 +361,8 @@ def test_error_indicator_is_max_frontier_surplus():
     # after one refinement the frontier is just the new level-3 cohort
     out = g.refine(RefinementPolicy(tau=0.2, channel="q"))
     fit(g, "q", lambda y: y[0] ** 2)
-    assert g.frontier == tuple(sorted(out.new_nodes, key=NodeId.sort_key))
+    assert out.n_new == 4
+    assert pairs(g.frontier) == [((3,), (1,)), ((3,), (3,)), ((3,), (5,)), ((3,), (7,))]
     assert g.error_indicator("q") == 0.0625
 
 
@@ -362,9 +375,9 @@ def test_two_channels_share_nodes_refine_on_one():
     # the loud level-0/1 qoi nodes only have already-present children, and the
     # level-2 surpluses (0.25) sit below tau, so nothing new appears
     out = g.refine(RefinementPolicy(tau=0.3, channel="qoi"))
-    assert out.new_nodes == []
+    assert out.n_new == 0
     out = g.refine(RefinementPolicy(tau=0.2, channel="qoi"))
-    assert len(out.new_nodes) == 4
+    assert out.n_new == 4
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +407,40 @@ def test_from_json_dict_rejects_bad_nodes(level, index, match):
            "nodes": [{"level": [0], "index": [1]}, {"level": level, "index": index}]}
     with pytest.raises(GridError, match=match):
         HierGrid.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [{"level": [1.5], "index": [1]}, {"level": [1.0], "index": [1]}, {"level": [True], "index": [1]},
+     {"level": [1], "index": [1.0]}, {"level": [0], "index": [False]},
+     {"level": [1], "index": [1], "surpluses": {"q": "0.5"}},
+     {"level": [1], "index": [1], "surpluses": {"q": float("inf")}},
+     {"level": [1], "index": [1], "surpluses": {"q": float("nan")}},
+     {"level": [1], "index": [1], "surpluses": {"q": True}}],
+    ids=["float-level", "integral-float-level", "bool-level", "float-index", "bool-index",
+         "string-surplus", "infinite-surplus", "nan-surplus", "bool-surplus"],
+)
+def test_from_json_dict_rejects_bad_entries(node):
+    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [{"level": [0], "index": [1]}, node]}
+    with pytest.raises(GridError, match="integers|finite number"):
+        HierGrid.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "dim, domain",
+    [(1.0, [[-1.0, 1.0]]), (True, [[-1.0, 1.0]]), (1, [["-1", 1.0]]), (1, [[-1.0, float("inf")]])],
+    ids=["float-dim", "bool-dim", "string-bound", "infinite-bound"],
+)
+def test_from_json_dict_rejects_bad_dim_or_domain(dim, domain):
+    with pytest.raises(GridError, match="dim must be an integer"):
+        HierGrid.from_json_dict({"dim": dim, "domain": domain, "nodes": [{"level": [0], "index": [1]}]})
+
+
+def test_from_json_dict_accepts_null_and_integral_surpluses():
+    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [
+        {"level": [0], "index": [0], "surpluses": {"q": 2}}, {"level": [0], "index": [1], "surpluses": {"q": None}}]}
+    c = HierGrid.from_json_dict(doc).surpluses("q")
+    assert c[0] == 2.0 and np.isnan(c[1])
 
 
 def test_round_trip_through_json_text():
@@ -456,6 +503,7 @@ def test_property_refinement_monotone_in_tau(seed, tau):
         return g
 
     a, b = build(), build()
-    loose = a.refine(RefinementPolicy(tau=2 * tau, channel="q"))
-    tight = b.refine(RefinementPolicy(tau=tau, channel="q"))
-    assert set(loose.new_nodes) <= set(tight.new_nodes)
+    a.refine(RefinementPolicy(tau=2 * tau, channel="q"))
+    b.refine(RefinementPolicy(tau=tau, channel="q"))
+    # both grids start equal, so this compares the nodes each refinement added
+    assert set(a.nodes) <= set(b.nodes)

@@ -19,7 +19,7 @@ def refined_grid(dim, steps, tau=1e-2, initial=1, domain=None):
     g = HierGrid(dim, domain=domain)
     g.add_initial_levels(initial)
     for step in range(steps + 1):
-        if step and not g.refine(RefinementPolicy(tau=tau, channel="q")).new_nodes:
+        if step and not g.refine(RefinementPolicy(tau=tau, channel="q")).n_new:
             break
         coords = g.node_coords()[len(g) - len(g.frontier) :]
         g.compute_surpluses({"q": fn(coords)})
@@ -86,7 +86,7 @@ def test_property_eval_matches_dense_expansion(seed, dim, steps):
     g = HierGrid(dim)
     g.add_initial_levels(int(rng.integers(0, 3)))
     for step in range(steps + 1):
-        if step and not g.refine(RefinementPolicy(tau=0.3, channel="q")).new_nodes:
+        if step and not g.refine(RefinementPolicy(tau=0.3, channel="q")).n_new:
             break
         g.compute_surpluses({"q": rng.standard_normal(len(g.frontier))})
     levels, indices = node_arrays(g)
@@ -103,15 +103,15 @@ def test_cohort_overlapping_earlier_total_levels_matches_triangular_solve():
     # each level's lower nodes are a mask over the grid, not a prefix.
     g = HierGrid.from_json_dict(refined_grid(2, steps=4, tau=5e-3).to_json_dict())
     before = max(n.total_level for n in g.nodes)
-    new = g.refine(RefinementPolicy(tau=1e-4, channel="q")).new_nodes
-    totals = {n.total_level for n in new}
+    n_new = g.refine(RefinementPolicy(tau=1e-4, channel="q")).n_new
+    totals = {n.total_level for n in g.frontier}
     assert len(totals) > 2 and min(totals) < before
-    values = fn(g.node_coords()[len(g) - len(new) :])
+    values = fn(g.node_coords()[len(g) - n_new :])
     levels, indices = node_arrays(g)
     want = dense_cohort_surpluses(levels, indices, g.surpluses("q"), values)
     g.compute_surpluses({"q": values})
     np.testing.assert_allclose(g.surpluses("q"), want, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(g.eval_many("q", g.node_coords()[len(g) - len(new) :]), values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(g.eval_many("q", g.node_coords()[len(g) - n_new :]), values, rtol=0, atol=1e-13)
 
 
 def test_initial_grid_surpluses_match_triangular_solve():
@@ -167,6 +167,10 @@ def test_fit_rejects_non_finite_values_before_writing(bad):
 def test_node_too_deep_to_index_rejected():
     doc = {"dim": 2, "domain": [[-1.0, 1.0], [-1.0, 1.0]],
            "nodes": [{"level": [40, 40], "index": [1, 1]}]}
+    with pytest.raises(GridError, match="too deep"):
+        HierGrid.from_json_dict(doc)
+    # refused before the index range check, which would compute 2**(2**64)
+    doc["nodes"] = [{"level": [2**64, 0], "index": [1, 1]}]
     with pytest.raises(GridError, match="too deep"):
         HierGrid.from_json_dict(doc)
     doc["nodes"] = [{"level": [0, 60], "index": [1, 2**60 - 1]}]  # total level 62 - d
