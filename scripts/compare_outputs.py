@@ -2,11 +2,12 @@
 """Check that two source trees write byte-identical study outputs.
 
 Runs `python -m uqgroup.cli run` once per case with each tree's `src`
-directory on PYTHONPATH, then compares the exit codes and the bytes of
-r_table.csv, manifest.json and iterations_by_level.csv.  The cases are the
-five presets, the `sg-refine` benchmark unit and a `pde_test1` run whose
-width pads the last ensemble.  Prints one line per case and exits 1 on any
-difference.
+directory on PYTHONPATH, then compares the exit codes, the names of the
+files each run wrote and the bytes of every one of them.  The cases are the
+five presets, the `sg-refine` benchmark unit, a `pde_test1` run whose width
+pads the last ensemble, one that dumps every ensemble's residual history and
+one cut off by a low `--maxit` (exit 3).  Prints one line per case and exits
+1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -20,8 +21,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-OUTPUTS = ("r_table.csv", "manifest.json", "iterations_by_level.csv")
-
 CASES = {
     "analytic_g1": ["--problem", "analytic_g1"],
     "analytic_g2": ["--problem", "analytic_g2"],
@@ -30,6 +29,10 @@ CASES = {
     "pde_isotropic_baseline": ["--problem", "pde_isotropic_baseline"],
     "sg-refine": ["--problem", "analytic_g1", "--S", "8", "--tau", "1e-6", "--n-max", "8000"],
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
+    "pde_test1-residuals": ["--problem", "pde_test1", "--mesh-cells", "6", "--n-max", "100",
+                            "--dump-residuals"],
+    "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",
+                          "--n-max", "100"],
 }
 
 
@@ -39,10 +42,14 @@ def run_case(src: Path, args: list[str], out_dir: Path) -> int:
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
 
 
-def same_file(a: Path, b: Path) -> bool:
-    if not (a.exists() and b.exists()):
-        return a.exists() == b.exists()
-    return filecmp.cmp(a, b, shallow=False)
+def differing_files(old: Path, new: Path) -> list[str]:
+    """Names of the files written by only one run or with different bytes."""
+    names = {f.name for d in (old, new) if d.is_dir() for f in d.iterdir()}
+    return sorted(
+        name for name in names
+        if not ((old / name).is_file() and (new / name).is_file()
+                and filecmp.cmp(old / name, new / name, shallow=False))
+    )
 
 
 def main() -> int:
@@ -61,10 +68,11 @@ def main() -> int:
         for name, case_args in CASES.items():
             old, new = work / "old" / name, work / "new" / name
             codes = (run_case(args.old_src, case_args, old), run_case(args.new_src, case_args, new))
-            diffs = [f for f in OUTPUTS if not same_file(old / f, new / f)]
+            diffs = differing_files(old, new)
             ok = codes[0] == codes[1] and not diffs
             differ += not ok
-            print(f"{name:<24} exit {codes[0]}/{codes[1]}  "
+            written = len(list(new.iterdir())) if new.is_dir() else 0
+            print(f"{name:<24} exit {codes[0]}/{codes[1]}  {written:>3} files  "
                   + ("identical" if ok else "DIFFERENT: " + (", ".join(diffs) or "exit code")), flush=True)
     print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
     return 1 if differ else 0

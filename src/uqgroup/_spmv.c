@@ -1,4 +1,7 @@
-/* Lane-interleaved ensemble SpMV: y[s] = A_s x[s] for all S lanes at once.
+/* Lane-interleaved ensemble SpMV, y[s] = A_s x[s] for all S lanes at once,
+ * and the Jacobi-PCG loop around it, run in one call.
+ *
+ * SpMV.
  *
  * The S lane matrices share one CSR graph (row_offsets, col_indices); their
  * values are stored lanes-last, values[jj * S + s].  For each nonzero the
@@ -16,6 +19,8 @@
  * per block of TILE rows in its last TILE rows and written out lane by lane.
  */
 
+#include <float.h>
+#include <math.h>
 #include <stdint.h>
 
 #define TILE 64
@@ -102,3 +107,118 @@ void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
 }
 
 int64_t ensemble_spmv_tile_rows(void) { return TILE; }
+
+/* PCG.
+ *
+ * The loop is the numpy lockstep Jacobi-PCG it replaced, operation for
+ * operation: every update is a separately rounded multiply and add per
+ * entry, and every inner product is a call of the ddot that numpy's np.dot
+ * calls, handed in by the caller.  PCG vectors are lanes-first (S, n), so
+ * each lane's dot is over contiguous memory as in np.dot(x[s], y[s]).  Each
+ * lane therefore computes bitwise what that loop computed for it.
+ */
+
+/* CBLAS ddot with 64-bit lengths and strides (numpy's ILP64 OpenBLAS). */
+typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
+                          const double *y, int64_t incy);
+
+/* np.dot of two 1-D float64 vectors: a one-entry vector is multiplied as a
+ * scalar (keeping the sign of a zero product); longer ones add the BLAS ddot
+ * to a sum that starts at 0.0. */
+static double lane_dot(ddot_fn ddot, int64_t n, const double *x, const double *y)
+{
+    return n == 1 ? x[0] * y[0] : 0.0 + ddot(n, x, 1, y, 1);
+}
+
+/* Runs until every lane has converged (||r|| <= tol ||b||) or frozen
+ * (p'Ap <= DBL_MIN, after which its alpha and beta are zero), or maxit
+ * iterations have run.
+ *
+ * On entry x is zero, both (S, n); work holds the (S, n) vectors r, z, p and
+ * Ap in that order, with r set to the right-hand sides.  lane holds 3 * S
+ * doubles of work.  iterations, converged and frozen are zeroed S-vectors;
+ * on return iterations[s] is the iteration at which lane s converged, or the
+ * number run if it did not.  history, when not NULL, holds (maxit + 1) * S
+ * doubles and receives the lane residual norms of iterations 0, 1, ...
+ *
+ * Returns the number of iterations run, or -it if an active (not frozen)
+ * lane's residual norm was not finite after iteration it. */
+int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
+                     const int32_t *col_indices, const double *values,
+                     double *scratch, ddot_fn ddot, const double *restrict inv_diag,
+                     double tol, int64_t maxit, double *restrict x, double *restrict work,
+                     double *restrict lane, int64_t *iterations, uint8_t *converged,
+                     uint8_t *frozen, double *history)
+{
+    double *restrict r = work, *restrict z = work + S * n;
+    double *restrict p = work + 2 * S * n, *restrict ap = work + 3 * S * n;
+    double *threshold = lane, *r_norm = lane + S, *rz = lane + 2 * S;
+    int64_t open = 0; /* lanes neither converged nor frozen */
+    for (int64_t s = 0; s < S; s++) {
+        const double *rs = r + s * n;
+        r_norm[s] = sqrt(lane_dot(ddot, n, rs, rs));
+        threshold[s] = tol * r_norm[s];
+        converged[s] = r_norm[s] <= threshold[s]; /* zero right-hand sides */
+        open += !converged[s];
+    }
+    if (history)
+        for (int64_t s = 0; s < S; s++)
+            history[s] = r_norm[s];
+    for (int64_t i = 0; i < S * n; i++) {
+        z[i] = r[i] * inv_diag[i];
+        p[i] = z[i];
+    }
+    for (int64_t s = 0; s < S; s++)
+        rz[s] = lane_dot(ddot, n, r + s * n, z + s * n);
+
+    int64_t it = 0;
+    while (it < maxit && open > 0) {
+        it++;
+        ensemble_spmv(S, n, row_offsets, col_indices, values, scratch, p, ap);
+        for (int64_t s = 0; s < S; s++) {
+            double *restrict xs = x + s * n, *restrict rs = r + s * n;
+            const double *restrict ps = p + s * n, *restrict aps = ap + s * n;
+            const double pap = lane_dot(ddot, n, ps, aps);
+            if (pap <= DBL_MIN)
+                frozen[s] = 1;
+            const double alpha = frozen[s] ? 0.0 : rz[s] / pap;
+            for (int64_t i = 0; i < n; i++)
+                xs[i] += alpha * ps[i];
+            for (int64_t i = 0; i < n; i++)
+                rs[i] -= alpha * aps[i];
+            r_norm[s] = sqrt(lane_dot(ddot, n, rs, rs));
+        }
+        if (history)
+            for (int64_t s = 0; s < S; s++)
+                history[it * S + s] = r_norm[s];
+        open = 0;
+        for (int64_t s = 0; s < S; s++) {
+            if (frozen[s])
+                continue;
+            if (!isfinite(r_norm[s]))
+                return -it;
+            if (!converged[s] && r_norm[s] <= threshold[s]) {
+                iterations[s] = it;
+                converged[s] = 1;
+            }
+            open += !converged[s];
+        }
+        if (open == 0)
+            break;
+        for (int64_t s = 0; s < S; s++) {
+            const double *restrict rs = r + s * n, *restrict dinv = inv_diag + s * n;
+            double *restrict zs = z + s * n, *restrict ps = p + s * n;
+            for (int64_t i = 0; i < n; i++)
+                zs[i] = rs[i] * dinv[i];
+            const double rz_new = lane_dot(ddot, n, rs, zs);
+            const double beta = !frozen[s] && rz[s] > 0 ? rz_new / rz[s] : 0.0;
+            for (int64_t i = 0; i < n; i++)
+                ps[i] = zs[i] + beta * ps[i];
+            rz[s] = rz_new;
+        }
+    }
+    for (int64_t s = 0; s < S; s++)
+        if (!converged[s])
+            iterations[s] = it;
+    return it;
+}

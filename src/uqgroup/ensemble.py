@@ -3,29 +3,34 @@
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
 one per sample.  All lanes share one CSR sparsity graph.  Matrix values are
 stored lanes-last, so the S values of one nonzero sit side by side; vectors
-and reduction results carry a leading lane axis.  A product is one call of a
-compiled kernel (`_spmv.c`, built once into `_build/` at import) that loads
-each column index once and then does S contiguous multiply-adds, summing
-every lane in the order of a scalar CSR product.  Norms and inner products
-are taken per lane (never summed across lanes), so the arithmetic seen by
-lane i is exactly the arithmetic of a scalar solve of lane i's system:
-iteration counts and iterates match a sequential solve bit for bit.
+and reduction results carry a leading lane axis.  The compiled kernel
+(`_spmv.c`, built once into `_build/` at import) multiplies by loading each
+column index once and then doing S contiguous multiply-adds, summing every
+lane in the order of a scalar CSR product.
 
 The solver is Jacobi-preconditioned conjugate gradients, the one solver
 whose iterations the study counts: it scales each lane's residual by that
-lane's inverse main diagonal.  The loop keeps iterating until every lane has
-either converged or been frozen, recording for each lane the first iteration
-at which its relative residual dropped below the tolerance.  Lanes whose
-A-conjugate norm p'Ap underflows to zero (which happens after a lane has
-converged far beyond machine precision) are frozen: their update
-coefficients are forced to zero so their solutions never change while the
-remaining lanes continue.
+lane's inverse main diagonal.  The whole iteration runs in one call of the
+same kernel library: products, Jacobi, vector updates and convergence
+bookkeeping.  Inner products and norms are taken per lane (never summed
+across lanes) with the BLAS ddot that numpy's own `np.dot` calls, looked up
+at import, so the arithmetic seen by lane i is exactly the arithmetic of a
+scalar numpy solve of lane i's system: iteration counts and iterates match
+a sequential solve bit for bit.
+
+The loop keeps iterating until every lane has either converged or been
+frozen, recording for each lane the first iteration at which its relative
+residual dropped below the tolerance.  Lanes whose A-conjugate norm p'Ap
+underflows to zero (which happens after a lane has converged far beyond
+machine precision) are frozen: their update coefficients are forced to zero
+so their solutions never change while the remaining lanes continue.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import numbers
 import os
 import shlex
 import subprocess
@@ -34,20 +39,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy._core._multiarray_umath as _numpy_core
 import scipy.sparse as sp
 
 __all__ = [
     "EnsembleError",
     "NumericalBreakdownError",
     "EnsembleCsrMatrix",
-    "lane_norms",
-    "lane_dot",
     "LaneSolveResult",
     "ensemble_pcg",
 ]
-
-# Smallest positive normal double; p'Ap at or below this freezes a lane.
-_FREEZE_THRESHOLD = np.finfo(np.float64).tiny
 
 
 class EnsembleError(ValueError):
@@ -61,8 +62,11 @@ class NumericalBreakdownError(RuntimeError):
 _KERNEL_SOURCE = Path(__file__).with_name("_spmv.c")
 _BUILD_DIR = Path(__file__).with_name("_build")
 # -ffp-contract=off keeps every lane's multiply and add separately rounded,
-# as in scipy's scalar product.
-_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC")
+# as in scipy's scalar product and numpy's elementwise arithmetic.
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
+# numpy's BLAS (ILP64 OpenBLAS) exports its ddot under this name; np.dot of
+# two float64 vectors calls it.
+_DDOT_SYMBOL = "scipy_cblas_ddot64_"
 
 
 def _gcc(args: list[str]) -> str:
@@ -105,7 +109,16 @@ def _build_kernel(source: Path, build_dir: Path) -> Path:
     return lib
 
 
-def _load_kernel() -> tuple[Callable[..., None], int]:
+def _numpy_ddot() -> int:
+    """Address of the ddot that np.dot calls, from numpy's core extension."""
+    try:
+        ddot = getattr(ctypes.CDLL(_numpy_core.__file__), _DDOT_SYMBOL)
+    except AttributeError:
+        raise RuntimeError(f"numpy's BLAS exports no {_DDOT_SYMBOL}") from None
+    return ctypes.cast(ddot, ctypes.c_void_p).value
+
+
+def _load_kernel() -> tuple[Callable[..., None], Callable[..., int], int]:
     # PyDLL keeps the interpreter lock during the call, so two threads never
     # share a matrix's scratch buffer at once.
     lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
@@ -114,10 +127,17 @@ def _load_kernel() -> tuple[Callable[..., None], int]:
     spmv = lib.ensemble_spmv
     spmv.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
     spmv.restype = None
-    return spmv, lib.ensemble_spmv_tile_rows()
+    pcg = lib.ensemble_pcg
+    pcg.argtypes = (
+        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
+        + [ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 7
+    )
+    pcg.restype = ctypes.c_int64
+    return spmv, pcg, lib.ensemble_spmv_tile_rows()
 
 
-_SPMV, _TILE_ROWS = _load_kernel()
+_SPMV, _PCG, _TILE_ROWS = _load_kernel()
+_DDOT = _numpy_ddot()
 
 
 @dataclass(frozen=True)
@@ -139,14 +159,18 @@ class EnsembleCsrMatrix:
     _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        row_offsets = np.ascontiguousarray(self.row_offsets, dtype=np.int32)
-        col_indices = np.ascontiguousarray(self.col_indices, dtype=np.int32)
+        # The ranges are checked on the arrays as given, before the cast to
+        # the kernel's int32 could wrap an out-of-range index into range.
+        row_offsets = np.asarray(self.row_offsets)
+        col_indices = np.asarray(self.col_indices)
         values = np.asarray(self.values, dtype=np.float64)
-        if row_offsets.ndim != 1 or row_offsets[0] != 0:
-            raise EnsembleError("row_offsets must be 1-D and start at 0")
+        if not all(np.issubdtype(a.dtype, np.integer) for a in (row_offsets, col_indices)):
+            raise EnsembleError("row_offsets and col_indices must be integer arrays")
+        if row_offsets.ndim != 1 or row_offsets.size == 0 or row_offsets[0] != 0:
+            raise EnsembleError("row_offsets must be 1-D, non-empty and start at 0")
         if values.ndim != 2:
             raise EnsembleError("values must have shape (lanes, nnz)")
-        nnz = col_indices.shape[0]
+        nnz = col_indices.size
         if col_indices.ndim != 1 or row_offsets[-1] != nnz or values.shape[1] != nnz:
             raise EnsembleError("row_offsets, col_indices and values disagree on nnz")
         if np.any(np.diff(row_offsets) < 0):
@@ -154,6 +178,10 @@ class EnsembleCsrMatrix:
         n = len(row_offsets) - 1
         if nnz and (col_indices.min() < 0 or col_indices.max() >= n):
             raise EnsembleError("column index out of range")
+        if max(n, nnz) > np.iinfo(np.int32).max:
+            raise EnsembleError(f"{n} rows and {nnz} nonzeros do not fit int32 indices")
+        row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int32)
+        col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
         values = np.ascontiguousarray(values.T).T
         # Lanes-last copy of x (n rows) and the kernel's output tile.
         scratch = np.empty((n + _TILE_ROWS, values.shape[0]))
@@ -234,23 +262,6 @@ def _check_vector(mat_width: int, n: int, x: np.ndarray, name: str) -> np.ndarra
     return x
 
 
-def lane_norms(x: np.ndarray) -> np.ndarray:
-    """Per-lane Euclidean norms of an (S, n) ensemble vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise EnsembleError("ensemble vectors must be 2-D (lanes, entries)")
-    return np.sqrt(lane_dot(x, x))
-
-
-def lane_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-lane inner products; lane s uses only lane-s data."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 2:
-        raise EnsembleError(f"mismatched ensemble vectors: {x.shape} vs {y.shape}")
-    return np.array([np.dot(x[s], y[s]) for s in range(x.shape[0])])
-
-
 @dataclass
 class LaneSolveResult:
     """Outcome of one ensemble solve.
@@ -281,73 +292,52 @@ def ensemble_pcg(
 
     The preconditioner scales each lane by its inverse main diagonal,
     z = r * (1 / diag(A)), so every lane needs a strictly positive diagonal
-    (`EnsembleError` otherwise).  Convergence is per lane, relative to that
-    lane's right-hand side.  A lane that converges keeps iterating with the
-    rest (its arithmetic is still lane-local), so recorded counts equal
-    independent scalar PCG counts exactly.  Lanes whose p'Ap underflows
-    below the smallest positive normal are frozen: alpha and beta are zeroed
-    for them only, their solution stops changing, and they no longer block
-    termination.
+    and the right-hand sides must be finite (`EnsembleError` otherwise).
+    Convergence is per lane, relative to that lane's right-hand side.  A lane
+    that converges keeps iterating with the rest (its arithmetic is still
+    lane-local), so recorded counts equal independent scalar PCG counts
+    exactly.  Lanes whose p'Ap underflows below the smallest positive normal
+    are frozen: alpha and beta are zeroed for them only, their solution stops
+    changing, and they no longer block termination.
+
+    The iteration is one kernel call (`ensemble_pcg` in `_spmv.c`).  With
+    `record_history`, room for maxit + 1 rows of lane residual norms is
+    reserved up front.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
-    if maxit < 0:
-        raise EnsembleError(f"maxit must be >= 0, got {maxit}")
+    if not isinstance(maxit, numbers.Integral) or not 0 <= maxit < 2**63:
+        raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
     S, n = mat.width, mat.n_rows
     b = _check_vector(S, n, rhs, "rhs")
+    if not np.all(np.isfinite(b)):
+        raise EnsembleError("rhs must be finite")
     diag = mat.diagonal()
-    if np.any(diag <= 0):
+    if not np.all(diag > 0):
         raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
     inv_diag = 1.0 / diag
 
-    x = np.zeros_like(b)
-    r = b.copy()
-    b_norm = lane_norms(b)
-    r_norm = b_norm.copy()
-    threshold = tol * b_norm
-
-    iterations = np.zeros(S, dtype=int)
-    converged = r_norm <= threshold  # zero right-hand sides converge at iteration 0
+    x = np.zeros((S, n))
+    work = np.empty((4, S, n))  # r, z, p, Ap
+    work[0] = b
+    lane_work = np.empty((3, S))
+    iterations = np.zeros(S, dtype=np.int64)
+    converged = np.zeros(S, dtype=bool)
     frozen = np.zeros(S, dtype=bool)
-    history: list[np.ndarray] | None = [r_norm.copy()] if record_history else None
-
-    z = r * inv_diag
-    p = z.copy()
-    rz = lane_dot(r, z)
-    it = 0
-    while it < maxit and not np.all(converged | frozen):
-        it += 1
-        Ap = mat.spmv(p)
-        pAp = lane_dot(p, Ap)
-        frozen |= pAp <= _FREEZE_THRESHOLD
-        active = ~frozen
-        alpha = np.zeros(S)
-        alpha[active] = rz[active] / pAp[active]
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * Ap
-        r_norm = lane_norms(r)
-        if history is not None:
-            history.append(r_norm.copy())
-        if not np.all(np.isfinite(r_norm[active])):
-            raise NumericalBreakdownError(f"non-finite residual in active lane at iteration {it}")
-        newly = active & ~converged & (r_norm <= threshold)
-        iterations[newly] = it
-        converged |= newly
-        if np.all(converged | frozen):
-            break
-        z = r * inv_diag
-        rz_new = lane_dot(r, z)
-        beta = np.zeros(S)
-        safe = active & (rz > 0)
-        beta[safe] = rz_new[safe] / rz[safe]
-        p = z + beta[:, None] * p
-        rz = rz_new
-    iterations[~converged] = it
+    history = np.empty((maxit + 1, S)) if record_history else None
+    it = _PCG(
+        *mat._kernel_args, _DDOT, inv_diag.ctypes.data, tol, int(maxit), x.ctypes.data,
+        work.ctypes.data, lane_work.ctypes.data, iterations.ctypes.data,
+        converged.ctypes.data, frozen.ctypes.data,
+        None if history is None else history.ctypes.data,
+    )
+    if it < 0:
+        raise NumericalBreakdownError(f"non-finite residual in active lane at iteration {-it}")
     return LaneSolveResult(
         solution=x,
         iterations_per_lane=iterations,
         ensemble_iterations=int(iterations.max(initial=0)),
         converged_per_lane=converged,
         frozen_lanes=frozen,
-        residual_history=history,
+        residual_history=None if history is None else list(history[: it + 1].copy()),
     )

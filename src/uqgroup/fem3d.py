@@ -151,8 +151,9 @@ def assemble(
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     S = len(samples)
     a_vals = field.eval_a_batch(mesh.quad_points, samples, mode_vals)  # (S, E*8)
-    if np.any(a_vals <= 0) or field.a_y <= 0 or field.a_z <= 0:
-        raise FemError("non-positive diffusion coefficient at a quadrature point")
+    # Written as "not all > 0" so that NaN coefficients are refused too.
+    if not (np.all(a_vals > 0) and field.a_y > 0 and field.a_z > 0):
+        raise FemError("non-positive or NaN diffusion coefficient at a quadrature point")
     n_elem = len(mesh.element_dofs)
     a_vals = a_vals.reshape(S, n_elem, 8)
 

@@ -65,6 +65,71 @@ def scalar_pcg(mat, b, inv_diag=None, tol=1e-7, maxit=1000):
     return x, maxit, False, False
 
 
+def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
+    """The numpy lockstep Jacobi-PCG over all lanes of an ensemble.
+
+    Lane s is the scalar CSR matrix `lanes[s]` and right-hand side `rhs[s]`.
+    Each lane's product is scipy's scalar product, each inner product an
+    `np.dot` over that lane's row, and each update one numpy pass over the
+    (S, n) vectors; lanes whose p'Ap falls to the smallest positive normal
+    or below are frozen (alpha and beta zero).  Returns (x, iterations,
+    converged, frozen, history) with the conventions of `LaneSolveResult`;
+    history is a list of (S,) residual norms from iteration 0, or None.
+    """
+    mats = [sp.csr_matrix(m) for m in lanes]
+    for m in mats:
+        m.sort_indices()
+    b = np.array(rhs, dtype=np.float64)
+    S = b.shape[0]
+
+    def lane_dot(u, v):
+        return np.array([np.dot(u[s], v[s]) for s in range(S)])
+
+    inv_diag = 1.0 / np.array([m.diagonal() for m in mats])
+    x = np.zeros_like(b)
+    r = b.copy()
+    b_norm = np.sqrt(lane_dot(b, b))
+    r_norm = b_norm.copy()
+    threshold = tol * b_norm
+    iterations = np.zeros(S, dtype=int)
+    converged = r_norm <= threshold
+    frozen = np.zeros(S, dtype=bool)
+    history = [r_norm.copy()] if record_history else None
+    z = r * inv_diag
+    p = z.copy()
+    rz = lane_dot(r, z)
+    it = 0
+    while it < maxit and not np.all(converged | frozen):
+        it += 1
+        Ap = np.array([mats[s].dot(p[s]) for s in range(S)])
+        pAp = lane_dot(p, Ap)
+        frozen |= pAp <= _TINY
+        active = ~frozen
+        alpha = np.zeros(S)
+        alpha[active] = rz[active] / pAp[active]
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * Ap
+        r_norm = np.sqrt(lane_dot(r, r))
+        if history is not None:
+            history.append(r_norm.copy())
+        if not np.all(np.isfinite(r_norm[active])):
+            raise FloatingPointError(f"non-finite residual at iteration {it}")
+        newly = active & ~converged & (r_norm <= threshold)
+        iterations[newly] = it
+        converged |= newly
+        if np.all(converged | frozen):
+            break
+        z = r * inv_diag
+        rz_new = lane_dot(r, z)
+        beta = np.zeros(S)
+        safe = active & (rz > 0)
+        beta[safe] = rz_new[safe] / rz[safe]
+        p = z + beta[:, None] * p
+        rz = rz_new
+    iterations[~converged] = it
+    return x, iterations, converged, frozen, history
+
+
 def random_spd_system(rng, n, width):
     """A diagonally dominant sparse SPD matrix and `width` right-hand sides.
 

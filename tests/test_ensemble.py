@@ -7,6 +7,7 @@ bit-identical.
 """
 
 import copy
+import ctypes
 import pickle
 
 import numpy as np
@@ -23,7 +24,7 @@ from uqgroup import (
 
 from uqgroup import ensemble as ensemble_module
 
-from _oracles import random_spd_system, scalar_pcg
+from _oracles import lockstep_pcg, random_spd_system, scalar_pcg
 
 def diag_ensemble(diags):
     """Ensemble of diagonal matrices from per-lane diagonal value rows."""
@@ -163,6 +164,29 @@ def test_bad_graph_rejected():
         EnsembleCsrMatrix(np.array([0, 2]), np.array([0]), np.array([[1.0]]))
 
 
+def test_index_beyond_int32_rejected_before_the_cast():
+    # Cast to int32 first, column 2**32 read as column 0 and row offset
+    # 2**32 + 1 as 1: both graphs were accepted.
+    with pytest.raises(EnsembleError, match="column index out of range"):
+        EnsembleCsrMatrix(np.array([0, 1]), np.array([2**32], dtype=np.int64), np.array([[2.0]]))
+    with pytest.raises(EnsembleError, match="row_offsets"):
+        EnsembleCsrMatrix(np.array([0, 2**32 + 1], dtype=np.int64), np.array([0]), np.array([[2.0]]))
+
+
+def test_non_integer_indices_rejected():
+    # Cast to int32 first, column 0.7 read as column 0.
+    with pytest.raises(EnsembleError, match="integer"):
+        EnsembleCsrMatrix(np.array([0, 1]), np.array([0.7]), np.array([[2.0]]))
+    with pytest.raises(EnsembleError, match="integer"):
+        EnsembleCsrMatrix(np.array([0.0, 1.0]), np.array([0]), np.array([[2.0]]))
+
+
+def test_empty_row_offsets_rejected():
+    with pytest.raises(EnsembleError, match="row_offsets"):
+        EnsembleCsrMatrix(np.array([], dtype=np.int32), np.array([], dtype=np.int32),
+                          np.zeros((1, 0)))
+
+
 def test_spmv_shape_checked():
     ens = diag_ensemble([[1.0, 2.0]])
     with pytest.raises(EnsembleError):
@@ -172,6 +196,25 @@ def test_spmv_shape_checked():
 def test_jacobi_requires_positive_diagonal():
     with pytest.raises(EnsembleError, match="positive lane diagonals"):
         ensemble_pcg(diag_ensemble([[1.0, 0.0, 2.0]]), np.ones((1, 3)))
+
+
+def test_nan_diagonal_rejected_up_front():
+    with pytest.raises(EnsembleError, match="positive lane diagonals"):
+        ensemble_pcg(diag_ensemble([[1.0, 2.0], [1.0, np.nan]]), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_rhs_rejected_up_front(bad):
+    rhs = np.ones((2, 2))
+    rhs[1, 0] = bad
+    with pytest.raises(EnsembleError, match="rhs must be finite"):
+        ensemble_pcg(diag_ensemble(np.full((2, 2), 2.0)), rhs)
+
+
+@pytest.mark.parametrize("maxit", [2.5, 3.0, "3", None])
+def test_non_integer_maxit_rejected(maxit):
+    with pytest.raises(EnsembleError, match="maxit"):
+        ensemble_pcg(diag_ensemble([[2.0, 3.0]]), np.ones((1, 2)), maxit=maxit)
 
 
 # ---------------------------------------------------------------------------
@@ -334,3 +377,73 @@ def test_property_counts_match_scalar(n, width, seed):
         _, it, converged, _ = scalar_pcg(lanes[s], rhs[s], tol=1e-10, maxit=500)
         assert it == res.iterations_per_lane[s]
         assert converged == res.converged_per_lane[s]
+
+
+# ---------------------------------------------------------------------------
+# the compiled loop against the numpy lockstep loop, bit for bit
+
+
+_DDOT = ctypes.CFUNCTYPE(
+    ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ctypes.c_int64,
+)(ensemble_module._DDOT)
+
+
+@pytest.mark.parametrize("n", [1, 37, 3375, 29791])
+def test_resolved_ddot_equals_np_dot(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x, y = rng.standard_normal((2, n))
+        got = _DDOT(n, x.ctypes.data, 1, y.ctypes.data, 1)
+        assert np.float64(got).tobytes() == np.dot(x, y).tobytes()
+
+
+def assert_matches_lockstep(lanes, rhs, **kwargs):
+    res = ensemble_pcg(EnsembleCsrMatrix.from_scipy_lanes(lanes), rhs,
+                       record_history=True, **kwargs)
+    x, iterations, converged, frozen, history = lockstep_pcg(
+        lanes, rhs, record_history=True, **kwargs)
+    assert res.solution.tobytes() == x.tobytes()
+    assert np.array_equal(res.iterations_per_lane, iterations)
+    assert np.array_equal(res.converged_per_lane, converged)
+    assert np.array_equal(res.frozen_lanes, frozen)
+    assert len(res.residual_history) == len(history)
+    for got, want in zip(res.residual_history, history):
+        assert got.tobytes() == want.tobytes()
+    return res
+
+
+# Specialised widths (1, 4, 16), generic widths around them and past the
+# 32-lane stack accumulator; n crosses the kernel's 64-row tile.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16, 17, 33])
+def test_pcg_bitwise_equals_lockstep_loop(width):
+    rng = np.random.default_rng(100 + width)
+    lanes, rhs = random_spd_system(rng, 70, width)
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+def test_pcg_bitwise_with_a_freezing_lane():
+    rng = np.random.default_rng(21)
+    lanes, rhs = random_spd_system(rng, 60, 4)
+    rhs[2] *= 1e-160  # p'Ap of this lane is subnormal at iteration 1
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-12, maxit=2000)
+    assert np.array_equal(res.frozen_lanes, [False, False, True, False])
+    assert res.converged_per_lane[[0, 1, 3]].all()
+
+
+def test_pcg_bitwise_with_a_zero_rhs_lane():
+    rng = np.random.default_rng(22)
+    lanes, rhs = random_spd_system(rng, 60, 3)
+    rhs[1] = 0.0
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-12, maxit=2000)
+    assert res.iterations_per_lane[1] == 0 and res.converged_per_lane.all()
+
+
+@pytest.mark.parametrize("maxit", [0, 5])
+def test_pcg_bitwise_when_cut_off_at_maxit(maxit):
+    rng = np.random.default_rng(23)
+    lanes, rhs = random_spd_system(rng, 60, 4)
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-14, maxit=maxit)
+    assert not res.converged_per_lane.any()
+    assert np.array_equal(res.iterations_per_lane, [maxit] * 4)

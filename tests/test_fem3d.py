@@ -134,6 +134,19 @@ def test_nonpositive_coefficient_rejected():
         assemble(StructuredMesh(4), degenerate, np.array([[0.0]]))
 
 
+def test_nan_coefficient_rejected(kl_field):
+    mesh = StructuredMesh(4)
+    samples = np.zeros((2, 4))
+    samples[1, 0] = np.nan
+    with pytest.raises(FemError, match="NaN"):
+        assemble(mesh, kl_field, samples)
+    for cross in ({"a_y": np.nan}, {"a_z": np.nan}):
+        field = build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
+                            a_hat_value=1.0, expansion="linear", **cross)
+        with pytest.raises(FemError, match="NaN"):
+            assemble(mesh, field, np.zeros((1, 1)))
+
+
 def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):
     mesh = StructuredMesh(8)
     y = np.array([0.25, -0.75, 0.5, 1.0])
