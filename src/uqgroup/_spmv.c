@@ -1,5 +1,6 @@
 /* Lane-interleaved ensemble SpMV, y[s] = A_s x[s] for all S lanes at once,
- * and the Jacobi-PCG loop around it, run in one call.
+ * the Jacobi-PCG loop around it, run in one call, and the assembly of the
+ * lanes-last matrix values they read.
  *
  * SpMV.
  *
@@ -221,4 +222,58 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
         if (!converged[s])
             iterations[s] = it;
     return it;
+}
+
+
+/* Assembly.
+ *
+ * The stiffness matrix of lane s on element e is, for the 64 corner pairs
+ * p = 8 a + b,
+ *
+ *     K[p] = (0.0 + sum_q a[s, e, q] * dx[q, p]) + kyz[p],
+ *
+ * where a (S, n_elem, 8) holds the sampled coefficient at the element's 8
+ * quadrature points, dx (8, 64) the x-direction element matrices of those
+ * points and kyz (64) the constant y and z part.  The q sum runs in order,
+ * one rounded multiply and add per term.  Pairs are added into the zeroed
+ * lanes-last values[slot * S + s] in element order; a pair whose slot
+ * (n_elem, 64) is -1 has a boundary corner and is skipped.  The pairs of one
+ * element have distinct slots, so each value receives its terms in element
+ * order.  That is the order of an einsum over q followed by one np.bincount
+ * per lane (the reference the tests compare with), so each lane is bitwise
+ * that assembly of its own coefficient, whatever the width S.
+ *
+ * Up to ASSEMBLE_LANES lanes of an element are formed first, vectorised
+ * over p, then added pair by pair into each slot's contiguous run of lanes;
+ * 8 lanes at a time ran about 10% faster than 32 at S = 4 (16^3) and
+ * S = 16 (32^3). */
+#define ASSEMBLE_LANES 8
+
+void ensemble_assemble(int64_t S, int64_t n_elem, const double *restrict a,
+                       const double *restrict dx, const double *restrict kyz,
+                       const int32_t *restrict slots, double *restrict values)
+{
+    for (int64_t e = 0; e < n_elem; e++) {
+        const int32_t *restrict slot = slots + e * 64;
+        for (int64_t s0 = 0; s0 < S; s0 += ASSEMBLE_LANES) {
+            const int64_t lanes = S - s0 < ASSEMBLE_LANES ? S - s0 : ASSEMBLE_LANES;
+            double k[ASSEMBLE_LANES][64];
+            for (int64_t c = 0; c < lanes; c++) {
+                const double *restrict aq = a + ((s0 + c) * n_elem + e) * 8;
+                for (int p = 0; p < 64; p++) {
+                    double sum = 0.0;
+                    for (int q = 0; q < 8; q++)
+                        sum += aq[q] * dx[q * 64 + p];
+                    k[c][p] = sum + kyz[p];
+                }
+            }
+            for (int p = 0; p < 64; p++) {
+                if (slot[p] < 0)
+                    continue;
+                double *restrict v = values + (int64_t)slot[p] * S + s0;
+                for (int64_t c = 0; c < lanes; c++)
+                    v[c] += k[c][p];
+            }
+        }
+    }
 }

@@ -118,7 +118,7 @@ def _numpy_ddot() -> int:
     return ctypes.cast(ddot, ctypes.c_void_p).value
 
 
-def _load_kernel() -> tuple[Callable[..., None], Callable[..., int], int]:
+def _load_kernel() -> tuple[Callable[..., None], Callable[..., int], Callable[..., None], int]:
     # PyDLL keeps the interpreter lock during the call, so two threads never
     # share a matrix's scratch buffer at once.
     lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
@@ -133,10 +133,14 @@ def _load_kernel() -> tuple[Callable[..., None], Callable[..., int], int]:
         + [ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 7
     )
     pcg.restype = ctypes.c_int64
-    return spmv, pcg, lib.ensemble_spmv_tile_rows()
+    assemble = lib.ensemble_assemble
+    assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
+    assemble.restype = None
+    return spmv, pcg, assemble, lib.ensemble_spmv_tile_rows()
 
 
-_SPMV, _PCG, _TILE_ROWS = _load_kernel()
+# _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
+_SPMV, _PCG, _ASSEMBLE, _TILE_ROWS = _load_kernel()
 _DDOT = _numpy_ddot()
 
 
@@ -210,9 +214,9 @@ class EnsembleCsrMatrix:
     @classmethod
     def from_scipy_lanes(cls, mats: Sequence[sp.spmatrix]) -> "EnsembleCsrMatrix":
         """Stack scalar CSR matrices with identical graphs into an ensemble."""
-        csr = [sp.csr_matrix(m) for m in mats]
-        for m in csr:
-            m.sort_indices()
+        # sorted_indices() sorts a copy: a CSR input shares its arrays with
+        # sp.csr_matrix(m), and the caller's matrix must stay as it was.
+        csr = [sp.csr_matrix(m).sorted_indices() for m in mats]
         first = csr[0]
         for m in csr[1:]:
             if m.shape != first.shape or not (
@@ -246,12 +250,18 @@ class EnsembleCsrMatrix:
         return out
 
     def diagonal(self) -> np.ndarray:
-        """Per-lane main diagonal, shape (S, n); absent entries read as zero."""
+        """Per-lane main diagonal, shape (S, n); absent entries read as zero.
+
+        Repeated copies of a diagonal entry are summed in storage order, as
+        the SpMV and scipy's `diagonal()` of a lane sum them.
+        """
         n = self.n_rows
         diag = np.zeros((self.width, n))
         rows = np.repeat(np.arange(n), np.diff(self.row_offsets))
-        hit = self.col_indices == rows
-        diag[:, rows[hit]] = self.values[:, hit]
+        hit = np.flatnonzero(self.col_indices == rows)
+        rows = rows[hit]
+        first = np.flatnonzero(np.diff(rows, prepend=-1))  # first copy in each row
+        diag[:, rows[first]] = np.add.reduceat(self.values.T[hit], first, axis=0).T
         return diag
 
 

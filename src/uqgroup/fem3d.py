@@ -7,10 +7,14 @@ Element integrals use 2x2x2 Gauss quadrature, which is exact for the
 trilinear products involved, and the first diffusion coefficient is sampled
 at the quadrature points, so lane matrices differ only through a(x, y).
 
-Assembly is ensemble-first: one shared 27-point CSR graph is built per mesh
-and reused.  Each lane's values are accumulated on their own into column s of
-an (nnz, S) array, the lanes-last layout the ensemble kernel reads, so two
-identical samples produce bit-identical lane matrices.
+Assembly is ensemble-first: one shared 27-point CSR graph, the element
+matrices and a table of the CSR slot of every element's corner pairs are
+built once per mesh and reused.  `assemble` then makes one call of the
+compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms each lane's
+element matrices and adds them into the lanes-last (nnz, S) values the
+ensemble SpMV reads.  Every lane is accumulated on its own, in a fixed
+order, so a lane's matrix does not depend on its companions or on the width
+S, and two identical samples produce bit-identical lane matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleCsrMatrix
+from .ensemble import _ASSEMBLE, EnsembleCsrMatrix
 from .random_field import KLDiffusionField
 
 __all__ = ["FemError", "StructuredMesh", "AssembledEnsembleSystem", "assemble", "qoi"]
@@ -60,8 +64,13 @@ class StructuredMesh:
     """Uniform hex mesh of the unit cube with interior-node numbering.
 
     Degrees of freedom are the interior nodes numbered lexicographically with
-    z fastest; all per-mesh geometry (element connectivity, the shared CSR
-    graph, scatter slots and quadrature coordinates) is precomputed once.
+    z fastest.  All per-mesh data is precomputed once: element connectivity,
+    quadrature coordinates, the shared CSR graph, an int32 (E, 64) table of
+    the CSR slot of each element's corner pair (a, b) at column 8 a + b (-1
+    where a corner lies on the boundary), the (8, 64) x-direction element
+    matrices of the 8 quadrature points, the y and z element matrices summed
+    over them, and the unit load vector.  Meshes whose 27-point bound on the
+    nonzeros does not fit int32 indices are refused.
     """
 
     cells: int
@@ -73,6 +82,9 @@ class StructuredMesh:
         if self.quadrature != "gauss2":
             raise FemError(f"unsupported quadrature {self.quadrature!r}")
         m = self.cells
+        # A row couples at most 27 dofs; refused before anything is allocated.
+        if 27 * (m - 1) ** 3 > np.iinfo(np.int32).max:
+            raise FemError(f"{m} cells per direction overflow the int32 indices of the CSR graph")
         self.h = 1.0 / m
         self.n_dofs = (m - 1) ** 3
 
@@ -95,24 +107,45 @@ class StructuredMesh:
         centers = (elems + 0.5) * self.h  # (E, 3)
         self.quad_points = (centers[:, None, :] + _QREF[None, :, :] * (self.h / 2.0)).reshape(-1, 3)
 
-        # Shared CSR graph over interior-interior corner pairs.
-        rows = np.repeat(self.element_dofs, 8, axis=1).ravel()  # pair (a, b), a-major
-        cols = np.tile(self.element_dofs, (1, 8)).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        keys = rows[keep] * self.n_dofs + cols[keep]
-        unique_keys, slots = np.unique(keys, return_inverse=True)
-        self._keep = keep
-        self._slots = slots
-        self.nnz = len(unique_keys)
-        self.col_indices = (unique_keys % self.n_dofs).astype(np.int32)
-        counts = np.bincount(unique_keys // self.n_dofs, minlength=self.n_dofs)
-        self.row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        # Shared CSR graph: two dofs are coupled when they share an element,
+        # i.e. each dof with the interior dofs of its 3x3x3 neighbourhood.
+        # Neighbour offsets (dx, dy, dz) in lexicographic order give each
+        # row's columns in increasing order.
+        n1 = m - 1
+        steps = np.array([-1, 0, 1])
+        inside = (np.arange(n1)[:, None] + steps >= 0) & (np.arange(n1)[:, None] + steps < n1)
+        coupled = (
+            inside[:, None, None, :, None, None]
+            & inside[None, :, None, None, :, None]
+            & inside[None, None, :, None, None, :]
+        ).reshape(self.n_dofs, 27)
+        shifts = ((steps[:, None, None] * n1 + steps[None, :, None]) * n1 + steps[None, None, :]).ravel()
+        self.col_indices = (np.arange(self.n_dofs, dtype=np.int32)[:, None] + shifts.astype(np.int32))[coupled]
+        self.nnz = len(self.col_indices)
+        self.row_offsets = np.concatenate([[0], np.cumsum(coupled.sum(axis=1))]).astype(np.int32)
 
-        # Reference element matrices per quadrature point and direction:
+        # CSR slot of each element's corner pair (a, b), a-major: the slot of
+        # row dof a at the neighbour offset of corner b from corner a.
+        slot_of = (np.cumsum(coupled.ravel(), dtype=np.int32) - 1).reshape(self.n_dofs, 27)
+        pair_a, pair_b = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
+        d = corners[pair_b] - corners[pair_a] + 1  # (64, 3) in {0, 1, 2}
+        pair_offset = (d[:, 0] * 3 + d[:, 1]) * 3 + d[:, 2]
+        rows, cols = self.element_dofs[:, pair_a], self.element_dofs[:, pair_b]
+        pair_slots = np.where((rows >= 0) & (cols >= 0), slot_of[rows, pair_offset], -1)
+        self._pair_slots = np.ascontiguousarray(pair_slots, dtype=np.int32)  # the kernel reads it row-major
+
+        # Reference element matrices per direction and quadrature point:
         # grad phi_a . e_d  grad phi_b . e_d  scaled by (2/h)^2 det(J) w_q = h/2.
-        self._elem_mats = _DPHI[:, :, :, None] * _DPHI[:, :, None, :] * (self.h / 2.0)  # (3,8q,8a,8b)
-        # Unit load vector contribution per corner: int phi_a over the element.
-        self._load = np.full(8, self.h**3 / 8.0)
+        elem_mats = _DPHI[:, :, :, None] * _DPHI[:, :, None, :] * (self.h / 2.0)  # (3,8q,8a,8b)
+        self._dx = elem_mats[0].reshape(8, 64)
+        self._dy_sum = elem_mats[1].sum(axis=0).reshape(64)
+        self._dz_sum = elem_mats[2].sum(axis=0).reshape(64)
+        # Unit load vector: each element adds int phi_a = h^3 / 8 at its interior corners.
+        nodes = self.element_dofs.ravel()
+        inner = nodes >= 0
+        self._load = np.bincount(
+            nodes[inner], weights=np.full(nodes.size, self.h**3 / 8.0)[inner], minlength=self.n_dofs,
+        )
 
     def interior_node_coords(self) -> np.ndarray:
         """Coordinates of the dofs in dof order, shape (n_dofs, 3)."""
@@ -154,26 +187,17 @@ def assemble(
     # Written as "not all > 0" so that NaN coefficients are refused too.
     if not (np.all(a_vals > 0) and field.a_y > 0 and field.a_z > 0):
         raise FemError("non-positive or NaN diffusion coefficient at a quadrature point")
-    n_elem = len(mesh.element_dofs)
-    a_vals = a_vals.reshape(S, n_elem, 8)
+    a_vals = np.ascontiguousarray(a_vals, dtype=np.float64)
 
     # K_e(lane) = sum_q a(x_q) Dx_q + a_y * sum_q Dy_q + a_z * sum_q Dz_q
-    k_x = np.einsum("seq,qab->seab", a_vals, mesh._elem_mats[0])
-    k_yz = field.a_y * mesh._elem_mats[1].sum(axis=0) + field.a_z * mesh._elem_mats[2].sum(axis=0)
-    k_all = (k_x + k_yz).reshape(S, -1)  # (S, E*64), pair order matches mesh slots
-
-    values = np.empty((mesh.nnz, S))
-    for s in range(S):
-        values[:, s] = np.bincount(mesh._slots, weights=k_all[s][mesh._keep], minlength=mesh.nnz)
-    matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values.T)
-
-    nodes = mesh.element_dofs.ravel()
-    keep = nodes >= 0
-    load = np.bincount(
-        nodes[keep], weights=np.broadcast_to(mesh._load, (n_elem, 8)).ravel()[keep],
-        minlength=mesh.n_dofs,
+    k_yz = field.a_y * mesh._dy_sum + field.a_z * mesh._dz_sum
+    values = np.zeros((mesh.nnz, S))
+    _ASSEMBLE(
+        S, len(mesh.element_dofs), a_vals.ctypes.data, mesh._dx.ctypes.data,
+        k_yz.ctypes.data, mesh._pair_slots.ctypes.data, values.ctypes.data,
     )
-    rhs = np.tile(load, (S, 1))
+    matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values.T)
+    rhs = np.tile(mesh._load, (S, 1))
     return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy())
 
 

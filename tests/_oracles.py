@@ -314,6 +314,56 @@ def laplacian_row_stencil():
     return out
 
 
+def _hex_gradients():
+    """Reference gradients of the 8 trilinear shape functions at the 2x2x2
+    Gauss points, shape (3, 8q, 8a); corners and points both in (x, y, z) bit
+    order, z fastest.  dphi_a/dxi_d = s_d prod_{e != d} (1 + s_e xi_e) / 8."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=3)))
+    points = signs * (1.0 / np.sqrt(3.0))
+    grads = np.empty((3, 8, 8))
+    for q, xi in enumerate(points):
+        factors = 1.0 + signs * xi  # (8 corners, 3 dims)
+        for d in range(3):
+            grads[d, q] = signs[:, d] * factors[:, [e for e in range(3) if e != d]].prod(axis=1) / 8.0
+    return grads
+
+
+def einsum_assemble(mesh, a_vals, a_y, a_z):
+    """The einsum + per-lane bincount assembly of trilinear hex stiffness.
+
+    Reads only `mesh.element_dofs` ((E, 8) dofs, -1 on the boundary),
+    `mesh.h` and `mesh.n_dofs`; `a_vals` is the (S, E*8) coefficient at each
+    element's quadrature points.  Element matrices per lane are
+    sum_q a_q Dx_q + a_y sum_q Dy_q + a_z sum_q Dz_q, formed with one einsum
+    over all lanes; the graph comes from np.unique over every interior
+    corner pair, and each lane's values are scattered with one np.bincount.
+    Returns (row_offsets, col_indices, values (nnz, S), rhs (S, n_dofs)).
+    """
+    dofs = np.asarray(mesh.element_dofs)
+    n_elem, n = len(dofs), mesh.n_dofs
+    grads = _hex_gradients()
+    mats = grads[:, :, :, None] * grads[:, :, None, :] * (mesh.h / 2.0)  # (3, 8q, 8a, 8b)
+    a_vals = np.asarray(a_vals, dtype=float)
+    S = len(a_vals)
+    k_x = np.einsum("seq,qab->seab", a_vals.reshape(S, n_elem, 8), mats[0])
+    k_yz = a_y * mats[1].sum(axis=0) + a_z * mats[2].sum(axis=0)
+    k_all = (k_x + k_yz).reshape(S, -1)
+
+    rows = np.repeat(dofs, 8, axis=1).ravel()
+    cols = np.tile(dofs, (1, 8)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slots = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    values = np.empty((len(keys), S))
+    for s in range(S):
+        values[:, s] = np.bincount(slots, weights=k_all[s][keep], minlength=len(keys))
+    row_offsets = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))])
+
+    nodes = dofs.ravel()
+    inner = nodes >= 0
+    load = np.bincount(nodes[inner], weights=np.full(nodes.size, mesh.h**3 / 8.0)[inner], minlength=n)
+    return row_offsets, keys % n, values, np.tile(load, (S, 1))
+
+
 # ---------------------------------------------------------------------------
 # dense Nystrom eigensolve for the exponential kernel
 

@@ -150,6 +150,23 @@ def test_diagonal_extraction():
     assert np.array_equal(ens.diagonal(), vals)
 
 
+def test_repeated_diagonal_entries_are_summed():
+    # Row 0 stores (0, 0) twice; the product, scipy and Jacobi must all see 1 + 2.
+    ens = EnsembleCsrMatrix(np.array([0, 2, 3]), np.array([0, 0, 1]), np.array([[1.0, 2.0, 1.0]]))
+    assert np.array_equal(ens.diagonal(), [[3.0, 1.0]])
+    assert np.array_equal(ens.diagonal()[0], ens.lane(0).diagonal())
+    assert np.array_equal(ens.spmv(np.array([[1.0, 0.0]])), [[3.0, 0.0]])
+
+
+def test_from_scipy_lanes_leaves_the_inputs_unsorted():
+    lane = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), np.array([0, 2, 3])), shape=(2, 2))
+    ens = EnsembleCsrMatrix.from_scipy_lanes([lane])
+    assert np.array_equal(lane.indices, [1, 0, 1])
+    assert np.array_equal(lane.data, [1.0, 2.0, 3.0])
+    assert np.array_equal(ens.col_indices, [0, 1, 1])
+    assert np.array_equal(ens.values, [[2.0, 1.0, 3.0]])
+
+
 def test_mismatched_graphs_rejected():
     a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     b = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
