@@ -1,6 +1,8 @@
-/* Lane-interleaved ensemble SpMV, y[s] = A_s x[s] for all S lanes at once,
- * the Jacobi-PCG loop around it, run in one call, and the assembly of the
- * lanes-last matrix values they read.
+/* The lockstep Jacobi-PCG loop of an ensemble solve, run in one call, the
+ * lane-interleaved SpMV inside it, y[s] = A_s x[s] for all S lanes at once,
+ * and the assembly of the lanes-last matrix values they read.  The library
+ * exports ensemble_pcg, ensemble_assemble and ensemble_spmv_tile_rows; the
+ * SpMV is called only by the loop.
  *
  * SpMV.
  *
@@ -16,8 +18,8 @@
  * result is therefore bitwise the scalar product of lane s.
  *
  * x and y are lanes-first (S, n).  For S > 1, x is first transposed into the
- * first n rows of the caller's (n + TILE, S) scratch; results are gathered
- * per block of TILE rows in its last TILE rows and written out lane by lane.
+ * first n rows of an (n + TILE, S) scratch; results are gathered per block of
+ * TILE rows in its last TILE rows and written out lane by lane.
  */
 
 #include <float.h>
@@ -94,8 +96,7 @@ static void spmv_1(int64_t n, const int32_t *restrict row_offsets,
 SPECIALISED(4)
 SPECIALISED(16)
 
-/* scratch must hold (n + ensemble_spmv_tile_rows()) * S doubles. */
-void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
+static void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
                    const int32_t *col_indices, const double *values,
                    double *scratch, const double *x, double *y)
 {
@@ -107,6 +108,8 @@ void ensemble_spmv(int64_t S, int64_t n, const int32_t *row_offsets,
     }
 }
 
+/* The scratch of ensemble_pcg holds (n + ensemble_spmv_tile_rows()) * S
+ * doubles. */
 int64_t ensemble_spmv_tile_rows(void) { return TILE; }
 
 /* PCG.
@@ -131,29 +134,63 @@ static double lane_dot(ddot_fn ddot, int64_t n, const double *x, const double *y
     return n == 1 ? x[0] * y[0] : 0.0 + ddot(n, x, 1, y, 1);
 }
 
+/* The Jacobi preconditioner: inv_diag[s, i] = 1.0 / d, where d sums lane s's
+ * copies of the diagonal entry of row i in storage order from 0.0, as
+ * scipy's diagonal() of lane s does.  Returns 0 if some d is not > 0 (zero,
+ * negative, NaN, or no copy stored), 1 otherwise. */
+static int jacobi_inverse(int64_t S, int64_t n, const int32_t *restrict row_offsets,
+                          const int32_t *restrict col_indices,
+                          const double *restrict values, double *restrict inv_diag)
+{
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t s = 0; s < S; s++)
+            inv_diag[s * n + i] = 0.0;
+        for (int32_t jj = row_offsets[i]; jj < row_offsets[i + 1]; jj++)
+            if (col_indices[jj] == i)
+                for (int64_t s = 0; s < S; s++)
+                    inv_diag[s * n + i] += values[(int64_t)jj * S + s];
+        for (int64_t s = 0; s < S; s++) {
+            const double d = inv_diag[s * n + i];
+            if (!(d > 0.0))
+                return 0;
+            inv_diag[s * n + i] = 1.0 / d;
+        }
+    }
+    return 1;
+}
+
+/* Returned by ensemble_pcg when a lane's diagonal is not strictly positive;
+ * no iteration count or breakdown code can equal it. */
+#define BAD_DIAGONAL INT64_MIN
+
 /* Runs until every lane has converged (||r|| <= tol ||b||) or frozen
  * (p'Ap <= DBL_MIN, after which its alpha and beta are zero), or maxit
  * iterations have run.
  *
- * On entry x is zero, both (S, n); work holds the (S, n) vectors r, z, p and
- * Ap in that order, with r set to the right-hand sides.  lane holds 3 * S
+ * On entry x is zero, both (S, n); work holds five (S, n) vectors, r, z, p,
+ * Ap and the inverse diagonal in that order, with r set to the right-hand
+ * sides.  scratch holds (n + TILE) * S doubles for the SpMV and lane 3 * S
  * doubles of work.  iterations, converged and frozen are zeroed S-vectors;
  * on return iterations[s] is the iteration at which lane s converged, or the
  * number run if it did not.  history, when not NULL, holds (maxit + 1) * S
  * doubles and receives the lane residual norms of iterations 0, 1, ...
  *
- * Returns the number of iterations run, or -it if an active (not frozen)
- * lane's residual norm was not finite after iteration it. */
+ * Returns the number of iterations run, -it if an active (not frozen) lane's
+ * residual norm was not finite after iteration it, or BAD_DIAGONAL, before
+ * any other work, if the Jacobi preconditioner does not exist. */
 int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
                      const int32_t *col_indices, const double *values,
-                     double *scratch, ddot_fn ddot, const double *restrict inv_diag,
-                     double tol, int64_t maxit, double *restrict x, double *restrict work,
-                     double *restrict lane, int64_t *iterations, uint8_t *converged,
-                     uint8_t *frozen, double *history)
+                     double *scratch, ddot_fn ddot, double tol, int64_t maxit,
+                     double *restrict x, double *restrict work, double *restrict lane,
+                     int64_t *iterations, uint8_t *converged, uint8_t *frozen,
+                     double *history)
 {
     double *restrict r = work, *restrict z = work + S * n;
     double *restrict p = work + 2 * S * n, *restrict ap = work + 3 * S * n;
+    double *restrict inv_diag = work + 4 * S * n;
     double *threshold = lane, *r_norm = lane + S, *rz = lane + 2 * S;
+    if (!jacobi_inverse(S, n, row_offsets, col_indices, values, inv_diag))
+        return BAD_DIAGONAL;
     int64_t open = 0; /* lanes neither converged nor frozen */
     for (int64_t s = 0; s < S; s++) {
         const double *rs = r + s * n;

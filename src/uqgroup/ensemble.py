@@ -3,20 +3,22 @@
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
 one per sample.  All lanes share one CSR sparsity graph.  Matrix values are
 stored lanes-last, so the S values of one nonzero sit side by side; vectors
-and reduction results carry a leading lane axis.  The compiled kernel
-(`_spmv.c`, built once into `_build/` at import) multiplies by loading each
-column index once and then doing S contiguous multiply-adds, summing every
-lane in the order of a scalar CSR product.
+and reduction results carry a leading lane axis.  `EnsembleCsrMatrix` is
+checked data: the shared graph as int32 and the values lanes-last, the
+layout the compiled kernels (`_spmv.c`, built once into `_build/` at import)
+read.
 
 The solver is Jacobi-preconditioned conjugate gradients, the one solver
 whose iterations the study counts: it scales each lane's residual by that
-lane's inverse main diagonal.  The whole iteration runs in one call of the
-same kernel library: products, Jacobi, vector updates and convergence
-bookkeeping.  Inner products and norms are taken per lane (never summed
-across lanes) with the BLAS ddot that numpy's own `np.dot` calls, looked up
-at import, so the arithmetic seen by lane i is exactly the arithmetic of a
-scalar numpy solve of lane i's system: iteration counts and iterates match
-a sequential solve bit for bit.
+lane's inverse main diagonal.  The whole solve runs in one kernel call: the
+Jacobi inverse, products, vector updates and convergence bookkeeping.  Its
+product loads each column index once and then does S contiguous
+multiply-adds, summing every lane in the order of a scalar CSR product.
+Inner products and norms are taken per lane (never summed across lanes)
+with the BLAS ddot that numpy's own `np.dot` calls, looked up at import, so
+the arithmetic seen by lane i is exactly the arithmetic of a scalar numpy
+solve of lane i's system: iteration counts and iterates match a sequential
+solve bit for bit.
 
 The loop keeps iterating until every lane has either converged or been
 frozen, recording for each lane the first iteration at which its relative
@@ -34,7 +36,7 @@ import numbers
 import os
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -118,30 +120,28 @@ def _numpy_ddot() -> int:
     return ctypes.cast(ddot, ctypes.c_void_p).value
 
 
-def _load_kernel() -> tuple[Callable[..., None], Callable[..., int], Callable[..., None], int]:
-    # PyDLL keeps the interpreter lock during the call, so two threads never
-    # share a matrix's scratch buffer at once.
+def _load_kernel() -> tuple[Callable[..., int], Callable[..., None], int]:
     lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
     lib.ensemble_spmv_tile_rows.argtypes = []
     lib.ensemble_spmv_tile_rows.restype = ctypes.c_int64
-    spmv = lib.ensemble_spmv
-    spmv.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
-    spmv.restype = None
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
+        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
         + [ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 7
     )
     pcg.restype = ctypes.c_int64
     assemble = lib.ensemble_assemble
     assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
     assemble.restype = None
-    return spmv, pcg, assemble, lib.ensemble_spmv_tile_rows()
+    return pcg, assemble, lib.ensemble_spmv_tile_rows()
 
 
 # _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
-_SPMV, _PCG, _ASSEMBLE, _TILE_ROWS = _load_kernel()
+_PCG, _ASSEMBLE, _TILE_ROWS = _load_kernel()
 _DDOT = _numpy_ddot()
+# INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
+# that is not strictly positive.
+_BAD_DIAGONAL = -(2**63)
 
 
 @dataclass(frozen=True)
@@ -152,15 +152,14 @@ class EnsembleCsrMatrix:
     exactly the scalar CSR matrix (values[s], col_indices, row_offsets).
     `values` is the transposed view of a C-contiguous (nnz, S) buffer; a
     caller that passes such a view (`buf.T`) shares its memory.  The arrays
-    are checked once here and must not be replaced afterwards, which the
-    frozen dataclass enforces: the kernel is handed their addresses.
+    are checked once here and stored as the kernel reads them (int32 graph,
+    lanes-last values); the frozen dataclass keeps them from being replaced
+    by unchecked ones.
     """
 
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _scratch: np.ndarray = field(init=False, repr=False, compare=False)
-    _kernel_args: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The ranges are checked on the arrays as given, before the cast to
@@ -187,21 +186,9 @@ class EnsembleCsrMatrix:
         row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int32)
         col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
         values = np.ascontiguousarray(values.T).T
-        # Lanes-last copy of x (n rows) and the kernel's output tile.
-        scratch = np.empty((n + _TILE_ROWS, values.shape[0]))
         object.__setattr__(self, "row_offsets", row_offsets)
         object.__setattr__(self, "col_indices", col_indices)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_scratch", scratch)
-        object.__setattr__(self, "_kernel_args", (
-            values.shape[0], n, row_offsets.ctypes.data, col_indices.ctypes.data,
-            values.ctypes.data, scratch.ctypes.data,
-        ))
-
-    def __reduce__(self):
-        # Copies and unpickled matrices are rebuilt through __init__, so their
-        # kernel addresses are those of their own arrays, never the original's.
-        return type(self), (self.row_offsets, self.col_indices, self.values)
 
     @property
     def n_rows(self) -> int:
@@ -235,42 +222,6 @@ class EnsembleCsrMatrix:
         n = self.n_rows
         return sp.csr_matrix((self.values[s], self.col_indices, self.row_offsets), shape=(n, n))
 
-    def spmv(self, x: np.ndarray) -> np.ndarray:
-        """Lane-wise matrix-vector product: (S, n) -> (S, n).
-
-        One kernel call for all lanes.  No information crosses lanes and each
-        lane sums in scipy's order, so lane s of the result is bitwise the
-        scalar product `self.lane(s).dot(x[s])`.
-        """
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.shape != (self.width, self.n_rows):
-            raise EnsembleError(f"vector has shape {x.shape}, expected {(self.width, self.n_rows)}")
-        out = np.empty_like(x)
-        _SPMV(*self._kernel_args, x.ctypes.data, out.ctypes.data)
-        return out
-
-    def diagonal(self) -> np.ndarray:
-        """Per-lane main diagonal, shape (S, n); absent entries read as zero.
-
-        Repeated copies of a diagonal entry are summed in storage order, as
-        the SpMV and scipy's `diagonal()` of a lane sum them.
-        """
-        n = self.n_rows
-        diag = np.zeros((self.width, n))
-        rows = np.repeat(np.arange(n), np.diff(self.row_offsets))
-        hit = np.flatnonzero(self.col_indices == rows)
-        rows = rows[hit]
-        first = np.flatnonzero(np.diff(rows, prepend=-1))  # first copy in each row
-        diag[:, rows[first]] = np.add.reduceat(self.values.T[hit], first, axis=0).T
-        return diag
-
-
-def _check_vector(mat_width: int, n: int, x: np.ndarray, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (mat_width, n):
-        raise EnsembleError(f"{name} has shape {x.shape}, expected {(mat_width, n)}")
-    return x
-
 
 @dataclass
 class LaneSolveResult:
@@ -301,8 +252,10 @@ def ensemble_pcg(
     """Jacobi-preconditioned CG on all lanes at once, run until every lane converges.
 
     The preconditioner scales each lane by its inverse main diagonal,
-    z = r * (1 / diag(A)), so every lane needs a strictly positive diagonal
-    and the right-hand sides must be finite (`EnsembleError` otherwise).
+    z = r * (1 / diag(A)), where repeated copies of a diagonal entry are
+    summed in storage order, as scipy's `diagonal()` of a lane sums them.
+    Every lane needs a strictly positive diagonal and the right-hand sides
+    must be finite (`EnsembleError` otherwise, before any iteration).
     Convergence is per lane, relative to that lane's right-hand side.  A lane
     that converges keeps iterating with the rest (its arithmetic is still
     lane-local), so recorded counts equal independent scalar PCG counts
@@ -310,37 +263,38 @@ def ensemble_pcg(
     are frozen: alpha and beta are zeroed for them only, their solution stops
     changing, and they no longer block termination.
 
-    The iteration is one kernel call (`ensemble_pcg` in `_spmv.c`).  With
-    `record_history`, room for maxit + 1 rows of lane residual norms is
-    reserved up front.
+    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
+    the Jacobi inverse before iteration 1.  With `record_history`, room for
+    maxit + 1 rows of lane residual norms is reserved up front.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
     if not isinstance(maxit, numbers.Integral) or not 0 <= maxit < 2**63:
         raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
     S, n = mat.width, mat.n_rows
-    b = _check_vector(S, n, rhs, "rhs")
+    b = np.asarray(rhs, dtype=np.float64)
+    if b.shape != (S, n):
+        raise EnsembleError(f"rhs has shape {b.shape}, expected {(S, n)}")
     if not np.all(np.isfinite(b)):
         raise EnsembleError("rhs must be finite")
-    diag = mat.diagonal()
-    if not np.all(diag > 0):
-        raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
-    inv_diag = 1.0 / diag
 
     x = np.zeros((S, n))
-    work = np.empty((4, S, n))  # r, z, p, Ap
+    work = np.empty((5, S, n))  # r, z, p, Ap, inverse diagonal
     work[0] = b
+    scratch = np.empty((n + _TILE_ROWS, S))  # the SpMV's lanes-last x and output tile
     lane_work = np.empty((3, S))
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
     frozen = np.zeros(S, dtype=bool)
     history = np.empty((maxit + 1, S)) if record_history else None
     it = _PCG(
-        *mat._kernel_args, _DDOT, inv_diag.ctypes.data, tol, int(maxit), x.ctypes.data,
-        work.ctypes.data, lane_work.ctypes.data, iterations.ctypes.data,
-        converged.ctypes.data, frozen.ctypes.data,
-        None if history is None else history.ctypes.data,
+        S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.values.ctypes.data,
+        scratch.ctypes.data, _DDOT, tol, int(maxit), x.ctypes.data, work.ctypes.data,
+        lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
+        frozen.ctypes.data, None if history is None else history.ctypes.data,
     )
+    if it == _BAD_DIAGONAL:
+        raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
     if it < 0:
         raise NumericalBreakdownError(f"non-finite residual in active lane at iteration {-it}")
     return LaneSolveResult(

@@ -6,7 +6,7 @@ largest member iteration count.  The work ratio R compares that lockstep cost
 against solving every sample individually; grouping samples with similar
 iteration counts drives R toward 1.
 
-Strategy tags: "nat" chunks samples in generation order, "sur"/"par" chunk in
+Strategies: "nat" chunks samples in generation order, "sur"/"par" chunk in
 ascending order of a caller-supplied key (predicted iterations, anisotropy
 indicator), and "its" is the post-hoc oracle built from measured iteration
 counts.  Short final chunks are padded by replicating the last sample of the
@@ -49,7 +49,6 @@ class GroupingPlan:
     ensemble_size: int
     ensembles: tuple[tuple[int, ...], ...]
     padding: tuple[int, ...]
-    strategy_tag: str
 
     def __post_init__(self) -> None:
         if self.ensemble_size < 1:
@@ -69,7 +68,7 @@ class GroupingPlan:
                     raise GroupingError("padding must replicate the last real sample")
 
 
-def _chunk(ids: Sequence[int], size: int, level: int, tag: str) -> GroupingPlan:
+def _chunk(ids: Sequence[int], size: int, level: int) -> GroupingPlan:
     if size < 1:
         raise GroupingError(f"ensemble size must be >= 1, got {size}")
     groups: list[tuple[int, ...]] = []
@@ -81,14 +80,14 @@ def _chunk(ids: Sequence[int], size: int, level: int, tag: str) -> GroupingPlan:
             group.extend([group[-1]] * pad)
         groups.append(tuple(group))
         padding.append(pad)
-    return GroupingPlan(level, size, tuple(groups), tuple(padding), tag)
+    return GroupingPlan(level, size, tuple(groups), tuple(padding))
 
 
-def group_natural(ids: Sequence[int], size: int, level: int = 0, tag: str = "nat") -> GroupingPlan:
+def group_natural(ids: Sequence[int], size: int, level: int = 0) -> GroupingPlan:
     """Chunk samples in generation order into width-`size` ensembles."""
     if not ids:
         raise GroupingError("cannot group an empty sample set")
-    return _chunk(list(ids), size, level, tag)
+    return _chunk(list(ids), size, level)
 
 
 def group_by_key(
@@ -96,7 +95,6 @@ def group_by_key(
     keys: Mapping[int, float],
     size: int,
     level: int = 0,
-    tag: str = "sur",
 ) -> GroupingPlan:
     """Sort samples by ascending key (stable in generation order), then chunk."""
     if not ids:
@@ -108,7 +106,7 @@ def group_by_key(
     if not np.all(np.isfinite(key_arr)):
         raise GroupingError("grouping keys must be finite")
     order = np.argsort(key_arr, kind="stable")
-    return _chunk([ids[int(j)] for j in order], size, level, tag)
+    return _chunk([ids[int(j)] for j in order], size, level)
 
 
 def group_oracle(
@@ -139,7 +137,7 @@ def group_oracle(
     r = len(ranked) % size
     if r:
         ranked = ranked[r:] + ranked[:r]
-    return _chunk(ranked, size, level, "its")
+    return _chunk(ranked, size, level)
 
 
 def compute_R(

@@ -558,19 +558,19 @@ def adaptive_run(
             if strat == "its":
                 continue  # needs measured counts; built after the solves
             if level == 1 or strat == "nat":
-                plans[strat] = group_natural(ids, S, level, strat)
+                plans[strat] = group_natural(ids, S, level)
             elif strat == "sur":
                 keys = {sid: float(predicted[i]) for i, sid in enumerate(ids)}
-                plans[strat] = group_by_key(ids, keys, S, level, strat)
+                plans[strat] = group_by_key(ids, keys, S, level)
             elif strat == "par":
                 keys = {sid: float(indicator[i]) for i, sid in enumerate(ids)}
-                plans[strat] = group_by_key(ids, keys, S, level, strat)
+                plans[strat] = group_by_key(ids, keys, S, level)
 
         # Solve each sample once.  The executed ensembles follow the predicted
         # ordering when available; per-lane arithmetic is lane-local, so every
         # other strategy's accounting reuses the same measured counts.
         exec_plan = plans.get("sur") or plans.get("par") or plans.get("nat") or group_natural(
-            ids, S, level, "nat"
+            ids, S, level
         )
         if config.is_pde:
             iters, qois, solve_notes, stuck = problem.solve_plan(exec_plan, coords_by_id, sink)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -167,11 +166,6 @@ class KLDiffusionField:
         else:
             raise FieldError(f"unknown expansion {self.expansion!r}")
         return self.a_min + self.a_hat(samples)[:, None] * fluct
-
-    def eval_a(self, x: Sequence[float], y: Sequence[float]) -> float:
-        """Pointwise coefficient for a single spatial point and sample."""
-        pts = np.asarray(x, dtype=float)[None, :]
-        return float(self.eval_a_batch(pts, np.asarray(y, dtype=float)[None, :])[0, 0])
 
 
 def build_field(

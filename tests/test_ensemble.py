@@ -47,16 +47,6 @@ def test_lane_view_matches_source_matrices():
         assert np.array_equal(ens.lane(s).toarray(), lanes[s].toarray())
 
 
-def test_spmv_lane_equals_scalar_spmv():
-    rng = np.random.default_rng(4)
-    lanes, _ = random_spd_system(rng, 30, 4)
-    ens = EnsembleCsrMatrix.from_scipy_lanes(lanes)
-    x = rng.standard_normal((4, 30))
-    out = ens.spmv(x)
-    for s in range(4):
-        assert np.array_equal(out[s], lanes[s].dot(x[s]))
-
-
 def lanes_last_system(rng, n, width):
     """Random CSR graph with an empty row, values in a C-contiguous (nnz, S) buffer."""
     graph = sp.random(n, n, density=0.2, format="csr", random_state=rng)
@@ -65,23 +55,6 @@ def lanes_last_system(rng, n, width):
     graph.sort_indices()
     buf = rng.standard_normal((graph.nnz, width))
     return graph.indptr, graph.indices, buf
-
-
-# Widths with a specialised kernel (1, 4, 16), generic widths around them and
-# around the 32-lane stack accumulator; n below the 64-row tile and not a
-# multiple of it.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
-@pytest.mark.parametrize("n", [37, 130])
-def test_kernel_bitwise_equals_scalar_product(width, n):
-    rng = np.random.default_rng(width * 1000 + n)
-    rp, ci, buf = lanes_last_system(rng, n, width)
-    ens = EnsembleCsrMatrix(rp, ci, buf.T)
-    x = rng.standard_normal((width, n))
-    out = ens.spmv(x)
-    for s in range(width):
-        lane = sp.csr_matrix((np.ascontiguousarray(buf[:, s]), ci, rp), shape=(n, n))
-        assert out[s].tobytes() == lane.dot(x[s]).tobytes()
-    assert not out[:, 3].any()
 
 
 def test_lanes_last_values_share_the_callers_buffer():
@@ -98,16 +71,17 @@ def test_lanes_last_values_share_the_callers_buffer():
 )
 def test_copied_matrix_multiplies_with_its_own_arrays(duplicate):
     rng = np.random.default_rng(9)
-    rp, ci, buf = lanes_last_system(rng, 70, 4)
-    ens = EnsembleCsrMatrix(rp, ci, buf.T)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    ens = EnsembleCsrMatrix.from_scipy_lanes(lanes)
     twin = duplicate(ens)
-    x = rng.standard_normal((4, 70))
-    expected = ens.spmv(x)
+    expected = ensemble_pcg(ens, rhs, tol=1e-12)
     assert twin.values.T.flags.c_contiguous
-    assert not np.shares_memory(twin._scratch, ens._scratch)
+    assert twin.row_offsets.dtype == twin.col_indices.dtype == np.int32
     if not np.shares_memory(twin.values, ens.values):
-        buf[:] = 0.0  # the twin must not read the original's values
-    assert np.array_equal(twin.spmv(x), expected)
+        ens.values[:] = 0.0  # the twin must not read the original's values
+    got = ensemble_pcg(twin, rhs, tol=1e-12)
+    assert got.solution.tobytes() == expected.solution.tobytes()
+    assert np.array_equal(got.iterations_per_lane, expected.iterations_per_lane)
 
 
 def test_kernel_library_is_keyed_by_the_resolved_target(tmp_path, monkeypatch):
@@ -145,17 +119,13 @@ def test_unusable_build_directory_raises_runtime_error(tmp_path):
 
 
 def test_diagonal_extraction():
+    # Jacobi solves a diagonal system in one step, but only with each lane's
+    # own diagonal.
     vals = np.array([[2.0, 5.0, 7.0], [1.0, 9.0, 4.0]])
-    ens = diag_ensemble(vals)
-    assert np.array_equal(ens.diagonal(), vals)
-
-
-def test_repeated_diagonal_entries_are_summed():
-    # Row 0 stores (0, 0) twice; the product, scipy and Jacobi must all see 1 + 2.
-    ens = EnsembleCsrMatrix(np.array([0, 2, 3]), np.array([0, 0, 1]), np.array([[1.0, 2.0, 1.0]]))
-    assert np.array_equal(ens.diagonal(), [[3.0, 1.0]])
-    assert np.array_equal(ens.diagonal()[0], ens.lane(0).diagonal())
-    assert np.array_equal(ens.spmv(np.array([[1.0, 0.0]])), [[3.0, 0.0]])
+    rhs = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    res = ensemble_pcg(diag_ensemble(vals), rhs, tol=1e-12)
+    assert np.array_equal(res.iterations_per_lane, [1, 1])
+    np.testing.assert_allclose(res.solution, rhs / vals, rtol=1e-15)
 
 
 def test_from_scipy_lanes_leaves_the_inputs_unsorted():
@@ -204,10 +174,9 @@ def test_empty_row_offsets_rejected():
                           np.zeros((1, 0)))
 
 
-def test_spmv_shape_checked():
-    ens = diag_ensemble([[1.0, 2.0]])
-    with pytest.raises(EnsembleError):
-        ens.spmv(np.ones((2, 2)))
+def test_rhs_shape_checked():
+    with pytest.raises(EnsembleError, match="rhs has shape"):
+        ensemble_pcg(diag_ensemble([[1.0, 2.0]]), np.ones((2, 2)))
 
 
 def test_jacobi_requires_positive_diagonal():
@@ -218,6 +187,17 @@ def test_jacobi_requires_positive_diagonal():
 def test_nan_diagonal_rejected_up_front():
     with pytest.raises(EnsembleError, match="positive lane diagonals"):
         ensemble_pcg(diag_ensemble([[1.0, 2.0], [1.0, np.nan]]), np.ones((2, 2)))
+
+
+# Row 1 stores nothing, or only its entry in column 0.
+@pytest.mark.parametrize(
+    "offsets, cols", [([0, 1, 1, 2], [0, 2]), ([0, 1, 2, 3], [0, 0, 2])],
+    ids=["empty-row", "no-diagonal-entry"],
+)
+def test_row_without_diagonal_refused(offsets, cols):
+    ens = EnsembleCsrMatrix(np.array(offsets), np.array(cols), np.ones((2, len(cols))))
+    with pytest.raises(EnsembleError, match="positive lane diagonals"):
+        ensemble_pcg(ens, np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -430,13 +410,53 @@ def assert_matches_lockstep(lanes, rhs, **kwargs):
     return res
 
 
-# Specialised widths (1, 4, 16), generic widths around them and past the
+# Specialised widths (1, 4, 16), generic widths around them and around the
 # 32-lane stack accumulator; n crosses the kernel's 64-row tile.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 16, 17, 33])
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
 def test_pcg_bitwise_equals_lockstep_loop(width):
     rng = np.random.default_rng(100 + width)
     lanes, rhs = random_spd_system(rng, 70, width)
     res = assert_matches_lockstep(lanes, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+# The product inside the loop over one and three row tiles (n = 37, 130) on a
+# non-symmetric graph with a one-entry row: four iterations must be bitwise
+# those of the lockstep loop, whose product is scipy's scalar one.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
+@pytest.mark.parametrize("n", [37, 130])
+def test_kernel_bitwise_equals_scalar_product(width, n):
+    rng = np.random.default_rng(width * 1000 + n)
+    rp, ci, buf = lanes_last_system(rng, n, width)
+    lanes = []
+    for s in range(width):
+        off = sp.csr_matrix((buf[:, s].copy(), ci, rp), shape=(n, n))
+        # Dominant enough that the symmetric part is positive definite.
+        weight = abs(off).sum(axis=0).A1 + abs(off).sum(axis=1).A1 + rng.uniform(1.0, 2.0, n)
+        lanes.append((off + sp.diags(weight)).tocsr())
+    assert lanes[0].indptr[4] - lanes[0].indptr[3] == 1
+    assert_matches_lockstep(lanes, rng.standard_normal((width, n)), tol=1e-14, maxit=4)
+
+
+def test_repeated_diagonal_entries_are_summed():
+    # Row 0 stores (0, 0) twice: Jacobi must see 1 + 2, as scipy's product and
+    # diagonal() of the lane do.
+    lane = sp.csr_matrix((np.array([1.0, 2.0, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                         shape=(2, 2))
+    res = assert_matches_lockstep([lane], np.array([[1.0, 1.0]]), tol=1e-12)
+    np.testing.assert_allclose(res.solution, [[1.0 / 3.0, 1.0]], rtol=1e-15)
+    # A random system whose row 5 stores a second copy of its diagonal entry.
+    rng = np.random.default_rng(24)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    indptr = lanes[0].indptr.copy()
+    k = indptr[5] + np.flatnonzero(lanes[0].indices[indptr[5]:indptr[6]] == 5)[0]
+    indptr[6:] += 1
+    doubled = [
+        sp.csr_matrix((np.insert(m.data, k + 1, 0.5), np.insert(m.indices, k + 1, 5), indptr),
+                      shape=m.shape)
+        for m in lanes
+    ]
+    res = assert_matches_lockstep(doubled, rhs, tol=1e-13, maxit=2000)
     assert res.converged_per_lane.all()
 
 

@@ -94,17 +94,17 @@ def test_oracle_puts_remainder_group_last_with_smallest_members():
 
 def test_plan_validation_rejects_mid_padding():
     with pytest.raises(GroupingError):
-        GroupingPlan(0, 2, ((1, 1), (2, 3)), (1, 0), "nat")
+        GroupingPlan(0, 2, ((1, 1), (2, 3)), (1, 0))
 
 
 def test_plan_validation_rejects_wrong_width():
     with pytest.raises(GroupingError):
-        GroupingPlan(0, 3, ((1, 2),), (0,), "nat")
+        GroupingPlan(0, 3, ((1, 2),), (0,))
 
 
 def test_plan_validation_rejects_nonreplica_padding():
     with pytest.raises(GroupingError):
-        GroupingPlan(0, 3, ((1, 2, 9),), (1,), "nat")
+        GroupingPlan(0, 3, ((1, 2, 9),), (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,6 @@ def test_reported_ratios_match_recompute(g1_report):
                 ensemble_size=cfg["S"],
                 ensembles=plan_rec.ensembles,
                 padding=plan_rec.padding,
-                strategy_tag=strat,
             )
             slot_iters = [[iters[i] for i in group] for group in plan_rec.ensembles]
             levels.append((plan, slot_iters))

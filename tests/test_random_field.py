@@ -162,14 +162,6 @@ def test_log_expansion_positive_on_probe_lattice():
     assert (field.eval_a_batch(lattice, samples, mode_vals) > 0).all()
 
 
-def test_eval_a_matches_batch():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=4, a_min=0.05)
-    x = [0.3, 0.7, 0.2]
-    y = [0.5, -0.5, 1.0, 0.0]
-    batch = field.eval_a_batch(np.array([x]), np.array([y]))[0, 0]
-    assert field.eval_a(x, y) == batch
-
-
 @pytest.mark.parametrize("width", [1, 2, 4, 16])
 def test_eval_a_batch_lanes_independent_of_width(width):
     field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
