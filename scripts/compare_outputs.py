@@ -6,9 +6,10 @@ directory on PYTHONPATH, then compares the exit codes, the names of the
 files each run wrote and the bytes of every one of them.  The cases are the
 five presets, the `sg-refine` benchmark unit, a `pde_test1` run whose width
 pads the last ensemble, a `pde_test1` run at width 1 (the kernels' scalar
-path), a `pde_test2` run at the specialised width 16 on a 12^3 mesh, one that
-dumps every ensemble's residual history and one cut off by a low `--maxit`
-(exit 3).  Prints one line per case and exits
+path), a `pde_test2` run at the specialised width 16 on a 12^3 mesh, one at
+width 33 on an 8^3 mesh (past the 32-lane stack accumulator, so every row
+sums through memory), one that dumps every ensemble's residual history and
+one cut off by a low `--maxit` (exit 3).  Prints one line per case and exits
 1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
@@ -33,6 +34,7 @@ CASES = {
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test2-S16": ["--problem", "pde_test2", "--S", "16", "--mesh-cells", "12", "--n-max", "200"],
+    "pde_test2-S33": ["--problem", "pde_test2", "--S", "33", "--mesh-cells", "8", "--n-max", "120"],
     "pde_test1-residuals": ["--problem", "pde_test1", "--mesh-cells", "6", "--n-max", "100",
                             "--dump-residuals"],
     "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",

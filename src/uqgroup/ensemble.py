@@ -11,9 +11,16 @@ read.
 The solver is Jacobi-preconditioned conjugate gradients, the one solver
 whose iterations the study counts: it scales each lane's residual by that
 lane's inverse main diagonal.  The whole solve runs in one kernel call: the
-Jacobi inverse, products, vector updates and convergence bookkeeping.  Its
-product loads each column index once and then does S contiguous
-multiply-adds, summing every lane in the order of a scalar CSR product.
+Jacobi inverse, products, vector updates and convergence bookkeeping.  Before
+the first iteration the call packs the values once, in the same pass over
+the rows as the Jacobi inverse: each row's diagonal and upper entries go to
+consecutive slots, and an entry below the diagonal reads the slot of its
+mirror when the mirror's S lane values are bitwise its own; any other entry
+(a non-symmetric, unsorted or duplicate one) gets a slot of its own.  A
+symmetric matrix, as every stiffness matrix is, thus streams about half its
+values per product.  The product loads each column index once and then does
+S contiguous multiply-adds over the entry's slot, walking every row in
+storage order, so each lane sums in the order of a scalar CSR product.
 Inner products and norms are taken per lane (never summed across lanes)
 with the BLAS ddot that numpy's own `np.dot` calls, looked up at import, so
 the arithmetic seen by lane i is exactly the arithmetic of a scalar numpy
@@ -120,10 +127,11 @@ def _numpy_ddot() -> int:
     return ctypes.cast(ddot, ctypes.c_void_p).value
 
 
-def _load_kernel() -> tuple[Callable[..., int], Callable[..., None], int]:
+def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[..., None]]:
     lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
-    lib.ensemble_spmv_tile_rows.argtypes = []
-    lib.ensemble_spmv_tile_rows.restype = ctypes.c_int64
+    scratch_size = lib.ensemble_pcg_scratch_size
+    scratch_size.argtypes = [ctypes.c_int64] * 3
+    scratch_size.restype = ctypes.c_int64
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
         [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
@@ -133,11 +141,11 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., None], int]:
     assemble = lib.ensemble_assemble
     assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
     assemble.restype = None
-    return pcg, assemble, lib.ensemble_spmv_tile_rows()
+    return pcg, scratch_size, assemble
 
 
 # _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
-_PCG, _ASSEMBLE, _TILE_ROWS = _load_kernel()
+_PCG, _PCG_SCRATCH_SIZE, _ASSEMBLE = _load_kernel()
 _DDOT = _numpy_ddot()
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
@@ -263,9 +271,10 @@ def ensemble_pcg(
     are frozen: alpha and beta are zeroed for them only, their solution stops
     changing, and they no longer block termination.
 
-    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
-    the Jacobi inverse before iteration 1.  With `record_history`, room for
-    maxit + 1 rows of lane residual norms is reserved up front.
+    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which packs
+    the values and forms the Jacobi inverse before iteration 1, in a scratch
+    of at most one slot of S values per nonzero.  With `record_history`,
+    room for maxit + 1 rows of lane residual norms is reserved up front.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
@@ -279,9 +288,10 @@ def ensemble_pcg(
         raise EnsembleError("rhs must be finite")
 
     x = np.zeros((S, n))
-    work = np.empty((5, S, n))  # r, z, p, Ap, inverse diagonal
+    work = np.empty((4, S, n))  # r, Ap (and z), p, inverse diagonal
     work[0] = b
-    scratch = np.empty((n + _TILE_ROWS, S))  # the SpMV's lanes-last x and output tile
+    # the packed values, the SpMV's lanes-last x and output tile, int32 maps
+    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, mat.col_indices.size))
     lane_work = np.empty((3, S))
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)

@@ -69,16 +69,16 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     """The numpy lockstep Jacobi-PCG over all lanes of an ensemble.
 
     Lane s is the scalar CSR matrix `lanes[s]` and right-hand side `rhs[s]`.
-    Each lane's product is scipy's scalar product, each inner product an
-    `np.dot` over that lane's row, and each update one numpy pass over the
-    (S, n) vectors; lanes whose p'Ap falls to the smallest positive normal
-    or below are frozen (alpha and beta zero).  Returns (x, iterations,
-    converged, frozen, history) with the conventions of `LaneSolveResult`;
-    history is a list of (S,) residual norms from iteration 0, or None.
+    Each lane's product is scipy's scalar product, which sums every row in
+    storage order (the lanes are not sorted: an unsorted or duplicate-entry
+    lane is multiplied as stored), each inner product an `np.dot` over that
+    lane's row, and each update one numpy pass over the (S, n) vectors;
+    lanes whose p'Ap falls to the smallest positive normal or below are
+    frozen (alpha and beta zero).  Returns (x, iterations, converged, frozen,
+    history) with the conventions of `LaneSolveResult`; history is a list of
+    (S,) residual norms from iteration 0, or None.
     """
     mats = [sp.csr_matrix(m) for m in lanes]
-    for m in mats:
-        m.sort_indices()
     b = np.array(rhs, dtype=np.float64)
     S = b.shape[0]
 

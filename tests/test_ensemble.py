@@ -19,6 +19,9 @@ from uqgroup import (
     EnsembleCsrMatrix,
     EnsembleError,
     NumericalBreakdownError,
+    StructuredMesh,
+    assemble,
+    build_field,
     ensemble_pcg,
 )
 
@@ -396,10 +399,16 @@ def test_resolved_ddot_equals_np_dot(n):
 
 
 def assert_matches_lockstep(lanes, rhs, **kwargs):
-    res = ensemble_pcg(EnsembleCsrMatrix.from_scipy_lanes(lanes), rhs,
-                       record_history=True, **kwargs)
+    """Solve with `ensemble_pcg` and with `lockstep_pcg`; compare bit for bit.
+
+    `lanes` is a list of scalar CSR matrices, stacked by `from_scipy_lanes`,
+    or an `EnsembleCsrMatrix` taken as built.  The oracle solves the lanes
+    the ensemble stores, in their storage order.
+    """
+    ens = lanes if isinstance(lanes, EnsembleCsrMatrix) else EnsembleCsrMatrix.from_scipy_lanes(lanes)
+    res = ensemble_pcg(ens, rhs, record_history=True, **kwargs)
     x, iterations, converged, frozen, history = lockstep_pcg(
-        lanes, rhs, record_history=True, **kwargs)
+        [ens.lane(s) for s in range(ens.width)], rhs, record_history=True, **kwargs)
     assert res.solution.tobytes() == x.tobytes()
     assert np.array_equal(res.iterations_per_lane, iterations)
     assert np.array_equal(res.converged_per_lane, converged)
@@ -408,6 +417,30 @@ def assert_matches_lockstep(lanes, rhs, **kwargs):
     for got, want in zip(res.residual_history, history):
         assert got.tobytes() == want.tobytes()
     return res
+
+
+def position(lane, row, col):
+    """Storage position of the first (row, col) entry of a CSR matrix."""
+    start = lane.indptr[row]
+    return start + np.flatnonzero(lane.indices[start:lane.indptr[row + 1]] == col)[0]
+
+
+def mirrored_lower_entry(lane, rng):
+    """A stored (i, j) with i > j; the random SPD graphs also store (j, i)."""
+    coo = lane.tocoo()
+    k = rng.choice(np.flatnonzero(coo.row > coo.col))
+    return int(coo.row[k]), int(coo.col[k])
+
+
+def insert_entry(lanes, k, row, col, values):
+    """The lanes with one more entry (row, col) at storage position k, lane s
+    holding values[s]; k must lie in row's range of the shared graph."""
+    indptr = lanes[0].indptr.copy()
+    indptr[row + 1:] += 1
+    return [
+        sp.csr_matrix((np.insert(m.data, k, v), np.insert(m.indices, k, col), indptr), shape=m.shape)
+        for m, v in zip(lanes, values)
+    ]
 
 
 # Specialised widths (1, 4, 16), generic widths around them and around the
@@ -448,14 +481,7 @@ def test_repeated_diagonal_entries_are_summed():
     # A random system whose row 5 stores a second copy of its diagonal entry.
     rng = np.random.default_rng(24)
     lanes, rhs = random_spd_system(rng, 70, 4)
-    indptr = lanes[0].indptr.copy()
-    k = indptr[5] + np.flatnonzero(lanes[0].indices[indptr[5]:indptr[6]] == 5)[0]
-    indptr[6:] += 1
-    doubled = [
-        sp.csr_matrix((np.insert(m.data, k + 1, 0.5), np.insert(m.indices, k + 1, 5), indptr),
-                      shape=m.shape)
-        for m in lanes
-    ]
+    doubled = insert_entry(lanes, position(lanes[0], 5, 5) + 1, 5, 5, [0.5] * 4)
     res = assert_matches_lockstep(doubled, rhs, tol=1e-13, maxit=2000)
     assert res.converged_per_lane.all()
 
@@ -484,3 +510,95 @@ def test_pcg_bitwise_when_cut_off_at_maxit(maxit):
     res = assert_matches_lockstep(lanes, rhs, tol=1e-14, maxit=maxit)
     assert not res.converged_per_lane.any()
     assert np.array_equal(res.iterations_per_lane, [maxit] * 4)
+
+
+# ---------------------------------------------------------------------------
+# the packed values: a lower entry reads its mirror's slot only where the
+# mirror holds bitwise its own values, and gets a slot of its own otherwise
+
+
+# A one-ulp change of one entry is absorbed by the rounding of its row sums
+# in about a third of such solves, so six systems are solved.
+@pytest.mark.parametrize("seed", range(6))
+def test_lower_entry_one_ulp_off_its_mirror_in_one_lane(seed):
+    rng = np.random.default_rng(310 + seed)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    i, j = mirrored_lower_entry(lanes[0], rng)
+    m = lanes[seed % 4]
+    k = position(m, i, j)
+    m.data[k] = np.nextafter(m.data[k], np.inf)
+    assert [(lane != lane.T).nnz for lane in lanes].count(0) == 3
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+def test_mirror_pair_of_opposite_zeros():
+    # +0.0 and -0.0 are equal numbers but not equal bytes: (i, j) keeps its
+    # own slot, and the solve still matches the oracle.
+    rng = np.random.default_rng(32)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    i, j = mirrored_lower_entry(lanes[0], rng)
+    for m in lanes:
+        m.data[position(m, i, j)] = -0.0
+        m.data[position(m, j, i)] = 0.0
+    ens = EnsembleCsrMatrix.from_scipy_lanes(lanes)
+    assert np.signbit(ens.values[:, position(lanes[0], i, j)]).all()
+    res = assert_matches_lockstep(ens, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+def test_unsorted_rows_through_the_raw_constructor():
+    rng = np.random.default_rng(33)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    indptr, indices = lanes[0].indptr, lanes[0].indices
+    order = np.concatenate(
+        [indptr[i] + rng.permutation(indptr[i + 1] - indptr[i]) for i in range(70)]
+    )
+    ens = EnsembleCsrMatrix(indptr, indices[order], np.stack([m.data[order] for m in lanes]))
+    assert not ens.lane(0).has_sorted_indices
+    res = assert_matches_lockstep(ens, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+def test_off_diagonal_entry_stored_twice():
+    # (j, i) and (i, j) each get a second copy of 0.5 right after the first:
+    # the first lower copy reads its mirror's slot, the second does not equal
+    # the copy the cursor stops at and gets its own.  A_ij = A_ji still.
+    rng = np.random.default_rng(34)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    i, j = mirrored_lower_entry(lanes[0], rng)
+    lanes = insert_entry(lanes, position(lanes[0], j, i) + 1, j, i, [0.5] * 4)
+    lanes = insert_entry(lanes, position(lanes[0], i, j) + 1, i, j, [0.5] * 4)
+    res = assert_matches_lockstep(lanes, rhs, tol=1e-13, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+def test_entry_without_a_mirror():
+    # A lower entry (i, j) whose (j, i) is not stored: the cursor of row j
+    # passes column i without a match, and later rows still find theirs.
+    rng = np.random.default_rng(35)
+    lanes, rhs = random_spd_system(rng, 70, 4)
+    dense, indptr = lanes[0].toarray(), lanes[0].indptr
+    i, j = next((i, j) for i in range(35, 70) for j in range(i) if dense[i, j] == 0.0)
+    k = indptr[i] + np.searchsorted(lanes[0].indices[indptr[i]:indptr[i + 1]], j)
+    lanes = insert_entry(lanes, k, i, j, rng.uniform(0.01, 0.02, 4))
+    assert all(m.has_sorted_indices and (m != m.T).nnz == 2 for m in lanes)
+    assert_matches_lockstep(lanes, rhs, tol=1e-13, maxit=2000)
+
+
+# The stiffness matrices of the 27-point mesh graph, whose lanes are bitwise
+# symmetric, at the specialised widths and past the 32-lane stack accumulator.
+@pytest.mark.parametrize("width", [1, 4, 16, 33])
+def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
+    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel")
+    samples = np.random.default_rng(40 + width).uniform(-1.0, 1.0, (width, 4))
+    system = assemble(StructuredMesh(6), field, samples)
+    for s in range(width):
+        lane = system.matrix.lane(s)
+        mirror = lane.T.tocsr()
+        mirror.sort_indices()
+        assert np.array_equal(lane.indices, mirror.indices)
+        assert lane.data.tobytes() == mirror.data.tobytes()
+    res = assert_matches_lockstep(system.matrix, system.rhs, tol=1e-10, maxit=2000)
+    assert res.converged_per_lane.all()
