@@ -2,7 +2,8 @@
 
 `uqgroup run` executes one grouped adaptive-refinement study and writes
 r_table.csv, manifest.json and iterations_by_level.csv into --out-dir;
-`uqgroup table` pretty-prints a previously written manifest.  Flags override
+`uqgroup table` prints a previously written manifest as per-level rows: R_l
+per strategy, executed and useful lane-iterations, and the QoI mean.  Flags override
 keys of the --config document or of the --problem preset.  Exit codes:
 0 when the run stopped on tolerance, 2 when it exhausted the sample budget,
 3 when a lane stopped unconverged (every R is then NaN), 1 on any error (bad
@@ -147,17 +148,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
         strategies = list(cfg["strategies"])
         print(f"problem={cfg['problem']} S={cfg['S']} stop={report.stop_reason} "
               f"samples={report.n_samples_total}")
+        # executed and useful lane-iterations; "-" for analytic runs
+        print("  level  n_samples" + "".join(f"  R({s:>3})" for s in strategies)
+              + "    executed      useful    mean_qoi")
+        for lv in report.levels:
+            by_strat = {p.strategy: p for p in lv.plans}
+            cells = "".join(
+                f"  {by_strat[s].work_ratio:6.3f}" if s in by_strat else "       -"
+                for s in strategies
+            )
+            counts = "".join(f"  {'-' if v is None else v:>10}"
+                             for v in (lv.executed_lane_iterations, lv.useful_lane_iterations))
+            print(f"  {lv.level:5d}  {len(lv.samples):9d}{cells}{counts}  {lv.mean_qoi:10.6g}")
         if strategies:
-            header = "  level  n_samples" + "".join(f"  R({s:>3})" for s in strategies)
-            print(header)
-            for lv in report.levels:
-                by_strat = {p.strategy: p for p in lv.plans}
-                n = len(lv.samples)
-                cells = "".join(
-                    f"  {by_strat[s].work_ratio:6.3f}" if s in by_strat else "       -"
-                    for s in strategies
-                )
-                print(f"  {lv.level:5d}  {n:9d}{cells}")
             total = "".join(f"  {report.work_ratios[s]:6.3f}" for s in strategies)
             print(f"  total           {total}")
             if report.predicted_speedups is not None:

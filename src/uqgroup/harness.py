@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -54,7 +55,7 @@ __all__ = [
     "config_from_dict",
     "analytic_qoi",
     "analytic_iters",
-    "SampleRecord",
+    "LevelSamples",
     "PlanRecord",
     "LevelRecord",
     "RunReport",
@@ -73,6 +74,13 @@ ITER_CHANNEL = "iterations"
 
 # Prefix of the report note that marks a run with unconverged lanes.
 _UNCONVERGED_NOTE = "R and predicted speed-ups set to NaN"
+
+# The layout of manifest.json; `parse_manifest` reads this one only.
+MANIFEST_FORMAT = 2
+
+# Per-level counters of the executed ensembles' lanes (`LevelRecord`).
+_LANE_COUNTERS = ("executed_lane_iterations", "useful_lane_iterations", "spmv_calls",
+                  "frozen_lanes", "unconverged_lanes")
 
 
 class ConfigurationError(ValueError):
@@ -404,12 +412,16 @@ class _PdeProblem:
         plan: GroupingPlan,
         coords_by_id: Mapping[int, np.ndarray],
         residual_sink: Callable[[int, int, list[np.ndarray]], None] | None,
-    ) -> tuple[dict[int, int], dict[int, float], list[str], int]:
-        """Solve every ensemble; also return notes and the count of unconverged lanes."""
+    ) -> tuple[dict[int, int], dict[int, float], list[str], dict[str, int]]:
+        """Solve every ensemble; also return notes and the `_LANE_COUNTERS` of the solves.
+
+        A real lane is the first of its sample in the ensemble; the replicas
+        of a padded ensemble add executed but no useful lane-iterations.
+        """
         iters: dict[int, int] = {}
         qois: dict[int, float] = {}
         notes: list[str] = []
-        unconverged = 0
+        counts = dict.fromkeys(_LANE_COUNTERS, 0)
         record = residual_sink is not None
         for k, group in enumerate(plan.ensembles):
             samples = np.array([coords_by_id[sid] for sid in group])
@@ -430,12 +442,16 @@ class _PdeProblem:
                 if lanes.any():
                     notes.append(f"level {plan.level} ensemble {k}: "
                                  f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
-            unconverged += int(np.count_nonzero(stuck))
+            counts["executed_lane_iterations"] += len(group) * result.ensemble_iterations
+            counts["spmv_calls"] += result.ensemble_iterations
+            counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
+            counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
             for s, sid in enumerate(group):
                 if sid not in iters:
                     iters[sid] = int(result.iterations_per_lane[s])
+                    counts["useful_lane_iterations"] += iters[sid]
                     qois[sid] = qoi(result.solution[s])
-        return iters, qois, notes, unconverged
+        return iters, qois, notes, counts
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +459,27 @@ class _PdeProblem:
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    sample_id: int
-    coords: tuple[float, ...]
-    iterations: float
-    predicted_iterations: float | None
-    indicator: float | None
+class LevelSamples:
+    """One level's samples as columns: entry i of each belongs to the i-th sample.
+
+    Iteration counts are ints for PDE problems and floats for analytic ones.
+    predicted_iterations is None on level 1, before any surrogate exists, and
+    indicator is None for analytic problems.
+    """
+
+    sample_id: tuple[int, ...]
+    coords: tuple[tuple[float, ...], ...]
+    iterations: tuple[float, ...]
+    predicted_iterations: tuple[float, ...] | None
+    indicator: tuple[float, ...] | None
+
+    def __post_init__(self) -> None:
+        columns = (self.coords, self.iterations, self.predicted_iterations, self.indicator)
+        if any(c is not None and len(c) != len(self.sample_id) for c in columns):
+            raise ConfigurationError(f"sample columns of unequal length: not {len(self.sample_id)} entries each")
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
 
 
 @dataclass(frozen=True)
@@ -461,13 +492,28 @@ class PlanRecord:
 
 @dataclass(frozen=True)
 class LevelRecord:
+    """One refinement level.
+
+    mean_qoi is the mean of the QoI surrogate fitted through this level.
+    The lane counters sum over the level's executed ensembles and are None
+    for analytic runs: executed lane-iterations are S times each ensemble's
+    iterations, useful ones those of the real (non-padding) lanes, and
+    spmv_calls the ensembles' iterations.
+    """
+
     level: int
-    samples: tuple[SampleRecord, ...]
+    samples: LevelSamples
     plans: tuple[PlanRecord, ...]
     error_indicator: float
+    mean_qoi: float
     mean_abs_prediction_error: float | None
     max_abs_prediction_error: float | None
     budget_truncated: bool
+    executed_lane_iterations: int | None
+    useful_lane_iterations: int | None
+    spmv_calls: int | None
+    frozen_lanes: int | None
+    unconverged_lanes: int | None
 
 
 @dataclass(frozen=True)
@@ -573,12 +619,13 @@ def adaptive_run(
             ids, S, level
         )
         if config.is_pde:
-            iters, qois, solve_notes, stuck = problem.solve_plan(exec_plan, coords_by_id, sink)
+            iters, qois, solve_notes, counters = problem.solve_plan(exec_plan, coords_by_id, sink)
             notes.extend(solve_notes)
-            unconverged += stuck
+            unconverged += counters["unconverged_lanes"]
         else:
             iters = {sid: float(v) for sid, v in zip(ids, problem.iter_values(coords))}
             qois = {sid: float(v) for sid, v in zip(ids, problem.qoi_values(coords))}
+            counters = dict.fromkeys(_LANE_COUNTERS)
 
         if "its" in config.strategies:
             plans["its"] = group_oracle(ids, iters, S, level)
@@ -602,15 +649,12 @@ def adaptive_run(
             pred_err_mean = float(err.mean())
             pred_err_max = float(err.max())
 
-        samples = tuple(
-            SampleRecord(
-                sample_id=sid,
-                coords=tuple(float(x) for x in coords_by_id[sid]),
-                iterations=iters[sid],
-                predicted_iterations=None if predicted is None else float(predicted[i]),
-                indicator=None if indicator is None else float(indicator[i]),
-            )
-            for i, sid in enumerate(ids)
+        samples = LevelSamples(
+            sample_id=tuple(ids),
+            coords=tuple(map(tuple, coords.tolist())),
+            iterations=tuple(iters[sid] for sid in ids),
+            predicted_iterations=None if predicted is None else tuple(predicted.tolist()),
+            indicator=None if indicator is None else tuple(indicator.tolist()),
         )
         levels.append(
             LevelRecord(
@@ -618,9 +662,11 @@ def adaptive_run(
                 samples=samples,
                 plans=tuple(plan_records),
                 error_indicator=grid.error_indicator(QOI_CHANNEL),
+                mean_qoi=grid.integrate_surrogate(QOI_CHANNEL),
                 mean_abs_prediction_error=pred_err_mean,
                 max_abs_prediction_error=pred_err_max,
                 budget_truncated=truncated_pending,
+                **counters,
             )
         )
 
@@ -693,9 +739,13 @@ def emit_reports(
     """Write the run table CSV, the JSON manifest and the per-level iteration CSV.
 
     Several reports may share one table (e.g. a strategy-by-size study); rows
-    carry per-level ratios first, then one summary row per strategy.  Files
-    contain no timestamps, so identical runs emit identical bytes.  All texts
-    are built first and each file is replaced whole: a failure leaves no partial file.
+    carry per-level ratios first, then one summary row per strategy.  The
+    manifest is `{"format": MANIFEST_FORMAT, "reports": [...]}` on one line
+    (compact separators, then a newline), each report in the `RunReport`
+    schema: a level's samples are one list per column and the grid is
+    `HierGrid.to_json_dict`'s columns.  Files contain no timestamps, so
+    identical runs emit identical bytes.  All texts are built first and each
+    file is replaced whole: a failure leaves no partial file.
     """
     if isinstance(reports, RunReport):
         reports = [reports]
@@ -725,18 +775,18 @@ def emit_reports(
                 [strat, size, "", "", "", "", _fmt(report.work_ratios[strat]), _fmt(speedup)]
             )
 
-    manifest = json.dumps({"reports": [r.to_dict() for r in reports]}, indent=1) + "\n"
+    # Compact separators and no indent keep json on its C encoder.
+    manifest = json.dumps(_dump(_Manifest(MANIFEST_FORMAT, tuple(reports))), separators=(",", ":")) + "\n"
 
     iterations = io.StringIO()
     writer = csv.writer(iterations, lineterminator="\n")
     writer.writerow(["run", "level", "sample_id", "iterations", "predicted_iterations"])
     for run_idx, report in enumerate(reports):
         for lv in report.levels:
-            for s in lv.samples:
-                writer.writerow(
-                    [run_idx, lv.level, s.sample_id, _fmt(s.iterations),
-                     _fmt(s.predicted_iterations)]
-                )
+            s = lv.samples
+            predicted = s.predicted_iterations or itertools.repeat(None)
+            for sid, its, pred in zip(s.sample_id, s.iterations, predicted):
+                writer.writerow([run_idx, lv.level, sid, _fmt(its), _fmt(pred)])
 
     paths = {
         "table": out_dir / "r_table.csv",
@@ -753,6 +803,22 @@ def emit_reports(
     return paths
 
 
+@dataclass(frozen=True)
+class _Manifest:
+    format: int
+    reports: tuple[RunReport, ...]
+
+
 def parse_manifest(path: str | Path) -> list[RunReport]:
+    """The reports of a manifest that `emit_reports` wrote.
+
+    Only format `MANIFEST_FORMAT` is read: any other, or a manifest without a
+    format key (the layout before format 2), raises `ConfigurationError`.
+    """
     doc = json.loads(Path(path).read_text())
-    return [RunReport.from_dict(d) for d in doc["reports"]]
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if type(fmt) is not int or fmt != MANIFEST_FORMAT:
+        raise ConfigurationError(
+            f"{path}: manifest format {fmt!r} is not format {MANIFEST_FORMAT}, the only one this "
+            f"version reads (a manifest with no format key predates format 2)")
+    return list(_load(_Manifest, doc, "manifest").reports)

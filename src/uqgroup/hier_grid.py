@@ -26,7 +26,8 @@ Each node is stored once, as a row of (n, d) level and index arrays, and the
 level-vector index is the only node lookup: the hat sums, refinement and the
 duplicate check of a loaded grid all go through it.  `NodeId` is the
 validated (level, index) pair that `nodes` and `frontier` list and that a
-loaded grid's nodes are checked as.
+loaded grid's nodes are checked as.  The JSON form of a grid is columnar:
+level rows, index rows and one surplus list per channel.
 """
 
 from __future__ import annotations
@@ -499,56 +500,79 @@ class HierGrid:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        columns = {name: [x if math.isfinite(x) else None for x in arr.tolist()]
-                   for name, arr in self._surpluses.items()}
-        rows = zip(self._level.tolist(), self._index.tolist(), self.node_coords().tolist())
-        nodes = [
-            {"level": level, "index": index, "coords": coords,
-             "surpluses": {name: column[p] for name, column in columns.items()}}
-            for p, (level, index, coords) in enumerate(rows)
-        ]
-        return {"dim": self.dim, "domain": [list(d) for d in self.domain], "nodes": nodes}
+        """The grid as a JSON-ready document of columns.
+
+        `level` and `index` hold one row of dim integers per node, in
+        generation order, and `surpluses` one list per channel with null for
+        an unfitted node.  Coordinates are left out: they follow from level
+        and index.
+        """
+        return {
+            "dim": self.dim,
+            "domain": [list(d) for d in self.domain],
+            "level": self._level.tolist(),
+            "index": self._index.tolist(),
+            "surpluses": {name: [x if math.isfinite(x) else None for x in c.tolist()]
+                          for name, c in self._surpluses.items()},
+        }
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "HierGrid":
         """Load a `to_json_dict` document as one cohort; the frontier is every node.
 
-        `dim` and level and index entries must be integers (not bools or
-        floats), domain bounds finite numbers and surpluses finite numbers or
-        null (unfitted); anything else, a node that `NodeId` rejects, one too
-        deep to index or a node given twice raises `GridError`.
+        The document has exactly the keys of `to_json_dict`.  `dim` and the
+        level and index entries must be integers (not bools or floats),
+        domain bounds finite numbers, level and index one row of dim entries
+        per node each, and every surplus column one finite number or null per
+        node.  Anything else, a node that `NodeId` rejects, one too deep to
+        index or a node given twice raises `GridError`.
         """
+        if not isinstance(doc, Mapping) or doc.keys() != _GRID_KEYS:
+            got = sorted(doc) if isinstance(doc, Mapping) else doc
+            raise GridError(f"a grid document has the keys {sorted(_GRID_KEYS)}, got {got!r}")
         dim, domain = doc["dim"], doc["domain"]
         if type(dim) is not int or not all(_is_number(x) for bounds in domain for x in bounds):
             raise GridError(f"dim must be an integer and domain bounds finite numbers, got {dim!r}, {domain!r}")
         grid = cls(dim, [tuple(d) for d in domain])
-        ids = []
-        for n in doc["nodes"]:
-            level, index = tuple(n["level"]), tuple(n["index"])
-            if not all(type(v) is int for v in level + index):
-                raise GridError(f"node level {list(level)} and index {list(index)} must hold integers")
-            if any(l > _KEY_BITS for l in level):  # before NodeId computes 2**l
-                raise GridError(f"level {list(level)} is too deep to index")
-            node = NodeId(level, index)
-            if len(level) != grid.dim:
-                raise GridError(f"node {node} has dim {len(level)}, grid has {grid.dim}")
-            ids.append(node)
-        level = np.array([node.level for node in ids], dtype=np.int64).reshape(-1, grid.dim)
-        index = np.array([node.index for node in ids], dtype=np.int64).reshape(-1, grid.dim)
+        level, index = _int_rows(doc["level"], "level", dim), _int_rows(doc["index"], "index", dim)
+        if len(level) != len(index):
+            raise GridError(f"{len(level)} level rows but {len(index)} index rows")
+        for l, i in zip(level.tolist(), index.tolist()):
+            if max(l) > _KEY_BITS:  # before NodeId computes 2**l; `_append` checks the total
+                raise GridError(f"level {l} is too deep to index")
+            NodeId(tuple(l), tuple(i))
         grid._append(level, index)
         # A node given twice is found at its first position only.
-        twice = np.flatnonzero(grid._find(level, index) != np.arange(len(ids)))
+        twice = np.flatnonzero(grid._find(level, index) != np.arange(len(level)))
         if twice.size:
-            raise GridError(f"duplicate node {ids[twice[0]]}")
-        for p, n in enumerate(doc["nodes"]):
-            for name, val in n.get("surpluses", {}).items():
-                if val is not None and not _is_number(val):
-                    raise GridError(f"surplus {name!r} of node {ids[p]} must be a finite number or null, "
-                                    f"got {val!r}")
-                if name not in grid._surpluses:
-                    grid._surpluses[name] = np.full(len(ids), np.nan)
-                grid._surpluses[name][p] = np.nan if val is None else float(val)
+            p = twice[0]
+            raise GridError(f"duplicate node: level {level[p].tolist()}, index {index[p].tolist()}")
+        columns = doc["surpluses"]
+        if not isinstance(columns, Mapping):
+            raise GridError(f"surpluses must map each channel to a column, got {columns!r}")
+        for name, column in columns.items():
+            if not isinstance(column, list) or len(column) != len(grid):
+                raise GridError(f"surplus column {name!r} must list one value per node ({len(grid)})")
+            bad = [v for v in column if v is not None and not _is_number(v)]
+            if bad:
+                raise GridError(f"surplus {name!r} entries must be finite numbers or null, got {bad[0]!r}")
+            grid._surpluses[name] = np.array([np.nan if v is None else v for v in column], dtype=float)
         return grid
+
+
+_GRID_KEYS = frozenset(("dim", "domain", "level", "index", "surpluses"))
+
+
+def _int_rows(rows, name: str, dim: int) -> np.ndarray:
+    """The (n, dim) int64 array of a loaded grid's level or index rows."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) and len(r) == dim for r in rows):
+        raise GridError(f"{name} must be a list of rows of dim={dim} entries")
+    if not all(type(v) is int for r in rows for v in r):
+        raise GridError(f"{name} rows must hold integers")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+    except OverflowError:  # no node of a level that fits an index key is this large
+        raise GridError(f"a {name} entry overflows int64: too deep to index") from None
 
 
 def _is_number(x) -> bool:

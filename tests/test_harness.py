@@ -13,6 +13,7 @@ from uqgroup import (
     AnalyticConfig,
     ConfigurationError,
     GroupingPlan,
+    HierGrid,
     MeshConfig,
     RunConfig,
     SolverConfig,
@@ -272,17 +273,17 @@ def test_levels_numbered_from_one(g1_report):
 
 
 def test_sample_ids_unique_and_dense(g1_report):
-    ids = [s.sample_id for lv in g1_report.levels for s in lv.samples]
+    ids = [sid for lv in g1_report.levels for sid in lv.samples.sample_id]
     assert ids == list(range(len(ids)))
 
 
 def test_first_level_has_no_predictions(g1_report):
     first = g1_report.levels[0]
     assert first.mean_abs_prediction_error is None
-    assert all(s.predicted_iterations is None for s in first.samples)
+    assert first.samples.predicted_iterations is None
     later = g1_report.levels[1]
     assert later.mean_abs_prediction_error is not None
-    assert all(s.predicted_iterations is not None for s in later.samples)
+    assert len(later.samples.predicted_iterations) == len(later.samples)
 
 
 def test_first_level_ratio_strategy_independent(g1_report):
@@ -324,7 +325,7 @@ def test_prediction_error_mostly_shrinks(g1_report, g2_report):
 def test_reported_ratios_match_recompute(g1_report):
     # rebuild each strategy's R from the stored plans and iteration counts
     iters = {
-        s.sample_id: s.iterations for lv in g1_report.levels for s in lv.samples
+        sid: its for lv in g1_report.levels for sid, its in zip(lv.samples.sample_id, lv.samples.iterations)
     }
     cfg = g1_report.config
     for strat, want in g1_report.work_ratios.items():
@@ -374,8 +375,7 @@ def test_strategy_choice_does_not_change_physics():
     other = adaptive_run(preset_config("analytic_g2", strategies=("its", "sur")))
     assert len(base.levels) == len(other.levels)
     for lv_a, lv_b in zip(base.levels, other.levels):
-        assert [s.coords for s in lv_a.samples] == [s.coords for s in lv_b.samples]
-        assert [s.iterations for s in lv_a.samples] == [s.iterations for s in lv_b.samples]
+        assert lv_a.samples == lv_b.samples
     assert base.grid == other.grid
 
 
@@ -410,14 +410,14 @@ def corner_report():
 def test_corner_run_shape(corner_report):
     assert corner_report.stop_reason == "budget_exhausted"
     assert len(corner_report.levels) == 1
-    coords = [s.coords for s in corner_report.levels[0].samples]
-    assert coords == [(-2.0, -2.0), (-2.0, 2.0), (2.0, -2.0), (2.0, 2.0)]
+    coords = corner_report.levels[0].samples.coords
+    assert coords == ((-2.0, -2.0), (-2.0, 2.0), (2.0, -2.0), (2.0, 2.0))
 
 
 def test_corner_run_hand_ratio(corner_report):
-    pts = np.array([s.coords for s in corner_report.levels[0].samples])
-    profile = analytic_iters(pts, a1=1.0, a2=1.0, u1=1.0, u2=1.0)
-    got = {s.sample_id: s.iterations for s in corner_report.levels[0].samples}
+    samples = corner_report.levels[0].samples
+    profile = analytic_iters(np.array(samples.coords), a1=1.0, a2=1.0, u1=1.0, u2=1.0)
+    got = dict(zip(samples.sample_id, samples.iterations))
     assert got == {i: profile[i] for i in range(4)}
     # natural chunks: (0,1) and (2,3); width 2 => cost 2*(max per group)
     hand = 2.0 * (max(profile[0], profile[1]) + max(profile[2], profile[3]))
@@ -444,8 +444,12 @@ def test_report_dict_round_trip(corner_report):
 
 def test_report_from_dict_rejects_unknown_and_missing_keys(corner_report):
     doc = corner_report.to_dict()
-    doc["levels"][0]["samples"][0]["iters"] = 3
-    with pytest.raises(ConfigurationError, match=r"levels\[0\]\.samples\[0\].*'iters'"):
+    doc["levels"][0]["samples"]["iters"] = [3, 3, 3, 3]
+    with pytest.raises(ConfigurationError, match=r"levels\[0\]\.samples.*'iters'"):
+        RunReport.from_dict(doc)
+    doc = corner_report.to_dict()
+    doc["levels"][0]["samples"]["iterations"].pop()
+    with pytest.raises(ConfigurationError, match="unequal length"):
         RunReport.from_dict(doc)
     doc = corner_report.to_dict()
     del doc["levels"][0]["plans"][0]["R_l"]
@@ -486,7 +490,7 @@ def test_iterations_csv_layout(tmp_path, corner_report):
     assert len(lines) == 1 + corner_report.n_samples_total
     first = lines[1].split(",")
     assert first[:3] == ["0", "1", "0"]
-    assert float(first[3]) == corner_report.levels[0].samples[0].iterations
+    assert float(first[3]) == corner_report.levels[0].samples.iterations[0]
     assert first[4] == ""  # no prediction on the first level
 
 
@@ -510,7 +514,107 @@ def test_emit_is_deterministic(tmp_path, corner_report):
 def test_manifest_format(tmp_path, corner_report):
     paths = emit_reports(corner_report, tmp_path)
     text = paths["manifest"].read_text()
-    assert text == json.dumps({"reports": [corner_report.to_dict()]}, indent=1) + "\n"
+    doc = {"format": 2, "reports": [corner_report.to_dict()]}
+    assert text == json.dumps(doc, separators=(",", ":")) + "\n"
+    assert text.count("\n") == 1
+    samples = json.loads(text)["reports"][0]["levels"][0]["samples"]
+    assert samples["sample_id"] == [0, 1, 2, 3] and samples["indicator"] is None
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types through dataclasses and containers, NaN equal to NaN."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def pde_report():
+    # width 5 pads the last ensemble of both levels (48 and 52 samples)
+    return adaptive_run(preset_config("pde_test1", ensemble_size=5, n_max=100, mesh=MeshConfig(mesh_cells=4)))
+
+
+@pytest.fixture(scope="module")
+def capped_report():
+    return adaptive_run(_small_pde_config(solver=SolverConfig(maxit=3), base_curve=((4, 2.72),)))
+
+
+@pytest.mark.parametrize("name", ["corner_report", "g1_report", "pde_report", "capped_report"])
+def test_manifest_round_trip_restores_the_report(tmp_path, request, name):
+    report = request.getfixturevalue(name)
+    back = parse_manifest(emit_reports(report, tmp_path)["manifest"])
+    assert len(back) == 1 and _same(back[0], report)
+    if name == "capped_report":
+        assert math.isnan(back[0].work_ratios["nat"]) and back[0].levels[0].unconverged_lanes > 0
+    else:
+        assert back[0] == report
+    # PDE iteration counts stay ints, analytic ones floats
+    want = float if report.config["problem"].startswith("analytic") else int
+    assert {type(v) for lv in back[0].levels for v in lv.samples.iterations} == {want}
+
+
+def test_lane_counters_agree_with_the_accounting(pde_report):
+    assert pde_report.all_lanes_converged and len(pde_report.levels) == 2
+    S = pde_report.config["S"]
+    for lv in pde_report.levels:
+        # the executed plan is "sur", which is generation order on level 1
+        executed_plan = next(p for p in lv.plans if p.strategy == "sur")
+        assert sum(executed_plan.padding) > 0
+        assert lv.executed_lane_iterations / lv.useful_lane_iterations == executed_plan.work_ratio
+        assert lv.useful_lane_iterations == sum(lv.samples.iterations)
+        assert lv.executed_lane_iterations == S * lv.spmv_calls
+        assert lv.frozen_lanes == lv.unconverged_lanes == 0
+    assert pde_report.levels[1].executed_lane_iterations > pde_report.levels[1].useful_lane_iterations
+
+
+def test_capped_run_counts_its_unconverged_lanes(capped_report):
+    lv = capped_report.levels[0]
+    assert lv.spmv_calls == 3 * len(next(p for p in lv.plans if p.strategy == "nat").ensembles)
+    assert lv.unconverged_lanes == lv.executed_lane_iterations // 3
+
+
+def test_analytic_levels_carry_no_lane_counters(g1_report):
+    for lv in g1_report.levels:
+        assert all(getattr(lv, name) is None for name in harness._LANE_COUNTERS)
+
+
+def test_mean_qoi_is_the_surrogate_mean_through_each_level(g1_report):
+    doc, n = g1_report.grid, 0
+    for lv in g1_report.levels:
+        n += len(lv.samples)
+        # surpluses of a fitted cohort do not change later: the grid's first n nodes
+        prefix = {**doc, "level": doc["level"][:n], "index": doc["index"][:n],
+                  "surpluses": {"qoi": doc["surpluses"]["qoi"][:n]}}
+        assert lv.mean_qoi == HierGrid.from_json_dict(prefix).integrate_surrogate("qoi")
+
+
+@pytest.mark.parametrize(
+    "top, match",
+    [({}, "format None is not format 2"), ({"format": 1}, "format 1 is not"),
+     ({"format": 3}, "format 3 is not"), ({"format": "2"}, "format '2' is not"),
+     ({"format": 2.0}, "format 2.0 is not")],
+    ids=["no-format-key", "format-1", "format-3", "string-format", "float-format"],
+)
+def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, match):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**top, "reports": [corner_report.to_dict()]}, indent=1) + "\n")
+    with pytest.raises(ConfigurationError, match=match):
+        parse_manifest(path)
+
+
+def test_parse_manifest_rejects_unknown_top_level_keys(tmp_path, corner_report):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"format": 2, "reports": [corner_report.to_dict()], "extra": 1}))
+    with pytest.raises(ConfigurationError, match="'extra'"):
+        parse_manifest(path)
 
 
 def _snapshot(directory):
@@ -653,6 +757,27 @@ def test_cli_table(tmp_path, capsys):
     assert cli_main(["table", "--out-dir", str(out)]) == 0
     text = capsys.readouterr().out
     assert "problem=analytic_g2" in text and "total" in text
+    # analytic runs have no lane counters
+    assert text.splitlines()[2].split()[-3:-1] == ["-", "-"]
+
+
+def test_cli_table_prints_lane_counters_and_mean_qoi(tmp_path, capsys, pde_report):
+    emit_reports(pde_report, tmp_path)
+    assert cli_main(["table", "--out-dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split()[-3:] == ["executed", "useful", "mean_qoi"]
+    for lv, line in zip(pde_report.levels, lines[2:]):
+        cells = line.split()
+        assert cells[0] == str(lv.level)
+        assert cells[-3:] == [str(lv.executed_lane_iterations), str(lv.useful_lane_iterations),
+                              f"{lv.mean_qoi:.6g}"]
+
+
+def test_cli_table_refuses_an_old_manifest(tmp_path, capsys, corner_report):
+    # the layout before format 2: no format key, indented
+    (tmp_path / "manifest.json").write_text(json.dumps({"reports": [corner_report.to_dict()]}, indent=1))
+    assert cli_main(["table", "--out-dir", str(tmp_path)]) == 1
+    assert "manifest format None is not format 2" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):

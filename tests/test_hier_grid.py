@@ -1,5 +1,7 @@
 """Hierarchical sparse grid: basis, surpluses, refinement, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,10 +50,15 @@ def test_node_validation():
         NodeId((1, 1), (1,))  # mismatched lengths
 
 
+def grid_doc(nodes, dim=1, **surpluses):
+    """A grid document of (level, index) list pairs on the canonical cube."""
+    return {"dim": dim, "domain": [[-1.0, 1.0]] * dim, "level": [l for l, _ in nodes],
+            "index": [i for _, i in nodes], "surpluses": surpluses}
+
+
 def loaded(nodes, dim=1):
     """A grid loaded from (level, index) list pairs, on the canonical cube."""
-    return HierGrid.from_json_dict({"dim": dim, "domain": [[-1.0, 1.0]] * dim,
-                                    "nodes": [{"level": l, "index": i} for l, i in nodes]})
+    return HierGrid.from_json_dict(grid_doc(nodes, dim))
 
 
 def test_canonical_coords():
@@ -336,9 +343,7 @@ def test_refine_reloaded_grid_matches_oracle():
 
 def test_refused_refinement_leaves_grid_unchanged():
     # (61, 1) fits an index key in 1D, its children (62, 1), (62, 3) do not.
-    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [
-        {"level": [0], "index": [0]}, {"level": [0], "index": [1]}, {"level": [61], "index": [1]}]}
-    g = HierGrid.from_json_dict(doc)
+    g = loaded([([0], [0]), ([0], [1]), ([61], [1])])
     g.compute_surpluses({"q": [1.0, 2.0, 5.0]})
     before = (len(g), g.frontier, g.node_coords(), g.surpluses("q"))
     with pytest.raises(GridError, match="too deep"):
@@ -397,14 +402,32 @@ def test_json_round_trip_preserves_nodes_and_surpluses():
     assert back.to_json_dict() == doc
 
 
+def test_json_document_is_columnar_and_reloads_bitwise():
+    g = HierGrid(3, domain=[(0.0, 1.0), (-2.0, 5.0), (-1.0, 1.0)])
+    g.add_initial_levels(2)
+    y = g.node_coords()
+    g.compute_surpluses({"q": np.sin(y[:, 0] + 2.0 * y[:, 1]) * y[:, 2], "p": np.cos(y[:, 0])})
+    assert g.refine(RefinementPolicy(tau=1e-2, channel="q")).n_new  # an unfitted frontier: nulls
+    doc = g.to_json_dict()
+    assert list(doc) == ["dim", "domain", "level", "index", "surpluses"]
+    assert np.array_equal(np.array(doc["level"]), g._level) and np.array_equal(np.array(doc["index"]), g._index)
+    assert all(type(v) is int for rows in (doc["level"], doc["index"]) for row in rows for v in row)
+    assert doc["surpluses"]["q"][-1] is None and None not in doc["surpluses"]["q"][: len(g) - len(g.frontier)]
+    back = HierGrid.from_json_dict(json.loads(json.dumps(doc)))
+    assert np.array_equal(back._level, g._level) and np.array_equal(back._index, g._index)
+    assert back._level.dtype == back._index.dtype == np.int64
+    for ch in g.channels:
+        assert np.array_equal(back.surpluses(ch), g.surpluses(ch), equal_nan=True)
+    assert np.array_equal(back.node_coords(), g.node_coords())
+
+
 @pytest.mark.parametrize(
     "level, index, match",
     [([0], [1], "duplicate"), ([0, 1], [1, 1], "dim"), ([2], [2], "odd"), ([0], [2], "level-0")],
     ids=["repeats-the-first-node", "level-list-longer-than-dim", "even-index", "level-0-index-2"],
 )
 def test_from_json_dict_rejects_bad_nodes(level, index, match):
-    doc = {"dim": 1, "domain": [[-1.0, 1.0]],
-           "nodes": [{"level": [0], "index": [1]}, {"level": level, "index": index}]}
+    doc = grid_doc([([0], [1]), (level, index)])
     with pytest.raises(GridError, match=match):
         HierGrid.from_json_dict(doc)
 
@@ -421,7 +444,9 @@ def test_from_json_dict_rejects_bad_nodes(level, index, match):
          "string-surplus", "infinite-surplus", "nan-surplus", "bool-surplus"],
 )
 def test_from_json_dict_rejects_bad_entries(node):
-    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [{"level": [0], "index": [1]}, node]}
+    # the node's surplus is the second entry of its channel's column
+    columns = {name: [0.5, v] for name, v in node.get("surpluses", {}).items()}
+    doc = grid_doc([([0], [1]), (node["level"], node["index"])], **columns)
     with pytest.raises(GridError, match="integers|finite number"):
         HierGrid.from_json_dict(doc)
 
@@ -432,20 +457,46 @@ def test_from_json_dict_rejects_bad_entries(node):
     ids=["float-dim", "bool-dim", "string-bound", "infinite-bound"],
 )
 def test_from_json_dict_rejects_bad_dim_or_domain(dim, domain):
+    doc = {**grid_doc([([0], [1])]), "dim": dim, "domain": domain}
     with pytest.raises(GridError, match="dim must be an integer"):
-        HierGrid.from_json_dict({"dim": dim, "domain": domain, "nodes": [{"level": [0], "index": [1]}]})
+        HierGrid.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "patch, match",
+    [({"level": [[0], [0], [1]]}, "3 level rows but 2 index rows"),
+     ({"index": [[0]]}, "2 level rows but 1 index rows"),
+     ({"surpluses": {"q": [1.0]}}, "one value per node"),
+     ({"surpluses": {"q": [1.0, 2.0, 3.0]}}, "one value per node"),
+     ({"surpluses": {"q": 1.0}}, "one value per node"),
+     ({"surpluses": [[1.0, 2.0]]}, "map each channel"),
+     ({"level": [0, 0]}, "rows of dim=1"),
+     ({"index": [[0], [2**70]]}, "overflows int64")],
+    ids=["more-level-rows", "fewer-index-rows", "short-surplus-column", "long-surplus-column",
+         "scalar-surplus-column", "surplus-list", "flat-level", "huge-index"],
+)
+def test_from_json_dict_rejects_mismatched_columns(patch, match):
+    doc = {**grid_doc([([0], [0]), ([0], [1])]), **patch}
+    with pytest.raises(GridError, match=match):
+        HierGrid.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("keys", [{"nodes": []}, {}], ids=["node-list-layout", "no-columns"])
+def test_from_json_dict_needs_exactly_the_columnar_keys(keys):
+    doc = {"dim": 1, "domain": [[-1.0, 1.0]], **keys}
+    with pytest.raises(GridError, match="keys"):
+        HierGrid.from_json_dict(doc)
+    with pytest.raises(GridError, match="keys"):
+        HierGrid.from_json_dict({**grid_doc([([0], [1])]), **keys, "extra": 1})
 
 
 def test_from_json_dict_accepts_null_and_integral_surpluses():
-    doc = {"dim": 1, "domain": [[-1.0, 1.0]], "nodes": [
-        {"level": [0], "index": [0], "surpluses": {"q": 2}}, {"level": [0], "index": [1], "surpluses": {"q": None}}]}
+    doc = grid_doc([([0], [0]), ([0], [1])], q=[2, None])
     c = HierGrid.from_json_dict(doc).surpluses("q")
     assert c[0] == 2.0 and np.isnan(c[1])
 
 
 def test_round_trip_through_json_text():
-    import json
-
     g = HierGrid(2, domain=[(-2.0, 2.0), (-2.0, 2.0)])
     g.add_initial_levels(2)
     fit(g, "q", lambda y: y[0] * y[1])

@@ -166,14 +166,17 @@ def test_fit_rejects_non_finite_values_before_writing(bad):
 
 def test_node_too_deep_to_index_rejected():
     doc = {"dim": 2, "domain": [[-1.0, 1.0], [-1.0, 1.0]],
-           "nodes": [{"level": [40, 40], "index": [1, 1]}]}
+           "level": [[40, 40]], "index": [[1, 1]], "surpluses": {}}
     with pytest.raises(GridError, match="too deep"):
         HierGrid.from_json_dict(doc)
     # refused before the index range check, which would compute 2**(2**64)
-    doc["nodes"] = [{"level": [2**64, 0], "index": [1, 1]}]
+    doc["level"] = [[2**64, 0]]
     with pytest.raises(GridError, match="too deep"):
         HierGrid.from_json_dict(doc)
-    doc["nodes"] = [{"level": [0, 60], "index": [1, 2**60 - 1]}]  # total level 62 - d
+    doc["level"] = [[63, 0]]  # fits int64, but 2**63 does not
+    with pytest.raises(GridError, match="too deep"):
+        HierGrid.from_json_dict(doc)
+    doc["level"], doc["index"] = [[0, 60]], [[1, 2**60 - 1]]  # total level 62 - d
     g = HierGrid.from_json_dict(doc)
     g.compute_surpluses({"q": [2.0]})
     assert g.eval_many("q", g.node_coords()).tolist() == [2.0]
