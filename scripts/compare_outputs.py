@@ -8,9 +8,11 @@ five presets, the `sg-refine` benchmark unit, a `pde_test1` run whose width
 pads the last ensemble, a `pde_test1` run at width 1 (the kernels' scalar
 path), a `pde_test2` run at the specialised width 16 on a 12^3 mesh, one at
 width 33 on an 8^3 mesh (past the 32-lane stack accumulator, so every row
-sums through memory), one that dumps every ensemble's residual history and
-one cut off by a low `--maxit` (exit 3).  Prints one line per case and exits
-1 on any difference.
+sums through memory), one at width 8 on the preset's 16^3 mesh (many
+ensembles per level through the solve pool, at a width with no specialised
+kernel copy), one that dumps every ensemble's residual history and one cut
+off by a low `--maxit` (exit 3).  Prints one line per case and exits 1 on
+any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -35,6 +37,7 @@ CASES = {
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test2-S16": ["--problem", "pde_test2", "--S", "16", "--mesh-cells", "12", "--n-max", "200"],
     "pde_test2-S33": ["--problem", "pde_test2", "--S", "33", "--mesh-cells", "8", "--n-max", "120"],
+    "pde_test2-S8": ["--problem", "pde_test2", "--S", "8"],
     "pde_test1-residuals": ["--problem", "pde_test1", "--mesh-cells", "6", "--n-max", "100",
                             "--dump-residuals"],
     "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",

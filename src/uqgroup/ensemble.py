@@ -33,6 +33,15 @@ residual dropped below the tolerance.  Lanes whose A-conjugate norm p'Ap
 underflows to zero (which happens after a lane has converged far beyond
 machine precision) are frozen: their update coefficients are forced to zero
 so their solutions never change while the remaining lanes continue.
+
+The kernels touch no Python object and write only buffers their caller
+passes in, so the library is loaded with `ctypes.CDLL`, which releases the
+GIL for the length of each call: solves and assemblies on distinct buffers
+may run concurrently from several threads (the harness solves a level's
+ensembles that way).  Each call's arithmetic is the same whichever thread
+runs it.  numpy's OpenBLAS ddot is re-entrant, but it splits vectors longer
+than 10,000 entries across its own threads, so for such vectors its rounding
+depends on `OPENBLAS_NUM_THREADS`, never on the calling thread.
 """
 
 from __future__ import annotations
@@ -128,7 +137,8 @@ def _numpy_ddot() -> int:
 
 
 def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[..., None]]:
-    lib = ctypes.PyDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
+    # CDLL, not PyDLL: a call releases the GIL (see the module docstring).
+    lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
     scratch_size = lib.ensemble_pcg_scratch_size
     scratch_size.argtypes = [ctypes.c_int64] * 3
     scratch_size.restype = ctypes.c_int64
@@ -275,6 +285,8 @@ def ensemble_pcg(
     the values and forms the Jacobi inverse before iteration 1, in a scratch
     of at most one slot of S values per nonzero.  With `record_history`,
     room for maxit + 1 rows of lane residual norms is reserved up front.
+    Every buffer the call writes is allocated here, and the call releases
+    the GIL, so solves in several threads run concurrently.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")

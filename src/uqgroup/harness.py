@@ -25,6 +25,7 @@ import math
 import os
 import types
 import typing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -415,6 +416,15 @@ class _PdeProblem:
     ) -> tuple[dict[int, int], dict[int, float], list[str], dict[str, int]]:
         """Solve every ensemble; also return notes and the `_LANE_COUNTERS` of the solves.
 
+        The ensembles are independent, so each one's assembly and solve run
+        in a thread pool with a worker per CPU of the process's affinity (at
+        most one per ensemble); the compiled kernels release the GIL.  The
+        results are handled one by one in plan order as they arrive, so the
+        residual sink calls, notes, counters and dict orders are those of a
+        serial loop, and every output is independent of the worker count.
+        The first failing ensemble in plan order raises, and the ensembles
+        not yet started are cancelled.
+
         A real lane is the first of its sample in the ensemble; the replicas
         of a padded ensemble add executed but no useful lane-iterations.
         """
@@ -423,34 +433,43 @@ class _PdeProblem:
         notes: list[str] = []
         counts = dict.fromkeys(_LANE_COUNTERS, 0)
         record = residual_sink is not None
-        for k, group in enumerate(plan.ensembles):
+
+        def solve(group: Sequence[int]):
             samples = np.array([coords_by_id[sid] for sid in group])
             system = assemble(self.mesh, self.field, samples, self.mode_vals)
-            result = ensemble_pcg(
+            return ensemble_pcg(
                 system.matrix,
                 system.rhs,
                 tol=self.config.solver.tol,
                 maxit=self.config.solver.maxit,
                 record_history=record,
             )
-            if record:
-                residual_sink(plan.level, k, result.residual_history)
-            stuck = ~result.converged_per_lane
-            capped = f"hit maxit ({self.config.solver.maxit})"
-            for lanes, how in ((stuck & ~result.frozen_lanes, capped),
-                               (stuck & result.frozen_lanes, "froze")):
-                if lanes.any():
-                    notes.append(f"level {plan.level} ensemble {k}: "
-                                 f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
-            counts["executed_lane_iterations"] += len(group) * result.ensemble_iterations
-            counts["spmv_calls"] += result.ensemble_iterations
-            counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
-            counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
-            for s, sid in enumerate(group):
-                if sid not in iters:
-                    iters[sid] = int(result.iterations_per_lane[s])
-                    counts["useful_lane_iterations"] += iters[sid]
-                    qois[sid] = qoi(result.solution[s])
+
+        workers = min(len(os.sched_getaffinity(0)), len(plan.ensembles))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            results = pool.map(solve, plan.ensembles)
+            for k, (group, result) in enumerate(zip(plan.ensembles, results)):
+                if record:
+                    residual_sink(plan.level, k, result.residual_history)
+                stuck = ~result.converged_per_lane
+                capped = f"hit maxit ({self.config.solver.maxit})"
+                for lanes, how in ((stuck & ~result.frozen_lanes, capped),
+                                   (stuck & result.frozen_lanes, "froze")):
+                    if lanes.any():
+                        notes.append(f"level {plan.level} ensemble {k}: "
+                                     f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
+                counts["executed_lane_iterations"] += len(group) * result.ensemble_iterations
+                counts["spmv_calls"] += result.ensemble_iterations
+                counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
+                counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
+                for s, sid in enumerate(group):
+                    if sid not in iters:
+                        iters[sid] = int(result.iterations_per_lane[s])
+                        counts["useful_lane_iterations"] += iters[sid]
+                        qois[sid] = qoi(result.solution[s])
+        finally:
+            pool.shutdown(cancel_futures=True)
         return iters, qois, notes, counts
 
 

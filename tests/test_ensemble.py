@@ -9,6 +9,9 @@ bit-identical.
 import copy
 import ctypes
 import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -602,3 +605,47 @@ def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
         assert lane.data.tobytes() == mirror.data.tobytes()
     res = assert_matches_lockstep(system.matrix, system.rhs, tol=1e-10, maxit=2000)
     assert res.converged_per_lane.all()
+
+
+def _outcome(system):
+    """Bytes of everything a solve returns, for bitwise comparison."""
+    res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, record_history=True)
+    return (system.matrix.values.tobytes(), res.solution.tobytes(),
+            res.iterations_per_lane.tobytes(), res.converged_per_lane.tobytes(),
+            res.frozen_lanes.tobytes(), np.array(res.residual_history).tobytes())
+
+
+def test_kernels_release_the_gil():
+    for kernel in (ensemble_module._PCG, ensemble_module._ASSEMBLE):
+        assert not kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_concurrent_solves_bitwise_equal_sequential_ones():
+    # Two threads each assemble and solve their own samples repeatedly, at
+    # the scalar, a specialised and a generic width, while the other thread's
+    # kernels run on other buffers.
+    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel")
+    mesh = StructuredMesh(10)
+    rng = np.random.default_rng(77)
+    jobs = [[rng.uniform(-1.0, 1.0, (width, 4)) for width in (1, 4, 7)] for _ in range(2)]
+
+    def run(samples):
+        return _outcome(assemble(mesh, field, samples, field.mode_values(mesh.quad_points)))
+
+    want = [[run(samples) for samples in thread_jobs] for thread_jobs in jobs]
+    start = threading.Barrier(2, timeout=60)
+
+    def worker(thread_jobs):
+        start.wait()
+        return [[run(samples) for samples in thread_jobs] for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often between kernel calls
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(worker, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for thread_want, thread_got in zip(want, got):
+        assert all(rounds == thread_want for rounds in thread_got)

@@ -5,6 +5,9 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from uqgroup import (
     GroupingPlan,
     HierGrid,
     MeshConfig,
+    NumericalBreakdownError,
     RunConfig,
     SolverConfig,
     adaptive_run,
@@ -23,7 +27,7 @@ from uqgroup import (
     parse_manifest,
     preset_config,
 )
-from uqgroup import harness
+from uqgroup import cli, harness
 from uqgroup.harness import (
     RunReport,
     analytic_iters,
@@ -723,6 +727,91 @@ def test_residual_sink_needs_flag():
     cfg = dataclasses.replace(cfg, mesh=dataclasses.replace(cfg.mesh, mesh_cells=4))
     adaptive_run(cfg, residual_sink=lambda *a: calls.append(a))
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# concurrent ensemble solves
+# ---------------------------------------------------------------------------
+
+
+def _run_on_cpus(monkeypatch, n_cpus, out_dir):
+    """One CLI run in a process that sees n_cpus CPUs; returns the exit code,
+    the worker count of each level's pool and the residual sink's calls."""
+    pools, calls = [], []
+
+    class Pool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def run(config, residual_sink=None):
+        def sink(level, k, history):
+            calls.append((level, k))
+            residual_sink(level, k, history)
+        return adaptive_run(config, residual_sink=sink)
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "adaptive_run", run)
+    # width 5 pads the last ensemble of both levels (48 and 52 samples)
+    code = cli_main(["run", "--problem", "pde_test1", "--mesh-cells", "4", "--S", "5",
+                     "--n-max", "100", "--dump-residuals", "--out-dir", str(out_dir)])
+    return code, pools, calls
+
+
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    one = _run_on_cpus(monkeypatch, 1, tmp_path / "one")
+    four = _run_on_cpus(monkeypatch, 4, tmp_path / "four")
+    capsys.readouterr()
+    assert one[0] == four[0] == 2
+    assert one[1] == [1, 1] and four[1] == [4, 4]
+    # the sink sees each level's ensembles in plan order, whatever finished first
+    assert one[2] == four[2] == [(1, k) for k in range(10)] + [(2, k) for k in range(11)]
+    files = _snapshot(tmp_path / "one")
+    assert len([name for name in files if name.startswith("residuals_")]) == 21
+    assert {"manifest.json", "r_table.csv", "iterations_by_level.csv"} <= set(files)
+    assert _snapshot(tmp_path / "four") == files
+
+
+@pytest.mark.parametrize("where", ["solve", "sink"])
+def test_a_failed_level_raises_its_first_error_in_plan_order_and_stops(monkeypatch, where):
+    cfg = _small_pde_config(ensemble_size=2, strategies=("nat",), dump_residuals=where == "sink")
+    # level 1 is solved in generation order: group k holds nodes 2k and 2k + 1
+    grid = HierGrid(cfg.n_dims, domain=((-1.0, 1.0),) * cfg.n_dims)
+    n_groups = grid.add_initial_levels(cfg.initial_level) // 2
+    group_of = {tuple(y): k for k, y in enumerate(grid.node_coords()[::2])}
+    local, later = threading.local(), []
+    real_assemble, real_pcg = harness.assemble, harness.ensemble_pcg
+
+    def assemble(mesh, field, samples, mode_vals):
+        local.group = group_of[tuple(samples[0])]
+        return real_assemble(mesh, field, samples, mode_vals)
+
+    def ensemble_pcg(matrix, rhs, **kwargs):
+        k = local.group
+        if where == "solve" and k in (2, 4):
+            if k == 2:
+                time.sleep(0.1)  # the fifth group fails first on the clock
+            raise NumericalBreakdownError(f"group {k}")
+        if k > 4:
+            later.append(k)
+            time.sleep(0.02)
+        return real_pcg(matrix, rhs, **kwargs)
+
+    def sink(level, k, history):
+        if k == 2:
+            raise OSError(f"disk full at group {k}")
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harness, "assemble", assemble)
+    monkeypatch.setattr(harness, "ensemble_pcg", ensemble_pcg)
+    threads = threading.active_count()
+    error = NumericalBreakdownError if where == "solve" else OSError
+    with pytest.raises(error, match="group 2"):
+        adaptive_run(cfg, residual_sink=sink)
+    assert threading.active_count() == threads
+    # the groups not started when the failure surfaced were cancelled
+    assert n_groups == 24 and len(later) < n_groups - 5
 
 
 # ---------------------------------------------------------------------------
