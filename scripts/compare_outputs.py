@@ -10,9 +10,11 @@ path), a `pde_test2` run at the specialised width 16 on a 12^3 mesh, one at
 width 33 on an 8^3 mesh (past the 32-lane stack accumulator, so every row
 sums through memory), one at width 8 on the preset's 16^3 mesh (many
 ensembles per level through the solve pool, at a width with no specialised
-kernel copy), one that dumps every ensemble's residual history and one cut
-off by a low `--maxit` (exit 3).  Prints one line per case and exits 1 on
-any difference.
+kernel copy), one that dumps every ensemble's residual history, one cut
+off by a low `--maxit` (exit 3), and one whose only level is one width-16
+ensemble on a 32^3 mesh (12 M lane-nonzeros, so on a machine of two or more
+CPUs its solve runs on a thread team).  Prints one line per case and exits
+1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -42,6 +44,8 @@ CASES = {
                             "--dump-residuals"],
     "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",
                           "--n-max", "100"],
+    "pde_test1-S16-32cube": ["--problem", "pde_test1", "--S", "16", "--mesh-cells", "32",
+                             "--initial-level", "0", "--n-max", "16"],
 }
 
 

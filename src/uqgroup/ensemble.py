@@ -42,6 +42,17 @@ ensembles that way).  Each call's arithmetic is the same whichever thread
 runs it.  numpy's OpenBLAS ddot is re-entrant, but it splits vectors longer
 than 10,000 entries across its own threads, so for such vectors its rounding
 depends on `OPENBLAS_NUM_THREADS`, never on the calling thread.
+
+A wide solve also runs on several threads itself.  After the serial pack,
+its iterations run on a team of pthreads: each member forms the product
+rows of its block of 64-row tiles (cut to hold about equal nonzeros) and
+does the updates, dots and convergence bookkeeping of its block of lanes,
+with a blocking barrier after each of the four steps of an iteration.  Every
+row sum and every lane's dot is computed by one member, in the order a
+single thread uses, so every output is bitwise independent of the team
+size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
+most one per tile and at most `threads`: below that the barriers cost what
+the split saves.
 """
 
 from __future__ import annotations
@@ -81,7 +92,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_spmv.c")
 _BUILD_DIR = Path(__file__).with_name("_build")
 # -ffp-contract=off keeps every lane's multiply and add separately rounded,
 # as in scipy's scalar product and numpy's elementwise arithmetic.
-_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
+_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", "-lm")
 # numpy's BLAS (ILP64 OpenBLAS) exports its ddot under this name; np.dot of
 # two float64 vectors calls it.
 _DDOT_SYMBOL = "scipy_cblas_ddot64_"
@@ -140,12 +151,12 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[...
     # CDLL, not PyDLL: a call releases the GIL (see the module docstring).
     lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
     scratch_size = lib.ensemble_pcg_scratch_size
-    scratch_size.argtypes = [ctypes.c_int64] * 3
+    scratch_size.argtypes = [ctypes.c_int64] * 4
     scratch_size.restype = ctypes.c_int64
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
         [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
-        + [ctypes.c_double, ctypes.c_int64] + [ctypes.c_void_p] * 7
+        + [ctypes.c_double, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 7
     )
     pcg.restype = ctypes.c_int64
     assemble = lib.ensemble_assemble
@@ -160,6 +171,12 @@ _DDOT = _numpy_ddot()
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
 _BAD_DIAGONAL = -(2**63)
+# Lane-nonzeros (S * nnz) per member of a solve's thread team.  On a shared
+# 2-CPU host two members took a 32^3, S=16 solve (12 M) from 1.6-2.2 s to
+# 0.78-0.96 s, but below about 5 M the four barriers of an iteration cost as
+# much as the split saved in some rounds (16^3 at S = 4-32: 1.01-1.11x the
+# one-member time).
+_TEAM_GRAIN = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -266,6 +283,7 @@ def ensemble_pcg(
     tol: float = 1e-7,
     maxit: int = 1000,
     record_history: bool = False,
+    threads: int | None = None,
 ) -> LaneSolveResult:
     """Jacobi-preconditioned CG on all lanes at once, run until every lane converges.
 
@@ -287,11 +305,22 @@ def ensemble_pcg(
     room for maxit + 1 rows of lane residual norms is reserved up front.
     Every buffer the call writes is allocated here, and the call releases
     the GIL, so solves in several threads run concurrently.
+
+    The iterations run on a team of up to `threads` threads, the calling one
+    included; None means the CPUs of the process's affinity, and anything
+    but an integer >= 1 is an `EnsembleError`.  The team has one member per
+    `_TEAM_GRAIN` lane-nonzeros and per 64-row tile at most, so a small
+    solve runs on the calling thread alone.  The result is bitwise the same
+    for every team size.
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
     if not isinstance(maxit, numbers.Integral) or not 0 <= maxit < 2**63:
         raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
+    if threads is None:
+        threads = len(os.sched_getaffinity(0))
+    elif not isinstance(threads, numbers.Integral) or threads < 1:
+        raise EnsembleError(f"threads must be an integer >= 1, got {threads!r}")
     S, n = mat.width, mat.n_rows
     b = np.asarray(rhs, dtype=np.float64)
     if b.shape != (S, n):
@@ -299,11 +328,13 @@ def ensemble_pcg(
     if not np.all(np.isfinite(b)):
         raise EnsembleError("rhs must be finite")
 
+    nnz = mat.col_indices.size
+    members = min(int(threads), max(1, S * nnz // _TEAM_GRAIN))
     x = np.zeros((S, n))
     work = np.empty((4, S, n))  # r, Ap (and z), p, inverse diagonal
     work[0] = b
-    # the packed values, the SpMV's lanes-last x and output tile, int32 maps
-    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, mat.col_indices.size))
+    # the packed values, the SpMV's lanes-last x, a tile per member, int32 maps
+    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, nnz, members))
     lane_work = np.empty((3, S))
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
@@ -311,7 +342,7 @@ def ensemble_pcg(
     history = np.empty((maxit + 1, S)) if record_history else None
     it = _PCG(
         S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.values.ctypes.data,
-        scratch.ctypes.data, _DDOT, tol, int(maxit), x.ctypes.data, work.ctypes.data,
+        scratch.ctypes.data, _DDOT, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,
     )

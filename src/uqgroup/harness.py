@@ -418,7 +418,10 @@ class _PdeProblem:
 
         The ensembles are independent, so each one's assembly and solve run
         in a thread pool with a worker per CPU of the process's affinity (at
-        most one per ensemble); the compiled kernels release the GIL.  The
+        most one per ensemble); the compiled kernels release the GIL.  Each
+        solve may run on a team of its worker's share of the CPUs, so a level
+        of fewer ensembles than CPUs still uses them all, and the pool and
+        the teams together never ask for more threads than CPUs.  The
         results are handled one by one in plan order as they arrive, so the
         residual sink calls, notes, counters and dict orders are those of a
         serial loop, and every output is independent of the worker count.
@@ -433,6 +436,9 @@ class _PdeProblem:
         notes: list[str] = []
         counts = dict.fromkeys(_LANE_COUNTERS, 0)
         record = residual_sink is not None
+        cpus = len(os.sched_getaffinity(0))
+        workers = min(cpus, len(plan.ensembles))
+        threads = max(1, cpus // workers)
 
         def solve(group: Sequence[int]):
             samples = np.array([coords_by_id[sid] for sid in group])
@@ -443,9 +449,9 @@ class _PdeProblem:
                 tol=self.config.solver.tol,
                 maxit=self.config.solver.maxit,
                 record_history=record,
+                threads=threads,
             )
 
-        workers = min(len(os.sched_getaffinity(0)), len(plan.ensembles))
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             results = pool.map(solve, plan.ensembles)

@@ -401,7 +401,7 @@ def test_resolved_ddot_equals_np_dot(n):
         assert np.float64(got).tobytes() == np.dot(x, y).tobytes()
 
 
-def assert_matches_lockstep(lanes, rhs, **kwargs):
+def assert_matches_lockstep(lanes, rhs, threads=None, **kwargs):
     """Solve with `ensemble_pcg` and with `lockstep_pcg`; compare bit for bit.
 
     `lanes` is a list of scalar CSR matrices, stacked by `from_scipy_lanes`,
@@ -409,7 +409,7 @@ def assert_matches_lockstep(lanes, rhs, **kwargs):
     the ensemble stores, in their storage order.
     """
     ens = lanes if isinstance(lanes, EnsembleCsrMatrix) else EnsembleCsrMatrix.from_scipy_lanes(lanes)
-    res = ensemble_pcg(ens, rhs, record_history=True, **kwargs)
+    res = ensemble_pcg(ens, rhs, record_history=True, threads=threads, **kwargs)
     x, iterations, converged, frozen, history = lockstep_pcg(
         [ens.lane(s) for s in range(ens.width)], rhs, record_history=True, **kwargs)
     assert res.solution.tobytes() == x.tobytes()
@@ -447,8 +447,8 @@ def insert_entry(lanes, k, row, col, values):
 
 
 # Specialised widths (1, 4, 16), generic widths around them and around the
-# 32-lane stack accumulator; n crosses the kernel's 64-row tile.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
+# 32-lane stack accumulator, and 64; n crosses the kernel's 64-row tile.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33, 64])
 def test_pcg_bitwise_equals_lockstep_loop(width):
     rng = np.random.default_rng(100 + width)
     lanes, rhs = random_spd_system(rng, 70, width)
@@ -607,9 +607,9 @@ def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
     assert res.converged_per_lane.all()
 
 
-def _outcome(system):
+def _outcome(system, threads=None):
     """Bytes of everything a solve returns, for bitwise comparison."""
-    res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, record_history=True)
+    res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, record_history=True, threads=threads)
     return (system.matrix.values.tobytes(), res.solution.tobytes(),
             res.iterations_per_lane.tobytes(), res.converged_per_lane.tobytes(),
             res.frozen_lanes.tobytes(), np.array(res.residual_history).tobytes())
@@ -620,25 +620,28 @@ def test_kernels_release_the_gil():
         assert not kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
-def test_concurrent_solves_bitwise_equal_sequential_ones():
+def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
     # Two threads each assemble and solve their own samples repeatedly, at
     # the scalar, a specialised and a generic width, while the other thread's
-    # kernels run on other buffers.
+    # kernels run on other buffers; every other round each solve runs on a
+    # team of two on the 729 rows (twelve row tiles).
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
                         sigma0_convention="kernel")
     mesh = StructuredMesh(10)
     rng = np.random.default_rng(77)
     jobs = [[rng.uniform(-1.0, 1.0, (width, 4)) for width in (1, 4, 7)] for _ in range(2)]
 
-    def run(samples):
-        return _outcome(assemble(mesh, field, samples, field.mode_values(mesh.quad_points)))
+    def run(samples, threads):
+        system = assemble(mesh, field, samples, field.mode_values(mesh.quad_points))
+        return _outcome(system, threads)
 
-    want = [[run(samples) for samples in thread_jobs] for thread_jobs in jobs]
+    want = [[run(samples, 1) for samples in thread_jobs] for thread_jobs in jobs]
     start = threading.Barrier(2, timeout=60)
 
     def worker(thread_jobs):
         start.wait()
-        return [[run(samples) for samples in thread_jobs] for _ in range(4)]
+        return [[run(samples, threads) for samples in thread_jobs] for threads in (1, 2, 1, 2)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often between kernel calls
@@ -649,3 +652,76 @@ def test_concurrent_solves_bitwise_equal_sequential_ones():
         sys.setswitchinterval(interval)
     for thread_want, thread_got in zip(want, got):
         assert all(rounds == thread_want for rounds in thread_got)
+
+
+# ---------------------------------------------------------------------------
+# a solve on a team of threads
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5])
+def test_invalid_thread_count_rejected(threads):
+    with pytest.raises(EnsembleError, match="threads"):
+        ensemble_pcg(diag_ensemble([[2.0, 2.0]]), np.ones((1, 2)), threads=threads)
+
+
+def _team_system(width, seed):
+    """A width-lane stiffness system on the 343 rows (six row tiles) of an
+    8^3 mesh; teams of up to four members split it into blocks of one to
+    three tiles."""
+    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel")
+    samples = np.random.default_rng(seed).uniform(-1.0, 1.0, (width, 4))
+    return assemble(StructuredMesh(8), field, samples)
+
+
+# With the grain lowered to one lane-nonzero every solve forms its team; the
+# widths below, between and above the team sizes split the lanes unevenly,
+# leaving some members without lanes at S < 4.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 16, 33])
+def test_team_solve_bitwise_equals_single_member(width, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(width, 60 + width)
+    want = _outcome(system, threads=1)
+    for threads in (2, 3, 4):
+        assert _outcome(system, threads) == want
+    res = assert_matches_lockstep(system.matrix, system.rhs, threads=4, tol=1e-10, maxit=2000)
+    assert res.converged_per_lane.all()
+
+
+@pytest.mark.parametrize("lane", ["freezing", "zero-rhs", "maxit"])
+def test_team_solve_bitwise_with_special_lanes(lane, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(7, 70)
+    rhs, maxit = system.rhs.copy(), 2000
+    converged = np.ones(7, dtype=bool)
+    if lane == "freezing":
+        rhs[5] *= 1e-150  # this lane's p'Ap underflows: it freezes unconverged
+        converged[5] = False
+    elif lane == "zero-rhs":
+        rhs[6] = 0.0
+    else:
+        maxit = 5
+        converged[:] = False
+    for threads in (1, 2, 3, 4):
+        res = assert_matches_lockstep(system.matrix, rhs, threads=threads, tol=1e-10, maxit=maxit)
+        assert np.array_equal(res.converged_per_lane, converged)
+        assert res.frozen_lanes[5] == (lane == "freezing")
+        assert (res.iterations_per_lane[6] == 0) == (lane == "zero-rhs")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_team_breakdown_at_the_same_iteration(monkeypatch):
+    # Lane 2 gets a huge entry in the last row, far from the first row that
+    # holds the only right-hand side: its residual turns non-finite only
+    # once the Krylov space reaches that row.
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(4, 80)
+    mat = system.matrix
+    values = mat.values.copy()
+    values[2, mat.row_offsets[-2]] = 1e300
+    mat = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
+    rhs = np.zeros((4, mat.n_rows))
+    rhs[:, 0] = 1.0
+    for threads in (1, 2, 3, 4):
+        with pytest.raises(NumericalBreakdownError, match="at iteration 6$"):
+            ensemble_pcg(mat, rhs, tol=1e-10, threads=threads)

@@ -24,10 +24,12 @@ from uqgroup import (
     adaptive_run,
     compute_R,
     emit_reports,
+    ensemble_pcg,
     parse_manifest,
     preset_config,
 )
 from uqgroup import cli, harness
+from uqgroup import ensemble as ensemble_module
 from uqgroup.harness import (
     RunReport,
     analytic_iters,
@@ -734,15 +736,21 @@ def test_residual_sink_needs_flag():
 # ---------------------------------------------------------------------------
 
 
-def _run_on_cpus(monkeypatch, n_cpus, out_dir):
-    """One CLI run in a process that sees n_cpus CPUs; returns the exit code,
-    the worker count of each level's pool and the residual sink's calls."""
-    pools, calls = [], []
+def _run_on_cpus(monkeypatch, n_cpus, out_dir, args):
+    """One CLI run of `pde_test1` in a process that sees n_cpus CPUs, with the
+    team grain lowered so that any solve offered more than one thread forms a
+    team; returns the exit code, the worker count of each level's pool, the
+    threads offered to each solve and the residual sink's calls."""
+    pools, teams, calls = [], [], []
 
     class Pool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers=max_workers)
+
+    def pcg(matrix, rhs, threads, **kwargs):
+        teams.append(threads)
+        return ensemble_pcg(matrix, rhs, threads=threads, **kwargs)
 
     def run(config, residual_sink=None):
         def sink(level, k, history):
@@ -752,25 +760,39 @@ def _run_on_cpus(monkeypatch, n_cpus, out_dir):
 
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(harness, "ensemble_pcg", pcg)
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     monkeypatch.setattr(cli, "adaptive_run", run)
-    # width 5 pads the last ensemble of both levels (48 and 52 samples)
-    code = cli_main(["run", "--problem", "pde_test1", "--mesh-cells", "4", "--S", "5",
-                     "--n-max", "100", "--dump-residuals", "--out-dir", str(out_dir)])
-    return code, pools, calls
+    code = cli_main(["run", "--problem", "pde_test1", *args, "--n-max", "100",
+                     "--dump-residuals", "--out-dir", str(out_dir)])
+    return code, pools, teams, calls
 
 
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
-    one = _run_on_cpus(monkeypatch, 1, tmp_path / "one")
-    four = _run_on_cpus(monkeypatch, 4, tmp_path / "four")
-    capsys.readouterr()
-    assert one[0] == four[0] == 2
-    assert one[1] == [1, 1] and four[1] == [4, 4]
-    # the sink sees each level's ensembles in plan order, whatever finished first
-    assert one[2] == four[2] == [(1, k) for k in range(10)] + [(2, k) for k in range(11)]
-    files = _snapshot(tmp_path / "one")
-    assert len([name for name in files if name.startswith("residuals_")]) == 21
-    assert {"manifest.json", "r_table.csv", "iterations_by_level.csv"} <= set(files)
-    assert _snapshot(tmp_path / "four") == files
+    # Width 5 pads the last ensemble of both levels (48 and 52 samples): ten
+    # and eleven ensembles, a pool worker per CPU and one thread per solve.
+    # Width 48 on 343 rows (six row tiles) makes level 1 one ensemble and
+    # level 2 two, the second padded: a solve's team is its worker's share of
+    # the CPUs.
+    cases = {
+        "padded": (["--mesh-cells", "4", "--S", "5"], 10, 11),
+        "wide": (["--mesh-cells", "8", "--S", "48"], 1, 2),
+    }
+    for name, (args, level1, level2) in cases.items():
+        runs = {c: _run_on_cpus(monkeypatch, c, tmp_path / f"{name}{c}", args) for c in (1, 2, 4)}
+        capsys.readouterr()
+        for c, (code, pools, teams, calls) in runs.items():
+            assert code == 2
+            assert pools == [min(c, level1), min(c, level2)]
+            assert teams == [c // min(c, size) for size in (level1, level2) for _ in range(size)]
+            # the sink sees each level's ensembles in plan order, whatever finished first
+            assert calls == [(1, k) for k in range(level1)] + [(2, k) for k in range(level2)]
+        assert runs[4][2] == ([1] * 21 if name == "padded" else [4, 2, 2])
+        files = _snapshot(tmp_path / f"{name}1")
+        assert len([f for f in files if f.startswith("residuals_")]) == level1 + level2
+        assert {"manifest.json", "r_table.csv", "iterations_by_level.csv"} <= set(files)
+        assert _snapshot(tmp_path / f"{name}2") == files
+        assert _snapshot(tmp_path / f"{name}4") == files
 
 
 @pytest.mark.parametrize("where", ["solve", "sink"])
