@@ -1,7 +1,7 @@
-/* The lockstep Jacobi-PCG loop of an ensemble solve, run in one call on a
- * team of threads, the lane-interleaved SpMV inside it, y[s] = A_s x[s] for
- * all S lanes at once, and the assembly of the lanes-last matrix values they
- * read.  The library exports ensemble_pcg, ensemble_pcg_scratch_size and
+/* The Jacobi-PCG loop of an ensemble solve, run in one call on a team of
+ * threads, the lane-interleaved SpMV inside it, y[s] = A_s x[s] for the lanes
+ * s the loop still needs, and the assembly of the lanes-last matrix values
+ * they read.  The library exports ensemble_pcg, ensemble_pcg_scratch_size and
  * ensemble_assemble; the SpMV is called only by the loop.
  *
  * SpMV.
@@ -19,23 +19,29 @@
  * and a non-symmetric, unsorted or duplicate-entry one only gets more slots
  * of its own.  Every entry reads a slot that holds bitwise its own S values.
  *
- * For each nonzero the column index is loaded once, then S contiguous
+ * A slot holds the values of W lanes, the packed width: W = S after the
+ * pack, and narrower once the loop has repacked the slots to the lanes it
+ * still needs (see ensemble_pcg).  list[k] names the lane packed at position
+ * k; only the transpose and the write-back of the product read it.
+ *
+ * For each nonzero the column index is loaded once, then W contiguous
  * multiply-adds follow over the entry's packed slot and a lanes-last copy of
  * x.  The row is walked in storage order, the lmap slots first, then the run
  * from hrow[i].  Each lane therefore sums its row exactly as scipy's scalar
  * csr_matvec does: from 0.0, over the row's nonzeros in order, one rounded
  * multiply and one rounded add each.  Vectorising across lanes does not
  * reorder any lane's sum, and the build passes -ffp-contract=off so no
- * multiply-add is fused.  Lane s of the result is therefore bitwise the
- * scalar product of lane s.
+ * multiply-add is fused.  Lane list[k] of the result is therefore bitwise the
+ * scalar product of that lane, whatever W and k are.
  *
- * x and y are lanes-first (S, n).  For S > 1, x is first transposed into an
- * (n, S) scratch xt; results are gathered per block of TILE rows in a
- * (TILE, S) tile and written out lane by lane.  Both the transpose and the
- * product run over a range of whole TILE-row blocks, so the PCG's thread
- * team can split them by rows: a range starting at row lo reads lmap from
- * the slot of row lo's first entry, which the team finds once after the
- * pack.  A row's sum is the same whichever range holds the row.
+ * x and y are lanes-first (S, n).  For W > 1, the rows of x's lanes in the
+ * list are first transposed into an (n, W) scratch xt; results are gathered
+ * per block of TILE rows in a (TILE, W) tile and written out lane by lane.
+ * Both the transpose and the product run over a range of whole TILE-row
+ * blocks, so the PCG's thread team can split them by rows: a range starting
+ * at row lo reads lmap from the slot of row lo's first entry, which the team
+ * finds once after the pack.  A row's sum is the same whichever range holds
+ * the row.
  */
 
 #include <float.h>
@@ -53,28 +59,30 @@ typedef struct {
     const int32_t *row_offsets, *col_indices;
     const int32_t *split; /* split[i]: first entry of row i's run */
     const int32_t *hrow;  /* hrow[i]: slot of the entry split[i] */
-    const double *pack;   /* slot k holds S lane values at pack[k * S] */
+    double *pack;         /* slot k holds W lane values at pack[k * W] */
 } packed_csr;
 
-/* xt[i * S + s] = x[s * n + i] for the rows [lo, hi). */
+/* xt[i * W + k] = x[list[k] * n + i] for the rows [lo, hi). */
 static inline __attribute__((always_inline)) void transpose_body(
-    const int64_t S, const int64_t n, const int64_t lo, const int64_t hi,
-    const double *restrict x, double *restrict xt)
+    const int64_t W, const int64_t n, const int64_t lo, const int64_t hi,
+    const int32_t *restrict list, const double *restrict x, double *restrict xt)
 {
     for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
         const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
-        for (int64_t s = 0; s < S; s++)
+        for (int64_t k = 0; k < W; k++) {
+            const double *restrict xk = x + list[k] * n + i0;
             for (int64_t r = 0; r < rows; r++)
-                xt[(i0 + r) * S + s] = x[s * n + i0 + r];
+                xt[(i0 + r) * W + k] = xk[r];
+        }
     }
 }
 
 /* Rows [lo, hi) of the product, lo a multiple of TILE; lmap points at the
  * lmap slot of row lo's first entry before its run. */
 static inline __attribute__((always_inline)) void spmv_body(
-    const int64_t S, const int64_t n, const packed_csr m, const int64_t lo,
-    const int64_t hi, const int32_t *restrict lmap, const double *restrict xt,
-    double *restrict tile, double *restrict y)
+    const int64_t W, const int64_t n, const packed_csr m, const int64_t lo,
+    const int64_t hi, const int32_t *restrict lmap, const int32_t *restrict list,
+    const double *restrict xt, double *restrict tile, double *restrict y)
 {
     const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
     const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
@@ -86,28 +94,30 @@ static inline __attribute__((always_inline)) void spmv_body(
             /* Up to STACK_LANES lanes sum in a local array, which the
              * specialised widths keep in registers. */
             double stack_acc[STACK_LANES];
-            double *restrict acc = S <= STACK_LANES ? stack_acc : tile + r * S;
-            for (int64_t s = 0; s < S; s++)
-                acc[s] = 0.0;
+            double *restrict acc = W <= STACK_LANES ? stack_acc : tile + r * W;
+            for (int64_t k = 0; k < W; k++)
+                acc[k] = 0.0;
             for (int32_t jj = row_offsets[i]; jj < split[i]; jj++) {
-                const double *restrict v = pack + (int64_t)*lmap++ * S;
-                const double *restrict xc = xt + (int64_t)col_indices[jj] * S;
-                for (int64_t s = 0; s < S; s++)
-                    acc[s] += v[s] * xc[s];
+                const double *restrict v = pack + (int64_t)*lmap++ * W;
+                const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
+                for (int64_t k = 0; k < W; k++)
+                    acc[k] += v[k] * xc[k];
             }
-            const double *restrict v = pack + (int64_t)hrow[i] * S;
-            for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++, v += S) {
-                const double *restrict xc = xt + (int64_t)col_indices[jj] * S;
-                for (int64_t s = 0; s < S; s++)
-                    acc[s] += v[s] * xc[s];
+            const double *restrict v = pack + (int64_t)hrow[i] * W;
+            for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++, v += W) {
+                const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
+                for (int64_t k = 0; k < W; k++)
+                    acc[k] += v[k] * xc[k];
             }
-            if (S <= STACK_LANES)
-                for (int64_t s = 0; s < S; s++)
-                    tile[r * S + s] = acc[s];
+            if (W <= STACK_LANES)
+                for (int64_t k = 0; k < W; k++)
+                    tile[r * W + k] = acc[k];
         }
-        for (int64_t s = 0; s < S; s++)
+        for (int64_t k = 0; k < W; k++) {
+            double *restrict yk = y + list[k] * n + i0;
             for (int64_t r = 0; r < rows; r++)
-                y[s * n + i0 + r] = tile[r * S + s];
+                yk[r] = tile[r * W + k];
+        }
     }
 }
 
@@ -115,24 +125,35 @@ static inline __attribute__((always_inline)) void spmv_body(
  * the widths the PDE preset (4) and the wide ensemble runs (16) use get their
  * own copy; there the product alone, on the packed values, is 2.7-3.9x
  * (16^3, S=4) and 1.5x (32^3, S=16) faster than the generic body.  Every
- * other width takes the generic body. */
+ * other width takes the generic body.
+ *
+ * The product copies stay out of line.  Inlined into the loop, their code
+ * depended on the rest of it: two builds of the loop that ran identical
+ * arithmetic at S=4, differing only in a constant that S=4 never reaches,
+ * ran 1.25x apart at 16^3, S=4 (16 alternating in-process rounds); out of
+ * line, both matched the build before the lane list within noise.  This
+ * loop with the copies inlined took 1.26x the time of that build at 16^3,
+ * S=4 (40 alternating rounds), and 0.96-0.97x with them out of line. */
 #define SPECIALISED(W)                                                        \
-    static void spmv_##W(int64_t n, const packed_csr m, int64_t lo,          \
-                         int64_t hi, const int32_t *lmap, const double *xt,   \
-                         double *tile, double *y)                             \
+    static __attribute__((noinline)) void spmv_##W(                           \
+        int64_t n, const packed_csr m, int64_t lo, int64_t hi,                \
+        const int32_t *lmap, const int32_t *list, const double *xt,           \
+        double *tile, double *y)                                              \
     {                                                                         \
-        spmv_body(W, n, m, lo, hi, lmap, xt, tile, y);                        \
+        spmv_body(W, n, m, lo, hi, lmap, list, xt, tile, y);                  \
     }                                                                         \
     static void transpose_##W(int64_t n, int64_t lo, int64_t hi,              \
-                              const double *x, double *xt)                    \
+                              const int32_t *list, const double *x,           \
+                              double *xt)                                     \
     {                                                                         \
-        transpose_body(W, n, lo, hi, x, xt);                                  \
+        transpose_body(W, n, lo, hi, list, x, xt);                            \
     }
 
-/* With one lane the two layouts coincide: scipy's scalar loop, in place. */
-static void spmv_1(const packed_csr m, int64_t lo, int64_t hi,
-                   const int32_t *restrict lmap, const double *restrict x,
-                   double *restrict y)
+/* With one lane the two layouts coincide: scipy's scalar loop, in place, on
+ * the rows of that lane. */
+static __attribute__((noinline)) void spmv_1(
+    const packed_csr m, int64_t lo, int64_t hi, const int32_t *restrict lmap,
+    const double *restrict x, double *restrict y)
 {
     const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
     const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
@@ -154,39 +175,43 @@ SPECIALISED(16)
 /* The transpose of rows [lo, hi); the specialised widths get their own copy,
  * as they did when the transpose was part of their product: in a separate
  * generic copy, a 16^3, S=16 solve ran 52 -> 72 ms. */
-static void transpose_rows(int64_t S, int64_t n, int64_t lo, int64_t hi,
-                           const double *x, double *xt)
+static void transpose_rows(int64_t W, int64_t n, int64_t lo, int64_t hi,
+                           const int32_t *list, const double *x, double *xt)
 {
-    switch (S) {
-    case 4: transpose_4(n, lo, hi, x, xt); break;
-    case 16: transpose_16(n, lo, hi, x, xt); break;
-    default: transpose_body(S, n, lo, hi, x, xt);
+    switch (W) {
+    case 4: transpose_4(n, lo, hi, list, x, xt); break;
+    case 16: transpose_16(n, lo, hi, list, x, xt); break;
+    default: transpose_body(W, n, lo, hi, list, x, xt);
     }
 }
 
-/* Rows [lo, hi) of y = A x.  For S > 1 the product reads x from xt, where
- * all of it must already sit transposed. */
-static void ensemble_spmv(int64_t S, int64_t n, const packed_csr m, int64_t lo,
-                          int64_t hi, const int32_t *lmap, const double *xt,
-                          double *tile, const double *x, double *y)
+/* Rows [lo, hi) of y = A x for the W lanes of list.  For W > 1 the product
+ * reads x from xt, where all of it must already sit transposed. */
+static void ensemble_spmv(int64_t W, int64_t n, const packed_csr m, int64_t lo,
+                          int64_t hi, const int32_t *lmap, const int32_t *list,
+                          const double *xt, double *tile, const double *x, double *y)
 {
-    switch (S) {
-    case 1: spmv_1(m, lo, hi, lmap, x, y); break;
-    case 4: spmv_4(n, m, lo, hi, lmap, xt, tile, y); break;
-    case 16: spmv_16(n, m, lo, hi, lmap, xt, tile, y); break;
-    default: spmv_body(S, n, m, lo, hi, lmap, xt, tile, y);
+    switch (W) {
+    case 1: spmv_1(m, lo, hi, lmap, x + list[0] * n, y + list[0] * n); break;
+    case 4: spmv_4(n, m, lo, hi, lmap, list, xt, tile, y); break;
+    case 16: spmv_16(n, m, lo, hi, lmap, list, xt, tile, y); break;
+    default: spmv_body(W, n, m, lo, hi, lmap, list, xt, tile, y);
     }
 }
 
 /* PCG.
  *
- * The loop is the numpy lockstep Jacobi-PCG it replaced, operation for
- * operation: every update is a separately rounded multiply and add per
- * entry, and every inner product is a call of the ddot that numpy's np.dot
- * calls, handed in by the caller.  PCG vectors are lanes-first (S, n), so
- * each lane's dot is over contiguous memory as in np.dot(x[s], y[s]).  Each
- * lane therefore computes bitwise what that loop computed for it, whichever
- * member of the solve's thread team computes it (see ensemble_pcg).
+ * The loop is the numpy Jacobi-PCG it replaced, operation for operation:
+ * every update is a separately rounded multiply and add per entry, and every
+ * inner product is a call of the ddot that numpy's np.dot calls, handed in
+ * by the caller.  PCG vectors are lanes-first (S, n), so each lane's dot is
+ * over contiguous memory as in np.dot(x[s], y[s]).  A lane takes part in the
+ * lane steps of an iteration only while it is open (neither converged nor
+ * frozen), and its product is bitwise the same at every packed width.  Each
+ * lane therefore computes bitwise what a one-lane solve of its own system
+ * computes, whichever companions it has, whichever width its product runs
+ * at and whichever member of the solve's thread team does its steps (see
+ * ensemble_pcg).
  */
 
 /* CBLAS ddot with 64-bit lengths and strides (numpy's ILP64 OpenBLAS). */
@@ -208,13 +233,14 @@ static double lane_dot(ddot_fn ddot, int64_t n, const double *x, const double *y
  *
  * Rows are packed in order, so the rows i > j that look up a mirror in row j
  * come in increasing i; cursor[j] walks row j's run once, past the columns
- * below i, and finds the mirror where a sorted run holds it.  Returns 0 if
- * some d is not > 0 (zero, negative, NaN, or no copy stored), 1 otherwise. */
-static int pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offsets,
-                     const int32_t *restrict col_indices, const double *restrict values,
-                     double *restrict pack, int32_t *restrict split, int32_t *restrict hrow,
-                     int32_t *restrict lmap, int32_t *restrict cursor,
-                     double *restrict inv_diag)
+ * below i, and finds the mirror where a sorted run holds it.  Returns -1 if
+ * some d is not > 0 (zero, negative, NaN, or no copy stored), the number of
+ * slots filled otherwise. */
+static int64_t pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offsets,
+                         const int32_t *restrict col_indices, const double *restrict values,
+                         double *restrict pack, int32_t *restrict split, int32_t *restrict hrow,
+                         int32_t *restrict lmap, int32_t *restrict cursor,
+                         double *restrict inv_diag)
 {
     const size_t bytes = (size_t)S * sizeof(double);
     int32_t slot = 0;
@@ -233,7 +259,7 @@ static int pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offsets,
         for (int64_t s = 0; s < S; s++) {
             const double d = inv_diag[s * n + i];
             if (!(d > 0.0))
-                return 0;
+                return -1;
             inv_diag[s * n + i] = 1.0 / d;
         }
         for (int32_t jj = start; jj < mid; jj++) {
@@ -258,7 +284,7 @@ static int pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offsets,
         memcpy(pack + (int64_t)slot * S, values + (int64_t)mid * S, (size_t)(end - mid) * bytes);
         slot += end - mid;
     }
-    return 1;
+    return slot;
 }
 
 /* The members a team of up to `members` forms on n rows: one per TILE-row
@@ -272,11 +298,12 @@ static int64_t team_size(int64_t n, int64_t members)
 }
 
 /* The scratch of ensemble_pcg, in doubles: the packed values (at most one
- * slot per nonzero), the SpMV's xt, one tile per member, then the int32 maps
- * and cursors. */
+ * slot per nonzero), the SpMV's xt, one tile per member, then the int32 maps,
+ * cursors, lane list and each member's share of the lanes. */
 int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t nnz, int64_t members)
 {
-    return (nnz + n + team_size(n, members) * TILE) * S + (nnz + 3 * n + 1) / 2;
+    members = team_size(n, members);
+    return (nnz + n + members * TILE) * S + (nnz + 3 * n + (members + 1) * S + 1) / 2;
 }
 
 /* Returned by ensemble_pcg when a lane's diagonal is not strictly positive;
@@ -286,7 +313,10 @@ int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t nnz, int64_t mem
 /* The state of one solve, shared by its team. */
 typedef struct {
     int64_t S, n, maxit, open, size; /* open lanes at iteration 0; members */
+    int64_t width, slots;            /* packed width; packed slots */
+    int64_t streamed;                /* sum over the iterations of width */
     packed_csr m;
+    int32_t *list;                   /* list[k]: the lane packed at k < width */
     ddot_fn ddot;
     double *x, *r, *apz, *p, *inv_diag, *xt;
     const double *threshold;
@@ -299,11 +329,12 @@ typedef struct {
     int ready;
 } solve;
 
-/* One member's share: rows [row_lo, row_hi) of every product and the lanes
- * [lane_lo, lane_hi) of every vector update and dot. */
+/* One member's share: rows [row_lo, row_hi) of every product, and the lane
+ * steps of the count open lanes in lanes. */
 typedef struct {
     solve *sv;
-    int64_t id, row_lo, row_hi, lane_lo, lane_hi;
+    int64_t id, row_lo, row_hi, count;
+    int32_t *lanes;
     const int32_t *lmap; /* lmap slot of row_lo's first entry */
     double *tile;
     pthread_t thread;
@@ -315,11 +346,17 @@ static void sync_team(solve *sv)
         pthread_barrier_wait(&sv->barrier);
 }
 
+static int is_open(const solve *sv, int64_t s)
+{
+    return !sv->converged[s] && !sv->frozen[s];
+}
+
 /* Cuts the rows into sv->size blocks at multiples of TILE, block k ending at
- * the first cut with at least (k + 1) / size of the nonzeros above it, and
- * the lanes into blocks of S / size; finds where each row block starts in
- * lmap (past the entries before the runs of the rows above it). */
-static void partition(solve *sv, member *team, const int32_t *lmap, double *tiles)
+ * the first cut with at least (k + 1) / size of the nonzeros above it; finds
+ * where each row block starts in lmap (past the entries before the runs of
+ * the rows above it). */
+static void partition(solve *sv, member *team, const int32_t *lmap, double *tiles,
+                      int32_t *shares)
 {
     const int64_t n = sv->n, S = sv->S, size = sv->size;
     const int32_t *row_offsets = sv->m.row_offsets, *split = sv->m.split;
@@ -336,28 +373,91 @@ static void partition(solve *sv, member *team, const int32_t *lmap, double *tile
                 lower += split[row] - row_offsets[row];
         }
         me->row_hi = row;
-        me->lane_lo = k * S / size;
-        me->lane_hi = (k + 1) * S / size;
         me->tile = tiles + k * TILE * S;
+        me->lanes = shares + k * S;
     }
 }
 
+/* Gives the member the open lanes of ranks [id * open / size,
+ * (id + 1) * open / size) in lane order.  Called where no member changes a
+ * lane's flags: before the iterations and after step 3's barrier. */
+static void share_lanes(member *me, int64_t open)
+{
+    const solve *sv = me->sv;
+    const int64_t lo = me->id * open / sv->size, hi = (me->id + 1) * open / sv->size;
+    int64_t rank = 0;
+    me->count = 0;
+    for (int64_t s = 0; s < sv->S && rank < hi; s++)
+        if (is_open(sv, s) && rank++ >= lo)
+            me->lanes[me->count++] = (int32_t)s;
+}
+
+/* Slot q's lane values from[0], ..., from[to - 1] of W move to pack[q * to],
+ * in place: slot q is read whole before it is written, and its new place
+ * ends before slot q + 1 starts. */
+static inline __attribute__((always_inline)) void repack_slots(
+    const int64_t to, const int64_t W, const int64_t slots, const int64_t *from,
+    double *pack)
+{
+    for (int64_t q = 0; q < slots; q++) {
+        double slot[16];
+        for (int64_t k = 0; k < to; k++)
+            slot[k] = pack[q * W + from[k]];
+        for (int64_t k = 0; k < to; k++)
+            pack[q * to + k] = slot[k];
+    }
+}
+
+/* Once the open lanes fit a narrower width with its own product copy (16, 4
+ * or 1), repacks the slots in place to the narrowest such width: first the
+ * open lanes, in list order, then finished lanes as padding, whose products
+ * nobody reads.  Called by member 0 alone, where no member reads the slots,
+ * the list or the width: before the iterations and in step 4. */
+static void narrow(solve *sv, int64_t open)
+{
+    const int64_t W = sv->width;
+    const int64_t to = open <= 1 ? 1 : open <= 4 ? 4 : open <= 16 ? 16 : W;
+    if (to >= W)
+        return;
+    int64_t from[16], k = 0; /* the old positions of the new ones */
+    for (int64_t j = 0; j < W && k < to; j++)
+        if (is_open(sv, sv->list[j]))
+            from[k++] = j;
+    for (int64_t j = 0; j < W && k < to; j++)
+        if (!is_open(sv, sv->list[j]))
+            from[k++] = j;
+    switch (to) {
+    case 1: repack_slots(1, W, sv->slots, from, sv->m.pack); break;
+    case 4: repack_slots(4, W, sv->slots, from, sv->m.pack); break;
+    default: repack_slots(16, W, sv->slots, from, sv->m.pack);
+    }
+    int32_t list[16];
+    for (k = 0; k < to; k++)
+        list[k] = sv->list[from[k]];
+    memcpy(sv->list, list, (size_t)to * sizeof(int32_t));
+    sv->width = to;
+}
+
 /* The iterations, as run by one member; every member returns the same. */
-static int64_t iterate(const member *me)
+static int64_t iterate(member *me)
 {
     solve *sv = me->sv;
     const int64_t S = sv->S, n = sv->n;
     int64_t it = 0, open = sv->open;
+    share_lanes(me, open);
     while (it < sv->maxit && open > 0) {
         it++;
-        if (S > 1) {
-            transpose_rows(S, n, me->row_lo, me->row_hi, sv->p, sv->xt);
+        const int64_t W = sv->width;
+        const int32_t *list = sv->list;
+        if (W > 1) {
+            transpose_rows(W, n, me->row_lo, me->row_hi, list, sv->p, sv->xt);
             sync_team(sv);
         }
-        ensemble_spmv(S, n, sv->m, me->row_lo, me->row_hi, me->lmap, sv->xt, me->tile,
+        ensemble_spmv(W, n, sv->m, me->row_lo, me->row_hi, me->lmap, list, sv->xt, me->tile,
                       sv->p, sv->apz);
         sync_team(sv);
-        for (int64_t s = me->lane_lo; s < me->lane_hi; s++) {
+        for (int64_t k = 0; k < me->count; k++) {
+            const int64_t s = me->lanes[k];
             double *restrict xs = sv->x + s * n, *restrict rs = sv->r + s * n;
             const double *restrict ps = sv->p + s * n, *restrict aps = sv->apz + s * n;
             const double pap = lane_dot(sv->ddot, n, ps, aps);
@@ -369,14 +469,17 @@ static int64_t iterate(const member *me)
             for (int64_t i = 0; i < n; i++)
                 rs[i] -= alpha * aps[i];
             sv->r_norm[s] = sqrt(lane_dot(sv->ddot, n, rs, rs));
-            if (sv->history)
-                sv->history[it * S + s] = sv->r_norm[s];
-            if (!sv->frozen[s] && !sv->converged[s] && sv->r_norm[s] <= sv->threshold[s]) {
+            if (!sv->frozen[s] && sv->r_norm[s] <= sv->threshold[s]) {
                 sv->iterations[s] = it;
                 sv->converged[s] = 1;
             }
         }
         sync_team(sv);
+        if (me->id == 0) {
+            sv->streamed += W;
+            if (sv->history)
+                memcpy(sv->history + it * S, sv->r_norm, (size_t)S * sizeof(double));
+        }
         open = 0;
         for (int64_t s = 0; s < S; s++) {
             if (sv->frozen[s])
@@ -387,17 +490,21 @@ static int64_t iterate(const member *me)
         }
         if (open == 0)
             break;
-        for (int64_t s = me->lane_lo; s < me->lane_hi; s++) {
+        share_lanes(me, open);
+        for (int64_t k = 0; k < me->count; k++) {
+            const int64_t s = me->lanes[k];
             const double *restrict rs = sv->r + s * n, *restrict dinv = sv->inv_diag + s * n;
             double *restrict zs = sv->apz + s * n, *restrict ps = sv->p + s * n;
             for (int64_t i = 0; i < n; i++)
                 zs[i] = rs[i] * dinv[i];
             const double rz_new = lane_dot(sv->ddot, n, rs, zs);
-            const double beta = !sv->frozen[s] && sv->rz[s] > 0 ? rz_new / sv->rz[s] : 0.0;
+            const double beta = sv->rz[s] > 0 ? rz_new / sv->rz[s] : 0.0;
             for (int64_t i = 0; i < n; i++)
                 ps[i] = zs[i] + beta * ps[i];
             sv->rz[s] = rz_new;
         }
+        if (me->id == 0)
+            narrow(sv, open);
         sync_team(sv);
     }
     return it;
@@ -407,7 +514,7 @@ static int64_t iterate(const member *me)
  * it was cut out. */
 static void *member_main(void *arg)
 {
-    const member *me = arg;
+    member *me = arg;
     solve *sv = me->sv;
     pthread_mutex_lock(&sv->lock);
     while (!sv->ready)
@@ -421,7 +528,8 @@ static void *member_main(void *arg)
 /* Runs the iterations on a team of up to `members`, the caller being member
  * 0.  The team is cut for the threads that were created, and the barrier
  * sized for them, before any member starts. */
-static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double *tiles)
+static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double *tiles,
+                        int32_t *shares)
 {
     member single, *team = members > 1 ? malloc((size_t)members * sizeof(member)) : NULL;
     int64_t created = 1;
@@ -443,7 +551,7 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
         sv->size = 1;
     team[0].sv = sv;
     team[0].id = 0;
-    partition(sv, team, lmap, tiles);
+    partition(sv, team, lmap, tiles, shares);
     if (team != &single) {
         pthread_mutex_lock(&sv->lock);
         sv->ready = 1;
@@ -464,8 +572,10 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
 }
 
 /* Runs until every lane has converged (||r|| <= tol ||b||) or frozen
- * (p'Ap <= DBL_MIN, after which its alpha and beta are zero), or maxit
- * iterations have run.
+ * (p'Ap <= DBL_MIN, after which its alpha is zero), or maxit iterations have
+ * run.  A lane stops at its own convergence or freezing: from then on it
+ * leaves the lane steps, and its solution, residual norm and counts are
+ * those of a one-lane solve of its system.
  *
  * On entry x is zero, both (S, n); work holds four (S, n) vectors, r, Ap, p
  * and the inverse diagonal in that order, with r set to the right-hand sides
@@ -473,30 +583,44 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * rewrites Ap).  scratch holds ensemble_pcg_scratch_size(S, n, nnz, members)
  * doubles and lane 3 * S doubles of work.  iterations, converged and frozen
  * are zeroed S-vectors; on return iterations[s] is the iteration at which
- * lane s converged, or the number run if it did not.  history, when not
- * NULL, holds (maxit + 1) * S doubles and receives the lane residual norms
- * of iterations 0, 1, ...
+ * lane s converged, or the number run if it did not, and *streamed is the
+ * number of lane products formed: the sum over the iterations of the packed
+ * width.  history, when not NULL, holds (maxit + 1) * S doubles and receives
+ * the lane residual norms of iterations 0, 1, ...; a lane's norm stays at
+ * its last value once the lane has stopped.
  *
  * The pack, the Jacobi inverse and the norms and p of iteration 0 are formed
  * by the caller alone.  The iterations then run on a team of
  * team_size(n, members) threads, the caller being member 0 (fewer if a
  * thread cannot be created: the team is cut only after its threads exist).
  * Each member owns a block of whole TILE-row blocks, cut to hold about the
- * same number of nonzeros, and a block of S / size lanes.  An iteration is
- * four steps, each ended by a barrier:
- *   1. each member transposes its rows of p into xt (for S > 1);
- *   2. each member forms its rows of Ap, in its own tile;
- *   3. each member does p'Ap, the x and r updates, the residual norm, the
- *      history entry and the convergence bookkeeping of its lanes; after the
- *      barrier every member reads every lane's flags and norm, so all of
- *      them count the open lanes, and leave on breakdown, alike;
- *   4. each member forms z, r'z, beta and p of its lanes.
+ * same number of nonzeros, and a share of about open / size of the open
+ * lanes.  An iteration is four steps, each ended by a barrier:
+ *   1. each member transposes its rows of p's packed lanes into xt (W > 1);
+ *   2. each member forms its rows of Ap for the packed lanes, in its own
+ *      tile;
+ *   3. each member does p'Ap, the x and r updates, the residual norm and the
+ *      convergence bookkeeping of its open lanes; after the barrier every
+ *      member reads every lane's flags and norm, so all of them count the
+ *      open lanes, leave on breakdown and take their new share alike, and
+ *      member 0 writes the history row;
+ *   4. each member forms z, r'z, beta and p of its open lanes; member 0 then
+ *      narrows the packed width if the open lanes fit a narrower one.
+ * The packed width starts at S and narrows down the ladder of widths with
+ * their own product copy, 16, 4 and 1, to the narrowest one that holds the
+ * open lanes (checked also before iteration 1).  The repack rewrites the
+ * slots and the list in place; in step 4 no member reads them, and every
+ * member reads the new width and list after the step's barrier.  The (S, n)
+ * vectors stay where they are: only the transpose and the write-back of the
+ * product go through the list.
+ *
  * Every row sum and every lane's dot is thus computed by exactly one member
- * with the arithmetic, and in the order, of a one-member solve, so every
- * output is bitwise independent of the team size.  The barriers block
- * instead of spinning: on a shared two-CPU host a spinning barrier was
- * erratic, taking a 16^3, S=16 solve from 0.016 to 0.028 s in one round and
- * from 0.015 to 0.007 s in the next.
+ * with the arithmetic, and in the order, of a one-lane, one-member solve, so
+ * every output but *streamed is bitwise independent of the team size and of
+ * the lane's companions.  The barriers block instead of spinning: on a
+ * shared two-CPU host a spinning barrier was erratic, taking a 16^3, S=16
+ * solve from 0.016 to 0.028 s in one round and from 0.015 to 0.007 s in the
+ * next.
  *
  * Returns the number of iterations run, -it if an active (not frozen) lane's
  * residual norm was not finite after iteration it, or BAD_DIAGONAL, before
@@ -506,7 +630,7 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
                      double *scratch, ddot_fn ddot, double tol, int64_t maxit,
                      int64_t members, double *restrict x, double *restrict work,
                      double *restrict lane, int64_t *iterations, uint8_t *converged,
-                     uint8_t *frozen, double *history)
+                     uint8_t *frozen, double *history, int64_t *streamed)
 {
     const int64_t nnz = row_offsets[n];
     members = team_size(n, members);
@@ -515,9 +639,10 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
     double *threshold = lane, *r_norm = lane + S, *rz = lane + 2 * S;
     double *xt = scratch + nnz * S, *tiles = xt + n * S;
     int32_t *lmap = (int32_t *)(tiles + members * TILE * S), *split = lmap + nnz;
-    int32_t *hrow = split + n, *cursor = hrow + n;
-    if (!pack_rows(S, n, row_offsets, col_indices, values, scratch, split, hrow, lmap,
-                   cursor, inv_diag))
+    int32_t *hrow = split + n, *cursor = hrow + n, *list = cursor + n, *shares = list + S;
+    const int64_t slots = pack_rows(S, n, row_offsets, col_indices, values, scratch, split,
+                                    hrow, lmap, cursor, inv_diag);
+    if (slots < 0)
         return BAD_DIAGONAL;
     int64_t open = 0; /* lanes neither converged nor frozen */
     for (int64_t s = 0; s < S; s++) {
@@ -526,6 +651,7 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
         threshold[s] = tol * r_norm[s];
         converged[s] = r_norm[s] <= threshold[s]; /* zero right-hand sides */
         open += !converged[s];
+        list[s] = (int32_t)s;
     }
     if (history)
         for (int64_t s = 0; s < S; s++)
@@ -538,13 +664,16 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
         rz[s] = lane_dot(ddot, n, r + s * n, apz + s * n);
 
     solve sv = {
-        .S = S, .n = n, .maxit = maxit, .open = open,
-        .m = {row_offsets, col_indices, split, hrow, scratch}, .ddot = ddot,
+        .S = S, .n = n, .maxit = maxit, .open = open, .width = S, .slots = slots,
+        .m = {row_offsets, col_indices, split, hrow, scratch}, .list = list, .ddot = ddot,
         .x = x, .r = r, .apz = apz, .p = p, .inv_diag = inv_diag, .xt = xt,
         .threshold = threshold, .r_norm = r_norm, .rz = rz, .history = history,
         .iterations = iterations, .converged = converged, .frozen = frozen,
     };
-    const int64_t it = run_team(&sv, members, lmap, tiles);
+    if (open > 0)
+        narrow(&sv, open);
+    const int64_t it = run_team(&sv, members, lmap, tiles, shares);
+    *streamed = sv.streamed;
     if (it < 0)
         return it;
     for (int64_t s = 0; s < S; s++)

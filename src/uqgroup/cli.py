@@ -148,9 +148,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
         strategies = list(cfg["strategies"])
         print(f"problem={cfg['problem']} S={cfg['S']} stop={report.stop_reason} "
               f"samples={report.n_samples_total}")
-        # executed and useful lane-iterations; "-" for analytic runs
+        # executed, streamed and useful lane-iterations; "-" for analytic runs
         print("  level  n_samples" + "".join(f"  R({s:>3})" for s in strategies)
-              + "    executed      useful    mean_qoi")
+              + "    executed    streamed      useful    mean_qoi")
         for lv in report.levels:
             by_strat = {p.strategy: p for p in lv.plans}
             cells = "".join(
@@ -158,7 +158,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 for s in strategies
             )
             counts = "".join(f"  {'-' if v is None else v:>10}"
-                             for v in (lv.executed_lane_iterations, lv.useful_lane_iterations))
+                             for v in (lv.executed_lane_iterations, lv.streamed_lane_iterations,
+                                       lv.useful_lane_iterations))
             print(f"  {lv.level:5d}  {len(lv.samples):9d}{cells}{counts}  {lv.mean_qoi:10.6g}")
         if strategies:
             total = "".join(f"  {report.work_ratios[s]:6.3f}" for s in strategies)

@@ -30,9 +30,20 @@ solve bit for bit.
 The loop keeps iterating until every lane has either converged or been
 frozen, recording for each lane the first iteration at which its relative
 residual dropped below the tolerance.  Lanes whose A-conjugate norm p'Ap
-underflows to zero (which happens after a lane has converged far beyond
-machine precision) are frozen: their update coefficients are forced to zero
-so their solutions never change while the remaining lanes continue.
+underflows to zero are frozen: their step length is forced to zero.  A lane
+stops at its own convergence or freezing: it leaves the dot, update and
+preconditioner steps, so its solution, residual norms and count are bitwise
+those of a one-lane solve of its system, whatever its companions.  The
+ensemble still runs until its slowest lane is done, and the study charges it
+S times that many lane-iterations (the work ratio R).
+
+What it executes is less.  The products run at a packed width with its own
+compiled copy (16, 4 or 1) once the open lanes fit it: when they do, the
+call repacks the values in place to the open lanes (padded with finished
+ones up to the width, whose products nobody reads) and goes on at that
+width, the dynamic regrouping of GPU warps (Fung et al., MICRO 2007) applied
+to an embedded ensemble.  `LaneSolveResult.streamed_lane_iterations` counts
+the lane products actually formed.
 
 The kernels touch no Python object and write only buffers their caller
 passes in, so the library is loaded with `ctypes.CDLL`, which releases the
@@ -46,11 +57,11 @@ depends on `OPENBLAS_NUM_THREADS`, never on the calling thread.
 A wide solve also runs on several threads itself.  After the serial pack,
 its iterations run on a team of pthreads: each member forms the product
 rows of its block of 64-row tiles (cut to hold about equal nonzeros) and
-does the updates, dots and convergence bookkeeping of its block of lanes,
-with a blocking barrier after each of the four steps of an iteration.  Every
-row sum and every lane's dot is computed by one member, in the order a
-single thread uses, so every output is bitwise independent of the team
-size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
+does the updates, dots and convergence bookkeeping of its share of the open
+lanes, with a blocking barrier after each of the four steps of an
+iteration.  Every row sum and every lane's dot is computed by one member, in
+the order a single thread uses, so every output is bitwise independent of
+the team size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
 most one per tile and at most `threads`: below that the barriers cost what
 the split saves.
 """
@@ -156,7 +167,7 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[...
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
         [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
-        + [ctypes.c_double, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 7
+        + [ctypes.c_double, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
     )
     pcg.restype = ctypes.c_int64
     assemble = lib.ensemble_assemble
@@ -265,13 +276,18 @@ class LaneSolveResult:
     iterations_per_lane[s] is the first iteration at which lane s satisfied
     ||r|| <= tol * ||b||, or the number of iterations actually run if it never
     did.  ensemble_iterations is the total the ensemble ran, i.e. the max over
-    lanes.  residual_history (optional) holds one (S,) array of lane residual
-    norms per iteration, starting at iteration 0.
+    lanes.  streamed_lane_iterations is the number of lane products the solve
+    formed, the sum over its iterations of the packed width; it is at most S
+    times ensemble_iterations, and equal to it when the solve never narrows.
+    residual_history (optional) holds one (S,) array of lane residual norms
+    per iteration, starting at iteration 0; a stopped lane's norm stays at its
+    last value.
     """
 
     solution: np.ndarray
     iterations_per_lane: np.ndarray
     ensemble_iterations: int
+    streamed_lane_iterations: int
     converged_per_lane: np.ndarray
     frozen_lanes: np.ndarray
     residual_history: list[np.ndarray] | None = None
@@ -292,12 +308,13 @@ def ensemble_pcg(
     summed in storage order, as scipy's `diagonal()` of a lane sums them.
     Every lane needs a strictly positive diagonal and the right-hand sides
     must be finite (`EnsembleError` otherwise, before any iteration).
-    Convergence is per lane, relative to that lane's right-hand side.  A lane
-    that converges keeps iterating with the rest (its arithmetic is still
-    lane-local), so recorded counts equal independent scalar PCG counts
-    exactly.  Lanes whose p'Ap underflows below the smallest positive normal
-    are frozen: alpha and beta are zeroed for them only, their solution stops
-    changing, and they no longer block termination.
+    Convergence is per lane, relative to that lane's right-hand side.  Lanes
+    whose p'Ap underflows below the smallest positive normal are frozen: their
+    alpha is zeroed and they no longer block termination.  A lane stops at its
+    own convergence or freezing, so its solution, residual norms and count
+    are bitwise those of a one-lane solve of its system.  Once the open lanes
+    fit a narrower width with its own compiled product (16, 4 or 1), the call
+    repacks the values to them in place and goes on at that width.
 
     The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which packs
     the values and forms the Jacobi inverse before iteration 1, in a scratch
@@ -340,11 +357,13 @@ def ensemble_pcg(
     converged = np.zeros(S, dtype=bool)
     frozen = np.zeros(S, dtype=bool)
     history = np.empty((maxit + 1, S)) if record_history else None
+    streamed = np.zeros(1, dtype=np.int64)
     it = _PCG(
         S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.values.ctypes.data,
         scratch.ctypes.data, _DDOT, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,
+        streamed.ctypes.data,
     )
     if it == _BAD_DIAGONAL:
         raise EnsembleError("Jacobi preconditioner needs strictly positive lane diagonals")
@@ -354,6 +373,7 @@ def ensemble_pcg(
         solution=x,
         iterations_per_lane=iterations,
         ensemble_iterations=int(iterations.max(initial=0)),
+        streamed_lane_iterations=int(streamed[0]),
         converged_per_lane=converged,
         frozen_lanes=frozen,
         residual_history=None if history is None else list(history[: it + 1].copy()),

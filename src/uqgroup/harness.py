@@ -80,8 +80,8 @@ _UNCONVERGED_NOTE = "R and predicted speed-ups set to NaN"
 MANIFEST_FORMAT = 2
 
 # Per-level counters of the executed ensembles' lanes (`LevelRecord`).
-_LANE_COUNTERS = ("executed_lane_iterations", "useful_lane_iterations", "spmv_calls",
-                  "frozen_lanes", "unconverged_lanes")
+_LANE_COUNTERS = ("executed_lane_iterations", "streamed_lane_iterations",
+                  "useful_lane_iterations", "spmv_calls", "frozen_lanes", "unconverged_lanes")
 
 
 class ConfigurationError(ValueError):
@@ -466,6 +466,7 @@ class _PdeProblem:
                         notes.append(f"level {plan.level} ensemble {k}: "
                                      f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
                 counts["executed_lane_iterations"] += len(group) * result.ensemble_iterations
+                counts["streamed_lane_iterations"] += result.streamed_lane_iterations
                 counts["spmv_calls"] += result.ensemble_iterations
                 counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
                 counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
@@ -522,8 +523,10 @@ class LevelRecord:
     mean_qoi is the mean of the QoI surrogate fitted through this level.
     The lane counters sum over the level's executed ensembles and are None
     for analytic runs: executed lane-iterations are S times each ensemble's
-    iterations, useful ones those of the real (non-padding) lanes, and
-    spmv_calls the ensembles' iterations.
+    iterations (the paper's lockstep accounting), streamed ones the lane
+    products the solves formed once each narrowed to its open lanes
+    (`LaneSolveResult.streamed_lane_iterations`), useful ones those of the
+    real (non-padding) lanes, and spmv_calls the ensembles' iterations.
     """
 
     level: int
@@ -535,6 +538,7 @@ class LevelRecord:
     max_abs_prediction_error: float | None
     budget_truncated: bool
     executed_lane_iterations: int | None
+    streamed_lane_iterations: int | None
     useful_lane_iterations: int | None
     spmv_calls: int | None
     frozen_lanes: int | None

@@ -72,11 +72,14 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     Each lane's product is scipy's scalar product, which sums every row in
     storage order (the lanes are not sorted: an unsorted or duplicate-entry
     lane is multiplied as stored), each inner product an `np.dot` over that
-    lane's row, and each update one numpy pass over the (S, n) vectors;
-    lanes whose p'Ap falls to the smallest positive normal or below are
-    frozen (alpha and beta zero).  Returns (x, iterations, converged, frozen,
-    history) with the conventions of `LaneSolveResult`; history is a list of
-    (S,) residual norms from iteration 0, or None.
+    lane's row, and each update one numpy pass over the open lanes' rows.
+    A lane is open until it converges or freezes (its p'Ap falls to the
+    smallest positive normal or below, when its alpha is zero); from then on
+    no step changes its vectors, so its solution and residual norm are those
+    of a one-lane solve of its own system.  The loop runs until no lane is
+    open or maxit.  Returns (x, iterations, converged, frozen, history) with
+    the conventions of `LaneSolveResult`; history is a list of (S,) residual
+    norms from iteration 0, or None.
     """
     mats = [sp.csr_matrix(m) for m in lanes]
     b = np.array(rhs, dtype=np.float64)
@@ -101,31 +104,33 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     it = 0
     while it < maxit and not np.all(converged | frozen):
         it += 1
+        live = ~(converged | frozen)
         Ap = np.array([mats[s].dot(p[s]) for s in range(S)])
         pAp = lane_dot(p, Ap)
-        frozen |= pAp <= _TINY
-        active = ~frozen
+        frozen |= live & (pAp <= _TINY)
+        active = live & ~frozen
         alpha = np.zeros(S)
         alpha[active] = rz[active] / pAp[active]
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * Ap
-        r_norm = np.sqrt(lane_dot(r, r))
+        x[live] += alpha[live, None] * p[live]
+        r[live] -= alpha[live, None] * Ap[live]
+        r_norm[live] = np.sqrt(lane_dot(r, r))[live]
         if history is not None:
             history.append(r_norm.copy())
-        if not np.all(np.isfinite(r_norm[active])):
+        if not np.all(np.isfinite(r_norm[~frozen])):
             raise FloatingPointError(f"non-finite residual at iteration {it}")
-        newly = active & ~converged & (r_norm <= threshold)
+        newly = active & (r_norm <= threshold)
         iterations[newly] = it
         converged |= newly
-        if np.all(converged | frozen):
+        live = ~(converged | frozen)
+        if not live.any():
             break
         z = r * inv_diag
         rz_new = lane_dot(r, z)
         beta = np.zeros(S)
-        safe = active & (rz > 0)
+        safe = live & (rz > 0)
         beta[safe] = rz_new[safe] / rz[safe]
-        p = z + beta[:, None] * p
-        rz = rz_new
+        p[live] = z[live] + beta[live, None] * p[live]
+        rz[live] = rz_new[live]
     iterations[~converged] = it
     return x, iterations, converged, frozen, history
 

@@ -296,19 +296,18 @@ def test_duplicated_lanes_are_bitwise_identical():
 
 
 def test_lane_results_independent_of_companions():
-    """A lane's count must not change when its ensemble partners change."""
+    """A lane's count and solution must not change when its ensemble partners change."""
     rng = np.random.default_rng(13)
     lanes, rhs = random_spd_system(rng, 35, 3)
     full = ensemble_pcg(EnsembleCsrMatrix.from_scipy_lanes(lanes), rhs, tol=1e-10, maxit=2000)
-    solo = ensemble_pcg(
-        EnsembleCsrMatrix.from_scipy_lanes([lanes[1]]), rhs[1:2], tol=1e-10, maxit=2000
-    )
-    assert solo.iterations_per_lane[0] == full.iterations_per_lane[1]
-    # past its own convergence the lane keeps polishing with the ensemble, so
-    # the iterates agree to solver tolerance rather than bitwise
-    assert np.linalg.norm(solo.solution[0] - full.solution[1]) <= 1e-9 * np.linalg.norm(
-        solo.solution[0]
-    )
+    for s in range(3):
+        solo = ensemble_pcg(
+            EnsembleCsrMatrix.from_scipy_lanes([lanes[s]]), rhs[s:s + 1], tol=1e-10, maxit=2000
+        )
+        assert solo.iterations_per_lane[0] == full.iterations_per_lane[s]
+        # a lane stops at its own convergence, so its iterate is its own
+        assert solo.solution[0].tobytes() == full.solution[s].tobytes()
+    assert len(set(full.iterations_per_lane)) > 1
 
 
 def test_determinism_of_repeated_solves():
@@ -612,7 +611,8 @@ def _outcome(system, threads=None):
     res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, record_history=True, threads=threads)
     return (system.matrix.values.tobytes(), res.solution.tobytes(),
             res.iterations_per_lane.tobytes(), res.converged_per_lane.tobytes(),
-            res.frozen_lanes.tobytes(), np.array(res.residual_history).tobytes())
+            res.frozen_lanes.tobytes(), np.array(res.residual_history).tobytes(),
+            res.streamed_lane_iterations)
 
 
 def test_kernels_release_the_gil():
@@ -725,3 +725,98 @@ def test_team_breakdown_at_the_same_iteration(monkeypatch):
     for threads in (1, 2, 3, 4):
         with pytest.raises(NumericalBreakdownError, match="at iteration 6$"):
             ensemble_pcg(mat, rhs, tol=1e-10, threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# a lane stops at its own convergence, and the ensemble narrows to its open
+# lanes
+
+
+def _solo(mat, rhs, s, **kwargs):
+    """Lane s of an ensemble solved on its own."""
+    lane = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, mat.values[s:s + 1])
+    return ensemble_pcg(lane, rhs[s:s + 1], tol=1e-10, record_history=True, threads=1, **kwargs)
+
+
+def ladder_sum(width, closing, iterations):
+    """Lane products of a solve that, before each iteration, narrows to the
+    narrowest width of 16, 4 and 1 below its own that holds its open lanes;
+    lane s is open in iterations 1 to closing[s]."""
+    total = 0
+    for it in range(1, iterations + 1):
+        still = sum(c >= it for c in closing)
+        width = min([w for w in (16, 4, 1) if still <= w < width], default=width)
+        total += width
+    return total
+
+
+# Widths that narrow from every kind of start: generic (2, 3, 5, 7, 17, 33)
+# and specialised (4, 16) widths, to 16, 4 and 1.  The special ensemble has a
+# lane that freezes at iteration 1 and one with a zero right-hand side, and is
+# cut off by maxit one iteration before its slowest regular lane converges,
+# after the others have closed.
+@pytest.mark.parametrize("special", [False, True], ids=["plain", "special"])
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 16, 17, 33])
+def test_each_lane_is_its_solo_solve(width, special, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(width, 90 + width)
+    mat, rhs, maxit = system.matrix, system.rhs.copy(), 2000
+    if special:
+        rhs[0] *= 1e-155  # p'Ap of this lane is subnormal at iteration 1
+        rhs[-1] = 0.0
+        if width > 2:
+            maxit = max(_solo(mat, rhs, s).iterations_per_lane[0] for s in range(1, width - 1)) - 1
+    solos = [_solo(mat, rhs, s, maxit=maxit) for s in range(width)]
+    closing = [solo.iterations_per_lane[0] for solo in solos]
+    for threads in (1, 2, 3, 4):
+        res = ensemble_pcg(mat, rhs, tol=1e-10, maxit=maxit, record_history=True, threads=threads)
+        history = np.array(res.residual_history)
+        for s, solo in enumerate(solos):
+            assert res.solution[s].tobytes() == solo.solution[0].tobytes()
+            assert res.converged_per_lane[s] == solo.converged_per_lane[0]
+            assert res.frozen_lanes[s] == solo.frozen_lanes[0]
+            # a frozen lane's count is the ensemble's, as for every unconverged lane
+            if not res.frozen_lanes[s]:
+                assert res.iterations_per_lane[s] == solo.iterations_per_lane[0]
+            # the lane's norms are its solo ones, then flat once it has stopped
+            own = np.array(solo.residual_history)[:, 0]
+            assert history[:len(own), s].tobytes() == own.tobytes()
+            assert (history[len(own):, s] == own[-1]).all()
+        assert res.streamed_lane_iterations == ladder_sum(width, closing, res.ensemble_iterations)
+    if special:
+        assert res.frozen_lanes[0] and not res.converged_per_lane[0]
+        assert res.iterations_per_lane[-1] == 0 and res.converged_per_lane[-1]
+        if width > 2:
+            assert res.ensemble_iterations == maxit and not res.converged_per_lane.all()
+
+
+def test_streamed_lane_iterations_equal_executed_without_narrowing():
+    system = _team_system(4, 95)
+    for s in range(4):
+        res = _solo(system.matrix, system.rhs, s)
+        assert res.streamed_lane_iterations == res.ensemble_iterations > 0
+    # four copies of one lane close together: the width never narrows
+    mat = EnsembleCsrMatrix(system.matrix.row_offsets, system.matrix.col_indices,
+                            np.repeat(system.matrix.values[:1], 4, axis=0))
+    res = ensemble_pcg(mat, np.repeat(system.rhs[:1], 4, axis=0), tol=1e-10)
+    assert res.streamed_lane_iterations == 4 * res.ensemble_iterations
+
+
+def test_streamed_lane_iterations_follow_the_width_ladder(monkeypatch):
+    # 33 lanes, copies of three systems that converge at a < b < c: 20 copies
+    # of the first, 10 of the second, 3 of the third.  After iteration a the
+    # 13 open lanes fit width 16, after b the 3 open ones width 4, so
+    # 33 a + 16 (b - a) + 4 (c - b) lane products are formed.
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(3, 96)
+    counts = [_solo(system.matrix, system.rhs, s).iterations_per_lane[0] for s in range(3)]
+    order = np.argsort(counts)
+    a, b, c = np.array(counts)[order]
+    assert a < b < c
+    lanes = np.repeat(order, [20, 10, 3])
+    mat = EnsembleCsrMatrix(system.matrix.row_offsets, system.matrix.col_indices,
+                            system.matrix.values[lanes])
+    for threads in (1, 2, 3, 4):
+        res = ensemble_pcg(mat, system.rhs[lanes], tol=1e-10, threads=threads)
+        assert res.ensemble_iterations == c
+        assert res.streamed_lane_iterations == 33 * a + 16 * (b - a) + 4 * (c - b)

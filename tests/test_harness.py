@@ -577,6 +577,8 @@ def test_lane_counters_agree_with_the_accounting(pde_report):
         assert lv.executed_lane_iterations / lv.useful_lane_iterations == executed_plan.work_ratio
         assert lv.useful_lane_iterations == sum(lv.samples.iterations)
         assert lv.executed_lane_iterations == S * lv.spmv_calls
+        # padding lanes are streamed too, until the solve narrows past them
+        assert lv.useful_lane_iterations < lv.streamed_lane_iterations < lv.executed_lane_iterations
         assert lv.frozen_lanes == lv.unconverged_lanes == 0
     assert pde_report.levels[1].executed_lane_iterations > pde_report.levels[1].useful_lane_iterations
 
@@ -876,12 +878,36 @@ def test_cli_table_prints_lane_counters_and_mean_qoi(tmp_path, capsys, pde_repor
     emit_reports(pde_report, tmp_path)
     assert cli_main(["table", "--out-dir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split()[-3:] == ["executed", "useful", "mean_qoi"]
+    assert lines[1].split()[-4:] == ["executed", "streamed", "useful", "mean_qoi"]
     for lv, line in zip(pde_report.levels, lines[2:]):
         cells = line.split()
         assert cells[0] == str(lv.level)
-        assert cells[-3:] == [str(lv.executed_lane_iterations), str(lv.useful_lane_iterations),
-                              f"{lv.mean_qoi:.6g}"]
+        assert cells[-4:] == [str(lv.executed_lane_iterations), str(lv.streamed_lane_iterations),
+                              str(lv.useful_lane_iterations), f"{lv.mean_qoi:.6g}"]
+
+
+def test_qois_and_grids_do_not_depend_on_the_width():
+    # A lane stops at its own convergence, so its solution and QoI are those
+    # of its solo solve whatever its companions; the refinement reads the QoI
+    # surpluses, so every width picks the same samples.
+    reports = {
+        S: adaptive_run(preset_config("pde_test1", ensemble_size=S, n_max=100,
+                                      mesh=MeshConfig(mesh_cells=6)))
+        for S in (1, 4, 7)
+    }
+    want = reports[1]
+    assert len(want.levels) > 1
+    for S, rep in reports.items():
+        assert json.dumps(rep.grid) == json.dumps(want.grid)
+        for lv, ref in zip(rep.levels, want.levels, strict=True):
+            assert lv.samples == ref.samples
+            assert json.dumps([lv.mean_qoi, lv.error_indicator]) == json.dumps(
+                [ref.mean_qoi, ref.error_indicator])
+            assert lv.useful_lane_iterations == ref.useful_lane_iterations
+            assert lv.streamed_lane_iterations <= lv.executed_lane_iterations
+    # one lane is never narrowed; at width 7 every level narrows some ensemble
+    assert all(lv.streamed_lane_iterations == lv.executed_lane_iterations for lv in want.levels)
+    assert all(lv.streamed_lane_iterations < lv.executed_lane_iterations for lv in reports[7].levels)
 
 
 def test_cli_table_refuses_an_old_manifest(tmp_path, capsys, corner_report):
