@@ -11,7 +11,7 @@ per run at the default 16^3 mesh.
 import argparse
 from pathlib import Path
 
-from uqgroup import adaptive_run, emit_reports, preset_config
+from uqgroup import MeshConfig, adaptive_run, emit_reports, preset_config
 
 
 def main() -> None:
@@ -30,17 +30,13 @@ def main() -> None:
     overrides = {}
     if args.n_max is not None:
         overrides["n_max"] = args.n_max
+    if args.mesh_cells is not None:
+        overrides["mesh"] = MeshConfig(mesh_cells=args.mesh_cells)
 
     reports = []
     for problem in args.problems:
         for size in args.sizes:
             cfg = preset_config(problem, ensemble_size=size, **overrides)
-            if args.mesh_cells is not None:
-                import dataclasses
-
-                cfg = dataclasses.replace(
-                    cfg, mesh=dataclasses.replace(cfg.mesh, mesh_cells=args.mesh_cells)
-                )
             rep = adaptive_run(cfg)
             reports.append(rep)
             R = rep.work_ratios

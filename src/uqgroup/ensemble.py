@@ -22,10 +22,10 @@ values per product.  The product loads each column index once and then does
 S contiguous multiply-adds over the entry's slot, walking every row in
 storage order, so each lane sums in the order of a scalar CSR product.
 Inner products and norms are taken per lane (never summed across lanes)
-with the BLAS ddot that numpy's own `np.dot` calls, looked up at import, so
-the arithmetic seen by lane i is exactly the arithmetic of a scalar numpy
-solve of lane i's system: iteration counts and iterates match a sequential
-solve bit for bit.
+by the kernel's own dot, in an order fixed by the length alone (`lane_dot`),
+so no output depends on a BLAS or its thread count, and lane i computes
+exactly what a scalar numpy solve of its system taking its dots in that
+order computes: counts and iterates match such a solve bit for bit.
 
 The loop keeps iterating until every lane has either converged or been
 frozen, recording for each lane the first iteration at which its relative
@@ -50,9 +50,7 @@ passes in, so the library is loaded with `ctypes.CDLL`, which releases the
 GIL for the length of each call: solves and assemblies on distinct buffers
 may run concurrently from several threads (the harness solves a level's
 ensembles that way).  Each call's arithmetic is the same whichever thread
-runs it.  numpy's OpenBLAS ddot is re-entrant, but it splits vectors longer
-than 10,000 entries across its own threads, so for such vectors its rounding
-depends on `OPENBLAS_NUM_THREADS`, never on the calling thread.
+runs it.
 
 A wide solve also runs on several threads itself.  After the serial pack,
 its iterations run on a team of pthreads: each member forms the product
@@ -79,7 +77,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy._core._multiarray_umath as _numpy_core
 import scipy.sparse as sp
 
 __all__ = [
@@ -104,9 +101,6 @@ _BUILD_DIR = Path(__file__).with_name("_build")
 # -ffp-contract=off keeps every lane's multiply and add separately rounded,
 # as in scipy's scalar product and numpy's elementwise arithmetic.
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", "-lm")
-# numpy's BLAS (ILP64 OpenBLAS) exports its ddot under this name; np.dot of
-# two float64 vectors calls it.
-_DDOT_SYMBOL = "scipy_cblas_ddot64_"
 
 
 def _gcc(args: list[str]) -> str:
@@ -149,15 +143,6 @@ def _build_kernel(source: Path, build_dir: Path) -> Path:
     return lib
 
 
-def _numpy_ddot() -> int:
-    """Address of the ddot that np.dot calls, from numpy's core extension."""
-    try:
-        ddot = getattr(ctypes.CDLL(_numpy_core.__file__), _DDOT_SYMBOL)
-    except AttributeError:
-        raise RuntimeError(f"numpy's BLAS exports no {_DDOT_SYMBOL}") from None
-    return ctypes.cast(ddot, ctypes.c_void_p).value
-
-
 def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[..., None]]:
     # CDLL, not PyDLL: a call releases the GIL (see the module docstring).
     lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
@@ -166,7 +151,7 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[...
     scratch_size.restype = ctypes.c_int64
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
+        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 4
         + [ctypes.c_double, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
     )
     pcg.restype = ctypes.c_int64
@@ -178,7 +163,6 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[...
 
 # _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
 _PCG, _PCG_SCRATCH_SIZE, _ASSEMBLE = _load_kernel()
-_DDOT = _numpy_ddot()
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
 _BAD_DIAGONAL = -(2**63)
@@ -360,7 +344,7 @@ def ensemble_pcg(
     streamed = np.zeros(1, dtype=np.int64)
     it = _PCG(
         S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.values.ctypes.data,
-        scratch.ctypes.data, _DDOT, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
+        scratch.ctypes.data, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,
         streamed.ctypes.data,

@@ -15,14 +15,36 @@ import scipy.linalg
 import scipy.sparse as sp
 
 _TINY = np.finfo(np.float64).tiny
+_DOT_SUMS = 32
 
 
 # ---------------------------------------------------------------------------
 # scalar preconditioned conjugate gradients
 
 
+def fixed_order_dot(u, v):
+    """u'v in the order the compiled PCG fixes for every inner product.
+
+    32 partial sums, sum k adding the products u[i] * v[i] with
+    i = k (mod 32) in index order from 0.0, then a halving tree: sum k adds
+    sum k + h for h = 16, 8, 4, 2, 1.  The products are laid out 32 to a row
+    under a row of zeros and padded with zeros; each partial sum is the last
+    entry of a column's np.cumsum, which adds sequentially (np.sum adds
+    pairwise).  A sum starts at +0.0, so it is never -0.0 and adding a
+    padding zero leaves it as it is.
+    """
+    prod = np.asarray(u, dtype=np.float64) * np.asarray(v, dtype=np.float64)
+    table = np.zeros((1 + -(-prod.size // _DOT_SUMS), _DOT_SUMS))
+    table.flat[_DOT_SUMS : _DOT_SUMS + prod.size] = prod
+    sums = np.cumsum(table, axis=0)[-1]
+    while len(sums) > 1:
+        half = len(sums) // 2
+        sums = sums[:half] + sums[half:]
+    return sums[0]
+
+
 def scalar_pcg(mat, b, inv_diag=None, tol=1e-7, maxit=1000):
-    """Textbook Jacobi-PCG on one system.
+    """Textbook Jacobi-PCG on one system, its dots `fixed_order_dot`.
 
     Returns (x, iterations, converged, frozen): `iterations` is the first
     iteration with ||r|| <= tol * ||b|| (0 for a zero right-hand side, maxit
@@ -36,29 +58,29 @@ def scalar_pcg(mat, b, inv_diag=None, tol=1e-7, maxit=1000):
         inv_diag = 1.0 / mat.diagonal()
     x = np.zeros_like(b)
     r = b.copy()
-    threshold = tol * np.sqrt(np.dot(b, b))
-    if np.sqrt(np.dot(r, r)) <= threshold:
+    threshold = tol * np.sqrt(fixed_order_dot(b, b))
+    if np.sqrt(fixed_order_dot(r, r)) <= threshold:
         return x, 0, True, False
     z = inv_diag * r
     p = z.copy()
-    rz = np.dot(r, z)
+    rz = fixed_order_dot(r, z)
     it = 0
     while it < maxit:
         it += 1
         Ap = mat.dot(p)
-        pAp = np.dot(p, Ap)
+        pAp = fixed_order_dot(p, Ap)
         if pAp <= _TINY:
             return x, it, False, True
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        r_norm = np.sqrt(np.dot(r, r))
+        r_norm = np.sqrt(fixed_order_dot(r, r))
         if not np.isfinite(r_norm):
             raise FloatingPointError(f"non-finite residual at iteration {it}")
         if r_norm <= threshold:
             return x, it, True, False
         z = inv_diag * r
-        rz_new = np.dot(r, z)
+        rz_new = fixed_order_dot(r, z)
         beta = rz_new / rz if rz > 0 else 0.0
         p = z + beta * p
         rz = rz_new
@@ -71,8 +93,9 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     Lane s is the scalar CSR matrix `lanes[s]` and right-hand side `rhs[s]`.
     Each lane's product is scipy's scalar product, which sums every row in
     storage order (the lanes are not sorted: an unsorted or duplicate-entry
-    lane is multiplied as stored), each inner product an `np.dot` over that
-    lane's row, and each update one numpy pass over the open lanes' rows.
+    lane is multiplied as stored), each inner product a `fixed_order_dot`
+    over that lane's row, and each update one numpy pass over the open
+    lanes' rows.
     A lane is open until it converges or freezes (its p'Ap falls to the
     smallest positive normal or below, when its alpha is zero); from then on
     no step changes its vectors, so its solution and residual norm are those
@@ -86,7 +109,7 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     S = b.shape[0]
 
     def lane_dot(u, v):
-        return np.array([np.dot(u[s], v[s]) for s in range(S)])
+        return np.array([fixed_order_dot(u[s], v[s]) for s in range(S)])
 
     inv_diag = 1.0 / np.array([m.diagonal() for m in mats])
     x = np.zeros_like(b)

@@ -30,7 +30,7 @@ from uqgroup import (
 
 from uqgroup import ensemble as ensemble_module
 
-from _oracles import lockstep_pcg, random_spd_system, scalar_pcg
+from _oracles import fixed_order_dot, lockstep_pcg, random_spd_system, scalar_pcg
 
 def diag_ensemble(diags):
     """Ensemble of diagonal matrices from per-lane diagonal value rows."""
@@ -385,21 +385,6 @@ def test_property_counts_match_scalar(n, width, seed):
 # the compiled loop against the numpy lockstep loop, bit for bit
 
 
-_DDOT = ctypes.CFUNCTYPE(
-    ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-    ctypes.c_int64,
-)(ensemble_module._DDOT)
-
-
-@pytest.mark.parametrize("n", [1, 37, 3375, 29791])
-def test_resolved_ddot_equals_np_dot(n):
-    rng = np.random.default_rng(n)
-    for _ in range(5):
-        x, y = rng.standard_normal((2, n))
-        got = _DDOT(n, x.ctypes.data, 1, y.ctypes.data, 1)
-        assert np.float64(got).tobytes() == np.dot(x, y).tobytes()
-
-
 def assert_matches_lockstep(lanes, rhs, threads=None, **kwargs):
     """Solve with `ensemble_pcg` and with `lockstep_pcg`; compare bit for bit.
 
@@ -419,6 +404,30 @@ def assert_matches_lockstep(lanes, rhs, threads=None, **kwargs):
     for got, want in zip(res.residual_history, history):
         assert got.tobytes() == want.tobytes()
     return res
+
+
+_DOT_LENGTHS = [*range(1, 100), 1000, 3375, 10_001, 29_791, 100_000]
+
+
+def test_kernel_dot_is_the_fixed_order_oracle():
+    # history[0] of a solve that runs no iteration holds each lane's
+    # sqrt(b'b), the kernel's dot of b with itself; magnitudes spread over 12
+    # decades make the sum's rounding depend on its order
+    rng = np.random.default_rng(16)
+    for n in _DOT_LENGTHS:
+        b = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-6.0, 6.0, (3, n))
+        res = ensemble_pcg(diag_ensemble(np.ones((3, n))), b, maxit=0, record_history=True)
+        want = np.sqrt([fixed_order_dot(lane, lane) for lane in b])
+        assert res.residual_history[0].tobytes() == want.tobytes(), n
+
+
+@pytest.mark.parametrize("n", [1, 31, 33, 1000, 100_000])
+def test_diagonal_solve_dots_match_lockstep(n):
+    # one Jacobi step solves a diagonal system up to rounding, so the
+    # residual's dots add terms of both signs that cancel
+    rng = np.random.default_rng(n)
+    diags = rng.uniform(0.5, 2.0, (2, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (2, n))
+    assert_matches_lockstep(diag_ensemble(diags), rng.standard_normal((2, n)), tol=1e-300, maxit=3)
 
 
 def position(lane, row, col):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -1065,3 +1066,30 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 2
     assert (out / "manifest.json").exists()
     assert "R(its)" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--problem", "pde_test1", "--n-max", "60"],
+        # 23^3 = 12,167 dofs: past the length at which OpenBLAS splits a dot
+        # across its threads
+        ["--problem", "pde_test1", "--mesh-cells", "24", "--initial-level", "0", "--n-max", "16"],
+    ],
+    ids=["16cube", "24cube"],
+)
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, args):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqgroup.cli", "run", *args, "--out-dir", str(out)],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        outs[threads] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert {"r_table.csv", "manifest.json", "iterations_by_level.csv"} <= outs["1"].keys()
+    assert outs["1"].keys() == outs["2"].keys()
+    for name, data in outs["1"].items():
+        assert data == outs["2"][name], name

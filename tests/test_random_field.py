@@ -1,5 +1,7 @@
 """KL eigenpairs of the exponential kernel and the diffusion-field wrapper."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,30 @@ def test_eigenpairs_converge_toward_finer_oracle(pairs_small=None):
         assert l2_distance_signed(lib[k].grid, lib[k].values, shared[k]) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "delta, grid_points, count",
+    [(0.05, 64, 64), (0.25, 513, 8), (0.25, 513, 513), (1.0, 257, 40), (0.1, 1025, 20),
+     (2.0, 129, 129)],
+)
+def test_tridiagonal_eigenpairs_match_dense_oracle(delta, grid_points, count):
+    pairs = eigenpairs_1d(delta, count, grid_points)
+    lam_ref, x, funcs_ref = nystrom_eigenpairs_dense(delta, count, grid_points)
+    lams = np.array([p.eigenvalue for p in pairs])
+    funcs = np.stack([p.values for p in pairs])
+    np.testing.assert_allclose(lams, lam_ref, rtol=1e-10, atol=0)
+    # the dense solve's own eigenvectors of the clustered smallest
+    # eigenvalues are good to about 1e-7, so only the leading ones are compared
+    np.testing.assert_allclose(funcs[:8], funcs_ref[:8], rtol=0, atol=1e-9)
+    # every pair, trailing ones included, solves the Nystrom equation
+    # K W f = lambda f and is orthonormal under the trapezoid weights W
+    w = np.full(grid_points, x[1] - x[0])
+    w[0] = w[-1] = w[0] / 2.0
+    kernel = np.exp(-np.abs(x[:, None] - x[None, :]) / delta)
+    residual = kernel @ (w[:, None] * funcs.T) - funcs.T * lams
+    assert np.abs(residual).max() <= 1e-10
+    np.testing.assert_allclose((funcs * w) @ funcs.T, np.eye(count), rtol=0, atol=1e-12)
+
+
 def test_eigenpairs_validation():
     with pytest.raises(FieldError):
         eigenpairs_1d(0.0, 4)
@@ -102,12 +128,14 @@ def test_four_mode_selection_uses_first_two_1d_modes():
 
 def test_mode_ordering_matches_brute_force_products():
     field = build_field(delta=DELTA, sigma0=1.0, n_modes=12, a_min=0.0)
-    lams = np.array([p.eigenvalue for p in eigenpairs_1d(DELTA, 6, 513)])
+    lams = [Fraction(p.eigenvalue) for p in eigenpairs_1d(DELTA, 6, 513)]
+    # exact products: one index multiset's products tie whatever the order
+    # of its factors, and the tie-break alone orders them
     products = sorted(
         ((lams[p] * lams[q] * lams[r], (p, q, r)) for p in range(6) for q in range(6) for r in range(6)),
         key=lambda t: (-t[0], t[1]),
     )
-    np.testing.assert_allclose(field.eigenvalues, [v for v, _ in products[:12]], rtol=1e-12)
+    np.testing.assert_allclose(field.eigenvalues, [float(v) for v, _ in products[:12]], rtol=1e-12)
     assert field.modes == tuple(m for _, m in products[:12])
 
 
@@ -214,6 +242,8 @@ def test_build_field_validation():
         build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0, a_hat_mode="test3")
     with pytest.raises(FieldError):
         build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0, expansion="cubic")
+    with pytest.raises(FieldError, match="cannot form"):
+        build_field(delta=DELTA, sigma0=1.0, n_modes=64**3 + 1, a_min=0.0, nystrom_points=64)
 
 
 # ---------------------------------------------------------------------------
