@@ -12,10 +12,13 @@ sums through memory), one at width 8 on the preset's 16^3 mesh (many
 ensembles per level through the solve pool, at a width with no specialised
 kernel copy), one at width 32 on a 10^3 mesh (its solves narrow from 32
 to 16, 16 to 4 and 4 to 1 lanes as lanes converge), one that dumps every
-ensemble's residual history, one cut off by a low `--maxit` (exit 3), and
+ensemble's residual history, one cut off by a low `--maxit` (exit 3),
 one whose only level is one width-16 ensemble on a 32^3 mesh (12 M
 lane-nonzeros, so on a machine of two or more CPUs its solve runs on a
-thread team).  Prints one line per case and exits 1 on any difference.
+thread team), and one that requests `nat`, `par` and `its` but not `sur`
+(it executes generation order, which its lane counters pin).  Prints one
+line per case, then, when `manifest.json` differs, up to five JSON paths
+whose values differ; exits 1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -23,6 +26,8 @@ thread team).  Prints one line per case and exits 1 on any difference.
 
 import argparse
 import filecmp
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -48,7 +53,12 @@ CASES = {
                           "--n-max", "100"],
     "pde_test1-S16-32cube": ["--problem", "pde_test1", "--S", "16", "--mesh-cells", "32",
                              "--initial-level", "0", "--n-max", "16"],
+    "pde_test1-no-sur": ["--problem", "pde_test1", "--strategies", "nat,par,its", "--mesh-cells", "8",
+                         "--n-max", "100"],
 }
+
+# How many differing JSON paths to print per differing manifest.
+SHOWN_PATHS = 5
 
 
 def run_case(src: Path, args: list[str], out_dir: Path) -> int:
@@ -65,6 +75,27 @@ def differing_files(old: Path, new: Path) -> list[str]:
         if not ((old / name).is_file() and (new / name).is_file()
                 and filecmp.cmp(old / name, new / name, shallow=False))
     )
+
+
+def json_differences(old, new, path: str = "$"):
+    """Yield the paths at which two parsed JSON documents hold different values.
+
+    A list or object whose length or keys differ is one path; NaN equals NaN.
+    """
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            yield from json_differences(old[key], new[key], f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from json_differences(a, b, f"{path}[{i}]")
+    elif not (type(old) is type(new) and (old == new or old != old and new != new)):
+        yield path
+
+
+def manifest_paths(old: Path, new: Path) -> list[str]:
+    """Up to SHOWN_PATHS paths whose values differ between two runs' manifests."""
+    old_doc, new_doc = (json.loads((d / "manifest.json").read_text()) for d in (old, new))
+    return list(itertools.islice(json_differences(old_doc, new_doc), SHOWN_PATHS))
 
 
 def main() -> int:
@@ -89,6 +120,9 @@ def main() -> int:
             written = len(list(new.iterdir())) if new.is_dir() else 0
             print(f"{name:<24} exit {codes[0]}/{codes[1]}  {written:>3} files  "
                   + ("identical" if ok else "DIFFERENT: " + (", ".join(diffs) or "exit code")), flush=True)
+            if "manifest.json" in diffs and all((d / "manifest.json").is_file() for d in (old, new)):
+                for path in manifest_paths(old, new):
+                    print(f"    {path}")
     print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
     return 1 if differ else 0
 

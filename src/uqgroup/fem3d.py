@@ -14,7 +14,8 @@ compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms each lane's
 element matrices and adds them into the lanes-last (nnz, S) values the
 ensemble SpMV reads.  Every lane is accumulated on its own, in a fixed
 order, so a lane's matrix does not depend on its companions or on the width
-S, and two identical samples produce bit-identical lane matrices.
+S, and two identical samples produce bit-identical lane matrices.  The
+coefficient is evaluated here only, and each lane's indicator comes with it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import _ASSEMBLE, EnsembleCsrMatrix
-from .random_field import KLDiffusionField
+from .random_field import KLDiffusionField, anisotropy_indicator
 
 __all__ = ["FemError", "StructuredMesh", "AssembledEnsembleSystem", "assemble", "qoi"]
 
@@ -147,18 +148,6 @@ class StructuredMesh:
             nodes[inner], weights=np.full(nodes.size, self.h**3 / 8.0)[inner], minlength=self.n_dofs,
         )
 
-    def interior_node_coords(self) -> np.ndarray:
-        """Coordinates of the dofs in dof order, shape (n_dofs, 3)."""
-        m = self.cells
-        axis = np.arange(1, m) * self.h
-        gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-    def center_dof(self) -> int:
-        """Dof index of the node nearest the cube centre (exact for even m)."""
-        coords = self.interior_node_coords()
-        return int(np.argmin(((coords - 0.5) ** 2).sum(axis=1)))
-
 
 @dataclass
 class AssembledEnsembleSystem:
@@ -167,6 +156,7 @@ class AssembledEnsembleSystem:
     matrix: EnsembleCsrMatrix
     rhs: np.ndarray  # (S, n_dofs)
     samples: np.ndarray  # (S, N) lane sample values, replicas included
+    indicator: np.ndarray  # (S,) each lane's anisotropy_indicator
 
 
 def assemble(
@@ -179,13 +169,16 @@ def assemble(
 
     `mode_vals` may carry `field.mode_values(mesh.quad_points)` precomputed
     once per (field, mesh) pair; lane matrices depend on their own sample
-    only, so duplicated samples yield bit-identical lanes.
+    only, so duplicated samples yield bit-identical lanes.  A lane's
+    `anisotropy_indicator` is formed from its least and greatest value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     S = len(samples)
     a_vals = field.eval_a_batch(mesh.quad_points, samples, mode_vals)  # (S, E*8)
-    # Written as "not all > 0" so that NaN coefficients are refused too.
-    if not (np.all(a_vals > 0) and field.a_y > 0 and field.a_z > 0):
+    # Each lane's least and greatest value, (S, 2).  A NaN reaches the min,
+    # and "not all > 0" refuses it along with non-positive coefficients.
+    bounds = np.stack([a_vals.min(axis=1), a_vals.max(axis=1)], axis=1)
+    if not (np.all(bounds[:, 0] > 0) and field.a_y > 0 and field.a_z > 0):
         raise FemError("non-positive or NaN diffusion coefficient at a quadrature point")
     a_vals = np.ascontiguousarray(a_vals, dtype=np.float64)
 
@@ -198,7 +191,8 @@ def assemble(
     )
     matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values.T)
     rhs = np.tile(mesh._load, (S, 1))
-    return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy())
+    return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy(),
+                                   indicator=anisotropy_indicator(field, bounds))
 
 
 def qoi(u: np.ndarray) -> float:

@@ -3,9 +3,11 @@
 One run drives the four-step loop: group the current level's samples, solve
 them (in ensembles for PDE problems, by closed-form cost for the analytic
 ones), update the sparse-grid surrogates for the quantity of interest and for
-the iteration cost, then refine or stop.  All requested strategies are
-evaluated as accounting over the same per-sample iteration counts; lane
-arithmetic is grouping-independent, so the physics is computed exactly once.
+the iteration cost, then refine or stop.  Only the executed plan, `sur`'s
+when it is requested and a surrogate exists and generation order otherwise,
+is formed before the solves.  A lane's result is bitwise its solo solve, so
+the other strategies are accounting over the same per-sample counts, and
+`par` is keyed by the anisotropy indicator assembly returns for each lane.
 
 Level numbering is 1-based: level 1 is the initial grid, solved as one batch
 and grouped in generation order for every strategy except the post-hoc "its"
@@ -43,7 +45,7 @@ from .grouping import (
     predicted_speedup,
 )
 from .hier_grid import HierGrid, RefinementPolicy
-from .random_field import anisotropy_indicator, build_field
+from .random_field import build_field
 
 __all__ = [
     "ConfigurationError",
@@ -252,6 +254,14 @@ class RunConfig:
                 raise ConfigurationError("field and mesh blocks apply only to PDE problems")
             if "par" in self.strategies:
                 raise ConfigurationError("strategy 'par' needs a PDE problem")
+        if self.base_curve is not None:
+            sizes = [size for size, _ in self.base_curve]
+            bad = [row for row in self.base_curve
+                   if row[0] < 1 or sizes.count(row[0]) > 1 or not 0 < row[1] < math.inf]
+            if bad:
+                raise ConfigurationError(f"base curve rows {bad}: need each S >= 1 once, speed-ups > 0 and finite")
+            if self.is_pde and self.ensemble_size not in sizes:
+                raise ConfigurationError(f"base curve has no entry for the run's S={self.ensemble_size}")
 
     @property
     def is_pde(self) -> bool:
@@ -325,18 +335,20 @@ def config_from_dict(doc: Mapping) -> RunConfig:
 
 
 def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
-    """Read a user-measured speed-up curve CSV with columns (S, speedup)."""
+    """Read a user-measured speed-up curve CSV with columns (S, speedup), sorted by S.
+
+    Lines starting with # are comments; the first other row may be a header without digits.
+    """
     pairs: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            try:
-                pairs.append((int(row[0]), float(row[1])))
-            except (ValueError, IndexError):
-                if not pairs and len(row) > 1:  # tolerate a header line
-                    continue
-                raise ConfigurationError(f"bad base-curve row: {row}") from None
+        rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
+    for i, row in enumerate(rows):
+        try:
+            pairs.append((int(row[0]), float(row[1])))
+        except (ValueError, IndexError):
+            if i == 0 and not any(c.isdigit() for c in "".join(row)):
+                continue  # the header
+            raise ConfigurationError(f"bad base-curve row: {row}") from None
     if not pairs:
         raise ConfigurationError(f"base curve {path} has no data rows")
     return tuple(sorted(pairs))
@@ -402,19 +414,13 @@ class _PdeProblem:
         self.mode_vals = self.field.mode_values(self.mesh.quad_points)
         self.box = tuple([(-1.0, 1.0)] * config.n_dims)
 
-    def indicator_values(self, coords: np.ndarray) -> np.ndarray:
-        return np.array(
-            [anisotropy_indicator(self.field, y, self.mesh.quad_points, self.mode_vals)
-             for y in coords]
-        )
-
     def solve_plan(
         self,
         plan: GroupingPlan,
         coords_by_id: Mapping[int, np.ndarray],
         residual_sink: Callable[[int, int, list[np.ndarray]], None] | None,
-    ) -> tuple[dict[int, int], dict[int, float], list[str], dict[str, int]]:
-        """Solve every ensemble; also return notes and the `_LANE_COUNTERS` of the solves.
+    ) -> tuple[dict[int, int], dict[int, float], dict[int, float], list[str], dict[str, int]]:
+        """Each sample's count, QoI and indicator, the notes and the `_LANE_COUNTERS` of the solves.
 
         The ensembles are independent, so each one's assembly and solve run
         in a thread pool with a worker per CPU of the process's affinity (at
@@ -433,6 +439,7 @@ class _PdeProblem:
         """
         iters: dict[int, int] = {}
         qois: dict[int, float] = {}
+        indicators: dict[int, float] = {}
         notes: list[str] = []
         counts = dict.fromkeys(_LANE_COUNTERS, 0)
         record = residual_sink is not None
@@ -443,7 +450,7 @@ class _PdeProblem:
         def solve(group: Sequence[int]):
             samples = np.array([coords_by_id[sid] for sid in group])
             system = assemble(self.mesh, self.field, samples, self.mode_vals)
-            return ensemble_pcg(
+            return system.indicator, ensemble_pcg(
                 system.matrix,
                 system.rhs,
                 tol=self.config.solver.tol,
@@ -455,7 +462,7 @@ class _PdeProblem:
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             results = pool.map(solve, plan.ensembles)
-            for k, (group, result) in enumerate(zip(plan.ensembles, results)):
+            for k, (group, (indicator, result)) in enumerate(zip(plan.ensembles, results)):
                 if record:
                     residual_sink(plan.level, k, result.residual_history)
                 stuck = ~result.converged_per_lane
@@ -475,9 +482,10 @@ class _PdeProblem:
                         iters[sid] = int(result.iterations_per_lane[s])
                         counts["useful_lane_iterations"] += iters[sid]
                         qois[sid] = qoi(result.solution[s])
+                        indicators[sid] = float(indicator[s])
         finally:
             pool.shutdown(cancel_futures=True)
-        return iters, qois, notes, counts
+        return iters, qois, indicators, notes, counts
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +529,9 @@ class LevelRecord:
     """One refinement level.
 
     mean_qoi is the mean of the QoI surrogate fitted through this level.
-    The lane counters sum over the level's executed ensembles and are None
-    for analytic runs: executed lane-iterations are S times each ensemble's
+    The lane counters sum over the level's executed ensembles (`sur`'s plan,
+    or generation order without `sur` or a surrogate) and are None for
+    analytic runs: executed lane-iterations are S times each ensemble's
     iterations (the paper's lockstep accounting), streamed ones the lane
     products the solves formed once each narrowed to its open lanes
     (`LaneSolveResult.streamed_lane_iterations`), useful ones those of the
@@ -621,47 +630,38 @@ def adaptive_run(
         coords = grid.node_coords()[start:]
         coords_by_id = {sid: coords[i] for i, sid in enumerate(ids)}
 
-        # Predictions and indicators available before this level's solves:
-        # the expansion is cut at the nodes fitted through the previous level.
+        # Predictions for this level: the expansion is cut at the nodes
+        # fitted through the previous level.
         predicted = None
         if level > 1:
             predicted = grid.eval_many(ITER_CHANNEL, coords, n_nodes=start)
-        indicator = problem.indicator_values(coords) if config.is_pde else None
 
-        plans: dict[str, GroupingPlan] = {}
-        for strat in config.strategies:
-            if strat == "its":
-                continue  # needs measured counts; built after the solves
-            if level == 1 or strat == "nat":
-                plans[strat] = group_natural(ids, S, level)
-            elif strat == "sur":
-                keys = {sid: float(predicted[i]) for i, sid in enumerate(ids)}
-                plans[strat] = group_by_key(ids, keys, S, level)
-            elif strat == "par":
-                keys = {sid: float(indicator[i]) for i, sid in enumerate(ids)}
-                plans[strat] = group_by_key(ids, keys, S, level)
-
-        # Solve each sample once.  The executed ensembles follow the predicted
-        # ordering when available; per-lane arithmetic is lane-local, so every
-        # other strategy's accounting reuses the same measured counts.
-        exec_plan = plans.get("sur") or plans.get("par") or plans.get("nat") or group_natural(
-            ids, S, level
-        )
+        # Solve each sample once, in the only plan formed before the solves:
+        # `sur`'s when there is a surrogate to key it, generation order otherwise.
+        natural = exec_plan = group_natural(ids, S, level)
+        if "sur" in config.strategies and predicted is not None:
+            exec_plan = group_by_key(ids, dict(zip(ids, predicted.tolist())), S, level)
         if config.is_pde:
-            iters, qois, solve_notes, counters = problem.solve_plan(exec_plan, coords_by_id, sink)
+            iters, qois, indicator, solve_notes, counters = problem.solve_plan(exec_plan, coords_by_id, sink)
             notes.extend(solve_notes)
             unconverged += counters["unconverged_lanes"]
         else:
             iters = {sid: float(v) for sid, v in zip(ids, problem.iter_values(coords))}
             qois = {sid: float(v) for sid, v in zip(ids, problem.qoi_values(coords))}
+            indicator = None
             counters = dict.fromkeys(_LANE_COUNTERS)
 
-        if "its" in config.strategies:
-            plans["its"] = group_oracle(ids, iters, S, level)
-
+        # Every other plan is accounting over the counts and indicators in hand.
         plan_records = []
         for strat in config.strategies:
-            plan = plans[strat]
+            if strat == "sur":
+                plan = exec_plan
+            elif strat == "its":
+                plan = group_oracle(ids, iters, S, level)
+            elif strat == "nat" or level == 1:
+                plan = natural
+            else:  # "par"
+                plan = group_by_key(ids, indicator, S, level)
             slot_iters = [[float(iters[sid]) for sid in group] for group in plan.ensembles]
             accounting[strat].append((plan, slot_iters))
             # R_l is filled in after the loop, from one compute_R per strategy.
@@ -683,7 +683,7 @@ def adaptive_run(
             coords=tuple(map(tuple, coords.tolist())),
             iterations=tuple(iters[sid] for sid in ids),
             predicted_iterations=None if predicted is None else tuple(predicted.tolist()),
-            indicator=None if indicator is None else tuple(indicator.tolist()),
+            indicator=None if indicator is None else tuple(indicator[sid] for sid in ids),
         )
         levels.append(
             LevelRecord(

@@ -16,6 +16,9 @@ expansion), with constant cross-direction coefficients a_y, a_z.  The overall
 variance factor sigma0 can scale either the 3D eigenvalues by sigma0^2
 ("stddev" convention, amplitudes proportional to sigma0) or by sigma0
 ("kernel" convention, sigma0 multiplying the covariance itself).
+
+`anisotropy_indicator`, the `par` grouping key, reads coefficient values
+the caller formed (assembly returns it per lane) and evaluates no field.
 """
 
 from __future__ import annotations
@@ -256,20 +259,18 @@ def build_field(
     )
 
 
-def anisotropy_indicator(
-    field: KLDiffusionField,
-    y: np.ndarray,
-    probe_points: np.ndarray,
-    mode_vals: np.ndarray | None = None,
-) -> float:
-    """Worst local anisotropy ratio of diag(a, a_y, a_z) over the probe points.
+def anisotropy_indicator(field: KLDiffusionField, a_vals: np.ndarray) -> np.ndarray:
+    """Worst local anisotropy ratio of diag(a, a_y, a_z) over the last axis of a_vals.
 
-    Computable straight from the sample value, with no solve and no surrogate,
-    which is what makes it usable as a grouping key from the first level on.
+    Each row of values of a, say at one sample's quadrature points, gives one
+    indicator.  With m <= M the values of a_y and a_z, max(a, M) / min(a, m)
+    does not rise with a below m, is flat on [m, M] and does not fall above
+    M, and correctly rounded division keeps that order, so a row's least and
+    greatest values give its indicator bitwise.  Usable from level 1 on.
     """
-    a_vals = field.eval_a_batch(probe_points, np.asarray(y, dtype=float)[None, :], mode_vals)[0]
+    a_vals = np.asarray(a_vals, dtype=float)
     hi = np.maximum(a_vals, max(field.a_y, field.a_z))
     lo = np.minimum(a_vals, min(field.a_y, field.a_z))
     if np.any(lo <= 0):
         raise FieldError("anisotropy indicator needs strictly positive coefficients")
-    return float(np.max(hi / lo))
+    return np.max(hi / lo, axis=-1)

@@ -3,7 +3,8 @@
 Every function here recomputes something the library also computes, through
 an independent path (direct formula, dense brute force, textbook loop), so
 the comparisons in the test modules are real cross-checks rather than the
-implementation agreeing with itself.  Nothing imports from uqgroup.
+implementation agreeing with itself.  The mesh helpers `interior_node_coords`
+and `center_dof` locate dofs for the tests alone.  Nothing imports from uqgroup.
 """
 
 from __future__ import annotations
@@ -297,6 +298,28 @@ def poisson_cube_center(terms=99):
     si, sj, sl = np.meshgrid(sign, sign, sign, indexing="ij")
     series = (si * sj * sl / (i * j * l * (i**2 + j**2 + l**2))).sum()
     return 64.0 / np.pi**5 * series
+
+
+def interior_node_coords(cells):
+    """Coordinates of the interior nodes of a `cells`^3 unit-cube mesh in
+    dof order (lexicographic, z fastest), shape ((cells - 1)^3, 3)."""
+    axis = np.arange(1, cells) * (1.0 / cells)
+    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def center_dof(cells):
+    """Dof index of the interior node nearest the cube centre (exact for even cells)."""
+    coords = interior_node_coords(cells)
+    return int(np.argmin(((coords - 0.5) ** 2).sum(axis=1)))
+
+
+def anisotropy_indicator_max(a_vals, a_y, a_z):
+    """The largest max(a, a_y, a_z) / min(a, a_y, a_z) over every given value a."""
+    a = np.asarray(a_vals, dtype=float).ravel()
+    hi = np.maximum(np.maximum(a, a_y), a_z)
+    lo = np.minimum(np.minimum(a, a_y), a_z)
+    return float((hi / lo).max())
 
 
 def kron_stiffness(m, a=(1.0, 1.0, 1.0)):

@@ -13,7 +13,13 @@ from uqgroup import (
     qoi,
 )
 
-from _oracles import kron_stiffness, laplacian_row_stencil, poisson_cube_center
+from _oracles import (
+    center_dof,
+    interior_node_coords,
+    kron_stiffness,
+    laplacian_row_stencil,
+    poisson_cube_center,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +51,9 @@ def test_mesh_counts_and_center():
     assert mesh.n_dofs == 15**3
     assert mesh.nnz == 79507
     assert len(mesh.quad_points) == 16**3 * 8
-    center = mesh.interior_node_coords()[mesh.center_dof()]
+    coords = interior_node_coords(16)
+    assert len(coords) == mesh.n_dofs
+    center = coords[center_dof(16)]
     np.testing.assert_array_equal(center, [0.5, 0.5, 0.5])
 
 
@@ -198,8 +206,8 @@ def test_laplacian_center_value_and_mesh_convergence(lap_field):
     exact = poisson_cube_center()
     u8 = solve_one(StructuredMesh(8), lap_field, np.array([0.0]))
     u16 = solve_one(StructuredMesh(16), lap_field, np.array([0.0]))
-    c8 = u8[StructuredMesh(8).center_dof()]
-    c16 = u16[StructuredMesh(16).center_dof()]
+    c8 = u8[center_dof(8)]
+    c16 = u16[center_dof(16)]
     assert c16 == pytest.approx(0.056550, abs=2e-6)
     err8, err16 = abs(c8 - exact), abs(c16 - exact)
     assert err16 < err8 / 3.0  # second-order convergence gives a factor ~4

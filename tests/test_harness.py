@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -18,11 +19,14 @@ from uqgroup import (
     ConfigurationError,
     GroupingPlan,
     HierGrid,
+    KLDiffusionField,
     MeshConfig,
     NumericalBreakdownError,
     RunConfig,
     SolverConfig,
+    StructuredMesh,
     adaptive_run,
+    build_field,
     compute_R,
     emit_reports,
     ensemble_pcg,
@@ -39,6 +43,8 @@ from uqgroup.harness import (
     read_base_curve,
 )
 from uqgroup.cli import _build_parser, _config_from_args, main as cli_main
+
+from _oracles import anisotropy_indicator_max
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,68 @@ def test_read_base_curve(tmp_path):
     one_column.write_text("4,2.72\n8\n")
     with pytest.raises(ConfigurationError, match="bad base-curve row"):
         read_base_curve(one_column)
+    headed = tmp_path / "curve4.csv"
+    headed.write_text("# measured\nS,speedup\n4,2.72\n")
+    assert read_base_curve(headed) == ((4, 2.72),)
+
+
+@pytest.mark.parametrize("text", ["4,abc\n8,4.4\n", "nan,2.72\n4,2.72\n", "S,speedup\nS,speedup\n4,2.72\n",
+                                  "4,2.72\nS,speedup\n"])
+def test_read_base_curve_refuses_a_bad_row_taken_for_a_header(tmp_path, text):
+    """Only the first row may be a header, and only if it holds no digit."""
+    curve = tmp_path / "curve.csv"
+    curve.write_text(text)
+    with pytest.raises(ConfigurationError, match="bad base-curve row"):
+        read_base_curve(curve)
+
+
+# (rows, error) pairs: each curve is refused for a pde_test1 run at the preset S = 4.
+BAD_BASE_CURVES = [
+    ([[8, 1.5]], "no entry for the run's S=4"),
+    ([[4, math.nan]], "rows [(4, nan)]: need"),
+    ([[4, -1.5]], "rows [(4, -1.5)]: need"),
+    ([[4, 0.0]], "rows [(4, 0.0)]: need"),
+    ([[4, math.inf]], "rows [(4, inf)]: need"),
+    ([[4, 2.0], [4, 3.0]], "rows [(4, 2.0), (4, 3.0)]: need"),
+    ([[0, 1.0], [4, 2.0]], "rows [(0, 1.0)]: need"),
+]
+
+
+@pytest.mark.parametrize("rows, error", BAD_BASE_CURVES)
+def test_config_refuses_a_bad_base_curve(rows, error):
+    with pytest.raises(ConfigurationError, match=re.escape(error)):
+        config_from_dict({"problem": "pde_test1", "base_curve": rows})
+    with pytest.raises(ConfigurationError, match=re.escape(error)):
+        preset_config("pde_test1", base_curve=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("route", ["csv", "json"])
+@pytest.mark.parametrize("rows, error", BAD_BASE_CURVES)
+def test_cli_refuses_a_bad_base_curve_before_any_solve(tmp_path, capsys, monkeypatch, route, rows, error):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(harness, "ensemble_pcg", no_solve)
+    out = tmp_path / "run"
+    args = ["run", "--mesh-cells", "4", "--n-max", "48", "--out-dir", str(out)]
+    if route == "csv":
+        curve = tmp_path / "curve.csv"
+        curve.write_text("S,speedup\n" + "".join(f"{size},{value!r}\n" for size, value in rows))
+        args += ["--problem", "pde_test1", "--base-curve", str(curve)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": "pde_test1", "base_curve": rows}))
+        args += ["--config", str(config)]
+    assert cli_main(args) == 1
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analytic_base_curve_needs_no_entry_for_its_size():
+    cfg = preset_config("analytic_g1", base_curve=((4, 2.72),))
+    assert cfg.ensemble_size == 8 and config_from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(ConfigurationError, match=re.escape("rows [(8, nan)]")):
+        preset_config("analytic_g1", base_curve=((8, math.nan),))
 
 
 @pytest.mark.parametrize(
@@ -582,6 +650,62 @@ def test_lane_counters_agree_with_the_accounting(pde_report):
         assert lv.useful_lane_iterations < lv.streamed_lane_iterations < lv.executed_lane_iterations
         assert lv.frozen_lanes == lv.unconverged_lanes == 0
     assert pde_report.levels[1].executed_lane_iterations > pde_report.levels[1].useful_lane_iterations
+
+
+def test_a_run_without_sur_executes_generation_order():
+    rep = adaptive_run(preset_config("pde_test1", ensemble_size=5, n_max=100, strategies=("nat", "par", "its"),
+                                     mesh=MeshConfig(mesh_cells=4)))
+    assert rep.all_lanes_converged and len(rep.levels) == 2
+    for lv in rep.levels:
+        ratios = {p.strategy: p.work_ratio for p in lv.plans}
+        assert lv.executed_lane_iterations / lv.useful_lane_iterations == ratios["nat"]
+    # par's order is its own on level 2, and is accounted but not executed
+    assert ratios["par"] != ratios["nat"]
+
+
+@pytest.fixture(scope="module")
+def counted_test2_run():
+    """A small pde_test2 run with the lanes of every eval_a_batch call and the solves counted."""
+    lanes, solves = [], []
+    eval_a_batch, pcg = KLDiffusionField.eval_a_batch, harness.ensemble_pcg
+
+    def counted_eval_a(self, points, samples, mode_vals=None):
+        lanes.append(len(samples))
+        return eval_a_batch(self, points, samples, mode_vals)
+
+    def counted_pcg(mat, *args, **kwargs):
+        solves.append(mat.width)
+        return pcg(mat, *args, **kwargs)
+
+    config = preset_config("pde_test2", ensemble_size=5, n_max=100, mesh=MeshConfig(mesh_cells=4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KLDiffusionField, "eval_a_batch", counted_eval_a)
+        mp.setattr(harness, "ensemble_pcg", counted_pcg)
+        report = adaptive_run(config)
+    return config, report, lanes, solves
+
+
+def test_each_lane_evaluates_its_coefficient_once(counted_test2_run):
+    config, report, lanes, solves = counted_test2_run
+    executed = [next(p for p in lv.plans if p.strategy == "sur") for lv in report.levels]
+    assert len(solves) == sum(len(plan.ensembles) for plan in executed) > 0
+    assert sum(lanes) == config.ensemble_size * len(solves)
+    assert sorted(lanes) == sorted(solves)  # one evaluation per assembled ensemble, none besides
+
+
+def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, counted_test2_run):
+    config, report, _, _ = counted_test2_run
+    field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
+    points = StructuredMesh(config.mesh.mesh_cells).quad_points
+    doc = json.loads(emit_reports(report, tmp_path)["manifest"].read_text())
+    n = 0
+    for lv in doc["reports"][0]["levels"]:
+        samples = lv["samples"]
+        for y, got in zip(samples["coords"], samples["indicator"], strict=True):
+            a = field.eval_a_batch(points, np.array([y]))[0]
+            assert got == anisotropy_indicator_max(a, field.a_y, field.a_z)
+            n += 1
+    assert n == report.n_samples_total == config.n_max
 
 
 def test_capped_run_counts_its_unconverged_lanes(capped_report):

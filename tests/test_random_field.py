@@ -7,7 +7,7 @@ import pytest
 
 from uqgroup import FieldError, anisotropy_indicator, build_field, eigenpairs_1d
 
-from _oracles import l2_distance_signed, nystrom_eigenpairs_dense
+from _oracles import anisotropy_indicator_max, l2_distance_signed, nystrom_eigenpairs_dense
 
 DELTA = 0.25
 
@@ -250,13 +250,18 @@ def test_build_field_validation():
 # anisotropy indicator
 
 
+def indicator_at(field, y, points):
+    """The indicator of sample y over the coefficient at the given points."""
+    return anisotropy_indicator(field, field.eval_a_batch(points, np.asarray(y)[None, :])[0])
+
+
 def test_indicator_isotropic_and_constant_cases():
     iso = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0, a_hat_value=1.0)
     pts = np.array([[0.1, 0.2, 0.3], [0.9, 0.9, 0.9]])
-    assert anisotropy_indicator(iso, np.zeros(2), pts) == 1.0
+    assert indicator_at(iso, np.zeros(2), pts) == 1.0
     skew = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0,
                        a_hat_value=4.0, a_y=1.0, a_z=2.0)
-    assert anisotropy_indicator(skew, np.zeros(2), pts) == 4.0
+    assert indicator_at(skew, np.zeros(2), pts) == 4.0
 
 
 def test_indicator_ordering_matches_dense_grid_oracle():
@@ -275,7 +280,7 @@ def test_indicator_ordering_matches_dense_grid_oracle():
         lo = np.minimum(a, 1.0)
         return (hi / lo).max()
 
-    lib = [anisotropy_indicator(field, y, coarse) for y in (y1, y2)]
+    lib = [indicator_at(field, y, coarse) for y in (y1, y2)]
     ref = [brute(y1), brute(y2)]
     assert (lib[0] < lib[1]) == (ref[0] < ref[1])
 
@@ -285,7 +290,7 @@ def test_indicator_at_central_sample_is_exact():
                         sigma0_convention="kernel")
     pts = np.array([[0.25, 0.5, 0.75], [0.5, 0.5, 0.5]])
     # y = 0 kills the fluctuation: a = 0.1 + exp(0) = 1.1 while a_y = a_z = 1
-    assert anisotropy_indicator(field, np.zeros(4), pts) == pytest.approx(1.1, rel=1e-15)
+    assert indicator_at(field, np.zeros(4), pts) == pytest.approx(1.1, rel=1e-15)
 
 
 def test_indicator_matches_direct_recompute():
@@ -297,7 +302,7 @@ def test_indicator_matches_direct_recompute():
     a = field.eval_a_batch(pts, y[None, :])[0]
     hi = np.maximum(a, max(field.a_y, field.a_z))
     lo = np.minimum(a, min(field.a_y, field.a_z))
-    assert anisotropy_indicator(field, y, pts) == pytest.approx((hi / lo).max(), rel=1e-14)
+    assert anisotropy_indicator(field, a) == pytest.approx((hi / lo).max(), rel=1e-14)
 
 
 def test_indicator_grows_toward_the_corner():
@@ -305,6 +310,28 @@ def test_indicator_grows_toward_the_corner():
                         sigma0_convention="kernel")
     rng = np.random.default_rng(22)
     pts = rng.uniform(0.0, 1.0, (128, 3))
-    h_center = anisotropy_indicator(field, np.zeros(4), pts)
-    h_corner = anisotropy_indicator(field, np.ones(4), pts)
+    h_center = indicator_at(field, np.zeros(4), pts)
+    h_corner = indicator_at(field, np.ones(4), pts)
     assert h_corner > 10.0 * h_center
+
+
+@pytest.mark.parametrize("a_y, a_z", [(1.0, 1.0), (0.5, 3.0), (40.0, 2.0)])
+def test_indicator_of_the_bounds_is_that_of_all_values(a_y, a_z):
+    """A row's least and greatest values give bitwise its indicator, row by row,
+    whether the values fall below, between or above a_y and a_z."""
+    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel", a_y=a_y, a_z=a_z)
+    rng = np.random.default_rng(24)
+    pts = rng.uniform(0.0, 1.0, (256, 3))
+    a_vals = field.eval_a_batch(pts, rng.uniform(-1.0, 1.0, (64, 4)))
+    bounds = np.stack([a_vals.min(axis=1), a_vals.max(axis=1)], axis=1)
+    rows = anisotropy_indicator(field, a_vals)
+    assert rows.shape == (64,)
+    assert np.array_equal(anisotropy_indicator(field, bounds), rows)
+    assert [anisotropy_indicator_max(a, a_y, a_z) for a in a_vals] == rows.tolist()
+
+
+def test_indicator_refuses_non_positive_coefficients():
+    field = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0)
+    with pytest.raises(FieldError, match="strictly positive"):
+        anisotropy_indicator(field, np.array([1.0, 0.0]))
