@@ -4,20 +4,22 @@
 Runs `python -m uqgroup.cli run` once per case with each tree's `src`
 directory on PYTHONPATH, then compares the exit codes, the names of the
 files each run wrote and the bytes of every one of them.  The cases are the
-five presets, the `sg-refine` benchmark unit, a `pde_test1` run whose width
-pads the last ensemble, a `pde_test1` run at width 1 (the kernels' scalar
-path), a `pde_test2` run at the specialised width 16 on a 12^3 mesh, one at
-width 33 on an 8^3 mesh (past the 32-lane stack accumulator, so every row
-sums through memory), one at width 8 on the preset's 16^3 mesh (many
-ensembles per level through the solve pool, at a width with no specialised
-kernel copy), one at width 32 on a 10^3 mesh (its solves narrow from 32
-to 16, 16 to 4 and 4 to 1 lanes as lanes converge), one that dumps every
-ensemble's residual history, one cut off by a low `--maxit` (exit 3),
-one whose only level is one width-16 ensemble on a 32^3 mesh (12 M
-lane-nonzeros, so on a machine of two or more CPUs its solve runs on a
-thread team), and one that requests `nat`, `par` and `its` but not `sur`
-(it executes generation order, which its lane counters pin).  Prints one
-line per case, then, when `manifest.json` differs, up to five JSON paths
+five presets, the `sg-refine` benchmark unit, an `analytic_g1` run at width
+7 (float counts, a padded last ensemble and a width that is not a power of
+two, so its bytes pin the sum order of the work ratios), a `pde_test1` run
+whose width pads the last ensemble, a `pde_test1` run at width 1 (the
+kernels' scalar path), a `pde_test2` run at the specialised width 16 on a
+12^3 mesh, one at width 33 on an 8^3 mesh (past the 32-lane stack
+accumulator, so every row sums through memory), one at width 8 on the
+preset's 16^3 mesh (many ensembles per level through the solve pool, at a
+width with no specialised kernel copy), one at width 32 on a 10^3 mesh (its
+solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as lanes converge),
+one that dumps every ensemble's residual history, one cut off by a low
+`--maxit` (exit 3), one whose only level is one width-16 ensemble on a 32^3
+mesh (12 M lane-nonzeros, so on a machine of two or more CPUs its solve runs
+on a thread team), and one that requests `nat`, `par` and `its` but not
+`sur` (it executes generation order, which its lane counters pin).  Prints
+one line per case, then, when `manifest.json` differs, up to five JSON paths
 whose values differ; exits 1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
@@ -41,6 +43,7 @@ CASES = {
     "pde_test2": ["--problem", "pde_test2"],
     "pde_isotropic_baseline": ["--problem", "pde_isotropic_baseline"],
     "sg-refine": ["--problem", "analytic_g1", "--S", "8", "--tau", "1e-6", "--n-max", "8000"],
+    "analytic_g1-S7": ["--problem", "analytic_g1", "--S", "7"],
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test2-S16": ["--problem", "pde_test2", "--S", "16", "--mesh-cells", "12", "--n-max", "200"],

@@ -108,11 +108,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # out_dir is made by its first write, so a run that fails before it leaves none.
     sink = None
     if config.dump_residuals:
         def sink(level: int, ensemble: int, history) -> None:
+            out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"residuals_level{level}_ens{ensemble}.csv"
             with open(path, "w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")

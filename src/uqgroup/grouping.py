@@ -6,12 +6,13 @@ largest member iteration count.  The work ratio R compares that lockstep cost
 against solving every sample individually; grouping samples with similar
 iteration counts drives R toward 1.
 
-Strategies: "nat" chunks samples in generation order, "sur"/"par" chunk in
-ascending order of a caller-supplied key (predicted iterations, anisotropy
-indicator), and "its" is the post-hoc oracle built from measured iteration
-counts.  Short final chunks are padded by replicating the last sample of the
-last group; padded replicas do real lane work, so they count toward ensemble
-cost but not toward the ideal per-sample cost.
+Strategies: "nat" keeps samples in generation order, "sur"/"par" sort them
+by a caller-supplied key aligned with the sample ids (predicted iterations,
+anisotropy indicator), and "its" is the post-hoc oracle built from measured
+iteration counts.  A plan is its sample order: consecutive runs of S samples
+form the ensembles, and a short last ensemble is padded by replicating its
+last sample; padded replicas do real lane work, so they count toward
+ensemble cost but not toward the ideal per-sample cost.
 """
 
 from __future__ import annotations
@@ -38,139 +39,107 @@ class GroupingError(ValueError):
 
 @dataclass(frozen=True)
 class GroupingPlan:
-    """Ordered assignment of sample ids to width-S ensembles for one level.
+    """One level's sample ids in plan order, cut into width-S ensembles.
 
-    Every group has exactly `ensemble_size` slots; `padding[k]` counts the
-    trailing replica slots in group k (nonzero only for the last group, which
-    replicates its own last real sample).
+    Ensemble k holds order[k*S:(k+1)*S]; the last one is filled up to S slots
+    by replicating its last sample, and `padding[k]` counts those replicas
+    (nonzero only for the last ensemble).
     """
 
     level: int
     ensemble_size: int
-    ensembles: tuple[tuple[int, ...], ...]
-    padding: tuple[int, ...]
+    order: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.ensemble_size < 1:
             raise GroupingError(f"ensemble size must be >= 1, got {self.ensemble_size}")
-        if len(self.padding) != len(self.ensembles):
-            raise GroupingError("padding must give one count per ensemble")
-        for k, (group, pad) in enumerate(zip(self.ensembles, self.padding)):
-            if len(group) != self.ensemble_size:
-                raise GroupingError(f"group {k} has {len(group)} slots, expected {self.ensemble_size}")
-            if pad and k != len(self.ensembles) - 1:
-                raise GroupingError("only the last group may be padded")
-            if not 0 <= pad < self.ensemble_size:
-                raise GroupingError(f"invalid padding count {pad}")
-            if pad:
-                last_real = group[self.ensemble_size - pad - 1]
-                if any(slot != last_real for slot in group[self.ensemble_size - pad :]):
-                    raise GroupingError("padding must replicate the last real sample")
 
+    @property
+    def ensembles(self) -> tuple[tuple[int, ...], ...]:
+        S, order = self.ensemble_size, self.order
+        slots = order + order[-1:] * (-len(order) % S)
+        return tuple(slots[k : k + S] for k in range(0, len(slots), S))
 
-def _chunk(ids: Sequence[int], size: int, level: int) -> GroupingPlan:
-    if size < 1:
-        raise GroupingError(f"ensemble size must be >= 1, got {size}")
-    groups: list[tuple[int, ...]] = []
-    padding: list[int] = []
-    for start in range(0, len(ids), size):
-        group = list(ids[start : start + size])
-        pad = size - len(group)
-        if pad:
-            group.extend([group[-1]] * pad)
-        groups.append(tuple(group))
-        padding.append(pad)
-    return GroupingPlan(level, size, tuple(groups), tuple(padding))
+    @property
+    def padding(self) -> tuple[int, ...]:
+        pads = [0] * -(-len(self.order) // self.ensemble_size)
+        if pads:
+            pads[-1] = -len(self.order) % self.ensemble_size
+        return tuple(pads)
 
 
 def group_natural(ids: Sequence[int], size: int, level: int = 0) -> GroupingPlan:
-    """Chunk samples in generation order into width-`size` ensembles."""
-    if not ids:
+    """Keep samples in generation order."""
+    if not len(ids):
         raise GroupingError("cannot group an empty sample set")
-    return _chunk(list(ids), size, level)
+    return GroupingPlan(level, size, tuple(ids))
 
 
-def group_by_key(
-    ids: Sequence[int],
-    keys: Mapping[int, float],
-    size: int,
-    level: int = 0,
-) -> GroupingPlan:
-    """Sort samples by ascending key (stable in generation order), then chunk."""
-    if not ids:
+def _ranked(ids: Sequence[int], keys: Sequence[float]) -> tuple[int, ...]:
+    """ids by ascending key, stable in generation order; keys[i] belongs to ids[i]."""
+    if not len(ids):
         raise GroupingError("cannot group an empty sample set")
-    try:
-        key_arr = np.array([float(keys[i]) for i in ids])
-    except KeyError as err:
-        raise GroupingError(f"no key supplied for sample {err.args[0]}") from None
+    key_arr = np.asarray(keys, dtype=float)
+    if key_arr.shape != (len(ids),):
+        raise GroupingError(f"expected one key per sample ({len(ids)}), got shape {key_arr.shape}")
     if not np.all(np.isfinite(key_arr)):
         raise GroupingError("grouping keys must be finite")
-    order = np.argsort(key_arr, kind="stable")
-    return _chunk([ids[int(j)] for j in order], size, level)
+    return tuple(ids[j] for j in np.argsort(key_arr, kind="stable").tolist())
 
 
-def group_oracle(
-    ids: Sequence[int],
-    iterations: Mapping[int, float],
-    size: int,
-    level: int = 0,
-) -> GroupingPlan:
-    """Best-possible chunking given measured iteration counts (never executed).
+def group_by_key(ids: Sequence[int], keys: Sequence[float], size: int, level: int = 0) -> GroupingPlan:
+    """Sort samples by ascending key (stable in generation order); keys align with ids."""
+    return GroupingPlan(level, size, _ranked(ids, keys))
+
+
+def group_oracle(ids: Sequence[int], iterations: Sequence[float], size: int, level: int = 0) -> GroupingPlan:
+    """Best-possible plan given measured iteration counts aligned with ids (never executed).
 
     Sorts ascending and, when the sample count is not a multiple of S, gives
     the remainder group the smallest samples instead of the largest: for
     group sizes (S, ..., S, r) the k-th smallest achievable group maximum is
     the order statistic at position r + (k-1)S, and this layout attains all of
-    them at once.  The remainder group is emitted last so the padding rule
+    them at once.  The remainder group is placed last so the padding rule
     (replicate the last sample of the last group) applies unchanged.
     """
-    if not ids:
-        raise GroupingError("cannot group an empty sample set")
-    try:
-        key_arr = np.array([float(iterations[i]) for i in ids])
-    except KeyError as err:
-        raise GroupingError(f"no iteration count for sample {err.args[0]}") from None
-    if not np.all(np.isfinite(key_arr)):
-        raise GroupingError("iteration counts must be finite")
-    order = np.argsort(key_arr, kind="stable")
-    ranked = [ids[int(j)] for j in order]
-    r = len(ranked) % size
-    if r:
-        ranked = ranked[r:] + ranked[:r]
-    return _chunk(ranked, size, level)
+    plan = GroupingPlan(level, size, _ranked(ids, iterations))
+    r = len(plan.order) % size
+    return GroupingPlan(level, size, plan.order[r:] + plan.order[:r])
 
 
 def compute_R(
-    levels: Sequence[tuple[GroupingPlan, Sequence[Sequence[float]]]],
+    levels: Sequence[tuple[GroupingPlan, np.ndarray]],
 ) -> tuple[list[float], float]:
-    """Per-level and total work ratios from plans plus per-slot iteration counts.
+    """Per-level and total work ratios from plans plus their slot iteration counts.
 
-    For each level, the ensemble cost is S * sum_k max_i I(slot k,i) (replica
-    slots included; they occupy real lanes) and the ideal cost sums the real
-    samples only.  Empty levels yield NaN and are skipped in the total.
-    Returns (per-level ratios, total ratio).
+    Each level pairs a plan with its (ensembles x S) matrix of slot iteration
+    counts, row k holding ensemble k's slots.  The ensemble cost is
+    S * sum_k max_i I(k, i) (replica slots included; they occupy real lanes)
+    and the ideal cost sums the real samples only.  Both sums run over the
+    ensembles in plan order, so R is bitwise that of a loop over them.  Empty
+    levels yield NaN and are skipped in the total.  Returns (per-level
+    ratios, total ratio).
     """
     per_level: list[float] = []
     num_total = 0.0
     den_total = 0.0
-    for plan, iters in levels:
-        if not plan.ensembles:
+    for plan, slots in levels:
+        if not plan.order:
             per_level.append(float("nan"))
             continue
-        if len(iters) != len(plan.ensembles):
-            raise GroupingError("iteration lists must match the plan's ensembles")
-        num = 0.0
-        den = 0.0
-        for group, pad, group_iters in zip(plan.ensembles, plan.padding, iters):
-            vals = np.asarray(group_iters, dtype=float)
-            if vals.shape != (plan.ensemble_size,):
-                raise GroupingError(
-                    f"expected {plan.ensemble_size} slot iterations, got {vals.shape}"
-                )
-            if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-                raise GroupingError("slot iterations must be finite and non-negative")
-            num += plan.ensemble_size * float(vals.max())
-            den += float(vals[: plan.ensemble_size - pad].sum())
+        S = plan.ensemble_size
+        vals = np.asarray(slots, dtype=float)
+        if vals.shape != (len(plan.padding), S):
+            raise GroupingError(f"expected {len(plan.padding)} x {S} slot iterations, got {vals.shape}")
+        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
+            raise GroupingError("slot iterations must be finite and non-negative")
+        ideal = vals.sum(axis=1)
+        # The last row sums its real slots alone: zeroed replicas would
+        # change the order of numpy's pairwise sum from S = 8 on.
+        ideal[-1] = vals[-1, : S - plan.padding[-1]].sum()
+        # cumsum adds sequentially, one ensemble after the other.
+        num = float(np.cumsum(S * vals.max(axis=1))[-1])
+        den = float(np.cumsum(ideal)[-1])
         if den <= 0:
             raise GroupingError("level has zero ideal work; iteration counts all zero")
         per_level.append(num / den)

@@ -8,6 +8,10 @@ when it is requested and a surrogate exists and generation order otherwise,
 is formed before the solves.  A lane's result is bitwise its solo solve, so
 the other strategies are accounting over the same per-sample counts, and
 `par` is keyed by the anisotropy indicator assembly returns for each lane.
+A level's samples are the grid nodes it added, and its coordinates, counts,
+QoIs, indicators and predictions are arrays aligned with their ids; a plan
+is an order of those ids, and its (ensembles x S) slot counts, which
+`compute_R` reduces, are one index into the count array.
 
 Level numbering is 1-based: level 1 is the initial grid, solved as one batch
 and grouped in generation order for every strategy except the post-hoc "its"
@@ -44,7 +48,7 @@ from .grouping import (
     group_oracle,
     predicted_speedup,
 )
-from .hier_grid import HierGrid, RefinementPolicy
+from .hier_grid import HierGrid, RefinementPolicy, initial_grid_size
 from .random_field import build_field
 
 __all__ = [
@@ -231,10 +235,13 @@ class RunConfig:
             raise ConfigurationError("ensemble size must be >= 1")
         if not 0 < self.tau < math.inf:
             raise ConfigurationError("tau must be positive and finite")
-        if self.n_max < 1:
-            raise ConfigurationError("n_max must be >= 1")
+        if self.n_dims < 1:
+            raise ConfigurationError("n_dims must be >= 1")
         if self.initial_level < 0:
             raise ConfigurationError("initial_level must be >= 0")
+        n_initial = initial_grid_size(self.n_dims, self.initial_level)
+        if self.n_max < n_initial:
+            raise ConfigurationError(f"n_max={self.n_max} is smaller than the {n_initial}-point initial grid")
         seen = set()
         for s in self.strategies:
             if s not in STRATEGIES:
@@ -417,10 +424,14 @@ class _PdeProblem:
     def solve_plan(
         self,
         plan: GroupingPlan,
-        coords_by_id: Mapping[int, np.ndarray],
+        coords: np.ndarray,
+        first_id: int,
         residual_sink: Callable[[int, int, list[np.ndarray]], None] | None,
-    ) -> tuple[dict[int, int], dict[int, float], dict[int, float], list[str], dict[str, int]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, int]]:
         """Each sample's count, QoI and indicator, the notes and the `_LANE_COUNTERS` of the solves.
+
+        The level's sample ids run from first_id, and coords[i] and entry i
+        of each returned array belong to sample first_id + i.
 
         The ensembles are independent, so each one's assembly and solve run
         in a thread pool with a worker per CPU of the process's affinity (at
@@ -429,27 +440,27 @@ class _PdeProblem:
         of fewer ensembles than CPUs still uses them all, and the pool and
         the teams together never ask for more threads than CPUs.  The
         results are handled one by one in plan order as they arrive, so the
-        residual sink calls, notes, counters and dict orders are those of a
-        serial loop, and every output is independent of the worker count.
+        residual sink calls, notes and counters are those of a serial loop,
+        and every output is independent of the worker count.
         The first failing ensemble in plan order raises, and the ensembles
         not yet started are cancelled.
 
-        A real lane is the first of its sample in the ensemble; the replicas
-        of a padded ensemble add executed but no useful lane-iterations.
+        The replicas that pad the last ensemble add executed but no useful
+        lane-iterations.
         """
-        iters: dict[int, int] = {}
-        qois: dict[int, float] = {}
-        indicators: dict[int, float] = {}
+        slots = np.array(plan.ensembles) - first_id
+        iters = np.zeros(len(coords), dtype=np.int64)
+        qois = np.zeros(len(coords))
+        indicators = np.zeros(len(coords))
         notes: list[str] = []
         counts = dict.fromkeys(_LANE_COUNTERS, 0)
         record = residual_sink is not None
         cpus = len(os.sched_getaffinity(0))
-        workers = min(cpus, len(plan.ensembles))
+        workers = min(cpus, len(slots))
         threads = max(1, cpus // workers)
 
-        def solve(group: Sequence[int]):
-            samples = np.array([coords_by_id[sid] for sid in group])
-            system = assemble(self.mesh, self.field, samples, self.mode_vals)
+        def solve(positions: np.ndarray):
+            system = assemble(self.mesh, self.field, coords[positions], self.mode_vals)
             return system.indicator, ensemble_pcg(
                 system.matrix,
                 system.rhs,
@@ -461,8 +472,8 @@ class _PdeProblem:
 
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
-            results = pool.map(solve, plan.ensembles)
-            for k, (group, (indicator, result)) in enumerate(zip(plan.ensembles, results)):
+            results = pool.map(solve, slots)
+            for k, (positions, pad, (indicator, result)) in enumerate(zip(slots, plan.padding, results)):
                 if record:
                     residual_sink(plan.level, k, result.residual_history)
                 stuck = ~result.converged_per_lane
@@ -472,17 +483,16 @@ class _PdeProblem:
                     if lanes.any():
                         notes.append(f"level {plan.level} ensemble {k}: "
                                      f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
-                counts["executed_lane_iterations"] += len(group) * result.ensemble_iterations
+                counts["executed_lane_iterations"] += len(positions) * result.ensemble_iterations
                 counts["streamed_lane_iterations"] += result.streamed_lane_iterations
                 counts["spmv_calls"] += result.ensemble_iterations
                 counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
                 counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
-                for s, sid in enumerate(group):
-                    if sid not in iters:
-                        iters[sid] = int(result.iterations_per_lane[s])
-                        counts["useful_lane_iterations"] += iters[sid]
-                        qois[sid] = qoi(result.solution[s])
-                        indicators[sid] = float(indicator[s])
+                real = len(positions) - pad
+                iters[positions[:real]] = result.iterations_per_lane[:real]
+                counts["useful_lane_iterations"] += int(result.iterations_per_lane[:real].sum())
+                qois[positions[:real]] = [qoi(u) for u in result.solution[:real]]
+                indicators[positions[:real]] = indicator[:real]
         finally:
             pool.shutdown(cancel_futures=True)
         return iters, qois, indicators, notes, counts
@@ -606,18 +616,12 @@ def adaptive_run(
     sink = residual_sink if (config.dump_residuals and config.is_pde) else None
     grid = HierGrid(config.n_dims, domain=problem.box)
     n_new = grid.add_initial_levels(config.initial_level)
-    if n_new > config.n_max:
-        raise ConfigurationError(
-            f"n_max={config.n_max} is smaller than the {n_new}-point initial grid"
-        )
 
     S = config.ensemble_size
     policy = RefinementPolicy(tau=config.tau, channel=QOI_CHANNEL, max_points=config.n_max)
     notes: list[str] = []
     levels: list[LevelRecord] = []
-    accounting: dict[str, list[tuple[GroupingPlan, list[list[float]]]]] = {
-        s: [] for s in config.strategies
-    }
+    accounting: dict[str, list[tuple[GroupingPlan, np.ndarray]]] = {s: [] for s in config.strategies}
     truncated_pending = False
     unconverged = 0
     stop_reason = None
@@ -626,9 +630,8 @@ def adaptive_run(
     while True:
         level += 1
         start = len(grid) - n_new
-        ids = list(range(start, len(grid)))
+        ids = range(start, len(grid))
         coords = grid.node_coords()[start:]
-        coords_by_id = {sid: coords[i] for i, sid in enumerate(ids)}
 
         # Predictions for this level: the expansion is cut at the nodes
         # fitted through the previous level.
@@ -640,14 +643,14 @@ def adaptive_run(
         # `sur`'s when there is a surrogate to key it, generation order otherwise.
         natural = exec_plan = group_natural(ids, S, level)
         if "sur" in config.strategies and predicted is not None:
-            exec_plan = group_by_key(ids, dict(zip(ids, predicted.tolist())), S, level)
+            exec_plan = group_by_key(ids, predicted, S, level)
         if config.is_pde:
-            iters, qois, indicator, solve_notes, counters = problem.solve_plan(exec_plan, coords_by_id, sink)
+            iters, qois, indicator, solve_notes, counters = problem.solve_plan(exec_plan, coords, start, sink)
             notes.extend(solve_notes)
             unconverged += counters["unconverged_lanes"]
         else:
-            iters = {sid: float(v) for sid, v in zip(ids, problem.iter_values(coords))}
-            qois = {sid: float(v) for sid, v in zip(ids, problem.qoi_values(coords))}
+            iters = problem.iter_values(coords)
+            qois = problem.qoi_values(coords)
             indicator = None
             counters = dict.fromkeys(_LANE_COUNTERS)
 
@@ -662,28 +665,26 @@ def adaptive_run(
                 plan = natural
             else:  # "par"
                 plan = group_by_key(ids, indicator, S, level)
-            slot_iters = [[float(iters[sid]) for sid in group] for group in plan.ensembles]
-            accounting[strat].append((plan, slot_iters))
+            ensembles = plan.ensembles
+            accounting[strat].append((plan, iters[np.array(ensembles) - start]))
             # R_l is filled in after the loop, from one compute_R per strategy.
-            plan_records.append(PlanRecord(strat, plan.ensembles, plan.padding, math.nan))
+            plan_records.append(PlanRecord(strat, ensembles, plan.padding, math.nan))
 
         # Update the surrogates with this level's data.
-        grid.compute_surpluses(
-            {QOI_CHANNEL: [qois[sid] for sid in ids], ITER_CHANNEL: [iters[sid] for sid in ids]}
-        )
+        grid.compute_surpluses({QOI_CHANNEL: qois, ITER_CHANNEL: iters})
 
         pred_err_mean = pred_err_max = None
         if predicted is not None:
-            err = np.abs(predicted - np.array([iters[sid] for sid in ids]))
+            err = np.abs(predicted - iters)
             pred_err_mean = float(err.mean())
             pred_err_max = float(err.max())
 
         samples = LevelSamples(
             sample_id=tuple(ids),
             coords=tuple(map(tuple, coords.tolist())),
-            iterations=tuple(iters[sid] for sid in ids),
+            iterations=tuple(iters.tolist()),
             predicted_iterations=None if predicted is None else tuple(predicted.tolist()),
-            indicator=None if indicator is None else tuple(indicator[sid] for sid in ids),
+            indicator=None if indicator is None else tuple(indicator.tolist()),
         )
         levels.append(
             LevelRecord(

@@ -46,6 +46,7 @@ __all__ = [
     "RefinementPolicy",
     "RefineOutcome",
     "HierGrid",
+    "initial_grid_size",
 ]
 
 
@@ -578,6 +579,16 @@ def _int_rows(rows, name: str, dim: int) -> np.ndarray:
 def _is_number(x) -> bool:
     """A finite JSON number: an int or a float, not a bool."""
     return type(x) in (int, float) and math.isfinite(x)
+
+
+def initial_grid_size(dim: int, max_total_level: int) -> int:
+    """The number of nodes `add_initial_levels(max_total_level)` gives a dim-dimensional grid."""
+    per_level = [2] + [2 ** (l - 1) for l in range(1, max_total_level + 1)]
+    by_total = [1] + [0] * max_total_level  # nodes per total level over the dimensions so far
+    for _ in range(dim):
+        by_total = [sum(by_total[t - l] * per_level[l] for l in range(t + 1))
+                    for t in range(max_total_level + 1)]
+    return sum(by_total)
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

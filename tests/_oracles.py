@@ -270,6 +270,35 @@ def brute_force_R(groups, size):
     return num / den
 
 
+def compute_R_per_ensemble(levels):
+    """Per-level and total work ratios by a loop over each level's ensembles.
+
+    The reference for `compute_R`'s sum order: each level pairs a plan (its
+    `ensemble_size`, `ensembles` and `padding`) with one row of slot counts
+    per ensemble.  The ensemble cost adds S * max(row) and the ideal cost the
+    numpy sum of the row's real slots, ensemble after ensemble; an empty
+    level gives NaN and stays out of the total.
+    """
+    per_level = []
+    num_total = 0.0
+    den_total = 0.0
+    for plan, iters in levels:
+        if not plan.ensembles:
+            per_level.append(float("nan"))
+            continue
+        num = 0.0
+        den = 0.0
+        for pad, group_iters in zip(plan.padding, iters):
+            vals = np.asarray(group_iters, dtype=float)
+            num += plan.ensemble_size * float(vals.max())
+            den += float(vals[: plan.ensemble_size - pad].sum())
+        per_level.append(num / den)
+        num_total += num
+        den_total += den
+    total = num_total / den_total if den_total > 0 else float("nan")
+    return per_level, total
+
+
 def min_sum_of_group_maxima(values, size):
     """Exhaustive minimum of the sum of chunk maxima over every ordering.
 

@@ -123,7 +123,7 @@ def test_criterion_2_work_ratio_and_oracle():
             size = int(rng.choice([2, 4, 8]))
             n = int(rng.integers(1, 41))
             ids = list(range(n))
-            vals = {i: float(v) for i, v in enumerate(rng.uniform(1.0, 500.0, n))}
+            vals = rng.uniform(1.0, 500.0, n).tolist()
             kind = rng.integers(0, 3)
             if kind == 0:
                 plan = group_natural(ids, size)
@@ -145,9 +145,7 @@ def test_criterion_2_work_ratio_and_oracle():
             for n in range(2, 9):
                 for _ in range(3):
                     vals = rng.uniform(1.0, 100.0, n)
-                    plan = group_oracle(
-                        list(range(n)), dict(enumerate(map(float, vals))), size
-                    )
+                    plan = group_oracle(list(range(n)), vals, size)
                     got = sum(max(vals[list(g)]) for g in plan.ensembles)
                     best = min_sum_of_group_maxima(list(vals), size)
                     assert got <= best + 1e-9

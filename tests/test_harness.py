@@ -407,12 +407,9 @@ def test_reported_ratios_match_recompute(g1_report):
         levels = []
         for lv in g1_report.levels:
             plan_rec = next(p for p in lv.plans if p.strategy == strat)
-            plan = GroupingPlan(
-                level=lv.level,
-                ensemble_size=cfg["S"],
-                ensembles=plan_rec.ensembles,
-                padding=plan_rec.padding,
-            )
+            slots = [sid for group in plan_rec.ensembles for sid in group]
+            plan = GroupingPlan(lv.level, cfg["S"], tuple(slots[: len(slots) - sum(plan_rec.padding)]))
+            assert (plan.ensembles, plan.padding) == (plan_rec.ensembles, plan_rec.padding)
             slot_iters = [[iters[i] for i in group] for group in plan_rec.ensembles]
             levels.append((plan, slot_iters))
         per_level, total = compute_R(levels)
@@ -443,6 +440,24 @@ def test_empty_strategy_list_runs_physics_only():
 def test_budget_smaller_than_initial_grid():
     with pytest.raises(ConfigurationError):
         adaptive_run(preset_config("analytic_g1", n_max=10))
+
+
+@pytest.mark.parametrize("n_max", [47, 48])
+def test_config_checks_n_max_against_the_initial_grid(monkeypatch, n_max):
+    # pde_test1's initial grid (4 dimensions, total level <= 1) has 48 points;
+    # the config counts them without building a grid, a field or a mesh.
+    monkeypatch.setattr(harness, "HierGrid", None)
+    monkeypatch.setattr(harness, "build_field", None)
+    if n_max < 48:
+        with pytest.raises(ConfigurationError, match="48-point initial grid"):
+            preset_config("pde_test1", n_max=n_max)
+    else:
+        assert preset_config("pde_test1", n_max=n_max).n_max == 48
+
+
+def test_config_refuses_fewer_than_one_dimension():
+    with pytest.raises(ConfigurationError, match="n_dims"):
+        preset_config("pde_test1", n_dims=0)
 
 
 def test_strategy_choice_does_not_change_physics():
@@ -1177,6 +1192,36 @@ def test_cli_base_curve_pde(tmp_path, capsys):
     rows = [l.split(",") for l in (out / "r_table.csv").read_text().splitlines()[1:]]
     summary = [r for r in rows if r[2] == ""][0]
     assert float(summary[7]) == rep.predicted_speedups["nat"]
+
+
+@pytest.mark.parametrize("config", [{"problem": "pde_test1", "field": {"delta": 0}}, None],
+                         ids=["field-fails", "n-max-below-initial-grid"])
+def test_cli_makes_no_out_dir_for_a_run_that_fails_before_writing(tmp_path, capsys, config):
+    out = tmp_path / "run"
+    if config is None:
+        args = ["--problem", "pde_test1", "--n-max", "10"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json")]
+    assert cli_main(["run", *args, "--out-dir", str(out)]) == 1
+    assert "uqgroup: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("run_analytic_study.py", ["--sizes", "3", "4", "--budgets", "100", "--problems", "analytic_g1"]),
+        ("run_pde_study.py", ["--sizes", "3", "--problems", "pde_test1", "--mesh-cells", "4", "--n-max", "60"]),
+    ],
+)
+def test_study_scripts_write_their_table(tmp_path, script, args):
+    out = tmp_path / "study"
+    script_path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", script)
+    proc = subprocess.run([sys.executable, script_path, *args, "--out-dir", str(out)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "r_table.csv").read_text().startswith("strategy,S,level,")
 
 
 def test_console_script_smoke(tmp_path):

@@ -13,6 +13,7 @@ from uqgroup import (
     IncompleteDataError,
     NodeId,
     RefinementPolicy,
+    initial_grid_size,
 )
 
 
@@ -89,6 +90,10 @@ def test_initial_grid_sizes():
     g4 = HierGrid(4)
     g4.add_initial_levels(1)
     assert len(g4) == 48
+    # the count a configuration checks n_max against, without building a grid
+    for dim, level in [(1, 0), (1, 5), (2, 0), (2, 2), (3, 3), (4, 1), (4, 2), (5, 2), (6, 1)]:
+        g = HierGrid(dim)
+        assert initial_grid_size(dim, level) == g.add_initial_levels(level) == len(g)
 
 
 def test_nodes_sorted_by_total_level_then_lexicographic():
