@@ -17,8 +17,11 @@ solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as lanes converge),
 one that dumps every ensemble's residual history, one cut off by a low
 `--maxit` (exit 3), one whose only level is one width-16 ensemble on a 32^3
 mesh (12 M lane-nonzeros, so on a machine of two or more CPUs its solve runs
-on a thread team), and one that requests `nat`, `par` and `its` but not
-`sur` (it executes generation order, which its lane counters pin).  Prints
+on a thread team), one that requests `nat`, `par` and `its` but not `sur`
+(it executes generation order, which its lane counters pin), and a 7-mode
+`pde_test2` run on a 7^3 mesh, given as a `--config` document that the script
+writes into its work directory (its modes (0,1,1), (1,0,1) and (1,1,0) take
+the second 1D factor on two axes, which no 4-mode preset reaches).  Prints
 one line per case, then, when `manifest.json` differs, up to five JSON paths
 whose values differ; exits 1 on any difference.
 
@@ -58,6 +61,12 @@ CASES = {
                              "--initial-level", "0", "--n-max", "16"],
     "pde_test1-no-sur": ["--problem", "pde_test1", "--strategies", "nat,par,its", "--mesh-cells", "8",
                          "--n-max", "100"],
+    "pde_test2-7modes": ["--mesh-cells", "7", "--initial-level", "0", "--n-max", "200"],
+}
+
+# Cases run from a JSON configuration document; the flags of CASES override it.
+CONFIGS = {
+    "pde_test2-7modes": {"problem": "pde_test2", "n_dims": 7},
 }
 
 # How many differing JSON paths to print per differing manifest.
@@ -116,6 +125,11 @@ def main() -> int:
         differ = 0
         for name, case_args in CASES.items():
             old, new = work / "old" / name, work / "new" / name
+            if name in CONFIGS:
+                config = work / f"{name}.json"
+                work.mkdir(parents=True, exist_ok=True)
+                config.write_text(json.dumps(CONFIGS[name]))
+                case_args = ["--config", str(config), *case_args]
             codes = (run_case(args.old_src, case_args, old), run_case(args.new_src, case_args, new))
             diffs = differing_files(old, new)
             ok = codes[0] == codes[1] and not diffs

@@ -9,7 +9,11 @@ at the quadrature points, so lane matrices differ only through a(x, y).
 
 Assembly is ensemble-first: one shared 27-point CSR graph, the element
 matrices and a table of the CSR slot of every element's corner pairs are
-built once per mesh and reused.  `assemble` then makes one call of the
+built once per mesh and reused.  The mesh builds its tables from its tensor
+structure: the 8E quadrature points take only 2m coordinates per axis, the
+element dofs are a sliding 2x2x2 window over a padded node table, and the
+pair slots are gathered from a node-by-neighbour slot table, so no per-element
+index table is formed.  `assemble` then makes one call of the
 compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms each lane's
 element matrices and adds them into the lanes-last (nnz, S) values the
 ensemble SpMV reads.  Every lane is accumulated on its own, in a fixed
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ensemble import _ASSEMBLE, EnsembleCsrMatrix
 from .random_field import KLDiffusionField, anisotropy_indicator
@@ -36,28 +41,32 @@ class FemError(ValueError):
     """Invalid mesh or assembly input."""
 
 
-def _shape_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trilinear shape values and reference gradients at the 8 Gauss points.
+def _shape_gradients() -> np.ndarray:
+    """Reference gradients of the trilinear shape functions at the 8 Gauss points.
 
     Corner a and quadrature point q are both ordered by bits (x, y, z), z
-    fastest; returns (phi (8q, 8a), dphi (3, 8q, 8a), ref coords (8q, 3)).
+    fastest; returns dphi (3, 8q, 8a).
     """
-    corners = np.array([[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
-    signs = 2.0 * corners - 1.0  # corner position in reference coords {-1, +1}
+    signs = 2.0 * _CORNERS - 1.0  # corner position in reference coords {-1, +1}
     qpts = signs * _GAUSS  # 2x2x2 Gauss points, same bit order
-    phi = np.empty((8, 8))
     dphi = np.empty((3, 8, 8))
     for q in range(8):
-        xi = qpts[q]
-        one = 1.0 + signs * xi  # (8 corners, 3 dims)
-        phi[q] = one.prod(axis=1) / 8.0
+        one = 1.0 + signs * qpts[q]  # (8 corners, 3 dims)
         for d in range(3):
             rest = one[:, [i for i in range(3) if i != d]].prod(axis=1)
             dphi[d, q] = signs[:, d] * rest / 8.0
-    return phi, dphi, qpts
+    return dphi
 
 
-_PHI, _DPHI, _QREF = _shape_data()
+# Corner (dx, dy, dz) in {0, 1}^3 of the reference cell, bit-ordered, z fastest.
+_CORNERS = np.array([[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+_DPHI = _shape_gradients()
+# The two Gauss points of one axis on the reference interval [-1, 1].
+_GAUSS_1D = np.array([-_GAUSS, _GAUSS])
+# Corner pair (a, b), a-major, as the 64 columns of the pair-slot table,
+# and corner b's neighbour offset from corner a, (dx, dy, dz) + 1 read in base 3.
+_PAIR_A, _PAIR_B = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
+_PAIR_OFFSET = ((_CORNERS[_PAIR_B] - _CORNERS[_PAIR_A] + 1) * [9, 3, 1]).sum(axis=1)
 
 
 @dataclass
@@ -65,13 +74,16 @@ class StructuredMesh:
     """Uniform hex mesh of the unit cube with interior-node numbering.
 
     Degrees of freedom are the interior nodes numbered lexicographically with
-    z fastest.  All per-mesh data is precomputed once: element connectivity,
-    quadrature coordinates, the shared CSR graph, an int32 (E, 64) table of
-    the CSR slot of each element's corner pair (a, b) at column 8 a + b (-1
-    where a corner lies on the boundary), the (8, 64) x-direction element
-    matrices of the 8 quadrature points, the y and z element matrices summed
-    over them, and the unit load vector.  Meshes whose 27-point bound on the
-    nonzeros does not fit int32 indices are refused.
+    z fastest.  All per-mesh data is precomputed once: element connectivity
+    (E, 8), the (E*8, 3) quadrature points and `quad_axes`, their three
+    per-axis coordinate tables shaped to broadcast to the same points in the
+    same order (`KLDiffusionField.mode_values` reads either), the shared CSR
+    graph, an int32 (E, 64) table of the CSR slot of each element's corner
+    pair (a, b) at column 8 a + b (-1 where a corner lies on the boundary),
+    the (8, 64) x-direction element matrices of the 8 quadrature points, the
+    y and z element matrices summed over them, and the unit load vector.
+    Meshes whose 27-point bound on the nonzeros does not fit int32 indices
+    are refused.
     """
 
     cells: int
@@ -88,31 +100,30 @@ class StructuredMesh:
             raise FemError(f"{m} cells per direction overflow the int32 indices of the CSR graph")
         self.h = 1.0 / m
         self.n_dofs = (m - 1) ** 3
+        n1 = m - 1
 
-        # Node ids (z fastest) and the interior-dof map.
-        node_ids = np.arange((m + 1) ** 3).reshape(m + 1, m + 1, m + 1)
-        dof = -np.ones((m + 1) ** 3, dtype=np.int64)
-        interior = node_ids[1:m, 1:m, 1:m].ravel()
-        dof[interior] = np.arange(self.n_dofs)
+        # Quadrature coordinates on the tensor grid: cell i of an axis holds
+        # the Gauss points (i + 1/2) h -+ g h/2, and one (m, 2) table serves
+        # x, y and z.  quad_axes shapes it to broadcast over (element x, y, z,
+        # point x, y, z), whose C order is that of the rows of quad_points:
+        # element-major, z fastest, the 8 points of an element bit-ordered.
+        table = ((np.arange(m) + 0.5) * self.h)[:, None] + _GAUSS_1D * (self.h / 2.0)
+        self.quad_axes = (table.reshape(m, 1, 1, 2, 1, 1), table.reshape(1, m, 1, 1, 2, 1),
+                          table.reshape(1, 1, m, 1, 1, 2))
+        self.quad_points = np.stack(np.broadcast_arrays(*self.quad_axes), axis=-1).reshape(-1, 3)
 
-        # Element -> corner-node connectivity, corners bit-ordered like _PHI.
-        ex, ey, ez = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-        elems = np.stack([ex.ravel(), ey.ravel(), ez.ravel()], axis=1)  # (E, 3)
-        corners = np.array([[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
-        conn = np.empty((len(elems), 8), dtype=np.int64)
-        for a, c in enumerate(corners):
-            conn[:, a] = node_ids[elems[:, 0] + c[0], elems[:, 1] + c[1], elems[:, 2] + c[2]]
-        self.element_dofs = dof[conn]  # (E, 8), -1 on the boundary
-
-        # Physical quadrature coordinates, flattened (E*8, 3), q fastest per element.
-        centers = (elems + 0.5) * self.h  # (E, 3)
-        self.quad_points = (centers[:, None, :] + _QREF[None, :, :] * (self.h / 2.0)).reshape(-1, 3)
+        # Dof of each node of the (m+1)^3 grid (z fastest), -1 on the
+        # boundary.  Element (ex, ey, ez) has corner (dx, dy, dz) at node
+        # (ex + dx, ey + dy, ez + dz): a sliding 2x2x2 window, corners
+        # bit-ordered like _DPHI.
+        node_dof = np.full((m + 1,) * 3, -1, dtype=np.int64)
+        node_dof[1:m, 1:m, 1:m] = np.arange(self.n_dofs).reshape(n1, n1, n1)
+        self.element_dofs = sliding_window_view(node_dof, (2, 2, 2)).reshape(-1, 8)  # (E, 8), -1 on the boundary
 
         # Shared CSR graph: two dofs are coupled when they share an element,
         # i.e. each dof with the interior dofs of its 3x3x3 neighbourhood.
         # Neighbour offsets (dx, dy, dz) in lexicographic order give each
         # row's columns in increasing order.
-        n1 = m - 1
         steps = np.array([-1, 0, 1])
         inside = (np.arange(n1)[:, None] + steps >= 0) & (np.arange(n1)[:, None] + steps < n1)
         coupled = (
@@ -125,15 +136,22 @@ class StructuredMesh:
         self.nnz = len(self.col_indices)
         self.row_offsets = np.concatenate([[0], np.cumsum(coupled.sum(axis=1))]).astype(np.int32)
 
-        # CSR slot of each element's corner pair (a, b), a-major: the slot of
-        # row dof a at the neighbour offset of corner b from corner a.
-        slot_of = (np.cumsum(coupled.ravel(), dtype=np.int32) - 1).reshape(self.n_dofs, 27)
-        pair_a, pair_b = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
-        d = corners[pair_b] - corners[pair_a] + 1  # (64, 3) in {0, 1, 2}
-        pair_offset = (d[:, 0] * 3 + d[:, 1]) * 3 + d[:, 2]
-        rows, cols = self.element_dofs[:, pair_a], self.element_dofs[:, pair_b]
-        pair_slots = np.where((rows >= 0) & (cols >= 0), slot_of[rows, pair_offset], -1)
-        self._pair_slots = np.ascontiguousarray(pair_slots, dtype=np.int32)  # the kernel reads it row-major
+        # CSR slot of each node's 27 neighbour offsets, -1 where the node or
+        # the neighbour lies on the boundary.  Pair (a, b) of element e reads
+        # its corner a's node at the offset of corner b: flat index
+        # 27 base(e) + 27 node(a) + offset(a, b), with base(e) the node of
+        # corner 0.  One x-slab of elements is gathered at a time through the
+        # slab's (m^2, 64) index, so no (E, 64) index is formed.
+        node_slot = np.full((m + 1, m + 1, m + 1, 27), -1, dtype=np.int32)
+        node_slot[1:m, 1:m, 1:m][coupled.reshape(n1, n1, n1, 27)] = np.arange(self.nnz, dtype=np.int32)
+        corner_node = (_CORNERS[:, 0] * (m + 1) + _CORNERS[:, 1]) * (m + 1) + _CORNERS[:, 2]
+        slab_base = np.arange(m)[:, None] * (m + 1) + np.arange(m)  # corner-0 nodes of slab ex = 0
+        slab_index = slab_base.reshape(-1, 1) * 27 + (corner_node[_PAIR_A] * 27 + _PAIR_OFFSET)
+        flat, stride = node_slot.ravel(), (m + 1) ** 2 * 27
+        pair_slots = np.empty((m, m * m, 64), dtype=np.int32)  # the kernel reads it row-major
+        for ex in range(m):
+            np.take(flat[ex * stride:], slab_index, out=pair_slots[ex])
+        self._pair_slots = pair_slots.reshape(-1, 64)
 
         # Reference element matrices per direction and quadrature point:
         # grad phi_a . e_d  grad phi_b . e_d  scaled by (2/h)^2 det(J) w_q = h/2.
@@ -141,12 +159,10 @@ class StructuredMesh:
         self._dx = elem_mats[0].reshape(8, 64)
         self._dy_sum = elem_mats[1].sum(axis=0).reshape(64)
         self._dz_sum = elem_mats[2].sum(axis=0).reshape(64)
-        # Unit load vector: each element adds int phi_a = h^3 / 8 at its interior corners.
-        nodes = self.element_dofs.ravel()
-        inner = nodes >= 0
-        self._load = np.bincount(
-            nodes[inner], weights=np.full(nodes.size, self.h**3 / 8.0)[inner], minlength=self.n_dofs,
-        )
+        # Unit load vector: each element adds int phi_a = h^3 / 8 at its
+        # interior corners, and every interior node is a corner of 8
+        # elements; the 8 terms are added in sequence, as a scatter would.
+        self._load = np.full(self.n_dofs, np.cumsum(np.full(8, self.h**3 / 8.0))[-1])
 
 
 @dataclass
@@ -167,10 +183,12 @@ def assemble(
 ) -> AssembledEnsembleSystem:
     """Assemble the width-S ensemble system for the given sample rows.
 
-    `mode_vals` may carry `field.mode_values(mesh.quad_points)` precomputed
-    once per (field, mesh) pair; lane matrices depend on their own sample
-    only, so duplicated samples yield bit-identical lanes.  A lane's
-    `anisotropy_indicator` is formed from its least and greatest value.
+    `mode_vals` may carry `field.mode_values(mesh.quad_axes)` (bitwise that
+    of `mesh.quad_points`) precomputed once per (field, mesh) pair; values
+    of another shape, such as another mesh's, raise `FieldError`.  Lane
+    matrices depend on their own sample only, so duplicated samples yield
+    bit-identical lanes.  A lane's `anisotropy_indicator` is formed from its
+    least and greatest value.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     S = len(samples)

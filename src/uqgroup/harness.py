@@ -418,7 +418,7 @@ class _PdeProblem:
         self.config = config
         self.field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
         self.mesh = StructuredMesh(config.mesh.mesh_cells, config.mesh.quadrature)
-        self.mode_vals = self.field.mode_values(self.mesh.quad_points)
+        self.mode_vals = self.field.mode_values(self.mesh.quad_axes)
         self.box = tuple([(-1.0, 1.0)] * config.n_dims)
 
     def solve_plan(

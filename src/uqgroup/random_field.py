@@ -5,6 +5,9 @@ eigenpairs are products of eigenpairs of the 1D kernel exp(-|x - x'|/delta) on
 [0, 1].  The 1D problems are solved numerically with a Nystrom discretisation
 (uniform grid, trapezoid weights, symmetrised eigenproblem with a tridiagonal
 inverse); eigenfunctions are tabulated and evaluated by linear interpolation.
+A 3D mode is evaluated from its three 1D factors, each interpolated at one
+axis's coordinates, so on a tensor grid of points (a mesh's quadrature
+points) only the grid's distinct coordinates per axis are interpolated.
 
 A field instance evaluates the diffusion coefficient in the first spatial
 direction as
@@ -149,14 +152,34 @@ class KLDiffusionField:
             return self.a_hat_value * out
         raise FieldError(f"unknown a_hat mode {self.a_hat_mode!r}")
 
-    def mode_values(self, points: np.ndarray) -> np.ndarray:
-        """3D eigenfunctions at spatial points: (P, 3) -> (N, P)."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise FieldError(f"points must have shape (P, 3), got {points.shape}")
-        out = np.empty((self.n_modes, len(points)))
+    def mode_values(self, points) -> np.ndarray:
+        """3D eigenfunctions at spatial points: (N, P).
+
+        `points` is a (P, 3) array, or a tuple of three coordinate arrays
+        (x, y, z) that broadcast to the point set, P being its size in C
+        order; a tensor grid such as `StructuredMesh.quad_axes` then costs one
+        interpolation per distinct coordinate of an axis.  Either way each
+        factor is interpolated at the coordinates as given and a mode's value
+        is (x factor * y factor) * z factor at every point, so a point gets
+        the same bits from both forms.
+        """
+        if isinstance(points, tuple):
+            if len(points) != 3:
+                raise FieldError(f"per-axis coordinates must be three arrays, got {len(points)}")
+            axes = [np.asarray(c, dtype=float) for c in points]
+        else:
+            points = np.asarray(points, dtype=float)
+            if points.ndim != 2 or points.shape[1] != 3:
+                raise FieldError(f"points must have shape (P, 3), got {points.shape}")
+            axes = list(points.T)
+        try:
+            shape = np.broadcast_shapes(*(c.shape for c in axes))
+        except ValueError as err:
+            raise FieldError(f"per-axis coordinates do not broadcast: {err}") from err
+        out = np.empty((self.n_modes, math.prod(shape)))
         for n, (p, q, r) in enumerate(self.modes):
-            out[n] = self.factors[p](points[:, 0]) * self.factors[q](points[:, 1]) * self.factors[r](points[:, 2])
+            x, y, z = (self.factors[k](c) for k, c in zip((p, q, r), axes))
+            np.multiply(x * y, z, out=out[n].reshape(shape))
         return out
 
     def eval_a_batch(
@@ -164,14 +187,20 @@ class KLDiffusionField:
     ) -> np.ndarray:
         """Coefficient a(x, y) on a grid of points for many samples: (S, P).
 
-        `mode_vals` may pass precomputed `mode_values(points)` to amortise the
-        eigenfunction interpolation across calls with the same points.
+        `points` is a (P, 3) array.  `mode_vals` may pass precomputed
+        `mode_values(points)`, shape (N, P), to amortise the eigenfunction
+        interpolation across calls with the same points; any other shape is
+        refused.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.n_modes:
             raise FieldError(f"samples must have {self.n_modes} columns, got {samples.shape[1]}")
         if mode_vals is None:
             mode_vals = self.mode_values(points)
+        elif np.shape(mode_vals) != (self.n_modes, len(points)):
+            raise FieldError(
+                f"mode_vals must have shape {(self.n_modes, len(points))}, got {np.shape(mode_vals)}"
+            )
         amplitudes = np.sqrt(self.eigenvalues)
         # One (1, M) @ (M, P) product per lane: a single (S, M) @ (M, P)
         # product rounds differently for one row than for several, which

@@ -408,6 +408,89 @@ def _hex_gradients():
     return grads
 
 
+def gather_mesh_tables(cells):
+    """Every array table of a uniform `cells`^3 hex mesh, built element by element.
+
+    The route the mesh tables took before they were built on the tensor
+    grid: (E, 3) element indices, an (E, 8) corner-node gather into the
+    interior-dof map, quadrature coordinates as element centres plus the
+    scaled reference points, the CSR slot of each corner pair gathered
+    through (E, 64) row and column dof tables from a dof-by-27 slot table,
+    and the load vector as a bincount over the element corners.  The element
+    matrices come from `_hex_gradients`.  Returns {attribute name: array}.
+    """
+    m = cells
+    h = 1.0 / m
+    n1 = m - 1
+    n_dofs = n1**3
+    node_ids = np.arange((m + 1) ** 3).reshape(m + 1, m + 1, m + 1)
+    dof = -np.ones((m + 1) ** 3, dtype=np.int64)
+    dof[node_ids[1:m, 1:m, 1:m].ravel()] = np.arange(n_dofs)
+
+    ex, ey, ez = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
+    elems = np.stack([ex.ravel(), ey.ravel(), ez.ravel()], axis=1)  # (E, 3)
+    corners = np.array(list(itertools.product((0, 1), repeat=3)))
+    conn = np.empty((len(elems), 8), dtype=np.int64)
+    for a, c in enumerate(corners):
+        conn[:, a] = node_ids[elems[:, 0] + c[0], elems[:, 1] + c[1], elems[:, 2] + c[2]]
+    element_dofs = dof[conn]
+
+    qref = (2.0 * corners - 1.0) * (1.0 / np.sqrt(3.0))
+    centers = (elems + 0.5) * h
+    quad_points = (centers[:, None, :] + qref[None, :, :] * (h / 2.0)).reshape(-1, 3)
+
+    steps = np.array([-1, 0, 1])
+    inside = (np.arange(n1)[:, None] + steps >= 0) & (np.arange(n1)[:, None] + steps < n1)
+    coupled = (
+        inside[:, None, None, :, None, None]
+        & inside[None, :, None, None, :, None]
+        & inside[None, None, :, None, None, :]
+    ).reshape(n_dofs, 27)
+    shifts = ((steps[:, None, None] * n1 + steps[None, :, None]) * n1 + steps[None, None, :]).ravel()
+    col_indices = (np.arange(n_dofs, dtype=np.int32)[:, None] + shifts.astype(np.int32))[coupled]
+    row_offsets = np.concatenate([[0], np.cumsum(coupled.sum(axis=1))]).astype(np.int32)
+
+    slot_of = (np.cumsum(coupled.ravel(), dtype=np.int32) - 1).reshape(n_dofs, 27)
+    pair_a, pair_b = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
+    d = corners[pair_b] - corners[pair_a] + 1
+    pair_offset = (d[:, 0] * 3 + d[:, 1]) * 3 + d[:, 2]
+    rows, cols = element_dofs[:, pair_a], element_dofs[:, pair_b]
+    pair_slots = np.where((rows >= 0) & (cols >= 0), slot_of[rows, pair_offset], -1)
+
+    grads = _hex_gradients()
+    elem_mats = grads[:, :, :, None] * grads[:, :, None, :] * (h / 2.0)
+    nodes = element_dofs.ravel()
+    inner = nodes >= 0
+    load = np.bincount(nodes[inner], weights=np.full(nodes.size, h**3 / 8.0)[inner], minlength=n_dofs)
+    return {
+        "element_dofs": element_dofs,
+        "quad_points": quad_points,
+        "col_indices": col_indices,
+        "row_offsets": row_offsets,
+        "_pair_slots": np.ascontiguousarray(pair_slots, dtype=np.int32),
+        "_dx": elem_mats[0].reshape(8, 64),
+        "_dy_sum": elem_mats[1].sum(axis=0).reshape(64),
+        "_dz_sum": elem_mats[2].sum(axis=0).reshape(64),
+        "_load": load,
+    }
+
+
+def pointwise_mode_values(field, points):
+    """A KL field's (N, P) mode values at (P, 3) points, one mode at a time.
+
+    Reads only `field.modes` and each factor's `grid` and `values`:
+    row n is e_p(x) * e_q(y) * e_r(z) over all P points, each factor
+    `np.interp` on its table.
+    """
+    points = np.asarray(points, dtype=float)
+    out = np.empty((len(field.modes), len(points)))
+    for n, modes in enumerate(field.modes):
+        x, y, z = (np.interp(points[:, d], field.factors[k].grid, field.factors[k].values)
+                   for d, k in enumerate(modes))
+        out[n] = x * y * z
+    return out
+
+
 def einsum_assemble(mesh, a_vals, a_y, a_z):
     """The einsum + per-lane bincount assembly of trilinear hex stiffness.
 

@@ -6,6 +6,7 @@ import scipy.sparse.linalg
 
 from uqgroup import (
     FemError,
+    FieldError,
     StructuredMesh,
     assemble,
     build_field,
@@ -15,6 +16,7 @@ from uqgroup import (
 
 from _oracles import (
     center_dof,
+    gather_mesh_tables,
     interior_node_coords,
     kron_stiffness,
     laplacian_row_stencil,
@@ -55,6 +57,28 @@ def test_mesh_counts_and_center():
     assert len(coords) == mesh.n_dofs
     center = coords[center_dof(16)]
     np.testing.assert_array_equal(center, [0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("cells", [2, 3, 5, 8, 16, 33])
+def test_mesh_tables_equal_the_element_gather_oracle(cells):
+    mesh = StructuredMesh(cells)
+    expected = gather_mesh_tables(cells)
+    tables = {k: v for k, v in vars(mesh).items() if isinstance(v, np.ndarray)}
+    assert tables.keys() == expected.keys()
+    for name, ref in expected.items():
+        got = tables[name]
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+        assert got.flags.c_contiguous, name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+@pytest.mark.parametrize("cells", [2, 5])
+def test_quad_axes_broadcast_to_the_quad_points(cells):
+    mesh = StructuredMesh(cells)
+    assert len(mesh.quad_axes) == 3
+    grid = np.broadcast_arrays(*mesh.quad_axes)
+    assert grid[0].shape == (cells,) * 3 + (2,) * 3
+    assert np.stack(grid, axis=-1).reshape(-1, 3).tobytes() == mesh.quad_points.tobytes()
 
 
 def test_mesh_validation():
@@ -179,6 +203,15 @@ def test_precomputed_mode_values_change_nothing(kl_field):
     direct = assemble(mesh, kl_field, y)
     cached = assemble(mesh, kl_field, y, mode_vals=kl_field.mode_values(mesh.quad_points))
     assert np.array_equal(direct.matrix.values, cached.matrix.values)
+
+
+@pytest.mark.parametrize("values_cells, mesh_cells", [(4, 8), (8, 4)])
+def test_mode_values_of_another_mesh_are_refused(kl_field, values_cells, mesh_cells):
+    # Too few values once read past the coefficient buffer; too many
+    # silently assembled another coefficient.
+    mode_vals = kl_field.mode_values(StructuredMesh(values_cells).quad_points)
+    with pytest.raises(FieldError, match="mode_vals must have shape"):
+        assemble(StructuredMesh(mesh_cells), kl_field, np.zeros((2, 4)), mode_vals)
 
 
 # ---------------------------------------------------------------------------

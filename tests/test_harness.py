@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -676,6 +677,25 @@ def test_a_run_without_sur_executes_generation_order():
         assert lv.executed_lane_iterations / lv.useful_lane_iterations == ratios["nat"]
     # par's order is its own on level 2, and is accounted but not executed
     assert ratios["par"] != ratios["nat"]
+
+
+def test_pde_problem_setup_peaks_below_twice_what_it_keeps():
+    # The mesh tables and mode values are built on the tensor grid, without
+    # (E, 64) index tables or per-point copies of the quadrature coordinates.
+    config = preset_config("pde_test1", mesh=MeshConfig(mesh_cells=24))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        problem = harness._PdeProblem(config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    field = problem.field
+    arrays = [v for obj in (problem, problem.mesh) for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    arrays += [field.eigenvalues, *(a for f in field.factors for a in (f.grid, f.values))]
+    kept = sum(a.nbytes for a in {id(a): a for a in arrays}.values())
+    assert peak <= 2 * kept, (peak, kept)
 
 
 @pytest.fixture(scope="module")

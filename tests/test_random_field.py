@@ -5,9 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uqgroup import FieldError, anisotropy_indicator, build_field, eigenpairs_1d
+from uqgroup import FieldError, StructuredMesh, anisotropy_indicator, build_field, eigenpairs_1d
 
-from _oracles import anisotropy_indicator_max, l2_distance_signed, nystrom_eigenpairs_dense
+from _oracles import (
+    anisotropy_indicator_max,
+    l2_distance_signed,
+    nystrom_eigenpairs_dense,
+    pointwise_mode_values,
+)
 
 DELTA = 0.25
 
@@ -188,6 +193,38 @@ def test_log_expansion_positive_on_probe_lattice():
     samples = rng.uniform(-1.0, 1.0, (1000, 4))
     mode_vals = field.mode_values(lattice)
     assert (field.eval_a_batch(lattice, samples, mode_vals) > 0).all()
+
+
+@pytest.mark.parametrize("n_modes", [1, 4, 7])
+@pytest.mark.parametrize("cells", [2, 5, 16])
+def test_per_axis_mode_values_equal_pointwise_bitwise(cells, n_modes):
+    # At 7 modes some modes multiply two non-constant factors.
+    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=n_modes, a_min=0.1,
+                        sigma0_convention="kernel")
+    mesh = StructuredMesh(cells)
+    expected = pointwise_mode_values(field, mesh.quad_points)
+    for got in (field.mode_values(mesh.quad_axes), field.mode_values(mesh.quad_points)):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_mode_values_refuse_malformed_points():
+    field = build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0)
+    axis = np.array([0.25, 0.75])
+    bad = [np.zeros((4, 2)), np.zeros(3), (axis, axis), (axis, axis[:, None], np.zeros(3))]
+    for points in bad:
+        with pytest.raises(FieldError):
+            field.mode_values(points)
+
+
+def test_eval_a_batch_refuses_mode_values_of_other_points():
+    field = build_field(delta=DELTA, sigma0=1.0, n_modes=4, a_min=0.1)
+    pts = np.random.default_rng(3).uniform(0.0, 1.0, (10, 3))
+    mode_vals = field.mode_values(pts)
+    for bad in (mode_vals[:, :9], mode_vals[:3], mode_vals.T, mode_vals.ravel()):
+        with pytest.raises(FieldError, match="mode_vals must have shape"):
+            field.eval_a_batch(pts, np.zeros((1, 4)), bad)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 16])
