@@ -11,7 +11,8 @@ the other strategies are accounting over the same per-sample counts, and
 A level's samples are the grid nodes it added, and its coordinates, counts,
 QoIs, indicators and predictions are arrays aligned with their ids; a plan
 is an order of those ids, and its (ensembles x S) slot counts, which
-`compute_R` reduces, are one index into the count array.
+`compute_R` reduces, are one index into the count array.  A report keeps
+no ids, coordinates or ensembles: level sizes, grid and orders imply them.
 
 Level numbering is 1-based: level 1 is the initial grid, solved as one batch
 and grouped in generation order for every strategy except the post-hoc "its"
@@ -83,7 +84,7 @@ ITER_CHANNEL = "iterations"
 _UNCONVERGED_NOTE = "R and predicted speed-ups set to NaN"
 
 # The layout of manifest.json; `parse_manifest` reads this one only.
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
 
 # Per-level counters of the executed ensembles' lanes (`LevelRecord`).
 _LANE_COUNTERS = ("executed_lane_iterations", "streamed_lane_iterations",
@@ -506,31 +507,32 @@ class _PdeProblem:
 class LevelSamples:
     """One level's samples as columns: entry i of each belongs to the i-th sample.
 
+    Ids run on from the previous level's, and sample id's coordinates are
+    row id of `HierGrid.from_json_dict(report.grid).node_coords()`.
     Iteration counts are ints for PDE problems and floats for analytic ones.
     predicted_iterations is None on level 1, before any surrogate exists, and
     indicator is None for analytic problems.
     """
 
-    sample_id: tuple[int, ...]
-    coords: tuple[tuple[float, ...], ...]
     iterations: tuple[float, ...]
     predicted_iterations: tuple[float, ...] | None
     indicator: tuple[float, ...] | None
 
     def __post_init__(self) -> None:
-        columns = (self.coords, self.iterations, self.predicted_iterations, self.indicator)
-        if any(c is not None and len(c) != len(self.sample_id) for c in columns):
-            raise ConfigurationError(f"sample columns of unequal length: not {len(self.sample_id)} entries each")
+        columns = (self.predicted_iterations, self.indicator)
+        if any(c is not None and len(c) != len(self.iterations) for c in columns):
+            raise ConfigurationError(f"sample columns of unequal length: not {len(self.iterations)} entries each")
 
     def __len__(self) -> int:
-        return len(self.sample_id)
+        return len(self.iterations)
 
 
 @dataclass(frozen=True)
 class PlanRecord:
+    """A level's ids in one strategy's order, cut into ensembles by `GroupingPlan(level, S, order)`."""
+
     strategy: str
-    ensembles: tuple[tuple[int, ...], ...]
-    padding: tuple[int, ...]
+    order: tuple[int, ...]
     work_ratio: float = dataclasses.field(metadata={"key": "R_l"})
 
 
@@ -590,13 +592,6 @@ class RunReport:
                 if p.strategy == strategy:
                     out.append(p.work_ratio)
         return out
-
-    def to_dict(self) -> dict:
-        return _dump(self)
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "RunReport":
-        return _load(cls, d, "report")
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +660,9 @@ def adaptive_run(
                 plan = natural
             else:  # "par"
                 plan = group_by_key(ids, indicator, S, level)
-            ensembles = plan.ensembles
-            accounting[strat].append((plan, iters[np.array(ensembles) - start]))
+            accounting[strat].append((plan, iters[np.array(plan.ensembles) - start]))
             # R_l is filled in after the loop, from one compute_R per strategy.
-            plan_records.append(PlanRecord(strat, ensembles, plan.padding, math.nan))
+            plan_records.append(PlanRecord(strat, plan.order, math.nan))
 
         # Update the surrogates with this level's data.
         grid.compute_surpluses({QOI_CHANNEL: qois, ITER_CHANNEL: iters})
@@ -680,8 +674,6 @@ def adaptive_run(
             pred_err_max = float(err.max())
 
         samples = LevelSamples(
-            sample_id=tuple(ids),
-            coords=tuple(map(tuple, coords.tolist())),
             iterations=tuple(iters.tolist()),
             predicted_iterations=None if predicted is None else tuple(predicted.tolist()),
             indicator=None if indicator is None else tuple(indicator.tolist()),
@@ -772,8 +764,9 @@ def emit_reports(
     carry per-level ratios first, then one summary row per strategy.  The
     manifest is `{"format": MANIFEST_FORMAT, "reports": [...]}` on one line
     (compact separators, then a newline), each report in the `RunReport`
-    schema: a level's samples are one list per column and the grid is
-    `HierGrid.to_json_dict`'s columns.  Files contain no timestamps, so
+    schema: a level's samples are one list per column, a plan is its order
+    and the grid is `HierGrid.to_json_dict`'s columns (`LevelSamples` and
+    `PlanRecord` say how to derive the rest).  Files contain no timestamps, so
     identical runs emit identical bytes.  All texts are built first and each
     file is replaced whole: a failure leaves no partial file.
     """
@@ -792,9 +785,8 @@ def emit_reports(
                 for plan in lv.plans:
                     if plan.strategy != strat:
                         continue
-                    n_real = sum(len(g) for g in plan.ensembles) - sum(plan.padding)
                     writer.writerow(
-                        [strat, size, lv.level, n_real, len(plan.ensembles),
+                        [strat, size, lv.level, len(plan.order), -(-len(plan.order) // size),
                          _fmt(plan.work_ratio), "", ""]
                     )
         for strat in report.config["strategies"]:
@@ -812,11 +804,13 @@ def emit_reports(
     writer = csv.writer(iterations, lineterminator="\n")
     writer.writerow(["run", "level", "sample_id", "iterations", "predicted_iterations"])
     for run_idx, report in enumerate(reports):
+        first = 0
         for lv in report.levels:
             s = lv.samples
             predicted = s.predicted_iterations or itertools.repeat(None)
-            for sid, its, pred in zip(s.sample_id, s.iterations, predicted):
+            for sid, (its, pred) in enumerate(zip(s.iterations, predicted), first):
                 writer.writerow([run_idx, lv.level, sid, _fmt(its), _fmt(pred)])
+            first += len(s)
 
     paths = {
         "table": out_dir / "r_table.csv",
@@ -842,13 +836,13 @@ class _Manifest:
 def parse_manifest(path: str | Path) -> list[RunReport]:
     """The reports of a manifest that `emit_reports` wrote.
 
-    Only format `MANIFEST_FORMAT` is read: any other, or a manifest without a
-    format key (the layout before format 2), raises `ConfigurationError`.
+    Only format `MANIFEST_FORMAT` is read: any other, such as format 2 (which
+    also stored ids, coordinates and ensembles), raises `ConfigurationError`.
     """
     doc = json.loads(Path(path).read_text())
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if type(fmt) is not int or fmt != MANIFEST_FORMAT:
         raise ConfigurationError(
             f"{path}: manifest format {fmt!r} is not format {MANIFEST_FORMAT}, the only one this "
-            f"version reads (a manifest with no format key predates format 2)")
+            f"version reads (format 2 also stored ids, coordinates and ensembles; older ones have no format key)")
     return list(_load(_Manifest, doc, "manifest").reports)

@@ -348,9 +348,20 @@ def test_levels_numbered_from_one(g1_report):
     )
 
 
+def _first_ids(report) -> list[int]:
+    """Each level's first sample id: the number of samples in the levels before it."""
+    return np.cumsum([0] + [len(lv.samples) for lv in report.levels[:-1]]).tolist()
+
+
 def test_sample_ids_unique_and_dense(g1_report):
-    ids = [sid for lv in g1_report.levels for sid in lv.samples.sample_id]
+    # every plan orders the level's ids, which run on from the previous level's
+    ids = []
+    for first, lv in zip(_first_ids(g1_report), g1_report.levels, strict=True):
+        level_ids = list(range(first, first + len(lv.samples)))
+        assert all(sorted(p.order) == level_ids for p in lv.plans)
+        ids += level_ids
     assert ids == list(range(len(ids)))
+    assert len(ids) == len(g1_report.grid["level"]) == g1_report.n_samples_total
 
 
 def test_first_level_has_no_predictions(g1_report):
@@ -366,7 +377,8 @@ def test_first_level_ratio_strategy_independent(g1_report):
     # before any predictions exist, "sur" must fall back to generation order
     by_strat = {p.strategy: p for p in g1_report.levels[0].plans}
     assert by_strat["sur"].work_ratio == by_strat["nat"].work_ratio
-    assert by_strat["sur"].ensembles == by_strat["nat"].ensembles
+    S = g1_report.config["S"]
+    assert GroupingPlan(1, S, by_strat["sur"].order).ensembles == GroupingPlan(1, S, by_strat["nat"].order).ensembles
 
 
 def test_oracle_dominates(g1_report, g2_report):
@@ -399,19 +411,16 @@ def test_prediction_error_mostly_shrinks(g1_report, g2_report):
 
 
 def test_reported_ratios_match_recompute(g1_report):
-    # rebuild each strategy's R from the stored plans and iteration counts
-    iters = {
-        sid: its for lv in g1_report.levels for sid, its in zip(lv.samples.sample_id, lv.samples.iterations)
-    }
+    # rebuild each strategy's R from the stored orders and iteration counts
+    iters = [its for lv in g1_report.levels for its in lv.samples.iterations]
     cfg = g1_report.config
     for strat, want in g1_report.work_ratios.items():
         levels = []
-        for lv in g1_report.levels:
+        for first, lv in zip(_first_ids(g1_report), g1_report.levels):
             plan_rec = next(p for p in lv.plans if p.strategy == strat)
-            slots = [sid for group in plan_rec.ensembles for sid in group]
-            plan = GroupingPlan(lv.level, cfg["S"], tuple(slots[: len(slots) - sum(plan_rec.padding)]))
-            assert (plan.ensembles, plan.padding) == (plan_rec.ensembles, plan_rec.padding)
-            slot_iters = [[iters[i] for i in group] for group in plan_rec.ensembles]
+            assert sorted(plan_rec.order) == list(range(first, first + len(lv.samples)))
+            plan = GroupingPlan(lv.level, cfg["S"], plan_rec.order)
+            slot_iters = [[iters[i] for i in group] for group in plan.ensembles]
             levels.append((plan, slot_iters))
         per_level, total = compute_R(levels)
         assert total == pytest.approx(want, rel=1e-12)
@@ -472,7 +481,7 @@ def test_strategy_choice_does_not_change_physics():
 
 def test_repeat_run_identical(g1_report):
     again = adaptive_run(preset_config("analytic_g1"))
-    assert again.to_dict() == g1_report.to_dict()
+    assert harness._dump(again) == harness._dump(g1_report)
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +510,15 @@ def corner_report():
 def test_corner_run_shape(corner_report):
     assert corner_report.stop_reason == "budget_exhausted"
     assert len(corner_report.levels) == 1
-    coords = corner_report.levels[0].samples.coords
-    assert coords == ((-2.0, -2.0), (-2.0, 2.0), (2.0, -2.0), (2.0, 2.0))
+    coords = HierGrid.from_json_dict(corner_report.grid).node_coords()
+    assert coords.tolist() == [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]
 
 
 def test_corner_run_hand_ratio(corner_report):
     samples = corner_report.levels[0].samples
-    profile = analytic_iters(np.array(samples.coords), a1=1.0, a2=1.0, u1=1.0, u2=1.0)
-    got = dict(zip(samples.sample_id, samples.iterations))
+    coords = HierGrid.from_json_dict(corner_report.grid).node_coords()
+    profile = analytic_iters(coords, a1=1.0, a2=1.0, u1=1.0, u2=1.0)
+    got = dict(enumerate(samples.iterations))
     assert got == {i: profile[i] for i in range(4)}
     # natural chunks: (0,1) and (2,3); width 2 => cost 2*(max per group)
     hand = 2.0 * (max(profile[0], profile[1]) + max(profile[2], profile[3]))
@@ -516,7 +526,7 @@ def test_corner_run_hand_ratio(corner_report):
     assert corner_report.work_ratios["nat"] == pytest.approx(hand, rel=1e-14)
     # the ascending order coincides with the natural one here
     assert corner_report.work_ratios["its"] == pytest.approx(hand, rel=1e-14)
-    plan = corner_report.levels[0].plans[0]
+    plan = GroupingPlan(1, 2, corner_report.levels[0].plans[0].order)
     assert plan.ensembles == ((0, 1), (2, 3)) and plan.padding == (0, 0)
 
 
@@ -526,26 +536,29 @@ def test_corner_run_hand_ratio(corner_report):
 
 
 def test_report_dict_round_trip(corner_report):
-    doc = corner_report.to_dict()
-    back = RunReport.from_dict(doc)
+    doc = harness._dump(corner_report)
+    back = harness._load(RunReport, doc, "report")
     assert back == corner_report
     # the dict itself must be JSON-clean
     assert json.loads(json.dumps(doc)) == doc
 
 
 def test_report_from_dict_rejects_unknown_and_missing_keys(corner_report):
-    doc = corner_report.to_dict()
+    doc = harness._dump(corner_report)
     doc["levels"][0]["samples"]["iters"] = [3, 3, 3, 3]
     with pytest.raises(ConfigurationError, match=r"levels\[0\]\.samples.*'iters'"):
-        RunReport.from_dict(doc)
-    doc = corner_report.to_dict()
+        harness._load(RunReport, doc, "report")
+    doc = harness._dump(corner_report)
+    # the corner run's level has no other column: give it predictions to differ from
+    doc["levels"][0]["samples"]["predicted_iterations"] = [1.5] * 4
+    harness._load(RunReport, doc, "report")
     doc["levels"][0]["samples"]["iterations"].pop()
     with pytest.raises(ConfigurationError, match="unequal length"):
-        RunReport.from_dict(doc)
-    doc = corner_report.to_dict()
+        harness._load(RunReport, doc, "report")
+    doc = harness._dump(corner_report)
     del doc["levels"][0]["plans"][0]["R_l"]
     with pytest.raises(ConfigurationError, match="missing key 'R_l'"):
-        RunReport.from_dict(doc)
+        harness._load(RunReport, doc, "report")
 
 
 def test_emit_and_parse_round_trip(tmp_path, corner_report, g1_report):
@@ -553,7 +566,7 @@ def test_emit_and_parse_round_trip(tmp_path, corner_report, g1_report):
     paths = emit_reports(reports, tmp_path)
     assert set(paths) == {"table", "manifest", "iterations"}
     back = parse_manifest(paths["manifest"])
-    assert [r.to_dict() for r in back] == [r.to_dict() for r in reports]
+    assert [harness._dump(r) for r in back] == [harness._dump(r) for r in reports]
 
 
 def test_table_layout(tmp_path, corner_report, g1_report):
@@ -605,11 +618,17 @@ def test_emit_is_deterministic(tmp_path, corner_report):
 def test_manifest_format(tmp_path, corner_report):
     paths = emit_reports(corner_report, tmp_path)
     text = paths["manifest"].read_text()
-    doc = {"format": 2, "reports": [corner_report.to_dict()]}
+    doc = {"format": 3, "reports": [harness._dump(corner_report)]}
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
     assert text.count("\n") == 1
-    samples = json.loads(text)["reports"][0]["levels"][0]["samples"]
-    assert samples["sample_id"] == [0, 1, 2, 3] and samples["indicator"] is None
+    level = json.loads(text)["reports"][0]["levels"][0]
+    # ids, coordinates, ensembles and padding are derived, not stored
+    assert set(level["samples"]) == {"iterations", "predicted_iterations", "indicator"}
+    assert level["samples"]["indicator"] is None
+    assert [set(p) for p in level["plans"]] == [{"strategy", "order", "R_l"}] * 2
+    assert level["plans"][0]["order"] == [0, 1, 2, 3]
+    for key in ("sample_id", "coords", "ensembles", "padding"):
+        assert f'"{key}"' not in text
 
 
 def _same(a, b) -> bool:
@@ -652,13 +671,59 @@ def test_manifest_round_trip_restores_the_report(tmp_path, request, name):
     assert {type(v) for lv in back[0].levels for v in lv.samples.iterations} == {want}
 
 
+@pytest.mark.parametrize("name, config", [
+    ("g1_report", preset_config("analytic_g1")),
+    ("pde_report", preset_config("pde_test1", ensemble_size=5, n_max=100, mesh=MeshConfig(mesh_cells=4))),
+], ids=["g1_report", "pde_report"])
+def test_derived_values_are_the_solved_ones(tmp_path, monkeypatch, request, name, config):
+    # A manifest stores neither coordinates nor ensembles: those derived from
+    # its grid block and orders are bitwise the ones each level solved at and
+    # the slot matrices each strategy gave compute_R.
+    want = request.getfixturevalue(name)  # before the wrappers are in place
+    solved, charged = [], []
+    solve_plan, iter_values, compute_r = (harness._PdeProblem.solve_plan, harness._AnalyticProblem.iter_values,
+                                          harness.compute_R)
+
+    def capture_solve(self, plan, coords, first_id, sink):
+        solved.append((first_id, coords.copy()))
+        return solve_plan(self, plan, coords, first_id, sink)
+
+    def capture_iters(self, coords):
+        solved.append((None, coords.copy()))
+        return iter_values(self, coords)
+
+    def capture_R(levels):
+        charged.append([(plan, np.array(slots)) for plan, slots in levels])
+        return compute_r(levels)
+
+    monkeypatch.setattr(harness._PdeProblem, "solve_plan", capture_solve)
+    monkeypatch.setattr(harness._AnalyticProblem, "iter_values", capture_iters)
+    monkeypatch.setattr(harness, "compute_R", capture_R)
+    [report] = parse_manifest(emit_reports(adaptive_run(config), tmp_path)["manifest"])
+    assert report == want
+
+    coords = HierGrid.from_json_dict(report.grid).node_coords()
+    for first, lv, (first_id, got) in zip(_first_ids(report), report.levels, solved, strict=True):
+        assert first_id in (None, first)
+        derived = coords[first:first + len(lv.samples)]
+        assert derived.shape == got.shape and derived.tobytes() == got.tobytes()
+    iters = np.array([v for lv in report.levels for v in lv.samples.iterations])
+    for strat, levels in zip(config.strategies, charged, strict=True):
+        for lv, (plan, slots) in zip(report.levels, levels, strict=True):
+            order = next(p.order for p in lv.plans if p.strategy == strat)
+            derived = GroupingPlan(lv.level, config.ensemble_size, order)
+            assert derived == plan
+            got = iters[np.array(derived.ensembles)]
+            assert got.dtype == slots.dtype and got.tobytes() == slots.tobytes()
+
+
 def test_lane_counters_agree_with_the_accounting(pde_report):
     assert pde_report.all_lanes_converged and len(pde_report.levels) == 2
     S = pde_report.config["S"]
     for lv in pde_report.levels:
         # the executed plan is "sur", which is generation order on level 1
         executed_plan = next(p for p in lv.plans if p.strategy == "sur")
-        assert sum(executed_plan.padding) > 0
+        assert sum(GroupingPlan(lv.level, S, executed_plan.order).padding) > 0
         assert lv.executed_lane_iterations / lv.useful_lane_iterations == executed_plan.work_ratio
         assert lv.useful_lane_iterations == sum(lv.samples.iterations)
         assert lv.executed_lane_iterations == S * lv.spmv_calls
@@ -722,7 +787,8 @@ def counted_test2_run():
 
 def test_each_lane_evaluates_its_coefficient_once(counted_test2_run):
     config, report, lanes, solves = counted_test2_run
-    executed = [next(p for p in lv.plans if p.strategy == "sur") for lv in report.levels]
+    executed = [GroupingPlan(lv.level, config.ensemble_size, next(p for p in lv.plans if p.strategy == "sur").order)
+                for lv in report.levels]
     assert len(solves) == sum(len(plan.ensembles) for plan in executed) > 0
     assert sum(lanes) == config.ensemble_size * len(solves)
     assert sorted(lanes) == sorted(solves)  # one evaluation per assembled ensemble, none besides
@@ -732,20 +798,21 @@ def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, count
     config, report, _, _ = counted_test2_run
     field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
     points = StructuredMesh(config.mesh.mesh_cells).quad_points
-    doc = json.loads(emit_reports(report, tmp_path)["manifest"].read_text())
+    doc = json.loads(emit_reports(report, tmp_path)["manifest"].read_text())["reports"][0]
+    coords = HierGrid.from_json_dict(doc["grid"]).node_coords()
+    indicators = [v for lv in doc["levels"] for v in lv["samples"]["indicator"]]
     n = 0
-    for lv in doc["reports"][0]["levels"]:
-        samples = lv["samples"]
-        for y, got in zip(samples["coords"], samples["indicator"], strict=True):
-            a = field.eval_a_batch(points, np.array([y]))[0]
-            assert got == anisotropy_indicator_max(a, field.a_y, field.a_z)
-            n += 1
+    for y, got in zip(coords, indicators, strict=True):
+        a = field.eval_a_batch(points, y[None])[0]
+        assert got == anisotropy_indicator_max(a, field.a_y, field.a_z)
+        n += 1
     assert n == report.n_samples_total == config.n_max
 
 
 def test_capped_run_counts_its_unconverged_lanes(capped_report):
     lv = capped_report.levels[0]
-    assert lv.spmv_calls == 3 * len(next(p for p in lv.plans if p.strategy == "nat").ensembles)
+    order = next(p for p in lv.plans if p.strategy == "nat").order
+    assert lv.spmv_calls == 3 * len(GroupingPlan(1, capped_report.config["S"], order).ensembles)
     assert lv.unconverged_lanes == lv.executed_lane_iterations // 3
 
 
@@ -766,21 +833,21 @@ def test_mean_qoi_is_the_surrogate_mean_through_each_level(g1_report):
 
 @pytest.mark.parametrize(
     "top, match",
-    [({}, "format None is not format 2"), ({"format": 1}, "format 1 is not"),
-     ({"format": 3}, "format 3 is not"), ({"format": "2"}, "format '2' is not"),
-     ({"format": 2.0}, "format 2.0 is not")],
-    ids=["no-format-key", "format-1", "format-3", "string-format", "float-format"],
+    [({}, "format None is not format 3"), ({"format": 1}, "format 1 is not"),
+     ({"format": 2}, "format 2 is not"), ({"format": "3"}, "format '3' is not"),
+     ({"format": 3.0}, "format 3.0 is not")],
+    ids=["no-format-key", "format-1", "format-2", "string-format", "float-format"],
 )
 def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, match):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({**top, "reports": [corner_report.to_dict()]}, indent=1) + "\n")
+    path.write_text(json.dumps({**top, "reports": [harness._dump(corner_report)]}, indent=1) + "\n")
     with pytest.raises(ConfigurationError, match=match):
         parse_manifest(path)
 
 
 def test_parse_manifest_rejects_unknown_top_level_keys(tmp_path, corner_report):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"format": 2, "reports": [corner_report.to_dict()], "extra": 1}))
+    path.write_text(json.dumps({"format": 3, "reports": [harness._dump(corner_report)], "extra": 1}))
     with pytest.raises(ConfigurationError, match="'extra'"):
         parse_manifest(path)
 
@@ -848,7 +915,7 @@ def _small_pde_config(**overrides):
     return preset_config("pde_test1", n_max=48, mesh=MeshConfig(mesh_cells=4), **overrides)
 
 
-def test_unconverged_lanes_mark_ratios_nan():
+def test_unconverged_lanes_mark_ratios_nan(tmp_path):
     cfg = _small_pde_config(solver=SolverConfig(maxit=3), base_curve=((4, 2.72),))
     rep = adaptive_run(cfg)
     assert not rep.all_lanes_converged
@@ -858,7 +925,7 @@ def test_unconverged_lanes_mark_ratios_nan():
     assert set(rep.predicted_speedups) == set(cfg.strategies)
     assert all(math.isnan(v) for v in rep.predicted_speedups.values())
     # the mark survives the manifest round trip
-    assert not RunReport.from_dict(json.loads(json.dumps(rep.to_dict()))).all_lanes_converged
+    assert not parse_manifest(emit_reports(rep, tmp_path)["manifest"])[0].all_lanes_converged
 
 
 def test_converged_run_is_trusted(corner_report):
@@ -1072,9 +1139,9 @@ def test_qois_and_grids_do_not_depend_on_the_width():
 
 def test_cli_table_refuses_an_old_manifest(tmp_path, capsys, corner_report):
     # the layout before format 2: no format key, indented
-    (tmp_path / "manifest.json").write_text(json.dumps({"reports": [corner_report.to_dict()]}, indent=1))
+    (tmp_path / "manifest.json").write_text(json.dumps({"reports": [harness._dump(corner_report)]}, indent=1))
     assert cli_main(["table", "--out-dir", str(tmp_path)]) == 1
-    assert "manifest format None is not format 2" in capsys.readouterr().err
+    assert "manifest format None is not format 3" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
