@@ -1,28 +1,34 @@
 /* The Jacobi-PCG loop of an ensemble solve, run in one call on a team of
  * threads, the lane-interleaved SpMV inside it, y[s] = A_s x[s] for the lanes
- * s the loop still needs, and the assembly of the lanes-last matrix values
- * they read.  The library exports ensemble_pcg, ensemble_pcg_scratch_size and
- * ensemble_assemble; the SpMV is called only by the loop.
+ * s the loop still needs, the assembly of stiffness matrices straight into
+ * the packed storage that SpMV reads, and the pack of any other matrix into
+ * it.  The library exports ensemble_pcg, ensemble_pcg_scratch_size,
+ * ensemble_assemble and ensemble_pack; the SpMV is called only by the loop.
+ *
+ * Packed storage.
+ *
+ * The S lane matrices share one CSR graph (row_offsets, col_indices).  Their
+ * values sit in slots of S lane values each, pack[k * S + s].  Each row's run
+ * of entries from just after its last entry below the diagonal to its end
+ * (the diagonal and upper entries of a sorted row) has consecutive slots
+ * starting at hrow[i]; the entries before the runs read their slots from
+ * lmap, one int32 each, in storage order.  An entry (i, j) below the diagonal
+ * whose mirror (j, i) sits in row j's run with all S lane values bitwise
+ * equal reads the mirror's slot; any other entry has a slot of its own, just
+ * before its row's run.  So the slots of row i are those from the end of row
+ * i - 1's run to the end of its own, and a bitwise symmetric matrix stores
+ * about half its values.  Every entry reads a slot that holds bitwise its own
+ * S values.  A stiffness matrix is assembled straight into this layout, its
+ * graph packed once per mesh (ensemble_assemble); any other matrix is packed
+ * once from lanes-last values (ensemble_pack).  The solve only reads it.
  *
  * SpMV.
  *
- * The S lane matrices share one CSR graph (row_offsets, col_indices); their
- * values are stored lanes-last, values[jj * S + s].  Before its first
- * iteration the loop packs them once (pack_rows): each row's run of entries
- * from just after its last entry below the diagonal to its end (the diagonal
- * and upper entries of a sorted row) is copied to consecutive slots starting
- * at hrow[i]; the entries before the runs read their slots from lmap, one
- * int32 each, in storage order.  An entry (i, j) below the diagonal whose
- * mirror (j, i) sits in row j's run with all S lane values bitwise equal
- * reads the mirror's slot; any other entry gets a slot of its own, placed
- * just before its row's run.  A bitwise symmetric matrix thus stores about half its values,
- * and a non-symmetric, unsorted or duplicate-entry one only gets more slots
- * of its own.  Every entry reads a slot that holds bitwise its own S values.
- *
- * A slot holds the values of W lanes, the packed width: W = S after the
- * pack, and narrower once the loop has repacked the slots to the lanes it
- * still needs (see ensemble_pcg).  list[k] names the lane packed at position
- * k; only the transpose and the write-back of the product read it.
+ * A slot holds the values of W lanes, the packed width: W = S in the
+ * matrix's own storage, and narrower in the solve's copy once the loop has
+ * narrowed to the lanes it still needs (see ensemble_pcg).  list[k] names
+ * the lane packed at position k; only the transpose and the write-back of the
+ * product read it.
  *
  * For each nonzero the column index is loaded once, then W contiguous
  * multiply-adds follow over the entry's packed slot and a lanes-last copy of
@@ -40,8 +46,8 @@
  * Both the transpose and the product run over a range of whole TILE-row
  * blocks, so the PCG's thread team can split them by rows: a range starting
  * at row lo reads lmap from the slot of row lo's first entry, which the team
- * finds once after the pack.  A row's sum is the same whichever range holds
- * the row.
+ * finds once before the iterations.  A row's sum is the same whichever range
+ * holds the row.
  */
 
 #include <float.h>
@@ -59,7 +65,7 @@ typedef struct {
     const int32_t *row_offsets, *col_indices;
     const int32_t *split; /* split[i]: first entry of row i's run */
     const int32_t *hrow;  /* hrow[i]: slot of the entry split[i] */
-    double *pack;         /* slot k holds W lane values at pack[k * W] */
+    const double *pack;   /* slot k holds W lane values at pack[k * W] */
 } packed_csr;
 
 /* xt[i * W + k] = x[list[k] * n + i] for the rows [lo, hi). */
@@ -235,42 +241,24 @@ static double lane_dot(int64_t n, const double *restrict x, const double *restri
     return sum[0];
 }
 
-/* Packs the values row by row as the SpMV header describes, and in the same
- * pass forms the Jacobi preconditioner: inv_diag[s, i] = 1.0 / d, where d sums
- * lane s's copies of the diagonal entry of row i in storage order from 0.0,
- * as scipy's diagonal() of lane s does.
- *
- * Rows are packed in order, so the rows i > j that look up a mirror in row j
- * come in increasing i; cursor[j] walks row j's run once, past the columns
- * below i, and finds the mirror where a sorted run holds it.  Returns -1 if
- * some d is not > 0 (zero, negative, NaN, or no copy stored), the number of
- * slots filled otherwise. */
-static int64_t pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offsets,
-                         const int32_t *restrict col_indices, const double *restrict values,
-                         double *restrict pack, int32_t *restrict split, int32_t *restrict hrow,
-                         int32_t *restrict lmap, int32_t *restrict cursor,
-                         double *restrict inv_diag)
+/* Packs lanes-last values[jj * S + s] row by row as the header describes,
+ * filling split, hrow and lmap.  Rows are packed in order, so the rows i > j
+ * that look up a mirror in row j come in increasing i; cursor[j] (n int32 of
+ * scratch) walks row j's run once, past the columns below i, and finds the
+ * mirror where a sorted run holds it.  Returns the number of slots filled. */
+int64_t ensemble_pack(int64_t S, int64_t n, const int32_t *restrict row_offsets,
+                      const int32_t *restrict col_indices, const double *restrict values,
+                      double *restrict pack, int32_t *restrict split, int32_t *restrict hrow,
+                      int32_t *restrict lmap, int32_t *restrict cursor)
 {
     const size_t bytes = (size_t)S * sizeof(double);
     int32_t slot = 0;
     for (int64_t i = 0; i < n; i++) {
         const int32_t start = row_offsets[i], end = row_offsets[i + 1];
         int32_t mid = start; /* the row's run starts here */
-        for (int64_t s = 0; s < S; s++)
-            inv_diag[s * n + i] = 0.0;
-        for (int32_t jj = start; jj < end; jj++) {
+        for (int32_t jj = start; jj < end; jj++)
             if (col_indices[jj] < i)
                 mid = jj + 1;
-            else if (col_indices[jj] == i)
-                for (int64_t s = 0; s < S; s++)
-                    inv_diag[s * n + i] += values[(int64_t)jj * S + s];
-        }
-        for (int64_t s = 0; s < S; s++) {
-            const double d = inv_diag[s * n + i];
-            if (!(d > 0.0))
-                return -1;
-            inv_diag[s * n + i] = 1.0 / d;
-        }
         for (int32_t jj = start; jj < mid; jj++) {
             const double *v = values + (int64_t)jj * S;
             const int32_t j = col_indices[jj];
@@ -296,6 +284,35 @@ static int64_t pack_rows(int64_t S, int64_t n, const int32_t *restrict row_offse
     return slot;
 }
 
+/* The Jacobi preconditioner: inv_diag[s, i] = 1.0 / d, where d sums lane s's
+ * copies of the diagonal entry of row i, read from their slots, in storage
+ * order from 0.0, as scipy's diagonal() of lane s does.  Returns 0 if some d
+ * is not > 0 (zero, negative, NaN, or no copy stored), 1 otherwise. */
+static int jacobi(int64_t S, int64_t n, const packed_csr m, const int32_t *restrict lmap,
+                  double *restrict inv_diag)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const int32_t start = m.row_offsets[i], end = m.row_offsets[i + 1], mid = m.split[i];
+        for (int64_t s = 0; s < S; s++)
+            inv_diag[s * n + i] = 0.0;
+        for (int32_t jj = start; jj < end; jj++) {
+            if (m.col_indices[jj] != i)
+                continue;
+            const int64_t slot = jj < mid ? lmap[jj - start] : m.hrow[i] + (jj - mid);
+            for (int64_t s = 0; s < S; s++)
+                inv_diag[s * n + i] += m.pack[slot * S + s];
+        }
+        lmap += mid - start;
+        for (int64_t s = 0; s < S; s++) {
+            const double d = inv_diag[s * n + i];
+            if (!(d > 0.0))
+                return 0;
+            inv_diag[s * n + i] = 1.0 / d;
+        }
+    }
+    return 1;
+}
+
 /* The members a team of up to `members` forms on n rows: one per TILE-row
  * block at most. */
 static int64_t team_size(int64_t n, int64_t members)
@@ -306,13 +323,20 @@ static int64_t team_size(int64_t n, int64_t members)
     return members > 1 ? members : 1;
 }
 
-/* The scratch of ensemble_pcg, in doubles: the packed values (at most one
- * slot per nonzero), the SpMV's xt, one tile per member, then the int32 maps,
- * cursors, lane list and each member's share of the lanes. */
-int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t nnz, int64_t members)
+/* The widest width of the ladder 16, 4, 1 below S: the most lanes a solve of
+ * S lanes narrows to, 0 if it never narrows. */
+static int64_t first_narrow_width(int64_t S)
+{
+    return S > 16 ? 16 : S > 4 ? 4 : S > 1 ? 1 : 0;
+}
+
+/* The scratch of ensemble_pcg, in doubles: the SpMV's xt, one tile per
+ * member, the solve's own copy of the slots at the first narrowed width, then
+ * the int32 lane list and each member's share of the lanes. */
+int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t slots, int64_t members)
 {
     members = team_size(n, members);
-    return (nnz + n + members * TILE) * S + (nnz + 3 * n + (members + 1) * S + 1) / 2;
+    return (n + members * TILE) * S + slots * first_narrow_width(S) + ((members + 1) * S + 1) / 2;
 }
 
 /* Returned by ensemble_pcg when a lane's diagonal is not strictly positive;
@@ -324,7 +348,8 @@ typedef struct {
     int64_t S, n, maxit, open, size; /* open lanes at iteration 0; members */
     int64_t width, slots;            /* packed width; packed slots */
     int64_t streamed;                /* sum over the iterations of width */
-    packed_csr m;
+    packed_csr m;                    /* the matrix's slots, then the solve's own */
+    double *own;                     /* the solve's slots once narrowed */
     int32_t *list;                   /* list[k]: the lane packed at k < width */
     double *x, *r, *apz, *p, *inv_diag, *xt;
     const double *threshold;
@@ -342,6 +367,7 @@ typedef struct {
 typedef struct {
     solve *sv;
     int64_t id, row_lo, row_hi, count;
+    int64_t slot_lo, slot_hi; /* the slots of rows [row_lo, row_hi) */
     int32_t *lanes;
     const int32_t *lmap; /* lmap slot of row_lo's first entry */
     double *tile;
@@ -359,10 +385,16 @@ static int is_open(const solve *sv, int64_t s)
     return !sv->converged[s] && !sv->frozen[s];
 }
 
+/* The first slot of row i: where the run of row i - 1 ends. */
+static int64_t row_slot(const packed_csr m, int64_t i)
+{
+    return i == 0 ? 0 : m.hrow[i - 1] + (m.row_offsets[i] - m.split[i - 1]);
+}
+
 /* Cuts the rows into sv->size blocks at multiples of TILE, block k ending at
  * the first cut with at least (k + 1) / size of the nonzeros above it; finds
  * where each row block starts in lmap (past the entries before the runs of
- * the rows above it). */
+ * the rows above it) and which slots its rows own. */
 static void partition(solve *sv, member *team, const int32_t *lmap, double *tiles,
                       int32_t *shares)
 {
@@ -381,6 +413,8 @@ static void partition(solve *sv, member *team, const int32_t *lmap, double *tile
                 lower += split[row] - row_offsets[row];
         }
         me->row_hi = row;
+        me->slot_lo = row_slot(sv->m, me->row_lo);
+        me->slot_hi = row_slot(sv->m, row);
         me->tile = tiles + k * TILE * S;
         me->lanes = shares + k * S;
     }
@@ -400,50 +434,65 @@ static void share_lanes(member *me, int64_t open)
             me->lanes[me->count++] = (int32_t)s;
 }
 
-/* Slot q's lane values from[0], ..., from[to - 1] of W move to pack[q * to],
- * in place: slot q is read whole before it is written, and its new place
- * ends before slot q + 1 starts. */
-static inline __attribute__((always_inline)) void repack_slots(
-    const int64_t to, const int64_t W, const int64_t slots, const int64_t *from,
-    double *pack)
+/* Slots [lo, hi) of W lane values move to `to` lanes: lane from[k] of slot q
+ * of src goes to dst[q * to + k].  Out of place, from the matrix's slots to
+ * the solve's own, or in place within them: slot q is read whole before it
+ * is written, and its new place ends before slot q + 1 starts. */
+static inline __attribute__((always_inline)) void move_slots(
+    const int64_t to, const int64_t W, const int64_t lo, const int64_t hi,
+    const int64_t *from, const double *src, double *dst)
 {
-    for (int64_t q = 0; q < slots; q++) {
+    for (int64_t q = lo; q < hi; q++) {
         double slot[16];
         for (int64_t k = 0; k < to; k++)
-            slot[k] = pack[q * W + from[k]];
+            slot[k] = src[q * W + from[k]];
         for (int64_t k = 0; k < to; k++)
-            pack[q * to + k] = slot[k];
+            dst[q * to + k] = slot[k];
     }
 }
 
-/* Once the open lanes fit a narrower width with its own product copy (16, 4
- * or 1), repacks the slots in place to the narrowest such width: first the
- * open lanes, in list order, then finished lanes as padding, whose products
- * nobody reads.  Called by member 0 alone, where no member reads the slots,
- * the list or the width: before the iterations and in step 4. */
-static void narrow(solve *sv, int64_t open)
+/* The narrowest width with its own product copy (16, 4 or 1) that holds the
+ * open lanes, if it is below the packed width, which is returned otherwise.
+ * from[k] gets the old position of new position k: first the open lanes, in
+ * list order, then finished lanes as padding, whose products nobody reads.
+ * Reads the flags, list and width only. */
+static int64_t narrow_plan(const solve *sv, int64_t open, int64_t *from)
 {
     const int64_t W = sv->width;
     const int64_t to = open <= 1 ? 1 : open <= 4 ? 4 : open <= 16 ? 16 : W;
     if (to >= W)
-        return;
-    int64_t from[16], k = 0; /* the old positions of the new ones */
+        return W;
+    int64_t k = 0;
     for (int64_t j = 0; j < W && k < to; j++)
         if (is_open(sv, sv->list[j]))
             from[k++] = j;
     for (int64_t j = 0; j < W && k < to; j++)
         if (!is_open(sv, sv->list[j]))
             from[k++] = j;
+    return to;
+}
+
+/* Moves slots [lo, hi) to the narrowed width into the solve's own slots. */
+static void narrow_slots(const solve *sv, int64_t to, const int64_t *from, int64_t lo,
+                         int64_t hi)
+{
+    const int64_t W = sv->width;
     switch (to) {
-    case 1: repack_slots(1, W, sv->slots, from, sv->m.pack); break;
-    case 4: repack_slots(4, W, sv->slots, from, sv->m.pack); break;
-    default: repack_slots(16, W, sv->slots, from, sv->m.pack);
+    case 1: move_slots(1, W, lo, hi, from, sv->m.pack, sv->own); break;
+    case 4: move_slots(4, W, lo, hi, from, sv->m.pack, sv->own); break;
+    default: move_slots(16, W, lo, hi, from, sv->m.pack, sv->own);
     }
+}
+
+/* Points the product at the narrowed slots: the new list and width. */
+static void narrow_commit(solve *sv, int64_t to, const int64_t *from)
+{
     int32_t list[16];
-    for (k = 0; k < to; k++)
+    for (int64_t k = 0; k < to; k++)
         list[k] = sv->list[from[k]];
     memcpy(sv->list, list, (size_t)to * sizeof(int32_t));
     sv->width = to;
+    sv->m.pack = sv->own;
 }
 
 /* The iterations, as run by one member; every member returns the same. */
@@ -511,8 +560,23 @@ static int64_t iterate(member *me)
                 ps[i] = zs[i] + beta * ps[i];
             sv->rz[s] = rz_new;
         }
-        if (me->id == 0)
-            narrow(sv, open);
+        /* Narrowing, where no member reads the slots, the list or the width.
+         * The first one copies out of the matrix's slots, each member those
+         * of its rows; a later one repacks the solve's own in place, on
+         * member 0 alone (a member's new slots may overlap another's old
+         * ones).  Every member plans it from the old list before member 0
+         * commits it. */
+        int64_t from[16];
+        const int64_t to = narrow_plan(sv, open, from);
+        if (to < sv->width) {
+            if (sv->m.pack != sv->own)
+                narrow_slots(sv, to, from, me->slot_lo, me->slot_hi);
+            else if (me->id == 0)
+                narrow_slots(sv, to, from, 0, sv->slots);
+            sync_team(sv);
+            if (me->id == 0)
+                narrow_commit(sv, to, from);
+        }
         sync_team(sv);
     }
     return it;
@@ -585,20 +649,22 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * leaves the lane steps, and its solution, residual norm and counts are
  * those of a one-lane solve of its system.
  *
- * On entry x is zero, both (S, n); work holds four (S, n) vectors, r, Ap, p
+ * The matrix is packed (see the header): `slots` slots of S lane values at
+ * pack, read through split, hrow and lmap.  The call only reads it.  On
+ * entry x is zero, both (S, n); work holds four (S, n) vectors, r, Ap, p
  * and the inverse diagonal in that order, with r set to the right-hand sides
  * (z shares Ap's storage: it is dead once p is updated, and the next SpMV
- * rewrites Ap).  scratch holds ensemble_pcg_scratch_size(S, n, nnz, members)
- * doubles and lane 3 * S doubles of work.  iterations, converged and frozen
- * are zeroed S-vectors; on return iterations[s] is the iteration at which
- * lane s converged, or the number run if it did not, and *streamed is the
- * number of lane products formed: the sum over the iterations of the packed
- * width.  history, when not NULL, holds (maxit + 1) * S doubles and receives
+ * rewrites Ap).  scratch holds ensemble_pcg_scratch_size(S, n, slots,
+ * members) doubles and lane 3 * S doubles of work.  iterations, converged
+ * and frozen are zeroed S-vectors; on return iterations[s] is the iteration
+ * at which lane s converged, or the number run if it did not, and *streamed
+ * is the number of lane products formed: the sum over the iterations of the
+ * packed width.  history, when not NULL, holds (maxit + 1) * S doubles and receives
  * the lane residual norms of iterations 0, 1, ...; a lane's norm stays at
  * its last value once the lane has stopped.
  *
- * The pack, the Jacobi inverse and the norms and p of iteration 0 are formed
- * by the caller alone.  The iterations then run on a team of
+ * The Jacobi inverse and the norms and p of iteration 0 are formed by the
+ * caller alone.  The iterations then run on a team of
  * team_size(n, members) threads, the caller being member 0 (fewer if a
  * thread cannot be created: the team is cut only after its threads exist).
  * Each member owns a block of whole TILE-row blocks, cut to hold about the
@@ -612,15 +678,18 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  *      member reads every lane's flags and norm, so all of them count the
  *      open lanes, leave on breakdown and take their new share alike, and
  *      member 0 writes the history row;
- *   4. each member forms z, r'z, beta and p of its open lanes; member 0 then
- *      narrows the packed width if the open lanes fit a narrower one.
+ *   4. each member forms z, r'z, beta and p of its open lanes; then the
+ *      team narrows the packed width if the open lanes fit a narrower one.
  * The packed width starts at S and narrows down the ladder of widths with
  * their own product copy, 16, 4 and 1, to the narrowest one that holds the
- * open lanes (checked also before iteration 1).  The repack rewrites the
- * slots and the list in place; in step 4 no member reads them, and every
- * member reads the new width and list after the step's barrier.  The (S, n)
- * vectors stay where they are: only the transpose and the write-back of the
- * product go through the list.
+ * open lanes (checked also before iteration 1).  The first narrowing copies
+ * the lanes kept out of the matrix's slots into the solve's own, each member
+ * the slots of its rows; a later one repacks the solve's slots in place.  A
+ * narrowing takes one more barrier, after which member 0 rewrites the list
+ * and the width; in step 4 no member reads the slots, the list or the
+ * width, and every member reads the new ones after the step's barrier.  The
+ * (S, n) vectors stay where they are: only the transpose and the write-back
+ * of the product go through the list.
  *
  * Every row sum and every lane's dot is thus computed by exactly one member
  * with the arithmetic, and in the order, of a one-lane, one-member solve, so
@@ -634,23 +703,21 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * residual norm was not finite after iteration it, or BAD_DIAGONAL, before
  * any iteration, if the Jacobi preconditioner does not exist. */
 int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
-                     const int32_t *col_indices, const double *values,
+                     const int32_t *col_indices, const int32_t *split, const int32_t *hrow,
+                     const int32_t *lmap, const double *pack, int64_t slots,
                      double *scratch, double tol, int64_t maxit,
                      int64_t members, double *restrict x, double *restrict work,
                      double *restrict lane, int64_t *iterations, uint8_t *converged,
                      uint8_t *frozen, double *history, int64_t *streamed)
 {
-    const int64_t nnz = row_offsets[n];
     members = team_size(n, members);
     double *restrict r = work, *restrict apz = work + S * n; /* Ap, then z */
     double *restrict p = work + 2 * S * n, *restrict inv_diag = work + 3 * S * n;
     double *threshold = lane, *r_norm = lane + S, *rz = lane + 2 * S;
-    double *xt = scratch + nnz * S, *tiles = xt + n * S;
-    int32_t *lmap = (int32_t *)(tiles + members * TILE * S), *split = lmap + nnz;
-    int32_t *hrow = split + n, *cursor = hrow + n, *list = cursor + n, *shares = list + S;
-    const int64_t slots = pack_rows(S, n, row_offsets, col_indices, values, scratch, split,
-                                    hrow, lmap, cursor, inv_diag);
-    if (slots < 0)
+    double *xt = scratch, *tiles = xt + n * S, *own = tiles + members * TILE * S;
+    int32_t *list = (int32_t *)(own + slots * first_narrow_width(S)), *shares = list + S;
+    const packed_csr m = {row_offsets, col_indices, split, hrow, pack};
+    if (!jacobi(S, n, m, lmap, inv_diag))
         return BAD_DIAGONAL;
     int64_t open = 0; /* lanes neither converged nor frozen */
     for (int64_t s = 0; s < S; s++) {
@@ -673,13 +740,17 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
 
     solve sv = {
         .S = S, .n = n, .maxit = maxit, .open = open, .width = S, .slots = slots,
-        .m = {row_offsets, col_indices, split, hrow, scratch}, .list = list,
+        .m = m, .own = own, .list = list,
         .x = x, .r = r, .apz = apz, .p = p, .inv_diag = inv_diag, .xt = xt,
         .threshold = threshold, .r_norm = r_norm, .rz = rz, .history = history,
         .iterations = iterations, .converged = converged, .frozen = frozen,
     };
-    if (open > 0)
-        narrow(&sv, open);
+    int64_t from[16];
+    const int64_t to = open > 0 ? narrow_plan(&sv, open, from) : S;
+    if (to < S) {
+        narrow_slots(&sv, to, from, 0, slots);
+        narrow_commit(&sv, to, from);
+    }
     const int64_t it = run_team(&sv, members, lmap, tiles, shares);
     *streamed = sv.streamed;
     if (it < 0)
@@ -693,47 +764,54 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
 
 /* Assembly.
  *
- * The stiffness matrix of lane s on element e is, for the 64 corner pairs
- * p = 8 a + b,
+ * The stiffness matrix of lane s on element e is, for the 36 corner pairs p
+ * = (a, b) with a <= b (a-major),
  *
  *     K[p] = (0.0 + sum_q a[s, e, q] * dx[q, p]) + kyz[p],
  *
  * where a (S, n_elem, 8) holds the sampled coefficient at the element's 8
- * quadrature points, dx (8, 64) the x-direction element matrices of those
- * points and kyz (64) the constant y and z part.  The q sum runs in order,
- * one rounded multiply and add per term.  Pairs are added into the zeroed
- * lanes-last values[slot * S + s] in element order; a pair whose slot
- * (n_elem, 64) is -1 has a boundary corner and is skipped.  The pairs of one
- * element have distinct slots, so each value receives its terms in element
- * order.  That is the order of an einsum over q followed by one np.bincount
- * per lane (the reference the tests compare with), so each lane is bitwise
- * that assembly of its own coefficient, whatever the width S.
+ * quadrature points, dx (8, 36) the x-direction element matrices of those
+ * points and kyz (36) the constant y and z part.  The q sum runs in order,
+ * one rounded multiply and add per term.  Corner a's dof comes before corner
+ * b's, so pair p is a diagonal or upper entry of corner a's row: its slot
+ * (n_elem, 36) lies in that row's run of the packed storage (see the
+ * header), or is -1 where a corner lies on the boundary and the pair is
+ * skipped.  Pairs are added into the zeroed values[slot * S + s] in element
+ * order.  The pairs of one element have distinct slots, so each value
+ * receives its terms in element order.  That is the order of an einsum over
+ * q followed by one np.bincount per lane (the reference the tests compare
+ * with), so each lane is bitwise that assembly of its own coefficient,
+ * whatever the width S.  The pairs a > b are not formed: each term is
+ * bitwise its mirror's, since dx and kyz are bitwise symmetric element
+ * matrices, so every lower entry of the full matrix is bitwise its mirror,
+ * whose slot it reads.
  *
  * Up to ASSEMBLE_LANES lanes of an element are formed first, vectorised
  * over p, then added pair by pair into each slot's contiguous run of lanes;
  * 8 lanes at a time ran about 10% faster than 32 at S = 4 (16^3) and
  * S = 16 (32^3). */
 #define ASSEMBLE_LANES 8
+#define PAIRS 36
 
 void ensemble_assemble(int64_t S, int64_t n_elem, const double *restrict a,
                        const double *restrict dx, const double *restrict kyz,
                        const int32_t *restrict slots, double *restrict values)
 {
     for (int64_t e = 0; e < n_elem; e++) {
-        const int32_t *restrict slot = slots + e * 64;
+        const int32_t *restrict slot = slots + e * PAIRS;
         for (int64_t s0 = 0; s0 < S; s0 += ASSEMBLE_LANES) {
             const int64_t lanes = S - s0 < ASSEMBLE_LANES ? S - s0 : ASSEMBLE_LANES;
-            double k[ASSEMBLE_LANES][64];
+            double k[ASSEMBLE_LANES][PAIRS];
             for (int64_t c = 0; c < lanes; c++) {
                 const double *restrict aq = a + ((s0 + c) * n_elem + e) * 8;
-                for (int p = 0; p < 64; p++) {
+                for (int p = 0; p < PAIRS; p++) {
                     double sum = 0.0;
                     for (int q = 0; q < 8; q++)
-                        sum += aq[q] * dx[q * 64 + p];
+                        sum += aq[q] * dx[q * PAIRS + p];
                     k[c][p] = sum + kyz[p];
                 }
             }
-            for (int p = 0; p < 64; p++) {
+            for (int p = 0; p < PAIRS; p++) {
                 if (slot[p] < 0)
                     continue;
                 double *restrict v = values + (int64_t)slot[p] * S + s0;

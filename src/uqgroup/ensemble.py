@@ -1,26 +1,29 @@
 """Embedded ensemble propagation: lane-array sparse systems and a lockstep Jacobi-PCG.
 
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
-one per sample.  All lanes share one CSR sparsity graph.  Matrix values are
-stored lanes-last, so the S values of one nonzero sit side by side; vectors
-and reduction results carry a leading lane axis.  `EnsembleCsrMatrix` is
-checked data: the shared graph as int32 and the values lanes-last, the
+one per sample.  All lanes share one CSR sparsity graph; vectors and
+reduction results carry a leading lane axis.  Matrix values are stored
+packed, in slots of S lane values side by side: each row's diagonal and
+upper entries have consecutive slots, and an entry below the diagonal reads
+the slot of its mirror when the mirror's S lane values are bitwise its own;
+any other entry (a non-symmetric, unsorted or duplicate one) has a slot of
+its own.  A symmetric matrix, as every stiffness matrix is, thus stores and
+streams about half its values.  `EnsembleCsrMatrix` is checked data in the
 layout the compiled kernels (`_spmv.c`, built once into `_build/` at import)
-read.
+read: the shared graph as int32, the packed graph (`split`, `hrow`, `lmap`)
+and the (slots, S) values.  A matrix built from full lane values is packed
+once, when it is made; `fem3d.assemble` adds its element matrices straight
+into the slots of a graph its mesh packs once.  `values[s]` gathers lane s's
+CSR values back from the slots.
 
 The solver is Jacobi-preconditioned conjugate gradients, the one solver
 whose iterations the study counts: it scales each lane's residual by that
 lane's inverse main diagonal.  The whole solve runs in one kernel call: the
-Jacobi inverse, products, vector updates and convergence bookkeeping.  Before
-the first iteration the call packs the values once, in the same pass over
-the rows as the Jacobi inverse: each row's diagonal and upper entries go to
-consecutive slots, and an entry below the diagonal reads the slot of its
-mirror when the mirror's S lane values are bitwise its own; any other entry
-(a non-symmetric, unsorted or duplicate one) gets a slot of its own.  A
-symmetric matrix, as every stiffness matrix is, thus streams about half its
-values per product.  The product loads each column index once and then does
-S contiguous multiply-adds over the entry's slot, walking every row in
-storage order, so each lane sums in the order of a scalar CSR product.
+Jacobi inverse, read from the diagonal entries' slots, products, vector
+updates and convergence bookkeeping.  The call never writes the matrix.
+The product loads each column index once and then does S contiguous
+multiply-adds over the entry's slot, walking every row in storage order, so
+each lane sums in the order of a scalar CSR product.
 Inner products and norms are taken per lane (never summed across lanes)
 by the kernel's own dot, in an order fixed by the length alone (`lane_dot`),
 so no output depends on a BLAS or its thread count, and lane i computes
@@ -39,11 +42,12 @@ S times that many lane-iterations (the work ratio R).
 
 What it executes is less.  The products run at a packed width with its own
 compiled copy (16, 4 or 1) once the open lanes fit it: when they do, the
-call repacks the values in place to the open lanes (padded with finished
-ones up to the width, whose products nobody reads) and goes on at that
-width, the dynamic regrouping of GPU warps (Fung et al., MICRO 2007) applied
-to an embedded ensemble.  `LaneSolveResult.streamed_lane_iterations` counts
-the lane products actually formed.
+call copies the open lanes' values (padded with finished ones up to the
+width, whose products nobody reads) into slots of its own, which later
+narrowings repack in place, and goes on at that width: the dynamic
+regrouping of GPU warps (Fung et al., MICRO 2007) applied to an embedded
+ensemble.  `LaneSolveResult.streamed_lane_iterations` counts the lane
+products actually formed.
 
 The kernels touch no Python object and write only buffers their caller
 passes in, so the library is loaded with `ctypes.CDLL`, which releases the
@@ -52,14 +56,15 @@ may run concurrently from several threads (the harness solves a level's
 ensembles that way).  Each call's arithmetic is the same whichever thread
 runs it.
 
-A wide solve also runs on several threads itself.  After the serial pack,
-its iterations run on a team of pthreads: each member forms the product
-rows of its block of 64-row tiles (cut to hold about equal nonzeros) and
-does the updates, dots and convergence bookkeeping of its share of the open
-lanes, with a blocking barrier after each of the four steps of an
-iteration.  Every row sum and every lane's dot is computed by one member, in
-the order a single thread uses, so every output is bitwise independent of
-the team size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
+A wide solve also runs on several threads itself.  After the serial Jacobi
+inverse, its iterations run on a team of pthreads: each member forms the
+product rows of its block of 64-row tiles (cut to hold about equal
+nonzeros), copies those rows' slots at the first narrowing and does the
+updates, dots and convergence bookkeeping of its share of the open lanes,
+with a blocking barrier after each of the four steps of an iteration.  Every
+row sum and every lane's dot is computed by one member, in the order a
+single thread uses, so every output is bitwise independent of the team
+size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
 most one per tile and at most `threads`: below that the barriers cost what
 the split saves.
 """
@@ -73,6 +78,7 @@ import os
 import shlex
 import subprocess
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -143,7 +149,7 @@ def _build_kernel(source: Path, build_dir: Path) -> Path:
     return lib
 
 
-def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[..., None]]:
+def _load_kernel() -> tuple[Callable[..., int], ...]:
     # CDLL, not PyDLL: a call releases the GIL (see the module docstring).
     lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
     scratch_size = lib.ensemble_pcg_scratch_size
@@ -151,18 +157,22 @@ def _load_kernel() -> tuple[Callable[..., int], Callable[..., int], Callable[...
     scratch_size.restype = ctypes.c_int64
     pcg = lib.ensemble_pcg
     pcg.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 4
-        + [ctypes.c_double, ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
+        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
+        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64, ctypes.c_int64]
+        + [ctypes.c_void_p] * 8
     )
     pcg.restype = ctypes.c_int64
+    pack = lib.ensemble_pack
+    pack.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
+    pack.restype = ctypes.c_int64
     assemble = lib.ensemble_assemble
     assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
     assemble.restype = None
-    return pcg, scratch_size, assemble
+    return pcg, scratch_size, pack, assemble
 
 
 # _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
-_PCG, _PCG_SCRATCH_SIZE, _ASSEMBLE = _load_kernel()
+_PCG, _PCG_SCRATCH_SIZE, _PACK, _ASSEMBLE = _load_kernel()
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
 _BAD_DIAGONAL = -(2**63)
@@ -174,51 +184,130 @@ _BAD_DIAGONAL = -(2**63)
 _TEAM_GRAIN = 3_000_000
 
 
-@dataclass(frozen=True)
-class EnsembleCsrMatrix:
-    """CSR matrix whose nonzero values carry a lane axis: values[s, nz].
+def _checked_graph(row_offsets, col_indices, nnz: int) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR graph of nnz values as the kernels read it, int32, once checked.
 
-    The graph (row_offsets, col_indices) is shared by all lanes.  Lane s is
-    exactly the scalar CSR matrix (values[s], col_indices, row_offsets).
-    `values` is the transposed view of a C-contiguous (nnz, S) buffer; a
-    caller that passes such a view (`buf.T`) shares its memory.  The arrays
-    are checked once here and stored as the kernel reads them (int32 graph,
-    lanes-last values); the frozen dataclass keeps them from being replaced
-    by unchecked ones.
+    The ranges are checked on the arrays as given, before the cast to the
+    kernel's int32 could wrap an out-of-range index into range.
+    """
+    row_offsets = np.asarray(row_offsets)
+    col_indices = np.asarray(col_indices)
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (row_offsets, col_indices)):
+        raise EnsembleError("row_offsets and col_indices must be integer arrays")
+    if row_offsets.ndim != 1 or row_offsets.size == 0 or row_offsets[0] != 0:
+        raise EnsembleError("row_offsets must be 1-D, non-empty and start at 0")
+    if col_indices.ndim != 1 or row_offsets[-1] != col_indices.size or col_indices.size != nnz:
+        raise EnsembleError("row_offsets, col_indices and values disagree on nnz")
+    if np.any(np.diff(row_offsets) < 0):
+        raise EnsembleError("row_offsets must be non-decreasing")
+    n = len(row_offsets) - 1
+    if nnz and (col_indices.min() < 0 or col_indices.max() >= n):
+        raise EnsembleError("column index out of range")
+    if max(n, nnz) > np.iinfo(np.int32).max:
+        raise EnsembleError(f"{n} rows and {nnz} nonzeros do not fit int32 indices")
+    return (np.ascontiguousarray(row_offsets, dtype=np.int32),
+            np.ascontiguousarray(col_indices, dtype=np.int32))
+
+
+def _lower_entries(row_offsets: np.ndarray, split: np.ndarray) -> int:
+    """How many entries come before their row's run: the length of lmap."""
+    return int(np.sum(split - row_offsets[:-1], dtype=np.int64))
+
+
+class LaneValues:
+    """The lane values of a packed matrix, read as an (S, nnz) array would be.
+
+    values[s] is lane s's CSR values in storage order, gathered from the
+    slots without forming the other lanes; a slice or list of lanes gives
+    their (k, nnz) values, and np.asarray(values) all of them.
+    """
+
+    def __init__(self, packed: np.ndarray, entry_slots: np.ndarray):
+        self._packed, self._entry_slots = packed, entry_slots
+
+    def __getitem__(self, lanes) -> np.ndarray:
+        return self._packed[:, lanes][self._entry_slots].T
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self[:], dtype=dtype)
+
+
+@dataclass(frozen=True, init=False)
+class EnsembleCsrMatrix:
+    """CSR matrix whose nonzero values carry a lane axis, stored packed.
+
+    The graph (row_offsets, col_indices) is shared by all lanes.  The values
+    sit in `packed`, a C-contiguous (slots, S) array of slots of S lane
+    values, read through `split`, `hrow` and `lmap` as the `_spmv.c` header
+    describes: a lower entry bitwise equal to its mirror in every lane reads
+    the mirror's slot.  Lane s is exactly the scalar CSR matrix
+    (values[s], col_indices, row_offsets).
+
+    The constructor takes full lane values, (S, nnz) in any layout, checks
+    them with the graph and packs them once (`ensemble_pack`); the graph is
+    stored as int32, as the kernels read it.  `fem3d.assemble` builds its
+    matrices straight in packed form (`from_packed`).  The frozen dataclass
+    keeps the arrays from being replaced by unchecked ones.
     """
 
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    values: np.ndarray
+    split: np.ndarray
+    hrow: np.ndarray
+    lmap: np.ndarray
+    packed: np.ndarray
 
-    def __post_init__(self) -> None:
-        # The ranges are checked on the arrays as given, before the cast to
-        # the kernel's int32 could wrap an out-of-range index into range.
-        row_offsets = np.asarray(self.row_offsets)
-        col_indices = np.asarray(self.col_indices)
-        values = np.asarray(self.values, dtype=np.float64)
-        if not all(np.issubdtype(a.dtype, np.integer) for a in (row_offsets, col_indices)):
-            raise EnsembleError("row_offsets and col_indices must be integer arrays")
-        if row_offsets.ndim != 1 or row_offsets.size == 0 or row_offsets[0] != 0:
-            raise EnsembleError("row_offsets must be 1-D, non-empty and start at 0")
+    def __init__(self, row_offsets, col_indices, values) -> None:
+        values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2:
             raise EnsembleError("values must have shape (lanes, nnz)")
-        nnz = col_indices.size
-        if col_indices.ndim != 1 or row_offsets[-1] != nnz or values.shape[1] != nnz:
-            raise EnsembleError("row_offsets, col_indices and values disagree on nnz")
-        if np.any(np.diff(row_offsets) < 0):
-            raise EnsembleError("row_offsets must be non-decreasing")
+        row_offsets, col_indices = _checked_graph(row_offsets, col_indices, values.shape[1])
+        n, (S, nnz) = len(row_offsets) - 1, values.shape
+        lanes_last = np.ascontiguousarray(values.T)
+        packed = np.empty((nnz, S))  # at most one slot per nonzero
+        split, hrow, cursor = (np.empty(n, dtype=np.int32) for _ in range(3))
+        lmap = np.empty(nnz, dtype=np.int32)
+        slots = _PACK(S, n, row_offsets.ctypes.data, col_indices.ctypes.data,
+                      lanes_last.ctypes.data, packed.ctypes.data, split.ctypes.data,
+                      hrow.ctypes.data, lmap.ctypes.data, cursor.ctypes.data)
+        lmap = lmap[:_lower_entries(row_offsets, split)].copy()
+        self._set(row_offsets, col_indices, split, hrow, lmap, packed[:slots].copy())
+
+    def _set(self, *arrays: np.ndarray) -> None:
+        for name, value in zip(("row_offsets", "col_indices", "split", "hrow", "lmap", "packed"),
+                               arrays, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_packed(cls, row_offsets, col_indices, split, hrow, lmap,
+                    packed: np.ndarray) -> "EnsembleCsrMatrix":
+        """A matrix over packed storage its caller built, taken without a copy.
+
+        `split`, `hrow` and `lmap` (1-D int32) must place the values as
+        `ensemble_pack` would, and `packed` is the C-contiguous float64
+        (slots, S) storage they index.  The graph and every slot index are
+        checked, not the values.
+        """
+        row_offsets, col_indices = _checked_graph(row_offsets, col_indices, np.size(col_indices))
         n = len(row_offsets) - 1
-        if nnz and (col_indices.min() < 0 or col_indices.max() >= n):
-            raise EnsembleError("column index out of range")
-        if max(n, nnz) > np.iinfo(np.int32).max:
-            raise EnsembleError(f"{n} rows and {nnz} nonzeros do not fit int32 indices")
-        row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int32)
-        col_indices = np.ascontiguousarray(col_indices, dtype=np.int32)
-        values = np.ascontiguousarray(values.T).T
-        object.__setattr__(self, "row_offsets", row_offsets)
-        object.__setattr__(self, "col_indices", col_indices)
-        object.__setattr__(self, "values", values)
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.int32 and a.ndim == 1
+                   and a.flags.c_contiguous for a in (split, hrow, lmap)):
+            raise EnsembleError("split, hrow and lmap must be contiguous 1-D int32 arrays")
+        if not len(split) == len(hrow) == n:
+            raise EnsembleError("split and hrow must have one entry per row")
+        run_ends = hrow.astype(np.int64) + (row_offsets[1:] - split)
+        slots = int(run_ends[-1]) if n else 0
+        if not (np.all((row_offsets[:-1] <= split) & (split <= row_offsets[1:]))
+                and (n == 0 or (hrow[0] >= 0 and np.all(hrow[1:] >= run_ends[:-1])))
+                and len(lmap) == _lower_entries(row_offsets, split)
+                and (lmap.size == 0 or (lmap.min() >= 0 and lmap.max() < slots))):
+            raise EnsembleError("split, hrow and lmap do not index one slot range")
+        if not (isinstance(packed, np.ndarray) and packed.dtype == np.float64
+                and packed.ndim == 2 and len(packed) == slots and packed.flags.c_contiguous):
+            raise EnsembleError(f"packed must be a C-contiguous float64 ({slots}, S) array")
+        mat = cls.__new__(cls)
+        mat._set(row_offsets, col_indices, split, hrow, lmap, packed)
+        return mat
 
     @property
     def n_rows(self) -> int:
@@ -226,7 +315,21 @@ class EnsembleCsrMatrix:
 
     @property
     def width(self) -> int:
-        return self.values.shape[0]
+        return self.packed.shape[1]
+
+    @cached_property
+    def _entry_slots(self) -> np.ndarray:
+        """The slot each nonzero reads, in storage order."""
+        counts = np.diff(self.row_offsets)
+        entry = np.arange(self.col_indices.size, dtype=np.int32)
+        slots = entry + np.repeat(self.hrow - self.split, counts)  # run entries
+        slots[entry < np.repeat(self.split, counts)] = self.lmap
+        return slots
+
+    @property
+    def values(self) -> LaneValues:
+        """values[s]: lane s's CSR values in storage order (see `LaneValues`)."""
+        return LaneValues(self.packed, self._entry_slots)
 
     @classmethod
     def from_scipy_lanes(cls, mats: Sequence[sp.spmatrix]) -> "EnsembleCsrMatrix":
@@ -245,10 +348,7 @@ class EnsembleCsrMatrix:
         return cls(first.indptr, first.indices, values.T)
 
     def lane(self, s: int) -> sp.csr_matrix:
-        """Scalar CSR matrix of lane s.
-
-        values[s] is a strided view of the lanes-last buffer; scipy copies it.
-        """
+        """Scalar CSR matrix of lane s."""
         n = self.n_rows
         return sp.csr_matrix((self.values[s], self.col_indices, self.row_offsets), shape=(n, n))
 
@@ -298,12 +398,15 @@ def ensemble_pcg(
     own convergence or freezing, so its solution, residual norms and count
     are bitwise those of a one-lane solve of its system.  Once the open lanes
     fit a narrower width with its own compiled product (16, 4 or 1), the call
-    repacks the values to them in place and goes on at that width.
+    copies their values into a scratch of its own and goes on at that width;
+    it never writes `mat`.
 
-    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which packs
-    the values and forms the Jacobi inverse before iteration 1, in a scratch
-    of at most one slot of S values per nonzero.  With `record_history`,
-    room for maxit + 1 rows of lane residual norms is reserved up front.
+    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
+    the Jacobi inverse from the packed diagonal before iteration 1.  Its
+    scratch holds the slots at the first narrowed width (16, 4 or 1 lanes),
+    whose pages are touched only if the solve narrows.  With
+    `record_history`, room for maxit + 1 rows of lane residual norms is
+    reserved up front.
     Every buffer the call writes is allocated here, and the call releases
     the GIL, so solves in several threads run concurrently.
 
@@ -329,13 +432,13 @@ def ensemble_pcg(
     if not np.all(np.isfinite(b)):
         raise EnsembleError("rhs must be finite")
 
-    nnz = mat.col_indices.size
+    nnz, slots = mat.col_indices.size, len(mat.packed)
     members = min(int(threads), max(1, S * nnz // _TEAM_GRAIN))
     x = np.zeros((S, n))
     work = np.empty((4, S, n))  # r, Ap (and z), p, inverse diagonal
     work[0] = b
-    # the packed values, the SpMV's lanes-last x, a tile per member, int32 maps
-    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, nnz, members))
+    # the SpMV's lanes-last x, a tile per member, the narrowed slots, lane lists
+    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, slots, members))
     lane_work = np.empty((3, S))
     iterations = np.zeros(S, dtype=np.int64)
     converged = np.zeros(S, dtype=bool)
@@ -343,7 +446,8 @@ def ensemble_pcg(
     history = np.empty((maxit + 1, S)) if record_history else None
     streamed = np.zeros(1, dtype=np.int64)
     it = _PCG(
-        S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.values.ctypes.data,
+        S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.split.ctypes.data,
+        mat.hrow.ctypes.data, mat.lmap.ctypes.data, mat.packed.ctypes.data, slots,
         scratch.ctypes.data, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,

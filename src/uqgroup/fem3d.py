@@ -7,19 +7,24 @@ Element integrals use 2x2x2 Gauss quadrature, which is exact for the
 trilinear products involved, and the first diffusion coefficient is sampled
 at the quadrature points, so lane matrices differ only through a(x, y).
 
-Assembly is ensemble-first: one shared 27-point CSR graph, the element
-matrices and a table of the CSR slot of every element's corner pairs are
-built once per mesh and reused.  The mesh builds its tables from its tensor
-structure: the 8E quadrature points take only 2m coordinates per axis, the
-element dofs are a sliding 2x2x2 window over a padded node table, and the
-pair slots are gathered from a node-by-neighbour slot table, so no per-element
-index table is formed.  `assemble` then makes one call of the
-compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms each lane's
-element matrices and adds them into the lanes-last (nnz, S) values the
-ensemble SpMV reads.  Every lane is accumulated on its own, in a fixed
-order, so a lane's matrix does not depend on its companions or on the width
-S, and two identical samples produce bit-identical lane matrices.  The
-coefficient is evaluated here only, and each lane's indicator comes with it.
+Assembly is ensemble-first: one shared 27-point CSR graph, its packed form
+(the storage `ensemble.EnsembleCsrMatrix` keeps and the solve reads), the
+element matrices and a table of the packed slot of every element's corner
+pairs are built once per mesh and reused.  Every stiffness matrix is bitwise
+symmetric, so the packed graph follows from the mesh alone: each row's
+diagonal and upper entries have consecutive slots, and each lower entry
+reads its mirror's, so the values take (nnz + n) / 2 slots.  The mesh builds its
+tables from its tensor structure: the 8E quadrature points take only 2m
+coordinates per axis, the element dofs are a sliding 2x2x2 window over a
+padded node table, and the slots are gathered from a node-by-neighbour slot
+table, so no per-element index table is formed.  `assemble` then makes one
+call of the compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms
+each lane's element matrix on its 36 corner pairs a <= b and adds them
+straight into the zeroed (slots, S) packed values.  Every lane is
+accumulated on its own, in a fixed order, so a lane's matrix does not depend
+on its companions or on the width S, and two identical samples produce
+bit-identical lane matrices.  The coefficient is evaluated here only, and
+each lane's indicator comes with it.
 """
 
 from __future__ import annotations
@@ -63,10 +68,15 @@ _CORNERS = np.array([[dx, dy, dz] for dx in (0, 1) for dy in (0, 1) for dz in (0
 _DPHI = _shape_gradients()
 # The two Gauss points of one axis on the reference interval [-1, 1].
 _GAUSS_1D = np.array([-_GAUSS, _GAUSS])
-# Corner pair (a, b), a-major, as the 64 columns of the pair-slot table,
-# and corner b's neighbour offset from corner a, (dx, dy, dz) + 1 read in base 3.
-_PAIR_A, _PAIR_B = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
+# Corner pair (a, b) with a <= b, a-major, as the 36 columns of the pair-slot
+# table; its index 8 a + b into the 64 entries of an element matrix; and
+# corner b's neighbour offset from corner a, (dx, dy, dz) + 1 read in base 3,
+# which is 13 (the node itself) or above: the pair is a diagonal or upper entry.
+_PAIR_A, _PAIR_B = np.triu_indices(8)
+_UPPER = 8 * _PAIR_A + _PAIR_B
 _PAIR_OFFSET = ((_CORNERS[_PAIR_B] - _CORNERS[_PAIR_A] + 1) * [9, 3, 1]).sum(axis=1)
+# The 27 neighbour offsets (dx, dy, dz) in base-3 order; offset o's mirror is 26 - o.
+_OFFSETS = np.array([[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
 
 
 @dataclass
@@ -78,10 +88,12 @@ class StructuredMesh:
     (E, 8), the (E*8, 3) quadrature points and `quad_axes`, their three
     per-axis coordinate tables shaped to broadcast to the same points in the
     same order (`KLDiffusionField.mode_values` reads either), the shared CSR
-    graph, an int32 (E, 64) table of the CSR slot of each element's corner
-    pair (a, b) at column 8 a + b (-1 where a corner lies on the boundary),
-    the (8, 64) x-direction element matrices of the 8 quadrature points, the
-    y and z element matrices summed over them, and the unit load vector.
+    graph, its packed form (`split`, `hrow`, `lmap` and the `n_slots` count;
+    see `_spmv.c`), an int32 (E, 36) table of the packed slot of each
+    element's corner pair a <= b, a-major (-1 where a corner lies on the
+    boundary), the (8, 36) x-direction element matrices of those pairs at
+    the 8 quadrature points, the y and z ones summed over them, and the unit
+    load vector.
     Meshes whose 27-point bound on the nonzeros does not fit int32 indices
     are refused.
     """
@@ -134,31 +146,53 @@ class StructuredMesh:
         shifts = ((steps[:, None, None] * n1 + steps[None, :, None]) * n1 + steps[None, None, :]).ravel()
         self.col_indices = (np.arange(self.n_dofs, dtype=np.int32)[:, None] + shifts.astype(np.int32))[coupled]
         self.nnz = len(self.col_indices)
-        self.row_offsets = np.concatenate([[0], np.cumsum(coupled.sum(axis=1))]).astype(np.int32)
+        # A row's length is the product of its coupled steps per axis (2 or 3).
+        c, ahead = inside.sum(axis=1), inside[:, 2].astype(np.int64)
+        counts = (c[:, None, None] * c[None, :, None] * c[None, None, :]).ravel()
+        self.row_offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
-        # CSR slot of each node's 27 neighbour offsets, -1 where the node or
-        # the neighbour lies on the boundary.  Pair (a, b) of element e reads
-        # its corner a's node at the offset of corner b: flat index
-        # 27 base(e) + 27 node(a) + offset(a, b), with base(e) the node of
-        # corner 0.  One x-slab of elements is gathered at a time through the
-        # slab's (m^2, 64) index, so no (E, 64) index is formed.
-        node_slot = np.full((m + 1, m + 1, m + 1, 27), -1, dtype=np.int32)
-        node_slot[1:m, 1:m, 1:m][coupled.reshape(n1, n1, n1, 27)] = np.arange(self.nnz, dtype=np.int32)
+        # The packed graph (`_spmv.c`): row i's run is its diagonal and upper
+        # entries, offsets 13 to 26, on consecutive slots from hrow[i].  Every
+        # stiffness matrix is bitwise symmetric, so each lower entry, offset
+        # o < 13 of dof i, reads its mirror's slot, offset 26 - o of the
+        # neighbour: lmap, in storage order.  The run's offsets are (+1, *, *),
+        # (0, +1, *), (0, 0, 0) and (0, 0, +1), counted per axis like `counts`.
+        run = (ahead[:, None, None] * c[None, :, None] * c[None, None, :]
+               + ahead[None, :, None] * c[None, None, :] + 1 + ahead[None, None, :]).ravel()
+        self.split = self.row_offsets[:-1] + (counts - run).astype(np.int32)
+        self.hrow = (np.cumsum(run) - run).astype(np.int32)
+        self.n_slots = int(run.sum())
+        # Slot of each node's 14 upper offsets, -1 where the node or the
+        # neighbour lies on the boundary.
+        node_slot = np.full((m + 1, m + 1, m + 1, 14), -1, dtype=np.int32)
+        node_slot[1:m, 1:m, 1:m][coupled[:, 13:].reshape(n1, n1, n1, 14)] = np.arange(
+            self.n_slots, dtype=np.int32)
+        mirror = np.empty((n1, n1, n1, 13), dtype=np.int32)
+        for o, (dx, dy, dz) in enumerate(_OFFSETS[:13]):
+            mirror[..., o] = node_slot[1 + dx:m + dx, 1 + dy:m + dy, 1 + dz:m + dz, 13 - o]
+        self.lmap = mirror[mirror >= 0]  # a lower neighbour is coupled when inside
+        # Pair (a, b) of element e reads its corner a's node at the offset of
+        # corner b: flat index 14 base(e) + 14 node(a) + offset(a, b) - 13,
+        # with base(e) the node of corner 0.  One x-slab of elements is
+        # gathered at a time through the slab's (m^2, 36) index, so no
+        # (E, 36) index is formed.
         corner_node = (_CORNERS[:, 0] * (m + 1) + _CORNERS[:, 1]) * (m + 1) + _CORNERS[:, 2]
         slab_base = np.arange(m)[:, None] * (m + 1) + np.arange(m)  # corner-0 nodes of slab ex = 0
-        slab_index = slab_base.reshape(-1, 1) * 27 + (corner_node[_PAIR_A] * 27 + _PAIR_OFFSET)
-        flat, stride = node_slot.ravel(), (m + 1) ** 2 * 27
-        pair_slots = np.empty((m, m * m, 64), dtype=np.int32)  # the kernel reads it row-major
+        slab_index = slab_base.reshape(-1, 1) * 14 + (corner_node[_PAIR_A] * 14 + _PAIR_OFFSET - 13)
+        flat, stride = node_slot.ravel(), (m + 1) ** 2 * 14
+        pair_slots = np.empty((m, m * m, 36), dtype=np.int32)  # the kernel reads it row-major
         for ex in range(m):
             np.take(flat[ex * stride:], slab_index, out=pair_slots[ex])
-        self._pair_slots = pair_slots.reshape(-1, 64)
+        self._pair_slots = pair_slots.reshape(-1, 36)
 
         # Reference element matrices per direction and quadrature point:
         # grad phi_a . e_d  grad phi_b . e_d  scaled by (2/h)^2 det(J) w_q = h/2.
         elem_mats = _DPHI[:, :, :, None] * _DPHI[:, :, None, :] * (self.h / 2.0)  # (3,8q,8a,8b)
-        self._dx = elem_mats[0].reshape(8, 64)
-        self._dy_sum = elem_mats[1].sum(axis=0).reshape(64)
-        self._dz_sum = elem_mats[2].sum(axis=0).reshape(64)
+        # Only the pairs a <= b are kept: the element matrices are bitwise
+        # symmetric (a product of two gradients is the same either way round).
+        self._dx = np.ascontiguousarray(elem_mats[0].reshape(8, 64)[:, _UPPER])
+        self._dy_sum = elem_mats[1].sum(axis=0).reshape(64)[_UPPER]
+        self._dz_sum = elem_mats[2].sum(axis=0).reshape(64)[_UPPER]
         # Unit load vector: each element adds int phi_a = h^3 / 8 at its
         # interior corners, and every interior node is a corner of 8
         # elements; the 8 terms are added in sequence, as a scatter would.
@@ -188,7 +222,8 @@ def assemble(
     of another shape, such as another mesh's, raise `FieldError`.  Lane
     matrices depend on their own sample only, so duplicated samples yield
     bit-identical lanes.  A lane's `anisotropy_indicator` is formed from its
-    least and greatest value.
+    least and greatest value.  The matrix is assembled in packed form on the
+    mesh's packed graph, which it shares; nothing is packed or copied after.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     S = len(samples)
@@ -202,12 +237,13 @@ def assemble(
 
     # K_e(lane) = sum_q a(x_q) Dx_q + a_y * sum_q Dy_q + a_z * sum_q Dz_q
     k_yz = field.a_y * mesh._dy_sum + field.a_z * mesh._dz_sum
-    values = np.zeros((mesh.nnz, S))
+    packed = np.zeros((mesh.n_slots, S))
     _ASSEMBLE(
         S, len(mesh.element_dofs), a_vals.ctypes.data, mesh._dx.ctypes.data,
-        k_yz.ctypes.data, mesh._pair_slots.ctypes.data, values.ctypes.data,
+        k_yz.ctypes.data, mesh._pair_slots.ctypes.data, packed.ctypes.data,
     )
-    matrix = EnsembleCsrMatrix(mesh.row_offsets, mesh.col_indices, values.T)
+    matrix = EnsembleCsrMatrix.from_packed(mesh.row_offsets, mesh.col_indices, mesh.split,
+                                           mesh.hrow, mesh.lmap, packed)
     rhs = np.tile(mesh._load, (S, 1))
     return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy(),
                                    indicator=anisotropy_indicator(field, bounds))

@@ -414,10 +414,13 @@ def gather_mesh_tables(cells):
     The route the mesh tables took before they were built on the tensor
     grid: (E, 3) element indices, an (E, 8) corner-node gather into the
     interior-dof map, quadrature coordinates as element centres plus the
-    scaled reference points, the CSR slot of each corner pair gathered
-    through (E, 64) row and column dof tables from a dof-by-27 slot table,
-    and the load vector as a bincount over the element corners.  The element
-    matrices come from `_hex_gradients`.  Returns {attribute name: array}.
+    scaled reference points, and the load vector as a bincount over the
+    element corners.  The packed graph numbers the coupled (row, column)
+    pairs with column >= row in row-major order; the slot of each corner
+    pair a <= b is gathered through (E, 36) row and column dof tables from a
+    dof-by-27 slot table, and a lower entry's lmap is the slot of its
+    transposed position in that table.  The element matrices come from
+    `_hex_gradients`, their pairs a <= b kept.  Returns {attribute name: array}.
     """
     m = cells
     h = 1.0 / m
@@ -450,12 +453,23 @@ def gather_mesh_tables(cells):
     col_indices = (np.arange(n_dofs, dtype=np.int32)[:, None] + shifts.astype(np.int32))[coupled]
     row_offsets = np.concatenate([[0], np.cumsum(coupled.sum(axis=1))]).astype(np.int32)
 
-    slot_of = (np.cumsum(coupled.ravel(), dtype=np.int32) - 1).reshape(n_dofs, 27)
-    pair_a, pair_b = np.repeat(np.arange(8), 8), np.tile(np.arange(8), 8)
+    offsets = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(27, 3)
+    upper = coupled & (np.arange(27) >= 13)  # column >= row: the offset is 0 or later
+    slot_of = np.where(upper, (np.cumsum(upper.ravel()) - 1).reshape(n_dofs, 27), -1)
+    rows, offs = np.nonzero(coupled & ~upper)  # the lower entries in storage order
+    cols = rows + shifts[offs]
+    mirror_off = [np.flatnonzero((offsets == -offsets[o]).all(axis=1))[0] for o in range(27)]
+    lmap = slot_of[cols, np.array(mirror_off)[offs]]
+    split = row_offsets[:-1] + (coupled & ~upper).sum(axis=1)
+    run = upper.sum(axis=1)
+    hrow = np.concatenate([[0], np.cumsum(run)[:-1]])
+    pairs = np.array(list(itertools.combinations_with_replacement(range(8), 2)))
+    pair_a, pair_b = pairs[:, 0], pairs[:, 1]
     d = corners[pair_b] - corners[pair_a] + 1
     pair_offset = (d[:, 0] * 3 + d[:, 1]) * 3 + d[:, 2]
     rows, cols = element_dofs[:, pair_a], element_dofs[:, pair_b]
     pair_slots = np.where((rows >= 0) & (cols >= 0), slot_of[rows, pair_offset], -1)
+    upper_pairs = 8 * pair_a + pair_b
 
     grads = _hex_gradients()
     elem_mats = grads[:, :, :, None] * grads[:, :, None, :] * (h / 2.0)
@@ -467,10 +481,13 @@ def gather_mesh_tables(cells):
         "quad_points": quad_points,
         "col_indices": col_indices,
         "row_offsets": row_offsets,
+        "split": split.astype(np.int32),
+        "hrow": hrow.astype(np.int32),
+        "lmap": lmap.astype(np.int32),
         "_pair_slots": np.ascontiguousarray(pair_slots, dtype=np.int32),
-        "_dx": elem_mats[0].reshape(8, 64),
-        "_dy_sum": elem_mats[1].sum(axis=0).reshape(64),
-        "_dz_sum": elem_mats[2].sum(axis=0).reshape(64),
+        "_dx": np.ascontiguousarray(elem_mats[0].reshape(8, 64)[:, upper_pairs]),
+        "_dy_sum": elem_mats[1].sum(axis=0).reshape(64)[upper_pairs],
+        "_dz_sum": elem_mats[2].sum(axis=0).reshape(64)[upper_pairs],
         "_load": load,
     }
 

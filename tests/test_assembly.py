@@ -9,7 +9,7 @@ lane's values must not depend on the lanes assembled next to it.
 import numpy as np
 import pytest
 
-from uqgroup import FemError, StructuredMesh, assemble, build_field
+from uqgroup import EnsembleCsrMatrix, FemError, StructuredMesh, assemble, build_field
 
 from _oracles import einsum_assemble
 
@@ -45,7 +45,7 @@ def test_assembly_bitwise_equals_einsum_oracle(width, cells, expansion):
     row_offsets, col_indices, values, rhs = einsum_assemble(mesh, a_vals, field.a_y, field.a_z)
     assert np.array_equal(system.matrix.row_offsets, row_offsets)
     assert np.array_equal(system.matrix.col_indices, col_indices)
-    assert _bits(system.matrix.values.T) == _bits(values)
+    assert _bits(np.asarray(system.matrix.values).T) == _bits(values)
     assert _bits(system.rhs) == _bits(rhs)
 
 
@@ -65,3 +65,25 @@ def test_mesh_beyond_int32_indices_rejected(cells):
     # would also overflow the dof count.  Either raises before allocating.
     with pytest.raises(FemError, match="int32"):
         StructuredMesh(cells)
+
+
+@pytest.mark.parametrize("cells", (4, 6))
+@pytest.mark.parametrize("width", (1, 3, 8, 9, 16))
+def test_packed_assembly_is_the_pack_of_the_oracle_values(width, cells):
+    # The kernel adds only the pairs a <= b into the slots of the mesh's
+    # packed graph.  Expanded, every lane is the einsum oracle's; the graph,
+    # the slot order and the slots are those `ensemble_pack` builds from the
+    # oracle's full values, which finds every lower entry bitwise its mirror.
+    field = FIELDS["log"]
+    mesh = StructuredMesh(cells)
+    samples = np.random.default_rng(100 * cells + width).uniform(-1.0, 1.0, (width, 4))
+    matrix = assemble(mesh, field, samples).matrix
+    a_vals = field.eval_a_batch(mesh.quad_points, samples)
+    row_offsets, col_indices, values, _ = einsum_assemble(mesh, a_vals, field.a_y, field.a_z)
+    for s in range(width):
+        assert _bits(matrix.values[s]) == _bits(values[:, s])
+    packed = EnsembleCsrMatrix(row_offsets, col_indices, values.T)
+    assert len(packed.packed) == (len(col_indices) + mesh.n_dofs) // 2
+    for name in ("split", "hrow", "lmap", "packed"):
+        got, want = getattr(matrix, name), getattr(packed, name)
+        assert got.dtype == want.dtype and _bits(got) == _bits(want), name

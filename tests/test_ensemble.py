@@ -11,6 +11,7 @@ import ctypes
 import pickle
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -63,13 +64,45 @@ def lanes_last_system(rng, n, width):
     return graph.indptr, graph.indices, buf
 
 
-def test_lanes_last_values_share_the_callers_buffer():
+def test_constructor_packs_its_own_copy_of_the_values():
+    # The matrix keeps only its packed slots: the caller's buffer may change
+    # afterwards, and every lane still reads its values as given.
     rng = np.random.default_rng(8)
     rp, ci, buf = lanes_last_system(rng, 20, 5)
+    want = buf.copy()
     ens = EnsembleCsrMatrix(rp, ci, buf.T)
-    assert np.shares_memory(ens.values, buf)
+    assert not np.shares_memory(ens.packed, buf)
+    assert ens.packed.shape[1] == 5 and ens.packed.flags.c_contiguous
+    buf[:] = np.nan
+    assert np.asarray(ens.values).tobytes() == np.ascontiguousarray(want.T).tobytes()
     for s in range(5):
-        assert np.array_equal(ens.values[s], buf[:, s])
+        assert ens.values[s].tobytes() == want[:, s].tobytes()
+    assert np.array_equal(ens.values[1:4:2], want[:, 1:4:2].T)
+
+
+def test_from_packed_takes_storage_only_where_its_graph_indexes_it():
+    rng = np.random.default_rng(10)
+    lanes, _ = random_spd_system(rng, 30, 2)
+    mat = EnsembleCsrMatrix.from_scipy_lanes(lanes)
+    parts = {name: getattr(mat, name)
+             for name in ("row_offsets", "col_indices", "split", "hrow", "lmap", "packed")}
+    again = EnsembleCsrMatrix.from_packed(**parts)
+    assert all(getattr(again, name) is array for name, array in parts.items())
+    hrow = parts["hrow"].copy()
+    hrow[1] = hrow[0]  # row 1's run overlaps row 0's
+    lmap = parts["lmap"].copy()
+    lmap[3] = len(parts["packed"])
+    for change, message in [
+        ({"packed": parts["packed"][:-1]}, "packed must be"),
+        ({"packed": np.asfortranarray(parts["packed"])}, "packed must be"),
+        ({"lmap": lmap}, "one slot range"),
+        ({"hrow": hrow}, "one slot range"),
+        ({"lmap": parts["lmap"].astype(np.int64)}, "int32"),
+        ({"split": parts["split"][:-1]}, "one entry per row"),
+        ({"col_indices": parts["col_indices"] + 30}, "column index out of range"),
+    ]:
+        with pytest.raises(EnsembleError, match=message):
+            EnsembleCsrMatrix.from_packed(**{**parts, **change})
 
 
 @pytest.mark.parametrize(
@@ -81,10 +114,11 @@ def test_copied_matrix_multiplies_with_its_own_arrays(duplicate):
     ens = EnsembleCsrMatrix.from_scipy_lanes(lanes)
     twin = duplicate(ens)
     expected = ensemble_pcg(ens, rhs, tol=1e-12)
-    assert twin.values.T.flags.c_contiguous
-    assert twin.row_offsets.dtype == twin.col_indices.dtype == np.int32
-    if not np.shares_memory(twin.values, ens.values):
-        ens.values[:] = 0.0  # the twin must not read the original's values
+    assert twin.packed.flags.c_contiguous
+    assert all(getattr(twin, name).dtype == np.int32
+               for name in ("row_offsets", "col_indices", "split", "hrow", "lmap"))
+    if not np.shares_memory(twin.packed, ens.packed):
+        ens.packed[:] = 0.0  # the twin must not read the original's values
     got = ensemble_pcg(twin, rhs, tol=1e-12)
     assert got.solution.tobytes() == expected.solution.tobytes()
     assert np.array_equal(got.iterations_per_lane, expected.iterations_per_lane)
@@ -553,7 +587,7 @@ def test_mirror_pair_of_opposite_zeros():
         m.data[position(m, i, j)] = -0.0
         m.data[position(m, j, i)] = 0.0
     ens = EnsembleCsrMatrix.from_scipy_lanes(lanes)
-    assert np.signbit(ens.values[:, position(lanes[0], i, j)]).all()
+    assert np.signbit(np.asarray(ens.values)[:, position(lanes[0], i, j)]).all()
     res = assert_matches_lockstep(ens, rhs, tol=1e-13, maxit=2000)
     assert res.converged_per_lane.all()
 
@@ -618,14 +652,14 @@ def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
 def _outcome(system, threads=None):
     """Bytes of everything a solve returns, for bitwise comparison."""
     res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, record_history=True, threads=threads)
-    return (system.matrix.values.tobytes(), res.solution.tobytes(),
+    return (system.matrix.packed.tobytes(), res.solution.tobytes(),
             res.iterations_per_lane.tobytes(), res.converged_per_lane.tobytes(),
             res.frozen_lanes.tobytes(), np.array(res.residual_history).tobytes(),
             res.streamed_lane_iterations)
 
 
 def test_kernels_release_the_gil():
-    for kernel in (ensemble_module._PCG, ensemble_module._ASSEMBLE):
+    for kernel in (ensemble_module._PCG, ensemble_module._PACK, ensemble_module._ASSEMBLE):
         assert not kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
@@ -726,7 +760,7 @@ def test_team_breakdown_at_the_same_iteration(monkeypatch):
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     system = _team_system(4, 80)
     mat = system.matrix
-    values = mat.values.copy()
+    values = np.array(mat.values)
     values[2, mat.row_offsets[-2]] = 1e300
     mat = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
     rhs = np.zeros((4, mat.n_rows))
@@ -829,3 +863,84 @@ def test_streamed_lane_iterations_follow_the_width_ladder(monkeypatch):
         res = ensemble_pcg(mat, system.rhs[lanes], tol=1e-10, threads=threads)
         assert res.ensemble_iterations == c
         assert res.streamed_lane_iterations == 33 * a + 16 * (b - a) + 4 * (c - b)
+
+
+# ---------------------------------------------------------------------------
+# a solve only reads its matrix, and never holds an nnz x S buffer
+
+
+def _storage(mat):
+    """Bytes of everything a matrix stores, and of every lane's CSR values."""
+    arrays = (mat.row_offsets, mat.col_indices, mat.split, mat.hrow, mat.lmap, mat.packed)
+    return [a.tobytes() for a in arrays] + [mat.values[s].tobytes() for s in range(mat.width)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_solve_never_writes_its_matrix(threads, monkeypatch):
+    # Sixteen lanes, copies of three systems that converge at a < b < c: 12
+    # of the first, 3 of the second, 1 of the third, so the solve narrows
+    # 16 -> 4 after iteration a (the copy out of the matrix, split over the
+    # team) and 4 -> 1 after b (in place, in the solve's own slots).
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    system = _team_system(3, 96)
+    counts = [_solo(system.matrix, system.rhs, s).iterations_per_lane[0] for s in range(3)]
+    order = np.argsort(counts)
+    a, b, c = np.array(counts)[order]
+    lanes = np.repeat(order, [12, 3, 1])
+    mat = EnsembleCsrMatrix(system.matrix.row_offsets, system.matrix.col_indices,
+                            system.matrix.values[lanes])
+    before = _storage(mat)
+    res = ensemble_pcg(mat, system.rhs[lanes], tol=1e-10, threads=threads)
+    assert res.streamed_lane_iterations == 16 * a + 4 * (b - a) + (c - b)
+    assert _storage(mat) == before
+    # the assembled matrix, solved as it is, narrows from 3 lanes to 1
+    before = _storage(system.matrix)
+    ensemble_pcg(system.matrix, system.rhs, tol=1e-10, threads=threads)
+    assert _storage(system.matrix) == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_breakdown_leaves_the_matrix_unchanged(threads, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    mat = _team_system(4, 80).matrix
+    values = np.array(mat.values)
+    values[2, mat.row_offsets[-2]] = 1e300
+    mat = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
+    rhs = np.zeros((4, mat.n_rows))
+    rhs[:, 0] = 1.0
+    before = _storage(mat)
+    with pytest.raises(NumericalBreakdownError):
+        ensemble_pcg(mat, rhs, tol=1e-10, threads=threads)
+    assert _storage(mat) == before
+
+
+def test_assembly_and_solve_allocate_no_nnz_by_lanes_buffer():
+    # At 12^3, S=16 an nnz x S float64 buffer is 3.8 MB.  The assembly holds
+    # the (S, 8E) coefficient values while it fills the (slots, S) packed
+    # values, about half that; the solve's own buffers (work vectors, a
+    # lanes-last x, the narrowed slots) are smaller still.  Either peak, above
+    # what was held before, would reach the bound with such a buffer.
+    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
+                        sigma0_convention="kernel")
+    mesh = StructuredMesh(12)
+    mode_vals = field.mode_values(mesh.quad_axes)
+    samples = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4))
+    full = mesh.nnz * 16 * 8
+    coefficient = 16 * len(mesh.quad_points) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        system = assemble(mesh, field, samples, mode_vals)
+        assembly_peak = tracemalloc.get_traced_memory()[1] - base
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = ensemble_pcg(system.matrix, system.rhs, tol=1e-10, threads=1)
+        solve_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert res.converged_per_lane.all()
+    assert res.streamed_lane_iterations < 16 * res.ensemble_iterations  # it narrowed
+    assert assembly_peak < coefficient + full
+    assert solve_peak < full

@@ -189,12 +189,19 @@ def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):
     assert res.iterations_per_lane[0] == res.iterations_per_lane[1]
 
 
-def test_assembled_values_are_lanes_last(kl_field):
-    # The kernel reads the (nnz, S) buffer as assembled; a copy would double
-    # the matrix's memory at wide ensembles.
+def test_assembly_fills_the_packed_slots_on_the_mesh_graph(kl_field):
+    # The kernel assembles the diagonal and upper entries straight into the
+    # (slots, S) storage the solve reads, one slot per row's diagonal and
+    # upper entry, and the matrix reads it through the mesh's packed graph
+    # as it is, copying nothing.
     samples = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.0, 0.5, 1.0], [0.9, -0.9, 0.0, 0.2]])
-    values = assemble(StructuredMesh(4), kl_field, samples).matrix.values
-    assert values.shape[0] == 3 and values.T.flags.c_contiguous
+    mesh = StructuredMesh(4)
+    matrix = assemble(mesh, kl_field, samples).matrix
+    assert matrix.packed.shape == ((mesh.nnz + mesh.n_dofs) // 2, 3) == (mesh.n_slots, 3)
+    assert matrix.packed.flags.c_contiguous
+    for name in ("row_offsets", "col_indices", "split", "hrow", "lmap"):
+        assert getattr(matrix, name) is getattr(mesh, name), name
+    assert np.asarray(matrix.values).shape == (3, mesh.nnz)
 
 
 def test_precomputed_mode_values_change_nothing(kl_field):
