@@ -8,22 +8,24 @@ five presets, the `sg-refine` benchmark unit, an `analytic_g1` run at width
 7 (float counts, a padded last ensemble and a width that is not a power of
 two, so its bytes pin the sum order of the work ratios), a `pde_test1` run
 whose width pads the last ensemble, a `pde_test1` run at width 1 (the
-kernels' scalar path), a `pde_test2` run at the specialised width 16 on a
-12^3 mesh, one at width 33 on an 8^3 mesh (past the 32-lane stack
-accumulator, so every row sums through memory), one at width 8 on the
-preset's 16^3 mesh (many ensembles per level through the solve pool, at a
-width with no specialised kernel copy), one at width 32 on a 10^3 mesh (its
-solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as lanes converge),
-one that dumps every ensemble's residual history, one cut off by a low
-`--maxit` (exit 3), one whose only level is one width-16 ensemble on a 32^3
-mesh (12 M lane-nonzeros, so on a machine of two or more CPUs its solve runs
-on a thread team), one that requests `nat`, `par` and `its` but not `sur`
-(it executes generation order, which its lane counters pin), and a 7-mode
-`pde_test2` run on a 7^3 mesh, given as a `--config` document that the script
-writes into its work directory (its modes (0,1,1), (1,0,1) and (1,1,0) take
-the second 1D factor on two axes, which no 4-mode preset reaches).  Prints
-one line per case, then, when `manifest.json` differs, up to five JSON paths
-whose values differ; exits 1 on any difference.
+kernels' scalar path), one at width 2 on an 8^3 mesh (the 2-lane chunk alone
+until its solves narrow to one lane), a `pde_test2` run at width 16 (one
+16-lane chunk) on a 12^3 mesh, one at width 33 on an 8^3 mesh (chunks of 16,
+16 and 1 lanes), one at width 8 on the preset's 16^3 mesh (many ensembles
+per level through the solve pool, in one 8-lane chunk), one at width 32 on a
+10^3 mesh (its solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as
+lanes converge), one at width 64 on a 6^3 mesh (four 16-lane chunks, its
+solves narrowing from 64 down that ladder), one that dumps every ensemble's
+residual history, one cut off by a low `--maxit` (exit 3), one whose only
+level is one width-16 ensemble on a 32^3 mesh (12 M lane-nonzeros, so on a
+machine of two or more CPUs its solve runs on a thread team), one that
+requests `nat`, `par` and `its` but not `sur` (it executes generation order,
+which its lane counters pin), and a 7-mode `pde_test2` run on a 7^3 mesh,
+given as a `--config` document that the script writes into its work
+directory (its modes (0,1,1), (1,0,1) and (1,1,0) take the second 1D factor
+on two axes, which no 4-mode preset reaches).  Prints one line per case,
+then, when `manifest.json` differs, up to five JSON paths whose values
+differ; exits 1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -49,10 +51,12 @@ CASES = {
     "analytic_g1-S7": ["--problem", "analytic_g1", "--S", "7"],
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],
+    "pde_test1-S2": ["--problem", "pde_test1", "--S", "2", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test2-S16": ["--problem", "pde_test2", "--S", "16", "--mesh-cells", "12", "--n-max", "200"],
     "pde_test2-S33": ["--problem", "pde_test2", "--S", "33", "--mesh-cells", "8", "--n-max", "120"],
     "pde_test2-S8": ["--problem", "pde_test2", "--S", "8"],
     "pde_test2-S32": ["--problem", "pde_test2", "--S", "32", "--mesh-cells", "10", "--n-max", "200"],
+    "pde_test2-S64": ["--problem", "pde_test2", "--S", "64", "--mesh-cells", "6", "--n-max", "200"],
     "pde_test1-residuals": ["--problem", "pde_test1", "--mesh-cells", "6", "--n-max", "100",
                             "--dump-residuals"],
     "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",

@@ -30,24 +30,36 @@
  * the lane packed at position k; only the transpose and the write-back of the
  * product read it.
  *
- * For each nonzero the column index is loaded once, then W contiguous
- * multiply-adds follow over the entry's packed slot and a lanes-last copy of
- * x.  The row is walked in storage order, the lmap slots first, then the run
- * from hrow[i].  Each lane therefore sums its row exactly as scipy's scalar
- * csr_matvec does: from 0.0, over the row's nonzeros in order, one rounded
- * multiply and one rounded add each.  Vectorising across lanes does not
- * reorder any lane's sum, and the build passes -ffp-contract=off so no
- * multiply-add is fused.  Lane list[k] of the result is therefore bitwise the
- * scalar product of that lane, whatever W and k are.
+ * With one lane the product is scipy's scalar loop (spmv_1).  A wider one
+ * runs in chunks of C = 16, 8, 4, 2 or 1 lanes, taken from W's binary digits
+ * with 16 lanes at a time first (33 = 16 + 16 + 1, 7 = 4 + 2 + 1).  Each
+ * chunk width has its own compiled copy, which walks the rows for lanes
+ * [c, c + C): for each nonzero the column index is loaded once, then C
+ * contiguous multiply-adds follow over the chunk's part of the entry's
+ * packed slot and of a lanes-last copy of x, both read at the stride W, into
+ * C sums held in registers.  The row is walked in storage order, the lmap
+ * slots first, then the run from hrow[i].  Each lane therefore sums its row
+ * exactly as scipy's scalar csr_matvec does: from 0.0, over the row's
+ * nonzeros in order, one rounded multiply and one rounded add each.
+ * Vectorising across lanes does not reorder any lane's sum, and the build
+ * passes -ffp-contract=off so no multiply-add is fused.  Lane list[k] of the
+ * result is therefore bitwise the scalar product of that lane, whatever W, k
+ * and its chunk are.
  *
  * x and y are lanes-first (S, n).  For W > 1, the rows of x's lanes in the
- * list are first transposed into an (n, W) scratch xt; results are gathered
- * per block of TILE rows in a (TILE, W) tile and written out lane by lane.
- * Both the transpose and the product run over a range of whole TILE-row
- * blocks, so the PCG's thread team can split them by rows: a range starting
- * at row lo reads lmap from the slot of row lo's first entry, which the team
- * finds once before the iterations.  A row's sum is the same whichever range
- * holds the row.
+ * list are first transposed into an (n, W) scratch xt.  The transpose and
+ * the product run block by block of TILE rows, and chunk by chunk within a
+ * block, so the block's graph and slots are still in cache when its next
+ * chunk reads them: chunks that each walked all the rows took 1.07-1.12x
+ * the time per lane-iteration of the single-walk body they replace at 16^3,
+ * S=32 and 33, and 0.90-1.04x block by block (alternating in-process rounds
+ * on a shared 2-vCPU guest).  A chunk gathers a block's results in a
+ * (TILE, C) tile and writes them out lane by lane; storing each row's sums
+ * straight into y took 1.35-1.45x as long at 16^3, S=4 to 33.  The PCG's
+ * thread team splits both steps over ranges of whole TILE-row blocks: a
+ * range starting at row lo reads lmap from the slot of row lo's first entry,
+ * which the team finds once before the iterations.  A row's sum is the same
+ * whichever range holds the row.
  */
 
 #include <float.h>
@@ -58,7 +70,7 @@
 #include <string.h>
 
 #define TILE 64
-#define STACK_LANES 32
+#define CHUNK 16 /* the widest chunk */
 
 /* The packed values and the graph that reads them. */
 typedef struct {
@@ -68,92 +80,96 @@ typedef struct {
     const double *pack;   /* slot k holds W lane values at pack[k * W] */
 } packed_csr;
 
-/* xt[i * W + k] = x[list[k] * n + i] for the rows [lo, hi). */
+/* log2 of the chunk that starts with `left` of the W lanes still to go. */
+#define chunk_log2(left) ((left) >= CHUNK ? 4 : 63 - __builtin_clzll((uint64_t)(left)))
+
+/* xt[i * W + c + k] = x[list[c + k] * n + i] for the chunk's lanes k < C and
+ * the rows i of the block [i0, i0 + rows). */
 static inline __attribute__((always_inline)) void transpose_body(
-    const int64_t W, const int64_t n, const int64_t lo, const int64_t hi,
-    const int32_t *restrict list, const double *restrict x, double *restrict xt)
+    const int64_t C, const int64_t W, const int64_t c, const int64_t n, const int64_t i0,
+    const int64_t rows, const int32_t *restrict list, const double *restrict x,
+    double *restrict xt)
 {
-    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
-        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
-        for (int64_t k = 0; k < W; k++) {
-            const double *restrict xk = x + list[k] * n + i0;
-            for (int64_t r = 0; r < rows; r++)
-                xt[(i0 + r) * W + k] = xk[r];
-        }
+    for (int64_t k = 0; k < C; k++) {
+        const double *restrict xk = x + list[c + k] * n + i0;
+        for (int64_t r = 0; r < rows; r++)
+            xt[(i0 + r) * W + c + k] = xk[r];
     }
 }
 
-/* Rows [lo, hi) of the product, lo a multiple of TILE; lmap points at the
- * lmap slot of row lo's first entry before its run. */
-static inline __attribute__((always_inline)) void spmv_body(
-    const int64_t W, const int64_t n, const packed_csr m, const int64_t lo,
-    const int64_t hi, const int32_t *restrict lmap, const int32_t *restrict list,
-    const double *restrict xt, double *restrict tile, double *restrict y)
+/* Lanes [c, c + C) of the block of rows [i0, i0 + rows) of the product; lmap
+ * points at the lmap slot of row i0's first entry before its run.  Returns
+ * where lmap stands for the next block. */
+static inline __attribute__((always_inline)) const int32_t *spmv_body(
+    const int64_t C, const int64_t W, const int64_t c, const int64_t n, const packed_csr m,
+    const int64_t i0, const int64_t rows, const int32_t *restrict lmap,
+    const int32_t *restrict list, const double *restrict xt, double *restrict tile,
+    double *restrict y)
 {
     const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
     const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
-    const double *restrict pack = m.pack;
-    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
-        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
-        for (int64_t r = 0; r < rows; r++) {
-            const int64_t i = i0 + r;
-            /* Up to STACK_LANES lanes sum in a local array, which the
-             * specialised widths keep in registers. */
-            double stack_acc[STACK_LANES];
-            double *restrict acc = W <= STACK_LANES ? stack_acc : tile + r * W;
-            for (int64_t k = 0; k < W; k++)
-                acc[k] = 0.0;
-            for (int32_t jj = row_offsets[i]; jj < split[i]; jj++) {
-                const double *restrict v = pack + (int64_t)*lmap++ * W;
-                const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
-                for (int64_t k = 0; k < W; k++)
-                    acc[k] += v[k] * xc[k];
-            }
-            const double *restrict v = pack + (int64_t)hrow[i] * W;
-            for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++, v += W) {
-                const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
-                for (int64_t k = 0; k < W; k++)
-                    acc[k] += v[k] * xc[k];
-            }
-            if (W <= STACK_LANES)
-                for (int64_t k = 0; k < W; k++)
-                    tile[r * W + k] = acc[k];
+    const double *restrict pack = m.pack + c;
+    xt += c;
+    for (int64_t r = 0; r < rows; r++) {
+        const int64_t i = i0 + r;
+        double acc[CHUNK] = {0.0};
+        for (int32_t jj = row_offsets[i]; jj < split[i]; jj++) {
+            const double *restrict v = pack + (int64_t)*lmap++ * W;
+            const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
+            for (int64_t k = 0; k < C; k++)
+                acc[k] += v[k] * xc[k];
         }
-        for (int64_t k = 0; k < W; k++) {
-            double *restrict yk = y + list[k] * n + i0;
-            for (int64_t r = 0; r < rows; r++)
-                yk[r] = tile[r * W + k];
+        const double *restrict v = pack + (int64_t)hrow[i] * W;
+        for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++, v += W) {
+            const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
+            for (int64_t k = 0; k < C; k++)
+                acc[k] += v[k] * xc[k];
         }
+        for (int64_t k = 0; k < C; k++)
+            tile[r * C + k] = acc[k];
     }
+    for (int64_t k = 0; k < C; k++) {
+        double *restrict yk = y + list[c + k] * n + i0;
+        for (int64_t r = 0; r < rows; r++)
+            yk[r] = tile[r * C + k];
+    }
+    return lmap;
 }
 
-/* A width fixed at compile time keeps the accumulators in registers.  Only
- * the widths the PDE preset (4) and the wide ensemble runs (16) use get their
- * own copy; there the product alone, on the packed values, is 2.7-3.9x
- * (16^3, S=4) and 1.5x (32^3, S=16) faster than the generic body.  Every
- * other width takes the generic body.
- *
- * The product copies stay out of line.  Inlined into the loop, their code
- * depended on the rest of it: two builds of the loop that ran identical
- * arithmetic at S=4, differing only in a constant that S=4 never reaches,
- * ran 1.25x apart at 16^3, S=4 (16 alternating in-process rounds); out of
- * line, both matched the build before the lane list within noise.  This
- * loop with the copies inlined took 1.26x the time of that build at 16^3,
- * S=4 (40 alternating rounds), and 0.96-0.97x with them out of line. */
-#define SPECIALISED(W)                                                        \
-    static __attribute__((noinline)) void spmv_##W(                           \
-        int64_t n, const packed_csr m, int64_t lo, int64_t hi,                \
-        const int32_t *lmap, const int32_t *list, const double *xt,           \
-        double *tile, double *y)                                              \
+/* One product copy and one transpose copy per chunk width.  The product
+ * copies stay out of line, as the width-4 and width-16 copies they replace
+ * did, measured then.  Inlined into the loop, their code depended on the
+ * rest of it: two builds of the loop that ran identical arithmetic at
+ * S=4, differing only in a constant that S=4 never reaches, ran 1.25x apart
+ * at 16^3, S=4 (16 alternating in-process rounds); out of line, both
+ * matched the build before the lane list within noise.  The loop with its
+ * product copies inlined took 1.26x the time of that build at 16^3, S=4 (40
+ * alternating rounds), and 0.96-0.97x with them out of line. */
+#define CHUNK_COPIES(C)                                                       \
+    static __attribute__((noinline)) const int32_t *chunk_spmv_##C(           \
+        int64_t W, int64_t c, int64_t n, const packed_csr m, int64_t i0,      \
+        int64_t rows, const int32_t *lmap, const int32_t *list,               \
+        const double *xt, double *tile, double *y)                            \
     {                                                                         \
-        spmv_body(W, n, m, lo, hi, lmap, list, xt, tile, y);                  \
+        return spmv_body(C, W, c, n, m, i0, rows, lmap, list, xt, tile, y);   \
     }                                                                         \
-    static void transpose_##W(int64_t n, int64_t lo, int64_t hi,              \
-                              const int32_t *list, const double *x,           \
-                              double *xt)                                     \
+    static void chunk_transpose_##C(int64_t W, int64_t c, int64_t n, int64_t i0, \
+        int64_t rows, const int32_t *list, const double *x, double *xt)       \
     {                                                                         \
-        transpose_body(W, n, lo, hi, list, x, xt);                            \
+        transpose_body(C, W, c, n, i0, rows, list, x, xt);                    \
     }
+
+CHUNK_COPIES(1)
+CHUNK_COPIES(2)
+CHUNK_COPIES(4)
+CHUNK_COPIES(8)
+CHUNK_COPIES(16)
+
+/* The copies by the log2 of their chunk width. */
+static __typeof__(chunk_spmv_1) *const chunk_spmv[] = {
+    chunk_spmv_1, chunk_spmv_2, chunk_spmv_4, chunk_spmv_8, chunk_spmv_16};
+static __typeof__(chunk_transpose_1) *const chunk_transpose[] = {
+    chunk_transpose_1, chunk_transpose_2, chunk_transpose_4, chunk_transpose_8, chunk_transpose_16};
 
 /* With one lane the two layouts coincide: scipy's scalar loop, in place, on
  * the rows of that lane. */
@@ -172,36 +188,6 @@ static __attribute__((noinline)) void spmv_1(
         for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++)
             sum += *v++ * x[col_indices[jj]];
         y[i] = sum;
-    }
-}
-
-SPECIALISED(4)
-SPECIALISED(16)
-
-/* The transpose of rows [lo, hi); the specialised widths get their own copy,
- * as they did when the transpose was part of their product: in a separate
- * generic copy, a 16^3, S=16 solve ran 52 -> 72 ms. */
-static void transpose_rows(int64_t W, int64_t n, int64_t lo, int64_t hi,
-                           const int32_t *list, const double *x, double *xt)
-{
-    switch (W) {
-    case 4: transpose_4(n, lo, hi, list, x, xt); break;
-    case 16: transpose_16(n, lo, hi, list, x, xt); break;
-    default: transpose_body(W, n, lo, hi, list, x, xt);
-    }
-}
-
-/* Rows [lo, hi) of y = A x for the W lanes of list.  For W > 1 the product
- * reads x from xt, where all of it must already sit transposed. */
-static void ensemble_spmv(int64_t W, int64_t n, const packed_csr m, int64_t lo,
-                          int64_t hi, const int32_t *lmap, const int32_t *list,
-                          const double *xt, double *tile, const double *x, double *y)
-{
-    switch (W) {
-    case 1: spmv_1(m, lo, hi, lmap, x + list[0] * n, y + list[0] * n); break;
-    case 4: spmv_4(n, m, lo, hi, lmap, list, xt, tile, y); break;
-    case 16: spmv_16(n, m, lo, hi, lmap, list, xt, tile, y); break;
-    default: spmv_body(W, n, m, lo, hi, lmap, list, xt, tile, y);
     }
 }
 
@@ -451,8 +437,8 @@ static inline __attribute__((always_inline)) void move_slots(
     }
 }
 
-/* The narrowest width with its own product copy (16, 4 or 1) that holds the
- * open lanes, if it is below the packed width, which is returned otherwise.
+/* The narrowest width of the ladder 16, 4, 1 that holds the open lanes, if
+ * it is below the packed width, which is returned otherwise.
  * from[k] gets the old position of new position k: first the open lanes, in
  * list order, then finished lanes as padding, whose products nobody reads.
  * Reads the flags, list and width only. */
@@ -495,6 +481,35 @@ static void narrow_commit(solve *sv, int64_t to, const int64_t *from)
     sv->m.pack = sv->own;
 }
 
+/* Steps 1 and 2 of an iteration (see ensemble_pcg): the member's rows of
+ * Ap = A p for the packed lanes.  For W > 1 the member transposes its rows
+ * of p into xt and, once the barrier has all of p there, forms its rows of
+ * the product, both chunk by chunk within each block of TILE rows. */
+static void product(member *me)
+{
+    solve *sv = me->sv;
+    const int64_t W = sv->width, n = sv->n, lo = me->row_lo, hi = me->row_hi;
+    const int32_t *list = sv->list, *lmap = me->lmap;
+    if (W == 1) {
+        spmv_1(sv->m, lo, hi, lmap, sv->p + list[0] * n, sv->apz + list[0] * n);
+        return;
+    }
+    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
+        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
+        for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
+            chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, list, sv->p, sv->xt);
+    }
+    sync_team(sv);
+    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
+        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
+        const int32_t *next = lmap;
+        for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
+            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, list, sv->xt,
+                                                 me->tile, sv->apz);
+        lmap = next;
+    }
+}
+
 /* The iterations, as run by one member; every member returns the same. */
 static int64_t iterate(member *me)
 {
@@ -505,13 +520,7 @@ static int64_t iterate(member *me)
     while (it < sv->maxit && open > 0) {
         it++;
         const int64_t W = sv->width;
-        const int32_t *list = sv->list;
-        if (W > 1) {
-            transpose_rows(W, n, me->row_lo, me->row_hi, list, sv->p, sv->xt);
-            sync_team(sv);
-        }
-        ensemble_spmv(W, n, sv->m, me->row_lo, me->row_hi, me->lmap, list, sv->xt, me->tile,
-                      sv->p, sv->apz);
+        product(me);
         sync_team(sv);
         for (int64_t k = 0; k < me->count; k++) {
             const int64_t s = me->lanes[k];
@@ -671,8 +680,8 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * same number of nonzeros, and a share of about open / size of the open
  * lanes.  An iteration is four steps, each ended by a barrier:
  *   1. each member transposes its rows of p's packed lanes into xt (W > 1);
- *   2. each member forms its rows of Ap for the packed lanes, in its own
- *      tile;
+ *   2. each member forms its rows of Ap for the packed lanes, chunk by
+ *      chunk, in its own tile;
  *   3. each member does p'Ap, the x and r updates, the residual norm and the
  *      convergence bookkeeping of its open lanes; after the barrier every
  *      member reads every lane's flags and norm, so all of them count the
@@ -680,16 +689,16 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  *      member 0 writes the history row;
  *   4. each member forms z, r'z, beta and p of its open lanes; then the
  *      team narrows the packed width if the open lanes fit a narrower one.
- * The packed width starts at S and narrows down the ladder of widths with
- * their own product copy, 16, 4 and 1, to the narrowest one that holds the
- * open lanes (checked also before iteration 1).  The first narrowing copies
- * the lanes kept out of the matrix's slots into the solve's own, each member
- * the slots of its rows; a later one repacks the solve's slots in place.  A
- * narrowing takes one more barrier, after which member 0 rewrites the list
- * and the width; in step 4 no member reads the slots, the list or the
- * width, and every member reads the new ones after the step's barrier.  The
- * (S, n) vectors stay where they are: only the transpose and the write-back
- * of the product go through the list.
+ * The packed width starts at S and narrows down the ladder of widths 16, 4
+ * and 1, to the narrowest one that holds the open lanes (checked also before
+ * iteration 1).  The first narrowing copies the lanes kept out of the
+ * matrix's slots into the solve's own, each member the slots of its rows; a
+ * later one repacks the solve's slots in place.  A narrowing takes one more
+ * barrier, after which member 0 rewrites the list and the width; in step 4
+ * no member reads the slots, the list or the width, and every member reads
+ * the new ones after the step's barrier.  The (S, n) vectors stay where they
+ * are: only the transpose and the write-back of the product go through the
+ * list.
  *
  * Every row sum and every lane's dot is thus computed by exactly one member
  * with the arithmetic, and in the order, of a one-lane, one-member solve, so

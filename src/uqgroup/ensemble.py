@@ -21,9 +21,12 @@ whose iterations the study counts: it scales each lane's residual by that
 lane's inverse main diagonal.  The whole solve runs in one kernel call: the
 Jacobi inverse, read from the diagonal entries' slots, products, vector
 updates and convergence bookkeeping.  The call never writes the matrix.
-The product loads each column index once and then does S contiguous
-multiply-adds over the entry's slot, walking every row in storage order, so
-each lane sums in the order of a scalar CSR product.
+The product walks every row in storage order and, per column index, does
+contiguous multiply-adds over the entry's slot, so each lane sums in the
+order of a scalar CSR product.  One lane runs the scalar loop; any wider
+slot is summed in compiled chunks of 16, 8, 4, 2 and 1 lanes, taken from
+the width's binary digits (33 = 16 + 16 + 1), so every width runs with its
+sums in registers.
 Inner products and norms are taken per lane (never summed across lanes)
 by the kernel's own dot, in an order fixed by the length alone (`lane_dot`),
 so no output depends on a BLAS or its thread count, and lane i computes
@@ -40,8 +43,8 @@ those of a one-lane solve of its system, whatever its companions.  The
 ensemble still runs until its slowest lane is done, and the study charges it
 S times that many lane-iterations (the work ratio R).
 
-What it executes is less.  The products run at a packed width with its own
-compiled copy (16, 4 or 1) once the open lanes fit it: when they do, the
+What it executes is less.  The products narrow down a ladder of packed
+widths, 16, 4 and 1, once the open lanes fit the next one: when they do, the
 call copies the open lanes' values (padded with finished ones up to the
 width, whose products nobody reads) into slots of its own, which later
 narrowings repack in place, and goes on at that width: the dynamic
@@ -182,6 +185,11 @@ _BAD_DIAGONAL = -(2**63)
 # much as the split saved in some rounds (16^3 at S = 4-32: 1.01-1.11x the
 # one-member time).
 _TEAM_GRAIN = 3_000_000
+
+
+def _is_count(value) -> bool:
+    """An integer and not a bool: `True` is an Integral, but never a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _checked_graph(row_offsets, col_indices, nnz: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,13 +405,13 @@ def ensemble_pcg(
     alpha is zeroed and they no longer block termination.  A lane stops at its
     own convergence or freezing, so its solution, residual norms and count
     are bitwise those of a one-lane solve of its system.  Once the open lanes
-    fit a narrower width with its own compiled product (16, 4 or 1), the call
-    copies their values into a scratch of its own and goes on at that width;
-    it never writes `mat`.
+    fit a narrower width of the ladder 16, 4, 1, the call copies their values
+    into a scratch of its own and goes on at that width; it never writes
+    `mat`.
 
     The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
     the Jacobi inverse from the packed diagonal before iteration 1.  Its
-    scratch holds the slots at the first narrowed width (16, 4 or 1 lanes),
+    scratch holds the slots at the first narrowed width of that ladder,
     whose pages are touched only if the solve narrows.  With
     `record_history`, room for maxit + 1 rows of lane residual norms is
     reserved up front.
@@ -419,11 +427,11 @@ def ensemble_pcg(
     """
     if tol <= 0 or not np.isfinite(tol):
         raise EnsembleError(f"tol must be positive and finite, got {tol}")
-    if not isinstance(maxit, numbers.Integral) or not 0 <= maxit < 2**63:
+    if not _is_count(maxit) or not 0 <= maxit < 2**63:
         raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
     if threads is None:
         threads = len(os.sched_getaffinity(0))
-    elif not isinstance(threads, numbers.Integral) or threads < 1:
+    elif not _is_count(threads) or threads < 1:
         raise EnsembleError(f"threads must be an integer >= 1, got {threads!r}")
     S, n = mat.width, mat.n_rows
     b = np.asarray(rhs, dtype=np.float64)

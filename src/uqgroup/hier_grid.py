@@ -523,17 +523,21 @@ class HierGrid:
 
         The document has exactly the keys of `to_json_dict`.  `dim` and the
         level and index entries must be integers (not bools or floats),
-        domain bounds finite numbers, level and index one row of dim entries
-        per node each, and every surplus column one finite number or null per
-        node.  Anything else, a node that `NodeId` rejects, one too deep to
-        index or a node given twice raises `GridError`.
+        `domain` a list of dim [lo, hi] pairs of finite numbers, level and
+        index one row of dim entries per node each, and every surplus column
+        one finite number or null per node.  Anything else, a node that
+        `NodeId` rejects, one too deep to index or a node given twice raises
+        `GridError`.
         """
         if not isinstance(doc, Mapping) or doc.keys() != _GRID_KEYS:
             got = sorted(doc) if isinstance(doc, Mapping) else doc
             raise GridError(f"a grid document has the keys {sorted(_GRID_KEYS)}, got {got!r}")
         dim, domain = doc["dim"], doc["domain"]
-        if type(dim) is not int or not all(_is_number(x) for bounds in domain for x in bounds):
-            raise GridError(f"dim must be an integer and domain bounds finite numbers, got {dim!r}, {domain!r}")
+        if not (type(dim) is int and isinstance(domain, list) and len(domain) == dim
+                and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in domain)):
+            raise GridError(
+                f"dim must be an integer and domain dim [lo, hi] pairs of finite numbers, got {dim!r}, {domain!r}"
+            )
         grid = cls(dim, [tuple(d) for d in domain])
         level, index = _int_rows(doc["level"], "level", dim), _int_rows(doc["index"], "index", dim)
         if len(level) != len(index):

@@ -248,7 +248,7 @@ def test_nonfinite_rhs_rejected_up_front(bad):
         ensemble_pcg(diag_ensemble(np.full((2, 2), 2.0)), rhs)
 
 
-@pytest.mark.parametrize("maxit", [2.5, 3.0, "3", None])
+@pytest.mark.parametrize("maxit", [2.5, 3.0, "3", None, True, False])
 def test_non_integer_maxit_rejected(maxit):
     with pytest.raises(EnsembleError, match="maxit"):
         ensemble_pcg(diag_ensemble([[2.0, 3.0]]), np.ones((1, 2)), maxit=maxit)
@@ -488,9 +488,10 @@ def insert_entry(lanes, k, row, col, values):
     ]
 
 
-# Specialised widths (1, 4, 16), generic widths around them and around the
-# 32-lane stack accumulator, and 64; n crosses the kernel's 64-row tile.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33, 64])
+# The scalar width 1, every chunk width alone (2, 4, 8, 16), and widths that
+# run several chunks: 3, 5, 6 (4 + 2), 12 (8 + 4), 17, 24 (16 + 8),
+# 31 (16 + 8 + 4 + 2 + 1), 32, 33 and 64; n crosses the kernel's 64-row tile.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 12, 16, 17, 24, 31, 32, 33, 64])
 def test_pcg_bitwise_equals_lockstep_loop(width):
     rng = np.random.default_rng(100 + width)
     lanes, rhs = random_spd_system(rng, 70, width)
@@ -499,9 +500,10 @@ def test_pcg_bitwise_equals_lockstep_loop(width):
 
 
 # The product inside the loop over one and three row tiles (n = 37, 130) on a
-# non-symmetric graph with a one-entry row: four iterations must be bitwise
-# those of the lockstep loop, whose product is scipy's scalar one.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 17, 32, 33])
+# non-symmetric graph with a one-entry row, at the scalar width, every chunk
+# width alone and widths of two to five chunks: four iterations must be
+# bitwise those of the lockstep loop, whose product is scipy's scalar one.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 12, 16, 17, 24, 31, 32, 33])
 @pytest.mark.parametrize("n", [37, 130])
 def test_kernel_bitwise_equals_scalar_product(width, n):
     rng = np.random.default_rng(width * 1000 + n)
@@ -632,7 +634,7 @@ def test_entry_without_a_mirror():
 
 
 # The stiffness matrices of the 27-point mesh graph, whose lanes are bitwise
-# symmetric, at the specialised widths and past the 32-lane stack accumulator.
+# symmetric, at the scalar width, one chunk of 4 and of 16, and three chunks.
 @pytest.mark.parametrize("width", [1, 4, 16, 33])
 def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
     field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
@@ -665,7 +667,7 @@ def test_kernels_release_the_gil():
 
 def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
     # Two threads each assemble and solve their own samples repeatedly, at
-    # the scalar, a specialised and a generic width, while the other thread's
+    # the scalar width, one chunk and three chunks, while the other thread's
     # kernels run on other buffers; every other round each solve runs on a
     # team of two on the 729 rows (twelve row tiles).
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
@@ -701,7 +703,7 @@ def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
 # a solve on a team of threads
 
 
-@pytest.mark.parametrize("threads", [0, -1, 1.5])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True, False])
 def test_invalid_thread_count_rejected(threads):
     with pytest.raises(EnsembleError, match="threads"):
         ensemble_pcg(diag_ensemble([[2.0, 2.0]]), np.ones((1, 2)), threads=threads)
@@ -719,8 +721,9 @@ def _team_system(width, seed):
 
 # With the grain lowered to one lane-nonzero every solve forms its team; the
 # widths below, between and above the team sizes split the lanes unevenly,
-# leaving some members without lanes at S < 4.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 16, 33])
+# leaving some members without lanes at S < 4, and 31 runs every chunk width
+# (16 + 8 + 4 + 2 + 1) split across the team.
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 16, 31, 33])
 def test_team_solve_bitwise_equals_single_member(width, monkeypatch):
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     system = _team_system(width, 60 + width)
@@ -793,13 +796,13 @@ def ladder_sum(width, closing, iterations):
     return total
 
 
-# Widths that narrow from every kind of start: generic (2, 3, 5, 7, 17, 33)
-# and specialised (4, 16) widths, to 16, 4 and 1.  The special ensemble has a
-# lane that freezes at iteration 1 and one with a zero right-hand side, and is
-# cut off by maxit one iteration before its slowest regular lane converges,
-# after the others have closed.
+# Widths that narrow from every kind of start: from one chunk (2, 4, 16) and
+# from several (3, 5, 7, 17, 31, 33), to 16, 4 and 1.  The special ensemble
+# has a lane that freezes at iteration 1 and one with a zero right-hand side,
+# and is cut off by maxit one iteration before its slowest regular lane
+# converges, after the others have closed.
 @pytest.mark.parametrize("special", [False, True], ids=["plain", "special"])
-@pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 16, 17, 33])
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 16, 17, 31, 33])
 def test_each_lane_is_its_solo_solve(width, special, monkeypatch):
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     system = _team_system(width, 90 + width)

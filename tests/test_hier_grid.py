@@ -458,8 +458,10 @@ def test_from_json_dict_rejects_bad_entries(node):
 
 @pytest.mark.parametrize(
     "dim, domain",
-    [(1.0, [[-1.0, 1.0]]), (True, [[-1.0, 1.0]]), (1, [["-1", 1.0]]), (1, [[-1.0, float("inf")]])],
-    ids=["float-dim", "bool-dim", "string-bound", "infinite-bound"],
+    [(1.0, [[-1.0, 1.0]]), (True, [[-1.0, 1.0]]), (1, [["-1", 1.0]]), (1, [[-1.0, float("inf")]]),
+     (1, 5), (1, [[-1, 0, 1]]), (1, [[0]])],
+    ids=["float-dim", "bool-dim", "string-bound", "infinite-bound", "number-domain", "three-bounds",
+         "one-bound"],
 )
 def test_from_json_dict_rejects_bad_dim_or_domain(dim, domain):
     doc = {**grid_doc([([0], [1])]), "dim": dim, "domain": domain}
