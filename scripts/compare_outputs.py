@@ -18,14 +18,16 @@ lanes converge), one at width 64 on a 6^3 mesh (four 16-lane chunks, its
 solves narrowing from 64 down that ladder), one that dumps every ensemble's
 residual history, one cut off by a low `--maxit` (exit 3), one whose only
 level is one width-16 ensemble on a 32^3 mesh (12 M lane-nonzeros, so on a
-machine of two or more CPUs its solve runs on a thread team), one that
-requests `nat`, `par` and `its` but not `sur` (it executes generation order,
-which its lane counters pin), and a 7-mode `pde_test2` run on a 7^3 mesh,
-given as a `--config` document that the script writes into its work
-directory (its modes (0,1,1), (1,0,1) and (1,1,0) take the second 1D factor
-on two axes, which no 4-mode preset reaches).  Prints one line per case,
-then, when `manifest.json` differs, up to five JSON paths whose values
-differ; exits 1 on any difference.
+machine of two or more CPUs its solve runs on a thread team), one whose
+only ensemble is 48 distinct samples on a 20^3 mesh (8.0 M lane-nonzeros, so
+a team too, which splits each of its narrowings from 48 to 16, 16 to 4 and 4
+to 1 lanes), one that requests `nat`, `par` and `its` but not `sur` (it
+executes generation order, which its lane counters pin), and a 7-mode
+`pde_test2` run on a 7^3 mesh, given as a `--config` document that the
+script writes into its work directory (its modes (0,1,1), (1,0,1) and
+(1,1,0) take the second 1D factor on two axes, which no 4-mode preset
+reaches).  Prints one line per case, then, when `manifest.json` differs, up
+to five JSON paths whose values differ; exits 1 on any difference.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -63,6 +65,8 @@ CASES = {
                           "--n-max", "100"],
     "pde_test1-S16-32cube": ["--problem", "pde_test1", "--S", "16", "--mesh-cells", "32",
                              "--initial-level", "0", "--n-max", "16"],
+    "pde_test2-S48-team": ["--problem", "pde_test2", "--S", "48", "--mesh-cells", "20",
+                           "--n-max", "48"],
     "pde_test1-no-sur": ["--problem", "pde_test1", "--strategies", "nat,par,its", "--mesh-cells", "8",
                          "--n-max", "100"],
     "pde_test2-7modes": ["--mesh-cells", "7", "--initial-level", "0", "--n-max", "200"],

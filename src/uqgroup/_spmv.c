@@ -25,10 +25,10 @@
  * SpMV.
  *
  * A slot holds the values of W lanes, the packed width: W = S in the
- * matrix's own storage, and narrower in the solve's copy once the loop has
- * narrowed to the lanes it still needs (see ensemble_pcg).  list[k] names
- * the lane packed at position k; only the transpose and the write-back of the
- * product read it.
+ * matrix's own storage, and narrower in the solve's own slots, gathered from
+ * the matrix's once the loop has narrowed to the lanes it still needs (see
+ * ensemble_pcg).  list[k] names the lane packed at position k; only the
+ * transpose and the write-back of the product read it.
  *
  * With one lane the product is scipy's scalar loop (spmv_1).  A wider one
  * runs in chunks of C = 16, 8, 4, 2 or 1 lanes, taken from W's binary digits
@@ -309,11 +309,22 @@ static int64_t team_size(int64_t n, int64_t members)
     return members > 1 ? members : 1;
 }
 
-/* The widest width of the ladder 16, 4, 1 below S: the most lanes a solve of
- * S lanes narrows to, 0 if it never narrows. */
+/* The narrowing ladder, widest rung first: the packed widths a solve narrows
+ * down to (see ensemble_pcg).  A rung is one entry here; every width already
+ * has its compiled chunks. */
+#define LADDER(X) X(16) X(4) X(1)
+#define RUNG(w) w,
+static const int64_t ladder[] = {LADDER(RUNG)};
+#define RUNGS (int64_t)(sizeof ladder / sizeof ladder[0])
+
+/* The widest rung below S: the most lanes a solve of S lanes narrows to, 0 if
+ * it never narrows. */
 static int64_t first_narrow_width(int64_t S)
 {
-    return S > 16 ? 16 : S > 4 ? 4 : S > 1 ? 1 : 0;
+    for (int64_t k = 0; k < RUNGS; k++)
+        if (ladder[k] < S)
+            return ladder[k];
+    return 0;
 }
 
 /* The scratch of ensemble_pcg, in doubles: the SpMV's xt, one tile per
@@ -332,9 +343,10 @@ int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t slots, int64_t m
 /* The state of one solve, shared by its team. */
 typedef struct {
     int64_t S, n, maxit, open, size; /* open lanes at iteration 0; members */
-    int64_t width, slots;            /* packed width; packed slots */
+    int64_t width;                   /* packed width */
     int64_t streamed;                /* sum over the iterations of width */
-    packed_csr m;                    /* the matrix's slots, then the solve's own */
+    packed_csr m;                    /* the slots the product reads */
+    const double *matrix;            /* the matrix's slots, S lanes each */
     double *own;                     /* the solve's slots once narrowed */
     int32_t *list;                   /* list[k]: the lane packed at k < width */
     double *x, *r, *apz, *p, *inv_diag, *xt;
@@ -420,65 +432,54 @@ static void share_lanes(member *me, int64_t open)
             me->lanes[me->count++] = (int32_t)s;
 }
 
-/* Slots [lo, hi) of W lane values move to `to` lanes: lane from[k] of slot q
- * of src goes to dst[q * to + k].  Out of place, from the matrix's slots to
- * the solve's own, or in place within them: slot q is read whole before it
- * is written, and its new place ends before slot q + 1 starts. */
+/* Slots [lo, hi) of the matrix's S lane values, gathered to `to` lanes: lane
+ * keep[k] of slot q goes to own[q * to + k].  `to` is a compile-time rung: a
+ * repack with a run-time width (one memcpy per slot) took 1.3 ms against
+ * 0.06 ms for the 41,441 slots of a 16^3, S=4 solve. */
 static inline __attribute__((always_inline)) void move_slots(
-    const int64_t to, const int64_t W, const int64_t lo, const int64_t hi,
-    const int64_t *from, const double *src, double *dst)
+    const int64_t to, const int64_t S, const int64_t lo, const int64_t hi,
+    const int32_t *restrict keep, const double *restrict matrix, double *restrict own)
 {
-    for (int64_t q = lo; q < hi; q++) {
-        double slot[16];
+    for (int64_t q = lo; q < hi; q++)
         for (int64_t k = 0; k < to; k++)
-            slot[k] = src[q * W + from[k]];
-        for (int64_t k = 0; k < to; k++)
-            dst[q * to + k] = slot[k];
-    }
+            own[q * to + k] = matrix[q * S + keep[k]];
 }
 
-/* The narrowest width of the ladder 16, 4, 1 that holds the open lanes, if
- * it is below the packed width, which is returned otherwise.
- * from[k] gets the old position of new position k: first the open lanes, in
- * list order, then finished lanes as padding, whose products nobody reads.
- * Reads the flags, list and width only. */
-static int64_t narrow_plan(const solve *sv, int64_t open, int64_t *from)
+/* Narrows the product to the narrowest rung that holds the open lanes, if it
+ * is below the packed width W.  It keeps the open lanes in list order, then
+ * finished lanes as padding, whose products nobody reads.  Each member
+ * gathers the kept lanes of its rows' slots out of the matrix's slots, which
+ * hold every lane and are never written, into the solve's own; member 0 then
+ * commits the new list and width between the two barriers, where no member
+ * reads them.  Called by every member at the top of an iteration, once the
+ * flags are settled and the last product is done. */
+static void narrow(member *me, int64_t open)
 {
+    solve *sv = me->sv;
     const int64_t W = sv->width;
-    const int64_t to = open <= 1 ? 1 : open <= 4 ? 4 : open <= 16 ? 16 : W;
-    if (to >= W)
-        return W;
+    int64_t to = W;
+    for (int64_t k = 0; k < RUNGS && ladder[k] >= open; k++)
+        to = ladder[k] < W ? ladder[k] : W;
+    if (to == W)
+        return;
+    int32_t keep[to];
     int64_t k = 0;
     for (int64_t j = 0; j < W && k < to; j++)
         if (is_open(sv, sv->list[j]))
-            from[k++] = j;
+            keep[k++] = sv->list[j];
     for (int64_t j = 0; j < W && k < to; j++)
         if (!is_open(sv, sv->list[j]))
-            from[k++] = j;
-    return to;
-}
-
-/* Moves slots [lo, hi) to the narrowed width into the solve's own slots. */
-static void narrow_slots(const solve *sv, int64_t to, const int64_t *from, int64_t lo,
-                         int64_t hi)
-{
-    const int64_t W = sv->width;
-    switch (to) {
-    case 1: move_slots(1, W, lo, hi, from, sv->m.pack, sv->own); break;
-    case 4: move_slots(4, W, lo, hi, from, sv->m.pack, sv->own); break;
-    default: move_slots(16, W, lo, hi, from, sv->m.pack, sv->own);
+            keep[k++] = sv->list[j];
+#define GATHER(w) \
+    case w: move_slots(w, sv->S, me->slot_lo, me->slot_hi, keep, sv->matrix, sv->own); break;
+    switch (to) { LADDER(GATHER) }
+    sync_team(sv);
+    if (me->id == 0) {
+        memcpy(sv->list, keep, (size_t)to * sizeof(int32_t));
+        sv->width = to;
+        sv->m.pack = sv->own;
     }
-}
-
-/* Points the product at the narrowed slots: the new list and width. */
-static void narrow_commit(solve *sv, int64_t to, const int64_t *from)
-{
-    int32_t list[16];
-    for (int64_t k = 0; k < to; k++)
-        list[k] = sv->list[from[k]];
-    memcpy(sv->list, list, (size_t)to * sizeof(int32_t));
-    sv->width = to;
-    sv->m.pack = sv->own;
+    sync_team(sv);
 }
 
 /* Steps 1 and 2 of an iteration (see ensemble_pcg): the member's rows of
@@ -518,6 +519,7 @@ static int64_t iterate(member *me)
     int64_t it = 0, open = sv->open;
     share_lanes(me, open);
     while (it < sv->maxit && open > 0) {
+        narrow(me, open);
         it++;
         const int64_t W = sv->width;
         product(me);
@@ -568,23 +570,6 @@ static int64_t iterate(member *me)
             for (int64_t i = 0; i < n; i++)
                 ps[i] = zs[i] + beta * ps[i];
             sv->rz[s] = rz_new;
-        }
-        /* Narrowing, where no member reads the slots, the list or the width.
-         * The first one copies out of the matrix's slots, each member those
-         * of its rows; a later one repacks the solve's own in place, on
-         * member 0 alone (a member's new slots may overlap another's old
-         * ones).  Every member plans it from the old list before member 0
-         * commits it. */
-        int64_t from[16];
-        const int64_t to = narrow_plan(sv, open, from);
-        if (to < sv->width) {
-            if (sv->m.pack != sv->own)
-                narrow_slots(sv, to, from, me->slot_lo, me->slot_hi);
-            else if (me->id == 0)
-                narrow_slots(sv, to, from, 0, sv->slots);
-            sync_team(sv);
-            if (me->id == 0)
-                narrow_commit(sv, to, from);
         }
         sync_team(sv);
     }
@@ -678,7 +663,8 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * thread cannot be created: the team is cut only after its threads exist).
  * Each member owns a block of whole TILE-row blocks, cut to hold about the
  * same number of nonzeros, and a share of about open / size of the open
- * lanes.  An iteration is four steps, each ended by a barrier:
+ * lanes.  An iteration is four steps, each ended by a barrier, after the
+ * team has narrowed the packed width if the open lanes fit a narrower one:
  *   1. each member transposes its rows of p's packed lanes into xt (W > 1);
  *   2. each member forms its rows of Ap for the packed lanes, chunk by
  *      chunk, in its own tile;
@@ -687,18 +673,15 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  *      member reads every lane's flags and norm, so all of them count the
  *      open lanes, leave on breakdown and take their new share alike, and
  *      member 0 writes the history row;
- *   4. each member forms z, r'z, beta and p of its open lanes; then the
- *      team narrows the packed width if the open lanes fit a narrower one.
- * The packed width starts at S and narrows down the ladder of widths 16, 4
- * and 1, to the narrowest one that holds the open lanes (checked also before
- * iteration 1).  The first narrowing copies the lanes kept out of the
- * matrix's slots into the solve's own, each member the slots of its rows; a
- * later one repacks the solve's slots in place.  A narrowing takes one more
- * barrier, after which member 0 rewrites the list and the width; in step 4
- * no member reads the slots, the list or the width, and every member reads
- * the new ones after the step's barrier.  The (S, n) vectors stay where they
- * are: only the transpose and the write-back of the product go through the
- * list.
+ *   4. each member forms z, r'z, beta and p of its open lanes.
+ * The packed width starts at S and narrows down the ladder of widths
+ * (LADDER) before an iteration, to the narrowest rung that holds the open
+ * lanes.  Every narrowing is the same gather: each member copies the kept
+ * lanes of its rows' slots out of the matrix's slots, which hold every lane,
+ * into the solve's own; after one more barrier member 0 rewrites the list
+ * and the width, and every member reads the new ones after a second.  The
+ * (S, n) vectors stay where they are: only the transpose and the write-back
+ * of the product go through the list.
  *
  * Every row sum and every lane's dot is thus computed by exactly one member
  * with the arithmetic, and in the order, of a one-lane, one-member solve, so
@@ -748,18 +731,12 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
         rz[s] = lane_dot(n, r + s * n, apz + s * n);
 
     solve sv = {
-        .S = S, .n = n, .maxit = maxit, .open = open, .width = S, .slots = slots,
-        .m = m, .own = own, .list = list,
+        .S = S, .n = n, .maxit = maxit, .open = open, .width = S,
+        .m = m, .matrix = pack, .own = own, .list = list,
         .x = x, .r = r, .apz = apz, .p = p, .inv_diag = inv_diag, .xt = xt,
         .threshold = threshold, .r_norm = r_norm, .rz = rz, .history = history,
         .iterations = iterations, .converged = converged, .frozen = frozen,
     };
-    int64_t from[16];
-    const int64_t to = open > 0 ? narrow_plan(&sv, open, from) : S;
-    if (to < S) {
-        narrow_slots(&sv, to, from, 0, slots);
-        narrow_commit(&sv, to, from);
-    }
     const int64_t it = run_team(&sv, members, lmap, tiles, shares);
     *streamed = sv.streamed;
     if (it < 0)

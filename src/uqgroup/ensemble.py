@@ -46,8 +46,8 @@ S times that many lane-iterations (the work ratio R).
 What it executes is less.  The products narrow down a ladder of packed
 widths, 16, 4 and 1, once the open lanes fit the next one: when they do, the
 call copies the open lanes' values (padded with finished ones up to the
-width, whose products nobody reads) into slots of its own, which later
-narrowings repack in place, and goes on at that width: the dynamic
+width, whose products nobody reads) out of the matrix, which holds every
+lane, into slots of its own, and goes on at that width: the dynamic
 regrouping of GPU warps (Fung et al., MICRO 2007) applied to an embedded
 ensemble.  `LaneSolveResult.streamed_lane_iterations` counts the lane
 products actually formed.
@@ -62,7 +62,7 @@ runs it.
 A wide solve also runs on several threads itself.  After the serial Jacobi
 inverse, its iterations run on a team of pthreads: each member forms the
 product rows of its block of 64-row tiles (cut to hold about equal
-nonzeros), copies those rows' slots at the first narrowing and does the
+nonzeros), copies those rows' slots at each narrowing and does the
 updates, dots and convergence bookkeeping of its share of the open lanes,
 with a blocking barrier after each of the four steps of an iteration.  Every
 row sum and every lane's dot is computed by one member, in the order a
@@ -400,14 +400,15 @@ def ensemble_pcg(
     summed in storage order, as scipy's `diagonal()` of a lane sums them.
     Every lane needs a strictly positive diagonal and the right-hand sides
     must be finite (`EnsembleError` otherwise, before any iteration).
-    Convergence is per lane, relative to that lane's right-hand side.  Lanes
-    whose p'Ap underflows below the smallest positive normal are frozen: their
-    alpha is zeroed and they no longer block termination.  A lane stops at its
-    own convergence or freezing, so its solution, residual norms and count
-    are bitwise those of a one-lane solve of its system.  Once the open lanes
-    fit a narrower width of the ladder 16, 4, 1, the call copies their values
-    into a scratch of its own and goes on at that width; it never writes
-    `mat`.
+    Convergence is per lane, relative to that lane's right-hand side, at a
+    `tol` that must be a real number, positive and finite, and not a bool
+    (`EnsembleError` otherwise).  Lanes whose p'Ap underflows below the
+    smallest positive normal are frozen: their alpha is zeroed and they no
+    longer block termination.  A lane stops at its own convergence or
+    freezing, so its solution, residual norms and count are bitwise those of
+    a one-lane solve of its system.  Once the open lanes fit a narrower width
+    of the ladder 16, 4, 1, the call copies their values out of `mat` into a
+    scratch of its own and goes on at that width; it never writes `mat`.
 
     The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
     the Jacobi inverse from the packed diagonal before iteration 1.  Its
@@ -425,8 +426,8 @@ def ensemble_pcg(
     solve runs on the calling thread alone.  The result is bitwise the same
     for every team size.
     """
-    if tol <= 0 or not np.isfinite(tol):
-        raise EnsembleError(f"tol must be positive and finite, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
+        raise EnsembleError(f"tol must be a positive finite number, got {tol!r}")
     if not _is_count(maxit) or not 0 <= maxit < 2**63:
         raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
     if threads is None:
@@ -456,7 +457,7 @@ def ensemble_pcg(
     it = _PCG(
         S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.split.ctypes.data,
         mat.hrow.ctypes.data, mat.lmap.ctypes.data, mat.packed.ctypes.data, slots,
-        scratch.ctypes.data, tol, int(maxit), members, x.ctypes.data, work.ctypes.data,
+        scratch.ctypes.data, float(tol), int(maxit), members, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,
         streamed.ctypes.data,

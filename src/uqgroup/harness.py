@@ -583,7 +583,7 @@ class RunReport:
     @property
     def all_lanes_converged(self) -> bool:
         """False when a lane stopped unconverged; every R is then NaN."""
-        return not any(note.startswith(_UNCONVERGED_NOTE) for note in self.notes)
+        return not any(lv.unconverged_lanes for lv in self.levels)
 
     def level_ratios(self, strategy: str) -> list[float]:
         out = []

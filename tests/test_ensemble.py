@@ -291,7 +291,8 @@ def test_maxit_zero_reports_unconverged():
 
 def test_invalid_tolerance_rejected():
     ens = diag_ensemble([[1.0]])
-    for tol in (0.0, -1.0, float("inf"), float("nan")):
+    for tol in (0.0, -1.0, float("inf"), float("nan"), True, "1e-7", None,
+                np.array([1e-7, 1e-7])):
         with pytest.raises(EnsembleError):
             ensemble_pcg(ens, np.ones((1, 1)), tol=tol)
     with pytest.raises(EnsembleError):
@@ -882,8 +883,8 @@ def _storage(mat):
 def test_solve_never_writes_its_matrix(threads, monkeypatch):
     # Sixteen lanes, copies of three systems that converge at a < b < c: 12
     # of the first, 3 of the second, 1 of the third, so the solve narrows
-    # 16 -> 4 after iteration a (the copy out of the matrix, split over the
-    # team) and 4 -> 1 after b (in place, in the solve's own slots).
+    # 16 -> 4 after iteration a and 4 -> 1 after b, each a copy out of the
+    # matrix, split over the team.
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     system = _team_system(3, 96)
     counts = [_solo(system.matrix, system.rhs, s).iterations_per_lane[0] for s in range(3)]
