@@ -26,8 +26,19 @@ executes generation order, which its lane counters pin), and a 7-mode
 `pde_test2` run on a 7^3 mesh, given as a `--config` document that the
 script writes into its work directory (its modes (0,1,1), (1,0,1) and
 (1,1,0) take the second 1D factor on two axes, which no 4-mode preset
-reaches).  Prints one line per case, then, when `manifest.json` differs, up
-to five JSON paths whose values differ; exits 1 on any difference.
+reaches).
+
+Each `manifest.json` is also loaded by its own tree's `parse_manifest` in a
+subprocess on that tree's PYTHONPATH, so that the two files may differ in
+bytes across a change of the manifest format, and the values a tree derives
+on load are compared even when the bytes are equal.  A fixed list of
+attributes is compared, NaN equal to NaN: per level its number, sample
+columns, error indicator, QoI mean, truncation mark, every plan's strategy,
+order and R_l, all six lane counters and both prediction errors; per report
+its work_ratios, predicted_speedups, stop_reason and notes.  Prints one line
+per case: `identical`, `manifest moved, reports equal` (the case passes), or
+the differing files and up to five differing attributes; exits 1 on any
+difference other than a moved manifest.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -77,8 +88,29 @@ CONFIGS = {
     "pde_test2-7modes": {"problem": "pde_test2", "n_dims": 7},
 }
 
-# How many differing JSON paths to print per differing manifest.
+# How many differing attributes to print per differing manifest.
 SHOWN_PATHS = 5
+
+# Run in a subprocess on one tree's PYTHONPATH: prints the compared
+# attributes of each report in the manifest named by argv[1], as JSON.
+REPORT_ATTRIBUTES = """
+import json, sys
+from uqgroup.harness import parse_manifest
+LEVEL = ("level", "error_indicator", "mean_qoi", "budget_truncated",
+         "executed_lane_iterations", "streamed_lane_iterations", "useful_lane_iterations",
+         "spmv_calls", "frozen_lanes", "unconverged_lanes",
+         "mean_abs_prediction_error", "max_abs_prediction_error")
+SAMPLES = ("iterations", "predicted_iterations", "indicator")
+REPORT = ("work_ratios", "predicted_speedups", "stop_reason", "notes")
+print(json.dumps([
+    {"levels": [{**{k: getattr(lv, k) for k in LEVEL},
+                 "samples": {k: getattr(lv.samples, k) for k in SAMPLES},
+                 "plans": [[p.strategy, p.order, p.work_ratio] for p in lv.plans]}
+                for lv in report.levels],
+     **{k: getattr(report, k) for k in REPORT}}
+    for report in parse_manifest(sys.argv[1])
+]))
+"""
 
 
 def run_case(src: Path, args: list[str], out_dir: Path) -> int:
@@ -97,6 +129,16 @@ def differing_files(old: Path, new: Path) -> list[str]:
     )
 
 
+def report_attributes(src: Path, manifest: Path):
+    """The compared attributes of a manifest's reports, as its own tree's `parse_manifest` reads them."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    proc = subprocess.run([sys.executable, "-c", REPORT_ATTRIBUTES, str(manifest)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        return {"parse_manifest failed": proc.stderr.strip().splitlines()[-1:]}
+    return json.loads(proc.stdout)
+
+
 def json_differences(old, new, path: str = "$"):
     """Yield the paths at which two parsed JSON documents hold different values.
 
@@ -112,9 +154,10 @@ def json_differences(old, new, path: str = "$"):
         yield path
 
 
-def manifest_paths(old: Path, new: Path) -> list[str]:
-    """Up to SHOWN_PATHS paths whose values differ between two runs' manifests."""
-    old_doc, new_doc = (json.loads((d / "manifest.json").read_text()) for d in (old, new))
+def report_differences(old_src: Path, new_src: Path, old: Path, new: Path) -> list[str]:
+    """Up to SHOWN_PATHS attributes whose values differ between two runs' parsed reports."""
+    old_doc = report_attributes(old_src, old / "manifest.json")
+    new_doc = report_attributes(new_src, new / "manifest.json")
     return list(itertools.islice(json_differences(old_doc, new_doc), SHOWN_PATHS))
 
 
@@ -130,7 +173,7 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work_dir or Path(tmp)
-        differ = 0
+        differ = moved = 0
         for name, case_args in CASES.items():
             old, new = work / "old" / name, work / "new" / name
             if name in CONFIGS:
@@ -140,15 +183,24 @@ def main() -> int:
                 case_args = ["--config", str(config), *case_args]
             codes = (run_case(args.old_src, case_args, old), run_case(args.new_src, case_args, new))
             diffs = differing_files(old, new)
-            ok = codes[0] == codes[1] and not diffs
-            differ += not ok
+            paths = []
+            if all((d / "manifest.json").is_file() for d in (old, new)):
+                paths = report_differences(args.old_src, args.new_src, old, new)
+            if codes[0] != codes[1] or (diffs and diffs != ["manifest.json"]) or paths:
+                what = ["exit code"] * (codes[0] != codes[1]) + diffs + ["parsed reports"] * bool(paths)
+                verdict = "DIFFERENT: " + ", ".join(what)
+                differ += 1
+            elif diffs:
+                verdict = "manifest moved, reports equal"
+                moved += 1
+            else:
+                verdict = "identical"
             written = len(list(new.iterdir())) if new.is_dir() else 0
-            print(f"{name:<24} exit {codes[0]}/{codes[1]}  {written:>3} files  "
-                  + ("identical" if ok else "DIFFERENT: " + (", ".join(diffs) or "exit code")), flush=True)
-            if "manifest.json" in diffs and all((d / "manifest.json").is_file() for d in (old, new)):
-                for path in manifest_paths(old, new):
-                    print(f"    {path}")
-    print(f"{len(CASES) - differ} of {len(CASES)} cases identical")
+            print(f"{name:<24} exit {codes[0]}/{codes[1]}  {written:>3} files  {verdict}", flush=True)
+            for path in paths:
+                print(f"    {path}")
+    print(f"{len(CASES) - differ - moved} of {len(CASES)} cases identical, "
+          f"{moved} with the manifest moved and the reports equal")
     return 1 if differ else 0
 
 

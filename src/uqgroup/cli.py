@@ -3,7 +3,10 @@
 `uqgroup run` executes one grouped adaptive-refinement study and writes
 r_table.csv, manifest.json and iterations_by_level.csv into --out-dir;
 `uqgroup table` prints a previously written manifest as per-level rows: R_l
-per strategy, executed and useful lane-iterations, and the QoI mean.  Flags override
+per strategy, executed, streamed and useful lane-iterations, the mean and
+largest |predicted - iterations| of the surrogate's iteration counts (`-` on
+level 1, before a surrogate exists, and for analytic runs, whose counts are a
+closed-form proxy), and the QoI mean.  Flags override
 keys of the --config document or of the --problem preset.  Exit codes:
 0 when the run stopped on tolerance, 2 when it exhausted the sample budget,
 3 when a lane stopped unconverged (every R is then NaN), 1 on any error (bad
@@ -142,33 +145,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    manifest = args.out_dir / "manifest.json"
-    reports = parse_manifest(manifest)
-    for report in reports:
+    for report in parse_manifest(args.out_dir / "manifest.json"):
         cfg = report.config
         strategies = list(cfg["strategies"])
         print(f"problem={cfg['problem']} S={cfg['S']} stop={report.stop_reason} "
               f"samples={report.n_samples_total}")
-        # executed, streamed and useful lane-iterations; "-" for analytic runs
+        pde = cfg["problem"] in PDE_PROBLEMS
         print("  level  n_samples" + "".join(f"  R({s:>3})" for s in strategies)
-              + "    executed    streamed      useful    mean_qoi")
+              + "    executed    streamed      useful  mean_err   max_err    mean_qoi")
         for lv in report.levels:
-            by_strat = {p.strategy: p for p in lv.plans}
-            cells = "".join(
-                f"  {by_strat[s].work_ratio:6.3f}" if s in by_strat else "       -"
-                for s in strategies
-            )
+            cells = "".join(f"  {p.work_ratio:6.3f}" for p in lv.plans)
             counts = "".join(f"  {'-' if v is None else v:>10}"
                              for v in (lv.executed_lane_iterations, lv.streamed_lane_iterations,
                                        lv.useful_lane_iterations))
-            print(f"  {lv.level:5d}  {len(lv.samples):9d}{cells}{counts}  {lv.mean_qoi:10.6g}")
+            errors = "".join(f"  {'-':>8}" if v is None or not pde else f"  {v:8.3f}"
+                             for v in (lv.mean_abs_prediction_error, lv.max_abs_prediction_error))
+            print(f"  {lv.level:5d}  {len(lv.samples):9d}{cells}{counts}{errors}  {lv.mean_qoi:10.6g}")
         if strategies:
             total = "".join(f"  {report.work_ratios[s]:6.3f}" for s in strategies)
             print(f"  total           {total}")
             if report.predicted_speedups is not None:
-                pred = "".join(
-                    f"  {report.predicted_speedups[s]:6.3f}" for s in strategies
-                )
+                pred = "".join(f"  {report.predicted_speedups[s]:6.3f}" for s in strategies)
                 print(f"  speed-up        {pred}")
         print()
     return 0

@@ -99,13 +99,10 @@ class StructuredMesh:
     """
 
     cells: int
-    quadrature: str = "gauss2"
 
     def __post_init__(self) -> None:
         if self.cells < 2:
             raise FemError(f"need at least 2 cells per direction, got {self.cells}")
-        if self.quadrature != "gauss2":
-            raise FemError(f"unsupported quadrature {self.quadrature!r}")
         m = self.cells
         # A row couples at most 27 dofs; refused before anything is allocated.
         if 27 * (m - 1) ** 3 > np.iinfo(np.int32).max:

@@ -4,15 +4,18 @@ One run drives the four-step loop: group the current level's samples, solve
 them (in ensembles for PDE problems, by closed-form cost for the analytic
 ones), update the sparse-grid surrogates for the quantity of interest and for
 the iteration cost, then refine or stop.  Only the executed plan, `sur`'s
-when it is requested and a surrogate exists and generation order otherwise,
-is formed before the solves.  A lane's result is bitwise its solo solve, so
+from level 2 on when it is requested and generation order otherwise, is
+formed before the solves.  A lane's result is bitwise its solo solve, so
 the other strategies are accounting over the same per-sample counts, and
 `par` is keyed by the anisotropy indicator assembly returns for each lane.
 A level's samples are the grid nodes it added, and its coordinates, counts,
 QoIs, indicators and predictions are arrays aligned with their ids; a plan
 is an order of those ids, and its (ensembles x S) slot counts, which
-`compute_R` reduces, are one index into the count array.  A report keeps
-no ids, coordinates or ensembles: level sizes, grid and orders imply them.
+`compute_R` reduces, are one index into the count array.
+
+A level stores only what its run observed; `derive_levels` rebuilds the
+rest (plans, R, lane tallies, prediction errors) from it and the config,
+after the loop and for each report `parse_manifest` reads.
 
 Level numbering is 1-based: level 1 is the initial grid, solved as one batch
 and grouped in generation order for every strategy except the post-hoc "its"
@@ -68,6 +71,7 @@ __all__ = [
     "LevelRecord",
     "RunReport",
     "adaptive_run",
+    "derive_levels",
     "emit_reports",
     "parse_manifest",
     "read_base_curve",
@@ -80,15 +84,14 @@ PDE_PROBLEMS = ("pde_test1", "pde_test2", "pde_isotropic_baseline")
 QOI_CHANNEL = "qoi"
 ITER_CHANNEL = "iterations"
 
-# Prefix of the report note that marks a run with unconverged lanes.
-_UNCONVERGED_NOTE = "R and predicted speed-ups set to NaN"
-
 # The layout of manifest.json; `parse_manifest` reads this one only.
-MANIFEST_FORMAT = 3
+MANIFEST_FORMAT = 4
 
-# Per-level counters of the executed ensembles' lanes (`LevelRecord`).
-_LANE_COUNTERS = ("executed_lane_iterations", "streamed_lane_iterations",
-                  "useful_lane_iterations", "spmv_calls", "frozen_lanes", "unconverged_lanes")
+# Per-level counters of the executed ensembles' lanes that only the kernel knows (`LevelRecord`).
+_KERNEL_COUNTERS = ("streamed_lane_iterations", "frozen_lanes", "unconverged_lanes")
+
+# Field metadata of a value `derive_levels` computes: it is not written to the manifest.
+_DERIVED = {"derived": True}
 
 
 class ConfigurationError(ValueError):
@@ -100,17 +103,18 @@ class ConfigurationError(ValueError):
 #
 # Configs and reports are written and read by walking their dataclass fields
 # and type hints.  A field whose JSON key differs from its name carries the
-# key in its metadata.  Reading rejects unknown keys, missing required keys
-# and mistyped leaves, so a typo fails instead of being ignored.
+# key in its metadata, and a derived field is neither written nor read.
+# Reading rejects unknown keys, missing required keys and mistyped leaves, so
+# a typo fails instead of being ignored.
 
 
 @functools.cache
 def _schema(cls) -> tuple[tuple[str, str | tuple, object, bool], ...]:
-    """(attribute, JSON key, type hint, required) for each field of cls."""
+    """(attribute, JSON key, type hint, required) for each stored field of cls."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (f.name, f.metadata.get("key", f.name), hints[f.name], f.default is dataclasses.MISSING)
-        for f in dataclasses.fields(cls)
+        for f in dataclasses.fields(cls) if not f.metadata.get("derived")
     )
 
 
@@ -198,7 +202,6 @@ class FieldConfig:
 @dataclass(frozen=True)
 class MeshConfig:
     mesh_cells: int = 16
-    quadrature: str = "gauss2"
 
 
 @dataclass(frozen=True)
@@ -418,7 +421,7 @@ class _PdeProblem:
     def __init__(self, config: RunConfig):
         self.config = config
         self.field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
-        self.mesh = StructuredMesh(config.mesh.mesh_cells, config.mesh.quadrature)
+        self.mesh = StructuredMesh(config.mesh.mesh_cells)
         self.mode_vals = self.field.mode_values(self.mesh.quad_axes)
         self.box = tuple([(-1.0, 1.0)] * config.n_dims)
 
@@ -429,7 +432,7 @@ class _PdeProblem:
         first_id: int,
         residual_sink: Callable[[int, int, list[np.ndarray]], None] | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, int]]:
-        """Each sample's count, QoI and indicator, the notes and the `_LANE_COUNTERS` of the solves.
+        """Each sample's count, QoI and indicator, the notes and the `_KERNEL_COUNTERS` of the solves.
 
         The level's sample ids run from first_id, and coords[i] and entry i
         of each returned array belong to sample first_id + i.
@@ -445,16 +448,13 @@ class _PdeProblem:
         and every output is independent of the worker count.
         The first failing ensemble in plan order raises, and the ensembles
         not yet started are cancelled.
-
-        The replicas that pad the last ensemble add executed but no useful
-        lane-iterations.
         """
         slots = np.array(plan.ensembles) - first_id
         iters = np.zeros(len(coords), dtype=np.int64)
         qois = np.zeros(len(coords))
         indicators = np.zeros(len(coords))
         notes: list[str] = []
-        counts = dict.fromkeys(_LANE_COUNTERS, 0)
+        counts = dict.fromkeys(_KERNEL_COUNTERS, 0)
         record = residual_sink is not None
         cpus = len(os.sched_getaffinity(0))
         workers = min(cpus, len(slots))
@@ -484,14 +484,11 @@ class _PdeProblem:
                     if lanes.any():
                         notes.append(f"level {plan.level} ensemble {k}: "
                                      f"{np.count_nonzero(lanes)} lane(s) {how} unconverged")
-                counts["executed_lane_iterations"] += len(positions) * result.ensemble_iterations
                 counts["streamed_lane_iterations"] += result.streamed_lane_iterations
-                counts["spmv_calls"] += result.ensemble_iterations
                 counts["frozen_lanes"] += int(np.count_nonzero(result.frozen_lanes))
                 counts["unconverged_lanes"] += int(np.count_nonzero(stuck))
                 real = len(positions) - pad
                 iters[positions[:real]] = result.iterations_per_lane[:real]
-                counts["useful_lane_iterations"] += int(result.iterations_per_lane[:real].sum())
                 qois[positions[:real]] = [qoi(u) for u in result.solution[:real]]
                 indicators[positions[:real]] = indicator[:real]
         finally:
@@ -538,32 +535,33 @@ class PlanRecord:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One refinement level.
+    """One refinement level: what its run observed, then what `derive_levels` computes from it.
 
     mean_qoi is the mean of the QoI surrogate fitted through this level.
-    The lane counters sum over the level's executed ensembles (`sur`'s plan,
-    or generation order without `sur` or a surrogate) and are None for
-    analytic runs: executed lane-iterations are S times each ensemble's
-    iterations (the paper's lockstep accounting), streamed ones the lane
-    products the solves formed once each narrowed to its open lanes
-    (`LaneSolveResult.streamed_lane_iterations`), useful ones those of the
-    real (non-padding) lanes, and spmv_calls the ensembles' iterations.
+    The lane counters sum over the level's executed ensembles and are None
+    for analytic runs.  Only the kernel knows the streamed lane-iterations
+    (`LaneSolveResult.streamed_lane_iterations`), frozen and unconverged
+    lanes, so the manifest stores them.  The fields after them are derived,
+    not stored: the plans, executed lane-iterations (S times each ensemble's
+    largest count, the paper's lockstep accounting), useful ones (the real
+    samples' counts), spmv_calls (the ensembles' iterations) and the mean
+    and maximum of |predicted - iterations| (None on level 1).
     """
 
     level: int
     samples: LevelSamples
-    plans: tuple[PlanRecord, ...]
     error_indicator: float
     mean_qoi: float
-    mean_abs_prediction_error: float | None
-    max_abs_prediction_error: float | None
     budget_truncated: bool
-    executed_lane_iterations: int | None
     streamed_lane_iterations: int | None
-    useful_lane_iterations: int | None
-    spmv_calls: int | None
     frozen_lanes: int | None
     unconverged_lanes: int | None
+    plans: tuple[PlanRecord, ...] = dataclasses.field(default=(), metadata=_DERIVED)
+    executed_lane_iterations: int | None = dataclasses.field(default=None, metadata=_DERIVED)
+    useful_lane_iterations: int | None = dataclasses.field(default=None, metadata=_DERIVED)
+    spmv_calls: int | None = dataclasses.field(default=None, metadata=_DERIVED)
+    mean_abs_prediction_error: float | None = dataclasses.field(default=None, metadata=_DERIVED)
+    max_abs_prediction_error: float | None = dataclasses.field(default=None, metadata=_DERIVED)
 
 
 @dataclass(frozen=True)
@@ -586,16 +584,78 @@ class RunReport:
         return not any(lv.unconverged_lanes for lv in self.levels)
 
     def level_ratios(self, strategy: str) -> list[float]:
-        out = []
-        for lv in self.levels:
-            for p in lv.plans:
-                if p.strategy == strategy:
-                    out.append(p.work_ratio)
-        return out
+        return [p.work_ratio for lv in self.levels for p in lv.plans if p.strategy == strategy]
 
 
 # ---------------------------------------------------------------------------
-# the adaptive loop
+# the adaptive loop and its accounting
+
+
+def _executed(strategies: Sequence[str], level: int) -> str:
+    """The strategy whose plan a level solves: `sur` from level 2 on when requested, else `nat`."""
+    return "sur" if "sur" in strategies and level > 1 else "nat"
+
+
+def _plan(strategy: str, level: int, ids: range, S: int, keys: Mapping[str, Sequence[float]]) -> GroupingPlan:
+    """A strategy's plan of a level's ids: `its` by the counts, `sur` and `par` by their key from level 2 on."""
+    if strategy == "its":
+        return group_oracle(ids, keys["its"], S, level)
+    if strategy == "nat" or level == 1:
+        return group_natural(ids, S, level)
+    return group_by_key(ids, keys[strategy], S, level)
+
+
+def derive_levels(
+    config: RunConfig, levels: Sequence[LevelRecord]
+) -> tuple[tuple[LevelRecord, ...], dict[str, float], dict[str, float] | None]:
+    """The levels with their derived fields, the run's R per strategy and its predicted speed-ups.
+
+    A pure function of the config and what each level stores; ids run on
+    from the earlier levels' sizes.  A PDE level's lane tallies read its
+    executed plan.  An unconverged lane is charged the iterations it ran,
+    not those it needed, so such a run's R and speed-ups are all NaN and
+    `compute_R` is not called.
+    """
+    S = config.ensemble_size
+    trusted = not any(lv.unconverged_lanes for lv in levels)
+    accounting: dict[str, list[tuple[GroupingPlan, np.ndarray]]] = {s: [] for s in config.strategies}
+    tallies = []
+    first = 0
+    for lv in levels:
+        ids = range(first, first + len(lv.samples))
+        iters = np.array(lv.samples.iterations)
+        keys = {"its": iters, "sur": lv.samples.predicted_iterations, "par": lv.samples.indicator}
+        for strat in config.strategies:
+            plan = _plan(strat, lv.level, ids, S, keys)
+            accounting[strat].append((plan, iters[np.array(plan.ensembles) - first]))
+        tally = {}
+        if config.is_pde:
+            executed = _plan(_executed(config.strategies, lv.level), lv.level, ids, S, keys)
+            calls = int(iters[np.array(executed.ensembles) - first].max(axis=1).sum())
+            tally.update(executed_lane_iterations=S * calls, spmv_calls=calls,
+                         useful_lane_iterations=int(iters.sum()))
+        if lv.samples.predicted_iterations is not None:
+            err = np.abs(np.array(lv.samples.predicted_iterations) - iters)
+            tally.update(mean_abs_prediction_error=float(err.mean()),
+                         max_abs_prediction_error=float(err.max()))
+        tallies.append(tally)
+        first += len(lv.samples)
+
+    untrusted = ([math.nan] * len(levels), math.nan)
+    ratios = {s: compute_R(accounting[s]) if trusted else untrusted for s in config.strategies}
+    work_ratios = {s: total for s, (_, total) in ratios.items()}
+    speedups = None
+    if config.base_curve is not None and config.is_pde:
+        curve = dict(config.base_curve)
+        speedups = {strat: float(predicted_speedup(r, S, curve)) if trusted else math.nan
+                    for strat, r in work_ratios.items()}
+
+    derived = tuple(
+        dataclasses.replace(lv, **tally, plans=tuple(
+            PlanRecord(s, accounting[s][i][0].order, ratios[s][0][i]) for s in config.strategies))
+        for i, (lv, tally) in enumerate(zip(levels, tallies))
+    )
+    return derived, work_ratios, speedups
 
 
 def adaptive_run(
@@ -612,85 +672,43 @@ def adaptive_run(
     grid = HierGrid(config.n_dims, domain=problem.box)
     n_new = grid.add_initial_levels(config.initial_level)
 
-    S = config.ensemble_size
     policy = RefinementPolicy(tau=config.tau, channel=QOI_CHANNEL, max_points=config.n_max)
     notes: list[str] = []
     levels: list[LevelRecord] = []
-    accounting: dict[str, list[tuple[GroupingPlan, np.ndarray]]] = {s: [] for s in config.strategies}
     truncated_pending = False
-    unconverged = 0
-    stop_reason = None
-    level = 0
 
-    while True:
-        level += 1
+    for level in itertools.count(1):
         start = len(grid) - n_new
         ids = range(start, len(grid))
         coords = grid.node_coords()[start:]
 
         # Predictions for this level: the expansion is cut at the nodes
         # fitted through the previous level.
-        predicted = None
-        if level > 1:
-            predicted = grid.eval_many(ITER_CHANNEL, coords, n_nodes=start)
+        predicted = grid.eval_many(ITER_CHANNEL, coords, n_nodes=start) if level > 1 else None
 
-        # Solve each sample once, in the only plan formed before the solves:
-        # `sur`'s when there is a surrogate to key it, generation order otherwise.
-        natural = exec_plan = group_natural(ids, S, level)
-        if "sur" in config.strategies and predicted is not None:
-            exec_plan = group_by_key(ids, predicted, S, level)
+        # Solve each sample once, in the executed plan; `derive_levels`
+        # forms it again, with every other plan, from the counts.
         if config.is_pde:
-            iters, qois, indicator, solve_notes, counters = problem.solve_plan(exec_plan, coords, start, sink)
+            plan = _plan(_executed(config.strategies, level), level, ids, config.ensemble_size, {"sur": predicted})
+            iters, qois, indicator, solve_notes, counters = problem.solve_plan(plan, coords, start, sink)
             notes.extend(solve_notes)
-            unconverged += counters["unconverged_lanes"]
         else:
             iters = problem.iter_values(coords)
             qois = problem.qoi_values(coords)
             indicator = None
-            counters = dict.fromkeys(_LANE_COUNTERS)
-
-        # Every other plan is accounting over the counts and indicators in hand.
-        plan_records = []
-        for strat in config.strategies:
-            if strat == "sur":
-                plan = exec_plan
-            elif strat == "its":
-                plan = group_oracle(ids, iters, S, level)
-            elif strat == "nat" or level == 1:
-                plan = natural
-            else:  # "par"
-                plan = group_by_key(ids, indicator, S, level)
-            accounting[strat].append((plan, iters[np.array(plan.ensembles) - start]))
-            # R_l is filled in after the loop, from one compute_R per strategy.
-            plan_records.append(PlanRecord(strat, plan.order, math.nan))
+            counters = dict.fromkeys(_KERNEL_COUNTERS)
 
         # Update the surrogates with this level's data.
         grid.compute_surpluses({QOI_CHANNEL: qois, ITER_CHANNEL: iters})
-
-        pred_err_mean = pred_err_max = None
-        if predicted is not None:
-            err = np.abs(predicted - iters)
-            pred_err_mean = float(err.mean())
-            pred_err_max = float(err.max())
 
         samples = LevelSamples(
             iterations=tuple(iters.tolist()),
             predicted_iterations=None if predicted is None else tuple(predicted.tolist()),
             indicator=None if indicator is None else tuple(indicator.tolist()),
         )
-        levels.append(
-            LevelRecord(
-                level=level,
-                samples=samples,
-                plans=tuple(plan_records),
-                error_indicator=grid.error_indicator(QOI_CHANNEL),
-                mean_qoi=grid.integrate_surrogate(QOI_CHANNEL),
-                mean_abs_prediction_error=pred_err_mean,
-                max_abs_prediction_error=pred_err_max,
-                budget_truncated=truncated_pending,
-                **counters,
-            )
-        )
+        levels.append(LevelRecord(
+            level=level, samples=samples, error_indicator=grid.error_indicator(QOI_CHANNEL),
+            mean_qoi=grid.integrate_surrogate(QOI_CHANNEL), budget_truncated=truncated_pending, **counters))
 
         outcome = grid.refine(policy)
         if not outcome.n_new:
@@ -703,38 +721,16 @@ def adaptive_run(
             )
         n_new = outcome.n_new
 
-    per_level: dict[str, list[float]] = {}
-    work_ratios: dict[str, float] = {}
-    for strat in config.strategies:
-        per_level[strat], work_ratios[strat] = compute_R(accounting[strat])
-
-    speedups = None
-    if config.base_curve is not None:
-        if config.is_pde:
-            curve = dict(config.base_curve)
-            speedups = {
-                strat: float(predicted_speedup(r, S, curve)) for strat, r in work_ratios.items()
-            }
-        else:
-            notes.append("base curve ignored: analytic runs have no linear solver")
-
+    derived, work_ratios, speedups = derive_levels(config, levels)
+    if config.base_curve is not None and not config.is_pde:
+        notes.append("base curve ignored: analytic runs have no linear solver")
+    unconverged = sum(lv.unconverged_lanes or 0 for lv in levels)
     if unconverged:
-        # An unconverged lane is charged the iterations it ran, not those it
-        # needed, so no ratio of this run can be trusted.
-        notes.append(f"{_UNCONVERGED_NOTE}: {unconverged} lane(s) stopped unconverged")
-        per_level = {strat: [math.nan] * len(levels) for strat in per_level}
-        work_ratios = dict.fromkeys(work_ratios, math.nan)
-        if speedups is not None:
-            speedups = dict.fromkeys(speedups, math.nan)
-    for i, lv in enumerate(levels):
-        plans = tuple(
-            dataclasses.replace(p, work_ratio=per_level[p.strategy][i]) for p in lv.plans
-        )
-        levels[i] = dataclasses.replace(lv, plans=plans)
+        notes.append(f"R and predicted speed-ups set to NaN: {unconverged} lane(s) stopped unconverged")
 
     return RunReport(
         config=config.to_dict(),
-        levels=tuple(levels),
+        levels=derived,
         work_ratios=work_ratios,
         predicted_speedups=speedups,
         stop_reason=stop_reason,
@@ -764,9 +760,11 @@ def emit_reports(
     carry per-level ratios first, then one summary row per strategy.  The
     manifest is `{"format": MANIFEST_FORMAT, "reports": [...]}` on one line
     (compact separators, then a newline), each report in the `RunReport`
-    schema: a level's samples are one list per column, a plan is its order
-    and the grid is `HierGrid.to_json_dict`'s columns (`LevelSamples` and
-    `PlanRecord` say how to derive the rest).  Files contain no timestamps, so
+    schema without its derived fields: a level's samples are one list per
+    column, it keeps no plans and only the kernel's lane counters
+    (`LevelRecord`), and the grid is `HierGrid.to_json_dict`'s columns.  A
+    report keeps its work_ratios and predicted_speedups, which
+    `parse_manifest` checks against the ones it derives.  Files contain no timestamps, so
     identical runs emit identical bytes.  All texts are built first and each
     file is replaced whole: a failure leaves no partial file.
     """
@@ -781,18 +779,11 @@ def emit_reports(
     for report in reports:
         size = report.config["S"]
         for strat in report.config["strategies"]:
-            for lv in report.levels:
-                for plan in lv.plans:
-                    if plan.strategy != strat:
-                        continue
-                    writer.writerow(
-                        [strat, size, lv.level, len(plan.order), -(-len(plan.order) // size),
-                         _fmt(plan.work_ratio), "", ""]
-                    )
+            for lv, ratio in zip(report.levels, report.level_ratios(strat)):
+                n = len(lv.samples)
+                writer.writerow([strat, size, lv.level, n, -(-n // size), _fmt(ratio), "", ""])
         for strat in report.config["strategies"]:
-            speedup = None
-            if report.predicted_speedups is not None:
-                speedup = report.predicted_speedups.get(strat)
+            speedup = (report.predicted_speedups or {}).get(strat)
             writer.writerow(
                 [strat, size, "", "", "", "", _fmt(report.work_ratios[strat]), _fmt(speedup)]
             )
@@ -834,15 +825,28 @@ class _Manifest:
 
 
 def parse_manifest(path: str | Path) -> list[RunReport]:
-    """The reports of a manifest that `emit_reports` wrote.
+    """The reports of a manifest that `emit_reports` wrote, their derived fields rebuilt.
 
-    Only format `MANIFEST_FORMAT` is read: any other, such as format 2 (which
-    also stored ids, coordinates and ensembles), raises `ConfigurationError`.
+    Only format `MANIFEST_FORMAT` is read: any other, such as format 3 (which
+    also stored each level's plans with their R_l, its executed and useful
+    lane-iterations, SpMV calls and prediction errors), raises
+    `ConfigurationError`.  Each report's levels pass through `derive_levels`,
+    and a report whose stored work_ratios or predicted_speedups are not
+    bitwise the derived ones (NaN matching NaN) is refused.
     """
     doc = json.loads(Path(path).read_text())
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if type(fmt) is not int or fmt != MANIFEST_FORMAT:
         raise ConfigurationError(
             f"{path}: manifest format {fmt!r} is not format {MANIFEST_FORMAT}, the only one this "
-            f"version reads (format 2 also stored ids, coordinates and ensembles; older ones have no format key)")
-    return list(_load(_Manifest, doc, "manifest").reports)
+            f"version reads (format 3 also stored plans, R_l and lane tallies, format 2 also ids, "
+            f"coordinates and ensembles; older ones have no format key)")
+    reports = []
+    for i, stored in enumerate(_load(_Manifest, doc, "manifest").reports):
+        levels, work_ratios, speedups = derive_levels(config_from_dict(stored.config), stored.levels)
+        # repr round-trips a float exactly, so equal JSON texts are equal bits.
+        if json.dumps([work_ratios, speedups]) != json.dumps([stored.work_ratios, stored.predicted_speedups]):
+            raise ConfigurationError(
+                f"{path}: report {i}'s work_ratios or predicted_speedups are not those its levels give")
+        reports.append(dataclasses.replace(stored, levels=levels))
+    return reports

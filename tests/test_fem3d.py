@@ -84,8 +84,6 @@ def test_quad_axes_broadcast_to_the_quad_points(cells):
 def test_mesh_validation():
     with pytest.raises(FemError):
         StructuredMesh(1)
-    with pytest.raises(FemError):
-        StructuredMesh(8, quadrature="gauss3")
 
 
 def test_qoi_basics():

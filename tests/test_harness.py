@@ -37,6 +37,9 @@ from uqgroup import (
 from uqgroup import cli, harness
 from uqgroup import ensemble as ensemble_module
 from uqgroup.harness import (
+    LevelRecord,
+    LevelSamples,
+    PlanRecord,
     RunReport,
     analytic_iters,
     analytic_qoi,
@@ -481,6 +484,7 @@ def test_strategy_choice_does_not_change_physics():
 
 def test_repeat_run_identical(g1_report):
     again = adaptive_run(preset_config("analytic_g1"))
+    assert again == g1_report
     assert harness._dump(again) == harness._dump(g1_report)
 
 
@@ -537,8 +541,14 @@ def test_corner_run_hand_ratio(corner_report):
 
 def test_report_dict_round_trip(corner_report):
     doc = harness._dump(corner_report)
+    # a level stores what its run observed; derive_levels restores the rest
+    assert set(doc["levels"][0]) == {"level", "samples", "error_indicator", "mean_qoi", "budget_truncated",
+                                     "streamed_lane_iterations", "frozen_lanes", "unconverged_lanes"}
     back = harness._load(RunReport, doc, "report")
-    assert back == corner_report
+    assert back.levels[0].plans == () and back.levels[0].executed_lane_iterations is None
+    levels, ratios, speedups = harness.derive_levels(config_from_dict(back.config), back.levels)
+    assert dataclasses.replace(back, levels=levels) == corner_report
+    assert (ratios, speedups) == (corner_report.work_ratios, corner_report.predicted_speedups)
     # the dict itself must be JSON-clean
     assert json.loads(json.dumps(doc)) == doc
 
@@ -556,8 +566,13 @@ def test_report_from_dict_rejects_unknown_and_missing_keys(corner_report):
     with pytest.raises(ConfigurationError, match="unequal length"):
         harness._load(RunReport, doc, "report")
     doc = harness._dump(corner_report)
-    del doc["levels"][0]["plans"][0]["R_l"]
-    with pytest.raises(ConfigurationError, match="missing key 'R_l'"):
+    del doc["levels"][0]["mean_qoi"]
+    with pytest.raises(ConfigurationError, match="missing key 'mean_qoi'"):
+        harness._load(RunReport, doc, "report")
+    # derived fields are not read back either
+    doc = harness._dump(corner_report)
+    doc["levels"][0]["plans"] = []
+    with pytest.raises(ConfigurationError, match=r"levels\[0\]: unknown key\(s\) 'plans'"):
         harness._load(RunReport, doc, "report")
 
 
@@ -566,6 +581,7 @@ def test_emit_and_parse_round_trip(tmp_path, corner_report, g1_report):
     paths = emit_reports(reports, tmp_path)
     assert set(paths) == {"table", "manifest", "iterations"}
     back = parse_manifest(paths["manifest"])
+    assert back == reports
     assert [harness._dump(r) for r in back] == [harness._dump(r) for r in reports]
 
 
@@ -618,16 +634,20 @@ def test_emit_is_deterministic(tmp_path, corner_report):
 def test_manifest_format(tmp_path, corner_report):
     paths = emit_reports(corner_report, tmp_path)
     text = paths["manifest"].read_text()
-    doc = {"format": 3, "reports": [harness._dump(corner_report)]}
+    doc = {"format": 4, "reports": [harness._dump(corner_report)]}
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
     assert text.count("\n") == 1
-    level = json.loads(text)["reports"][0]["levels"][0]
-    # ids, coordinates, ensembles and padding are derived, not stored
+    report = json.loads(text)["reports"][0]
+    level = report["levels"][0]
+    # ids, coordinates, ensembles, padding, plans and the lane tallies other
+    # than the kernel's are derived, not stored; a report keeps its R
     assert set(level["samples"]) == {"iterations", "predicted_iterations", "indicator"}
     assert level["samples"]["indicator"] is None
-    assert [set(p) for p in level["plans"]] == [{"strategy", "order", "R_l"}] * 2
-    assert level["plans"][0]["order"] == [0, 1, 2, 3]
-    for key in ("sample_id", "coords", "ensembles", "padding"):
+    assert level["streamed_lane_iterations"] is None
+    assert report["work_ratios"] == corner_report.work_ratios
+    for key in ("sample_id", "coords", "ensembles", "padding", "plans", "order", "R_l",
+                "executed_lane_iterations", "useful_lane_iterations", "spmv_calls",
+                "mean_abs_prediction_error", "max_abs_prediction_error"):
         assert f'"{key}"' not in text
 
 
@@ -699,8 +719,10 @@ def test_derived_values_are_the_solved_ones(tmp_path, monkeypatch, request, name
     monkeypatch.setattr(harness._PdeProblem, "solve_plan", capture_solve)
     monkeypatch.setattr(harness._AnalyticProblem, "iter_values", capture_iters)
     monkeypatch.setattr(harness, "compute_R", capture_R)
-    [report] = parse_manifest(emit_reports(adaptive_run(config), tmp_path)["manifest"])
-    assert report == want
+    run = adaptive_run(config)
+    monkeypatch.undo()  # parse_manifest derives the plans once more
+    [report] = parse_manifest(emit_reports(run, tmp_path)["manifest"])
+    assert report == run == want
 
     coords = HierGrid.from_json_dict(report.grid).node_coords()
     for first, lv, (first_id, got) in zip(_first_ids(report), report.levels, solved, strict=True):
@@ -715,6 +737,85 @@ def test_derived_values_are_the_solved_ones(tmp_path, monkeypatch, request, name
             assert derived == plan
             got = iters[np.array(derived.ensembles)]
             assert got.dtype == slots.dtype and got.tobytes() == slots.tobytes()
+
+
+def _stored_level(level, iterations, predicted=None, indicator=None, unconverged=None):
+    return LevelRecord(level=level, samples=LevelSamples(iterations, predicted, indicator), error_indicator=0.0,
+                       mean_qoi=0.0, budget_truncated=False, streamed_lane_iterations=None if unconverged is None else 0,
+                       frozen_lanes=None if unconverged is None else 0, unconverged_lanes=unconverged)
+
+
+@pytest.mark.parametrize("unconverged", [0, 1], ids=["converged", "unconverged"])
+def test_derive_levels_of_a_padded_pde_run_without_sur(monkeypatch, unconverged):
+    config = preset_config("pde_test1", ensemble_size=3, strategies=("nat", "par", "its"), base_curve=((3, 2.0),))
+    stored = (_stored_level(1, (5, 7, 6, 9), None, (0.4, 0.1, 0.3, 0.2), unconverged=0),
+              _stored_level(2, (10, 4, 4, 8, 6), (9.5, 4.0, 5.0, 7.0, 6.5), (0.5, 0.1, 0.2, 0.4, 0.3),
+                            unconverged=unconverged))
+    if unconverged:
+        monkeypatch.setattr(harness, "compute_R", None)  # an untrusted run never reduces its counts
+    levels, ratios, speedups = harness.derive_levels(config, stored)
+    # Width 3 pads both levels' last ensembles.  Level 1 keeps generation
+    # order for nat and par: (0, 1, 2) (3, 3, 3) cost 3 * (7 + 9) = 48 over
+    # 27; its gives the short group the smallest sample: (2, 1, 3) (0, 0, 0)
+    # cost 3 * (9 + 5) = 42.  Level 2: nat (4, 5, 6) (7, 8, 8) costs
+    # 3 * (10 + 8) = 54 over 32, par by indicator (5, 6, 8) (7, 4, 4)
+    # 3 * (6 + 10) = 48 and its (8, 7, 4) (5, 6, 6) 3 * (10 + 4) = 42.
+    orders = [{"nat": (0, 1, 2, 3), "par": (0, 1, 2, 3), "its": (2, 1, 3, 0)},
+              {"nat": (4, 5, 6, 7, 8), "par": (5, 6, 8, 7, 4), "its": (8, 7, 4, 5, 6)}]
+    want_R = [{"nat": 48 / 27, "par": 48 / 27, "its": 42 / 27}, {"nat": 54 / 32, "par": 48 / 32, "its": 42 / 32}]
+    want_total = {"nat": 102 / 59, "par": 96 / 59, "its": 84 / 59}
+    if unconverged:
+        want_R = [dict.fromkeys(r, math.nan) for r in want_R]
+        want_total = dict.fromkeys(want_total, math.nan)
+    for lv, order, r in zip(levels, orders, want_R, strict=True):
+        assert _same(lv.plans, tuple(PlanRecord(s, order[s], r[s]) for s in config.strategies))
+    assert _same(ratios, want_total)
+    assert _same(speedups, {s: 2.0 / r for s, r in want_total.items()})
+    # without sur both levels execute generation order
+    assert [(lv.executed_lane_iterations, lv.spmv_calls, lv.useful_lane_iterations) for lv in levels] == [
+        (48, 16, 27), (54, 18, 32)]
+    assert (levels[0].mean_abs_prediction_error, levels[0].max_abs_prediction_error) == (None, None)
+    # |predicted - iterations| = 0.5, 0, 1, 1, 0.5
+    assert (levels[1].mean_abs_prediction_error, levels[1].max_abs_prediction_error) == (0.6, 1.0)
+    assert [dataclasses.replace(lv, plans=(), executed_lane_iterations=None, useful_lane_iterations=None,
+                                spmv_calls=None, mean_abs_prediction_error=None, max_abs_prediction_error=None)
+            for lv in levels] == list(stored)
+
+
+def test_derive_levels_of_an_analytic_run():
+    config = preset_config("analytic_g1", ensemble_size=2, base_curve=((2, 1.5),))
+    stored = (_stored_level(1, (1.5, 1.25, 1.75)), _stored_level(2, (1.0, 2.0, 1.5, 1.25), (0.5, 2.5, 1.75, 1.0)))
+    levels, ratios, speedups = harness.derive_levels(config, stored)
+    # Level 1: nat and sur (0, 1) (2, 2) cost 2 * (1.5 + 1.75) = 6.5 over
+    # 4.5, its (0, 2) (1, 1) 2 * (1.75 + 1.25) = 6.  Level 2: nat (3, 4)
+    # (5, 6) costs 2 * (2 + 1.5) = 7 over 5.75; sur by prediction and its
+    # both give (3, 6) (5, 4), 2 * (1.25 + 2) = 6.5.
+    orders = [{"nat": (0, 1, 2), "sur": (0, 1, 2), "its": (0, 2, 1)},
+              {"nat": (3, 4, 5, 6), "sur": (3, 6, 5, 4), "its": (3, 6, 5, 4)}]
+    want_R = [{"nat": 6.5 / 4.5, "sur": 6.5 / 4.5, "its": 6 / 4.5},
+              {"nat": 7 / 5.75, "sur": 6.5 / 5.75, "its": 6.5 / 5.75}]
+    for lv, order, r in zip(levels, orders, want_R, strict=True):
+        assert lv.plans == tuple(PlanRecord(s, order[s], r[s]) for s in config.strategies)
+    assert ratios == {"nat": 13.5 / 10.25, "sur": 13 / 10.25, "its": 12.5 / 10.25}
+    assert speedups is None  # analytic runs have no solver to speed up
+    for lv in levels:
+        assert (lv.executed_lane_iterations, lv.useful_lane_iterations, lv.spmv_calls) == (None, None, None)
+    # |predicted - iterations| = 0.5, 0.5, 0.25, 0.25
+    assert (levels[1].mean_abs_prediction_error, levels[1].max_abs_prediction_error) == (0.375, 0.5)
+
+
+@pytest.mark.parametrize("key, strategy, value", [("work_ratios", "sur", "next"), ("predicted_speedups", "nat", 1.0)],
+                         ids=["one-ulp-ratio", "speedup-for-nan"])
+def test_parse_manifest_refuses_stored_values_that_are_not_the_derived_ones(tmp_path, capped_report, pde_report,
+                                                                            key, strategy, value):
+    report = pde_report if key == "work_ratios" else capped_report
+    path = emit_reports(report, tmp_path)["manifest"]
+    doc = json.loads(path.read_text())
+    stored = doc["reports"][0][key]
+    stored[strategy] = math.nextafter(stored[strategy], math.inf) if value == "next" else value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="work_ratios or predicted_speedups are not those its levels give"):
+        parse_manifest(path)
 
 
 def test_lane_counters_agree_with_the_accounting(pde_report):
@@ -817,8 +918,10 @@ def test_capped_run_counts_its_unconverged_lanes(capped_report):
 
 
 def test_analytic_levels_carry_no_lane_counters(g1_report):
+    counters = ("executed_lane_iterations", "streamed_lane_iterations", "useful_lane_iterations",
+                "spmv_calls", "frozen_lanes", "unconverged_lanes")
     for lv in g1_report.levels:
-        assert all(getattr(lv, name) is None for name in harness._LANE_COUNTERS)
+        assert all(getattr(lv, name) is None for name in counters)
 
 
 def test_mean_qoi_is_the_surrogate_mean_through_each_level(g1_report):
@@ -833,10 +936,10 @@ def test_mean_qoi_is_the_surrogate_mean_through_each_level(g1_report):
 
 @pytest.mark.parametrize(
     "top, match",
-    [({}, "format None is not format 3"), ({"format": 1}, "format 1 is not"),
-     ({"format": 2}, "format 2 is not"), ({"format": "3"}, "format '3' is not"),
-     ({"format": 3.0}, "format 3.0 is not")],
-    ids=["no-format-key", "format-1", "format-2", "string-format", "float-format"],
+    [({}, "format None is not format 4"), ({"format": 1}, "format 1 is not"),
+     ({"format": 2}, "format 2 is not"), ({"format": "4"}, "format '4' is not"),
+     ({"format": 4.0}, "format 4.0 is not"), ({"format": 3}, "format 3 is not format 4.*format 3 also stored plans")],
+    ids=["no-format-key", "format-1", "format-2", "string-format", "float-format", "format-3"],
 )
 def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, match):
     path = tmp_path / "manifest.json"
@@ -847,7 +950,7 @@ def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, matc
 
 def test_parse_manifest_rejects_unknown_top_level_keys(tmp_path, corner_report):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"format": 3, "reports": [harness._dump(corner_report)], "extra": 1}))
+    path.write_text(json.dumps({"format": 4, "reports": [harness._dump(corner_report)], "extra": 1}))
     with pytest.raises(ConfigurationError, match="'extra'"):
         parse_manifest(path)
 
@@ -1097,20 +1200,22 @@ def test_cli_table(tmp_path, capsys):
     assert cli_main(["table", "--out-dir", str(out)]) == 0
     text = capsys.readouterr().out
     assert "problem=analytic_g2" in text and "total" in text
-    # analytic runs have no lane counters
-    assert text.splitlines()[2].split()[-3:-1] == ["-", "-"]
+    # analytic runs have no lane counters, and their errors are not printed
+    assert all(line.split()[-6:-1] == ["-"] * 5 for line in text.splitlines()[2:4])
 
 
 def test_cli_table_prints_lane_counters_and_mean_qoi(tmp_path, capsys, pde_report):
     emit_reports(pde_report, tmp_path)
     assert cli_main(["table", "--out-dir", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1].split()[-4:] == ["executed", "streamed", "useful", "mean_qoi"]
+    assert lines[1].split()[-6:] == ["executed", "streamed", "useful", "mean_err", "max_err", "mean_qoi"]
     for lv, line in zip(pde_report.levels, lines[2:]):
         cells = line.split()
         assert cells[0] == str(lv.level)
-        assert cells[-4:] == [str(lv.executed_lane_iterations), str(lv.streamed_lane_iterations),
-                              str(lv.useful_lane_iterations), f"{lv.mean_qoi:.6g}"]
+        errors = ["-", "-"] if lv.level == 1 else [f"{lv.mean_abs_prediction_error:.3f}",
+                                                   f"{lv.max_abs_prediction_error:.3f}"]
+        assert cells[-6:] == [str(lv.executed_lane_iterations), str(lv.streamed_lane_iterations),
+                              str(lv.useful_lane_iterations), *errors, f"{lv.mean_qoi:.6g}"]
 
 
 def test_qois_and_grids_do_not_depend_on_the_width():
@@ -1141,7 +1246,7 @@ def test_cli_table_refuses_an_old_manifest(tmp_path, capsys, corner_report):
     # the layout before format 2: no format key, indented
     (tmp_path / "manifest.json").write_text(json.dumps({"reports": [harness._dump(corner_report)]}, indent=1))
     assert cli_main(["table", "--out-dir", str(tmp_path)]) == 1
-    assert "manifest format None is not format 3" in capsys.readouterr().err
+    assert "manifest format None is not format 4" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
@@ -1186,6 +1291,21 @@ def test_cli_unconverged_lanes_exit_three(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "R(nat) = nan" in text and "hit maxit" in text
     assert not parse_manifest(out / "manifest.json")[0].all_lanes_converged
+
+
+def test_cli_maxit_zero_exits_three_with_every_ratio_nan(tmp_path, capsys):
+    # every lane stops unconverged at count 0, so no level has ideal work to divide by
+    out = tmp_path / "run"
+    code = cli_main(["run", "--problem", "pde_test1", "--maxit", "0", "--mesh-cells", "4", "--n-max", "60",
+                     "--out-dir", str(out)])
+    assert code == 3
+    capsys.readouterr()
+    assert sorted(f.name for f in out.iterdir()) == ["iterations_by_level.csv", "manifest.json", "r_table.csv"]
+    rows = [line.split(",") for line in (out / "r_table.csv").read_text().splitlines()[1:]]
+    assert rows and all(row[5] == "nan" or row[6] == "nan" for row in rows)
+    [report] = parse_manifest(out / "manifest.json")
+    assert all(math.isnan(r) for r in report.work_ratios.values())
+    assert all(math.isnan(p.work_ratio) for lv in report.levels for p in lv.plans)
 
 
 def test_cli_flags_override_config_file_keys(tmp_path):
