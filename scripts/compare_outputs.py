@@ -16,17 +16,21 @@ per level through the solve pool, in one 8-lane chunk), one at width 32 on a
 10^3 mesh (its solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as
 lanes converge), one at width 64 on a 6^3 mesh (four 16-lane chunks, its
 solves narrowing from 64 down that ladder), one that dumps every ensemble's
-residual history, one cut off by a low `--maxit` (exit 3), one whose only
+residual history, one cut off by a low `--maxit` (exit 3), one at
+`--maxit 0` (exit 3: every solution is the zero start, so every surplus is
+0 and the refinement alone would stop on tolerance), one whose only
 level is one width-16 ensemble on a 32^3 mesh (12 M lane-nonzeros, so on a
 machine of two or more CPUs its solve runs on a thread team), one whose
 only ensemble is 48 distinct samples on a 20^3 mesh (8.0 M lane-nonzeros, so
 a team too, which splits each of its narrowings from 48 to 16, 16 to 4 and 4
 to 1 lanes), one that requests `nat`, `par` and `its` but not `sur` (it
-executes generation order, which its lane counters pin), and a 7-mode
+executes generation order, which its lane counters pin), a 7-mode
 `pde_test2` run on a 7^3 mesh, given as a `--config` document that the
 script writes into its work directory (its modes (0,1,1), (1,0,1) and
 (1,1,0) take the second 1D factor on two axes, which no 4-mode preset
-reaches).
+reaches), and a `pde_test1` run whose `--config` document sets the field
+block's sigma0 and a_min, a partial block that both a tree with the flat
+field block and one with the nested format-4 block read.
 
 Each `manifest.json` is also loaded by its own tree's `parse_manifest` in a
 subprocess on that tree's PYTHONPATH, so that the two files may differ in
@@ -74,6 +78,7 @@ CASES = {
                             "--dump-residuals"],
     "pde_test1-maxit30": ["--problem", "pde_test1", "--maxit", "30", "--mesh-cells", "8",
                           "--n-max", "100"],
+    "pde_test1-maxit0": ["--problem", "pde_test1", "--maxit", "0", "--mesh-cells", "4", "--n-max", "60"],
     "pde_test1-S16-32cube": ["--problem", "pde_test1", "--S", "16", "--mesh-cells", "32",
                              "--initial-level", "0", "--n-max", "16"],
     "pde_test2-S48-team": ["--problem", "pde_test2", "--S", "48", "--mesh-cells", "20",
@@ -81,11 +86,13 @@ CASES = {
     "pde_test1-no-sur": ["--problem", "pde_test1", "--strategies", "nat,par,its", "--mesh-cells", "8",
                          "--n-max", "100"],
     "pde_test2-7modes": ["--mesh-cells", "7", "--initial-level", "0", "--n-max", "200"],
+    "pde_test1-field": ["--mesh-cells", "8", "--n-max", "100"],
 }
 
 # Cases run from a JSON configuration document; the flags of CASES override it.
 CONFIGS = {
     "pde_test2-7modes": {"problem": "pde_test2", "n_dims": 7},
+    "pde_test1-field": {"problem": "pde_test1", "field": {"sigma0": 10.0, "a_min": 0.2}},
 }
 
 # How many differing attributes to print per differing manifest.

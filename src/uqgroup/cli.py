@@ -7,10 +7,12 @@ per strategy, executed, streamed and useful lane-iterations, the mean and
 largest |predicted - iterations| of the surrogate's iteration counts (`-` on
 level 1, before a surrogate exists, and for analytic runs, whose counts are a
 closed-form proxy), and the QoI mean.  Flags override
-keys of the --config document or of the --problem preset.  Exit codes:
-0 when the run stopped on tolerance, 2 when it exhausted the sample budget,
-3 when a lane stopped unconverged (every R is then NaN), 1 on any error (bad
-flags included).
+keys of the --config document or of the --problem preset; a PDE problem's
+field block holds sigma0, a_min and a_hat ("constant" or "test2").  The stop
+reason is tolerance_met, budget_exhausted, or lanes_unconverged whenever a
+lane stopped unconverged.  Exit codes: 0 when the run stopped on tolerance,
+2 when it exhausted the sample budget, 3 when a lane stopped unconverged
+(every R is then NaN), 1 on any error (bad flags included).
 """
 
 from __future__ import annotations
@@ -147,10 +149,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     for report in parse_manifest(args.out_dir / "manifest.json"):
         cfg = report.config
-        strategies = list(cfg["strategies"])
-        print(f"problem={cfg['problem']} S={cfg['S']} stop={report.stop_reason} "
+        strategies = cfg.strategies
+        print(f"problem={cfg.problem} S={cfg.ensemble_size} stop={report.stop_reason} "
               f"samples={report.n_samples_total}")
-        pde = cfg["problem"] in PDE_PROBLEMS
+        pde = cfg.is_pde
         print("  level  n_samples" + "".join(f"  R({s:>3})" for s in strategies)
               + "    executed    streamed      useful  mean_err   max_err    mean_qoi")
         for lv in report.levels:

@@ -1,7 +1,7 @@
 """Trilinear finite elements for anisotropic diffusion on the unit cube.
 
 -div(A grad u) = f on [0, 1]^3 with homogeneous Dirichlet boundary and
-A = diag(a(x, y), a_y, a_z).  The mesh is a uniform hexahedral grid with m
+A = diag(a(x, y), 1, 1).  The mesh is a uniform hexahedral grid with m
 cells per direction; boundary nodes are eliminated, leaving (m-1)^3 unknowns.
 Element integrals use 2x2x2 Gauss quadrature, which is exact for the
 trilinear products involved, and the first diffusion coefficient is sampled
@@ -92,8 +92,8 @@ class StructuredMesh:
     see `_spmv.c`), an int32 (E, 36) table of the packed slot of each
     element's corner pair a <= b, a-major (-1 where a corner lies on the
     boundary), the (8, 36) x-direction element matrices of those pairs at
-    the 8 quadrature points, the y and z ones summed over them, and the unit
-    load vector.
+    the 8 quadrature points, the sum of the y and z ones over them, and the
+    unit load vector.
     Meshes whose 27-point bound on the nonzeros does not fit int32 indices
     are refused.
     """
@@ -188,8 +188,8 @@ class StructuredMesh:
         # Only the pairs a <= b are kept: the element matrices are bitwise
         # symmetric (a product of two gradients is the same either way round).
         self._dx = np.ascontiguousarray(elem_mats[0].reshape(8, 64)[:, _UPPER])
-        self._dy_sum = elem_mats[1].sum(axis=0).reshape(64)[_UPPER]
-        self._dz_sum = elem_mats[2].sum(axis=0).reshape(64)[_UPPER]
+        # The y and z coefficients are 1, so their element matrices enter as one sum.
+        self._dyz_sum = (elem_mats[1].sum(axis=0) + elem_mats[2].sum(axis=0)).reshape(64)[_UPPER]
         # Unit load vector: each element adds int phi_a = h^3 / 8 at its
         # interior corners, and every interior node is a corner of 8
         # elements; the 8 terms are added in sequence, as a scatter would.
@@ -228,22 +228,21 @@ def assemble(
     # Each lane's least and greatest value, (S, 2).  A NaN reaches the min,
     # and "not all > 0" refuses it along with non-positive coefficients.
     bounds = np.stack([a_vals.min(axis=1), a_vals.max(axis=1)], axis=1)
-    if not (np.all(bounds[:, 0] > 0) and field.a_y > 0 and field.a_z > 0):
+    if not np.all(bounds[:, 0] > 0):
         raise FemError("non-positive or NaN diffusion coefficient at a quadrature point")
     a_vals = np.ascontiguousarray(a_vals, dtype=np.float64)
 
-    # K_e(lane) = sum_q a(x_q) Dx_q + a_y * sum_q Dy_q + a_z * sum_q Dz_q
-    k_yz = field.a_y * mesh._dy_sum + field.a_z * mesh._dz_sum
+    # K_e(lane) = sum_q a(x_q) Dx_q + sum_q (Dy_q + Dz_q)
     packed = np.zeros((mesh.n_slots, S))
     _ASSEMBLE(
         S, len(mesh.element_dofs), a_vals.ctypes.data, mesh._dx.ctypes.data,
-        k_yz.ctypes.data, mesh._pair_slots.ctypes.data, packed.ctypes.data,
+        mesh._dyz_sum.ctypes.data, mesh._pair_slots.ctypes.data, packed.ctypes.data,
     )
     matrix = EnsembleCsrMatrix.from_packed(mesh.row_offsets, mesh.col_indices, mesh.split,
                                            mesh.hrow, mesh.lmap, packed)
     rhs = np.tile(mesh._load, (S, 1))
     return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy(),
-                                   indicator=anisotropy_indicator(field, bounds))
+                                   indicator=anisotropy_indicator(bounds))
 
 
 def qoi(u: np.ndarray) -> float:

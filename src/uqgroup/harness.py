@@ -20,7 +20,13 @@ after the loop and for each report `parse_manifest` reads.
 Level numbering is 1-based: level 1 is the initial grid, solved as one batch
 and grouped in generation order for every strategy except the post-hoc "its"
 oracle.  Predicted iteration counts for level L always come from the
-surrogate state fitted through level L-1.
+surrogate state fitted through level L-1.  A run whose lanes did not all
+converge stops with the reason "lanes_unconverged", whatever its
+refinement read, since that refinement read untrusted QoIs.
+
+A PDE run's field block sets only sigma0, a_min and the a_hat mode of the
+log-KL coefficient (`random_field`); the analytic problems have one fixed
+QoI band and cost profile, module constants here.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ __all__ = [
     "SolverConfig",
     "FieldConfig",
     "MeshConfig",
-    "AnalyticConfig",
     "RunConfig",
     "preset_config",
     "config_from_dict",
@@ -85,7 +90,7 @@ QOI_CHANNEL = "qoi"
 ITER_CHANNEL = "iterations"
 
 # The layout of manifest.json; `parse_manifest` reads this one only.
-MANIFEST_FORMAT = 4
+MANIFEST_FORMAT = 5
 
 # Per-level counters of the executed ensembles' lanes that only the kernel knows (`LevelRecord`).
 _KERNEL_COUNTERS = ("streamed_lane_iterations", "frozen_lanes", "unconverged_lanes")
@@ -109,7 +114,7 @@ class ConfigurationError(ValueError):
 
 
 @functools.cache
-def _schema(cls) -> tuple[tuple[str, str | tuple, object, bool], ...]:
+def _schema(cls) -> tuple[tuple[str, str, object, bool], ...]:
     """(attribute, JSON key, type hint, required) for each stored field of cls."""
     hints = typing.get_type_hints(cls)
     return tuple(
@@ -186,34 +191,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    delta: float = 0.25
+    """The log-KL coefficient's arguments to `build_field`; its mode count is the run's n_dims."""
+
     sigma0: float = math.sqrt(300.0)
     a_min: float = 0.1
-    # Tuple keys: JSON cannot spell them, so only the nested a_hat block sets these.
-    a_hat_mode: str = dataclasses.field(default="constant", metadata={"key": ("a_hat", "mode")})
-    a_hat_value: float = dataclasses.field(default=1.0, metadata={"key": ("a_hat", "value")})
-    a_y: float = 1.0
-    a_z: float = 1.0
-    nystrom_points: int = 513
-    sigma0_convention: str = "stddev"
-    expansion: str = "log"
+    a_hat: str = "constant"  # or "test2"
 
 
 @dataclass(frozen=True)
 class MeshConfig:
     mesh_cells: int = 16
-
-
-@dataclass(frozen=True)
-class AnalyticConfig:
-    """Parameters of the closed-form QoI and iteration-cost proxies."""
-
-    a1: float = 2.0
-    a2: float = 2.0
-    u1: float = 0.0
-    u2: float = 0.0
-    r1: float = 0.25
-    r2: float = 0.65
 
 
 @dataclass(frozen=True)
@@ -228,7 +215,6 @@ class RunConfig:
     solver: SolverConfig
     field: FieldConfig | None = None
     mesh: MeshConfig | None = None
-    analytic: AnalyticConfig | None = None
     base_curve: tuple[tuple[int, float], ...] | None = None
     dump_residuals: bool = False
 
@@ -259,8 +245,6 @@ class RunConfig:
         else:
             if self.n_dims != 2:
                 raise ConfigurationError("analytic problems are two-dimensional")
-            if self.analytic is None:
-                raise ConfigurationError(f"{self.problem} needs an analytic block")
             if self.field is not None or self.mesh is not None:
                 raise ConfigurationError("field and mesh blocks apply only to PDE problems")
             if "par" in self.strategies:
@@ -279,38 +263,12 @@ class RunConfig:
         return self.problem in PDE_PROBLEMS
 
     def to_dict(self) -> dict:
-        return _config_out(_dump(self))
-
-
-# The field block repeats n_dims as "N" and nests a_hat as {mode, value};
-# these two functions move between that layout and FieldConfig's flat keys.
-def _config_out(doc: dict) -> dict:
-    f = doc["field"]
-    if f is not None:
-        head = {"delta": f.pop("delta"), "sigma0": f.pop("sigma0"), "N": doc["n_dims"],
-                "a_min": f.pop("a_min"),
-                "a_hat": {"mode": f.pop(("a_hat", "mode")), "value": f.pop(("a_hat", "value"))}}
-        doc["field"] = {**head, **f}
-    return doc
-
-
-def _config_in(doc: Mapping) -> dict:
-    doc = dict(doc)
-    if isinstance(doc.get("field"), Mapping):
-        f = doc["field"] = dict(doc["field"])
-        a_hat = f.pop("a_hat", {})
-        if not isinstance(a_hat, Mapping):
-            raise ConfigurationError(f"config.field.a_hat: expected an object, got {a_hat!r}")
-        f.update((("a_hat", k), v) for k, v in a_hat.items())
-        n_modes = f.pop("N", None)
-        if n_modes is not None and doc.setdefault("n_dims", n_modes) != n_modes:
-            raise ConfigurationError("field block N disagrees with n_dims")
-    return doc
+        return _dump(self)
 
 
 _ANALYTIC_PRESET = dict(
     n_dims=2, ensemble_size=8, tau=5e-4, n_max=1000, initial_level=2,
-    strategies=("nat", "sur", "its"), solver=SolverConfig(), analytic=AnalyticConfig(),
+    strategies=("nat", "sur", "its"), solver=SolverConfig(),
 )
 _PDE_PRESET = dict(
     n_dims=4, ensemble_size=4, tau=1e-3, n_max=600, initial_level=1,
@@ -322,16 +280,12 @@ def preset_config(problem: str, **overrides) -> RunConfig:
     """Build a RunConfig for a named problem with sensible per-problem defaults."""
     kw = dict(_ANALYTIC_PRESET if problem in ANALYTIC_PROBLEMS else _PDE_PRESET, problem=problem)
     if problem == "pde_isotropic_baseline":
-        # Constant isotropic coefficient: the premise that every sample costs
-        # the same number of iterations, realised exactly.
-        kw["field"] = FieldConfig(sigma0=0.0, a_min=0.0, a_hat_value=1.0, expansion="linear")
+        # a = 0 + 1 * exp(0) = 1 everywhere: the premise that every sample
+        # costs the same number of iterations, realised exactly.
+        kw["field"] = FieldConfig(sigma0=0.0, a_min=0.0)
     elif problem in PDE_PROBLEMS:
-        # sqrt(300) under the kernel convention keeps the log-amplitudes
-        # around +-8; the stddev convention would overflow exp at the corners.
-        kw["field"] = FieldConfig(
-            sigma0_convention="kernel",
-            a_hat_mode="test2" if problem == "pde_test2" else "constant",
-        )
+        # sigma0 = sqrt(300) keeps the log-amplitudes around +-8.
+        kw["field"] = FieldConfig(a_hat="test2" if problem == "pde_test2" else "constant")
     kw.update(overrides)
     return RunConfig(**kw)
 
@@ -342,7 +296,7 @@ def config_from_dict(doc: Mapping) -> RunConfig:
     Absent keys, also inside blocks, take the preset's values; unknown keys raise."""
     if not isinstance(doc, Mapping) or "problem" not in doc:
         raise ConfigurationError("configuration needs a 'problem' key")
-    return _load(RunConfig, _config_in(doc), "config", preset_config(doc["problem"]))
+    return _load(RunConfig, doc, "config", preset_config(doc["problem"]))
 
 
 def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
@@ -369,12 +323,18 @@ def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
 # analytic problem functions
 
 
-def analytic_qoi(y: np.ndarray, which: str, r1: float = 0.25, r2: float = 0.65) -> np.ndarray:
+# The squared radii of g2's band, and the rate a^2 of the cost profile's
+# Gaussian bump (a = 2 on both axes, centred at the origin).
+_G2_R1, _G2_R2 = 0.25, 0.65
+_PROFILE_RATE = 4.0
+
+
+def analytic_qoi(y: np.ndarray, which: str) -> np.ndarray:
     """Closed-form quantities of interest on a batch of 2D points.
 
     "g1" is a smooth sum of Gaussian bumps on [-2, 2]^2; "g2" is a radial
-    indicator on [0, 1]^2 equal to 1 inside y1^2+y2^2 < r1, 0 on the middle
-    band up to r2 and 1 outside.
+    indicator on [0, 1]^2 equal to 1 inside y1^2+y2^2 < 0.25, 0 on the middle
+    band up to 0.65 and 1 outside.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
     y1, y2 = y[:, 0], y[:, 1]
@@ -386,16 +346,14 @@ def analytic_qoi(y: np.ndarray, which: str, r1: float = 0.25, r2: float = 0.65) 
         )
     if which == "g2":
         s = y1**2 + y2**2
-        return np.where((s >= r1) & (s <= r2), 0.0, 1.0)
+        return np.where((s >= _G2_R1) & (s <= _G2_R2), 0.0, 1.0)
     raise ConfigurationError(f"unknown analytic QoI {which!r}")
 
 
-def analytic_iters(
-    y: np.ndarray, a1: float = 2.0, a2: float = 2.0, u1: float = 0.0, u2: float = 0.0
-) -> np.ndarray:
-    """Smooth synthetic solver-cost profile: a Gaussian bump plus a floor of 1."""
+def analytic_iters(y: np.ndarray) -> np.ndarray:
+    """Smooth synthetic solver-cost profile: a unit Gaussian bump at the origin plus a floor of 1."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    return np.exp(-(a1**2) * (y[:, 0] - u1) ** 2 - (a2**2) * (y[:, 1] - u2) ** 2) + 1.0
+    return np.exp(-_PROFILE_RATE * y[:, 0] ** 2 - _PROFILE_RATE * y[:, 1] ** 2) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +362,21 @@ def analytic_iters(
 
 class _AnalyticProblem:
     def __init__(self, config: RunConfig):
-        self.config = config
         self.which = "g1" if config.problem == "analytic_g1" else "g2"
         self.box = ((-2.0, 2.0), (-2.0, 2.0)) if self.which == "g1" else ((0.0, 1.0), (0.0, 1.0))
 
     def qoi_values(self, coords: np.ndarray) -> np.ndarray:
-        a = self.config.analytic
-        return analytic_qoi(coords, self.which, a.r1, a.r2)
+        return analytic_qoi(coords, self.which)
 
     def iter_values(self, coords: np.ndarray) -> np.ndarray:
-        a = self.config.analytic
-        return analytic_iters(coords, a.a1, a.a2, a.u1, a.u2)
+        return analytic_iters(coords)
 
 
 class _PdeProblem:
     def __init__(self, config: RunConfig):
         self.config = config
-        self.field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
+        f = config.field
+        self.field = build_field(f.sigma0, config.n_dims, f.a_min, f.a_hat)
         self.mesh = StructuredMesh(config.mesh.mesh_cells)
         self.mode_vals = self.field.mode_values(self.mesh.quad_axes)
         self.box = tuple([(-1.0, 1.0)] * config.n_dims)
@@ -566,7 +522,7 @@ class LevelRecord:
 
 @dataclass(frozen=True)
 class RunReport:
-    config: dict
+    config: RunConfig
     levels: tuple[LevelRecord, ...]
     work_ratios: dict
     predicted_speedups: dict | None
@@ -726,10 +682,11 @@ def adaptive_run(
         notes.append("base curve ignored: analytic runs have no linear solver")
     unconverged = sum(lv.unconverged_lanes or 0 for lv in levels)
     if unconverged:
+        stop_reason = "lanes_unconverged"
         notes.append(f"R and predicted speed-ups set to NaN: {unconverged} lane(s) stopped unconverged")
 
     return RunReport(
-        config=config.to_dict(),
+        config=config,
         levels=derived,
         work_ratios=work_ratios,
         predicted_speedups=speedups,
@@ -777,12 +734,12 @@ def emit_reports(
     writer = csv.writer(table, lineterminator="\n")
     writer.writerow(["strategy", "S", "level", "n_samples", "n_ensembles", "R_l", "R", "pred_speedup"])
     for report in reports:
-        size = report.config["S"]
-        for strat in report.config["strategies"]:
+        size = report.config.ensemble_size
+        for strat in report.config.strategies:
             for lv, ratio in zip(report.levels, report.level_ratios(strat)):
                 n = len(lv.samples)
                 writer.writerow([strat, size, lv.level, n, -(-n // size), _fmt(ratio), "", ""])
-        for strat in report.config["strategies"]:
+        for strat in report.config.strategies:
             speedup = (report.predicted_speedups or {}).get(strat)
             writer.writerow(
                 [strat, size, "", "", "", "", _fmt(report.work_ratios[strat]), _fmt(speedup)]
@@ -827,23 +784,26 @@ class _Manifest:
 def parse_manifest(path: str | Path) -> list[RunReport]:
     """The reports of a manifest that `emit_reports` wrote, their derived fields rebuilt.
 
-    Only format `MANIFEST_FORMAT` is read: any other, such as format 3 (which
-    also stored each level's plans with their R_l, its executed and useful
-    lane-iterations, SpMV calls and prediction errors), raises
-    `ConfigurationError`.  Each report's levels pass through `derive_levels`,
-    and a report whose stored work_ratios or predicted_speedups are not
-    bitwise the derived ones (NaN matching NaN) is refused.
+    Only format `MANIFEST_FORMAT` is read: any other, such as format 4 (whose
+    config also held field and analytic settings no run varied) or format 3
+    (which also stored each level's plans with their R_l, its executed and
+    useful lane-iterations, SpMV calls and prediction errors), raises
+    `ConfigurationError`.  A report's config is read as a `RunConfig`, and its
+    levels pass through `derive_levels`; a report whose stored work_ratios or
+    predicted_speedups are not bitwise the derived ones (NaN matching NaN) is
+    refused.
     """
     doc = json.loads(Path(path).read_text())
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if type(fmt) is not int or fmt != MANIFEST_FORMAT:
         raise ConfigurationError(
             f"{path}: manifest format {fmt!r} is not format {MANIFEST_FORMAT}, the only one this "
-            f"version reads (format 3 also stored plans, R_l and lane tallies, format 2 also ids, "
-            f"coordinates and ensembles; older ones have no format key)")
+            f"version reads (format 4 also stored field and analytic settings no run varied, format 3 "
+            f"also plans, R_l and lane tallies, format 2 also ids, coordinates and ensembles; older "
+            f"ones have no format key)")
     reports = []
     for i, stored in enumerate(_load(_Manifest, doc, "manifest").reports):
-        levels, work_ratios, speedups = derive_levels(config_from_dict(stored.config), stored.levels)
+        levels, work_ratios, speedups = derive_levels(stored.config, stored.levels)
         # repr round-trips a float exactly, so equal JSON texts are equal bits.
         if json.dumps([work_ratios, speedups]) != json.dumps([stored.work_ratios, stored.predicted_speedups]):
             raise ConfigurationError(

@@ -1,24 +1,26 @@
 """Truncated Karhunen-Loeve diffusion coefficients on the unit cube.
 
-The covariance exp(-||x - x'||_1 / delta) on [0, 1]^3 is separable, so its
-eigenpairs are products of eigenpairs of the 1D kernel exp(-|x - x'|/delta) on
-[0, 1].  The 1D problems are solved numerically with a Nystrom discretisation
-(uniform grid, trapezoid weights, symmetrised eigenproblem with a tridiagonal
-inverse); eigenfunctions are tabulated and evaluated by linear interpolation.
-A 3D mode is evaluated from its three 1D factors, each interpolated at one
-axis's coordinates, so on a tensor grid of points (a mesh's quadrature
-points) only the grid's distinct coordinates per axis are interpolated.
+The covariance sigma0 exp(-||x - x'||_1 / delta) on [0, 1]^3, with the
+correlation length delta = 0.25, is separable, so its eigenpairs are
+products of eigenpairs of the 1D kernel exp(-|x - x'|/delta) on [0, 1].  The
+1D problems are solved numerically with a Nystrom discretisation (a uniform
+513-point grid, trapezoid weights, symmetrised eigenproblem with a
+tridiagonal inverse); eigenfunctions are tabulated and evaluated by linear
+interpolation.  A 3D mode is evaluated from its three 1D factors, each
+interpolated at one axis's coordinates, so on a tensor grid of points (a
+mesh's quadrature points) only the grid's distinct coordinates per axis are
+interpolated.
 
 A field instance evaluates the diffusion coefficient in the first spatial
-direction as
+direction as the log expansion
 
     a(x, y) = a_min + a_hat(y) * exp(sum_n sqrt(lambda_n) b_n(x) y_n)
 
-(log expansion) or with the exponential replaced by 1 + sum(...) (linear
-expansion), with constant cross-direction coefficients a_y, a_z.  The overall
-variance factor sigma0 can scale either the 3D eigenvalues by sigma0^2
-("stddev" convention, amplitudes proportional to sigma0) or by sigma0
-("kernel" convention, sigma0 multiplying the covariance itself).
+with unit coefficients in the second and third directions.  sigma0
+multiplies the covariance itself (the kernel convention), so the 3D
+eigenvalues carry a factor sigma0 and the amplitudes one of sqrt(sigma0).
+a_hat is 1, or for the "test2" mode a piecewise constant of the sample's
+radius.
 
 `anisotropy_indicator`, the `par` grouping key, reads coefficient values
 the caller formed (assembly returns it per lane) and evaluates no field.
@@ -40,6 +42,11 @@ __all__ = [
     "build_field",
     "anisotropy_indicator",
 ]
+
+
+# The correlation length of the covariance and the points of the Nystrom grid.
+CORRELATION_LENGTH = 0.25
+NYSTROM_POINTS = 513
 
 
 class FieldError(ValueError):
@@ -114,22 +121,16 @@ def eigenpairs_1d(delta: float, count: int, grid_points: int = 513) -> list[Eige
 
 @dataclass(frozen=True)
 class KLDiffusionField:
-    """Truncated 3D KL expansion driving an anisotropic diffusion tensor.
+    """Truncated 3D KL expansion driving the diffusion tensor diag(a, 1, 1).
 
     modes[n] = (p, q, r) selects the 1D factors of the n-th 3D eigenfunction
     b_n(x) = e_p(x0) e_q(x1) e_r(x2); eigenvalues already carry the sigma0
-    scaling.  a_y and a_z are the constant coefficients of the second and
-    third spatial directions.
+    scaling.
     """
 
-    delta: float
     sigma0: float
     a_min: float
     a_hat_mode: str  # "constant" | "test2"
-    a_hat_value: float
-    a_y: float
-    a_z: float
-    expansion: str  # "log" | "linear"
     eigenvalues: np.ndarray  # (N,)
     modes: tuple[tuple[int, int, int], ...]
     factors: tuple[Eigenpair1D, ...]
@@ -142,14 +143,13 @@ class KLDiffusionField:
         """Sample-dependent amplitude; rows of y are samples."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.a_hat_mode == "constant":
-            return np.full(len(y), self.a_hat_value)
+            return np.ones(len(y))
         if self.a_hat_mode == "test2":
             # Piecewise amplitude over the sample-space radius: small core,
             # large middle shell, intermediate outside.
             d = math.sqrt(3.0)
             r = np.sqrt((y**2).sum(axis=1))
-            out = np.where(r < d / 4.0, 1.0, np.where(r < d / 2.0, 100.0, 10.0))
-            return self.a_hat_value * out
+            return np.where(r < d / 4.0, 1.0, np.where(r < d / 2.0, 100.0, 10.0))
         raise FieldError(f"unknown a_hat mode {self.a_hat_mode!r}")
 
     def mode_values(self, points) -> np.ndarray:
@@ -206,34 +206,18 @@ class KLDiffusionField:
         # product rounds differently for one row than for several, which
         # would make a lane's coefficient depend on its ensemble width.
         fluct = np.matmul((samples * amplitudes)[:, None, :], mode_vals)[:, 0, :]  # (S, P)
-        if self.expansion == "log":
-            fluct = np.exp(fluct)
-        elif self.expansion == "linear":
-            fluct = 1.0 + fluct
-        else:
-            raise FieldError(f"unknown expansion {self.expansion!r}")
+        # Rebound, so the product is freed before the next (S, P) array is made.
+        fluct = np.exp(fluct)
         return self.a_min + self.a_hat(samples)[:, None] * fluct
 
 
-def build_field(
-    delta: float,
-    sigma0: float,
-    n_modes: int,
-    a_min: float,
-    a_hat_mode: str = "constant",
-    a_hat_value: float = 1.0,
-    a_y: float = 1.0,
-    a_z: float = 1.0,
-    nystrom_points: int = 513,
-    sigma0_convention: str = "stddev",
-    expansion: str = "log",
-) -> KLDiffusionField:
+def build_field(sigma0: float, n_modes: int, a_min: float, a_hat_mode: str = "constant") -> KLDiffusionField:
     """Assemble the leading `n_modes` 3D KL modes from 1D Nystrom factors.
 
-    Candidate 3D eigenvalues are scale * (lambda_p lambda_q lambda_r) with
-    scale = sigma0^2 ("stddev") or sigma0 ("kernel"); ties in the descending
-    eigenvalue sort break lexicographically on (p, q, r).  Enough 1D modes are
-    computed that no excluded product could outrank a kept one.
+    Candidate 3D eigenvalues are sigma0 * (lambda_p lambda_q lambda_r); ties
+    in the descending eigenvalue sort break lexicographically on (p, q, r).
+    Enough 1D modes are computed that no excluded product could outrank a
+    kept one.
     """
     if n_modes < 1:
         raise FieldError(f"n_modes must be >= 1, got {n_modes}")
@@ -241,22 +225,14 @@ def build_field(
         raise FieldError(f"sigma0 must be >= 0, got {sigma0}")
     if a_min < 0:
         raise FieldError(f"a_min must be >= 0, got {a_min}")
-    if sigma0_convention == "stddev":
-        scale = sigma0**2
-    elif sigma0_convention == "kernel":
-        scale = sigma0
-    else:
-        raise FieldError(f"unknown sigma0 convention {sigma0_convention!r}")
     if a_hat_mode not in ("constant", "test2"):
         raise FieldError(f"unknown a_hat mode {a_hat_mode!r}")
-    if expansion not in ("log", "linear"):
-        raise FieldError(f"unknown expansion {expansion!r}")
 
-    if n_modes > nystrom_points**3:
-        raise FieldError(f"cannot form {n_modes} 3D modes on a {nystrom_points}-point grid")
-    n1 = min(max(2, n_modes), nystrom_points)
+    if n_modes > NYSTROM_POINTS**3:
+        raise FieldError(f"cannot form {n_modes} 3D modes on a {NYSTROM_POINTS}-point grid")
+    n1 = min(max(2, n_modes), NYSTROM_POINTS)
     while True:
-        factors = eigenpairs_1d(delta, n1, nystrom_points)
+        factors = eigenpairs_1d(CORRELATION_LENGTH, n1, NYSTROM_POINTS)
         lams = np.array([f.eigenvalue for f in factors])
         # (p, q, r) rows in lexicographic order.  Each product is formed over
         # its sorted indices, so the products of one index multiset tie
@@ -267,39 +243,25 @@ def build_field(
         kept = np.argsort(-products, kind="stable")[:n_modes]
         # Any excluded product with an index >= n1 is at most lams[n1-1]*lams[0]^2.
         best_excluded_bound = lams[n1 - 1] * lams[0] ** 2
-        if products[kept[-1]] >= best_excluded_bound or n1 == nystrom_points:
+        if products[kept[-1]] >= best_excluded_bound or n1 == NYSTROM_POINTS:
             break
-        n1 = min(n1 * 2, nystrom_points)
+        n1 = min(n1 * 2, NYSTROM_POINTS)
 
-    eigenvalues = scale * products[kept]
     modes = tuple(tuple(int(i) for i in triples[k]) for k in kept)
-    return KLDiffusionField(
-        delta=delta,
-        sigma0=sigma0,
-        a_min=a_min,
-        a_hat_mode=a_hat_mode,
-        a_hat_value=a_hat_value,
-        a_y=a_y,
-        a_z=a_z,
-        expansion=expansion,
-        eigenvalues=eigenvalues,
-        modes=modes,
-        factors=tuple(factors),
-    )
+    return KLDiffusionField(sigma0=sigma0, a_min=a_min, a_hat_mode=a_hat_mode,
+                            eigenvalues=sigma0 * products[kept], modes=modes, factors=tuple(factors))
 
 
-def anisotropy_indicator(field: KLDiffusionField, a_vals: np.ndarray) -> np.ndarray:
-    """Worst local anisotropy ratio of diag(a, a_y, a_z) over the last axis of a_vals.
+def anisotropy_indicator(a_vals: np.ndarray) -> np.ndarray:
+    """Worst local anisotropy ratio of diag(a, 1, 1) over the last axis of a_vals.
 
     Each row of values of a, say at one sample's quadrature points, gives one
-    indicator.  With m <= M the values of a_y and a_z, max(a, M) / min(a, m)
-    does not rise with a below m, is flat on [m, M] and does not fall above
-    M, and correctly rounded division keeps that order, so a row's least and
-    greatest values give its indicator bitwise.  Usable from level 1 on.
+    indicator.  max(a, 1) / min(a, 1) falls with a below 1 and rises with it
+    above, and correctly rounded division keeps that order, so a row's least
+    and greatest values give its indicator bitwise.  Usable from level 1 on.
     """
     a_vals = np.asarray(a_vals, dtype=float)
-    hi = np.maximum(a_vals, max(field.a_y, field.a_z))
-    lo = np.minimum(a_vals, min(field.a_y, field.a_z))
+    lo = np.minimum(a_vals, 1.0)
     if np.any(lo <= 0):
         raise FieldError("anisotropy indicator needs strictly positive coefficients")
-    return np.max(hi / lo, axis=-1)
+    return np.max(np.maximum(a_vals, 1.0) / lo, axis=-1)

@@ -343,12 +343,10 @@ def center_dof(cells):
     return int(np.argmin(((coords - 0.5) ** 2).sum(axis=1)))
 
 
-def anisotropy_indicator_max(a_vals, a_y, a_z):
-    """The largest max(a, a_y, a_z) / min(a, a_y, a_z) over every given value a."""
+def anisotropy_indicator_max(a_vals):
+    """The largest max(a, 1) / min(a, 1) over every given value a: diag(a, 1, 1)'s worst ratio."""
     a = np.asarray(a_vals, dtype=float).ravel()
-    hi = np.maximum(np.maximum(a, a_y), a_z)
-    lo = np.minimum(np.minimum(a, a_y), a_z)
-    return float((hi / lo).max())
+    return float((np.maximum(a, 1.0) / np.minimum(a, 1.0)).max())
 
 
 def kron_stiffness(m, a=(1.0, 1.0, 1.0)):
@@ -486,8 +484,8 @@ def gather_mesh_tables(cells):
         "lmap": lmap.astype(np.int32),
         "_pair_slots": np.ascontiguousarray(pair_slots, dtype=np.int32),
         "_dx": np.ascontiguousarray(elem_mats[0].reshape(8, 64)[:, upper_pairs]),
-        "_dy_sum": elem_mats[1].sum(axis=0).reshape(64)[upper_pairs],
-        "_dz_sum": elem_mats[2].sum(axis=0).reshape(64)[upper_pairs],
+        "_dyz_sum": elem_mats[1].sum(axis=0).reshape(64)[upper_pairs]
+        + elem_mats[2].sum(axis=0).reshape(64)[upper_pairs],
         "_load": load,
     }
 
@@ -508,13 +506,13 @@ def pointwise_mode_values(field, points):
     return out
 
 
-def einsum_assemble(mesh, a_vals, a_y, a_z):
+def einsum_assemble(mesh, a_vals):
     """The einsum + per-lane bincount assembly of trilinear hex stiffness.
 
     Reads only `mesh.element_dofs` ((E, 8) dofs, -1 on the boundary),
     `mesh.h` and `mesh.n_dofs`; `a_vals` is the (S, E*8) coefficient at each
     element's quadrature points.  Element matrices per lane are
-    sum_q a_q Dx_q + a_y sum_q Dy_q + a_z sum_q Dz_q, formed with one einsum
+    sum_q a_q Dx_q + sum_q Dy_q + sum_q Dz_q, formed with one einsum
     over all lanes; the graph comes from np.unique over every interior
     corner pair, and each lane's values are scattered with one np.bincount.
     Returns (row_offsets, col_indices, values (nnz, S), rhs (S, n_dofs)).
@@ -526,7 +524,7 @@ def einsum_assemble(mesh, a_vals, a_y, a_z):
     a_vals = np.asarray(a_vals, dtype=float)
     S = len(a_vals)
     k_x = np.einsum("seq,qab->seab", a_vals.reshape(S, n_elem, 8), mats[0])
-    k_yz = a_y * mats[1].sum(axis=0) + a_z * mats[2].sum(axis=0)
+    k_yz = mats[1].sum(axis=0) + mats[2].sum(axis=0)
     k_all = (k_x + k_yz).reshape(S, -1)
 
     rows = np.repeat(dofs, 8, axis=1).ravel()

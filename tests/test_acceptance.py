@@ -265,8 +265,7 @@ def test_criterion_7_numerical_kernels():
 
         # FEM Laplacian: coarse-mesh centre values sit within 2e-3 of a fine
         # reference computed by an independent Kronecker assembly
-        lap = build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
-                          a_hat_value=1.0, expansion="linear")
+        lap = build_field(sigma0=0.0, n_modes=1, a_min=0.0)
 
         def center_value(cells):
             mesh = StructuredMesh(cells)

@@ -638,8 +638,7 @@ def test_entry_without_a_mirror():
 # symmetric, at the scalar width, one chunk of 4 and of 16, and three chunks.
 @pytest.mark.parametrize("width", [1, 4, 16, 33])
 def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
-    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     samples = np.random.default_rng(40 + width).uniform(-1.0, 1.0, (width, 4))
     system = assemble(StructuredMesh(6), field, samples)
     for s in range(width):
@@ -672,8 +671,7 @@ def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
     # kernels run on other buffers; every other round each solve runs on a
     # team of two on the 729 rows (twelve row tiles).
     monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
-    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     mesh = StructuredMesh(10)
     rng = np.random.default_rng(77)
     jobs = [[rng.uniform(-1.0, 1.0, (width, 4)) for width in (1, 4, 7)] for _ in range(2)]
@@ -714,8 +712,7 @@ def _team_system(width, seed):
     """A width-lane stiffness system on the 343 rows (six row tiles) of an
     8^3 mesh; teams of up to four members split it into blocks of one to
     three tiles."""
-    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     samples = np.random.default_rng(seed).uniform(-1.0, 1.0, (width, 4))
     return assemble(StructuredMesh(8), field, samples)
 
@@ -925,8 +922,7 @@ def test_assembly_and_solve_allocate_no_nnz_by_lanes_buffer():
     # values, about half that; the solve's own buffers (work vectors, a
     # lanes-last x, the narrowed slots) are smaller still.  Either peak, above
     # what was held before, would reach the bound with such a buffer.
-    field = build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     mesh = StructuredMesh(12)
     mode_vals = field.mode_values(mesh.quad_axes)
     samples = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4))

@@ -27,14 +27,12 @@ from _oracles import (
 @pytest.fixture(scope="module")
 def lap_field():
     """Constant unit coefficient: the plain Laplacian."""
-    return build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
-                       a_hat_value=1.0, expansion="linear")
+    return build_field(sigma0=0.0, n_modes=1, a_min=0.0)
 
 
 @pytest.fixture(scope="module")
 def kl_field():
-    return build_field(delta=0.25, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                       sigma0_convention="kernel")
+    return build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
 
 
 def solve_one(mesh, field, sample, tol=1e-10, maxit=4000):
@@ -101,11 +99,11 @@ def test_qoi_basics():
 
 
 def test_constant_coefficient_matrix_matches_kronecker_oracle(lap_field):
-    aniso = build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
-                        a_hat_value=2.5, a_y=0.7, a_z=1.3, expansion="linear")
+    # a = 1.5 + exp(0) = 2.5 against the unit y and z coefficients
+    aniso = build_field(sigma0=0.0, n_modes=1, a_min=1.5)
     mesh = StructuredMesh(8)
     system = assemble(mesh, aniso, np.array([[0.0]]))
-    ref, rhs_ref = kron_stiffness(8, (2.5, 0.7, 1.3))
+    ref, rhs_ref = kron_stiffness(8, (2.5, 1.0, 1.0))
     diff = abs(system.matrix.lane(0) - ref)
     assert diff.max() < 1e-12 if diff.nnz else True
     np.testing.assert_allclose(system.rhs[0], rhs_ref, rtol=0, atol=1e-16)
@@ -158,10 +156,13 @@ def test_matrix_positive_definite(kl_field):
 
 
 def test_nonpositive_coefficient_rejected():
-    degenerate = build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
-                             a_hat_value=0.0, expansion="linear")
+    # exp underflows to 0 at every point: the ground mode is positive, and
+    # sigma0 = 1e8 drives its exponent below -745 at y = -1
+    degenerate = build_field(sigma0=1e8, n_modes=1, a_min=0.0)
+    mesh = StructuredMesh(4)
+    assert np.all(degenerate.eval_a_batch(mesh.quad_points, np.array([[-1.0]])) == 0.0)
     with pytest.raises(FemError):
-        assemble(StructuredMesh(4), degenerate, np.array([[0.0]]))
+        assemble(mesh, degenerate, np.array([[-1.0]]))
 
 
 def test_nan_coefficient_rejected(kl_field):
@@ -170,11 +171,6 @@ def test_nan_coefficient_rejected(kl_field):
     samples[1, 0] = np.nan
     with pytest.raises(FemError, match="NaN"):
         assemble(mesh, kl_field, samples)
-    for cross in ({"a_y": np.nan}, {"a_z": np.nan}):
-        field = build_field(delta=0.25, sigma0=0.0, n_modes=1, a_min=0.0,
-                            a_hat_value=1.0, expansion="linear", **cross)
-        with pytest.raises(FemError, match="NaN"):
-            assemble(mesh, field, np.zeros((1, 1)))
 
 
 def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):

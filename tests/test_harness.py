@@ -1,6 +1,7 @@
 """Tests for the adaptive study driver, its record types and the CLI."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -16,8 +17,8 @@ import numpy as np
 import pytest
 
 from uqgroup import (
-    AnalyticConfig,
     ConfigurationError,
+    FieldConfig,
     GroupingPlan,
     HierGrid,
     KLDiffusionField,
@@ -27,6 +28,7 @@ from uqgroup import (
     SolverConfig,
     StructuredMesh,
     adaptive_run,
+    assemble,
     build_field,
     compute_R,
     emit_reports,
@@ -81,11 +83,6 @@ def test_g2_band_boundaries():
     assert analytic_qoi(pts, "g2").tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
-def test_g2_custom_radii():
-    got = analytic_qoi(np.array([[0.0, 0.0]]), "g2", r1=0.2, r2=0.6)[0]
-    assert got == 1.0
-
-
 def test_analytic_qoi_unknown():
     with pytest.raises(ConfigurationError):
         analytic_qoi(np.zeros((1, 2)), "g3")
@@ -93,16 +90,11 @@ def test_analytic_qoi_unknown():
 
 def test_iteration_profile_peak_and_floor():
     assert analytic_iters(np.array([[0.0, 0.0]]))[0] == pytest.approx(2.0)
-    # one e-folding length along y1 for a1 = 1
-    got = analytic_iters(np.array([[1.0, 0.0]]), a1=1.0, a2=1.0)[0]
+    # one e-folding length along y1: the profile's rate is 4 on each axis
+    got = analytic_iters(np.array([[0.5, 0.0]]))[0]
     assert got == pytest.approx(1.0 + np.exp(-1.0), rel=1e-15)
     far = analytic_iters(np.array([[40.0, 40.0]]))[0]
     assert far == pytest.approx(1.0, abs=1e-12)
-
-
-def test_iteration_profile_centre_shift():
-    got = analytic_iters(np.array([[0.3, -0.7]]), u1=0.3, u2=-0.7)[0]
-    assert got == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +147,8 @@ def test_preset_unknown_problem():
         {"strategies": ("nat", "nat")},
         {"strategies": ("par",)},  # no anisotropy indicator without a field
         {"n_dims": 3},
-        {"analytic": None},
-        {"mesh": MeshConfig()},  # mesh and field blocks are PDE-only
+        {"field": FieldConfig()},  # field and mesh blocks are PDE-only
+        {"mesh": MeshConfig()},
     ],
 )
 def test_analytic_config_rejects(patch):
@@ -274,13 +266,20 @@ def test_analytic_base_curve_needs_no_entry_for_its_size():
         ({"problem": "pde_test1", "field": {"sigma": 1.0}}, "sigma"),
         ({"problem": "pde_test1", "field": {"a_hat_mode": "test2"}}, "a_hat_mode"),
         ({"problem": "pde_test1", "field": {"a_hat.mode": "test2"}}, "a_hat.mode"),
-        ({"problem": "pde_test1", "field": {"a_hat": {"mode": "test2", "vlaue": 2.0}}}, "vlaue"),
+        # the field block is flat: a_hat is a string, no longer a {mode, value} object
+        ({"problem": "pde_test1", "field": {"a_hat": {"mode": "test2", "value": 2.0}}}, "a_hat"),
         ({"problem": "pde_test1", "mesh": {"cells": 8}}, "cells"),
-        ({"problem": "analytic_g1", "analytic": {"a3": 1.0}}, "a3"),
+        # the analytic problems have one fixed QoI band and cost profile
+        ({"problem": "analytic_g1", "analytic": {"a1": 1.0}}, "analytic"),
+        # keys of the removed field settings
+        ({"problem": "pde_test1", "field": {"expansion": "linear"}}, "expansion"),
+        ({"problem": "pde_test1", "field": {"a_y": 0.7}}, "a_y"),
+        ({"problem": "pde_test1", "field": {"N": 4}}, "N"),
     ],
 )
 def test_config_from_dict_rejects_unknown_keys(doc, key):
-    with pytest.raises(ConfigurationError, match=f"unknown key.*{key}"):
+    # an unknown key is named as such; a known key with a value of the wrong shape by its path
+    with pytest.raises(ConfigurationError, match=rf"unknown key.*'{key}'|\.{key}: expected"):
         config_from_dict(doc)
 
 
@@ -297,8 +296,8 @@ def test_config_from_dict_rejects_unknown_keys(doc, key):
         {"solver": {"tol": float("nan")}},
         {"solver": {"maxit": -1}},
         {"base_curve": [[4, 2.72, 1.0]]},
-        {"field": {"a_hat": "test2"}},
-        {"n_dims": 4, "field": {"N": 3}},
+        {"field": {"a_hat": 2}},
+        {"field": {"sigma0": None}},
     ],
 )
 def test_config_from_dict_rejects_bad_values(patch):
@@ -308,12 +307,27 @@ def test_config_from_dict_rejects_bad_values(patch):
 
 def test_config_from_dict_absent_keys_take_preset_values():
     # absent keys fall back to the preset also inside a block, so a partial
-    # field block keeps pde_test2's coefficient mode and sigma convention
-    cfg = config_from_dict({"problem": "pde_test2", "S": 8, "field": {"delta": 0.5}})
+    # field block keeps pde_test2's coefficient mode and sigma0
+    cfg = config_from_dict({"problem": "pde_test2", "S": 8, "field": {"a_min": 0.5}})
     preset = preset_config("pde_test2")
     assert cfg == dataclasses.replace(
-        preset, ensemble_size=8, field=dataclasses.replace(preset.field, delta=0.5)
+        preset, ensemble_size=8, field=dataclasses.replace(preset.field, a_min=0.5)
     )
+    assert cfg.field == FieldConfig(sigma0=math.sqrt(300.0), a_min=0.5, a_hat="test2")
+
+
+def test_isotropic_baseline_coefficient_is_exactly_one():
+    # a = 0 + 1 * exp(0): sigma0 = 0 zeroes every amplitude, at the box's
+    # corners as at any sample, so every lane costs the same iterations
+    problem = harness._PdeProblem(preset_config("pde_isotropic_baseline"))
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    seeded = np.random.default_rng(3).uniform(-1.0, 1.0, (64, 4))
+    for samples in (corners, seeded):
+        a = problem.field.eval_a_batch(problem.mesh.quad_points, samples, problem.mode_vals)
+        assert a.shape == (len(samples), len(problem.mesh.quad_points))
+        assert np.all(a == 1.0)
+        system = assemble(problem.mesh, problem.field, samples, problem.mode_vals)
+        assert np.all(system.indicator == 1.0)
 
 
 def test_solver_config_validated_on_construction():
@@ -380,7 +394,7 @@ def test_first_level_ratio_strategy_independent(g1_report):
     # before any predictions exist, "sur" must fall back to generation order
     by_strat = {p.strategy: p for p in g1_report.levels[0].plans}
     assert by_strat["sur"].work_ratio == by_strat["nat"].work_ratio
-    S = g1_report.config["S"]
+    S = g1_report.config.ensemble_size
     assert GroupingPlan(1, S, by_strat["sur"].order).ensembles == GroupingPlan(1, S, by_strat["nat"].order).ensembles
 
 
@@ -422,7 +436,7 @@ def test_reported_ratios_match_recompute(g1_report):
         for first, lv in zip(_first_ids(g1_report), g1_report.levels):
             plan_rec = next(p for p in lv.plans if p.strategy == strat)
             assert sorted(plan_rec.order) == list(range(first, first + len(lv.samples)))
-            plan = GroupingPlan(lv.level, cfg["S"], plan_rec.order)
+            plan = GroupingPlan(lv.level, cfg.ensemble_size, plan_rec.order)
             slot_iters = [[iters[i] for i in group] for group in plan.ensembles]
             levels.append((plan, slot_iters))
         per_level, total = compute_R(levels)
@@ -495,10 +509,11 @@ def test_repeat_run_identical(g1_report):
 
 @pytest.fixture(scope="module")
 def corner_report():
-    # level-0 grid on [-2,2]^2 is just the four corners; n_max equal to the
-    # initial batch forces a single-level run
+    # level-0 grid on [0,1]^2 is just the four corners, whose costs under
+    # the profile all differ but for a tie; n_max equal to the initial batch
+    # forces a single-level run
     cfg = RunConfig(
-        problem="analytic_g1",
+        problem="analytic_g2",
         n_dims=2,
         ensemble_size=2,
         tau=5e-4,
@@ -506,7 +521,6 @@ def corner_report():
         initial_level=0,
         strategies=("nat", "its"),
         solver=SolverConfig(),
-        analytic=AnalyticConfig(a1=1.0, a2=1.0, u1=1.0, u2=1.0),
     )
     return adaptive_run(cfg)
 
@@ -515,13 +529,14 @@ def test_corner_run_shape(corner_report):
     assert corner_report.stop_reason == "budget_exhausted"
     assert len(corner_report.levels) == 1
     coords = HierGrid.from_json_dict(corner_report.grid).node_coords()
-    assert coords.tolist() == [[-2.0, -2.0], [-2.0, 2.0], [2.0, -2.0], [2.0, 2.0]]
+    assert coords.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
 
 
 def test_corner_run_hand_ratio(corner_report):
     samples = corner_report.levels[0].samples
     coords = HierGrid.from_json_dict(corner_report.grid).node_coords()
-    profile = analytic_iters(coords, a1=1.0, a2=1.0, u1=1.0, u2=1.0)
+    profile = analytic_iters(coords)
+    assert len(set(profile.tolist())) == 3  # 2, 1 + e^-4 twice, 1 + e^-8
     got = dict(enumerate(samples.iterations))
     assert got == {i: profile[i] for i in range(4)}
     # natural chunks: (0,1) and (2,3); width 2 => cost 2*(max per group)
@@ -546,7 +561,8 @@ def test_report_dict_round_trip(corner_report):
                                      "streamed_lane_iterations", "frozen_lanes", "unconverged_lanes"}
     back = harness._load(RunReport, doc, "report")
     assert back.levels[0].plans == () and back.levels[0].executed_lane_iterations is None
-    levels, ratios, speedups = harness.derive_levels(config_from_dict(back.config), back.levels)
+    assert back.config == corner_report.config
+    levels, ratios, speedups = harness.derive_levels(back.config, back.levels)
     assert dataclasses.replace(back, levels=levels) == corner_report
     assert (ratios, speedups) == (corner_report.work_ratios, corner_report.predicted_speedups)
     # the dict itself must be JSON-clean
@@ -634,7 +650,7 @@ def test_emit_is_deterministic(tmp_path, corner_report):
 def test_manifest_format(tmp_path, corner_report):
     paths = emit_reports(corner_report, tmp_path)
     text = paths["manifest"].read_text()
-    doc = {"format": 4, "reports": [harness._dump(corner_report)]}
+    doc = {"format": 5, "reports": [harness._dump(corner_report)]}
     assert text == json.dumps(doc, separators=(",", ":")) + "\n"
     assert text.count("\n") == 1
     report = json.loads(text)["reports"][0]
@@ -687,7 +703,7 @@ def test_manifest_round_trip_restores_the_report(tmp_path, request, name):
     else:
         assert back[0] == report
     # PDE iteration counts stay ints, analytic ones floats
-    want = float if report.config["problem"].startswith("analytic") else int
+    want = int if report.config.is_pde else float
     assert {type(v) for lv in back[0].levels for v in lv.samples.iterations} == {want}
 
 
@@ -820,7 +836,7 @@ def test_parse_manifest_refuses_stored_values_that_are_not_the_derived_ones(tmp_
 
 def test_lane_counters_agree_with_the_accounting(pde_report):
     assert pde_report.all_lanes_converged and len(pde_report.levels) == 2
-    S = pde_report.config["S"]
+    S = pde_report.config.ensemble_size
     for lv in pde_report.levels:
         # the executed plan is "sur", which is generation order on level 1
         executed_plan = next(p for p in lv.plans if p.strategy == "sur")
@@ -897,7 +913,7 @@ def test_each_lane_evaluates_its_coefficient_once(counted_test2_run):
 
 def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, counted_test2_run):
     config, report, _, _ = counted_test2_run
-    field = build_field(n_modes=config.n_dims, **dataclasses.asdict(config.field))
+    field = build_field(config.field.sigma0, config.n_dims, config.field.a_min, config.field.a_hat)
     points = StructuredMesh(config.mesh.mesh_cells).quad_points
     doc = json.loads(emit_reports(report, tmp_path)["manifest"].read_text())["reports"][0]
     coords = HierGrid.from_json_dict(doc["grid"]).node_coords()
@@ -905,7 +921,7 @@ def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, count
     n = 0
     for y, got in zip(coords, indicators, strict=True):
         a = field.eval_a_batch(points, y[None])[0]
-        assert got == anisotropy_indicator_max(a, field.a_y, field.a_z)
+        assert got == anisotropy_indicator_max(a)
         n += 1
     assert n == report.n_samples_total == config.n_max
 
@@ -913,7 +929,7 @@ def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, count
 def test_capped_run_counts_its_unconverged_lanes(capped_report):
     lv = capped_report.levels[0]
     order = next(p for p in lv.plans if p.strategy == "nat").order
-    assert lv.spmv_calls == 3 * len(GroupingPlan(1, capped_report.config["S"], order).ensembles)
+    assert lv.spmv_calls == 3 * len(GroupingPlan(1, capped_report.config.ensemble_size, order).ensembles)
     assert lv.unconverged_lanes == lv.executed_lane_iterations // 3
 
 
@@ -936,10 +952,11 @@ def test_mean_qoi_is_the_surrogate_mean_through_each_level(g1_report):
 
 @pytest.mark.parametrize(
     "top, match",
-    [({}, "format None is not format 4"), ({"format": 1}, "format 1 is not"),
-     ({"format": 2}, "format 2 is not"), ({"format": "4"}, "format '4' is not"),
-     ({"format": 4.0}, "format 4.0 is not"), ({"format": 3}, "format 3 is not format 4.*format 3 also stored plans")],
-    ids=["no-format-key", "format-1", "format-2", "string-format", "float-format", "format-3"],
+    [({}, "format None is not format 5"), ({"format": 1}, "format 1 is not"),
+     ({"format": 2}, "format 2 is not"), ({"format": "5"}, "format '5' is not"),
+     ({"format": 5.0}, "format 5.0 is not"), ({"format": 3}, "format 3 is not format 5.*format 3 also plans"),
+     ({"format": 4}, "format 4 is not format 5.*format 4 also stored field and analytic settings")],
+    ids=["no-format-key", "format-1", "format-2", "string-format", "float-format", "format-3", "format-4"],
 )
 def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, match):
     path = tmp_path / "manifest.json"
@@ -950,7 +967,7 @@ def test_parse_manifest_refuses_other_formats(tmp_path, corner_report, top, matc
 
 def test_parse_manifest_rejects_unknown_top_level_keys(tmp_path, corner_report):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({"format": 4, "reports": [harness._dump(corner_report)], "extra": 1}))
+    path.write_text(json.dumps({"format": 5, "reports": [harness._dump(corner_report)], "extra": 1}))
     with pytest.raises(ConfigurationError, match="'extra'"):
         parse_manifest(path)
 
@@ -1246,7 +1263,7 @@ def test_cli_table_refuses_an_old_manifest(tmp_path, capsys, corner_report):
     # the layout before format 2: no format key, indented
     (tmp_path / "manifest.json").write_text(json.dumps({"reports": [harness._dump(corner_report)]}, indent=1))
     assert cli_main(["table", "--out-dir", str(tmp_path)]) == 1
-    assert "manifest format None is not format 4" in capsys.readouterr().err
+    assert "manifest format None is not format 5" in capsys.readouterr().err
 
 
 def test_cli_help_exits_zero(capsys):
@@ -1299,11 +1316,14 @@ def test_cli_maxit_zero_exits_three_with_every_ratio_nan(tmp_path, capsys):
     code = cli_main(["run", "--problem", "pde_test1", "--maxit", "0", "--mesh-cells", "4", "--n-max", "60",
                      "--out-dir", str(out)])
     assert code == 3
-    capsys.readouterr()
+    # every solution is the zero start, so every surplus is 0: the refinement
+    # would stop on tolerance, but it read untrusted QoIs
+    assert "stop=lanes_unconverged" in capsys.readouterr().out
     assert sorted(f.name for f in out.iterdir()) == ["iterations_by_level.csv", "manifest.json", "r_table.csv"]
     rows = [line.split(",") for line in (out / "r_table.csv").read_text().splitlines()[1:]]
     assert rows and all(row[5] == "nan" or row[6] == "nan" for row in rows)
     [report] = parse_manifest(out / "manifest.json")
+    assert report.stop_reason == "lanes_unconverged"
     assert all(math.isnan(r) for r in report.work_ratios.values())
     assert all(math.isnan(p.work_ratio) for lv in report.levels for p in lv.plans)
 
@@ -1401,7 +1421,7 @@ def test_cli_base_curve_pde(tmp_path, capsys):
     assert float(summary[7]) == rep.predicted_speedups["nat"]
 
 
-@pytest.mark.parametrize("config", [{"problem": "pde_test1", "field": {"delta": 0}}, None],
+@pytest.mark.parametrize("config", [{"problem": "pde_test1", "field": {"a_hat": "test3"}}, None],
                          ids=["field-fails", "n-max-below-initial-grid"])
 def test_cli_makes_no_out_dir_for_a_run_that_fails_before_writing(tmp_path, capsys, config):
     out = tmp_path / "run"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uqgroup import FieldError, StructuredMesh, anisotropy_indicator, build_field, eigenpairs_1d
+from uqgroup.random_field import CORRELATION_LENGTH, NYSTROM_POINTS
 
 from _oracles import (
     anisotropy_indicator_max,
@@ -14,7 +15,7 @@ from _oracles import (
     pointwise_mode_values,
 )
 
-DELTA = 0.25
+DELTA = CORRELATION_LENGTH
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +117,14 @@ def test_eigenpairs_validation():
 
 
 def test_single_mode_is_triple_ground_state():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=1, a_min=0.0)
+    field = build_field(sigma0=1.0, n_modes=1, a_min=0.0)
     assert field.modes == ((0, 0, 0),)
     lam0 = eigenpairs_1d(DELTA, 1, 513)[0].eigenvalue
     assert field.eigenvalues[0] == pytest.approx(lam0**3, rel=1e-12)
 
 
 def test_four_mode_selection_uses_first_two_1d_modes():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     assert field.modes == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
     np.testing.assert_allclose(
         field.eigenvalues, [1.00882, 0.563383, 0.563383, 0.563383], atol=2e-4
@@ -132,7 +132,7 @@ def test_four_mode_selection_uses_first_two_1d_modes():
 
 
 def test_mode_ordering_matches_brute_force_products():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=12, a_min=0.0)
+    field = build_field(sigma0=1.0, n_modes=12, a_min=0.0)
     lams = [Fraction(p.eigenvalue) for p in eigenpairs_1d(DELTA, 6, 513)]
     # exact products: one index multiset's products tie whatever the order
     # of its factors, and the tie-break alone orders them
@@ -145,16 +145,16 @@ def test_mode_ordering_matches_brute_force_products():
 
 
 def test_sigma0_conventions_scale_eigenvalues():
-    kw = dict(delta=DELTA, n_modes=3, a_min=0.0)
+    # the kernel convention: sigma0 multiplies the covariance, so the eigenvalues
+    kw = dict(n_modes=3, a_min=0.0)
     base = build_field(sigma0=1.0, **kw)
-    std = build_field(sigma0=3.0, **kw)
-    ker = build_field(sigma0=3.0, sigma0_convention="kernel", **kw)
-    np.testing.assert_allclose(std.eigenvalues, 9.0 * base.eigenvalues, rtol=1e-12)
+    ker = build_field(sigma0=3.0, **kw)
+    assert ker.modes == base.modes
     np.testing.assert_allclose(ker.eigenvalues, 3.0 * base.eigenvalues, rtol=1e-12)
 
 
 def test_mercer_partial_sums_bounded_by_kernel_diagonal():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=20, a_min=0.0)
+    field = build_field(sigma0=1.0, n_modes=20, a_min=0.0)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, (40, 3))
     modes = field.mode_values(pts)  # (20, 40)
@@ -164,7 +164,7 @@ def test_mercer_partial_sums_bounded_by_kernel_diagonal():
 
 def test_adding_modes_grows_captured_variance():
     sums = [
-        build_field(delta=DELTA, sigma0=1.0, n_modes=n, a_min=0.0).eigenvalues.sum()
+        build_field(sigma0=1.0, n_modes=n, a_min=0.0).eigenvalues.sum()
         for n in (1, 4, 10, 20)
     ]
     assert all(b > a for a, b in zip(sums, sums[1:]))
@@ -175,17 +175,14 @@ def test_adding_modes_grows_captured_variance():
 
 
 def test_zero_amplitude_field_is_constant():
-    for expansion in ("log", "linear"):
-        field = build_field(delta=DELTA, sigma0=0.0, n_modes=4, a_min=0.1,
-                            a_hat_value=2.0, expansion=expansion)
-        pts = np.array([[0.2, 0.5, 0.8], [0.0, 0.0, 0.0]])
-        vals = field.eval_a_batch(pts, np.array([[1.0, -1.0, 0.5, 0.3]]))
-        np.testing.assert_allclose(vals, 2.1, rtol=1e-15)
+    field = build_field(sigma0=0.0, n_modes=4, a_min=1.1)
+    pts = np.array([[0.2, 0.5, 0.8], [0.0, 0.0, 0.0]])
+    vals = field.eval_a_batch(pts, np.array([[1.0, -1.0, 0.5, 0.3]]))
+    np.testing.assert_allclose(vals, 2.1, rtol=1e-15)
 
 
 def test_log_expansion_positive_on_probe_lattice():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     axis = np.linspace(0.0, 1.0, 17)
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
@@ -199,8 +196,7 @@ def test_log_expansion_positive_on_probe_lattice():
 @pytest.mark.parametrize("cells", [2, 5, 16])
 def test_per_axis_mode_values_equal_pointwise_bitwise(cells, n_modes):
     # At 7 modes some modes multiply two non-constant factors.
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=n_modes, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=n_modes, a_min=0.1)
     mesh = StructuredMesh(cells)
     expected = pointwise_mode_values(field, mesh.quad_points)
     for got in (field.mode_values(mesh.quad_axes), field.mode_values(mesh.quad_points)):
@@ -210,7 +206,7 @@ def test_per_axis_mode_values_equal_pointwise_bitwise(cells, n_modes):
 
 
 def test_mode_values_refuse_malformed_points():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0)
+    field = build_field(sigma0=1.0, n_modes=2, a_min=0.0)
     axis = np.array([0.25, 0.75])
     bad = [np.zeros((4, 2)), np.zeros(3), (axis, axis), (axis, axis[:, None], np.zeros(3))]
     for points in bad:
@@ -219,7 +215,7 @@ def test_mode_values_refuse_malformed_points():
 
 
 def test_eval_a_batch_refuses_mode_values_of_other_points():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=4, a_min=0.1)
+    field = build_field(sigma0=1.0, n_modes=4, a_min=0.1)
     pts = np.random.default_rng(3).uniform(0.0, 1.0, (10, 3))
     mode_vals = field.mode_values(pts)
     for bad in (mode_vals[:, :9], mode_vals[:3], mode_vals.T, mode_vals.ravel()):
@@ -229,8 +225,7 @@ def test_eval_a_batch_refuses_mode_values_of_other_points():
 
 @pytest.mark.parametrize("width", [1, 2, 4, 16])
 def test_eval_a_batch_lanes_independent_of_width(width):
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     axis = (np.arange(16) + 0.5) / 16
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
@@ -242,13 +237,13 @@ def test_eval_a_batch_lanes_independent_of_width(width):
 
 
 def test_eval_a_batch_checks_sample_width():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=4, a_min=0.0)
+    field = build_field(sigma0=1.0, n_modes=4, a_min=0.0)
     with pytest.raises(FieldError):
         field.eval_a_batch(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_test2_amplitude_piecewise_with_boundaries():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=3, a_min=0.0, a_hat_mode="test2")
+    field = build_field(sigma0=1.0, n_modes=3, a_min=0.0, a_hat_mode="test2")
     d = np.sqrt(3.0)
     y = np.array([
         [0.0, 0.0, 0.0],          # r = 0 -> core
@@ -260,27 +255,17 @@ def test_test2_amplitude_piecewise_with_boundaries():
     np.testing.assert_array_equal(field.a_hat(y), [1.0, 100.0, 100.0, 10.0, 10.0])
 
 
-def test_amplitude_scales_test2():
-    field = build_field(delta=DELTA, sigma0=1.0, n_modes=3, a_min=0.0,
-                        a_hat_mode="test2", a_hat_value=0.5)
-    assert field.a_hat(np.zeros((1, 3)))[0] == 0.5
-
-
 def test_build_field_validation():
     with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=-1.0, n_modes=2, a_min=0.0)
+        build_field(sigma0=-1.0, n_modes=2, a_min=0.0)
     with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=0, a_min=0.0)
+        build_field(sigma0=1.0, n_modes=0, a_min=0.0)
     with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=-0.1)
+        build_field(sigma0=1.0, n_modes=2, a_min=-0.1)
     with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0, sigma0_convention="rms")
-    with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0, a_hat_mode="test3")
-    with pytest.raises(FieldError):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=2, a_min=0.0, expansion="cubic")
+        build_field(sigma0=1.0, n_modes=2, a_min=0.0, a_hat_mode="test3")
     with pytest.raises(FieldError, match="cannot form"):
-        build_field(delta=DELTA, sigma0=1.0, n_modes=64**3 + 1, a_min=0.0, nystrom_points=64)
+        build_field(sigma0=1.0, n_modes=NYSTROM_POINTS**3 + 1, a_min=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +274,20 @@ def test_build_field_validation():
 
 def indicator_at(field, y, points):
     """The indicator of sample y over the coefficient at the given points."""
-    return anisotropy_indicator(field, field.eval_a_batch(points, np.asarray(y)[None, :])[0])
+    return anisotropy_indicator(field.eval_a_batch(points, np.asarray(y)[None, :])[0])
 
 
 def test_indicator_isotropic_and_constant_cases():
-    iso = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0, a_hat_value=1.0)
+    iso = build_field(sigma0=0.0, n_modes=2, a_min=0.0)
     pts = np.array([[0.1, 0.2, 0.3], [0.9, 0.9, 0.9]])
     assert indicator_at(iso, np.zeros(2), pts) == 1.0
-    skew = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0,
-                       a_hat_value=4.0, a_y=1.0, a_z=2.0)
+    # a = 3 + exp(0) = 4 against the unit y and z coefficients
+    skew = build_field(sigma0=0.0, n_modes=2, a_min=3.0)
     assert indicator_at(skew, np.zeros(2), pts) == 4.0
 
 
 def test_indicator_ordering_matches_dense_grid_oracle():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     rng = np.random.default_rng(23)
     y1, y2 = rng.uniform(-1.0, 1.0, (2, 4))
     coarse = rng.uniform(0.0, 1.0, (512, 3))
@@ -323,28 +307,25 @@ def test_indicator_ordering_matches_dense_grid_oracle():
 
 
 def test_indicator_at_central_sample_is_exact():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     pts = np.array([[0.25, 0.5, 0.75], [0.5, 0.5, 0.5]])
-    # y = 0 kills the fluctuation: a = 0.1 + exp(0) = 1.1 while a_y = a_z = 1
+    # y = 0 kills the fluctuation: a = 0.1 + exp(0) = 1.1 against the unit y and z coefficients
     assert indicator_at(field, np.zeros(4), pts) == pytest.approx(1.1, rel=1e-15)
 
 
 def test_indicator_matches_direct_recompute():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     rng = np.random.default_rng(21)
     pts = rng.uniform(0.0, 1.0, (64, 3))
     y = rng.uniform(-1.0, 1.0, 4)
     a = field.eval_a_batch(pts, y[None, :])[0]
-    hi = np.maximum(a, max(field.a_y, field.a_z))
-    lo = np.minimum(a, min(field.a_y, field.a_z))
-    assert anisotropy_indicator(field, a) == pytest.approx((hi / lo).max(), rel=1e-14)
+    hi = np.maximum(a, 1.0)
+    lo = np.minimum(a, 1.0)
+    assert anisotropy_indicator(a) == pytest.approx((hi / lo).max(), rel=1e-14)
 
 
 def test_indicator_grows_toward_the_corner():
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel")
+    field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     rng = np.random.default_rng(22)
     pts = rng.uniform(0.0, 1.0, (128, 3))
     h_center = indicator_at(field, np.zeros(4), pts)
@@ -352,23 +333,21 @@ def test_indicator_grows_toward_the_corner():
     assert h_corner > 10.0 * h_center
 
 
-@pytest.mark.parametrize("a_y, a_z", [(1.0, 1.0), (0.5, 3.0), (40.0, 2.0)])
-def test_indicator_of_the_bounds_is_that_of_all_values(a_y, a_z):
+@pytest.mark.parametrize("a_min, sigma0", [(1.0, 1.0), (0.5, 3.0), (40.0, 2.0)])
+def test_indicator_of_the_bounds_is_that_of_all_values(a_min, sigma0):
     """A row's least and greatest values give bitwise its indicator, row by row,
-    whether the values fall below, between or above a_y and a_z."""
-    field = build_field(delta=DELTA, sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1,
-                        sigma0_convention="kernel", a_y=a_y, a_z=a_z)
+    whether the values straddle the unit y and z coefficients or lie above them."""
+    field = build_field(sigma0=sigma0, n_modes=4, a_min=a_min)
     rng = np.random.default_rng(24)
     pts = rng.uniform(0.0, 1.0, (256, 3))
     a_vals = field.eval_a_batch(pts, rng.uniform(-1.0, 1.0, (64, 4)))
     bounds = np.stack([a_vals.min(axis=1), a_vals.max(axis=1)], axis=1)
-    rows = anisotropy_indicator(field, a_vals)
+    rows = anisotropy_indicator(a_vals)
     assert rows.shape == (64,)
-    assert np.array_equal(anisotropy_indicator(field, bounds), rows)
-    assert [anisotropy_indicator_max(a, a_y, a_z) for a in a_vals] == rows.tolist()
+    assert np.array_equal(anisotropy_indicator(bounds), rows)
+    assert [anisotropy_indicator_max(a) for a in a_vals] == rows.tolist()
 
 
 def test_indicator_refuses_non_positive_coefficients():
-    field = build_field(delta=DELTA, sigma0=0.0, n_modes=2, a_min=0.0)
     with pytest.raises(FieldError, match="strictly positive"):
-        anisotropy_indicator(field, np.array([1.0, 0.0]))
+        anisotropy_indicator(np.array([1.0, 0.0]))
