@@ -4,9 +4,11 @@
 Runs `python -m uqgroup.cli run` once per case with each tree's `src`
 directory on PYTHONPATH, then compares the exit codes, the names of the
 files each run wrote and the bytes of every one of them.  The cases are the
-five presets, the `sg-refine` benchmark unit, an `analytic_g1` run at width
-7 (float counts, a padded last ensemble and a width that is not a power of
-two, so its bytes pin the sum order of the work ratios), a `pde_test1` run
+five presets, the `sg-refine` benchmark unit, an `analytic_g2` run to tau
+1e-7 and 5,000 nodes (it reaches deep level vectors and both level-0
+candidates in each dimension of the compiled hat sums), an `analytic_g1`
+run at width 7 (float counts, a padded last ensemble and a width that is not
+a power of two, so its bytes pin the sum order of the work ratios), a `pde_test1` run
 whose width pads the last ensemble, a `pde_test1` run at width 1 (the
 kernels' scalar path), one at width 2 on an 8^3 mesh (the 2-lane chunk alone
 until its solves narrow to one lane), a `pde_test2` run at width 16 (one
@@ -65,6 +67,7 @@ CASES = {
     "pde_test2": ["--problem", "pde_test2"],
     "pde_isotropic_baseline": ["--problem", "pde_isotropic_baseline"],
     "sg-refine": ["--problem", "analytic_g1", "--S", "8", "--tau", "1e-6", "--n-max", "8000"],
+    "analytic_g2-deep": ["--problem", "analytic_g2", "--tau", "1e-7", "--n-max", "5000"],
     "analytic_g1-S7": ["--problem", "analytic_g1", "--S", "7"],
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],

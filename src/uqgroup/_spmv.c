@@ -1,9 +1,14 @@
-/* The Jacobi-PCG loop of an ensemble solve, run in one call on a team of
+/* The compiled kernels of the package, one library built from this file.
+ *
+ * For the ensemble solve: the Jacobi-PCG loop, run in one call on a team of
  * threads, the lane-interleaved SpMV inside it, y[s] = A_s x[s] for the lanes
  * s the loop still needs, the assembly of stiffness matrices straight into
  * the packed storage that SpMV reads, and the pack of any other matrix into
- * it.  The library exports ensemble_pcg, ensemble_pcg_scratch_size,
- * ensemble_assemble and ensemble_pack; the SpMV is called only by the loop.
+ * it.  For the sparse grid (at the end of the file): the hat sums of a cohort
+ * of points, with which hier_grid fits and evaluates its surrogates, and the
+ * node lookup of its refinement.  The library exports ensemble_pcg,
+ * ensemble_pcg_scratch_size, ensemble_assemble, ensemble_pack, hat_sums and
+ * find_nodes; the SpMV is called only by the loop.
  *
  * Packed storage.
  *
@@ -212,6 +217,14 @@ static __attribute__((noinline)) void spmv_1(
  * core of a 2-vCPU AVX-512 Xeon guest, 32 kept pace with OpenBLAS's ddot at
  * 3,375 and 29,791 entries, where 16 and 8 took up to 8% longer. */
 #define DOT_SUMS 32
+static double halving_tree(double *sum)
+{
+    for (int h = DOT_SUMS / 2; h > 0; h /= 2)
+        for (int k = 0; k < h; k++)
+            sum[k] += sum[k + h];
+    return sum[0];
+}
+
 static double lane_dot(int64_t n, const double *restrict x, const double *restrict y)
 {
     double sum[DOT_SUMS] = {0.0};
@@ -221,10 +234,53 @@ static double lane_dot(int64_t n, const double *restrict x, const double *restri
             sum[k] += x[i + k] * y[i + k];
     for (int k = 0; i + k < n; k++)
         sum[k] += x[i + k] * y[i + k];
-    for (int h = DOT_SUMS / 2; h > 0; h /= 2)
-        for (int k = 0; k < h; k++)
-            sum[k] += sum[k + h];
-    return sum[0];
+    return halving_tree(sum);
+}
+
+/* The two fused lane passes of an iteration.  Each does its updates and
+ * takes its inner product in one loop, summed in lane_dot's order, so it is
+ * bitwise the separate passes it replaces, which read each vector once more.
+ * On one thread of a shared 2-vCPU AVX-512 Xeon guest, a 16^3, S=4 solve took
+ * 67.4 us per iteration against 70.8 with the passes apart (medians of 21
+ * alternating in-process rounds, faster in 20), and a 32^3, S=16 solve 6.64
+ * against 6.71 ms (7 rounds, faster in 5).
+ *
+ * x += alpha p and r -= alpha ap; returns r'r. */
+static double update_xr(int64_t n, double alpha, const double *restrict p,
+                        const double *restrict ap, double *restrict x, double *restrict r)
+{
+    double sum[DOT_SUMS] = {0.0};
+    int64_t i = 0;
+    for (; i + DOT_SUMS <= n; i += DOT_SUMS)
+        for (int k = 0; k < DOT_SUMS; k++) {
+            x[i + k] += alpha * p[i + k];
+            r[i + k] -= alpha * ap[i + k];
+            sum[k] += r[i + k] * r[i + k];
+        }
+    for (int k = 0; i + k < n; k++) {
+        x[i + k] += alpha * p[i + k];
+        r[i + k] -= alpha * ap[i + k];
+        sum[k] += r[i + k] * r[i + k];
+    }
+    return halving_tree(sum);
+}
+
+/* z = r * dinv; returns r'z. */
+static double precondition(int64_t n, const double *restrict r, const double *restrict dinv,
+                           double *restrict z)
+{
+    double sum[DOT_SUMS] = {0.0};
+    int64_t i = 0;
+    for (; i + DOT_SUMS <= n; i += DOT_SUMS)
+        for (int k = 0; k < DOT_SUMS; k++) {
+            z[i + k] = r[i + k] * dinv[i + k];
+            sum[k] += r[i + k] * z[i + k];
+        }
+    for (int k = 0; i + k < n; k++) {
+        z[i + k] = r[i + k] * dinv[i + k];
+        sum[k] += r[i + k] * z[i + k];
+    }
+    return halving_tree(sum);
 }
 
 /* Packs lanes-last values[jj * S + s] row by row as the header describes,
@@ -532,11 +588,7 @@ static int64_t iterate(member *me)
             if (pap <= DBL_MIN)
                 sv->frozen[s] = 1;
             const double alpha = sv->frozen[s] ? 0.0 : sv->rz[s] / pap;
-            for (int64_t i = 0; i < n; i++)
-                xs[i] += alpha * ps[i];
-            for (int64_t i = 0; i < n; i++)
-                rs[i] -= alpha * aps[i];
-            sv->r_norm[s] = sqrt(lane_dot(n, rs, rs));
+            sv->r_norm[s] = sqrt(update_xr(n, alpha, ps, aps, xs, rs));
             if (!sv->frozen[s] && sv->r_norm[s] <= sv->threshold[s]) {
                 sv->iterations[s] = it;
                 sv->converged[s] = 1;
@@ -563,9 +615,7 @@ static int64_t iterate(member *me)
             const int64_t s = me->lanes[k];
             const double *restrict rs = sv->r + s * n, *restrict dinv = sv->inv_diag + s * n;
             double *restrict zs = sv->apz + s * n, *restrict ps = sv->p + s * n;
-            for (int64_t i = 0; i < n; i++)
-                zs[i] = rs[i] * dinv[i];
-            const double rz_new = lane_dot(n, rs, zs);
+            const double rz_new = precondition(n, rs, dinv, zs);
             const double beta = sv->rz[s] > 0 ? rz_new / sv->rz[s] : 0.0;
             for (int64_t i = 0; i < n; i++)
                 ps[i] = zs[i] + beta * ps[i];
@@ -668,12 +718,13 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  *   1. each member transposes its rows of p's packed lanes into xt (W > 1);
  *   2. each member forms its rows of Ap for the packed lanes, chunk by
  *      chunk, in its own tile;
- *   3. each member does p'Ap, the x and r updates, the residual norm and the
- *      convergence bookkeeping of its open lanes; after the barrier every
- *      member reads every lane's flags and norm, so all of them count the
- *      open lanes, leave on breakdown and take their new share alike, and
- *      member 0 writes the history row;
- *   4. each member forms z, r'z, beta and p of its open lanes.
+ *   3. each member does p'Ap, then the x and r updates with r'r in one pass
+ *      (update_xr), the residual norm and the convergence bookkeeping of its
+ *      open lanes; after the barrier every member reads every lane's flags
+ *      and norm, so all of them count the open lanes, leave on breakdown and
+ *      take their new share alike, and member 0 writes the history row;
+ *   4. each member forms z with r'z in one pass (precondition), then beta and
+ *      p of its open lanes.
  * The packed width starts at S and narrows down the ladder of widths
  * (LADDER) before an iteration, to the narrowest rung that holds the open
  * lanes.  Every narrowing is the same gather: each member copies the kept
@@ -806,4 +857,205 @@ void ensemble_assemble(int64_t S, int64_t n_elem, const double *restrict a,
             }
         }
     }
+}
+
+
+/* Sparse-grid hat sums.
+ *
+ * A grid node has per-dimension levels l and indices i (see hier_grid.py).
+ * The grid indexes its nodes by level vector: level vector v has `count`
+ * nodes, whose index keys are sorted in keys[0, count) and whose grid
+ * positions are positions[k] for keys[k].  A key packs one compressed index
+ * per dimension, in dimension order from bit 0: the index itself in a
+ * level-0 dimension (1 bit), (i - 1) / 2 in a dimension of level l >= 1
+ * (l - 1 bits).  Row v of the table holds the addresses of v's keys and
+ * positions and their count.
+ *
+ * At a canonical point y, dimension k of level l has these candidates: at
+ * level 0 both boundary indices, with hats max(1 - |y + 1| / 2, 0) and
+ * max(1 - |y - 1| / 2, 0); at level l >= 1 the odd index 2 * half + 1 with
+ * half = min(floor(clip((y + 1) 2^(l-2), 0, 2^(l-1))), 2^(l-1) - 1), whose
+ * support holds y when y is in the box, with hat max(1 - |y - c| / h, 0),
+ * h = 2^(1-l), c = (2 * half + 1) h - 1.  A level vector's candidate index
+ * vectors are the products of its dimensions' candidates, in the order of
+ * Python's itertools.product over the dimensions (the last level-0 dimension
+ * varies fastest), and a candidate's hat is the product of its dimensions'
+ * hats taken in dimension order, ((h_0 h_1) h_2) ...
+ *
+ * hat_sums forms, for each point and channel, the sum of hat * surplus over
+ * the candidates that are grid nodes at positions below n_nodes, of the level
+ * vectors listed in `use`, in list order, then candidate order; the sum
+ * starts at 0.0 and every product and add is rounded on its own (the build
+ * passes -ffp-contract=off).  That is bitwise the numpy term-order sum the
+ * tests keep as its reference.  The hats of each (dimension, level) pair the
+ * listed level vectors use are tabulated once per call, for every point.
+ * The level vectors are the outer loop and the points the inner one, so one
+ * level vector's keys stay in cache while every point looks its candidates
+ * up in them: with the points outermost the 19 calls of a sg-refine
+ * benchmark unit, replayed in one process on a shared 2-vCPU AVX-512 Xeon
+ * guest, took 16.8-17.5 ms against 11.1-12.0 ms.  A lookup is a binary search of the sorted keys.  A
+ * candidate whose hat is 0 is skipped before its lookup: its term would be a
+ * signed zero, which leaves a sum of finite terms bitwise as it is (a sum
+ * from 0.0 is never -0.0), and every caller passes finite surpluses.  On
+ * that unit two thirds of the candidates are zero hats, and skipping them
+ * took the calls from 17.2 to 10.8 ms. */
+
+typedef struct {
+    const int64_t *keys, *positions;
+    int64_t count;
+} level_nodes;
+
+/* The position of the node with this key among a level vector's nodes, or -1.
+ * Equal keys (a loaded grid's duplicate node) find the first of them. */
+static int64_t find_key(const level_nodes nodes, int64_t key)
+{
+    const int64_t *keys = nodes.keys;
+    int64_t n = nodes.count;
+    if (n == 0)
+        return -1;
+    while (n > 1) {
+        const int64_t half = n / 2;
+        keys = keys[half - 1] < key ? keys + half : keys;
+        n -= half;
+    }
+    return *keys == key ? nodes.positions[keys - nodes.keys] : -1;
+}
+
+static level_nodes table_row(const int64_t *table, int64_t v)
+{
+    const level_nodes nodes = {(const int64_t *)(intptr_t)table[3 * v],
+                               (const int64_t *)(intptr_t)table[3 * v + 1], table[3 * v + 2]};
+    return nodes;
+}
+
+/* The hats of dimension k at level l for the p points of y (p, d): at level
+ * 0 the hats of indices 0 and 1, in hat[0, p) and hat[p, 2p); at level
+ * l >= 1 the candidate's hat in hat[0, p) and its compressed index in
+ * half[0, p), which shares hat's storage past p. */
+static void tabulate_hats(int64_t p, int64_t d, int64_t k, int64_t l, const double *restrict y,
+                          double *restrict hat)
+{
+    if (l == 0) {
+        for (int64_t j = 0; j < p; j++) {
+            const double h0 = 1.0 - fabs(y[j * d + k] + 1.0) / 2.0;
+            const double h1 = 1.0 - fabs(y[j * d + k] - 1.0) / 2.0;
+            hat[j] = h0 > 0.0 ? h0 : 0.0;
+            hat[p + j] = h1 > 0.0 ? h1 : 0.0;
+        }
+        return;
+    }
+    int64_t *restrict half = (int64_t *)(hat + p);
+    const double h = ldexp(1.0, (int)(1 - l)), scale = ldexp(1.0, (int)(l - 2));
+    const double top = ldexp(1.0, (int)(l - 1));
+    const int64_t last = ((int64_t)1 << (l - 1)) - 1;
+    for (int64_t j = 0; j < p; j++) {
+        const double yj = y[j * d + k];
+        double t = (yj + 1.0) * scale;
+        t = floor(t < 0.0 ? 0.0 : t > top ? top : t);
+        const int64_t i = (int64_t)t < last ? (int64_t)t : last;
+        const double center = (double)(2 * i + 1) * h - 1.0;
+        const double v = 1.0 - fabs(yj - center) / h;
+        hat[j] = v > 0.0 ? v : 0.0;
+        half[j] = i;
+    }
+}
+
+/* out[c * p + j] = the sum at point j (see above) over the n_use level
+ * vectors use[u] (rows of level, (L, d), and of table) of channel c, whose
+ * surpluses are at the address surpluses[c].  y is (p, d) canonical points.
+ * Returns 0, or -1 if the hat tables could not be allocated. */
+int64_t hat_sums(int64_t d, int64_t p, const double *y, int64_t n_use, const int64_t *use,
+                 const int64_t *level, const int64_t *table, int64_t n_nodes, int64_t channels,
+                 const int64_t *surpluses, double *out)
+{
+    if (p == 0)
+        return 0;
+    int64_t top = 0;
+    for (int64_t u = 0; u < n_use; u++)
+        for (int64_t k = 0; k < d; k++)
+            top = level[use[u] * d + k] > top ? level[use[u] * d + k] : top;
+    double **tables = calloc((size_t)(d * (top + 1)), sizeof(double *));
+    if (!tables)
+        return -1;
+    const double *column[channels > 0 ? channels : 1];
+    for (int64_t c = 0; c < channels; c++)
+        column[c] = (const double *)(intptr_t)surpluses[c];
+    int64_t failed = 0;
+    for (int64_t j = 0; j < channels * p; j++)
+        out[j] = 0.0;
+    for (int64_t u = 0; u < n_use && !failed; u++) {
+        const int64_t *lv = level + use[u] * d;
+        const level_nodes nodes = table_row(table, use[u]);
+        const double *hat[d];
+        const int64_t *half[d];
+        int64_t shift[d], level0 = 0; /* level-0 dimensions */
+        for (int64_t k = 0, bits = 0; k < d; k++) {
+            double **tab = &tables[k * (top + 1) + lv[k]];
+            if (!*tab) {
+                *tab = malloc((size_t)(2 * p) * sizeof(double));
+                if (!*tab) {
+                    failed = 1;
+                    break;
+                }
+                tabulate_hats(p, d, k, lv[k], y, *tab);
+            }
+            hat[k] = *tab;
+            half[k] = lv[k] ? (const int64_t *)(*tab + p) : NULL;
+            level0 += lv[k] == 0;
+            shift[k] = bits;
+            bits += lv[k] ? lv[k] - 1 : 1;
+        }
+        if (failed || nodes.count == 0)
+            continue;
+        for (int64_t j = 0; j < p; j++) {
+            double f[2 * d]; /* dimension k's hats at the point: f[2k], and f[2k + 1] at level 0 */
+            int64_t base = 0; /* the key bits of the dimensions of level >= 1 */
+            int vanishes = 0; /* a hat of a dimension of level >= 1 is 0 */
+            for (int64_t k = 0; k < d; k++) {
+                f[2 * k] = hat[k][j];
+                if (lv[k]) {
+                    base += half[k][j] << shift[k];
+                    vanishes |= f[2 * k] == 0.0;
+                } else {
+                    f[2 * k + 1] = hat[k][p + j];
+                }
+            }
+            if (vanishes)
+                continue;
+            for (int64_t cand = 0; cand < (int64_t)1 << level0; cand++) {
+                int64_t key = base, bit = level0;
+                double prod = 1.0; /* 1.0 * h_0 is h_0 exactly */
+                for (int64_t k = 0; k < d; k++) {
+                    if (lv[k]) {
+                        prod *= f[2 * k];
+                    } else {
+                        const int64_t b = (cand >> --bit) & 1;
+                        prod *= f[2 * k + b];
+                        key += b << shift[k];
+                    }
+                }
+                if (prod == 0.0)
+                    continue;
+                const int64_t pos = find_key(nodes, key);
+                if (pos < 0 || pos >= n_nodes)
+                    continue;
+                for (int64_t c = 0; c < channels; c++)
+                    out[c * p + j] += prod * column[c][pos];
+            }
+        }
+    }
+    for (int64_t t = 0; t < d * (top + 1); t++)
+        free(tables[t]);
+    free(tables);
+    return failed ? -1 : 0;
+}
+
+/* positions[r] = the grid position of the node with key keys[r] among the
+ * nodes of level vector ids[r] (a row of table), or -1 if there is none or
+ * ids[r] is -1. */
+void find_nodes(int64_t m, const int64_t *ids, const int64_t *keys, const int64_t *table,
+                int64_t *positions)
+{
+    for (int64_t r = 0; r < m; r++)
+        positions[r] = ids[r] < 0 ? -1 : find_key(table_row(table, ids[r]), keys[r]);
 }

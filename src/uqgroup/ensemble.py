@@ -9,7 +9,7 @@ the slot of its mirror when the mirror's S lane values are bitwise its own;
 any other entry (a non-symmetric, unsorted or duplicate one) has a slot of
 its own.  A symmetric matrix, as every stiffness matrix is, thus stores and
 streams about half its values.  `EnsembleCsrMatrix` is checked data in the
-layout the compiled kernels (`_spmv.c`, built once into `_build/` at import)
+layout the compiled kernels (`_spmv.c`, built and loaded once by `_kernels`)
 read: the shared graph as int32, the packed graph (`split`, `hrow`, `lmap`)
 and the (slots, S) values.  A matrix built from full lane values is packed
 once, when it is made; `fem3d.assemble` adds its element matrices straight
@@ -74,19 +74,16 @@ the split saves.
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import numbers
 import os
-import shlex
-import subprocess
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+from ._kernels import _PACK, _PCG, _PCG_SCRATCH_SIZE
 
 __all__ = [
     "EnsembleError",
@@ -105,77 +102,6 @@ class NumericalBreakdownError(RuntimeError):
     """Non-finite values appeared in an active lane during iteration."""
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_spmv.c")
-_BUILD_DIR = Path(__file__).with_name("_build")
-# -ffp-contract=off keeps every lane's multiply and add separately rounded,
-# as in scipy's scalar product and numpy's elementwise arithmetic.
-_CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-shared", "-fPIC", "-pthread", "-lm")
-
-
-def _gcc(args: list[str]) -> str:
-    cmd = ["gcc", *args]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"building the ensemble SpMV kernel failed: {shlex.join(cmd)}\n{proc.stderr}"
-        )
-    return proc.stdout
-
-
-def _build_kernel(source: Path, build_dir: Path) -> Path:
-    """Compile `source` into `build_dir` unless already built; returns the library.
-
-    The file name is keyed by a hash of the source, the flags and the target
-    options gcc resolves them to on this host (`-march=native` becomes this
-    CPU's instruction sets), so a build directory carried to another machine
-    is rebuilt, not loaded.  A new build is moved into place whole, so a
-    reader never sees a partial file.
-    """
-    target = _gcc([*_CFLAGS, "-Q", "--help=target"])
-    key = hashlib.sha256(
-        source.read_bytes() + " ".join(_CFLAGS).encode() + target.encode()
-    ).hexdigest()[:16]
-    lib = build_dir / f"{source.stem}-{key}.so"
-    if lib.exists():
-        return lib
-    try:
-        build_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot create the kernel build directory: {exc}") from exc
-    tmp = build_dir / f"{lib.name}.{os.getpid()}.tmp"
-    try:
-        _gcc([*_CFLAGS, "-o", str(tmp), str(source)])
-    except RuntimeError:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, lib)
-    return lib
-
-
-def _load_kernel() -> tuple[Callable[..., int], ...]:
-    # CDLL, not PyDLL: a call releases the GIL (see the module docstring).
-    lib = ctypes.CDLL(str(_build_kernel(_KERNEL_SOURCE, _BUILD_DIR)))
-    scratch_size = lib.ensemble_pcg_scratch_size
-    scratch_size.argtypes = [ctypes.c_int64] * 4
-    scratch_size.restype = ctypes.c_int64
-    pcg = lib.ensemble_pcg
-    pcg.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 6
-        + [ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_int64, ctypes.c_int64]
-        + [ctypes.c_void_p] * 8
-    )
-    pcg.restype = ctypes.c_int64
-    pack = lib.ensemble_pack
-    pack.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
-    pack.restype = ctypes.c_int64
-    assemble = lib.ensemble_assemble
-    assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
-    assemble.restype = None
-    return pcg, scratch_size, pack, assemble
-
-
-# _ASSEMBLE is the assembly kernel `fem3d.assemble` calls.
-_PCG, _PCG_SCRATCH_SIZE, _PACK, _ASSEMBLE = _load_kernel()
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
 _BAD_DIAGONAL = -(2**63)

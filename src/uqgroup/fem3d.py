@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ensemble import _ASSEMBLE, EnsembleCsrMatrix
+from ._kernels import _ASSEMBLE
+from .ensemble import EnsembleCsrMatrix
 from .random_field import KLDiffusionField, anisotropy_indicator
 
 __all__ = ["FemError", "StructuredMesh", "AssembledEnsembleSystem", "assemble", "qoi"]
@@ -79,6 +80,14 @@ _PAIR_OFFSET = ((_CORNERS[_PAIR_B] - _CORNERS[_PAIR_A] + 1) * [9, 3, 1]).sum(axi
 _OFFSETS = np.array([[dx, dy, dz] for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)])
 
 
+def graph_fits_int32(cells: int) -> bool:
+    """Whether int32 indices hold the CSR graph of `cells` cells per direction.
+
+    A row couples at most 27 dofs, so 27 (cells - 1)^3 bounds the nonzeros.
+    """
+    return 27 * (cells - 1) ** 3 <= np.iinfo(np.int32).max
+
+
 @dataclass
 class StructuredMesh:
     """Uniform hex mesh of the unit cube with interior-node numbering.
@@ -104,8 +113,8 @@ class StructuredMesh:
         if self.cells < 2:
             raise FemError(f"need at least 2 cells per direction, got {self.cells}")
         m = self.cells
-        # A row couples at most 27 dofs; refused before anything is allocated.
-        if 27 * (m - 1) ** 3 > np.iinfo(np.int32).max:
+        # Refused before anything is allocated.
+        if not graph_fits_int32(m):
             raise FemError(f"{m} cells per direction overflow the int32 indices of the CSR graph")
         self.h = 1.0 / m
         self.n_dofs = (m - 1) ** 3

@@ -49,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ensemble import ensemble_pcg
-from .fem3d import StructuredMesh, assemble, qoi
+from .fem3d import StructuredMesh, assemble, graph_fits_int32, qoi
 from .grouping import (
     GroupingPlan,
     compute_R,
@@ -59,7 +59,7 @@ from .grouping import (
     predicted_speedup,
 )
 from .hier_grid import HierGrid, RefinementPolicy, initial_grid_size
-from .random_field import build_field
+from .random_field import A_HAT_MODES, build_field
 
 __all__ = [
     "ConfigurationError",
@@ -197,10 +197,23 @@ class FieldConfig:
     a_min: float = 0.1
     a_hat: str = "constant"  # or "test2"
 
+    def __post_init__(self) -> None:
+        if self.a_hat not in A_HAT_MODES:
+            raise ConfigurationError(f"field.a_hat must be one of {A_HAT_MODES}, got {self.a_hat!r}")
+        for key in ("sigma0", "a_min"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"field.{key} must be finite and >= 0, got {value!r}")
+
 
 @dataclass(frozen=True)
 class MeshConfig:
     mesh_cells: int = 16
+
+    def __post_init__(self) -> None:
+        if not (self.mesh_cells >= 2 and graph_fits_int32(self.mesh_cells)):
+            raise ConfigurationError(
+                f"mesh.mesh_cells must be >= 2 and fit the mesh's int32 indices, got {self.mesh_cells}")
 
 
 @dataclass(frozen=True)
@@ -748,16 +761,16 @@ def emit_reports(
     # Compact separators and no indent keep json on its C encoder.
     manifest = json.dumps(_dump(_Manifest(MANIFEST_FORMAT, tuple(reports))), separators=(",", ":")) + "\n"
 
-    iterations = io.StringIO()
-    writer = csv.writer(iterations, lineterminator="\n")
-    writer.writerow(["run", "level", "sample_id", "iterations", "predicted_iterations"])
+    # One f-string per row: every field is an int, a float repr or empty, so
+    # none needs the quoting a csv.writer would check it for.
+    rows = ["run,level,sample_id,iterations,predicted_iterations\n"]
     for run_idx, report in enumerate(reports):
         first = 0
         for lv in report.levels:
             s = lv.samples
             predicted = s.predicted_iterations or itertools.repeat(None)
-            for sid, (its, pred) in enumerate(zip(s.iterations, predicted), first):
-                writer.writerow([run_idx, lv.level, sid, _fmt(its), _fmt(pred)])
+            rows += [f"{run_idx},{lv.level},{sid},{its},{pred}\n" for sid, its, pred in
+                     zip(itertools.count(first), map(_fmt, s.iterations), map(_fmt, predicted))]
             first += len(s)
 
     paths = {
@@ -765,7 +778,7 @@ def emit_reports(
         "manifest": out_dir / "manifest.json",
         "iterations": out_dir / "iterations_by_level.csv",
     }
-    for path, text in zip(paths.values(), (table.getvalue(), manifest, iterations.getvalue())):
+    for path, text in zip(paths.values(), (table.getvalue(), manifest, "".join(rows))):
         tmp = path.with_name(f".{path.name}.tmp")
         try:
             tmp.write_text(text)

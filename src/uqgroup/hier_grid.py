@@ -14,13 +14,24 @@ makes the hierarchical-surplus system triangular when processed cohort by
 cohort.
 
 Hats are evaluated by lookup, not by a dense points x nodes block.  The
-grid indexes its nodes by level vector.  At a point, the hats of one level
-vector overlap at most 2^z nodes, z being the number of its level-0
-dimensions: one candidate index per dimension of level l >= 1 (the odd index
-whose support holds the point) and both indices in each level-0 dimension.
-Each candidate is looked up in the level vector's sorted index keys, so
-evaluating p points costs O(p * level vectors * 2^z) instead of
-O(p * nodes * d).
+grid indexes its nodes by level vector: each level vector keeps its nodes'
+index keys sorted, and the index is extended in place as nodes are appended,
+never rebuilt.  At a point, the hats of one level vector overlap at most 2^z
+nodes, z being the number of its level-0 dimensions: one candidate index per
+dimension of level l >= 1 (the odd index whose support holds the point) and
+both indices in each level-0 dimension.  A fit or an evaluation sums a whole
+cohort of points in one compiled call (`hat_sums` in `_spmv.c`), every
+channel at once.  It tabulates the hats of each (dimension, level) pair at
+every point once, then takes the level vectors, in index order, outermost and
+the points innermost, so one level vector's keys stay in cache while every
+point binary-searches them for its candidates.  A candidate whose hat is 0
+is skipped before its lookup: it would add a signed zero to a sum of finite
+terms, which leaves the sum's bits as they are.  Each point's sum thus adds
+its terms in one fixed order, level vector by level vector and candidate by
+candidate, bitwise the numpy term-order sum the tests keep as its reference.
+Evaluating p points costs at most O(p * level vectors * 2^z) lookups of
+O(log n) each instead of O(p * nodes * d) hat products; on the `sg-refine`
+benchmark unit two thirds of the candidates are zero hats.
 
 Each node is stored once, as a row of (n, d) level and index arrays, and the
 level-vector index is the only node lookup: the hat sums, refinement and the
@@ -38,6 +49,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
+
+from ._kernels import _FIND_NODES, _HAT_SUMS
 
 __all__ = [
     "GridError",
@@ -145,61 +158,59 @@ class RefineOutcome(NamedTuple):
 _KEY_BITS = 62
 
 
-class _LevelNodes:
-    """The nodes of one level vector: sorted index keys and the nodes' positions."""
-
-    __slots__ = ("level", "total", "halve", "shifts", "keys", "positions")
-
-    def __init__(self, level: tuple[int, ...]):
-        self.level = level
-        self.total = sum(level)
-        self.halve = np.array([l > 0 for l in level], dtype=np.int64)
-        # bit offset of each dimension's compressed index in a key
-        self.shifts = np.array([0, *itertools.accumulate(1 if l == 0 else l - 1 for l in level[:-1])])
-        self.keys = np.empty(0, dtype=np.int64)
-        self.positions = np.empty(0, dtype=np.int64)
-
-    def keys_of(self, index: np.ndarray) -> np.ndarray:
-        """Keys of (m, d) index rows of this level vector."""
-        return ((index >> self.halve) << self.shifts).sum(axis=1)
-
-    def add(self, index: np.ndarray, positions: np.ndarray) -> None:
-        keys = np.concatenate([self.keys, self.keys_of(index)])
-        positions = np.concatenate([self.positions, positions])
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        self.positions = positions[order]
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Grid positions of the nodes with these keys, -1 where there is none."""
-        j = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return np.where(self.keys[j] == keys, self.positions[j], -1)
+def _keys(level: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The index keys of (m, d) node rows, each in the layout of its own level vector."""
+    bits = np.where(level == 0, 1, level - 1)
+    return ((index >> np.minimum(level, 1)) << (np.cumsum(bits, axis=1) - bits)).sum(axis=1)
 
 
-def _hats_1d(y: np.ndarray, level: int) -> list[tuple]:
-    """Candidate (compressed index, hat values) pairs of one dimension's level at y.
+class _LevelIndex:
+    """A grid's nodes by level vector, extended in place as nodes are appended.
 
-    A level-0 dimension has both boundary hats as candidates.  A level l >= 1
-    has one: the odd index 2 * floor(t / 2) + 1 with t = (y + 1) * 2^(l-1),
-    clipped to [1, 2^l - 1], whose support holds y when y is in the box.
+    Level vectors are numbered in order of their first node, the fixed order
+    in which every hat sum adds its terms; number v is row v of `level`.  Its
+    nodes' sorted keys and their grid positions are `keys[v]` and
+    `positions[v]`, and row v of `table` holds the two arrays' addresses and
+    length, as the compiled lookup (`_spmv.c`) reads them.  The index holds a
+    reference to every array whose address its table holds.
     """
-    if level == 0:
-        return [(0, np.maximum(1.0 - np.abs(y + 1.0) / 2.0, 0.0)),
-                (1, np.maximum(1.0 - np.abs(y - 1.0) / 2.0, 0.0))]
-    h = 2.0 ** (1 - level)
-    # Clip in floating point only to powers of two, which it holds exactly.
-    t_half = np.floor(np.clip((y + 1.0) * 2.0 ** (level - 2), 0.0, 2.0 ** (level - 1)))
-    half = np.minimum(t_half.astype(np.int64), 2 ** (level - 1) - 1)
-    center = (2 * half + 1) * h - 1.0
-    return [(half, np.maximum(1.0 - np.abs(y - center) / h, 0.0))]
 
+    def __init__(self, dim: int):
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.level = np.empty((0, dim), dtype=np.int64)
+        self.keys: list[np.ndarray] = []
+        self.positions: list[np.ndarray] = []
+        self.table = np.empty((0, 3), dtype=np.int64)
+        self.size = 0  # nodes at positions below this are indexed
 
-def _expand(terms: list[tuple], surpluses: np.ndarray, n_points: int) -> np.ndarray:
-    """Sum of hat * surplus over the terms of `HierGrid._hat_terms`, in term order."""
-    out = np.zeros(n_points)
-    for rows, positions, hats in terms:
-        out[rows] += hats * surpluses[positions]
-    return out
+    def extend(self, level: np.ndarray, index: np.ndarray) -> None:
+        """Index the nodes of the grid's (n, d) rows from position `size` on."""
+        start = self.size
+        groups = _group_rows(level[start:])
+        new = [lv for lv, _ in groups if lv not in self.ids]
+        if new:
+            for lv in new:
+                self.ids[lv] = len(self.ids)
+            self.level = np.concatenate([self.level, np.array(new, dtype=np.int64)])
+            self.keys += [np.empty(0, dtype=np.int64) for _ in new]
+            self.positions += [np.empty(0, dtype=np.int64) for _ in new]
+            self.table = np.concatenate([self.table, np.zeros((len(new), 3), dtype=np.int64)])
+        keys = _keys(level[start:], index[start:])
+        for lv, rows in groups:
+            v = self.ids[lv]
+            k = np.concatenate([self.keys[v], keys[rows]])
+            order = np.argsort(k, kind="stable")  # a duplicate node after its first copy
+            self.keys[v] = k[order]
+            self.positions[v] = np.concatenate([self.positions[v], start + rows])[order]
+            self.table[v] = (self.keys[v].ctypes.data, self.positions[v].ctypes.data, len(order))
+        self.size = len(level)
+
+    def ids_of(self, level: np.ndarray) -> np.ndarray:
+        """The number of each (m, d) row's level vector, -1 where it has no node."""
+        ids = np.full(len(level), -1, dtype=np.int64)
+        for lv, rows in _group_rows(level):
+            ids[rows] = self.ids.get(lv, -1)
+        return ids
 
 
 class HierGrid:
@@ -231,12 +242,10 @@ class HierGrid:
         self._level = np.empty((0, dim), dtype=np.int64)
         self._index = np.empty((0, dim), dtype=np.int64)
         self._center = np.empty((0, dim))  # canonical node coordinate
-        # Node index by level vector, in order of each level vector's first node:
-        # the fixed order in which every hat sum adds its terms.  Lookups extend
-        # it in place by the nodes appended since (_level_index), so building a
-        # grid does no index work before it is first fitted or evaluated.
-        self._levels: dict[tuple[int, ...], _LevelNodes] = {}
-        self._n_indexed = 0  # nodes at positions below this are in _levels
+        # Node index by level vector.  Lookups first extend it in place by the
+        # nodes appended since (_node_index), so building a grid does no index
+        # work before it is first fitted or evaluated.
+        self._by_level = _LevelIndex(dim)
         self._surpluses: dict[str, np.ndarray] = {}
         self._front_start = 0  # position of the first frontier node
 
@@ -313,12 +322,11 @@ class HierGrid:
 
     def _find(self, level: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Grid positions of (m, dim) level and index rows, -1 for rows not in the grid."""
-        entries = self._level_index()
-        out = np.full(len(level), -1, dtype=np.int64)
-        for lv, rows in _group_rows(level):
-            entry = entries.get(lv)
-            if entry is not None:
-                out[rows] = entry.lookup(entry.keys_of(index[rows]))
+        nodes = self._node_index()
+        ids, keys = nodes.ids_of(level), _keys(level, index)
+        out = np.empty(len(level), dtype=np.int64)
+        _FIND_NODES(len(level), ids.ctypes.data, keys.ctypes.data, nodes.table.ctypes.data,
+                    out.ctypes.data)
         return out
 
     # -- surplus fitting ----------------------------------------------------
@@ -332,11 +340,13 @@ class HierGrid:
         grid does); it is processed in ascending total level, which is exactly
         the triangular order of the interpolation system.  The nodes of a
         level's points are those of every level vector of lower total level,
-        found by lookup; rows, nodes and hat values are shared by all
-        channels, and each channel sums its own terms in one fixed order, so
-        a channel's surpluses do not depend on the channels fitted with it.
-        The cost is O(cohort points * level vectors * 2^z) for z level-0
-        dimensions.  Re-running with identical inputs is a no-op.
+        found by lookup; all channels of a total level are summed in one
+        kernel call, and each channel sums its own terms in one fixed order,
+        so a channel's surpluses do not depend on the channels fitted with
+        it.  A surplus that overflows raises `GridError` and leaves every
+        channel as it was.  The cost is O(cohort points * level vectors * 2^z)
+        lookups at most, for z level-0 dimensions.  Re-running with identical
+        inputs is a no-op.
         """
         if not len(self):
             raise GridError("empty grid")
@@ -351,7 +361,7 @@ class HierGrid:
                 )
             if not np.all(np.isfinite(v)):
                 raise GridError(f"channel {channel!r} has non-finite values")
-            c = self._surpluses.get(channel, np.full(len(self), np.nan))
+            c = self._surpluses[channel].copy() if channel in self._surpluses else np.full(len(self), np.nan)
             if not np.all(np.isfinite(c[:start])):
                 raise IncompleteDataError(
                     f"channel {channel!r} has unfitted earlier cohorts; fit them first"
@@ -359,59 +369,48 @@ class HierGrid:
             fits.append((channel, c, v))
 
         totals = self._level[start:].sum(axis=1)
+        nodes = self._node_index()
+        level_totals = nodes.level.sum(axis=1)
         for total in np.unique(totals):
             group = np.flatnonzero(totals == total)
-            lower = [entry for entry in self._level_index().values() if entry.total < total]
-            terms = self._hat_terms(self._center[start + group], lower)
-            for _, c, v in fits:
-                c[start + group] = v[group] - _expand(terms, c, len(group))
+            sums = self._hat_sums(self._center[start + group], np.flatnonzero(level_totals < total),
+                                  len(self), [c for _, c, _ in fits])
+            for (channel, c, v), s in zip(fits, sums):
+                c[start + group] = v[group] - s
+                # Later sums skip the terms of zero hats, which adds the same
+                # only while every surplus is finite.
+                if not np.all(np.isfinite(c[start + group])):
+                    raise GridError(f"channel {channel!r} has surpluses that overflow")
         for channel, c, _ in fits:
             self._surpluses[channel] = c
 
-    def _level_index(self) -> dict[tuple[int, ...], _LevelNodes]:
+    def _node_index(self) -> _LevelIndex:
         """The node index by level vector, first extended by the nodes appended since."""
-        start = self._n_indexed
-        for level, rows in _group_rows(self._level[start:]):
-            entry = self._levels.get(level)
-            if entry is None:
-                entry = self._levels[level] = _LevelNodes(level)
-            entry.add(self._index[start + rows], start + rows)
-        self._n_indexed = len(self)
-        return self._levels
+        if self._by_level.size < len(self):
+            self._by_level.extend(self._level, self._index)
+        return self._by_level
 
-    def _hat_terms(
-        self, points_canonical: np.ndarray, entries: Iterable[_LevelNodes], n_nodes: int | None = None
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The hats of the given level vectors that can be nonzero at the points.
+    def _hat_sums(self, points_canonical: np.ndarray, use: np.ndarray, n_nodes: int,
+                  surpluses: Sequence[np.ndarray]) -> np.ndarray:
+        """(channels, p) sums of hat * surplus at (p, dim) canonical points.
 
-        One term per level vector and candidate index vector: the rows of the
-        points whose candidate is a grid node (at a position below n_nodes),
-        that node's position, and its hat 1 - |y - c| / h clipped at 0 and
-        multiplied over dimensions in dimension order.
+        Each channel's sum runs over the nodes below position n_nodes of the
+        level vectors numbered in `use`, in that order, then over each level
+        vector's candidate index vectors in `itertools.product` order, with
+        every hat multiplied over dimensions in dimension order (`hat_sums` in
+        `_spmv.c`).  `surpluses` are contiguous float64 columns of at least
+        n_nodes entries, kept alive by the caller.
         """
-        one_d: dict[tuple[int, int], list[tuple]] = {}
-        terms = []
-        for entry in entries:
-            options = []
-            for k, l in enumerate(entry.level):
-                if (k, l) not in one_d:
-                    one_d[k, l] = _hats_1d(points_canonical[:, k], l)
-                options.append(one_d[k, l])
-            for combo in itertools.product(*options):
-                hats = combo[0][1]
-                for _, hat in combo[1:]:
-                    hats = hats * hat
-                key = np.zeros(len(points_canonical), dtype=np.int64)
-                for (half, _), shift in zip(combo, entry.shifts):
-                    key += half << shift
-                positions = entry.lookup(key)
-                found = positions >= 0
-                if n_nodes is not None:
-                    found &= positions < n_nodes
-                rows = np.flatnonzero(found)
-                if rows.size:
-                    terms.append((rows, positions[rows], hats[rows]))
-        return terms
+        nodes = self._node_index()
+        y = np.ascontiguousarray(points_canonical, dtype=np.float64)
+        use = np.ascontiguousarray(use, dtype=np.int64)
+        columns = np.array([c.ctypes.data for c in surpluses], dtype=np.int64)
+        out = np.empty((len(surpluses), len(y)))
+        if _HAT_SUMS(self.dim, len(y), y.ctypes.data, len(use), use.ctypes.data,
+                     nodes.level.ctypes.data, nodes.table.ctypes.data, n_nodes, len(surpluses),
+                     columns.ctypes.data, out.ctypes.data):
+            raise MemoryError(f"no memory for the hat tables of {len(y)} points")
+        return out
 
     # -- evaluation ---------------------------------------------------------
 
@@ -430,24 +429,23 @@ class HierGrid:
         expansion to the first n_nodes grid nodes, which lets a freshly
         extended grid be queried with the surpluses fitted so far (new nodes
         always append after the fitted ones): a node found by lookup at a
-        later position counts as absent.  The cost is
-        O(p * level vectors * 2^z) for z level-0 dimensions.
+        later position counts as absent.  The cost is at most
+        O(p * level vectors * 2^z) lookups, for z level-0 dimensions.
         """
         c = self._channel(channel)
         if n_nodes is None:
             n_nodes = len(self)
         elif not 0 <= n_nodes <= len(self):
             raise GridError(f"n_nodes must be in [0, {len(self)}]")
-        c = c[:n_nodes]
-        if not np.all(np.isfinite(c)):
+        if not np.all(np.isfinite(c[:n_nodes])):
             raise IncompleteDataError(f"channel {channel!r} has unfitted surpluses")
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise GridError(f"points must have shape (p, {self.dim})")
         if not np.all(np.isfinite(points)):
             raise GridError("points must be finite")
-        terms = self._hat_terms(self._to_canonical(points), self._level_index().values(), n_nodes)
-        return _expand(terms, c, len(points))
+        nodes = self._node_index()
+        return self._hat_sums(self._to_canonical(points), np.arange(len(nodes.level)), n_nodes, [c])[0]
 
     def integrate_surrogate(self, channel: str) -> float:
         """Mean of the surrogate under the uniform density on the domain box.

@@ -49,6 +49,10 @@ CORRELATION_LENGTH = 0.25
 NYSTROM_POINTS = 513
 
 
+# The amplitude modes `KLDiffusionField.a_hat` knows.
+A_HAT_MODES = ("constant", "test2")
+
+
 class FieldError(ValueError):
     """Invalid field configuration or evaluation input."""
 
@@ -225,7 +229,7 @@ def build_field(sigma0: float, n_modes: int, a_min: float, a_hat_mode: str = "co
         raise FieldError(f"sigma0 must be >= 0, got {sigma0}")
     if a_min < 0:
         raise FieldError(f"a_min must be >= 0, got {a_min}")
-    if a_hat_mode not in ("constant", "test2"):
+    if a_hat_mode not in A_HAT_MODES:
         raise FieldError(f"unknown a_hat mode {a_hat_mode!r}")
 
     if n_modes > NYSTROM_POINTS**3:

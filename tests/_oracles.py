@@ -224,6 +224,89 @@ def dense_cohort_surpluses(levels, indices, surpluses, values):
     return out
 
 
+def _hats_1d(y, level):
+    """Candidate (compressed index, hat values) pairs of one dimension's level at y.
+
+    A level-0 dimension has both boundary hats as candidates.  A level l >= 1
+    has one: the odd index 2 * floor(t / 2) + 1 with t = (y + 1) * 2^(l-1),
+    clipped to [1, 2^l - 1], whose support holds y when y is in the box.
+    """
+    if level == 0:
+        return [(0, np.maximum(1.0 - np.abs(y + 1.0) / 2.0, 0.0)),
+                (1, np.maximum(1.0 - np.abs(y - 1.0) / 2.0, 0.0))]
+    h = 2.0 ** (1 - level)
+    t_half = np.floor(np.clip((y + 1.0) * 2.0 ** (level - 2), 0.0, 2.0 ** (level - 1)))
+    half = np.minimum(t_half.astype(np.int64), 2 ** (level - 1) - 1)
+    center = (2 * half + 1) * h - 1.0
+    return [(half, np.maximum(1.0 - np.abs(y - center) / h, 0.0))]
+
+
+def term_order_hat_sums(levels, indices, columns, points, below_total=None, n_nodes=None):
+    """Hat sums by lookup in numpy, term by term, in the order the compiled sums fix.
+
+    The grid's nodes are the (n, d) `levels` and `indices` rows, in generation
+    order, and `columns` holds one surplus vector per channel.  The terms run
+    over the level vectors in order of their first node (only those of total
+    level below `below_total`, if given), then over each one's candidate index
+    vectors in `itertools.product` order of the per-dimension candidates of
+    `_hats_1d`.  A candidate that is a node (its first copy, at a position below
+    n_nodes) adds its hat, multiplied over dimensions in dimension order, times
+    its surplus; each point's sum starts at 0.0.  Nodes are found by a
+    searchsorted over each level vector's sorted keys, which pack one
+    compressed index per dimension from bit 0.  Returns (channels, points).
+    """
+    levels, indices = np.asarray(levels, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    points = np.asarray(points, dtype=float)
+    n_nodes = len(levels) if n_nodes is None else n_nodes
+    out = np.zeros((len(columns), len(points)))
+    if not len(levels):
+        return out
+    vectors, first = np.unique(levels, axis=0, return_index=True)
+    for level in vectors[np.argsort(first)].tolist():
+        if below_total is not None and sum(level) >= below_total:
+            continue
+        rows = np.flatnonzero((levels == level).all(axis=1))
+        bits = [1 if l == 0 else l - 1 for l in level]
+        shifts = np.array([0, *itertools.accumulate(bits[:-1])])
+        keys = ((indices[rows] >> np.minimum(level, 1)) << shifts).sum(axis=1)
+        order = np.argsort(keys, kind="stable")
+        keys, positions = keys[order], rows[order]
+        options = [_hats_1d(points[:, k], l) for k, l in enumerate(level)]
+        for combo in itertools.product(*options):
+            hats = combo[0][1]
+            for _, hat in combo[1:]:
+                hats = hats * hat
+            key = np.zeros(len(points), dtype=np.int64)
+            for (half, _), shift in zip(combo, shifts):
+                key += half << shift
+            j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            found = np.where(keys[j] == key, positions[j], -1)
+            hit = np.flatnonzero((found >= 0) & (found < n_nodes))
+            for sums, column in zip(out, columns):
+                sums[hit] += hats[hit] * np.asarray(column, dtype=float)[found[hit]]
+    return out
+
+
+def term_order_fit(levels, indices, columns, start, values):
+    """The surplus columns with the cohort from position `start` on fitted.
+
+    `values` holds one list of function values per column, one per cohort
+    node.  The cohort is fitted in ascending total level: a node's surplus
+    is its value minus the term-order hat sum over the level vectors of lower
+    total level (`term_order_hat_sums`) at its canonical coordinates.
+    """
+    levels, indices = np.asarray(levels, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    columns = [np.array(c, dtype=float) for c in columns]
+    totals = levels.sum(axis=1)
+    for total in np.unique(totals[start:]):
+        group = start + np.flatnonzero(totals[start:] == total)
+        centers = indices[group] * 2.0 ** (1.0 - levels[group]) - 1.0
+        sums = term_order_hat_sums(levels, indices, columns, centers, below_total=total)
+        for column, vals, s in zip(columns, values, sums):
+            column[group] = np.asarray(vals, dtype=float)[group - start] - s
+    return columns
+
+
 def refine_cohort(nodes, frontier, surpluses, tau, max_points):
     """The cohort one refinement step adds, straight from its definition.
 

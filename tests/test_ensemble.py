@@ -29,6 +29,7 @@ from uqgroup import (
     ensemble_pcg,
 )
 
+from uqgroup import _kernels as kernel_module
 from uqgroup import ensemble as ensemble_module
 
 from _oracles import fixed_order_dot, lockstep_pcg, random_spd_system, scalar_pcg
@@ -127,35 +128,35 @@ def test_copied_matrix_multiplies_with_its_own_arrays(duplicate):
 def test_kernel_library_is_keyed_by_the_resolved_target(tmp_path, monkeypatch):
     source = tmp_path / "tiny.c"
     source.write_text("int tiny(void) { return 1; }\n")
-    real_gcc = ensemble_module._gcc
+    real_gcc = kernel_module._gcc
     libs = []
     for cpu in ("first-cpu", "second-cpu"):
         def fake_target(args, cpu=cpu):
             return cpu if "--help=target" in args else real_gcc(args)
-        monkeypatch.setattr(ensemble_module, "_gcc", fake_target)
-        libs.append(ensemble_module._build_kernel(source, tmp_path / "build"))
+        monkeypatch.setattr(kernel_module, "_gcc", fake_target)
+        libs.append(kernel_module._build_kernel(source, tmp_path / "build"))
     assert libs[0] != libs[1]
     assert sorted((tmp_path / "build").iterdir()) == sorted(libs)
 
 
 def test_failing_kernel_build_names_command_and_stderr(tmp_path):
-    real_build = sorted(ensemble_module._BUILD_DIR.iterdir())
+    real_build = sorted(kernel_module._BUILD_DIR.iterdir())
     source = tmp_path / "broken.c"
     source.write_text("#error broken kernel source\n")
     with pytest.raises(RuntimeError) as err:
-        ensemble_module._build_kernel(source, tmp_path / "build")
+        kernel_module._build_kernel(source, tmp_path / "build")
     message = str(err.value)
     assert "gcc" in message and str(source) in message
     assert "broken kernel source" in message  # the compiler's own diagnostic
     assert list((tmp_path / "build").iterdir()) == []
-    assert sorted(ensemble_module._BUILD_DIR.iterdir()) == real_build
+    assert sorted(kernel_module._BUILD_DIR.iterdir()) == real_build
 
 
 def test_unusable_build_directory_raises_runtime_error(tmp_path):
     blocker = tmp_path / "a-file"
     blocker.write_text("")
     with pytest.raises(RuntimeError, match="build directory"):
-        ensemble_module._build_kernel(ensemble_module._KERNEL_SOURCE, blocker / "build")
+        kernel_module._build_kernel(kernel_module._KERNEL_SOURCE, blocker / "build")
 
 
 def test_diagonal_extraction():
@@ -661,7 +662,8 @@ def _outcome(system, threads=None):
 
 
 def test_kernels_release_the_gil():
-    for kernel in (ensemble_module._PCG, ensemble_module._PACK, ensemble_module._ASSEMBLE):
+    for kernel in (kernel_module._PCG, kernel_module._PACK, kernel_module._ASSEMBLE,
+                   kernel_module._HAT_SUMS, kernel_module._FIND_NODES):
         assert not kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 

@@ -305,6 +305,34 @@ def test_config_from_dict_rejects_bad_values(patch):
         config_from_dict({"problem": "pde_test1", **patch})
 
 
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("field", "a_hat", "test3"),
+        ("field", "sigma0", -1.0),
+        ("field", "sigma0", math.inf),
+        ("field", "sigma0", math.nan),
+        ("field", "a_min", math.nan),
+        ("field", "a_min", -0.5),
+        ("field", "a_min", -math.inf),
+        ("mesh", "mesh_cells", 1),
+        ("mesh", "mesh_cells", -4),
+        ("mesh", "mesh_cells", 432),  # 27 * 431^3 nonzeros overflow int32
+    ],
+)
+def test_config_refuses_field_and_mesh_values_naming_the_key(block, key, value):
+    # refused when the configuration is read, before a run builds the field or mesh
+    with pytest.raises(ConfigurationError, match=rf"^{block}\.{key} must"):
+        config_from_dict({"problem": "pde_test1", block: {key: value}})
+    cls = FieldConfig if block == "field" else MeshConfig
+    with pytest.raises(ConfigurationError, match=rf"^{block}\.{key} must"):
+        cls(**{key: value})
+
+
+def test_mesh_config_takes_the_largest_int32_mesh():
+    assert MeshConfig(mesh_cells=431).mesh_cells == 431  # 27 * 430^3 < 2^31
+
+
 def test_config_from_dict_absent_keys_take_preset_values():
     # absent keys fall back to the preset also inside a block, so a partial
     # field block keeps pde_test2's coefficient mode and sigma0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import dense_hat_expansion, refine_cohort
+from _oracles import dense_hat_expansion, refine_cohort, term_order_fit, term_order_hat_sums
 from uqgroup import (
     GridError,
     HierGrid,
@@ -15,6 +15,7 @@ from uqgroup import (
     RefinementPolicy,
     initial_grid_size,
 )
+from uqgroup.hier_grid import _KEY_BITS
 
 
 def fit(grid, channel, fn):
@@ -217,6 +218,21 @@ def test_fit_rejects_channel_with_unfitted_earlier_cohorts():
     assert np.isnan(g.surpluses("q")[-len(g.frontier) :]).all()
 
 
+def test_fit_refuses_overflowing_surpluses_and_writes_nothing():
+    g = HierGrid(1)
+    g.add_initial_levels(1)  # nodes -1, 1 and 0
+    with pytest.raises(GridError, match="overflow"), np.errstate(over="ignore"):
+        g.compute_surpluses({"r": [0.0, 0.0, 0.0], "q": [1.7e308, 1.7e308, -1.7e308]})
+    assert g.channels == ()
+    g.compute_surpluses({"q": [1.7e308, 1.7e308, 0.0]})
+    assert g.refine(RefinementPolicy(tau=1.0, channel="q")).n_new == 2
+    before = g.surpluses("q")
+    # at -0.5 and 0.5 the fitted part sums to 0.85e308
+    with pytest.raises(GridError, match="overflow"), np.errstate(over="ignore"):
+        g.compute_surpluses({"q": [-1.7e308, -1.7e308]})
+    assert before.tobytes() == g.surpluses("q").tobytes()
+
+
 def test_eval_requires_fitted_channel():
     g = HierGrid(1)
     g.add_initial_levels(1)
@@ -246,6 +262,94 @@ def test_eval_prefix_matches_manual_partial_sum():
         np.testing.assert_allclose(partial, manual, atol=1e-14)
     with pytest.raises(GridError):
         g.eval_many("q", pts, n_nodes=len(g) + 1)
+
+
+# ---------------------------------------------------------------------------
+# compiled hat sums, bitwise against the numpy term-order reference
+
+
+def node_rows(g):
+    doc = g.to_json_dict()
+    return (np.array(doc["level"], dtype=np.int64).reshape(len(g), g.dim),
+            np.array(doc["index"], dtype=np.int64).reshape(len(g), g.dim))
+
+
+def random_refined_grid(dim, seed, cohorts=5, max_points=1500):
+    """A grid whose cohorts fit three seeded random channels in one call each.
+
+    Refining the loudest half of each frontier on channel "a" leaves orphans:
+    children with a parent missing.  Every fit is checked against the
+    term-order reference bitwise.
+    """
+    rng = np.random.default_rng(seed)
+    g = HierGrid(dim)
+    g.add_initial_levels(2 if dim == 1 else 1 if dim <= 3 else 0)
+    channels = ("a", "b", "c")
+    for step in range(cohorts):
+        if step:
+            front = np.abs(g.surpluses("a")[len(g) - len(g.frontier) :])
+            tau = float(np.quantile(front, 0.5))
+            if not g.refine(RefinementPolicy(tau=tau, channel="a", max_points=max_points)).n_new:
+                break
+        start = len(g) - len(g.frontier)
+        values = [rng.normal(size=len(g) - start) for _ in channels]
+        levels, indices = node_rows(g)
+        columns = [g.surpluses(ch) if ch in g.channels else np.full(len(g), np.nan) for ch in channels]
+        want = term_order_fit(levels, indices, columns, start, values)
+        g.compute_surpluses(dict(zip(channels, values)))
+        for ch, column in zip(channels, want):
+            assert g.surpluses(ch).tobytes() == column.tobytes()
+    return g
+
+
+def probe(g, rng, count=150):
+    """Canonical points inside the box, on its faces, outside it and at nodes."""
+    inside = rng.uniform(-1.0, 1.0, (count, g.dim))
+    faces = rng.uniform(-1.0, 1.0, (count, g.dim))
+    axis = rng.integers(0, g.dim, count)
+    faces[np.arange(count), axis] = rng.choice([-1.0, 1.0], count)
+    outside = rng.uniform(-3.0, 3.0, (count, g.dim))
+    corners = rng.choice([-1.0, 1.0], (8, g.dim))
+    return np.concatenate([inside, faces, outside, corners, g.node_coords()])
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_compiled_hat_sums_equal_term_order_reference(dim):
+    g = random_refined_grid(dim, seed=100 + dim)
+    assert g.nodes[-1].total_level >= 3  # refined past the initial levels
+    g.refine(RefinementPolicy(tau=1e-12, channel="a", max_points=len(g) + 50))  # an unfitted tail
+    fitted = len(g) - len(g.frontier)
+    levels, indices = node_rows(g)
+    pts = probe(g, np.random.default_rng(dim))
+    for n in sorted({0, 1, fitted // 3, fitted}):
+        got = g.eval_many("b", pts, n_nodes=n)
+        want = term_order_hat_sums(levels, indices, [g.surpluses("b")], pts, n_nodes=n)[0]
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_compiled_hat_sums_at_the_key_limit(dim):
+    # level vectors of total level _KEY_BITS - dim, the deepest a grid indexes
+    top = _KEY_BITS - dim
+    deep = sorted({(top - dim + 1,) + (1,) * (dim - 1), (top,) + (0,) * (dim - 1)})
+    rng = np.random.default_rng(dim)
+    levels, indices = [(0,) * dim], [(1,) * dim]
+    for level in deep:
+        centre = (2**level[0] // 3) | 1
+        for step in (-2, 0, 2, 4):
+            levels.append(level)
+            indices.append((centre + step,) + tuple(0 if l == 0 else 1 for l in level[1:]))
+    surpluses = rng.normal(size=len(levels)).tolist()
+    g = HierGrid.from_json_dict({"dim": dim, "domain": [[-1.0, 1.0]] * dim, "level": [list(l) for l in levels],
+                                 "index": [list(i) for i in indices], "surpluses": {"q": surpluses}})
+    h = 2.0 ** (1 - (top - dim + 1))
+    centres = g.node_coords()
+    pts = np.concatenate([centres, centres + 0.3 * h, centres - 0.7 * h, probe(g, rng, 20)])
+    got = g.eval_many("q", pts)
+    want = term_order_hat_sums(levels, indices, [np.array(surpluses)], pts)[0]
+    assert got.tobytes() == want.tobytes()
+    # the deep nodes' hats are seen: at its own centre each node adds its surplus
+    assert not np.array_equal(got[1:len(levels)], np.full(len(levels) - 1, surpluses[0]))
 
 
 # ---------------------------------------------------------------------------
