@@ -85,12 +85,12 @@ def _load_kernel() -> tuple[Callable[..., int], ...]:
     assemble.restype = None
     hat_sums = lib.hat_sums
     hat_sums.argtypes = (
-        [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 3
+        [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 5
         + [ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
     )
     hat_sums.restype = ctypes.c_int64
     find_nodes = lib.find_nodes
-    find_nodes.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4
+    find_nodes.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6
     find_nodes.restype = None
     return pcg, scratch_size, pack, assemble, hat_sums, find_nodes
 

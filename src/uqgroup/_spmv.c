@@ -33,26 +33,26 @@
  * matrix's own storage, and narrower in the solve's own slots, gathered from
  * the matrix's once the loop has narrowed to the lanes it still needs (see
  * ensemble_pcg).  list[k] names the lane packed at position k; only the
- * transpose and the write-back of the product read it.
+ * product's input and its write-back read it.
  *
- * With one lane the product is scipy's scalar loop (spmv_1).  A wider one
- * runs in chunks of C = 16, 8, 4, 2 or 1 lanes, taken from W's binary digits
- * with 16 lanes at a time first (33 = 16 + 16 + 1, 7 = 4 + 2 + 1).  Each
- * chunk width has its own compiled copy, which walks the rows for lanes
- * [c, c + C): for each nonzero the column index is loaded once, then C
- * contiguous multiply-adds follow over the chunk's part of the entry's
- * packed slot and of a lanes-last copy of x, both read at the stride W, into
- * C sums held in registers.  The row is walked in storage order, the lmap
- * slots first, then the run from hrow[i].  Each lane therefore sums its row
- * exactly as scipy's scalar csr_matvec does: from 0.0, over the row's
- * nonzeros in order, one rounded multiply and one rounded add each.
- * Vectorising across lanes does not reorder any lane's sum, and the build
- * passes -ffp-contract=off so no multiply-add is fused.  Lane list[k] of the
- * result is therefore bitwise the scalar product of that lane, whatever W, k
- * and its chunk are.
+ * Every width runs the same product, in chunks of C = 16, 8, 4, 2 or 1 lanes,
+ * taken from W's binary digits with 16 lanes at a time first
+ * (33 = 16 + 16 + 1, 7 = 4 + 2 + 1, 1 = 1).  Each chunk width has its own
+ * compiled copy, which walks the rows for lanes [c, c + C): for each nonzero
+ * the column index is loaded once, then C contiguous multiply-adds follow
+ * over the chunk's part of the entry's packed slot and of a lanes-last copy
+ * of x, both read at the stride W, into C sums held in registers.  The row
+ * is walked in storage order, the lmap slots first, then the run from
+ * hrow[i].  Each lane therefore sums its row exactly as scipy's scalar
+ * csr_matvec does: from 0.0, over the row's nonzeros in order, one rounded
+ * multiply and one rounded add each.  Vectorising across lanes does not
+ * reorder any lane's sum, and the build passes -ffp-contract=off so no
+ * multiply-add is fused.  Lane list[k] of the result is therefore bitwise
+ * the scalar product of that lane, whatever W, k and its chunk are.
  *
  * x and y are lanes-first (S, n).  For W > 1, the rows of x's lanes in the
- * list are first transposed into an (n, W) scratch xt.  The transpose and
+ * list are first transposed into an (n, W) scratch xt; with one lane the two
+ * layouts coincide, and xt is that lane's row of x itself.  The transpose and
  * the product run block by block of TILE rows, and chunk by chunk within a
  * block, so the block's graph and slots are still in cache when its next
  * chunk reads them: chunks that each walked all the rows took 1.07-1.12x
@@ -175,26 +175,6 @@ static __typeof__(chunk_spmv_1) *const chunk_spmv[] = {
     chunk_spmv_1, chunk_spmv_2, chunk_spmv_4, chunk_spmv_8, chunk_spmv_16};
 static __typeof__(chunk_transpose_1) *const chunk_transpose[] = {
     chunk_transpose_1, chunk_transpose_2, chunk_transpose_4, chunk_transpose_8, chunk_transpose_16};
-
-/* With one lane the two layouts coincide: scipy's scalar loop, in place, on
- * the rows of that lane. */
-static __attribute__((noinline)) void spmv_1(
-    const packed_csr m, int64_t lo, int64_t hi, const int32_t *restrict lmap,
-    const double *restrict x, double *restrict y)
-{
-    const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
-    const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
-    const double *restrict pack = m.pack;
-    for (int64_t i = lo; i < hi; i++) {
-        double sum = 0.0;
-        for (int32_t jj = row_offsets[i]; jj < split[i]; jj++)
-            sum += pack[*lmap++] * x[col_indices[jj]];
-        const double *restrict v = pack + hrow[i];
-        for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++)
-            sum += *v++ * x[col_indices[jj]];
-        y[i] = sum;
-    }
-}
 
 /* PCG.
  *
@@ -541,27 +521,28 @@ static void narrow(member *me, int64_t open)
 /* Steps 1 and 2 of an iteration (see ensemble_pcg): the member's rows of
  * Ap = A p for the packed lanes.  For W > 1 the member transposes its rows
  * of p into xt and, once the barrier has all of p there, forms its rows of
- * the product, both chunk by chunk within each block of TILE rows. */
+ * the product, both chunk by chunk within each block of TILE rows.  With one
+ * lane the two layouts coincide: the 1-lane chunk reads p's row of that lane
+ * in place, with no copy and no barrier. */
 static void product(member *me)
 {
     solve *sv = me->sv;
     const int64_t W = sv->width, n = sv->n, lo = me->row_lo, hi = me->row_hi;
     const int32_t *list = sv->list, *lmap = me->lmap;
-    if (W == 1) {
-        spmv_1(sv->m, lo, hi, lmap, sv->p + list[0] * n, sv->apz + list[0] * n);
-        return;
+    const double *xt = W == 1 ? sv->p + list[0] * n : sv->xt;
+    if (W > 1) {
+        for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
+            const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
+            for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
+                chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, list, sv->p, sv->xt);
+        }
+        sync_team(sv);
     }
-    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
-        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
-        for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-            chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, list, sv->p, sv->xt);
-    }
-    sync_team(sv);
     for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
         const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
         const int32_t *next = lmap;
         for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, list, sv->xt,
+            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, list, xt,
                                                  me->tile, sv->apz);
         lmap = next;
     }
@@ -715,7 +696,8 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * same number of nonzeros, and a share of about open / size of the open
  * lanes.  An iteration is four steps, each ended by a barrier, after the
  * team has narrowed the packed width if the open lanes fit a narrower one:
- *   1. each member transposes its rows of p's packed lanes into xt (W > 1);
+ *   1. each member transposes its rows of p's packed lanes into xt (W > 1;
+ *      one lane's product reads its row of p in place);
  *   2. each member forms its rows of Ap for the packed lanes, chunk by
  *      chunk, in its own tile;
  *   3. each member does p'Ap, then the x and r updates with r'r in one pass
@@ -731,8 +713,8 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * lanes of its rows' slots out of the matrix's slots, which hold every lane,
  * into the solve's own; after one more barrier member 0 rewrites the list
  * and the width, and every member reads the new ones after a second.  The
- * (S, n) vectors stay where they are: only the transpose and the write-back
- * of the product go through the list.
+ * (S, n) vectors stay where they are: only the product's input and its
+ * write-back go through the list.
  *
  * Every row sum and every lane's dot is thus computed by exactly one member
  * with the arithmetic, and in the order, of a one-lane, one-member solve, so
@@ -863,13 +845,12 @@ void ensemble_assemble(int64_t S, int64_t n_elem, const double *restrict a,
 /* Sparse-grid hat sums.
  *
  * A grid node has per-dimension levels l and indices i (see hier_grid.py).
- * The grid indexes its nodes by level vector: level vector v has `count`
- * nodes, whose index keys are sorted in keys[0, count) and whose grid
- * positions are positions[k] for keys[k].  A key packs one compressed index
- * per dimension, in dimension order from bit 0: the index itself in a
- * level-0 dimension (1 bit), (i - 1) / 2 in a dimension of level l >= 1
- * (l - 1 bits).  Row v of the table holds the addresses of v's keys and
- * positions and their count.
+ * The grid indexes its nodes by level vector: the nodes of level vector v
+ * are entries [offsets[v], offsets[v + 1]) of keys and positions, their
+ * index keys sorted, with the grid position of the node of keys[k] at
+ * positions[k].  A key packs one compressed index per dimension, in
+ * dimension order from bit 0: the index itself in a level-0 dimension
+ * (1 bit), (i - 1) / 2 in a dimension of level l >= 1 (l - 1 bits).
  *
  * At a canonical point y, dimension k of level l has these candidates: at
  * level 0 both boundary indices, with hats max(1 - |y + 1| / 2, 0) and
@@ -921,10 +902,12 @@ static int64_t find_key(const level_nodes nodes, int64_t key)
     return *keys == key ? nodes.positions[keys - nodes.keys] : -1;
 }
 
-static level_nodes table_row(const int64_t *table, int64_t v)
+/* The nodes of level vector v. */
+static level_nodes nodes_of(const int64_t *offsets, const int64_t *keys, const int64_t *positions,
+                            int64_t v)
 {
-    const level_nodes nodes = {(const int64_t *)(intptr_t)table[3 * v],
-                               (const int64_t *)(intptr_t)table[3 * v + 1], table[3 * v + 2]};
+    const level_nodes nodes = {keys + offsets[v], positions + offsets[v],
+                               offsets[v + 1] - offsets[v]};
     return nodes;
 }
 
@@ -961,12 +944,14 @@ static void tabulate_hats(int64_t p, int64_t d, int64_t k, int64_t l, const doub
 }
 
 /* out[c * p + j] = the sum at point j (see above) over the n_use level
- * vectors use[u] (rows of level, (L, d), and of table) of channel c, whose
- * surpluses are at the address surpluses[c].  y is (p, d) canonical points.
- * Returns 0, or -1 if the hat tables could not be allocated. */
+ * vectors use[u] (rows of level, (V, d), numbered as in the index) of
+ * channel c, whose surplus at position q < n_nodes is surpluses[c * n_nodes
+ * + q].  y is (p, d) canonical points.  Returns 0, or -1 if the hat tables
+ * could not be allocated. */
 int64_t hat_sums(int64_t d, int64_t p, const double *y, int64_t n_use, const int64_t *use,
-                 const int64_t *level, const int64_t *table, int64_t n_nodes, int64_t channels,
-                 const int64_t *surpluses, double *out)
+                 const int64_t *level, const int64_t *offsets, const int64_t *keys,
+                 const int64_t *positions, int64_t n_nodes, int64_t channels,
+                 const double *surpluses, double *out)
 {
     if (p == 0)
         return 0;
@@ -977,15 +962,12 @@ int64_t hat_sums(int64_t d, int64_t p, const double *y, int64_t n_use, const int
     double **tables = calloc((size_t)(d * (top + 1)), sizeof(double *));
     if (!tables)
         return -1;
-    const double *column[channels > 0 ? channels : 1];
-    for (int64_t c = 0; c < channels; c++)
-        column[c] = (const double *)(intptr_t)surpluses[c];
     int64_t failed = 0;
     for (int64_t j = 0; j < channels * p; j++)
         out[j] = 0.0;
     for (int64_t u = 0; u < n_use && !failed; u++) {
         const int64_t *lv = level + use[u] * d;
-        const level_nodes nodes = table_row(table, use[u]);
+        const level_nodes nodes = nodes_of(offsets, keys, positions, use[u]);
         const double *hat[d];
         const int64_t *half[d];
         int64_t shift[d], level0 = 0; /* level-0 dimensions */
@@ -1040,7 +1022,7 @@ int64_t hat_sums(int64_t d, int64_t p, const double *y, int64_t n_use, const int
                 if (pos < 0 || pos >= n_nodes)
                     continue;
                 for (int64_t c = 0; c < channels; c++)
-                    out[c * p + j] += prod * column[c][pos];
+                    out[c * p + j] += prod * surpluses[c * n_nodes + pos];
             }
         }
     }
@@ -1050,12 +1032,12 @@ int64_t hat_sums(int64_t d, int64_t p, const double *y, int64_t n_use, const int
     return failed ? -1 : 0;
 }
 
-/* positions[r] = the grid position of the node with key keys[r] among the
- * nodes of level vector ids[r] (a row of table), or -1 if there is none or
- * ids[r] is -1. */
-void find_nodes(int64_t m, const int64_t *ids, const int64_t *keys, const int64_t *table,
-                int64_t *positions)
+/* found[r] = the grid position of the node with key wanted[r] among the
+ * nodes of level vector ids[r], or -1 if there is none or ids[r] is -1. */
+void find_nodes(int64_t m, const int64_t *ids, const int64_t *wanted, const int64_t *offsets,
+                const int64_t *keys, const int64_t *positions, int64_t *found)
 {
     for (int64_t r = 0; r < m; r++)
-        positions[r] = ids[r] < 0 ? -1 : find_key(table_row(table, ids[r]), keys[r]);
+        found[r] = ids[r] < 0 ? -1
+                              : find_key(nodes_of(offsets, keys, positions, ids[r]), wanted[r]);
 }

@@ -6,13 +6,14 @@ r_table.csv, manifest.json and iterations_by_level.csv into --out-dir;
 per strategy, executed, streamed and useful lane-iterations, the mean and
 largest |predicted - iterations| of the surrogate's iteration counts (`-` on
 level 1, before a surrogate exists, and for analytic runs, whose counts are a
-closed-form proxy), and the QoI mean.  Flags override
-keys of the --config document or of the --problem preset; a PDE problem's
-field block holds sigma0, a_min and a_hat ("constant" or "test2").  The stop
-reason is tolerance_met, budget_exhausted, or lanes_unconverged whenever a
-lane stopped unconverged.  Exit codes: 0 when the run stopped on tolerance,
-2 when it exhausted the sample budget, 3 when a lane stopped unconverged
-(every R is then NaN), 1 on any error (bad flags included).
+closed-form proxy), and the QoI mean.  A run reads either a --config
+document or a --problem preset, not both, and flags override its keys; a
+PDE problem's field block holds sigma0, a_min and a_hat ("constant" or
+"test2").  The stop reason is tolerance_met, budget_exhausted, or
+lanes_unconverged whenever a lane stopped unconverged.  Exit codes: 0 when
+the run stopped on tolerance, 2 when it exhausted the sample budget, 3 when
+a lane stopped unconverged (every R is then NaN), 1 on any error (bad flags
+included).
 """
 
 from __future__ import annotations
@@ -49,11 +50,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one adaptive grouping study")
-    run_p.add_argument("--config", type=Path, help="JSON run configuration")
-    run_p.add_argument(
+    source = run_p.add_mutually_exclusive_group()
+    source.add_argument("--config", type=Path, help="JSON run configuration")
+    source.add_argument(
         "--problem",
         choices=ANALYTIC_PROBLEMS + PDE_PROBLEMS,
-        help="named preset, used when --config is not given",
+        help="named preset, instead of a --config document",
     )
     run_p.add_argument("--out-dir", type=Path, required=True)
     run_p.add_argument("--strategies", help="comma list drawn from nat,par,sur,its")

@@ -96,7 +96,7 @@ class StructuredMesh:
     z fastest.  All per-mesh data is precomputed once: element connectivity
     (E, 8), the (E*8, 3) quadrature points and `quad_axes`, their three
     per-axis coordinate tables shaped to broadcast to the same points in the
-    same order (`KLDiffusionField.mode_values` reads either), the shared CSR
+    same order (the form `KLDiffusionField.mode_values` reads), the shared CSR
     graph, its packed form (`split`, `hrow`, `lmap` and the `n_slots` count;
     see `_spmv.c`), an int32 (E, 36) table of the packed slot of each
     element's corner pair a <= b, a-major (-1 where a corner lies on the
@@ -219,13 +219,13 @@ def assemble(
     mesh: StructuredMesh,
     field: KLDiffusionField,
     samples: np.ndarray,
-    mode_vals: np.ndarray | None = None,
+    mode_vals: np.ndarray,
 ) -> AssembledEnsembleSystem:
     """Assemble the width-S ensemble system for the given sample rows.
 
-    `mode_vals` may carry `field.mode_values(mesh.quad_axes)` (bitwise that
-    of `mesh.quad_points`) precomputed once per (field, mesh) pair; values
-    of another shape, such as another mesh's, raise `FieldError`.  Lane
+    `mode_vals` is `field.mode_values(mesh.quad_axes)`, computed once per
+    (field, mesh) pair; values of another shape, such as another mesh's,
+    raise `FieldError`.  Lane
     matrices depend on their own sample only, so duplicated samples yield
     bit-identical lanes.  A lane's `anisotropy_indicator` is formed from its
     least and greatest value.  The matrix is assembled in packed form on the

@@ -148,10 +148,9 @@ def _load(hint, v, path: str, base=None):
             raise ConfigurationError(f"{path}: expected {hint.__name__}, got {v!r}")
         return v
     if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        if not isinstance(v, list | tuple) or not (args[-1] is Ellipsis or len(v) == len(args)):
+        items = _tuple_items(hint, v) if isinstance(v, list | tuple) else None
+        if items is None:
             raise ConfigurationError(f"{path}: expected a list matching {hint}, got {v!r}")
-        items = args[:1] * len(v) if args[-1] is Ellipsis else args
         if all(type(x) in _LEAVES.get(a, ()) for a, x in zip(items, v)):
             return tuple(v)  # flat tuples are the bulk of a report: no per-item recursion
         return tuple(_load(a, x, f"{path}[{i}]") for i, (a, x) in enumerate(zip(items, v)))
@@ -173,6 +172,36 @@ def _load(hint, v, path: str, base=None):
     return hint(**kw)
 
 
+def _tuple_items(hint, v) -> tuple | None:
+    """The item hints of tuple hint for the items of v, None if v's length does not fit."""
+    args = typing.get_args(hint)
+    if args[-1] is Ellipsis:
+        return args[:1] * len(v)
+    return args if len(v) == len(args) else None
+
+
+def _conforms(hint, v) -> bool:
+    """Whether a stored field value has its hint's type by `_load`'s rules,
+    with a tuple where `_load` reads a list and an instance where it reads an object."""
+    if type(hint) is types.UnionType:
+        return v is None or _conforms(hint.__args__[0], v)
+    if hint in _LEAVES:
+        return type(v) in _LEAVES[hint]
+    if typing.get_origin(hint) is tuple:
+        items = _tuple_items(hint, v) if type(v) is tuple else None
+        return items is not None and all(map(_conforms, items, v))
+    return isinstance(v, hint)
+
+
+def _check_types(config) -> None:
+    """Refuse a config whose stored fields do not have their types, naming the first such field."""
+    for name, _, hint, _ in _schema(type(config)):
+        value = getattr(config, name)
+        if not _conforms(hint, value):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigurationError(f"{type(config).__name__}.{name}: expected {expected}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -183,6 +212,7 @@ class SolverConfig:
     maxit: int = 30000
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigurationError(f"solver tol must be positive and finite, got {self.tol}")
         if self.maxit < 0:
@@ -198,6 +228,7 @@ class FieldConfig:
     a_hat: str = "constant"  # or "test2"
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.a_hat not in A_HAT_MODES:
             raise ConfigurationError(f"field.a_hat must be one of {A_HAT_MODES}, got {self.a_hat!r}")
         for key in ("sigma0", "a_min"):
@@ -211,6 +242,7 @@ class MeshConfig:
     mesh_cells: int = 16
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if not (self.mesh_cells >= 2 and graph_fits_int32(self.mesh_cells)):
             raise ConfigurationError(
                 f"mesh.mesh_cells must be >= 2 and fit the mesh's int32 indices, got {self.mesh_cells}")
@@ -232,6 +264,7 @@ class RunConfig:
     dump_residuals: bool = False
 
     def __post_init__(self) -> None:
+        _check_types(self)
         if self.problem not in ANALYTIC_PROBLEMS + PDE_PROBLEMS:
             raise ConfigurationError(f"unknown problem {self.problem!r}")
         if self.ensemble_size < 1:

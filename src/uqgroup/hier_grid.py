@@ -14,9 +14,11 @@ makes the hierarchical-surplus system triangular when processed cohort by
 cohort.
 
 Hats are evaluated by lookup, not by a dense points x nodes block.  The
-grid indexes its nodes by level vector: each level vector keeps its nodes'
-index keys sorted, and the index is extended in place as nodes are appended,
-never rebuilt.  At a point, the hats of one level vector overlap at most 2^z
+grid indexes its nodes by level vector, in plain arrays the compiled kernels
+read: each level vector's range of sorted index keys and their nodes' grid
+positions.  The index is extended as nodes are appended, one stable sort
+placing the new keys among the old, never rebuilt.  At a point, the hats of
+one level vector overlap at most 2^z
 nodes, z being the number of its level-0 dimensions: one candidate index per
 dimension of level l >= 1 (the odd index whose support holds the point) and
 both indices in each level-0 dimension.  A fit or an evaluation sums a whole
@@ -125,10 +127,11 @@ def _sorted_distinct(level: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, 
     return level[keep], index[keep]
 
 
-def _group_rows(level: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Each distinct level vector and its rows, in order of first occurrence."""
+def _group_rows(level: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """The distinct level vectors of (m, d) rows, sorted, the first row of
+    each and each row's number in that list."""
     vectors, first, group = np.unique(level, axis=0, return_index=True, return_inverse=True)
-    return [(tuple(vectors[g].tolist()), np.flatnonzero(group == g)) for g in np.argsort(first)]
+    return [tuple(v) for v in vectors.tolist()], first, group.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -165,52 +168,43 @@ def _keys(level: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 class _LevelIndex:
-    """A grid's nodes by level vector, extended in place as nodes are appended.
+    """A grid's nodes by level vector, as the plain arrays the compiled lookup
+    (`_spmv.c`) reads, extended as nodes are appended.
 
     Level vectors are numbered in order of their first node, the fixed order
-    in which every hat sum adds its terms; number v is row v of `level`.  Its
-    nodes' sorted keys and their grid positions are `keys[v]` and
-    `positions[v]`, and row v of `table` holds the two arrays' addresses and
-    length, as the compiled lookup (`_spmv.c`) reads them.  The index holds a
-    reference to every array whose address its table holds.
+    in which every hat sum adds its terms; number v is row v of `level`.  The
+    indexed nodes, the grid's first len(keys) nodes, are sorted by level vector
+    number, then index key, stably, so that a loaded grid's duplicate node
+    comes after its first copy: entries [offsets[v], offsets[v + 1]) of
+    `keys` and `positions` are v's nodes' keys and grid positions.
     """
 
     def __init__(self, dim: int):
         self.ids: dict[tuple[int, ...], int] = {}
         self.level = np.empty((0, dim), dtype=np.int64)
-        self.keys: list[np.ndarray] = []
-        self.positions: list[np.ndarray] = []
-        self.table = np.empty((0, 3), dtype=np.int64)
-        self.size = 0  # nodes at positions below this are indexed
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.positions = np.empty(0, dtype=np.int64)
 
     def extend(self, level: np.ndarray, index: np.ndarray) -> None:
-        """Index the nodes of the grid's (n, d) rows from position `size` on."""
-        start = self.size
-        groups = _group_rows(level[start:])
-        new = [lv for lv, _ in groups if lv not in self.ids]
-        if new:
-            for lv in new:
-                self.ids[lv] = len(self.ids)
-            self.level = np.concatenate([self.level, np.array(new, dtype=np.int64)])
-            self.keys += [np.empty(0, dtype=np.int64) for _ in new]
-            self.positions += [np.empty(0, dtype=np.int64) for _ in new]
-            self.table = np.concatenate([self.table, np.zeros((len(new), 3), dtype=np.int64)])
-        keys = _keys(level[start:], index[start:])
-        for lv, rows in groups:
-            v = self.ids[lv]
-            k = np.concatenate([self.keys[v], keys[rows]])
-            order = np.argsort(k, kind="stable")  # a duplicate node after its first copy
-            self.keys[v] = k[order]
-            self.positions[v] = np.concatenate([self.positions[v], start + rows])[order]
-            self.table[v] = (self.keys[v].ctypes.data, self.positions[v].ctypes.data, len(order))
-        self.size = len(level)
+        """Index the nodes of the grid's (n, d) rows from position len(keys) on."""
+        start = len(self.keys)
+        vectors, first, group = _group_rows(level[start:])
+        for g in np.argsort(first):
+            self.ids.setdefault(vectors[g], len(self.ids))
+        self.level = np.array(list(self.ids), dtype=np.int64).reshape(-1, level.shape[1])
+        numbers = np.concatenate([np.repeat(np.arange(len(self.offsets) - 1), np.diff(self.offsets)),
+                                  np.array([self.ids[lv] for lv in vectors], dtype=np.int64)[group]])
+        keys = np.concatenate([self.keys, _keys(level[start:], index[start:])])
+        order = np.lexsort((keys, numbers))
+        self.keys = keys[order]
+        self.positions = np.concatenate([self.positions, np.arange(start, len(level))])[order]
+        self.offsets = np.searchsorted(numbers[order], np.arange(len(self.ids) + 1))
 
     def ids_of(self, level: np.ndarray) -> np.ndarray:
         """The number of each (m, d) row's level vector, -1 where it has no node."""
-        ids = np.full(len(level), -1, dtype=np.int64)
-        for lv, rows in _group_rows(level):
-            ids[rows] = self.ids.get(lv, -1)
-        return ids
+        vectors, _, group = _group_rows(level)
+        return np.array([self.ids.get(lv, -1) for lv in vectors], dtype=np.int64)[group]
 
 
 class HierGrid:
@@ -325,8 +319,8 @@ class HierGrid:
         nodes = self._node_index()
         ids, keys = nodes.ids_of(level), _keys(level, index)
         out = np.empty(len(level), dtype=np.int64)
-        _FIND_NODES(len(level), ids.ctypes.data, keys.ctypes.data, nodes.table.ctypes.data,
-                    out.ctypes.data)
+        _FIND_NODES(len(level), ids.ctypes.data, keys.ctypes.data, nodes.offsets.ctypes.data,
+                    nodes.keys.ctypes.data, nodes.positions.ctypes.data, out.ctypes.data)
         return out
 
     # -- surplus fitting ----------------------------------------------------
@@ -351,8 +345,11 @@ class HierGrid:
         if not len(self):
             raise GridError("empty grid")
         start = self._front_start
-        fits = []
-        for channel, vals in values.items():
+        # One row per channel: its fitted surpluses, then its frontier values,
+        # each replaced by its surplus once its total level is fitted.  The
+        # sums of a total level read only nodes of lower ones.
+        block = np.full((len(values), len(self)), np.nan)
+        for c, (channel, vals) in zip(block, values.items()):
             v = np.asarray(vals, dtype=float)
             if v.shape != (len(self) - start,):
                 raise IncompleteDataError(
@@ -361,12 +358,13 @@ class HierGrid:
                 )
             if not np.all(np.isfinite(v)):
                 raise GridError(f"channel {channel!r} has non-finite values")
-            c = self._surpluses[channel].copy() if channel in self._surpluses else np.full(len(self), np.nan)
+            if channel in self._surpluses:
+                c[:start] = self._surpluses[channel][:start]
             if not np.all(np.isfinite(c[:start])):
                 raise IncompleteDataError(
                     f"channel {channel!r} has unfitted earlier cohorts; fit them first"
                 )
-            fits.append((channel, c, v))
+            c[start:] = v
 
         totals = self._level[start:].sum(axis=1)
         nodes = self._node_index()
@@ -374,41 +372,40 @@ class HierGrid:
         for total in np.unique(totals):
             group = np.flatnonzero(totals == total)
             sums = self._hat_sums(self._center[start + group], np.flatnonzero(level_totals < total),
-                                  len(self), [c for _, c, _ in fits])
-            for (channel, c, v), s in zip(fits, sums):
-                c[start + group] = v[group] - s
-                # Later sums skip the terms of zero hats, which adds the same
-                # only while every surplus is finite.
+                                  block)
+            block[:, start + group] -= sums
+            # Later sums skip the terms of zero hats, which adds the same only
+            # while every surplus is finite.
+            for channel, c in zip(values, block):
                 if not np.all(np.isfinite(c[start + group])):
                     raise GridError(f"channel {channel!r} has surpluses that overflow")
-        for channel, c, _ in fits:
-            self._surpluses[channel] = c
+        self._surpluses.update(zip(values, block))
 
     def _node_index(self) -> _LevelIndex:
         """The node index by level vector, first extended by the nodes appended since."""
-        if self._by_level.size < len(self):
+        if len(self._by_level.keys) < len(self):
             self._by_level.extend(self._level, self._index)
         return self._by_level
 
-    def _hat_sums(self, points_canonical: np.ndarray, use: np.ndarray, n_nodes: int,
-                  surpluses: Sequence[np.ndarray]) -> np.ndarray:
+    def _hat_sums(self, points_canonical: np.ndarray, use: np.ndarray,
+                  surpluses: np.ndarray) -> np.ndarray:
         """(channels, p) sums of hat * surplus at (p, dim) canonical points.
 
-        Each channel's sum runs over the nodes below position n_nodes of the
-        level vectors numbered in `use`, in that order, then over each level
-        vector's candidate index vectors in `itertools.product` order, with
-        every hat multiplied over dimensions in dimension order (`hat_sums` in
-        `_spmv.c`).  `surpluses` are contiguous float64 columns of at least
-        n_nodes entries, kept alive by the caller.
+        `surpluses` is a (channels, n_nodes) block.  Each channel's sum runs
+        over the nodes below position n_nodes of the level vectors numbered in
+        `use`, in that order, then over each level vector's candidate index
+        vectors in `itertools.product` order, with every hat multiplied over
+        dimensions in dimension order (`hat_sums` in `_spmv.c`).
         """
         nodes = self._node_index()
         y = np.ascontiguousarray(points_canonical, dtype=np.float64)
         use = np.ascontiguousarray(use, dtype=np.int64)
-        columns = np.array([c.ctypes.data for c in surpluses], dtype=np.int64)
+        surpluses = np.ascontiguousarray(surpluses, dtype=np.float64)
         out = np.empty((len(surpluses), len(y)))
         if _HAT_SUMS(self.dim, len(y), y.ctypes.data, len(use), use.ctypes.data,
-                     nodes.level.ctypes.data, nodes.table.ctypes.data, n_nodes, len(surpluses),
-                     columns.ctypes.data, out.ctypes.data):
+                     nodes.level.ctypes.data, nodes.offsets.ctypes.data, nodes.keys.ctypes.data,
+                     nodes.positions.ctypes.data, surpluses.shape[1], len(surpluses),
+                     surpluses.ctypes.data, out.ctypes.data):
             raise MemoryError(f"no memory for the hat tables of {len(y)} points")
         return out
 
@@ -445,7 +442,7 @@ class HierGrid:
         if not np.all(np.isfinite(points)):
             raise GridError("points must be finite")
         nodes = self._node_index()
-        return self._hat_sums(self._to_canonical(points), np.arange(len(nodes.level)), n_nodes, [c])[0]
+        return self._hat_sums(self._to_canonical(points), np.arange(len(nodes.level)), c[None, :n_nodes])[0]
 
     def integrate_surrogate(self, channel: str) -> float:
         """Mean of the surrogate under the uniform density on the domain box.

@@ -156,26 +156,21 @@ class KLDiffusionField:
             return np.where(r < d / 4.0, 1.0, np.where(r < d / 2.0, 100.0, 10.0))
         raise FieldError(f"unknown a_hat mode {self.a_hat_mode!r}")
 
-    def mode_values(self, points) -> np.ndarray:
+    def mode_values(self, axes: tuple) -> np.ndarray:
         """3D eigenfunctions at spatial points: (N, P).
 
-        `points` is a (P, 3) array, or a tuple of three coordinate arrays
-        (x, y, z) that broadcast to the point set, P being its size in C
-        order; a tensor grid such as `StructuredMesh.quad_axes` then costs one
-        interpolation per distinct coordinate of an axis.  Either way each
+        `axes` is a tuple of three coordinate arrays (x, y, z) that broadcast
+        to the point set, P being its size in C order: a tensor grid such as
+        `StructuredMesh.quad_axes` costs one interpolation per distinct
+        coordinate of an axis, and (P, 3) points are `tuple(points.T)`.  Each
         factor is interpolated at the coordinates as given and a mode's value
         is (x factor * y factor) * z factor at every point, so a point gets
-        the same bits from both forms.
+        the same bits whichever grid it is given on.
         """
-        if isinstance(points, tuple):
-            if len(points) != 3:
-                raise FieldError(f"per-axis coordinates must be three arrays, got {len(points)}")
-            axes = [np.asarray(c, dtype=float) for c in points]
-        else:
-            points = np.asarray(points, dtype=float)
-            if points.ndim != 2 or points.shape[1] != 3:
-                raise FieldError(f"points must have shape (P, 3), got {points.shape}")
-            axes = list(points.T)
+        if not (isinstance(axes, tuple) and len(axes) == 3):
+            raise FieldError("mode values need a tuple of three coordinate arrays "
+                             "(tuple(points.T) for (P, 3) points)")
+        axes = [np.asarray(c, dtype=float) for c in axes]
         try:
             shape = np.broadcast_shapes(*(c.shape for c in axes))
         except ValueError as err:
@@ -186,22 +181,17 @@ class KLDiffusionField:
             np.multiply(x * y, z, out=out[n].reshape(shape))
         return out
 
-    def eval_a_batch(
-        self, points: np.ndarray, samples: np.ndarray, mode_vals: np.ndarray | None = None
-    ) -> np.ndarray:
+    def eval_a_batch(self, points: np.ndarray, samples: np.ndarray, mode_vals: np.ndarray) -> np.ndarray:
         """Coefficient a(x, y) on a grid of points for many samples: (S, P).
 
-        `points` is a (P, 3) array.  `mode_vals` may pass precomputed
-        `mode_values(points)`, shape (N, P), to amortise the eigenfunction
-        interpolation across calls with the same points; any other shape is
-        refused.
+        `points` is a (P, 3) array and `mode_vals` its `mode_values`, shape
+        (N, P), computed once for all the calls on the same points; any other
+        shape is refused.
         """
         samples = np.atleast_2d(np.asarray(samples, dtype=float))
         if samples.shape[1] != self.n_modes:
             raise FieldError(f"samples must have {self.n_modes} columns, got {samples.shape[1]}")
-        if mode_vals is None:
-            mode_vals = self.mode_values(points)
-        elif np.shape(mode_vals) != (self.n_modes, len(points)):
+        if np.shape(mode_vals) != (self.n_modes, len(points)):
             raise FieldError(
                 f"mode_vals must have shape {(self.n_modes, len(points))}, got {np.shape(mode_vals)}"
             )

@@ -269,7 +269,7 @@ def test_criterion_7_numerical_kernels():
 
         def center_value(cells):
             mesh = StructuredMesh(cells)
-            system = assemble(mesh, lap, np.zeros((1, 1)))
+            system = assemble(mesh, lap, np.zeros((1, 1)), lap.mode_values(mesh.quad_axes))
             res = ensemble_pcg(system.matrix, system.rhs, tol=1e-12, maxit=10000)
             assert res.converged_per_lane.all()
             return res.solution[0][center_dof(cells)]

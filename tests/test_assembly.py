@@ -35,8 +35,9 @@ def test_assembly_bitwise_equals_einsum_oracle(width, cells, regime):
     field = FIELDS[regime]
     mesh = StructuredMesh(cells)
     samples = np.random.default_rng(1000 * cells + width).uniform(-1.0, 1.0, (width, 4))
-    system = assemble(mesh, field, samples)
-    a_vals = field.eval_a_batch(mesh.quad_points, samples)
+    mode_vals = field.mode_values(mesh.quad_axes)
+    system = assemble(mesh, field, samples, mode_vals)
+    a_vals = field.eval_a_batch(mesh.quad_points, samples, mode_vals)
     row_offsets, col_indices, values, rhs = einsum_assemble(mesh, a_vals)
     assert np.array_equal(system.matrix.row_offsets, row_offsets)
     assert np.array_equal(system.matrix.col_indices, col_indices)
@@ -48,9 +49,10 @@ def test_wide_assembly_lanes_equal_their_own_assembly():
     field = FIELDS["log"]
     mesh = StructuredMesh(8)
     samples = np.random.default_rng(16).uniform(-1.0, 1.0, (16, 4))
-    wide = assemble(mesh, field, samples).matrix.values
+    mode_vals = field.mode_values(mesh.quad_axes)
+    wide = assemble(mesh, field, samples, mode_vals).matrix.values
     for s in range(16):
-        alone = assemble(mesh, field, samples[s : s + 1]).matrix.values
+        alone = assemble(mesh, field, samples[s : s + 1], mode_vals).matrix.values
         assert _bits(wide[s]) == _bits(alone[0])
 
 
@@ -72,8 +74,9 @@ def test_packed_assembly_is_the_pack_of_the_oracle_values(width, cells):
     field = FIELDS["log"]
     mesh = StructuredMesh(cells)
     samples = np.random.default_rng(100 * cells + width).uniform(-1.0, 1.0, (width, 4))
-    matrix = assemble(mesh, field, samples).matrix
-    a_vals = field.eval_a_batch(mesh.quad_points, samples)
+    mode_vals = field.mode_values(mesh.quad_axes)
+    matrix = assemble(mesh, field, samples, mode_vals).matrix
+    a_vals = field.eval_a_batch(mesh.quad_points, samples, mode_vals)
     row_offsets, col_indices, values, _ = einsum_assemble(mesh, a_vals)
     for s in range(width):
         assert _bits(matrix.values[s]) == _bits(values[:, s])

@@ -641,7 +641,8 @@ def test_entry_without_a_mirror():
 def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
     field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     samples = np.random.default_rng(40 + width).uniform(-1.0, 1.0, (width, 4))
-    system = assemble(StructuredMesh(6), field, samples)
+    mesh = StructuredMesh(6)
+    system = assemble(mesh, field, samples, field.mode_values(mesh.quad_axes))
     for s in range(width):
         lane = system.matrix.lane(s)
         mirror = lane.T.tocsr()
@@ -679,7 +680,7 @@ def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
     jobs = [[rng.uniform(-1.0, 1.0, (width, 4)) for width in (1, 4, 7)] for _ in range(2)]
 
     def run(samples, threads):
-        system = assemble(mesh, field, samples, field.mode_values(mesh.quad_points))
+        system = assemble(mesh, field, samples, field.mode_values(mesh.quad_axes))
         return _outcome(system, threads)
 
     want = [[run(samples, 1) for samples in thread_jobs] for thread_jobs in jobs]
@@ -716,7 +717,8 @@ def _team_system(width, seed):
     three tiles."""
     field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     samples = np.random.default_rng(seed).uniform(-1.0, 1.0, (width, 4))
-    return assemble(StructuredMesh(8), field, samples)
+    mesh = StructuredMesh(8)
+    return assemble(mesh, field, samples, field.mode_values(mesh.quad_axes))
 
 
 # With the grain lowered to one lane-nonzero every solve forms its team; the

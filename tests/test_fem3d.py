@@ -35,8 +35,13 @@ def kl_field():
     return build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
 
 
+def assemble_lanes(mesh, field, samples):
+    """`assemble` with the mode values the harness computes once per mesh."""
+    return assemble(mesh, field, samples, field.mode_values(mesh.quad_axes))
+
+
 def solve_one(mesh, field, sample, tol=1e-10, maxit=4000):
-    system = assemble(mesh, field, np.asarray(sample)[None, :])
+    system = assemble_lanes(mesh, field, np.asarray(sample)[None, :])
     res = ensemble_pcg(system.matrix, system.rhs, tol=tol, maxit=maxit)
     assert res.converged_per_lane.all()
     return res.solution[0]
@@ -102,7 +107,7 @@ def test_constant_coefficient_matrix_matches_kronecker_oracle(lap_field):
     # a = 1.5 + exp(0) = 2.5 against the unit y and z coefficients
     aniso = build_field(sigma0=0.0, n_modes=1, a_min=1.5)
     mesh = StructuredMesh(8)
-    system = assemble(mesh, aniso, np.array([[0.0]]))
+    system = assemble_lanes(mesh, aniso, np.array([[0.0]]))
     ref, rhs_ref = kron_stiffness(8, (2.5, 1.0, 1.0))
     diff = abs(system.matrix.lane(0) - ref)
     assert diff.max() < 1e-12 if diff.nnz else True
@@ -112,7 +117,7 @@ def test_constant_coefficient_matrix_matches_kronecker_oracle(lap_field):
 def test_interior_laplacian_row_matches_hand_stencil(lap_field):
     m = 16
     mesh = StructuredMesh(m)
-    system = assemble(mesh, lap_field, np.array([[0.0]]))
+    system = assemble_lanes(mesh, lap_field, np.array([[0.0]]))
     mat = system.matrix.lane(0).tocsr()
     n = m - 1
     mid = n // 2
@@ -140,14 +145,14 @@ def test_laplacian_face_neighbour_entry_vanishes():
 
 def test_matrix_exactly_symmetric(kl_field):
     mesh = StructuredMesh(8)
-    system = assemble(mesh, kl_field, np.array([[0.6, -0.3, 0.9, -0.8]]))
+    system = assemble_lanes(mesh, kl_field, np.array([[0.6, -0.3, 0.9, -0.8]]))
     a = system.matrix.lane(0)
     assert abs(a - a.T).max() == 0.0
 
 
 def test_matrix_positive_definite(kl_field):
     mesh = StructuredMesh(8)
-    system = assemble(mesh, kl_field, np.array([[0.9, 0.9, -0.9, 0.9]]))
+    system = assemble_lanes(mesh, kl_field, np.array([[0.9, 0.9, -0.9, 0.9]]))
     a = system.matrix.lane(0)
     rng = np.random.default_rng(31)
     for _ in range(100):
@@ -160,9 +165,10 @@ def test_nonpositive_coefficient_rejected():
     # sigma0 = 1e8 drives its exponent below -745 at y = -1
     degenerate = build_field(sigma0=1e8, n_modes=1, a_min=0.0)
     mesh = StructuredMesh(4)
-    assert np.all(degenerate.eval_a_batch(mesh.quad_points, np.array([[-1.0]])) == 0.0)
+    mode_vals = degenerate.mode_values(mesh.quad_axes)
+    assert np.all(degenerate.eval_a_batch(mesh.quad_points, np.array([[-1.0]]), mode_vals) == 0.0)
     with pytest.raises(FemError):
-        assemble(mesh, degenerate, np.array([[-1.0]]))
+        assemble_lanes(mesh, degenerate, np.array([[-1.0]]))
 
 
 def test_nan_coefficient_rejected(kl_field):
@@ -170,13 +176,13 @@ def test_nan_coefficient_rejected(kl_field):
     samples = np.zeros((2, 4))
     samples[1, 0] = np.nan
     with pytest.raises(FemError, match="NaN"):
-        assemble(mesh, kl_field, samples)
+        assemble_lanes(mesh, kl_field, samples)
 
 
 def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):
     mesh = StructuredMesh(8)
     y = np.array([0.25, -0.75, 0.5, 1.0])
-    system = assemble(mesh, kl_field, np.vstack([y, y]))
+    system = assemble_lanes(mesh, kl_field, np.vstack([y, y]))
     assert np.array_equal(system.matrix.values[0], system.matrix.values[1])
     res = ensemble_pcg(system.matrix, system.rhs, tol=1e-9, maxit=3000)
     assert np.array_equal(res.solution[0], res.solution[1])
@@ -190,7 +196,7 @@ def test_assembly_fills_the_packed_slots_on_the_mesh_graph(kl_field):
     # as it is, copying nothing.
     samples = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.0, 0.5, 1.0], [0.9, -0.9, 0.0, 0.2]])
     mesh = StructuredMesh(4)
-    matrix = assemble(mesh, kl_field, samples).matrix
+    matrix = assemble_lanes(mesh, kl_field, samples).matrix
     assert matrix.packed.shape == ((mesh.nnz + mesh.n_dofs) // 2, 3) == (mesh.n_slots, 3)
     assert matrix.packed.flags.c_contiguous
     for name in ("row_offsets", "col_indices", "split", "hrow", "lmap"):
@@ -199,18 +205,20 @@ def test_assembly_fills_the_packed_slots_on_the_mesh_graph(kl_field):
 
 
 def test_precomputed_mode_values_change_nothing(kl_field):
+    # The per-axis values of the mesh's tensor grid and those of its
+    # quadrature points one by one assemble the same matrix.
     mesh = StructuredMesh(4)
     y = np.array([[0.1, 0.2, 0.3, 0.4]])
-    direct = assemble(mesh, kl_field, y)
-    cached = assemble(mesh, kl_field, y, mode_vals=kl_field.mode_values(mesh.quad_points))
-    assert np.array_equal(direct.matrix.values, cached.matrix.values)
+    per_axis = assemble(mesh, kl_field, y, kl_field.mode_values(mesh.quad_axes))
+    pointwise = assemble(mesh, kl_field, y, kl_field.mode_values(tuple(mesh.quad_points.T)))
+    assert per_axis.matrix.packed.tobytes() == pointwise.matrix.packed.tobytes()
 
 
 @pytest.mark.parametrize("values_cells, mesh_cells", [(4, 8), (8, 4)])
 def test_mode_values_of_another_mesh_are_refused(kl_field, values_cells, mesh_cells):
     # Too few values once read past the coefficient buffer; too many
     # silently assembled another coefficient.
-    mode_vals = kl_field.mode_values(StructuredMesh(values_cells).quad_points)
+    mode_vals = kl_field.mode_values(StructuredMesh(values_cells).quad_axes)
     with pytest.raises(FieldError, match="mode_vals must have shape"):
         assemble(StructuredMesh(mesh_cells), kl_field, np.zeros((2, 4)), mode_vals)
 
@@ -221,7 +229,7 @@ def test_mode_values_of_another_mesh_are_refused(kl_field, values_cells, mesh_ce
 
 def test_zero_rhs_yields_zero_solution(lap_field):
     mesh = StructuredMesh(4)
-    system = assemble(mesh, lap_field, np.array([[0.0]]))
+    system = assemble_lanes(mesh, lap_field, np.array([[0.0]]))
     res = ensemble_pcg(system.matrix, np.zeros_like(system.rhs))
     assert res.iterations_per_lane[0] == 0
     assert np.array_equal(res.solution, np.zeros_like(system.rhs))
@@ -231,7 +239,7 @@ def test_qoi_against_direct_sparse_solve(kl_field):
     mesh = StructuredMesh(16)
     y = np.array([0.5, -0.25, 0.75, -1.0])
     u = solve_one(mesh, kl_field, y, tol=1e-12)
-    system = assemble(mesh, kl_field, y[None, :])
+    system = assemble_lanes(mesh, kl_field, y[None, :])
     u_ref = scipy.sparse.linalg.spsolve(system.matrix.lane(0).tocsc(), system.rhs[0])
     assert abs(qoi(u) - qoi(u_ref)) <= 1e-8 * qoi(u_ref)
 

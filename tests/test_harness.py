@@ -1,6 +1,7 @@
 """Tests for the adaptive study driver, its record types and the CLI."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -303,6 +304,37 @@ def test_config_from_dict_rejects_unknown_keys(doc, key):
 def test_config_from_dict_rejects_bad_values(patch):
     with pytest.raises(ConfigurationError):
         config_from_dict({"problem": "pde_test1", **patch})
+
+
+_small_g1 = functools.partial(preset_config, "analytic_g1", n_max=40)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        (_small_g1, {"ensemble_size": True}, "RunConfig.ensemble_size"),
+        (_small_g1, {"strategies": ["nat", "sur"]}, "RunConfig.strategies"),
+        (_small_g1, {"ensemble_size": 4.5}, "RunConfig.ensemble_size"),
+        (_small_g1, {"n_max": 60.5}, "RunConfig.n_max"),
+        (_small_g1, {"solver": {"tol": 1e-8}}, "RunConfig.solver"),
+        (_small_g1, {"base_curve": ((8, "2.0"),)}, "RunConfig.base_curve"),
+        (SolverConfig, {"maxit": True}, "SolverConfig.maxit"),
+        (SolverConfig, {"tol": "1e-7"}, "SolverConfig.tol"),
+        (MeshConfig, {"mesh_cells": 8.0}, "MeshConfig.mesh_cells"),
+        (FieldConfig, {"sigma0": "1.0"}, "FieldConfig.sigma0"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_configs_built_in_python_check_their_field_types(make, kwargs, field):
+    # The leaf and tuple rules of a read configuration, applied to a built
+    # one: a bool is not an int, a list not a tuple, a float no count.
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(field)}: expected"):
+        make(**kwargs)
+
+
+def test_configs_built_in_python_take_an_int_for_a_float():
+    assert preset_config("analytic_g1", tau=1).tau == 1
+    assert SolverConfig(tol=1).tol == 1
 
 
 @pytest.mark.parametrize(
@@ -848,6 +880,30 @@ def test_derive_levels_of_an_analytic_run():
     assert (levels[1].mean_abs_prediction_error, levels[1].max_abs_prediction_error) == (0.375, 0.5)
 
 
+@pytest.fixture(scope="module")
+def width_4_run():
+    config = preset_config("pde_test1", ensemble_size=4, n_max=150, mesh=MeshConfig(mesh_cells=6))
+    return config, adaptive_run(config)
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 16])
+def test_levels_of_one_width_replan_a_run_at_another(width_4_run, width):
+    # A run's levels do not depend on S, so replanning the width-4 run's
+    # levels at another width gives that width's run: every plan's order and
+    # R_l, the run's R and the derived lane tallies.  Only the kernel knows
+    # the streamed lane-iterations, so they are left out.
+    config, report = width_4_run
+    config = dataclasses.replace(config, ensemble_size=width)
+    real = adaptive_run(config)
+    levels, ratios, _ = harness.derive_levels(config, report.levels)
+    assert len(levels) == len(real.levels) > 1
+    for got, want in zip(levels, real.levels):
+        assert repr(got.plans) == repr(want.plans)  # float reprs round-trip: bitwise
+        assert (got.executed_lane_iterations, got.useful_lane_iterations, got.spmv_calls) == (
+            want.executed_lane_iterations, want.useful_lane_iterations, want.spmv_calls)
+    assert repr(ratios) == repr(real.work_ratios)
+
+
 @pytest.mark.parametrize("key, strategy, value", [("work_ratios", "sur", "next"), ("predicted_speedups", "nat", 1.0)],
                          ids=["one-ulp-ratio", "speedup-for-nan"])
 def test_parse_manifest_refuses_stored_values_that_are_not_the_derived_ones(tmp_path, capped_report, pde_report,
@@ -914,7 +970,7 @@ def counted_test2_run():
     lanes, solves = [], []
     eval_a_batch, pcg = KLDiffusionField.eval_a_batch, harness.ensemble_pcg
 
-    def counted_eval_a(self, points, samples, mode_vals=None):
+    def counted_eval_a(self, points, samples, mode_vals):
         lanes.append(len(samples))
         return eval_a_batch(self, points, samples, mode_vals)
 
@@ -942,13 +998,14 @@ def test_each_lane_evaluates_its_coefficient_once(counted_test2_run):
 def test_indicator_column_is_the_max_over_all_coefficient_values(tmp_path, counted_test2_run):
     config, report, _, _ = counted_test2_run
     field = build_field(config.field.sigma0, config.n_dims, config.field.a_min, config.field.a_hat)
-    points = StructuredMesh(config.mesh.mesh_cells).quad_points
+    mesh = StructuredMesh(config.mesh.mesh_cells)
+    mode_vals = field.mode_values(mesh.quad_axes)
     doc = json.loads(emit_reports(report, tmp_path)["manifest"].read_text())["reports"][0]
     coords = HierGrid.from_json_dict(doc["grid"]).node_coords()
     indicators = [v for lv in doc["levels"] for v in lv["samples"]["indicator"]]
     n = 0
     for y, got in zip(coords, indicators, strict=True):
-        a = field.eval_a_batch(points, y[None])[0]
+        a = field.eval_a_batch(mesh.quad_points, y[None], mode_vals)[0]
         assert got == anisotropy_indicator_max(a)
         n += 1
     assert n == report.n_samples_total == config.n_max
@@ -1315,6 +1372,17 @@ def test_cli_usage_errors(argv, tmp_path, capsys):
 def test_cli_neither_config_nor_problem(tmp_path, capsys):
     assert cli_main(["run", "--out-dir", str(tmp_path)]) == 1
     assert "either --config or --problem" in capsys.readouterr().err
+
+
+def test_cli_refuses_config_and_problem_together(tmp_path, capsys):
+    # Flags override the document, so a --problem beside it would be ignored.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"problem": "analytic_g1", "n_max": 40}))
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(cfg_path), "--problem", "analytic_g2", "--out-dir", str(out)])
+    assert code == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_mesh_cells_rejected_on_analytic(tmp_path, capsys):

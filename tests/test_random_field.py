@@ -23,6 +23,11 @@ def pairs():
     return eigenpairs_1d(DELTA, 8, 513)
 
 
+def a_at(field, points, samples):
+    """The coefficient of each sample row at (P, 3) points."""
+    return field.eval_a_batch(points, samples, field.mode_values(tuple(points.T)))
+
+
 # ---------------------------------------------------------------------------
 # 1D eigenpairs
 
@@ -157,7 +162,7 @@ def test_mercer_partial_sums_bounded_by_kernel_diagonal():
     field = build_field(sigma0=1.0, n_modes=20, a_min=0.0)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, (40, 3))
-    modes = field.mode_values(pts)  # (20, 40)
+    modes = field.mode_values(tuple(pts.T))  # (20, 40)
     diag = (field.eigenvalues[:, None] * modes**2).sum(axis=0)
     assert (diag <= 1.0 + 1e-3).all()
 
@@ -177,7 +182,7 @@ def test_adding_modes_grows_captured_variance():
 def test_zero_amplitude_field_is_constant():
     field = build_field(sigma0=0.0, n_modes=4, a_min=1.1)
     pts = np.array([[0.2, 0.5, 0.8], [0.0, 0.0, 0.0]])
-    vals = field.eval_a_batch(pts, np.array([[1.0, -1.0, 0.5, 0.3]]))
+    vals = a_at(field, pts, np.array([[1.0, -1.0, 0.5, 0.3]]))
     np.testing.assert_allclose(vals, 2.1, rtol=1e-15)
 
 
@@ -188,7 +193,7 @@ def test_log_expansion_positive_on_probe_lattice():
     lattice = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
     rng = np.random.default_rng(8)
     samples = rng.uniform(-1.0, 1.0, (1000, 4))
-    mode_vals = field.mode_values(lattice)
+    mode_vals = field.mode_values(tuple(lattice.T))
     assert (field.eval_a_batch(lattice, samples, mode_vals) > 0).all()
 
 
@@ -199,7 +204,7 @@ def test_per_axis_mode_values_equal_pointwise_bitwise(cells, n_modes):
     field = build_field(sigma0=np.sqrt(300.0), n_modes=n_modes, a_min=0.1)
     mesh = StructuredMesh(cells)
     expected = pointwise_mode_values(field, mesh.quad_points)
-    for got in (field.mode_values(mesh.quad_axes), field.mode_values(mesh.quad_points)):
+    for got in (field.mode_values(mesh.quad_axes), field.mode_values(tuple(mesh.quad_points.T))):
         assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
         assert got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
@@ -208,7 +213,9 @@ def test_per_axis_mode_values_equal_pointwise_bitwise(cells, n_modes):
 def test_mode_values_refuse_malformed_points():
     field = build_field(sigma0=1.0, n_modes=2, a_min=0.0)
     axis = np.array([0.25, 0.75])
-    bad = [np.zeros((4, 2)), np.zeros(3), (axis, axis), (axis, axis[:, None], np.zeros(3))]
+    # A (P, 3) array is refused too: the axes of arbitrary points are tuple(points.T).
+    bad = [np.zeros((4, 3)), np.zeros((4, 2)), np.zeros(3), [axis, axis, axis], (axis, axis),
+           (axis, axis[:, None], np.zeros(3))]
     for points in bad:
         with pytest.raises(FieldError):
             field.mode_values(points)
@@ -217,7 +224,7 @@ def test_mode_values_refuse_malformed_points():
 def test_eval_a_batch_refuses_mode_values_of_other_points():
     field = build_field(sigma0=1.0, n_modes=4, a_min=0.1)
     pts = np.random.default_rng(3).uniform(0.0, 1.0, (10, 3))
-    mode_vals = field.mode_values(pts)
+    mode_vals = field.mode_values(tuple(pts.T))
     for bad in (mode_vals[:, :9], mode_vals[:3], mode_vals.T, mode_vals.ravel()):
         with pytest.raises(FieldError, match="mode_vals must have shape"):
             field.eval_a_batch(pts, np.zeros((1, 4)), bad)
@@ -229,7 +236,7 @@ def test_eval_a_batch_lanes_independent_of_width(width):
     axis = (np.arange(16) + 0.5) / 16
     gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-    mode_vals = field.mode_values(pts)
+    mode_vals = field.mode_values(tuple(pts.T))
     samples = np.random.default_rng(width).uniform(-1.0, 1.0, (width, 4))
     batch = field.eval_a_batch(pts, samples, mode_vals)
     for row, y in zip(batch, samples):
@@ -239,7 +246,7 @@ def test_eval_a_batch_lanes_independent_of_width(width):
 def test_eval_a_batch_checks_sample_width():
     field = build_field(sigma0=1.0, n_modes=4, a_min=0.0)
     with pytest.raises(FieldError):
-        field.eval_a_batch(np.zeros((1, 3)), np.zeros((1, 3)))
+        a_at(field, np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_test2_amplitude_piecewise_with_boundaries():
@@ -274,7 +281,7 @@ def test_build_field_validation():
 
 def indicator_at(field, y, points):
     """The indicator of sample y over the coefficient at the given points."""
-    return anisotropy_indicator(field.eval_a_batch(points, np.asarray(y)[None, :])[0])
+    return anisotropy_indicator(a_at(field, points, np.asarray(y)[None, :])[0])
 
 
 def test_indicator_isotropic_and_constant_cases():
@@ -296,7 +303,7 @@ def test_indicator_ordering_matches_dense_grid_oracle():
     dense = np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
     def brute(y):
-        a = field.eval_a_batch(dense, y[None, :])[0]
+        a = a_at(field, dense, y[None, :])[0]
         hi = np.maximum(a, 1.0)
         lo = np.minimum(a, 1.0)
         return (hi / lo).max()
@@ -318,7 +325,7 @@ def test_indicator_matches_direct_recompute():
     rng = np.random.default_rng(21)
     pts = rng.uniform(0.0, 1.0, (64, 3))
     y = rng.uniform(-1.0, 1.0, 4)
-    a = field.eval_a_batch(pts, y[None, :])[0]
+    a = a_at(field, pts, y[None, :])[0]
     hi = np.maximum(a, 1.0)
     lo = np.minimum(a, 1.0)
     assert anisotropy_indicator(a) == pytest.approx((hi / lo).max(), rel=1e-14)
@@ -340,7 +347,7 @@ def test_indicator_of_the_bounds_is_that_of_all_values(a_min, sigma0):
     field = build_field(sigma0=sigma0, n_modes=4, a_min=a_min)
     rng = np.random.default_rng(24)
     pts = rng.uniform(0.0, 1.0, (256, 3))
-    a_vals = field.eval_a_batch(pts, rng.uniform(-1.0, 1.0, (64, 4)))
+    a_vals = a_at(field, pts, rng.uniform(-1.0, 1.0, (64, 4)))
     bounds = np.stack([a_vals.min(axis=1), a_vals.max(axis=1)], axis=1)
     rows = anisotropy_indicator(a_vals)
     assert rows.shape == (64,)
