@@ -8,10 +8,11 @@ five presets, the `sg-refine` benchmark unit, an `analytic_g2` run to tau
 1e-7 and 5,000 nodes (it reaches deep level vectors and both level-0
 candidates in each dimension of the compiled hat sums), an `analytic_g1`
 run at width 7 (float counts, a padded last ensemble and a width that is not
-a power of two, so its bytes pin the sum order of the work ratios), a `pde_test1` run
-whose width pads the last ensemble, a `pde_test1` run at width 1 (the
-1-lane chunk alone, reading its input in place), one at width 2 on an 8^3 mesh (the 2-lane chunk alone
-until its solves narrow to one lane), a `pde_test2` run at width 16 (one
+a power of two, so its bytes pin the sum order of the work ratios), a
+`pde_test1` run whose width pads the last ensemble, a `pde_test1` run at
+width 1 (the 1-lane chunk alone, reading its input in place), one at width 2
+on an 8^3 mesh (the 2-lane chunk alone until its solves narrow to one
+lane), a `pde_test2` run at width 16 (one
 16-lane chunk) on a 12^3 mesh, one at width 33 on an 8^3 mesh (chunks of 16,
 16 and 1 lanes), one at width 8 on the preset's 16^3 mesh (many ensembles
 per level through the solve pool, in one 8-lane chunk), one at width 32 on a

@@ -13,27 +13,27 @@ hat of a node vanishes at every node of equal or lower total level, which
 makes the hierarchical-surplus system triangular when processed cohort by
 cohort.
 
-Hats are evaluated by lookup, not by a dense points x nodes block.  The
-grid indexes its nodes by level vector, in plain arrays the compiled kernels
+Hats are evaluated by lookup, not by a dense points x nodes block.  The grid
+indexes its nodes by level vector, in plain arrays the compiled kernels
 read: each level vector's range of sorted index keys and their nodes' grid
 positions.  The index is extended as nodes are appended, one stable sort
-placing the new keys among the old, never rebuilt.  At a point, the hats of
-one level vector overlap at most 2^z
-nodes, z being the number of its level-0 dimensions: one candidate index per
-dimension of level l >= 1 (the odd index whose support holds the point) and
-both indices in each level-0 dimension.  A fit or an evaluation sums a whole
-cohort of points in one compiled call (`hat_sums` in `_spmv.c`), every
-channel at once.  It tabulates the hats of each (dimension, level) pair at
-every point once, then takes the level vectors, in index order, outermost and
-the points innermost, so one level vector's keys stay in cache while every
-point binary-searches them for its candidates.  A candidate whose hat is 0
-is skipped before its lookup: it would add a signed zero to a sum of finite
-terms, which leaves the sum's bits as they are.  Each point's sum thus adds
-its terms in one fixed order, level vector by level vector and candidate by
-candidate, bitwise the numpy term-order sum the tests keep as its reference.
-Evaluating p points costs at most O(p * level vectors * 2^z) lookups of
-O(log n) each instead of O(p * nodes * d) hat products; on the `sg-refine`
-benchmark unit two thirds of the candidates are zero hats.
+placing the new keys among the old.  At a point, the hats of one level
+vector overlap at most 2^z nodes, z being the number of its level-0
+dimensions: one candidate index per dimension of level l >= 1 (the odd index
+whose support holds the point) and both indices in each level-0 dimension.
+A fit or an evaluation sums a whole cohort of points in one compiled call
+(`hat_sums` in `_spmv.c`), every channel at once.  It tabulates the hats of
+each (dimension, level) pair at every point once, then takes the level
+vectors, in index order, outermost and the points innermost, so one level
+vector's keys stay in cache while every point binary-searches them for its
+candidates.  A candidate whose hat is 0 is skipped before its lookup: it
+would add a signed zero to a sum of finite terms, which leaves the sum's
+bits as they are.  Each point's sum thus adds its terms in one fixed order,
+level vector by level vector and candidate by candidate, bitwise the numpy
+term-order sum the tests keep as its reference.  Evaluating p points costs
+at most O(p * level vectors * 2^z) lookups of O(log n) each instead of
+O(p * nodes * d) hat products; on the `sg-refine` benchmark unit two thirds
+of the candidates are zero hats.
 
 Each node is stored once, as a row of (n, d) level and index arrays, and the
 level-vector index is the only node lookup: the hat sums, refinement and the
@@ -236,8 +236,8 @@ class HierGrid:
         self._level = np.empty((0, dim), dtype=np.int64)
         self._index = np.empty((0, dim), dtype=np.int64)
         self._center = np.empty((0, dim))  # canonical node coordinate
-        # Node index by level vector.  Lookups first extend it in place by the
-        # nodes appended since (_node_index), so building a grid does no index
+        # Node index by level vector.  Lookups first extend it by the nodes
+        # appended since (_node_index), so building a grid does no index
         # work before it is first fitted or evaluated.
         self._by_level = _LevelIndex(dim)
         self._surpluses: dict[str, np.ndarray] = {}
