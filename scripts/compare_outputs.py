@@ -9,24 +9,23 @@ five presets, the `sg-refine` benchmark unit, an `analytic_g2` run to tau
 candidates in each dimension of the compiled hat sums), an `analytic_g1`
 run at width 7 (float counts, a padded last ensemble and a width that is not
 a power of two, so its bytes pin the sum order of the work ratios), a
-`pde_test1` run whose width pads the last ensemble, a `pde_test1` run at
-width 1 (the 1-lane chunk alone, reading its input in place), one at width 2
-on an 8^3 mesh (the 2-lane chunk alone until its solves narrow to one
-lane), a `pde_test2` run at width 16 (one
-16-lane chunk) on a 12^3 mesh, one at width 33 on an 8^3 mesh (chunks of 16,
-16 and 1 lanes), one at width 8 on the preset's 16^3 mesh (many ensembles
-per level through the solve pool, in one 8-lane chunk), one at width 32 on a
-10^3 mesh (its solves narrow from 32 to 16, 16 to 4 and 4 to 1 lanes as
-lanes converge), one at width 64 on a 6^3 mesh (four 16-lane chunks, its
-solves narrowing from 64 down that ladder), one that dumps every ensemble's
-residual history, one cut off by a low `--maxit` (exit 3), one at
-`--maxit 0` (exit 3: every solution is the zero start, so every surplus is
-0 and the refinement alone would stop on tolerance), one whose only
-level is one width-16 ensemble on a 32^3 mesh (12 M lane-nonzeros, so on a
-machine of two or more CPUs its solve runs on a thread team), one whose
-only ensemble is 48 distinct samples on a 20^3 mesh (8.0 M lane-nonzeros, so
-a team too, which splits each of its narrowings from 48 to 16, 16 to 4 and 4
-to 1 lanes), one that requests `nat`, `par` and `its` but not `sur` (it
+`pde_test1` run whose width pads the last ensemble (a block of four lanes
+and one of three), a `pde_test1` run at width 1 (the 1-lane chunk alone,
+reading its input in place), one at width 2 on an 8^3 mesh (the 2-lane
+chunk alone until its solves narrow to one lane), a `pde_test2` run at
+width 16 (four blocks of four lanes) on a 12^3 mesh, one at width 33 on an
+8^3 mesh (eight blocks of four and one of one), one at width 8 on the
+preset's 16^3 mesh (many ensembles per level through the solve pool, two
+blocks each), one at width 32 on a 10^3 mesh, one at width 64 on a 6^3 mesh
+(sixteen blocks, each narrowing from four lanes to one as its lanes
+converge), one that dumps every ensemble's residual history, one cut off by
+a low `--maxit` (exit 3), one at `--maxit 0` (exit 3: every solution is the
+zero start, so every surplus is 0 and the refinement alone would stop on
+tolerance), one whose only level is one width-16 ensemble on a 32^3 mesh
+(on a machine of two or more CPUs its four blocks run on two threads or
+more), one whose only ensemble is 48 distinct samples on a 20^3 mesh
+(twelve blocks, shared out the same way), one that requests `nat`, `par`
+and `its` but not `sur` (it
 executes generation order, which its lane counters pin), a 7-mode
 `pde_test2` run on a 7^3 mesh, given as a `--config` document that the
 script writes into its work directory (its modes (0,1,1), (1,0,1) and
@@ -44,8 +43,10 @@ columns, error indicator, QoI mean, truncation mark, every plan's strategy,
 order and R_l, all six lane counters and both prediction errors; per report
 its work_ratios, predicted_speedups, stop_reason and notes.  Prints one line
 per case: `identical`, `manifest moved, reports equal` (the case passes), or
-the differing files and up to five differing attributes; exits 1 on any
-difference other than a moved manifest.
+the differing files, the first five differing attribute paths, the number
+of differing values and the distinct attributes they are in, list indices
+dropped (`$.levels.streamed_lane_iterations`); exits 1 on any difference
+other than a moved manifest.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python3 scripts/compare_outputs.py /tmp/parent/src src
@@ -53,9 +54,9 @@ difference other than a moved manifest.
 
 import argparse
 import filecmp
-import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -99,7 +100,7 @@ CONFIGS = {
     "pde_test1-field": {"problem": "pde_test1", "field": {"sigma0": 10.0, "a_min": 0.2}},
 }
 
-# How many differing attributes to print per differing manifest.
+# How many differing attribute paths to print per differing manifest.
 SHOWN_PATHS = 5
 
 # Run in a subprocess on one tree's PYTHONPATH: prints the compared
@@ -166,10 +167,15 @@ def json_differences(old, new, path: str = "$"):
 
 
 def report_differences(old_src: Path, new_src: Path, old: Path, new: Path) -> list[str]:
-    """Up to SHOWN_PATHS attributes whose values differ between two runs' parsed reports."""
+    """The paths of the attributes whose values differ between two runs' parsed reports."""
     old_doc = report_attributes(old_src, old / "manifest.json")
     new_doc = report_attributes(new_src, new / "manifest.json")
-    return list(itertools.islice(json_differences(old_doc, new_doc), SHOWN_PATHS))
+    return list(json_differences(old_doc, new_doc))
+
+
+def attribute_names(paths: list[str]) -> list[str]:
+    """The distinct attributes of the paths, list indices dropped: `$.levels.spmv_calls`."""
+    return sorted({re.sub(r"\[\d+\]", "", path) for path in paths})
 
 
 def main() -> int:
@@ -208,8 +214,10 @@ def main() -> int:
                 verdict = "identical"
             written = len(list(new.iterdir())) if new.is_dir() else 0
             print(f"{name:<24} exit {codes[0]}/{codes[1]}  {written:>3} files  {verdict}", flush=True)
-            for path in paths:
+            for path in paths[:SHOWN_PATHS]:
                 print(f"    {path}")
+            if paths:
+                print(f"    {len(paths)} differing values, in: {', '.join(attribute_names(paths))}")
     print(f"{len(CASES) - differ - moved} of {len(CASES)} cases identical, "
           f"{moved} with the manifest moved and the reports equal")
     return 1 if differ else 0

@@ -81,7 +81,7 @@ def _load_kernel() -> tuple[Callable[..., int], ...]:
     pack.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 8
     pack.restype = ctypes.c_int64
     assemble = lib.ensemble_assemble
-    assemble.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
+    assemble.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 5
     assemble.restype = None
     hat_sums = lib.hat_sums
     hat_sums.argtypes = (

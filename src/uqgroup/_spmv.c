@@ -1,11 +1,12 @@
 /* The compiled kernels of the package, one library built from this file.
  *
- * For the ensemble solve: the Jacobi-PCG loop, run in one call on a team of
- * threads, the lane-interleaved SpMV inside it, y[s] = A_s x[s] for the lanes
- * s the loop still needs, the assembly of stiffness matrices straight into
- * the packed storage that SpMV reads, and the pack of any other matrix into
- * it.  For the sparse grid (at the end of the file): the hat sums of a cohort
- * of points, with which hier_grid fits and evaluates its surrogates, and the
+ * For the ensemble solve: the Jacobi-PCG loop, which solves an ensemble's
+ * blocks of lanes on up to `threads` threads in one call, the
+ * lane-interleaved SpMV inside it, y[s] = A_s x[s] for the lanes s a block
+ * still needs, the assembly of stiffness matrices straight into the packed
+ * storage that SpMV reads, and the pack of any other matrix into it.  For
+ * the sparse grid (at the end of the file): the hat sums of a cohort of
+ * points, with which hier_grid fits and evaluates its surrogates, and the
  * node lookup of its refinement.  The library exports ensemble_pcg,
  * ensemble_pcg_scratch_size, ensemble_assemble, ensemble_pack, hat_sums and
  * find_nodes; the SpMV is called only by the loop.
@@ -13,58 +14,61 @@
  * Packed storage.
  *
  * The S lane matrices share one CSR graph (row_offsets, col_indices).  Their
- * values sit in slots of S lane values each, pack[k * S + s].  Each row's run
- * of entries from just after its last entry below the diagonal to its end
- * (the diagonal and upper entries of a sorted row) has consecutive slots
- * starting at hrow[i]; the entries before the runs read their slots from
- * lmap, one int32 each, in storage order.  An entry (i, j) below the diagonal
- * whose mirror (j, i) sits in row j's run with all S lane values bitwise
- * equal reads the mirror's slot; any other entry has a slot of its own, just
- * before its row's run.  So the slots of row i are those from the end of row
- * i - 1's run to the end of its own, and a bitwise symmetric matrix stores
- * about half its values.  Every entry reads a slot that holds bitwise its own
- * S values.  A stiffness matrix is assembled straight into this layout, its
- * graph packed once per mesh (ensemble_assemble); any other matrix is packed
- * once from lanes-last values (ensemble_pack).  The solve only reads it.
+ * values sit in slots of lane values, one slot layout for all lanes.  Each
+ * row's run of entries from just after its last entry below the diagonal to
+ * its end (the diagonal and upper entries of a sorted row) has consecutive
+ * slots starting at hrow[i]; the entries before the runs read their slots
+ * from lmap, one int32 each, in storage order.  An entry (i, j) below the
+ * diagonal whose mirror (j, i) sits in row j's run with all S lane values
+ * bitwise equal reads the mirror's slot; any other entry has a slot of its
+ * own, just before its row's run.  So the slots of row i are those from the
+ * end of row i - 1's run to the end of its own, and a bitwise symmetric
+ * matrix stores about half its values.  Every entry reads a slot that holds
+ * bitwise its own S values.  A stiffness matrix is assembled straight into
+ * this layout, its graph packed once per mesh (ensemble_assemble); any other
+ * matrix is packed once from lanes-last values (ensemble_pack).  The solve
+ * only reads it.
+ *
+ * The lanes are stored, and solved, as independent blocks of at most BLOCK
+ * lanes: block g holds lanes [lo, lo + w) with lo = g * BLOCK and w =
+ * min(BLOCK, S - lo), as `slots` slots of w values, lane lo + s of slot k at
+ * pack[lo * slots + k * w + s].  The blocks follow each other, so an
+ * ensemble of up to BLOCK lanes is one (slots, S) array.
  *
  * SpMV.
  *
- * A slot holds the values of W lanes, the packed width: W = S in the
- * matrix's own storage, and narrower in the solve's own slots, gathered from
- * the matrix's once the loop has narrowed to the lanes it still needs (see
- * ensemble_pcg).  list[k] names the lane packed at position k; only the
- * product's input and its write-back read it.
+ * A slot holds the values of W lanes, the packed width: W = w in the
+ * block's own storage, and 1 in the solve's own slots, gathered from the
+ * block's once the block's solve has only one lane open (see ensemble_pcg).
+ * The packed lanes are the block's lanes [first, first + W): all of them,
+ * or the open one once narrowed.
  *
- * Every width runs the same product, in chunks of C = 16, 8, 4, 2 or 1 lanes,
- * taken from W's binary digits with 16 lanes at a time first
- * (33 = 16 + 16 + 1, 7 = 4 + 2 + 1, 1 = 1).  Each chunk width has its own
- * compiled copy, which walks the rows for lanes [c, c + C): for each nonzero
- * the column index is loaded once, then C contiguous multiply-adds follow
- * over the chunk's part of the entry's packed slot and of a lanes-last copy
- * of x, both read at the stride W, into C sums held in registers.  The row
- * is walked in storage order, the lmap slots first, then the run from
- * hrow[i].  Each lane therefore sums its row exactly as scipy's scalar
- * csr_matvec does: from 0.0, over the row's nonzeros in order, one rounded
- * multiply and one rounded add each.  Vectorising across lanes does not
- * reorder any lane's sum, and the build passes -ffp-contract=off so no
- * multiply-add is fused.  Lane list[k] of the result is therefore bitwise
- * the scalar product of that lane, whatever W, k and its chunk are.
+ * Every width runs the same product, in chunks of C = 4, 2 or 1 lanes, taken
+ * from W's binary digits (3 = 2 + 1).  Each chunk width has its own compiled
+ * copy, which walks the rows for lanes [c, c + C): for each nonzero the
+ * column index is loaded once, then C contiguous multiply-adds follow over
+ * the chunk's part of the entry's packed slot and of a lanes-last copy of x,
+ * both read at the stride W, into C sums held in registers.  The row is
+ * walked in storage order, the lmap slots first, then the run from hrow[i].
+ * Each lane therefore sums its row exactly as scipy's scalar csr_matvec
+ * does: from 0.0, over the row's nonzeros in order, one rounded multiply and
+ * one rounded add each.  Vectorising across lanes does not reorder any
+ * lane's sum, and the build passes -ffp-contract=off so no multiply-add is
+ * fused.  Lane first + k of the result is therefore bitwise the scalar
+ * product of that lane, whatever W, k and its chunk are.
  *
- * x and y are lanes-first (S, n).  For W > 1, the rows of x's lanes in the
- * list are first transposed into an (n, W) scratch xt; with one lane the two
+ * x and y are lanes-first (S, n).  For W > 1, the rows of x's packed lanes
+ * are first transposed into an (n, W) scratch xt; with one lane the two
  * layouts coincide, and xt is that lane's row of x itself.  The transpose and
  * the product run block by block of TILE rows, and chunk by chunk within a
- * block, so the block's graph and slots are still in cache when its next
- * chunk reads them: chunks that each walked all the rows took 1.07-1.12x
- * the time per lane-iteration of the single-walk body they replace at 16^3,
- * S=32 and 33, and 0.90-1.04x block by block (alternating in-process rounds
- * on a shared 2-vCPU guest).  A chunk gathers a block's results in a
- * (TILE, C) tile and writes them out lane by lane; storing each row's sums
- * straight into y took 1.35-1.45x as long at 16^3, S=4 to 33.  The PCG's
- * thread team splits both steps over ranges of whole TILE-row blocks: a
- * range starting at row lo reads lmap from the slot of row lo's first entry,
- * which the team finds once before the iterations.  A row's sum is the same
- * whichever range holds the row.
+ * row block, so the row block's graph and slots are still in cache when its
+ * next chunk reads them: chunks that each walked all the rows took
+ * 1.07-1.12x the time per lane-iteration of the single-walk body they
+ * replace at 16^3, S=32 and 33, and 0.90-1.04x row block by row block
+ * (alternating in-process rounds on a shared 2-vCPU guest).  A chunk gathers
+ * a row block's results in a (TILE, C) tile and writes them out lane by
+ * lane; storing each row's sums straight into y took 1.35-1.45x as long at
+ * 16^3, S=4 to 33.
  */
 
 #include <float.h>
@@ -75,7 +79,7 @@
 #include <string.h>
 
 #define TILE 64
-#define CHUNK 16 /* the widest chunk */
+#define BLOCK 4 /* the lanes of a block, and the widest chunk */
 
 /* The packed values and the graph that reads them. */
 typedef struct {
@@ -86,17 +90,16 @@ typedef struct {
 } packed_csr;
 
 /* log2 of the chunk that starts with `left` of the W lanes still to go. */
-#define chunk_log2(left) ((left) >= CHUNK ? 4 : 63 - __builtin_clzll((uint64_t)(left)))
+#define chunk_log2(left) ((left) >= BLOCK ? 2 : 63 - __builtin_clzll((uint64_t)(left)))
 
-/* xt[i * W + c + k] = x[list[c + k] * n + i] for the chunk's lanes k < C and
- * the rows i of the block [i0, i0 + rows). */
+/* xt[i * W + c + k] = x[(c + k) * n + i] for the chunk's lanes k < C and the
+ * rows i of the block [i0, i0 + rows); x starts at the first packed lane. */
 static inline __attribute__((always_inline)) void transpose_body(
     const int64_t C, const int64_t W, const int64_t c, const int64_t n, const int64_t i0,
-    const int64_t rows, const int32_t *restrict list, const double *restrict x,
-    double *restrict xt)
+    const int64_t rows, const double *restrict x, double *restrict xt)
 {
     for (int64_t k = 0; k < C; k++) {
-        const double *restrict xk = x + list[c + k] * n + i0;
+        const double *restrict xk = x + (c + k) * n + i0;
         for (int64_t r = 0; r < rows; r++)
             xt[(i0 + r) * W + c + k] = xk[r];
     }
@@ -108,8 +111,7 @@ static inline __attribute__((always_inline)) void transpose_body(
 static inline __attribute__((always_inline)) const int32_t *spmv_body(
     const int64_t C, const int64_t W, const int64_t c, const int64_t n, const packed_csr m,
     const int64_t i0, const int64_t rows, const int32_t *restrict lmap,
-    const int32_t *restrict list, const double *restrict xt, double *restrict tile,
-    double *restrict y)
+    const double *restrict xt, double *restrict tile, double *restrict y)
 {
     const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
     const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
@@ -117,7 +119,11 @@ static inline __attribute__((always_inline)) const int32_t *spmv_body(
     xt += c;
     for (int64_t r = 0; r < rows; r++) {
         const int64_t i = i0 + r;
-        double acc[CHUNK] = {0.0};
+        /* The chunk uses C <= BLOCK of these sums.  With the array sized BLOCK,
+         * gcc 12 allocates the loop's registers otherwise, and one-thread S=4
+         * solves took 1.08x as long at 24^3 and 1.11x at 16^3 (21 alternating
+         * in-process rounds, slower in all). */
+        double acc[4 * BLOCK] = {0.0};
         for (int32_t jj = row_offsets[i]; jj < split[i]; jj++) {
             const double *restrict v = pack + (int64_t)*lmap++ * W;
             const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
@@ -134,7 +140,7 @@ static inline __attribute__((always_inline)) const int32_t *spmv_body(
             tile[r * C + k] = acc[k];
     }
     for (int64_t k = 0; k < C; k++) {
-        double *restrict yk = y + list[c + k] * n + i0;
+        double *restrict yk = y + (c + k) * n + i0;
         for (int64_t r = 0; r < rows; r++)
             yk[r] = tile[r * C + k];
     }
@@ -153,28 +159,25 @@ static inline __attribute__((always_inline)) const int32_t *spmv_body(
 #define CHUNK_COPIES(C)                                                       \
     static __attribute__((noinline)) const int32_t *chunk_spmv_##C(           \
         int64_t W, int64_t c, int64_t n, const packed_csr m, int64_t i0,      \
-        int64_t rows, const int32_t *lmap, const int32_t *list,               \
-        const double *xt, double *tile, double *y)                            \
+        int64_t rows, const int32_t *lmap, const double *xt, double *tile,    \
+        double *y)                                                            \
     {                                                                         \
-        return spmv_body(C, W, c, n, m, i0, rows, lmap, list, xt, tile, y);   \
+        return spmv_body(C, W, c, n, m, i0, rows, lmap, xt, tile, y);         \
     }                                                                         \
     static void chunk_transpose_##C(int64_t W, int64_t c, int64_t n, int64_t i0, \
-        int64_t rows, const int32_t *list, const double *x, double *xt)       \
+        int64_t rows, const double *x, double *xt)                            \
     {                                                                         \
-        transpose_body(C, W, c, n, i0, rows, list, x, xt);                    \
+        transpose_body(C, W, c, n, i0, rows, x, xt);                          \
     }
 
 CHUNK_COPIES(1)
 CHUNK_COPIES(2)
 CHUNK_COPIES(4)
-CHUNK_COPIES(8)
-CHUNK_COPIES(16)
 
 /* The copies by the log2 of their chunk width. */
-static __typeof__(chunk_spmv_1) *const chunk_spmv[] = {
-    chunk_spmv_1, chunk_spmv_2, chunk_spmv_4, chunk_spmv_8, chunk_spmv_16};
+static __typeof__(chunk_spmv_1) *const chunk_spmv[] = {chunk_spmv_1, chunk_spmv_2, chunk_spmv_4};
 static __typeof__(chunk_transpose_1) *const chunk_transpose[] = {
-    chunk_transpose_1, chunk_transpose_2, chunk_transpose_4, chunk_transpose_8, chunk_transpose_16};
+    chunk_transpose_1, chunk_transpose_2, chunk_transpose_4};
 
 /* PCG.
  *
@@ -187,8 +190,7 @@ static __typeof__(chunk_transpose_1) *const chunk_transpose[] = {
  * frozen), and its product is bitwise the same at every packed width.  Each
  * lane therefore computes bitwise what a one-lane solve of its own system
  * computes, whichever companions it has, whichever width its product runs
- * at and whichever member of the solve's thread team does its steps (see
- * ensemble_pcg).
+ * at and whichever thread solves its block (see ensemble_pcg).
  */
 
 /* x'y as DOT_SUMS partial sums, sum k adding the x[i] * y[i] with
@@ -263,17 +265,32 @@ static double precondition(int64_t n, const double *restrict r, const double *re
     return halving_tree(sum);
 }
 
+/* Copies `count` entries of lanes-last values, S each from v, into slots
+ * [slot, slot + count) of every block, the blocks written cap slots apart. */
+static void put_slots(int64_t S, int64_t cap, int64_t slot, int64_t count, const double *v,
+                      double *pack)
+{
+    for (int64_t lo = 0; lo < S; lo += BLOCK) {
+        const int64_t w = S - lo < BLOCK ? S - lo : BLOCK;
+        for (int64_t e = 0; e < count; e++)
+            memcpy(pack + lo * cap + (slot + e) * w, v + e * S + lo, (size_t)w * sizeof(double));
+    }
+}
+
 /* Packs lanes-last values[jj * S + s] row by row as the header describes,
  * filling split, hrow and lmap.  Rows are packed in order, so the rows i > j
  * that look up a mirror in row j come in increasing i; cursor[j] (n int32 of
  * scratch) walks row j's run once, past the columns below i, and finds the
- * mirror where a sorted run holds it.  Returns the number of slots filled. */
+ * mirror where a sorted run holds it.  The mirror test compares all S lanes.
+ * pack holds nnz * S doubles: the blocks are first written nnz slots apart,
+ * then moved together.  Returns the number of slots filled. */
 int64_t ensemble_pack(int64_t S, int64_t n, const int32_t *restrict row_offsets,
                       const int32_t *restrict col_indices, const double *restrict values,
                       double *restrict pack, int32_t *restrict split, int32_t *restrict hrow,
                       int32_t *restrict lmap, int32_t *restrict cursor)
 {
     const size_t bytes = (size_t)S * sizeof(double);
+    const int64_t cap = row_offsets[n];
     int32_t slot = 0;
     for (int64_t i = 0; i < n; i++) {
         const int32_t start = row_offsets[i], end = row_offsets[i + 1];
@@ -295,14 +312,17 @@ int64_t ensemble_pack(int64_t S, int64_t n, const int32_t *restrict row_offsets,
                     continue;
                 }
             }
-            memcpy(pack + (int64_t)slot * S, v, bytes);
+            put_slots(S, cap, slot, 1, v, pack);
             *lmap++ = slot++;
         }
         split[i] = cursor[i] = mid;
         hrow[i] = slot;
-        memcpy(pack + (int64_t)slot * S, values + (int64_t)mid * S, (size_t)(end - mid) * bytes);
+        put_slots(S, cap, slot, end - mid, values + (int64_t)mid * S, pack);
         slot += end - mid;
     }
+    for (int64_t lo = BLOCK; lo < S; lo += BLOCK)
+        memmove(pack + lo * slot, pack + lo * cap,
+                (size_t)((S - lo < BLOCK ? S - lo : BLOCK) * slot) * sizeof(double));
     return slot;
 }
 
@@ -335,234 +355,112 @@ static int jacobi(int64_t S, int64_t n, const packed_csr m, const int32_t *restr
     return 1;
 }
 
-/* The members a team of up to `members` forms on n rows: one per TILE-row
- * block at most. */
-static int64_t team_size(int64_t n, int64_t members)
+/* The threads that run the blocks of a solve: at most one per block. */
+static int64_t workers(int64_t blocks, int64_t threads)
 {
-    const int64_t blocks = (n + TILE - 1) / TILE;
-    if (members > blocks)
-        members = blocks;
-    return members > 1 ? members : 1;
+    const int64_t size = threads < blocks ? threads : blocks;
+    return size > 1 ? size : 1;
 }
 
-/* The narrowing ladder, widest rung first: the packed widths a solve narrows
- * down to (see ensemble_pcg).  A rung is one entry here; every width already
- * has its compiled chunks. */
-#define LADDER(X) X(16) X(4) X(1)
-#define RUNG(w) w,
-static const int64_t ladder[] = {LADDER(RUNG)};
-#define RUNGS (int64_t)(sizeof ladder / sizeof ladder[0])
-
-/* The widest rung below S: the most lanes a solve of S lanes narrows to, 0 if
- * it never narrows. */
-static int64_t first_narrow_width(int64_t S)
+/* One thread's scratch, in doubles, for blocks of up to W lanes: the SpMV's
+ * xt and tile, and the one-lane slots a block narrows to. */
+static int64_t thread_scratch(int64_t W, int64_t n, int64_t slots)
 {
-    for (int64_t k = 0; k < RUNGS; k++)
-        if (ladder[k] < S)
-            return ladder[k];
-    return 0;
+    return (n + TILE) * W + (W > 1 ? slots : 0);
 }
 
-/* The scratch of ensemble_pcg, in doubles: the SpMV's xt, one tile per
- * member, the solve's own copy of the slots at the first narrowed width, then
- * the int32 lane list and each member's share of the lanes. */
-int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t slots, int64_t members)
+/* The scratch of ensemble_pcg, in doubles: one thread_scratch per thread,
+ * then each block's iteration count and lane products, as int64. */
+int64_t ensemble_pcg_scratch_size(int64_t S, int64_t n, int64_t slots, int64_t threads)
 {
-    members = team_size(n, members);
-    return (n + members * TILE) * S + slots * first_narrow_width(S) + ((members + 1) * S + 1) / 2;
+    const int64_t blocks = (S + BLOCK - 1) / BLOCK;
+    return workers(blocks, threads) * thread_scratch(S < BLOCK ? S : BLOCK, n, slots) + 2 * blocks;
 }
 
 /* Returned by ensemble_pcg when a lane's diagonal is not strictly positive;
  * no iteration count or breakdown code can equal it. */
 #define BAD_DIAGONAL INT64_MIN
 
-/* The state of one solve, shared by its team. */
+/* The solve of one block: its S <= BLOCK lanes, their rows of the
+ * ensemble's (S, n) vectors and their entries of its lane arrays. */
 typedef struct {
-    int64_t S, n, maxit, open, size; /* open lanes at iteration 0; members */
-    int64_t width;                   /* packed width */
-    int64_t streamed;                /* sum over the iterations of width */
-    packed_csr m;                    /* the slots the product reads */
-    const double *matrix;            /* the matrix's slots, S lanes each */
-    double *own;                     /* the solve's slots once narrowed */
-    int32_t *list;                   /* list[k]: the lane packed at k < width */
-    double *x, *r, *apz, *p, *inv_diag, *xt;
-    const double *threshold;
-    double *r_norm, *rz, *history;
+    int64_t S, n, slots, maxit, open; /* open lanes at iteration 0 */
+    int64_t width, first;             /* packed width; first packed lane */
+    int64_t streamed;                 /* sum over the iterations of width */
+    int64_t stride;                   /* lanes per history row: the ensemble's */
+    double tol;
+    packed_csr m;                     /* the slots the product reads */
+    const int32_t *lmap;
+    const double *matrix;             /* the block's slots, S lanes each */
+    double *own;                      /* the one-lane slots once narrowed */
+    double *x, *r, *apz, *p, *inv_diag, *xt, *tile;
+    double *threshold, *r_norm, *rz, *history;
     int64_t *iterations;
     uint8_t *converged, *frozen;
-    pthread_barrier_t barrier;
-    pthread_mutex_t lock;
-    pthread_cond_t go; /* signalled once the team is partitioned */
-    int ready;
 } solve;
-
-/* One member's share: rows [row_lo, row_hi) of every product, and the lane
- * steps of the count open lanes in lanes. */
-typedef struct {
-    solve *sv;
-    int64_t id, row_lo, row_hi, count;
-    int64_t slot_lo, slot_hi; /* the slots of rows [row_lo, row_hi) */
-    int32_t *lanes;
-    const int32_t *lmap; /* lmap slot of row_lo's first entry */
-    double *tile;
-    pthread_t thread;
-} member;
-
-static void sync_team(solve *sv)
-{
-    if (sv->size > 1)
-        pthread_barrier_wait(&sv->barrier);
-}
 
 static int is_open(const solve *sv, int64_t s)
 {
     return !sv->converged[s] && !sv->frozen[s];
 }
 
-/* The first slot of row i: where the run of row i - 1 ends. */
-static int64_t row_slot(const packed_csr m, int64_t i)
+/* Narrows the product to one lane once only one is open: its values are
+ * copied out of the block's slots, which hold every lane and are never
+ * written, into the solve's own.  Called at the top of an iteration. */
+static void narrow(solve *sv, int64_t open)
 {
-    return i == 0 ? 0 : m.hrow[i - 1] + (m.row_offsets[i] - m.split[i - 1]);
-}
-
-/* Cuts the rows into sv->size blocks at multiples of TILE, block k ending at
- * the first cut with at least (k + 1) / size of the nonzeros above it; finds
- * where each row block starts in lmap (past the entries before the runs of
- * the rows above it) and which slots its rows own. */
-static void partition(solve *sv, member *team, const int32_t *lmap, double *tiles,
-                      int32_t *shares)
-{
-    const int64_t n = sv->n, S = sv->S, size = sv->size;
-    const int32_t *row_offsets = sv->m.row_offsets, *split = sv->m.split;
-    const int64_t nnz = row_offsets[n];
-    int64_t row = 0, lower = 0;
-    for (int64_t k = 0; k < size; k++) {
-        member *me = &team[k];
-        const int64_t target = nnz * (k + 1) / size;
-        me->row_lo = row;
-        me->lmap = lmap + lower;
-        while (row < n && (k == size - 1 || row_offsets[row] < target)) {
-            const int64_t end = row + TILE < n ? row + TILE : n;
-            for (; row < end; row++)
-                lower += split[row] - row_offsets[row];
-        }
-        me->row_hi = row;
-        me->slot_lo = row_slot(sv->m, me->row_lo);
-        me->slot_hi = row_slot(sv->m, row);
-        me->tile = tiles + k * TILE * S;
-        me->lanes = shares + k * S;
-    }
-}
-
-/* Gives the member the open lanes of ranks [id * open / size,
- * (id + 1) * open / size) in lane order.  Called where no member changes a
- * lane's flags: before the iterations and after step 3's barrier. */
-static void share_lanes(member *me, int64_t open)
-{
-    const solve *sv = me->sv;
-    const int64_t lo = me->id * open / sv->size, hi = (me->id + 1) * open / sv->size;
-    int64_t rank = 0;
-    me->count = 0;
-    for (int64_t s = 0; s < sv->S && rank < hi; s++)
-        if (is_open(sv, s) && rank++ >= lo)
-            me->lanes[me->count++] = (int32_t)s;
-}
-
-/* Slots [lo, hi) of the matrix's S lane values, gathered to `to` lanes: lane
- * keep[k] of slot q goes to own[q * to + k].  `to` is a compile-time rung: a
- * repack with a run-time width (one memcpy per slot) took 1.3 ms against
- * 0.06 ms for the 41,441 slots of a 16^3, S=4 solve. */
-static inline __attribute__((always_inline)) void move_slots(
-    const int64_t to, const int64_t S, const int64_t lo, const int64_t hi,
-    const int32_t *restrict keep, const double *restrict matrix, double *restrict own)
-{
-    for (int64_t q = lo; q < hi; q++)
-        for (int64_t k = 0; k < to; k++)
-            own[q * to + k] = matrix[q * S + keep[k]];
-}
-
-/* Narrows the product to the narrowest rung that holds the open lanes, if it
- * is below the packed width W.  It keeps the open lanes in list order, then
- * finished lanes as padding, whose products nobody reads.  Each member
- * gathers the kept lanes of its rows' slots out of the matrix's slots, which
- * hold every lane and are never written, into the solve's own; member 0 then
- * commits the new list and width between the two barriers, where no member
- * reads them.  Called by every member at the top of an iteration, once the
- * flags are settled and the last product is done. */
-static void narrow(member *me, int64_t open)
-{
-    solve *sv = me->sv;
-    const int64_t W = sv->width;
-    int64_t to = W;
-    for (int64_t k = 0; k < RUNGS && ladder[k] >= open; k++)
-        to = ladder[k] < W ? ladder[k] : W;
-    if (to == W)
+    if (sv->width == 1 || open != 1)
         return;
-    int32_t keep[to];
-    int64_t k = 0;
-    for (int64_t j = 0; j < W && k < to; j++)
-        if (is_open(sv, sv->list[j]))
-            keep[k++] = sv->list[j];
-    for (int64_t j = 0; j < W && k < to; j++)
-        if (!is_open(sv, sv->list[j]))
-            keep[k++] = sv->list[j];
-#define GATHER(w) \
-    case w: move_slots(w, sv->S, me->slot_lo, me->slot_hi, keep, sv->matrix, sv->own); break;
-    switch (to) { LADDER(GATHER) }
-    sync_team(sv);
-    if (me->id == 0) {
-        memcpy(sv->list, keep, (size_t)to * sizeof(int32_t));
-        sv->width = to;
-        sv->m.pack = sv->own;
-    }
-    sync_team(sv);
+    int64_t s = 0;
+    while (!is_open(sv, s))
+        s++;
+    for (int64_t q = 0; q < sv->slots; q++)
+        sv->own[q] = sv->matrix[q * sv->S + s];
+    sv->first = s;
+    sv->width = 1;
+    sv->m.pack = sv->own;
 }
 
-/* Steps 1 and 2 of an iteration (see ensemble_pcg): the member's rows of
- * Ap = A p for the packed lanes.  For W > 1 the member transposes its rows
- * of p into xt and, once the barrier has all of p there, forms its rows of
- * the product, both chunk by chunk within each block of TILE rows.  With one
+/* Steps 1 and 2 of an iteration (see ensemble_pcg): Ap = A p for the packed
+ * lanes.  For W > 1 the rows of p are transposed into xt, then the product
+ * is formed, both chunk by chunk within each block of TILE rows.  With one
  * lane the two layouts coincide: the 1-lane chunk reads p's row of that lane
- * in place, with no copy and no barrier. */
-static void product(member *me)
+ * in place, with no copy. */
+static void product(solve *sv)
 {
-    solve *sv = me->sv;
-    const int64_t W = sv->width, n = sv->n, lo = me->row_lo, hi = me->row_hi;
-    const int32_t *list = sv->list, *lmap = me->lmap;
-    const double *xt = W == 1 ? sv->p + list[0] * n : sv->xt;
-    if (W > 1) {
-        for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
-            const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
+    const int64_t W = sv->width, n = sv->n;
+    const int32_t *lmap = sv->lmap;
+    const double *p = sv->p + sv->first * n, *xt = W == 1 ? p : sv->xt;
+    double *ap = sv->apz + sv->first * n;
+    if (W > 1)
+        for (int64_t i0 = 0; i0 < n; i0 += TILE) {
+            const int64_t rows = n - i0 < TILE ? n - i0 : TILE;
             for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-                chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, list, sv->p, sv->xt);
+                chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, p, sv->xt);
         }
-        sync_team(sv);
-    }
-    for (int64_t i0 = lo; i0 < hi; i0 += TILE) {
-        const int64_t rows = hi - i0 < TILE ? hi - i0 : TILE;
+    for (int64_t i0 = 0; i0 < n; i0 += TILE) {
+        const int64_t rows = n - i0 < TILE ? n - i0 : TILE;
         const int32_t *next = lmap;
         for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, list, xt,
-                                                 me->tile, sv->apz);
+            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, xt, sv->tile,
+                                                 ap);
         lmap = next;
     }
 }
 
-/* The iterations, as run by one member; every member returns the same. */
-static int64_t iterate(member *me)
+/* The iterations of one block. */
+static int64_t iterate(solve *sv)
 {
-    solve *sv = me->sv;
     const int64_t S = sv->S, n = sv->n;
     int64_t it = 0, open = sv->open;
-    share_lanes(me, open);
     while (it < sv->maxit && open > 0) {
-        narrow(me, open);
+        narrow(sv, open);
         it++;
-        const int64_t W = sv->width;
-        product(me);
-        sync_team(sv);
-        for (int64_t k = 0; k < me->count; k++) {
-            const int64_t s = me->lanes[k];
+        product(sv);
+        sv->streamed += sv->width;
+        for (int64_t s = 0; s < S; s++) {
+            if (!is_open(sv, s))
+                continue;
             double *restrict xs = sv->x + s * n, *restrict rs = sv->r + s * n;
             const double *restrict ps = sv->p + s * n, *restrict aps = sv->apz + s * n;
             const double pap = lane_dot(n, ps, aps);
@@ -575,12 +473,8 @@ static int64_t iterate(member *me)
                 sv->converged[s] = 1;
             }
         }
-        sync_team(sv);
-        if (me->id == 0) {
-            sv->streamed += W;
-            if (sv->history)
-                memcpy(sv->history + it * S, sv->r_norm, (size_t)S * sizeof(double));
-        }
+        if (sv->history)
+            memcpy(sv->history + it * sv->stride, sv->r_norm, (size_t)S * sizeof(double));
         open = 0;
         for (int64_t s = 0; s < S; s++) {
             if (sv->frozen[s])
@@ -591,9 +485,9 @@ static int64_t iterate(member *me)
         }
         if (open == 0)
             break;
-        share_lanes(me, open);
-        for (int64_t k = 0; k < me->count; k++) {
-            const int64_t s = me->lanes[k];
+        for (int64_t s = 0; s < S; s++) {
+            if (!is_open(sv, s))
+                continue;
             const double *restrict rs = sv->r + s * n, *restrict dinv = sv->inv_diag + s * n;
             double *restrict zs = sv->apz + s * n, *restrict ps = sv->p + s * n;
             const double rz_new = precondition(n, rs, dinv, zs);
@@ -602,70 +496,77 @@ static int64_t iterate(member *me)
                 ps[i] = zs[i] + beta * ps[i];
             sv->rz[s] = rz_new;
         }
-        sync_team(sv);
     }
     return it;
 }
 
-/* A created member waits at the gate until the team is cut, and leaves if
- * it was cut out. */
-static void *member_main(void *arg)
+/* One block's whole solve: the Jacobi inverse, the norms and p of
+ * iteration 0, then the iterations.  Returns as ensemble_pcg does. */
+static int64_t solve_block(solve *sv)
 {
-    member *me = arg;
-    solve *sv = me->sv;
-    pthread_mutex_lock(&sv->lock);
-    while (!sv->ready)
-        pthread_cond_wait(&sv->go, &sv->lock);
-    pthread_mutex_unlock(&sv->lock);
-    if (me->id < sv->size)
-        iterate(me);
+    const int64_t S = sv->S, n = sv->n;
+    if (!jacobi(S, n, sv->m, sv->lmap, sv->inv_diag))
+        return BAD_DIAGONAL;
+    for (int64_t s = 0; s < S; s++) {
+        const double *rs = sv->r + s * n;
+        sv->r_norm[s] = sqrt(lane_dot(n, rs, rs));
+        sv->threshold[s] = sv->tol * sv->r_norm[s];
+        sv->converged[s] = sv->r_norm[s] <= sv->threshold[s]; /* zero right-hand sides */
+        sv->open += !sv->converged[s];
+    }
+    if (sv->history)
+        memcpy(sv->history, sv->r_norm, (size_t)S * sizeof(double));
+    for (int64_t i = 0; i < S * n; i++) {
+        sv->apz[i] = sv->r[i] * sv->inv_diag[i];
+        sv->p[i] = sv->apz[i];
+    }
+    for (int64_t s = 0; s < S; s++)
+        sv->rz[s] = lane_dot(n, sv->r + s * n, sv->apz + s * n);
+    return iterate(sv);
+}
+
+/* The arguments of ensemble_pcg, shared by the threads that run its blocks;
+ * next is the next block to take. */
+typedef struct {
+    int64_t S, n, slots, maxit, blocks, next;
+    double tol;
+    packed_csr m;
+    const int32_t *lmap;
+    double *x, *work, *lane, *history;
+    int64_t *iterations, *results; /* results: each block's return, then its lane products */
+    uint8_t *converged, *frozen;
+} ensemble;
+
+typedef struct {
+    ensemble *e;
+    double *scratch;
+    pthread_t thread;
+} worker;
+
+/* Solves blocks, taking the next one from the shared counter until none is
+ * left, with the worker's own scratch. */
+static void *run_blocks(void *arg)
+{
+    const worker *me = arg;
+    ensemble *e = me->e;
+    const int64_t S = e->S, n = e->n, W = S < BLOCK ? S : BLOCK;
+    for (int64_t g; (g = __atomic_fetch_add(&e->next, 1, __ATOMIC_RELAXED)) < e->blocks;) {
+        const int64_t lo = g * BLOCK, w = S - lo < BLOCK ? S - lo : BLOCK;
+        solve sv = {
+            .S = w, .n = n, .slots = e->slots, .maxit = e->maxit, .width = w, .stride = S,
+            .tol = e->tol, .m = e->m, .lmap = e->lmap, .matrix = e->m.pack + lo * e->slots,
+            .xt = me->scratch, .tile = me->scratch + n * W, .own = me->scratch + (n + TILE) * W,
+            .x = e->x + lo * n, .r = e->work + lo * n, .apz = e->work + (S + lo) * n,
+            .p = e->work + (2 * S + lo) * n, .inv_diag = e->work + (3 * S + lo) * n,
+            .threshold = e->lane + lo, .r_norm = e->lane + S + lo, .rz = e->lane + 2 * S + lo,
+            .history = e->history ? e->history + lo : NULL, .iterations = e->iterations + lo,
+            .converged = e->converged + lo, .frozen = e->frozen + lo,
+        };
+        sv.m.pack = sv.matrix;
+        e->results[g] = solve_block(&sv);
+        e->results[e->blocks + g] = sv.streamed;
+    }
     return NULL;
-}
-
-/* Runs the iterations on a team of up to `members`, the caller being member
- * 0.  The team is cut for the threads that were created, and the barrier
- * sized for them, before any member starts. */
-static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double *tiles,
-                        int32_t *shares)
-{
-    member single, *team = members > 1 ? malloc((size_t)members * sizeof(member)) : NULL;
-    int64_t created = 1;
-    if (team) {
-        pthread_mutex_init(&sv->lock, NULL);
-        pthread_cond_init(&sv->go, NULL);
-        sv->ready = 0;
-        for (; created < members; created++) {
-            team[created].sv = sv;
-            team[created].id = created;
-            if (pthread_create(&team[created].thread, NULL, member_main, &team[created]) != 0)
-                break;
-        }
-    } else {
-        team = &single;
-    }
-    sv->size = created;
-    if (created > 1 && pthread_barrier_init(&sv->barrier, NULL, (unsigned)created) != 0)
-        sv->size = 1;
-    team[0].sv = sv;
-    team[0].id = 0;
-    partition(sv, team, lmap, tiles, shares);
-    if (team != &single) {
-        pthread_mutex_lock(&sv->lock);
-        sv->ready = 1;
-        pthread_cond_broadcast(&sv->go);
-        pthread_mutex_unlock(&sv->lock);
-    }
-    const int64_t it = iterate(&team[0]);
-    if (team != &single) {
-        for (int64_t k = 1; k < created; k++)
-            pthread_join(team[k].thread, NULL);
-        if (sv->size > 1)
-            pthread_barrier_destroy(&sv->barrier);
-        pthread_cond_destroy(&sv->go);
-        pthread_mutex_destroy(&sv->lock);
-        free(team);
-    }
-    return it;
 }
 
 /* Runs until every lane has converged (||r|| <= tol ||b||) or frozen
@@ -674,112 +575,101 @@ static int64_t run_team(solve *sv, int64_t members, const int32_t *lmap, double 
  * leaves the lane steps, and its solution, residual norm and counts are
  * those of a one-lane solve of its system.
  *
- * The matrix is packed (see the header): `slots` slots of S lane values at
- * pack, read through split, hrow and lmap.  The call only reads it.  On
- * entry x is zero, both (S, n); work holds four (S, n) vectors, r, Ap, p
- * and the inverse diagonal in that order, with r set to the right-hand sides
- * (z shares Ap's storage: it is dead once p is updated, and the next SpMV
+ * The matrix is packed (see the header): `slots` slots per block at pack,
+ * read through split, hrow and lmap.  The call only reads it.  On entry x is
+ * zero, both (S, n); work holds four (S, n) vectors, r, Ap, p and the
+ * inverse diagonal in that order, with r set to the right-hand sides (z
+ * shares Ap's storage: it is dead once p is updated, and the next SpMV
  * rewrites Ap).  scratch holds ensemble_pcg_scratch_size(S, n, slots,
- * members) doubles and lane 3 * S doubles of work.  iterations, converged
- * and frozen are zeroed S-vectors; on return iterations[s] is the iteration
- * at which lane s converged, or the number run if it did not, and *streamed
- * is the number of lane products formed: the sum over the iterations of the
- * packed width.  history, when not NULL, holds (maxit + 1) * S doubles and receives
- * the lane residual norms of iterations 0, 1, ...; a lane's norm stays at
- * its last value once the lane has stopped.
+ * threads) doubles and lane 3 * S doubles.  iterations, converged and frozen
+ * are zeroed S-vectors; on return iterations[s] is the iteration at which
+ * lane s converged, or the number run if it did not, and *streamed is the
+ * number of lane products formed: the sum over the iterations of each
+ * block of its packed width.  history, when not NULL, holds (maxit + 1) * S
+ * doubles and receives the lane residual norms of iterations 0, 1, ...; a
+ * lane's norm stays at its last value once the lane has stopped.
  *
- * The Jacobi inverse and the norms and p of iteration 0 are formed by the
- * caller alone.  The iterations then run on a team of
- * team_size(n, members) threads, the caller being member 0 (fewer if a
- * thread cannot be created: the team is cut only after its threads exist).
- * Each member owns a block of whole TILE-row blocks, cut to hold about the
- * same number of nonzeros, and a share of about open / size of the open
- * lanes.  An iteration is four steps, each ended by a barrier, after the
- * team has narrowed the packed width if the open lanes fit a narrower one:
- *   1. each member transposes its rows of p's packed lanes into xt (W > 1;
- *      one lane's product reads its row of p in place);
- *   2. each member forms its rows of Ap for the packed lanes, chunk by
- *      chunk, in its own tile;
- *   3. each member does p'Ap, then the x and r updates with r'r in one pass
- *      (update_xr), the residual norm and the convergence bookkeeping of its
- *      open lanes; after the barrier every member reads every lane's flags
- *      and norm, so all of them count the open lanes, leave on breakdown and
- *      take their new share alike, and member 0 writes the history row;
- *   4. each member forms z with r'z in one pass (precondition), then beta and
- *      p of its open lanes.
- * The packed width starts at S and narrows down the ladder of widths
- * (LADDER) before an iteration, to the narrowest rung that holds the open
- * lanes.  Every narrowing is the same gather: each member copies the kept
- * lanes of its rows' slots out of the matrix's slots, which hold every lane,
- * into the solve's own; after one more barrier member 0 rewrites the list
- * and the width, and every member reads the new ones after a second.  The
- * (S, n) vectors stay where they are: only the product's input and its
- * write-back go through the list.
+ * Each block is solved on its own, as if it were the whole ensemble: the
+ * Jacobi inverse, the norms and p of iteration 0, then iterations of four
+ * steps each, after narrowing the packed width to one lane once only one is
+ * open:
+ *   1. p's packed lanes are transposed into xt (W > 1; one lane's product
+ *      reads its row of p in place);
+ *   2. Ap is formed for the packed lanes, chunk by chunk, in the tile;
+ *   3. p'Ap, then the x and r updates with r'r in one pass (update_xr), the
+ *      residual norm and the convergence bookkeeping of each open lane, and
+ *      the block's history row;
+ *   4. z with r'z in one pass (precondition), then beta and p of each lane
+ *      still open.
+ * The (S, n) vectors stay where they are: only the product's input and its
+ * write-back start at the first packed lane.  The blocks run on workers(blocks,
+ * threads) threads, the caller included; each takes the next block from a
+ * shared counter and solves it with scratch of its own, and no thread waits
+ * for another until all are joined.  If a thread cannot be created, the
+ * others take its blocks.  Every row sum and every lane's dot is thus
+ * computed with the arithmetic, and in the order, of a one-lane solve, so
+ * every output is bitwise independent of the thread count and of the
+ * lane's companions.
  *
- * Every row sum and every lane's dot is thus computed by exactly one member
- * with the arithmetic, and in the order, of a one-lane, one-member solve, so
- * every output but *streamed is bitwise independent of the team size and of
- * the lane's companions.  The barriers block instead of spinning: on a
- * shared two-CPU host a spinning barrier was erratic, taking a 16^3, S=16
- * solve from 0.016 to 0.028 s in one round and from 0.015 to 0.007 s in the
- * next.
- *
- * Returns the number of iterations run, -it if an active (not frozen) lane's
- * residual norm was not finite after iteration it, or BAD_DIAGONAL, before
- * any iteration, if the Jacobi preconditioner does not exist. */
+ * The blocks' results are then merged into what one lockstep solve of all
+ * S lanes returns: the iterations run are the most any block ran, each
+ * block's history columns repeat its last row up to that iteration, and
+ * *streamed sums the blocks' lane products.  Returns the number of
+ * iterations run, -it if an active (not frozen) lane's residual norm was not
+ * finite after iteration it (the least such it over the blocks), or
+ * BAD_DIAGONAL if the Jacobi preconditioner of some block does not exist. */
 int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
                      const int32_t *col_indices, const int32_t *split, const int32_t *hrow,
                      const int32_t *lmap, const double *pack, int64_t slots,
                      double *scratch, double tol, int64_t maxit,
-                     int64_t members, double *restrict x, double *restrict work,
+                     int64_t threads, double *restrict x, double *restrict work,
                      double *restrict lane, int64_t *iterations, uint8_t *converged,
                      uint8_t *frozen, double *history, int64_t *streamed)
 {
-    members = team_size(n, members);
-    double *restrict r = work, *restrict apz = work + S * n; /* Ap, then z */
-    double *restrict p = work + 2 * S * n, *restrict inv_diag = work + 3 * S * n;
-    double *threshold = lane, *r_norm = lane + S, *rz = lane + 2 * S;
-    double *xt = scratch, *tiles = xt + n * S, *own = tiles + members * TILE * S;
-    int32_t *list = (int32_t *)(own + slots * first_narrow_width(S)), *shares = list + S;
-    const packed_csr m = {row_offsets, col_indices, split, hrow, pack};
-    if (!jacobi(S, n, m, lmap, inv_diag))
-        return BAD_DIAGONAL;
-    int64_t open = 0; /* lanes neither converged nor frozen */
-    for (int64_t s = 0; s < S; s++) {
-        const double *rs = r + s * n;
-        r_norm[s] = sqrt(lane_dot(n, rs, rs));
-        threshold[s] = tol * r_norm[s];
-        converged[s] = r_norm[s] <= threshold[s]; /* zero right-hand sides */
-        open += !converged[s];
-        list[s] = (int32_t)s;
-    }
-    if (history)
-        for (int64_t s = 0; s < S; s++)
-            history[s] = r_norm[s];
-    for (int64_t i = 0; i < S * n; i++) {
-        apz[i] = r[i] * inv_diag[i];
-        p[i] = apz[i];
-    }
-    for (int64_t s = 0; s < S; s++)
-        rz[s] = lane_dot(n, r + s * n, apz + s * n);
-
-    solve sv = {
-        .S = S, .n = n, .maxit = maxit, .open = open, .width = S,
-        .m = m, .matrix = pack, .own = own, .list = list,
-        .x = x, .r = r, .apz = apz, .p = p, .inv_diag = inv_diag, .xt = xt,
-        .threshold = threshold, .r_norm = r_norm, .rz = rz, .history = history,
-        .iterations = iterations, .converged = converged, .frozen = frozen,
+    const int64_t blocks = (S + BLOCK - 1) / BLOCK, size = workers(blocks, threads);
+    const int64_t per = thread_scratch(S < BLOCK ? S : BLOCK, n, slots);
+    ensemble e = {
+        .S = S, .n = n, .slots = slots, .maxit = maxit, .blocks = blocks, .tol = tol,
+        .m = {row_offsets, col_indices, split, hrow, pack}, .lmap = lmap,
+        .x = x, .work = work, .lane = lane, .history = history, .iterations = iterations,
+        .results = (int64_t *)(scratch + size * per), .converged = converged, .frozen = frozen,
     };
-    const int64_t it = run_team(&sv, members, lmap, tiles, shares);
-    *streamed = sv.streamed;
-    if (it < 0)
-        return it;
+    worker first = {.e = &e, .scratch = scratch};
+    worker *pool = size > 1 ? malloc((size_t)size * sizeof(worker)) : NULL;
+    int64_t created = 1;
+    for (; pool && created < size; created++) {
+        pool[created] = (worker){.e = &e, .scratch = scratch + created * per};
+        if (pthread_create(&pool[created].thread, NULL, run_blocks, &pool[created]) != 0)
+            break;
+    }
+    run_blocks(&first);
+    for (int64_t k = 1; k < created; k++)
+        pthread_join(pool[k].thread, NULL);
+    free(pool);
+
+    int64_t total = 0, broke = 0;
+    *streamed = 0;
+    for (int64_t g = 0; g < blocks; g++) {
+        const int64_t it = e.results[g];
+        if (it == BAD_DIAGONAL)
+            return BAD_DIAGONAL;
+        broke = it < 0 && (broke == 0 || it > broke) ? it : broke;
+        total = it > total ? it : total;
+        *streamed += e.results[blocks + g];
+    }
+    if (broke)
+        return broke;
+    for (int64_t g = 0; history && g < blocks; g++) {
+        const int64_t lo = g * BLOCK, w = S - lo < BLOCK ? S - lo : BLOCK;
+        for (int64_t row = e.results[g] + 1; row <= total; row++)
+            memcpy(history + row * S + lo, history + e.results[g] * S + lo,
+                   (size_t)w * sizeof(double));
+    }
     for (int64_t s = 0; s < S; s++)
         if (!converged[s])
-            iterations[s] = it;
-    return it;
+            iterations[s] = total;
+    return total;
 }
-
 
 /* Assembly.
  *
@@ -795,7 +685,7 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
  * b's, so pair p is a diagonal or upper entry of corner a's row: its slot
  * (n_elem, 36) lies in that row's run of the packed storage (see the
  * header), or is -1 where a corner lies on the boundary and the pair is
- * skipped.  Pairs are added into the zeroed values[slot * S + s] in element
+ * skipped.  Pairs are added into the zeroed values of their slots in element
  * order.  The pairs of one element have distinct slots, so each value
  * receives its terms in element order.  That is the order of an einsum over
  * q followed by one np.bincount per lane (the reference the tests compare
@@ -805,42 +695,54 @@ int64_t ensemble_pcg(int64_t S, int64_t n, const int32_t *row_offsets,
  * matrices, so every lower entry of the full matrix is bitwise its mirror,
  * whose slot it reads.
  *
- * Up to ASSEMBLE_LANES lanes of an element are formed first, vectorised
- * over p, then added pair by pair into each slot's contiguous run of lanes;
- * 8 lanes at a time ran about 10% faster than 32 at S = 4 (16^3) and
- * S = 16 (32^3). */
-#define ASSEMBLE_LANES 8
+ * The values are stored by blocks of up to BLOCK lanes (see the header):
+ * block g, lanes [lo, lo + w), holds n_slots slots of w values at
+ * values + lo * n_slots.  The blocks are filled one after another, each by
+ * one out-of-line call that walks every element: its lanes' element
+ * matrices are formed first, vectorised over p, then added pair by pair
+ * into each slot's contiguous run of the block's lanes.  Walking the
+ * elements outermost and the blocks within took 13.8 ms against 9.4 at
+ * 32^3, S=16, 31.3 against 10.9 at 24^3, S=48, 0.91-0.99x the time at 16^3,
+ * S=16 and the same at S=4 (medians of 31 alternating in-process rounds on a
+ * shared 2-vCPU AVX-512 Xeon guest); the block's loops inlined into the
+ * block loop took 11.3 ms, 13.5 ms and 1.1-1.2x the time at S=4. */
 #define PAIRS 36
 
-void ensemble_assemble(int64_t S, int64_t n_elem, const double *restrict a,
-                       const double *restrict dx, const double *restrict kyz,
-                       const int32_t *restrict slots, double *restrict values)
+/* The w lanes of one block: a points at its lanes' (w, n_elem, 8) values. */
+static __attribute__((noinline)) void assemble_block(
+    int64_t w, int64_t n_elem, const double *restrict a, const double *restrict dx,
+    const double *restrict kyz, const int32_t *restrict slots, double *restrict block)
 {
     for (int64_t e = 0; e < n_elem; e++) {
         const int32_t *restrict slot = slots + e * PAIRS;
-        for (int64_t s0 = 0; s0 < S; s0 += ASSEMBLE_LANES) {
-            const int64_t lanes = S - s0 < ASSEMBLE_LANES ? S - s0 : ASSEMBLE_LANES;
-            double k[ASSEMBLE_LANES][PAIRS];
-            for (int64_t c = 0; c < lanes; c++) {
-                const double *restrict aq = a + ((s0 + c) * n_elem + e) * 8;
-                for (int p = 0; p < PAIRS; p++) {
-                    double sum = 0.0;
-                    for (int q = 0; q < 8; q++)
-                        sum += aq[q] * dx[q * PAIRS + p];
-                    k[c][p] = sum + kyz[p];
-                }
-            }
+        double k[BLOCK][PAIRS];
+        for (int64_t c = 0; c < w; c++) {
+            const double *restrict aq = a + (c * n_elem + e) * 8;
             for (int p = 0; p < PAIRS; p++) {
-                if (slot[p] < 0)
-                    continue;
-                double *restrict v = values + (int64_t)slot[p] * S + s0;
-                for (int64_t c = 0; c < lanes; c++)
-                    v[c] += k[c][p];
+                double sum = 0.0;
+                for (int q = 0; q < 8; q++)
+                    sum += aq[q] * dx[q * PAIRS + p];
+                k[c][p] = sum + kyz[p];
             }
+        }
+        for (int p = 0; p < PAIRS; p++) {
+            if (slot[p] < 0)
+                continue;
+            double *restrict v = block + (int64_t)slot[p] * w;
+            for (int64_t c = 0; c < w; c++)
+                v[c] += k[c][p];
         }
     }
 }
 
+void ensemble_assemble(int64_t S, int64_t n_elem, int64_t n_slots, const double *restrict a,
+                       const double *restrict dx, const double *restrict kyz,
+                       const int32_t *restrict slots, double *restrict values)
+{
+    for (int64_t lo = 0; lo < S; lo += BLOCK)
+        assemble_block(S - lo < BLOCK ? S - lo : BLOCK, n_elem, a + lo * n_elem * 8, dx, kyz,
+                       slots, values + lo * n_slots);
+}
 
 /* Sparse-grid hat sums.
  *

@@ -3,18 +3,21 @@
 An ensemble replaces every scalar in a sparse solve by an array of S "lanes",
 one per sample.  All lanes share one CSR sparsity graph; vectors and
 reduction results carry a leading lane axis.  Matrix values are stored
-packed, in slots of S lane values side by side: each row's diagonal and
-upper entries have consecutive slots, and an entry below the diagonal reads
-the slot of its mirror when the mirror's S lane values are bitwise its own;
-any other entry (a non-symmetric, unsorted or duplicate one) has a slot of
-its own.  A symmetric matrix, as every stiffness matrix is, thus stores and
-streams about half its values.  `EnsembleCsrMatrix` is checked data in the
-layout the compiled kernels (`_spmv.c`, built and loaded once by `_kernels`)
-read: the shared graph as int32, the packed graph (`split`, `hrow`, `lmap`)
-and the (slots, S) values.  A matrix built from full lane values is packed
-once, when it is made; `fem3d.assemble` adds its element matrices straight
-into the slots of a graph its mesh packs once.  `values[s]` gathers lane s's
-CSR values back from the slots.
+packed, in slots of lane values side by side: each row's diagonal and upper
+entries have consecutive slots, and an entry below the diagonal reads the
+slot of its mirror when the mirror's S lane values are bitwise its own; any
+other entry (a non-symmetric, unsorted or duplicate one) has a slot of its
+own.  A symmetric matrix, as every stiffness matrix is, thus stores and
+streams about half its values.  The lanes are kept in independent blocks of
+at most four, lanes [4g, 4g + 4) in block g, each block a (slots, w) array
+of its own and the blocks one after another in one buffer; an ensemble of
+up to four lanes is one (slots, S) array.  `EnsembleCsrMatrix` is checked
+data in the layout the compiled kernels (`_spmv.c`, built and loaded once by
+`_kernels`) read: the shared graph as int32, the packed graph (`split`,
+`hrow`, `lmap`) and the blocks.  A matrix built from full lane values is
+packed once, when it is made; `fem3d.assemble` adds its element matrices
+straight into the slots of a graph its mesh packs once.  `values[s]` gathers
+lane s's CSR values back from its block.
 
 The solver is Jacobi-preconditioned conjugate gradients, the one solver
 whose iterations the study counts: it scales each lane's residual by that
@@ -24,9 +27,9 @@ updates and convergence bookkeeping.  The call never writes the matrix.
 The product walks every row in storage order and, per column index, does
 contiguous multiply-adds over the entry's slot, so each lane sums in the
 order of a scalar CSR product.  Every width runs the same product, in
-compiled chunks of 16, 8, 4, 2 and 1 lanes taken from the width's binary
-digits (33 = 16 + 16 + 1, 1 = 1), so every width keeps its sums in
-registers; one lane's chunk reads its input vector in place.
+compiled chunks of 4, 2 and 1 lanes taken from the width's binary digits
+(3 = 2 + 1), so every width keeps its sums in registers; one lane's chunk
+reads its input vector in place.
 Inner products and norms are taken per lane (never summed across lanes)
 by the kernel's own dot, in an order fixed by the length alone (`lane_dot`),
 so no output depends on a BLAS or its thread count, and lane i computes
@@ -43,14 +46,16 @@ those of a one-lane solve of its system, whatever its companions.  The
 ensemble still runs until its slowest lane is done, and the study charges it
 S times that many lane-iterations (the work ratio R).
 
-What it executes is less.  The products narrow down a ladder of packed
-widths, 16, 4 and 1, once the open lanes fit the next one: when they do, the
-call copies the open lanes' values (padded with finished ones up to the
-width, whose products nobody reads) out of the matrix, which holds every
-lane, into slots of its own, and goes on at that width: the dynamic
-regrouping of GPU warps (Fung et al., MICRO 2007) applied to an embedded
-ensemble.  `LaneSolveResult.streamed_lane_iterations` counts the lane
-products actually formed.
+What it executes is less.  Each block of lanes is solved on its own, until
+its own slowest lane is done, and once only one of its lanes is open the
+block copies that lane's values out of the matrix, which holds every lane,
+into slots of its own and goes on at width one: the dynamic regrouping of
+GPU warps (Fung et al., MICRO 2007) applied to an embedded ensemble.
+`LaneSolveResult.streamed_lane_iterations` counts the lane products
+actually formed, summed over the blocks.  Blocks of four are the width at
+which one lane-iteration cost least on a 32^3 mesh (531 us per lane against
+564 at width 8 and 582 at width 16, one thread of a shared 2-vCPU AVX-512
+Xeon guest).
 
 The kernels touch no Python object and write only buffers their caller
 passes in, so the library is loaded with `ctypes.CDLL`, which releases the
@@ -59,24 +64,18 @@ may run concurrently from several threads (the harness solves a level's
 ensembles that way).  Each call's arithmetic is the same whichever thread
 runs it.
 
-A wide solve also runs on several threads itself.  After the serial Jacobi
-inverse, its iterations run on a team of pthreads: each member forms the
-product rows of its block of 64-row tiles (cut to hold about equal
-nonzeros), copies those rows' slots at each narrowing and does the
-updates, dots and convergence bookkeeping of its share of the open lanes,
-with a blocking barrier after each of the four steps of an iteration.  Every
-row sum and every lane's dot is computed by one member, in the order a
-single thread uses, so every output is bitwise independent of the team
-size.  A team gets one member per `_TEAM_GRAIN` lane-nonzeros (S * nnz), at
-most one per tile and at most `threads`: below that the barriers cost what
-the split saves.
+A solve of several blocks also runs on several threads itself: each thread
+takes the next block from a shared counter and solves it alone, and no
+thread waits for another until the call ends.  The blocks' results are then
+merged into what one lockstep solve of all the lanes returns, so every
+output is bitwise independent of the thread count.
 """
 
 from __future__ import annotations
 
 import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -105,12 +104,8 @@ class NumericalBreakdownError(RuntimeError):
 # INT64_MIN, what `ensemble_pcg` in `_spmv.c` returns for a lane diagonal
 # that is not strictly positive.
 _BAD_DIAGONAL = -(2**63)
-# Lane-nonzeros (S * nnz) per member of a solve's thread team.  On a shared
-# 2-CPU host two members took a 32^3, S=16 solve (12 M) from 1.6-2.2 s to
-# 0.78-0.96 s, but below about 5 M the four barriers of an iteration cost as
-# much as the split saved in some rounds (16^3 at S = 4-32: 1.01-1.11x the
-# one-member time).
-_TEAM_GRAIN = 3_000_000
+# The most lanes of a block, `BLOCK` in `_spmv.c`.
+_BLOCK = 4
 
 
 def _is_count(value) -> bool:
@@ -151,16 +146,22 @@ def _lower_entries(row_offsets: np.ndarray, split: np.ndarray) -> int:
 class LaneValues:
     """The lane values of a packed matrix, read as an (S, nnz) array would be.
 
-    values[s] is lane s's CSR values in storage order, gathered from the
-    slots without forming the other lanes; a slice or list of lanes gives
+    values[s] is lane s's CSR values in storage order, gathered from its
+    block without forming the other lanes; a slice or list of lanes gives
     their (k, nnz) values, and np.asarray(values) all of them.
     """
 
-    def __init__(self, packed: np.ndarray, entry_slots: np.ndarray):
-        self._packed, self._entry_slots = packed, entry_slots
+    def __init__(self, packed: np.ndarray, width: int, entry_slots: np.ndarray):
+        self._packed, self._width, self._entry_slots = packed, width, entry_slots
 
     def __getitem__(self, lanes) -> np.ndarray:
-        return self._packed[:, lanes][self._entry_slots].T
+        s = np.arange(self._width)[lanes]
+        if s.ndim:  # several lanes, gathered one by one
+            return np.array([self[k] for k in s]).reshape(len(s), len(self._entry_slots))
+        # lane s is column s % 4 of the (slots, w) block of lanes from lo: a strided view
+        lo, slots = s - s % _BLOCK, len(self._packed) // self._width
+        column = self._packed[lo * slots + s % _BLOCK::min(_BLOCK, self._width - lo)][:slots]
+        return column[self._entry_slots]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.asarray(self[:], dtype=dtype)
@@ -171,8 +172,10 @@ class EnsembleCsrMatrix:
     """CSR matrix whose nonzero values carry a lane axis, stored packed.
 
     The graph (row_offsets, col_indices) is shared by all lanes.  The values
-    sit in `packed`, a C-contiguous (slots, S) array of slots of S lane
-    values, read through `split`, `hrow` and `lmap` as the `_spmv.c` header
+    sit in `packed`, a C-contiguous 1-D float64 buffer holding the lanes'
+    blocks one after another: lanes [4g, 4g + w) in block g, a (slots, w)
+    array of slots of w lane values, w = min(4, width - 4g).  All blocks are
+    read through `split`, `hrow` and `lmap` as the `_spmv.c` header
     describes: a lower entry bitwise equal to its mirror in every lane reads
     the mirror's slot.  Lane s is exactly the scalar CSR matrix
     (values[s], col_indices, row_offsets).
@@ -190,6 +193,7 @@ class EnsembleCsrMatrix:
     hrow: np.ndarray
     lmap: np.ndarray
     packed: np.ndarray
+    width: int
 
     def __init__(self, row_offsets, col_indices, values) -> None:
         values = np.asarray(values, dtype=np.float64)
@@ -198,29 +202,29 @@ class EnsembleCsrMatrix:
         row_offsets, col_indices = _checked_graph(row_offsets, col_indices, values.shape[1])
         n, (S, nnz) = len(row_offsets) - 1, values.shape
         lanes_last = np.ascontiguousarray(values.T)
-        packed = np.empty((nnz, S))  # at most one slot per nonzero
+        packed = np.empty(nnz * S)  # at most one slot per nonzero
         split, hrow, cursor = (np.empty(n, dtype=np.int32) for _ in range(3))
         lmap = np.empty(nnz, dtype=np.int32)
         slots = _PACK(S, n, row_offsets.ctypes.data, col_indices.ctypes.data,
                       lanes_last.ctypes.data, packed.ctypes.data, split.ctypes.data,
                       hrow.ctypes.data, lmap.ctypes.data, cursor.ctypes.data)
         lmap = lmap[:_lower_entries(row_offsets, split)].copy()
-        self._set(row_offsets, col_indices, split, hrow, lmap, packed[:slots].copy())
+        self._set(row_offsets, col_indices, split, hrow, lmap, packed[:slots * S].copy(), S)
 
-    def _set(self, *arrays: np.ndarray) -> None:
-        for name, value in zip(("row_offsets", "col_indices", "split", "hrow", "lmap", "packed"),
-                               arrays, strict=True):
-            object.__setattr__(self, name, value)
+    def _set(self, *values) -> None:
+        for field, value in zip(fields(self), values, strict=True):
+            object.__setattr__(self, field.name, value)
 
     @classmethod
-    def from_packed(cls, row_offsets, col_indices, split, hrow, lmap,
-                    packed: np.ndarray) -> "EnsembleCsrMatrix":
+    def from_packed(cls, row_offsets, col_indices, split, hrow, lmap, packed: np.ndarray,
+                    width: int) -> "EnsembleCsrMatrix":
         """A matrix over packed storage its caller built, taken without a copy.
 
         `split`, `hrow` and `lmap` (1-D int32) must place the values as
-        `ensemble_pack` would, and `packed` is the C-contiguous float64
-        (slots, S) storage they index.  The graph and every slot index are
-        checked, not the values.
+        `ensemble_pack` would, and `packed` is the C-contiguous 1-D float64
+        storage of the `width` lanes' blocks they index (see the class
+        docstring).  The graph and every slot index are checked, not the
+        values.
         """
         row_offsets, col_indices = _checked_graph(row_offsets, col_indices, np.size(col_indices))
         n = len(row_offsets) - 1
@@ -236,20 +240,16 @@ class EnsembleCsrMatrix:
                 and len(lmap) == _lower_entries(row_offsets, split)
                 and (lmap.size == 0 or (lmap.min() >= 0 and lmap.max() < slots))):
             raise EnsembleError("split, hrow and lmap do not index one slot range")
-        if not (isinstance(packed, np.ndarray) and packed.dtype == np.float64
-                and packed.ndim == 2 and len(packed) == slots and packed.flags.c_contiguous):
-            raise EnsembleError(f"packed must be a C-contiguous float64 ({slots}, S) array")
+        if not (_is_count(width) and isinstance(packed, np.ndarray) and packed.dtype == np.float64
+                and packed.ndim == 1 and len(packed) == slots * width and packed.flags.c_contiguous):
+            raise EnsembleError(f"packed must be C-contiguous 1-D float64, {slots} slots x {width!r} lanes")
         mat = cls.__new__(cls)
-        mat._set(row_offsets, col_indices, split, hrow, lmap, packed)
+        mat._set(row_offsets, col_indices, split, hrow, lmap, packed, int(width))
         return mat
 
     @property
     def n_rows(self) -> int:
         return len(self.row_offsets) - 1
-
-    @property
-    def width(self) -> int:
-        return self.packed.shape[1]
 
     @cached_property
     def _entry_slots(self) -> np.ndarray:
@@ -263,7 +263,7 @@ class EnsembleCsrMatrix:
     @property
     def values(self) -> LaneValues:
         """values[s]: lane s's CSR values in storage order (see `LaneValues`)."""
-        return LaneValues(self.packed, self._entry_slots)
+        return LaneValues(self.packed, self.width, self._entry_slots)
 
     @classmethod
     def from_scipy_lanes(cls, mats: Sequence[sp.spmatrix]) -> "EnsembleCsrMatrix":
@@ -295,8 +295,9 @@ class LaneSolveResult:
     ||r|| <= tol * ||b||, or the number of iterations actually run if it never
     did.  ensemble_iterations is the total the ensemble ran, i.e. the max over
     lanes.  streamed_lane_iterations is the number of lane products the solve
-    formed, the sum over its iterations of the packed width; it is at most S
-    times ensemble_iterations, and equal to it when the solve never narrows.
+    formed, the sum over its blocks' iterations of their packed width; it is
+    at most S times ensemble_iterations, and equal to it when every block
+    runs that many iterations and never narrows.
     residual_history (optional) holds one (S,) array of lane residual norms
     per iteration, starting at iteration 0; a stopped lane's norm stays at its
     last value.
@@ -332,30 +333,34 @@ def ensemble_pcg(
     smallest positive normal are frozen: their alpha is zeroed and they no
     longer block termination.  A lane stops at its own convergence or
     freezing, so its solution, residual norms and count are bitwise those of
-    a one-lane solve of its system.  Once the open lanes fit a narrower width
-    of the ladder 16, 4, 1, the call copies their values out of `mat` into a
-    scratch of its own and goes on at that width; it never writes `mat`.
+    a one-lane solve of its system.  `maxit` must be an integer in
+    [0, 2^63), and not a bool.
 
-    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`), which forms
-    the Jacobi inverse from the packed diagonal before iteration 1.  Its
-    scratch holds the slots at the first narrowed width of that ladder,
-    whose pages are touched only if the solve narrows.  With
-    `record_history`, room for maxit + 1 rows of lane residual norms is
-    reserved up front.
-    Every buffer the call writes is allocated here, and the call releases
-    the GIL, so solves in several threads run concurrently.
+    The solve is one kernel call (`ensemble_pcg` in `_spmv.c`).  Each block
+    of up to four lanes (see `EnsembleCsrMatrix`) is solved on its own, as
+    if it were the whole ensemble: it forms its Jacobi inverse from its
+    packed diagonal before iteration 1, runs until its own lanes are done,
+    and once only one of its lanes is open copies that lane's values out of
+    `mat` into one-lane slots of its own; it never writes `mat`.  The
+    blocks' results are merged into those of one lockstep solve of all
+    lanes: the ensemble runs as many iterations as its slowest block, a
+    block's residual norms stay at their last values after it ends, and a
+    breakdown reports the first iteration at which any block broke down.
+    With `record_history`, room for maxit + 1 rows of lane residual norms is
+    reserved up front.  Every buffer the call writes is allocated here, and
+    the call releases the GIL, so solves in several threads run
+    concurrently.
 
-    The iterations run on a team of up to `threads` threads, the calling one
-    included; None means the CPUs of the process's affinity, and anything
-    but an integer >= 1 is an `EnsembleError`.  The team has one member per
-    `_TEAM_GRAIN` lane-nonzeros and per 64-row tile at most, so a small
-    solve runs on the calling thread alone.  The result is bitwise the same
-    for every team size.
+    The blocks run on up to `threads` threads, the calling one included, at
+    most one per block; None means the CPUs of the process's affinity, and
+    anything but an integer >= 1 is an `EnsembleError`.  Each thread takes
+    the next block from a shared counter, and the result is bitwise the same
+    for every thread count.
     """
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:
         raise EnsembleError(f"tol must be a positive finite number, got {tol!r}")
     if not _is_count(maxit) or not 0 <= maxit < 2**63:
-        raise EnsembleError(f"maxit must be an integer >= 0, got {maxit!r}")
+        raise EnsembleError(f"maxit must be an integer in [0, 2^63), got {maxit!r}")
     if threads is None:
         threads = len(os.sched_getaffinity(0))
     elif not _is_count(threads) or threads < 1:
@@ -367,23 +372,22 @@ def ensemble_pcg(
     if not np.all(np.isfinite(b)):
         raise EnsembleError("rhs must be finite")
 
-    nnz, slots = mat.col_indices.size, len(mat.packed)
-    members = min(int(threads), max(1, S * nnz // _TEAM_GRAIN))
+    # the kernel starts at most one thread per block of lanes
+    slots, threads = len(mat.packed) // max(S, 1), min(int(threads), max(S, 1))
     x = np.zeros((S, n))
     work = np.empty((4, S, n))  # r, Ap (and z), p, inverse diagonal
     work[0] = b
-    # the SpMV's lanes-last x, a tile per member, the narrowed slots, lane lists
-    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, slots, members))
+    # per thread the SpMV's lanes-last x and tile, the one-lane slots and lane list
+    scratch = np.empty(_PCG_SCRATCH_SIZE(S, n, slots, threads))
     lane_work = np.empty((3, S))
     iterations = np.zeros(S, dtype=np.int64)
-    converged = np.zeros(S, dtype=bool)
-    frozen = np.zeros(S, dtype=bool)
+    converged, frozen = np.zeros((2, S), dtype=bool)
     history = np.empty((maxit + 1, S)) if record_history else None
     streamed = np.zeros(1, dtype=np.int64)
     it = _PCG(
         S, n, mat.row_offsets.ctypes.data, mat.col_indices.ctypes.data, mat.split.ctypes.data,
         mat.hrow.ctypes.data, mat.lmap.ctypes.data, mat.packed.ctypes.data, slots,
-        scratch.ctypes.data, float(tol), int(maxit), members, x.ctypes.data, work.ctypes.data,
+        scratch.ctypes.data, float(tol), int(maxit), threads, x.ctypes.data, work.ctypes.data,
         lane_work.ctypes.data, iterations.ctypes.data, converged.ctypes.data,
         frozen.ctypes.data, None if history is None else history.ctypes.data,
         streamed.ctypes.data,

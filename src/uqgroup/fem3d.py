@@ -20,10 +20,10 @@ padded node table, and the slots are gathered from a node-by-neighbour slot
 table, so no per-element index table is formed.  `assemble` then makes one
 call of the compiled kernel (`ensemble_assemble` in `_spmv.c`), which forms
 each lane's element matrix on its 36 corner pairs a <= b and adds them
-straight into the zeroed (slots, S) packed values.  Every lane is
-accumulated on its own, in a fixed order, so a lane's matrix does not depend
-on its companions or on the width S, and two identical samples produce
-bit-identical lane matrices.  The coefficient is evaluated here only, and
+straight into the zeroed packed values, one block of four lanes after
+another.  Every lane is accumulated on its own, in a fixed order, so a
+lane's matrix does not depend on its companions or on the width S, and two
+identical samples produce bit-identical lane matrices.  The coefficient is evaluated here only, and
 each lane's indicator comes with it.
 """
 
@@ -242,13 +242,13 @@ def assemble(
     a_vals = np.ascontiguousarray(a_vals, dtype=np.float64)
 
     # K_e(lane) = sum_q a(x_q) Dx_q + sum_q (Dy_q + Dz_q)
-    packed = np.zeros((mesh.n_slots, S))
+    packed = np.zeros(mesh.n_slots * S)  # the blocks of lanes, one after another
     _ASSEMBLE(
-        S, len(mesh.element_dofs), a_vals.ctypes.data, mesh._dx.ctypes.data,
+        S, len(mesh.element_dofs), mesh.n_slots, a_vals.ctypes.data, mesh._dx.ctypes.data,
         mesh._dyz_sum.ctypes.data, mesh._pair_slots.ctypes.data, packed.ctypes.data,
     )
     matrix = EnsembleCsrMatrix.from_packed(mesh.row_offsets, mesh.col_indices, mesh.split,
-                                           mesh.hrow, mesh.lmap, packed)
+                                           mesh.hrow, mesh.lmap, packed, S)
     rhs = np.tile(mesh._load, (S, 1))
     return AssembledEnsembleSystem(matrix=matrix, rhs=rhs, samples=samples.copy(),
                                    indicator=anisotropy_indicator(bounds))

@@ -215,8 +215,8 @@ class SolverConfig:
         _check_types(self)
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigurationError(f"solver tol must be positive and finite, got {self.tol}")
-        if self.maxit < 0:
-            raise ConfigurationError(f"solver maxit must be >= 0, got {self.maxit}")
+        if not 0 <= self.maxit < 2**63:  # the range ensemble_pcg runs
+            raise ConfigurationError(f"solver.maxit must be in [0, 2^63), got {self.maxit}")
 
 
 @dataclass(frozen=True)
@@ -442,12 +442,13 @@ class _PdeProblem:
         The ensembles are independent, so each one's assembly and solve run
         in a thread pool with a worker per CPU of the process's affinity (at
         most one per ensemble); the compiled kernels release the GIL.  Each
-        solve may run on a team of its worker's share of the CPUs, so a level
-        of fewer ensembles than CPUs still uses them all, and the pool and
-        the teams together never ask for more threads than CPUs.  The
-        results are handled one by one in plan order as they arrive, so the
-        residual sink calls, notes and counters are those of a serial loop,
-        and every output is independent of the worker count.
+        solve's blocks of four lanes may run on its worker's share of the
+        CPUs, so a level of fewer ensembles than CPUs still uses them all
+        when its ensembles are wider than four, and the pool and the solves
+        together never ask for more threads than CPUs.  The results are
+        handled one by one in plan order as they arrive, so the residual sink
+        calls, notes and counters are those of a serial loop, and every
+        output is independent of the worker count.
         The first failing ensemble in plan order raises, and the ensembles
         not yet started are cancelled.
         """

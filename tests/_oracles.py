@@ -159,6 +159,14 @@ def lockstep_pcg(lanes, rhs, tol=1e-7, maxit=1000, record_history=False):
     return x, iterations, converged, frozen, history
 
 
+def lane_blocks(mat):
+    """The (slots, w) array of each block of four lanes (the last block the
+    rest) of an `EnsembleCsrMatrix`, as views of its 1-D `packed` buffer."""
+    slots = len(mat.packed) // mat.width
+    return [mat.packed[lo * slots:(lo + w) * slots].reshape(slots, w)
+            for lo in range(0, mat.width, 4) for w in [min(4, mat.width - lo)]]
+
+
 def random_spd_system(rng, n, width):
     """A diagonally dominant sparse SPD matrix and `width` right-hand sides.
 

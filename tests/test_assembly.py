@@ -81,7 +81,7 @@ def test_packed_assembly_is_the_pack_of_the_oracle_values(width, cells):
     for s in range(width):
         assert _bits(matrix.values[s]) == _bits(values[:, s])
     packed = EnsembleCsrMatrix(row_offsets, col_indices, values.T)
-    assert len(packed.packed) == (len(col_indices) + mesh.n_dofs) // 2
+    assert len(packed.packed) == (len(col_indices) + mesh.n_dofs) // 2 * width
     for name in ("split", "hrow", "lmap", "packed"):
         got, want = getattr(matrix, name), getattr(packed, name)
         assert got.dtype == want.dtype and _bits(got) == _bits(want), name

@@ -30,9 +30,8 @@ from uqgroup import (
 )
 
 from uqgroup import _kernels as kernel_module
-from uqgroup import ensemble as ensemble_module
 
-from _oracles import fixed_order_dot, lockstep_pcg, random_spd_system, scalar_pcg
+from _oracles import fixed_order_dot, lane_blocks, lockstep_pcg, random_spd_system, scalar_pcg
 
 def diag_ensemble(diags):
     """Ensemble of diagonal matrices from per-lane diagonal value rows."""
@@ -67,13 +66,20 @@ def lanes_last_system(rng, n, width):
 
 def test_constructor_packs_its_own_copy_of_the_values():
     # The matrix keeps only its packed slots: the caller's buffer may change
-    # afterwards, and every lane still reads its values as given.
+    # afterwards, and every lane still reads its values as given.  Five lanes
+    # are a block of four and a block of one, one after the other in `packed`.
     rng = np.random.default_rng(8)
     rp, ci, buf = lanes_last_system(rng, 20, 5)
     want = buf.copy()
     ens = EnsembleCsrMatrix(rp, ci, buf.T)
     assert not np.shares_memory(ens.packed, buf)
-    assert ens.packed.shape[1] == 5 and ens.packed.flags.c_contiguous
+    assert ens.width == 5 and ens.packed.ndim == 1 and ens.packed.flags.c_contiguous
+    slots = len(ens.packed) // 5
+    blocks = lane_blocks(ens)
+    assert [block.shape for block in blocks] == [(slots, 4), (slots, 1)]
+    assert all(block.flags.c_contiguous for block in blocks)
+    for s in range(5):  # column s % 4 of block s // 4, read at each entry's slot
+        assert blocks[s // 4][ens._entry_slots, s % 4].tobytes() == want[:, s].tobytes()
     buf[:] = np.nan
     assert np.asarray(ens.values).tobytes() == np.ascontiguousarray(want.T).tobytes()
     for s in range(5):
@@ -86,7 +92,7 @@ def test_from_packed_takes_storage_only_where_its_graph_indexes_it():
     lanes, _ = random_spd_system(rng, 30, 2)
     mat = EnsembleCsrMatrix.from_scipy_lanes(lanes)
     parts = {name: getattr(mat, name)
-             for name in ("row_offsets", "col_indices", "split", "hrow", "lmap", "packed")}
+             for name in ("row_offsets", "col_indices", "split", "hrow", "lmap", "packed", "width")}
     again = EnsembleCsrMatrix.from_packed(**parts)
     assert all(getattr(again, name) is array for name, array in parts.items())
     hrow = parts["hrow"].copy()
@@ -95,7 +101,10 @@ def test_from_packed_takes_storage_only_where_its_graph_indexes_it():
     lmap[3] = len(parts["packed"])
     for change, message in [
         ({"packed": parts["packed"][:-1]}, "packed must be"),
-        ({"packed": np.asfortranarray(parts["packed"])}, "packed must be"),
+        ({"packed": parts["packed"].reshape(-1, 2)}, "packed must be"),
+        ({"packed": parts["packed"][::-1]}, "packed must be"),
+        ({"width": 3}, "packed must be"),
+        ({"width": True}, "packed must be"),
         ({"lmap": lmap}, "one slot range"),
         ({"hrow": hrow}, "one slot range"),
         ({"lmap": parts["lmap"].astype(np.int64)}, "int32"),
@@ -252,6 +261,12 @@ def test_nonfinite_rhs_rejected_up_front(bad):
 @pytest.mark.parametrize("maxit", [2.5, 3.0, "3", None, True, False])
 def test_non_integer_maxit_rejected(maxit):
     with pytest.raises(EnsembleError, match="maxit"):
+        ensemble_pcg(diag_ensemble([[2.0, 3.0]]), np.ones((1, 2)), maxit=maxit)
+
+
+@pytest.mark.parametrize("maxit", [-1, 2**63])
+def test_maxit_outside_the_kernel_range_rejected(maxit):
+    with pytest.raises(EnsembleError, match=r"maxit must be an integer in \[0, 2\^63\), got"):
         ensemble_pcg(diag_ensemble([[2.0, 3.0]]), np.ones((1, 2)), maxit=maxit)
 
 
@@ -636,7 +651,8 @@ def test_entry_without_a_mirror():
 
 
 # The stiffness matrices of the 27-point mesh graph, whose lanes are bitwise
-# symmetric, at the scalar width, one chunk of 4 and of 16, and three chunks.
+# symmetric, at the scalar width, one block of 4, four blocks, and nine
+# blocks whose last has one lane.
 @pytest.mark.parametrize("width", [1, 4, 16, 33])
 def test_mesh_system_pcg_bitwise_equals_lockstep_loop(width):
     field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
@@ -668,12 +684,11 @@ def test_kernels_release_the_gil():
         assert not kernel._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
-def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
+def test_concurrent_solves_bitwise_equal_sequential_ones():
     # Two threads each assemble and solve their own samples repeatedly, at
-    # the scalar width, one chunk and three chunks, while the other thread's
-    # kernels run on other buffers; every other round each solve runs on a
-    # team of two on the 729 rows (twelve row tiles).
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    # the scalar width, one block of four and two blocks, while the other
+    # thread's kernels run on other buffers; every other round each solve
+    # offers its blocks two threads of its own.
     field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     mesh = StructuredMesh(10)
     rng = np.random.default_rng(77)
@@ -702,7 +717,7 @@ def test_concurrent_solves_bitwise_equal_sequential_ones(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a solve on a team of threads
+# a solve's blocks of lanes on several threads
 
 
 @pytest.mark.parametrize("threads", [0, -1, 1.5, True, False])
@@ -712,22 +727,20 @@ def test_invalid_thread_count_rejected(threads):
 
 
 def _team_system(width, seed):
-    """A width-lane stiffness system on the 343 rows (six row tiles) of an
-    8^3 mesh; teams of up to four members split it into blocks of one to
-    three tiles."""
+    """A width-lane stiffness system on the 343 rows of an 8^3 mesh, stored
+    and solved as blocks of up to four lanes."""
     field = build_field(sigma0=np.sqrt(300.0), n_modes=4, a_min=0.1)
     samples = np.random.default_rng(seed).uniform(-1.0, 1.0, (width, 4))
     mesh = StructuredMesh(8)
     return assemble(mesh, field, samples, field.mode_values(mesh.quad_axes))
 
 
-# With the grain lowered to one lane-nonzero every solve forms its team; the
-# widths below, between and above the team sizes split the lanes unevenly,
-# leaving some members without lanes at S < 4, and 31 runs every chunk width
-# (16 + 8 + 4 + 2 + 1) split across the team.
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 16, 31, 33])
-def test_team_solve_bitwise_equals_single_member(width, monkeypatch):
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+# Up to four threads take the blocks: one block (S <= 4, the other threads
+# are never started), fewer blocks than threads (5, 7, 8), as many (16) and
+# more (9, 24, 31, 33), last blocks of one to four lanes, and 31 runs every
+# chunk width (4, then 2 + 1 in its last block).
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 16, 24, 31, 33])
+def test_team_solve_bitwise_equals_single_member(width):
     system = _team_system(width, 60 + width)
     want = _outcome(system, threads=1)
     for threads in (2, 3, 4):
@@ -737,8 +750,8 @@ def test_team_solve_bitwise_equals_single_member(width, monkeypatch):
 
 
 @pytest.mark.parametrize("lane", ["freezing", "zero-rhs", "maxit"])
-def test_team_solve_bitwise_with_special_lanes(lane, monkeypatch):
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+def test_team_solve_bitwise_with_special_lanes(lane):
+    # Seven lanes, two blocks; lane 5 and lane 6 sit in the second.
     system = _team_system(7, 70)
     rhs, maxit = system.rhs.copy(), 2000
     converged = np.ones(7, dtype=bool)
@@ -758,21 +771,30 @@ def test_team_solve_bitwise_with_special_lanes(lane, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_team_breakdown_at_the_same_iteration(monkeypatch):
-    # Lane 2 gets a huge entry in the last row, far from the first row that
-    # holds the only right-hand side: its residual turns non-finite only
-    # once the Krylov space reaches that row.
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
-    system = _team_system(4, 80)
-    mat = system.matrix
-    values = np.array(mat.values)
-    values[2, mat.row_offsets[-2]] = 1e300
-    mat = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
-    rhs = np.zeros((4, mat.n_rows))
+def test_team_breakdown_at_the_same_iteration():
+    # A lane with a huge entry in some row, away from the first row that
+    # holds the only right-hand side, turns non-finite only once the Krylov
+    # space reaches that row: at iteration 6 for the last row, 3 for the row
+    # of node (3, 3, 3).  Eight lanes are two blocks; the first, without a
+    # huge entry, runs 36 iterations, so it is the slowest block, and a
+    # breaking lane in the second block must still stop the solve where the
+    # lockstep loop stops.  Either block may break first.
+    mat = _team_system(8, 80).matrix
+    rhs = np.zeros((8, mat.n_rows))
     rhs[:, 0] = 1.0
-    for threads in (1, 2, 3, 4):
-        with pytest.raises(NumericalBreakdownError, match="at iteration 6$"):
-            ensemble_pcg(mat, rhs, tol=1e-10, threads=threads)
+    first = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, mat.values[:4])
+    assert ensemble_pcg(first, rhs[:4], tol=1e-10).ensemble_iterations == 36
+    last, middle = mat.n_rows - 1, (3 * 7 + 3) * 7 + 3
+    for huge, at in [({6: last}, 6), ({1: last, 6: middle}, 3), ({1: middle, 6: last}, 3)]:
+        values = np.array(mat.values)
+        for lane, row in huge.items():
+            values[lane, mat.row_offsets[row]] = 1e300
+        broken = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
+        with pytest.raises(FloatingPointError, match=f"at iteration {at}$"):
+            lockstep_pcg([broken.lane(s) for s in range(8)], rhs, tol=1e-10)
+        for threads in (1, 2, 3, 4):
+            with pytest.raises(NumericalBreakdownError, match=f"at iteration {at}$"):
+                ensemble_pcg(broken, rhs, tol=1e-10, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -786,27 +808,29 @@ def _solo(mat, rhs, s, **kwargs):
     return ensemble_pcg(lane, rhs[s:s + 1], tol=1e-10, record_history=True, threads=1, **kwargs)
 
 
-def ladder_sum(width, closing, iterations):
-    """Lane products of a solve that, before each iteration, narrows to the
-    narrowest width of 16, 4 and 1 below its own that holds its open lanes;
-    lane s is open in iterations 1 to closing[s]."""
+def ladder_sum(closing):
+    """Lane products of a solve of blocks of four lanes (the last of the rest),
+    each run until its own lanes are done, at its width until only one of
+    its lanes is open and at width 1 from then on; lane s is open in
+    iterations 1 to closing[s]."""
     total = 0
-    for it in range(1, iterations + 1):
-        still = sum(c >= it for c in closing)
-        width = min([w for w in (16, 4, 1) if still <= w < width], default=width)
-        total += width
+    for lo in range(0, len(closing), 4):
+        block = closing[lo:lo + 4]
+        for it in range(1, max(block) + 1):
+            total += len(block) if sum(c >= it for c in block) > 1 else 1
     return total
 
 
-# Widths that narrow from every kind of start: from one chunk (2, 4, 16) and
-# from several (3, 5, 7, 17, 31, 33), to 16, 4 and 1.  The special ensemble
-# has a lane that freezes at iteration 1 and one with a zero right-hand side,
-# and is cut off by maxit one iteration before its slowest regular lane
-# converges, after the others have closed.
+# Widths of one block (2, 3, 4), of several (8, 16, 24) and of several with a
+# last block of one to three lanes (5, 7, 9, 17, 31, 33); every block of
+# more than one lane narrows to one.  The special ensemble has a lane that
+# freezes at iteration 1 and one with a zero right-hand side, and is cut off
+# by maxit one iteration before its slowest regular lane converges, after
+# the others have closed.  Blocks end at different iterations, so a block's
+# history columns repeat its last row up to the slowest block's end.
 @pytest.mark.parametrize("special", [False, True], ids=["plain", "special"])
-@pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 16, 17, 31, 33])
-def test_each_lane_is_its_solo_solve(width, special, monkeypatch):
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 7, 8, 9, 16, 17, 24, 31, 33])
+def test_each_lane_is_its_solo_solve(width, special):
     system = _team_system(width, 90 + width)
     mat, rhs, maxit = system.matrix, system.rhs.copy(), 2000
     if special:
@@ -830,7 +854,7 @@ def test_each_lane_is_its_solo_solve(width, special, monkeypatch):
             own = np.array(solo.residual_history)[:, 0]
             assert history[:len(own), s].tobytes() == own.tobytes()
             assert (history[len(own):, s] == own[-1]).all()
-        assert res.streamed_lane_iterations == ladder_sum(width, closing, res.ensemble_iterations)
+        assert res.streamed_lane_iterations == ladder_sum(closing)
     if special:
         assert res.frozen_lanes[0] and not res.converged_per_lane[0]
         assert res.iterations_per_lane[-1] == 0 and res.converged_per_lane[-1]
@@ -850,24 +874,25 @@ def test_streamed_lane_iterations_equal_executed_without_narrowing():
     assert res.streamed_lane_iterations == 4 * res.ensemble_iterations
 
 
-def test_streamed_lane_iterations_follow_the_width_ladder(monkeypatch):
-    # 33 lanes, copies of three systems that converge at a < b < c: 20 copies
-    # of the first, 10 of the second, 3 of the third.  After iteration a the
-    # 13 open lanes fit width 16, after b the 3 open ones width 4, so
-    # 33 a + 16 (b - a) + 4 (c - b) lane products are formed.
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+def test_streamed_lane_iterations_follow_the_width_ladder():
+    # 33 lanes, copies of three systems that converge at a < b < c: 19 copies
+    # of the first, 10 of the second, 4 of the third, in nine blocks.  Blocks
+    # 0-3 hold only the first (16 a); block 4 three of the first and one of
+    # the second, so it narrows to one lane after a (4 a + b - a); blocks 5
+    # and 6 only the second (8 b); block 7 one of the second and three of the
+    # third, which keep it at width 4 (4 c); block 8 the last lane (c).
     system = _team_system(3, 96)
     counts = [_solo(system.matrix, system.rhs, s).iterations_per_lane[0] for s in range(3)]
     order = np.argsort(counts)
     a, b, c = np.array(counts)[order]
     assert a < b < c
-    lanes = np.repeat(order, [20, 10, 3])
+    lanes = np.repeat(order, [19, 10, 4])
     mat = EnsembleCsrMatrix(system.matrix.row_offsets, system.matrix.col_indices,
                             system.matrix.values[lanes])
     for threads in (1, 2, 3, 4):
         res = ensemble_pcg(mat, system.rhs[lanes], tol=1e-10, threads=threads)
         assert res.ensemble_iterations == c
-        assert res.streamed_lane_iterations == 33 * a + 16 * (b - a) + 4 * (c - b)
+        assert res.streamed_lane_iterations == 16 * a + 4 * a + (b - a) + 8 * b + 4 * c + c
 
 
 # ---------------------------------------------------------------------------
@@ -881,12 +906,10 @@ def _storage(mat):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_solve_never_writes_its_matrix(threads, monkeypatch):
+def test_solve_never_writes_its_matrix(threads):
     # Sixteen lanes, copies of three systems that converge at a < b < c: 12
-    # of the first, 3 of the second, 1 of the third, so the solve narrows
-    # 16 -> 4 after iteration a and 4 -> 1 after b, each a copy out of the
-    # matrix, split over the team.
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
+    # of the first, 3 of the second, 1 of the third, so the last block
+    # narrows 4 -> 1 after iteration b, a copy out of the matrix.
     system = _team_system(3, 96)
     counts = [_solo(system.matrix, system.rhs, s).iterations_per_lane[0] for s in range(3)]
     order = np.argsort(counts)
@@ -896,7 +919,7 @@ def test_solve_never_writes_its_matrix(threads, monkeypatch):
                             system.matrix.values[lanes])
     before = _storage(mat)
     res = ensemble_pcg(mat, system.rhs[lanes], tol=1e-10, threads=threads)
-    assert res.streamed_lane_iterations == 16 * a + 4 * (b - a) + (c - b)
+    assert res.streamed_lane_iterations == 12 * a + 4 * b + (c - b)
     assert _storage(mat) == before
     # the assembled matrix, solved as it is, narrows from 3 lanes to 1
     before = _storage(system.matrix)
@@ -906,13 +929,12 @@ def test_solve_never_writes_its_matrix(threads, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("threads", [1, 2])
-def test_breakdown_leaves_the_matrix_unchanged(threads, monkeypatch):
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
-    mat = _team_system(4, 80).matrix
+def test_breakdown_leaves_the_matrix_unchanged(threads):
+    mat = _team_system(8, 80).matrix
     values = np.array(mat.values)
-    values[2, mat.row_offsets[-2]] = 1e300
+    values[6, mat.row_offsets[-2]] = 1e300
     mat = EnsembleCsrMatrix(mat.row_offsets, mat.col_indices, values)
-    rhs = np.zeros((4, mat.n_rows))
+    rhs = np.zeros((8, mat.n_rows))
     rhs[:, 0] = 1.0
     before = _storage(mat)
     with pytest.raises(NumericalBreakdownError):

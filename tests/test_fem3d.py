@@ -19,6 +19,7 @@ from _oracles import (
     gather_mesh_tables,
     interior_node_coords,
     kron_stiffness,
+    lane_blocks,
     laplacian_row_stencil,
     poisson_cube_center,
 )
@@ -191,17 +192,23 @@ def test_identical_samples_assemble_bitwise_equal_lanes(kl_field):
 
 def test_assembly_fills_the_packed_slots_on_the_mesh_graph(kl_field):
     # The kernel assembles the diagonal and upper entries straight into the
-    # (slots, S) storage the solve reads, one slot per row's diagonal and
-    # upper entry, and the matrix reads it through the mesh's packed graph
+    # storage the solve reads, one slot per row's diagonal and upper entry:
+    # for three lanes one (slots, 3) block, for six a block of four and one
+    # of two after it.  The matrix reads it through the mesh's packed graph
     # as it is, copying nothing.
     samples = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.0, 0.5, 1.0], [0.9, -0.9, 0.0, 0.2]])
     mesh = StructuredMesh(4)
     matrix = assemble_lanes(mesh, kl_field, samples).matrix
-    assert matrix.packed.shape == ((mesh.nnz + mesh.n_dofs) // 2, 3) == (mesh.n_slots, 3)
-    assert matrix.packed.flags.c_contiguous
+    (block,) = lane_blocks(matrix)
+    assert block.shape == ((mesh.nnz + mesh.n_dofs) // 2, 3) == (mesh.n_slots, 3)
+    assert block.flags.c_contiguous and block.tobytes() == matrix.packed.tobytes()
     for name in ("row_offsets", "col_indices", "split", "hrow", "lmap"):
         assert getattr(matrix, name) is getattr(mesh, name), name
     assert np.asarray(matrix.values).shape == (3, mesh.nnz)
+    wide = assemble_lanes(mesh, kl_field, np.vstack([samples, samples[::-1]])).matrix
+    assert [b.shape for b in lane_blocks(wide)] == [(mesh.n_slots, 4), (mesh.n_slots, 2)]
+    assert np.asarray(wide.values).tobytes() == np.asarray(
+        matrix.values[[0, 1, 2, 2, 1, 0]]).tobytes()
 
 
 def test_precomputed_mode_values_change_nothing(kl_field):

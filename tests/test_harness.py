@@ -38,7 +38,6 @@ from uqgroup import (
     preset_config,
 )
 from uqgroup import cli, harness
-from uqgroup import ensemble as ensemble_module
 from uqgroup.harness import (
     LevelRecord,
     LevelSamples,
@@ -395,6 +394,23 @@ def test_solver_config_validated_on_construction():
         with pytest.raises(ConfigurationError):
             SolverConfig(**bad)
     assert SolverConfig(maxit=0).maxit == 0
+    assert SolverConfig(maxit=2**63 - 1).maxit == 2**63 - 1
+
+
+@pytest.mark.parametrize("maxit", [2**63, 2**64 + 5, -1])
+def test_maxit_no_solve_can_run_is_refused_when_the_config_is_read(tmp_path, capsys, maxit):
+    # ensemble_pcg runs maxit in [0, 2^63); beyond it, a run used to build
+    # the field, mesh and grid and fail at its first solve
+    doc = {"problem": "pde_test1", "solver": {"maxit": maxit}, "mesh": {"mesh_cells": 4}, "n_max": 60}
+    with pytest.raises(ConfigurationError, match=r"^solver\.maxit must be in \[0, 2\^63\)"):
+        config_from_dict(doc)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    for args in (["--config", str(tmp_path / "config.json")],
+                 ["--problem", "pde_test1", "--mesh-cells", "4", "--n-max", "60", "--maxit", str(maxit)]):
+        out = tmp_path / "run"
+        assert cli_main(["run", *args, "--out-dir", str(out)]) == 1
+        assert "solver.maxit must be in [0, 2^63)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1171,10 +1187,9 @@ def test_residual_sink_needs_flag():
 
 
 def _run_on_cpus(monkeypatch, n_cpus, out_dir, args):
-    """One CLI run of `pde_test1` in a process that sees n_cpus CPUs, with the
-    team grain lowered so that any solve offered more than one thread forms a
-    team; returns the exit code, the worker count of each level's pool, the
-    threads offered to each solve and the residual sink's calls."""
+    """One CLI run of `pde_test1` in a process that sees n_cpus CPUs; returns
+    the exit code, the worker count of each level's pool, the threads offered
+    to each solve and the residual sink's calls."""
     pools, teams, calls = [], [], []
 
     class Pool(ThreadPoolExecutor):
@@ -1195,7 +1210,6 @@ def _run_on_cpus(monkeypatch, n_cpus, out_dir, args):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Pool)
     monkeypatch.setattr(harness, "ensemble_pcg", pcg)
-    monkeypatch.setattr(ensemble_module, "_TEAM_GRAIN", 1)
     monkeypatch.setattr(cli, "adaptive_run", run)
     code = cli_main(["run", "--problem", "pde_test1", *args, "--n-max", "100",
                      "--dump-residuals", "--out-dir", str(out_dir)])
@@ -1205,9 +1219,9 @@ def _run_on_cpus(monkeypatch, n_cpus, out_dir, args):
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
     # Width 5 pads the last ensemble of both levels (48 and 52 samples): ten
     # and eleven ensembles, a pool worker per CPU and one thread per solve.
-    # Width 48 on 343 rows (six row tiles) makes level 1 one ensemble and
-    # level 2 two, the second padded: a solve's team is its worker's share of
-    # the CPUs.
+    # Width 48 on an 8^3 mesh makes level 1 one ensemble and level 2 two, the
+    # second padded: a solve's twelve blocks of lanes get its worker's share
+    # of the CPUs.
     cases = {
         "padded": (["--mesh-cells", "4", "--S", "5"], 10, 11),
         "wide": (["--mesh-cells", "8", "--S", "48"], 1, 2),
