@@ -10,9 +10,10 @@ candidates in each dimension of the compiled hat sums), an `analytic_g1`
 run at width 7 (float counts, a padded last ensemble and a width that is not
 a power of two, so its bytes pin the sum order of the work ratios), a
 `pde_test1` run whose width pads the last ensemble (a block of four lanes
-and one of three), a `pde_test1` run at width 1 (the 1-lane chunk alone,
-reading its input in place), one at width 2 on an 8^3 mesh (the 2-lane
-chunk alone until its solves narrow to one lane), a `pde_test2` run at
+and one of three), a `pde_test1` run at width 1 (one-lane blocks alone,
+reading their input in place), one at width 2 and one at width 3 on an 8^3
+mesh (a lone block of two or of three lanes per ensemble, until its solve
+narrows to one lane), a `pde_test2` run at
 width 16 (four blocks of four lanes) on a 12^3 mesh, one at width 33 on an
 8^3 mesh (eight blocks of four and one of one), one at width 8 on the
 preset's 16^3 mesh (many ensembles per level through the solve pool, two
@@ -74,6 +75,7 @@ CASES = {
     "pde_test1-S7": ["--problem", "pde_test1", "--S", "7", "--n-max", "200"],
     "pde_test1-S1": ["--problem", "pde_test1", "--S", "1", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test1-S2": ["--problem", "pde_test1", "--S", "2", "--mesh-cells", "8", "--n-max", "60"],
+    "pde_test1-S3": ["--problem", "pde_test1", "--S", "3", "--mesh-cells", "8", "--n-max", "60"],
     "pde_test2-S16": ["--problem", "pde_test2", "--S", "16", "--mesh-cells", "12", "--n-max", "200"],
     "pde_test2-S33": ["--problem", "pde_test2", "--S", "33", "--mesh-cells", "8", "--n-max", "120"],
     "pde_test2-S8": ["--problem", "pde_test2", "--S", "8"],

@@ -43,32 +43,29 @@
  * The packed lanes are the block's lanes [first, first + W): all of them,
  * or the open one once narrowed.
  *
- * Every width runs the same product, in chunks of C = 4, 2 or 1 lanes, taken
- * from W's binary digits (3 = 2 + 1).  Each chunk width has its own compiled
- * copy, which walks the rows for lanes [c, c + C): for each nonzero the
- * column index is loaded once, then C contiguous multiply-adds follow over
- * the chunk's part of the entry's packed slot and of a lanes-last copy of x,
- * both read at the stride W, into C sums held in registers.  The row is
- * walked in storage order, the lmap slots first, then the run from hrow[i].
- * Each lane therefore sums its row exactly as scipy's scalar csr_matvec
- * does: from 0.0, over the row's nonzeros in order, one rounded multiply and
- * one rounded add each.  Vectorising across lanes does not reorder any
- * lane's sum, and the build passes -ffp-contract=off so no multiply-add is
- * fused.  Lane first + k of the result is therefore bitwise the scalar
- * product of that lane, whatever W, k and its chunk are.
+ * Each packed width W from 1 to BLOCK has its own compiled copy of the
+ * product, which walks the rows once for all W lanes: for each nonzero the
+ * column index is loaded once, then W contiguous multiply-adds follow over
+ * the entry's packed slot and a lanes-last copy of x into W sums held in
+ * registers.  The row is walked in storage order, the lmap slots first, then
+ * the run from hrow[i].  Each lane therefore sums its row exactly as scipy's
+ * scalar csr_matvec does: from 0.0, over the row's nonzeros in order, one
+ * rounded multiply and one rounded add each.  Vectorising across lanes does
+ * not reorder any lane's sum, and the build passes -ffp-contract=off so no
+ * multiply-add is fused.  Lane first + k of the result is therefore bitwise
+ * the scalar product of that lane, whatever W and k are.  A 3-lane block
+ * that ran as a 2-lane and a 1-lane walk of its rows took 77.2 us per
+ * iteration at 16^3 and 722 at 32^3; its own copy takes 55.3 and 518 (one
+ * thread, medians of 9 and 3 alternating in-process rounds on a shared
+ * 2-vCPU AVX-512 EPYC guest).
  *
  * x and y are lanes-first (S, n).  For W > 1, the rows of x's packed lanes
  * are first transposed into an (n, W) scratch xt; with one lane the two
  * layouts coincide, and xt is that lane's row of x itself.  The transpose and
- * the product run block by block of TILE rows, and chunk by chunk within a
- * row block, so the row block's graph and slots are still in cache when its
- * next chunk reads them: chunks that each walked all the rows took
- * 1.07-1.12x the time per lane-iteration of the single-walk body they
- * replace at 16^3, S=32 and 33, and 0.90-1.04x row block by row block
- * (alternating in-process rounds on a shared 2-vCPU guest).  A chunk gathers
- * a row block's results in a (TILE, C) tile and writes them out lane by
- * lane; storing each row's sums straight into y took 1.35-1.45x as long at
- * 16^3, S=4 to 33.
+ * the product run block by block of TILE rows.  The product gathers a row
+ * block's results in a (TILE, W) tile and writes them out lane by lane;
+ * storing each row's sums straight into y took 1.35-1.45x as long at 16^3,
+ * S=4 to 33.
  */
 
 #include <float.h>
@@ -79,7 +76,7 @@
 #include <string.h>
 
 #define TILE 64
-#define BLOCK 4 /* the lanes of a block, and the widest chunk */
+#define BLOCK 4 /* the lanes of a block, and the widest packed width */
 
 /* The packed values and the graph that reads them. */
 typedef struct {
@@ -89,37 +86,33 @@ typedef struct {
     const double *pack;   /* slot k holds W lane values at pack[k * W] */
 } packed_csr;
 
-/* log2 of the chunk that starts with `left` of the W lanes still to go. */
-#define chunk_log2(left) ((left) >= BLOCK ? 2 : 63 - __builtin_clzll((uint64_t)(left)))
-
-/* xt[i * W + c + k] = x[(c + k) * n + i] for the chunk's lanes k < C and the
- * rows i of the block [i0, i0 + rows); x starts at the first packed lane. */
+/* xt[i * W + k] = x[k * n + i] for the lanes k < W and the rows i of the
+ * block [i0, i0 + rows); x starts at the first packed lane. */
 static inline __attribute__((always_inline)) void transpose_body(
-    const int64_t C, const int64_t W, const int64_t c, const int64_t n, const int64_t i0,
-    const int64_t rows, const double *restrict x, double *restrict xt)
+    const int64_t W, const int64_t n, const int64_t i0, const int64_t rows,
+    const double *restrict x, double *restrict xt)
 {
-    for (int64_t k = 0; k < C; k++) {
-        const double *restrict xk = x + (c + k) * n + i0;
+    for (int64_t k = 0; k < W; k++) {
+        const double *restrict xk = x + k * n + i0;
         for (int64_t r = 0; r < rows; r++)
-            xt[(i0 + r) * W + c + k] = xk[r];
+            xt[(i0 + r) * W + k] = xk[r];
     }
 }
 
-/* Lanes [c, c + C) of the block of rows [i0, i0 + rows) of the product; lmap
- * points at the lmap slot of row i0's first entry before its run.  Returns
- * where lmap stands for the next block. */
+/* The block of rows [i0, i0 + rows) of the product; lmap points at the lmap
+ * slot of row i0's first entry before its run.  Returns where lmap stands for
+ * the next block. */
 static inline __attribute__((always_inline)) const int32_t *spmv_body(
-    const int64_t C, const int64_t W, const int64_t c, const int64_t n, const packed_csr m,
-    const int64_t i0, const int64_t rows, const int32_t *restrict lmap,
-    const double *restrict xt, double *restrict tile, double *restrict y)
+    const int64_t W, const int64_t n, const packed_csr m, const int64_t i0,
+    const int64_t rows, const int32_t *restrict lmap, const double *restrict xt,
+    double *restrict tile, double *restrict y)
 {
     const int32_t *restrict row_offsets = m.row_offsets, *restrict col_indices = m.col_indices;
     const int32_t *restrict split = m.split, *restrict hrow = m.hrow;
-    const double *restrict pack = m.pack + c;
-    xt += c;
+    const double *restrict pack = m.pack;
     for (int64_t r = 0; r < rows; r++) {
         const int64_t i = i0 + r;
-        /* The chunk uses C <= BLOCK of these sums.  With the array sized BLOCK,
+        /* A copy uses W <= BLOCK of these sums.  With the array sized BLOCK,
          * gcc 12 allocates the loop's registers otherwise, and one-thread S=4
          * solves took 1.08x as long at 24^3 and 1.11x at 16^3 (21 alternating
          * in-process rounds, slower in all). */
@@ -127,57 +120,61 @@ static inline __attribute__((always_inline)) const int32_t *spmv_body(
         for (int32_t jj = row_offsets[i]; jj < split[i]; jj++) {
             const double *restrict v = pack + (int64_t)*lmap++ * W;
             const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
-            for (int64_t k = 0; k < C; k++)
+            for (int64_t k = 0; k < W; k++)
                 acc[k] += v[k] * xc[k];
         }
         const double *restrict v = pack + (int64_t)hrow[i] * W;
         for (int32_t jj = split[i]; jj < row_offsets[i + 1]; jj++, v += W) {
             const double *restrict xc = xt + (int64_t)col_indices[jj] * W;
-            for (int64_t k = 0; k < C; k++)
+            for (int64_t k = 0; k < W; k++)
                 acc[k] += v[k] * xc[k];
         }
-        for (int64_t k = 0; k < C; k++)
-            tile[r * C + k] = acc[k];
+        for (int64_t k = 0; k < W; k++)
+            tile[r * W + k] = acc[k];
     }
-    for (int64_t k = 0; k < C; k++) {
-        double *restrict yk = y + (c + k) * n + i0;
+    for (int64_t k = 0; k < W; k++) {
+        double *restrict yk = y + k * n + i0;
         for (int64_t r = 0; r < rows; r++)
-            yk[r] = tile[r * C + k];
+            yk[r] = tile[r * W + k];
     }
     return lmap;
 }
 
-/* One product copy and one transpose copy per chunk width.  The product
- * copies stay out of line, as the width-4 and width-16 copies they replace
- * did, measured then.  Inlined into the loop, their code depended on the
- * rest of it: two builds of the loop that ran identical arithmetic at
- * S=4, differing only in a constant that S=4 never reaches, ran 1.25x apart
- * at 16^3, S=4 (16 alternating in-process rounds); out of line, both
- * matched the build before the lane list within noise.  The loop with its
- * product copies inlined took 1.26x the time of that build at 16^3, S=4 (40
- * alternating rounds), and 0.96-0.97x with them out of line. */
-#define CHUNK_COPIES(C)                                                       \
-    static __attribute__((noinline)) const int32_t *chunk_spmv_##C(           \
-        int64_t W, int64_t c, int64_t n, const packed_csr m, int64_t i0,      \
-        int64_t rows, const int32_t *lmap, const double *xt, double *tile,    \
-        double *y)                                                            \
-    {                                                                         \
-        return spmv_body(C, W, c, n, m, i0, rows, lmap, xt, tile, y);         \
-    }                                                                         \
-    static void chunk_transpose_##C(int64_t W, int64_t c, int64_t n, int64_t i0, \
-        int64_t rows, const double *x, double *xt)                            \
-    {                                                                         \
-        transpose_body(C, W, c, n, i0, rows, x, xt);                          \
+/* One product copy per packed width, and one transpose copy per width above
+ * one.  The product copies stay out of line, as the width-4 and width-16
+ * copies they replace did, measured then.  Inlined into the loop, their code
+ * depended on the rest of it: two builds of the loop that ran identical
+ * arithmetic at S=4, differing only in a constant that S=4 never reaches,
+ * ran 1.25x apart at 16^3, S=4 (16 alternating in-process rounds); out of
+ * line, both matched the build before the lane list within noise.  The loop
+ * with its product copies inlined took 1.26x the time of that build at 16^3,
+ * S=4 (40 alternating rounds), and 0.96-0.97x with them out of line. */
+#define SPMV_COPY(W)                                                            \
+    static __attribute__((noinline)) const int32_t *spmv_##W(                   \
+        int64_t n, const packed_csr m, int64_t i0, int64_t rows,                \
+        const int32_t *lmap, const double *xt, double *tile, double *y)        \
+    {                                                                           \
+        return spmv_body(W, n, m, i0, rows, lmap, xt, tile, y);                 \
+    }
+#define TRANSPOSE_COPY(W)                                                       \
+    static void transpose_##W(int64_t n, int64_t i0, int64_t rows, const double *x, \
+                              double *xt)                                       \
+    {                                                                           \
+        transpose_body(W, n, i0, rows, x, xt);                                  \
     }
 
-CHUNK_COPIES(1)
-CHUNK_COPIES(2)
-CHUNK_COPIES(4)
+SPMV_COPY(1)
+SPMV_COPY(2)
+SPMV_COPY(3)
+SPMV_COPY(4)
+TRANSPOSE_COPY(2)
+TRANSPOSE_COPY(3)
+TRANSPOSE_COPY(4)
 
-/* The copies by the log2 of their chunk width. */
-static __typeof__(chunk_spmv_1) *const chunk_spmv[] = {chunk_spmv_1, chunk_spmv_2, chunk_spmv_4};
-static __typeof__(chunk_transpose_1) *const chunk_transpose[] = {
-    chunk_transpose_1, chunk_transpose_2, chunk_transpose_4};
+/* The copies by packed width W: spmv_copy[W - 1], transpose_copy[W - 2]. */
+static __typeof__(spmv_1) *const spmv_copy[BLOCK] = {spmv_1, spmv_2, spmv_3, spmv_4};
+static __typeof__(transpose_2) *const transpose_copy[BLOCK - 1] = {
+    transpose_2, transpose_3, transpose_4};
 
 /* PCG.
  *
@@ -423,29 +420,20 @@ static void narrow(solve *sv, int64_t open)
 
 /* Steps 1 and 2 of an iteration (see ensemble_pcg): Ap = A p for the packed
  * lanes.  For W > 1 the rows of p are transposed into xt, then the product
- * is formed, both chunk by chunk within each block of TILE rows.  With one
- * lane the two layouts coincide: the 1-lane chunk reads p's row of that lane
- * in place, with no copy. */
+ * is formed, both block by block of TILE rows, by the copies of width W.
+ * With one lane the two layouts coincide: the product reads p's row of that
+ * lane in place, with no copy. */
 static void product(solve *sv)
 {
     const int64_t W = sv->width, n = sv->n;
     const int32_t *lmap = sv->lmap;
     const double *p = sv->p + sv->first * n, *xt = W == 1 ? p : sv->xt;
     double *ap = sv->apz + sv->first * n;
-    if (W > 1)
-        for (int64_t i0 = 0; i0 < n; i0 += TILE) {
-            const int64_t rows = n - i0 < TILE ? n - i0 : TILE;
-            for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-                chunk_transpose[chunk_log2(W - c)](W, c, n, i0, rows, p, sv->xt);
-        }
-    for (int64_t i0 = 0; i0 < n; i0 += TILE) {
-        const int64_t rows = n - i0 < TILE ? n - i0 : TILE;
-        const int32_t *next = lmap;
-        for (int64_t c = 0; c < W; c += (int64_t)1 << chunk_log2(W - c))
-            next = chunk_spmv[chunk_log2(W - c)](W, c, n, sv->m, i0, rows, lmap, xt, sv->tile,
-                                                 ap);
-        lmap = next;
-    }
+    for (int64_t i0 = 0; W > 1 && i0 < n; i0 += TILE)
+        transpose_copy[W - 2](n, i0, n - i0 < TILE ? n - i0 : TILE, p, sv->xt);
+    for (int64_t i0 = 0; i0 < n; i0 += TILE)
+        lmap = spmv_copy[W - 1](n, sv->m, i0, n - i0 < TILE ? n - i0 : TILE, lmap, xt, sv->tile,
+                                ap);
 }
 
 /* The iterations of one block. */
@@ -595,7 +583,8 @@ static void *run_blocks(void *arg)
  * open:
  *   1. p's packed lanes are transposed into xt (W > 1; one lane's product
  *      reads its row of p in place);
- *   2. Ap is formed for the packed lanes, chunk by chunk, in the tile;
+ *   2. Ap is formed for the packed lanes by the product copy of their
+ *      width, through the tile;
  *   3. p'Ap, then the x and r updates with r'r in one pass (update_xr), the
  *      residual norm and the convergence bookkeeping of each open lane, and
  *      the block's history row;

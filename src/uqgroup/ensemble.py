@@ -26,10 +26,10 @@ Jacobi inverse, read from the diagonal entries' slots, products, vector
 updates and convergence bookkeeping.  The call never writes the matrix.
 The product walks every row in storage order and, per column index, does
 contiguous multiply-adds over the entry's slot, so each lane sums in the
-order of a scalar CSR product.  Every width runs the same product, in
-compiled chunks of 4, 2 and 1 lanes taken from the width's binary digits
-(3 = 2 + 1), so every width keeps its sums in registers; one lane's chunk
-reads its input vector in place.
+order of a scalar CSR product.  Every width runs the same product body,
+compiled once for each block width from 1 to 4, so a block walks its rows
+once and keeps its sums in registers; one lane reads its input vector in
+place.
 Inner products and norms are taken per lane (never summed across lanes)
 by the kernel's own dot, in an order fixed by the length alone (`lane_dot`),
 so no output depends on a BLAS or its thread count, and lane i computes

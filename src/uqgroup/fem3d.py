@@ -151,7 +151,6 @@ class StructuredMesh:
         ).reshape(self.n_dofs, 27)
         shifts = ((steps[:, None, None] * n1 + steps[None, :, None]) * n1 + steps[None, None, :]).ravel()
         self.col_indices = (np.arange(self.n_dofs, dtype=np.int32)[:, None] + shifts.astype(np.int32))[coupled]
-        self.nnz = len(self.col_indices)
         # A row's length is the product of its coupled steps per axis (2 or 3).
         c, ahead = inside.sum(axis=1), inside[:, 2].astype(np.int64)
         counts = (c[:, None, None] * c[None, :, None] * c[None, None, :]).ravel()

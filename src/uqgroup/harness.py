@@ -349,14 +349,16 @@ def read_base_curve(path: str | Path) -> tuple[tuple[int, float], ...]:
     """Read a user-measured speed-up curve CSV with columns (S, speedup), sorted by S.
 
     Lines starting with # are comments; the first other row may be a header without digits.
+    Every data row holds exactly two fields.
     """
     pairs: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].strip().startswith("#")]
     for i, row in enumerate(rows):
         try:
-            pairs.append((int(row[0]), float(row[1])))
-        except (ValueError, IndexError):
+            width, speedup = row
+            pairs.append((int(width), float(speedup)))
+        except ValueError:
             if i == 0 and not any(c.isdigit() for c in "".join(row)):
                 continue  # the header
             raise ConfigurationError(f"bad base-curve row: {row}") from None

@@ -132,7 +132,6 @@ class KLDiffusionField:
     scaling.
     """
 
-    sigma0: float
     a_min: float
     a_hat_mode: str  # "constant" | "test2"
     eigenvalues: np.ndarray  # (N,)
@@ -242,8 +241,8 @@ def build_field(sigma0: float, n_modes: int, a_min: float, a_hat_mode: str = "co
         n1 = min(n1 * 2, NYSTROM_POINTS)
 
     modes = tuple(tuple(int(i) for i in triples[k]) for k in kept)
-    return KLDiffusionField(sigma0=sigma0, a_min=a_min, a_hat_mode=a_hat_mode,
-                            eigenvalues=sigma0 * products[kept], modes=modes, factors=tuple(factors))
+    return KLDiffusionField(a_min=a_min, a_hat_mode=a_hat_mode, eigenvalues=sigma0 * products[kept],
+                            modes=modes, factors=tuple(factors))
 
 
 def anisotropy_indicator(a_vals: np.ndarray) -> np.ndarray:

@@ -505,9 +505,10 @@ def insert_entry(lanes, k, row, col, values):
     ]
 
 
-# The scalar width 1, every chunk width alone (2, 4, 8, 16), and widths that
-# run several chunks: 3, 5, 6 (4 + 2), 12 (8 + 4), 17, 24 (16 + 8),
-# 31 (16 + 8 + 4 + 2 + 1), 32, 33 and 64; n crosses the kernel's 64-row tile.
+# The scalar width 1, every block width alone (2, 3, 4), and widths that run
+# blocks of four and a last block of one to three lanes, 5 (4 + 1), 6 (4 + 2),
+# 17 (16 + 1), 31 (28 + 3) and 33 (32 + 1), or blocks of four only, 8, 12,
+# 16, 24, 32 and 64; n crosses the kernel's 64-row tile.
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 12, 16, 17, 24, 31, 32, 33, 64])
 def test_pcg_bitwise_equals_lockstep_loop(width):
     rng = np.random.default_rng(100 + width)
@@ -517,9 +518,10 @@ def test_pcg_bitwise_equals_lockstep_loop(width):
 
 
 # The product inside the loop over one and three row tiles (n = 37, 130) on a
-# non-symmetric graph with a one-entry row, at the scalar width, every chunk
-# width alone and widths of two to five chunks: four iterations must be
-# bitwise those of the lockstep loop, whose product is scipy's scalar one.
+# non-symmetric graph with a one-entry row, at the scalar width, every block
+# width alone and widths of two to nine blocks of four with a last block of
+# one to four lanes: four iterations must be bitwise those of the lockstep
+# loop, whose product is scipy's scalar one.
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6, 8, 12, 16, 17, 24, 31, 32, 33])
 @pytest.mark.parametrize("n", [37, 130])
 def test_kernel_bitwise_equals_scalar_product(width, n):
@@ -737,8 +739,8 @@ def _team_system(width, seed):
 
 # Up to four threads take the blocks: one block (S <= 4, the other threads
 # are never started), fewer blocks than threads (5, 7, 8), as many (16) and
-# more (9, 24, 31, 33), last blocks of one to four lanes, and 31 runs every
-# chunk width (4, then 2 + 1 in its last block).
+# more (9, 24, 31, 33), and last blocks of one to four lanes (31 ends in a
+# block of three).
 @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 16, 24, 31, 33])
 def test_team_solve_bitwise_equals_single_member(width):
     system = _team_system(width, 60 + width)
@@ -952,7 +954,7 @@ def test_assembly_and_solve_allocate_no_nnz_by_lanes_buffer():
     mesh = StructuredMesh(12)
     mode_vals = field.mode_values(mesh.quad_axes)
     samples = np.random.default_rng(5).uniform(-1.0, 1.0, (16, 4))
-    full = mesh.nnz * 16 * 8
+    full = len(mesh.col_indices) * 16 * 8
     coefficient = 16 * len(mesh.quad_points) * 8
     tracemalloc.start()
     try:

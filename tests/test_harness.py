@@ -200,9 +200,9 @@ def test_read_base_curve(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["4,abc\n8,4.4\n", "nan,2.72\n4,2.72\n", "S,speedup\nS,speedup\n4,2.72\n",
-                                  "4,2.72\nS,speedup\n"])
+                                  "4,2.72\nS,speedup\n", "S,speedup\n4,1.5,9\n"])
 def test_read_base_curve_refuses_a_bad_row_taken_for_a_header(tmp_path, text):
-    """Only the first row may be a header, and only if it holds no digit."""
+    """Only the first row may be a header, and only if it holds no digit; data rows hold two fields."""
     curve = tmp_path / "curve.csv"
     curve.write_text(text)
     with pytest.raises(ConfigurationError, match="bad base-curve row"):
